@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .eisenstein import (
@@ -41,6 +42,7 @@ from .lattice import (
     LatticeBasis,
     RankMismatch,
     coords_in,
+    integer_coordinates,
     orientation,
 )
 
@@ -85,10 +87,34 @@ ORDER_TWO_SIGN_PATTERNS: Tuple[Tuple[int, int, int, int], ...] = (
 )
 
 
-class HermitianForm:
-    """Conjugate-symmetric 2x2 matrix over Q(zeta), scaled by 1/sqrt(3)."""
+def _ambient_gram(m: EisMat) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """Im h on the reference basis as (den, E) with integer rows E:
+    Im h(v, w) = v . E . w / den for ambient coordinates
+    (z1.a, z1.b, z2.a, z2.b).
 
-    __slots__ = ("matrix",)
+    Im of (x/sqrt(3)) is half the zeta coefficient of x, so the entry
+    a + b*zeta of M contributes b/2 on (1, 1) and (zeta, zeta), (a + b)/2
+    on (zeta, 1) and -a/2 on (1, zeta).
+    """
+    half = lcm(*(q.denominator for row in m for x in row for q in (x.a, x.b)))
+    e = [[0] * 4 for _ in range(4)]
+    for i in range(2):
+        for j in range(2):
+            a, b = m[i][j].a * half, m[i][j].b * half
+            e[2 * i][2 * j] = e[2 * i + 1][2 * j + 1] = b.numerator
+            e[2 * i + 1][2 * j] = (a + b).numerator
+            e[2 * i][2 * j + 1] = -a.numerator
+    return 2 * half, tuple(map(tuple, e))
+
+
+class HermitianForm:
+    """Conjugate-symmetric 2x2 matrix over Q(zeta), scaled by 1/sqrt(3).
+
+    value is the Q(zeta) evaluation; im_value and im_on_lattice use the
+    integer ambient Gram matrix gram of Im h instead.
+    """
+
+    __slots__ = ("matrix", "gram")
 
     def __init__(self, matrix: Sequence[Sequence[object]]) -> None:
         m = mat(matrix)
@@ -97,6 +123,7 @@ class HermitianForm:
         if mat_conj(mat_transpose(m)) != m:
             raise ValueError("matrix is not conjugate-symmetric")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "gram", _ambient_gram(m))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HermitianForm is immutable")
@@ -115,7 +142,10 @@ class HermitianForm:
         return ReIm.from_scaled(acc)
 
     def im_value(self, v: AmbientVector, w: AmbientVector) -> Fraction:
-        return self.value(v, w).im
+        den, e = self.gram
+        d, (x, y) = integer_coordinates((v, w))
+        return Fraction(sum(x[p] * e[p][q] * y[q]
+                            for p in range(4) for q in range(4)), den * d * d)
 
     def scaled(self, c: Fraction) -> "HermitianForm":
         c = Fraction(c)
@@ -204,8 +234,15 @@ class AltFormOnLattice:
 
 
 def im_on_lattice(h: HermitianForm, lattice: LatticeBasis) -> AltFormOnLattice:
-    vs = lattice.vectors
-    matrix = tuple(tuple(h.im_value(vi, vj) for vj in vs) for vi in vs)
+    """Im h(b_i, b_j) as the integer product V . E . V^T over a common
+    denominator, V the basis coordinates and E the form's ambient Gram."""
+    den, e = h.gram
+    d, rows = integer_coordinates(lattice.vectors)
+    ve = [[sum(r[p] * e[p][q] for p in range(4)) for q in range(4)]
+          for r in rows]
+    den *= d * d
+    matrix = tuple(tuple(Fraction(sum(a * b for a, b in zip(vei, rj)), den)
+                         for rj in rows) for vei in ve)
     return AltFormOnLattice(lattice, matrix)
 
 
@@ -226,7 +263,8 @@ def intersection_number(h1: HermitianForm, h2: HermitianForm,
         raise NotIntegral("both forms must be integral on the lattice")
     total = pfaffian(im_on_lattice(h1 + h2, lattice))
     val = total - pfaffian(e1) - pfaffian(e2)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise NotIntegral(f"intersection number {val} is not an integer")
     return int(val)
 
 

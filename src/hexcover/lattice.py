@@ -139,14 +139,16 @@ class ComplexLine:
 class LatticeBasis:
     """Ordered rationally independent generators of a lattice."""
 
-    __slots__ = ("vectors",)
+    __slots__ = ("vectors", "_solver")
 
     def __init__(self, vectors: Sequence[AmbientVector]) -> None:
         vecs = tuple(vectors)
-        rows = [list(v.coordinates) for v in vecs]
-        if _rat_rank(rows) != len(vecs):
+        pivots = _gauss_jordan([v.coordinates for v in vecs])[0]
+        if len(pivots) != len(vecs):
             raise ValueError("basis vectors must be linearly independent")
         object.__setattr__(self, "vectors", vecs)
+        # Filled by _solver on the first coords_in against this basis.
+        object.__setattr__(self, "_solver", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LatticeBasis is immutable")
@@ -174,96 +176,96 @@ class LatticeBasis:
 # --- rational linear algebra ------------------------------------------------
 
 
-def _rat_rank(rows: List[List[Fraction]]) -> int:
-    m = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    col = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+def integer_coordinates(vectors: Sequence[AmbientVector]) -> Tuple[int, List[List[int]]]:
+    """Common denominator d and integer rows with row[i] / d the ambient
+    coordinates of vectors[i]."""
+    den = lcm(*(c.denominator for v in vectors for c in v.coordinates))
+    return den, [[c.numerator * (den // c.denominator) for c in v.coordinates]
+                 for v in vectors]
 
 
-def _solve_in_span(columns: List[List[Fraction]],
-                   target: List[Fraction]) -> Optional[List[Fraction]]:
-    """Solve sum_j x_j * columns[j] = target; None if inconsistent.
+def _gauss_jordan(rows: Sequence[Sequence[Rat]]):
+    """Reduced row echelon form R of a rational matrix A, with T . A = R.
 
-    Assumes the columns are linearly independent, so any solution is unique.
+    Returns (pivot columns, R, T, d); the number of pivots is the rank, and
+    d, the signed product of the pivots, is det(A) when A is square of full
+    rank.
     """
-    k = len(columns)
-    n = len(target)
-    aug = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        pr = None
-        for r in range(row, n):
-            if aug[r][col]:
-                pr = r
-                break
-        if pr is None:
+    n = len(rows)
+    m = [list(map(Fraction, r)) for r in rows]
+    t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    pivots: List[int] = []
+    det = Fraction(1)
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        r0 = len(pivots)
+        below = next((r for r in range(r0, n) if m[r][col]), None)
+        if below is None:
             continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        pv = aug[row][col]
-        aug[row] = [a / pv for a in aug[row]]
+        if below != r0:
+            m[r0], m[below] = m[below], m[r0]
+            t[r0], t[below] = t[below], t[r0]
+            det = -det
+        pv = m[r0][col]
+        det *= pv
+        m[r0] = [a / pv for a in m[r0]]
+        t[r0] = [a / pv for a in t[r0]]
         for r in range(n):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+            f = m[r][col]
+            if r != r0 and f:
+                m[r] = [a - f * b for a, b in zip(m[r], m[r0])]
+                t[r] = [a - f * b for a, b in zip(t[r], t[r0])]
         pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if aug[r][k]:
-            return None
-    sol = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][k]
-    return sol
+    return pivots, m, t, det
+
+
+def _solver(basis: LatticeBasis):
+    """The cached data coords_in needs for basis: (pivots, den, inverse,
+    checks), all integers.
+
+    For the k basis vectors, the k x k minor on the pivot coordinates is
+    invertible; inverse is den times its inverse, so the coordinates of v
+    are inverse . v[pivots] / den.  Each (r, row) in checks reconstructs a
+    non-pivot coordinate as row . v[pivots] / den, which must equal v[r]
+    for v to lie in the span; rank 4 has no checks.
+    """
+    solver = basis._solver
+    if solver is None:
+        pivots, reduced, transform, _ = _gauss_jordan(
+            [v.coordinates for v in basis.vectors])
+        k = len(pivots)
+        inverse = [[transform[j][i] for j in range(k)] for i in range(k)]
+        checks = [(r, [reduced[j][r] for j in range(k)])
+                  for r in range(4) if r not in pivots]
+        den = lcm(*(x.denominator for row in inverse for x in row),
+                  *(x.denominator for _, row in checks for x in row))
+
+        def scaled(row):
+            return tuple(x.numerator * (den // x.denominator) for x in row)
+
+        solver = (tuple(pivots), den, tuple(scaled(row) for row in inverse),
+                  tuple((r, scaled(row)) for r, row in checks))
+        object.__setattr__(basis, "_solver", solver)
+    return solver
 
 
 def _det(rows: List[List[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        pv = m[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
+    pivots, _, _, det = _gauss_jordan(rows)
+    return det if len(pivots) == len(rows) else Fraction(0)
 
 
 def coords_in(reference: LatticeBasis, v: AmbientVector) -> Optional[Tuple[Fraction, ...]]:
     """Coordinates of v in the reference basis, or None if v is outside
     the rational span of the reference."""
-    cols = [list(b.coordinates) for b in reference.vectors]
-    sol = _solve_in_span(cols, list(v.coordinates))
-    return None if sol is None else tuple(sol)
+    pivots, den, inverse, checks = _solver(reference)
+    d, (ints,) = integer_coordinates((v,))
+    at_pivots = [ints[p] for p in pivots]
+    for r, row in checks:
+        if sum(a * b for a, b in zip(row, at_pivots)) != ints[r] * den:
+            return None
+    den *= d
+    return tuple(Fraction(sum(a * b for a, b in zip(row, at_pivots)), den)
+                 for row in inverse)
 
 
 # --- integer column reduction ----------------------------------------------

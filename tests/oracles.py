@@ -41,6 +41,18 @@ def sympy_solve_integral(basis_rows, target) -> bool:
     return all(s.is_integer for s in sol)
 
 
+def sympy_coords(basis_rows, target):
+    """Coordinates of target in the span of the (independent) basis rows,
+    or None when target lies outside that span."""
+    a = sympy.Matrix([[sympy.Rational(x) for x in row] for row in basis_rows]).T
+    b = sympy.Matrix([sympy.Rational(x) for x in target])
+    try:
+        sol, _ = a.gauss_jordan_solve(b)
+    except ValueError:
+        return None
+    return tuple(Fraction(str(x)) for x in sol)
+
+
 def pfaffian4_from_upper(upper):
     """Three-term pfaffian of a 4x4 alternating matrix given its upper
     triangle (E12, E13, E14, E23, E24, E34)."""

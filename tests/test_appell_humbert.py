@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hexcover import catalog
+from hexcover import appell_humbert, catalog
 from hexcover.appell_humbert import (
     AltFormOnLattice,
     HermitianForm,
@@ -37,6 +39,7 @@ from oracles import (
     pfaffian4_from_upper,
     sympy_det,
 )
+from strategies import ambient_vectors, hermitian_forms, lattice_bases
 
 
 def _signs(bundle):
@@ -168,6 +171,36 @@ def test_intersection_rejects_nonintegral():
     half = catalog.SUM_FORM.scaled(Fraction(1, 2))
     with pytest.raises(NotIntegral):
         intersection_number(half, half, catalog.PRODUCT_LATTICE)
+
+
+def test_intersection_rejects_fractional_pfaffian_difference(monkeypatch):
+    # Integral forms always give an integer difference, so only a broken
+    # pfaffian reaches this branch; it must raise, not return int(1/2).
+    single = im_on_lattice(catalog.SUM_FORM, catalog.PRODUCT_LATTICE)
+
+    def stub(e):
+        return Fraction(0) if e == single else Fraction(1, 2)
+
+    monkeypatch.setattr(appell_humbert, "pfaffian", stub)
+    with pytest.raises(NotIntegral):
+        intersection_number(catalog.SUM_FORM, catalog.SUM_FORM,
+                            catalog.PRODUCT_LATTICE)
+
+
+@given(hermitian_forms(), st.sampled_from((2, 4)).flatmap(lattice_bases))
+def test_im_on_lattice_matches_q_zeta_values(h, lattice):
+    alt = im_on_lattice(h, lattice)
+    vs = lattice.vectors
+    for i, vi in enumerate(vs):
+        for j, vj in enumerate(vs):
+            assert alt.matrix[i][j] == h.value(vi, vj).im
+
+
+@given(hermitian_forms(), ambient_vectors, ambient_vectors)
+def test_im_value_matches_q_zeta_value(h, v, w):
+    assert h.im_value(v, w) == h.value(v, w).im
+    assert h.scaled(Fraction(1, 2)).im_value(v, w) == \
+        h.scaled(Fraction(1, 2)).value(v, w).im
 
 
 def test_semichar_eval_examples():

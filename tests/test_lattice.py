@@ -23,7 +23,8 @@ from hexcover.lattice import (
 )
 
 import golden
-from oracles import ZETA_C, close, sympy_det, to_complex
+from oracles import ZETA_C, close, sympy_coords, sympy_det, to_complex
+from strategies import ambient_vectors, lattice_bases, rationals
 
 PRODUCT = LatticeBasis.from_rows(golden.PRODUCT_BASIS)
 COVER = LatticeBasis.from_rows(golden.COVER_BASIS)
@@ -231,3 +232,29 @@ def test_integer_kernel_is_saturated():
 def test_coords_in_outside_span():
     rank2 = LatticeBasis.from_rows(golden.CURVE_LATTICES[0])
     assert coords_in(rank2, AmbientVector((0, 0, 1, 0))) is None
+
+
+def _rows(basis):
+    return [v.coordinates for v in basis.vectors]
+
+
+@given(lattice_bases(4), ambient_vectors)
+def test_coords_in_matches_sympy_rank4(basis, v):
+    got = coords_in(basis, v)
+    assert got == sympy_coords(_rows(basis), v.coordinates)
+    again = LatticeBasis.from_rows(_rows(basis))
+    assert coords_in(basis, v) == coords_in(again, v) == got
+
+
+@given(lattice_bases(2), st.tuples(rationals, rationals), ambient_vectors)
+def test_coords_in_rank2_inside_and_outside_span(basis, coeffs, v):
+    inside = coeffs[0] * basis.vectors[0] + coeffs[1] * basis.vectors[1]
+    assert coords_in(basis, inside) == coeffs
+    assert coords_in(basis, v) == sympy_coords(_rows(basis), v.coordinates)
+    units = [AmbientVector([int(i == j) for j in range(4)]) for i in range(4)]
+    off = next(e for e in units if sympy_coords(_rows(basis), e.coordinates)
+               is None)
+    assert coords_in(basis, inside + off) is None
+    again = LatticeBasis.from_rows(_rows(basis))
+    assert coords_in(again, inside) == coeffs
+    assert coords_in(again, inside + off) is None

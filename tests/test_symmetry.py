@@ -1,12 +1,17 @@
 import itertools
+import json
 import random
+import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
 
 from hexcover import catalog
-from hexcover.eisenstein import EisRat, is_unit, det2, mat, mat_conj, mat_mul, mat_scale
-from hexcover.lattice import AmbientVector
+from hexcover.eisenstein import (EisRat, is_unit, det2, mat, mat_conj,
+                                 mat_identity, mat_mul, mat_scale)
+from hexcover.lattice import AmbientVector, LatticeBasis
 from hexcover.permgroup import PermGroup, Permutation, commutator
 from hexcover.symmetry import (
     ANTIHOLO_REFLECTION,
@@ -35,9 +40,10 @@ from hexcover.symmetry import (
     tangent_line_permutation,
     verify_presentation,
 )
-from hexcover.appell_humbert import translate
+from hexcover.appell_humbert import pullback_hom, square_roots, translate
 
 import golden
+from strategies import unimodular_matrices
 
 
 ROOTS = list(catalog.SQUARE_ROOT_BUNDLES)
@@ -346,3 +352,46 @@ def test_gamma_lattice_images():
     assert maps_equal(cubed, AffineSymmetry.identity(),
                       catalog.PRODUCT_LATTICE)
     assert tangent_line_permutation is not None  # gamma checked internally
+
+
+EXPECTED = {r["check_id"]: r["expected"] for r in json.loads(
+    resources.files("hexcover").joinpath("expected_values.json")
+    .read_text("utf-8"))["checks"]}
+
+# The five symmetries behind the orbits.perm_* checks.
+PERM_SYMMETRIES = {
+    "order4": ORDER4_SYMMETRY,
+    "order6": ORDER6_SYMMETRY,
+    "negation": NEGATION,
+    "translation": BASE_POINT_SWAP,
+    "reflection": ANTIHOLO_REFLECTION,
+}
+
+
+def _cycle_type(text):
+    return sorted(len(c.split()) for c in re.findall(r"\(([^()]*)\)", text))
+
+
+@settings(max_examples=5, deadline=None)
+@given(unimodular_matrices())
+def test_orbits_invariant_under_rebasing(u):
+    old = catalog.COVER_LATTICE.vectors
+    lattice = LatticeBasis([
+        sum((u[k][j] * b for k, b in enumerate(old)), AmbientVector((0,) * 4))
+        for j in range(4)])
+    roots = square_roots(pullback_hom(catalog.BRANCH_PRODUCT, mat_identity(2),
+                                      lattice))
+    assert len(roots) == EXPECTED["orbits.root_count"]
+    perms = {name: action_on_square_roots(g, roots)
+             for name, g in PERM_SYMMETRIES.items()}
+    holo = PermGroup([perms["order4"], perms["order6"]])
+    full = PermGroup([perms["order4"], perms["order6"], perms["reflection"]])
+    assert holo.order == EXPECTED["orbits.holo_order"]
+    assert full.order == EXPECTED["orbits.full_order"]
+    for group, key in ((holo, "orbits.holo_partition"),
+                       (full, "orbits.full_partition")):
+        assert sorted(len(o) for o in group.orbits()) == \
+            sorted(len(block) for block in EXPECTED[key])
+    for name, perm in perms.items():
+        assert sorted(len(c) for c in perm.cycles()) == \
+            _cycle_type(EXPECTED[f"orbits.perm_{name}"])
