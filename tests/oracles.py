@@ -1,7 +1,10 @@
 """Independent cross-checks used by the test suite.
 
-Everything here is deliberately written without the package under test:
-floating-point embeddings, sympy linear algebra, and brute-force loops.
+Everything here except scan_search_generators is deliberately written
+without the package under test: floating-point embeddings, sympy linear
+algebra, and brute-force loops.  scan_search_generators is the plain scan
+that the generator search's lookup replaced, kept on the package's Q(zeta)
+arithmetic as the reference for that search.
 """
 
 import cmath
@@ -158,3 +161,57 @@ def gf3_fingerprint(det_one: bool):
         k = gf3_order(m)
         fp[k] = fp.get(k, 0) + 1
     return fp
+
+
+def scan_unit_det_candidates(height_bound):
+    """Entry quadruples (a11, a12, a21, a22) of the generator search's
+    congruence pattern with unit determinant, by four nested loops over
+    a11, a22, a12, a21 and a norm test on each determinant."""
+    b = height_bound
+    span = range(-b, b + 1)
+    even = [k for k in span if k % 2 == 0]
+    top_left = [(x, y) for x in span for y in even]
+    top_right = [(x, y) for x in even for y in even]
+    bottom = [(x, y) for x in span for y in span]
+    out = []
+    for a11 in top_left:
+        for a22 in bottom:
+            head = (a11[0] * a22[0] - a11[1] * a22[1],
+                    a11[0] * a22[1] + a11[1] * a22[0] + a11[1] * a22[1])
+            for a12 in top_right:
+                for a21 in bottom:
+                    cross = (a12[0] * a21[0] - a12[1] * a21[1],
+                             a12[0] * a21[1] + a12[1] * a21[0]
+                             + a12[1] * a21[1])
+                    da, db = head[0] - cross[0], head[1] - cross[1]
+                    if da * da + da * db + db * db == 1:
+                        out.append((a11, a12, a21, a22))
+    return out
+
+
+def scan_search_generators(height_bound):
+    """The generator search as a plain scan: the candidates of
+    scan_unit_det_candidates, the tangent permutation computed in Q(zeta),
+    then the cover-lattice test in the standard frame."""
+    from hexcover import catalog
+    from hexcover.eisenstein import EisRat, inv2, mat, mat_mul
+    from hexcover.symmetry import (AffineSymmetry, NotLatticePreserving,
+                                   TILTED_TANGENTS, _line_permutation,
+                                   rational_rep)
+
+    targets = ((3, 4, 1, 2), (2, 3, 1, 4))
+    shear = catalog.FRAME_SHEAR
+    unshear = inv2(shear)
+    out = []
+    for a11, a12, a21, a22 in scan_unit_det_candidates(height_bound):
+        linear = mat([[EisRat(*a11), EisRat(*a12)],
+                      [EisRat(*a21), EisRat(*a22)]])
+        if _line_permutation(linear, False, TILTED_TANGENTS) not in targets:
+            continue
+        ambient = mat_mul(mat_mul(shear, linear), unshear)
+        try:
+            rational_rep(AffineSymmetry(ambient), catalog.COVER_LATTICE)
+        except NotLatticePreserving:
+            continue
+        out.append(AffineSymmetry(linear))
+    return out

@@ -107,6 +107,21 @@ def test_branch_alt_form_tables():
         Fraction(x) for x in golden.BRANCH_ALT_UPPER_COVER)
 
 
+def test_alt_form_constructor_validates_skewness():
+    lattice = catalog.GENUS1_LATTICE
+    half = Fraction(1, 2)
+    alt = AltFormOnLattice(lattice, [[0, half], [-half, 0]])
+    assert alt.matrix == ((0, half), (-half, 0))
+    assert alt.upper_triangle() == (half,)
+    assert AltFormOnLattice(lattice, [["0", "1/2"], ["-1/2", "0"]]) == alt
+    with pytest.raises(ValueError, match="alternating matrix must be skew"):
+        AltFormOnLattice(lattice, [[1, 0], [0, -1]])
+    with pytest.raises(ValueError, match="alternating matrix must be skew"):
+        AltFormOnLattice(lattice, [[0, half], [half, 0]])
+    with pytest.raises(ValueError, match="matrix shape must match"):
+        AltFormOnLattice(lattice, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+
+
 def test_pfaffians_and_self_intersections():
     alt = catalog.BRANCH_PRODUCT.character.form
     assert pfaffian(alt) == golden.PF_PRODUCT

@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexcover import catalog
 from hexcover.eisenstein import (EisRat, is_unit, det2, mat, mat_conj,
@@ -29,6 +30,13 @@ from hexcover.symmetry import (
     TILTED_ORDER4_SYMMETRY,
     TILTED_ORDER6_SYMMETRY,
     TILTED_TANGENTS,
+    _SEARCH_TARGETS,
+    _UNITS,
+    _line_permutation,
+    _moves_tangents,
+    _unit_det_candidates,
+    _zeta_mul,
+    _zeta_pair,
     action_on_square_roots,
     cross_ratio,
     gamma_action_on_sigma,
@@ -43,6 +51,7 @@ from hexcover.symmetry import (
 from hexcover.appell_humbert import pullback_hom, square_roots, translate
 
 import golden
+from oracles import scan_search_generators, scan_unit_det_candidates
 from strategies import unimodular_matrices
 
 
@@ -221,6 +230,76 @@ def test_search_recovers_tilted_generators():
     assert {g.linear for g in search_generators(2)} == want
     with pytest.raises(ValueError):
         search_generators(1)
+
+
+@pytest.mark.parametrize("bound, count", [(2, 1364), (3, 4196)])
+def test_search_matches_plain_scan(bound, count):
+    candidates = _unit_det_candidates(bound)
+    assert candidates == scan_unit_det_candidates(bound)
+    assert len(candidates) == count
+    assert search_generators(bound) == scan_search_generators(bound)
+
+
+def test_search_result_does_not_depend_on_bound():
+    at3 = search_generators(3)
+    for bound in (4, 5, 6):
+        assert search_generators(bound) == at3
+
+
+zeta_integers = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@given(zeta_integers, zeta_integers)
+def test_zeta_pair_product_matches_eisrat(x, y):
+    assert EisRat(*_zeta_mul(x, y)) == EisRat(*x) * EisRat(*y)
+
+
+@st.composite
+def unit_det_matrices(draw):
+    """Integral 2x2 matrices of unit determinant: a unit multiple of either
+    a tilted generator, which the tangent test accepts, or a product of
+    elementary and diagonal unit matrices, which it mostly rejects."""
+    if draw(st.booleans()):
+        m = draw(st.sampled_from([TILTED_ORDER4_SYMMETRY.linear,
+                                  TILTED_ORDER6_SYMMETRY.linear]))
+    else:
+        m = mat_identity(2)
+        for _ in range(draw(st.integers(0, 3))):
+            t = EisRat(*draw(zeta_integers))
+            step = [[1, t], [0, 1]] if draw(st.booleans()) else [[1, 0], [t, 1]]
+            m = mat_mul(m, mat(step))
+        u = EisRat(*draw(st.sampled_from(_UNITS)))
+        m = mat_mul(m, mat([[1, 0], [0, u]]))
+    return mat_scale(EisRat(*draw(st.sampled_from(_UNITS))), m)
+
+
+def integer_tangent_test(linear):
+    (a11, a12), (a21, a22) = [[_zeta_pair(x) for x in row] for row in linear]
+    return any(_moves_tangents(a11, a12, a21, a22, target)
+               for target in _SEARCH_TARGETS)
+
+
+@given(unit_det_matrices())
+def test_integer_tangent_test_matches_q_zeta_permutation(linear):
+    assert is_unit(det2(linear))
+    assert integer_tangent_test(linear) == \
+        (_line_permutation(linear, False, TILTED_TANGENTS) in _SEARCH_TARGETS)
+
+
+def test_integer_tangent_test_accepts_and_rejects():
+    for u in _UNITS:
+        scale = EisRat(*u)
+        for g in (TILTED_ORDER4_SYMMETRY, TILTED_ORDER6_SYMMETRY):
+            assert integer_tangent_test(mat_scale(scale, g.linear))
+        # unit scalars fix every tangent, which is neither target
+        assert not integer_tangent_test(mat_scale(scale, mat_identity(2)))
+    for u in set(_UNITS) - {(1, 0)}:
+        # diag(1, u), u != 1, moves the fourth tangent off the quadruple
+        off = mat([[1, 0], [0, EisRat(*u)]])
+        assert not integer_tangent_test(
+            mat_mul(TILTED_ORDER4_SYMMETRY.linear, off))
+    with pytest.raises(ValueError):
+        _zeta_pair(EisRat(Fraction(1, 2)))
 
 
 def test_shear_conjugation_recovers_standard_generators():
