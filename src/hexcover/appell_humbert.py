@@ -30,17 +30,20 @@ from .eisenstein import (
     EisMat,
     EisRat,
     ReIm,
+    ZetaPair,
+    _integer_matrix,
+    _zeta_mul,
     mat,
     mat_add,
-    mat_apply,
     mat_conj,
-    mat_mul,
     mat_transpose,
 )
 from .lattice import (
     AmbientVector,
     LatticeBasis,
     RankMismatch,
+    _ambient_matrix,
+    _map_vectors,
     coords_in,
     integer_coordinates,
     orientation,
@@ -144,8 +147,7 @@ class HermitianForm:
     def im_value(self, v: AmbientVector, w: AmbientVector) -> Fraction:
         den, e = self.gram
         d, (x, y) = integer_coordinates((v, w))
-        return Fraction(sum(x[p] * e[p][q] * y[q]
-                            for p in range(4) for q in range(4)), den * d * d)
+        return Fraction(_gram_products(e, (x,), (y,))[0][0], den * d * d)
 
     def scaled(self, c: Fraction) -> "HermitianForm":
         c = Fraction(c)
@@ -233,16 +235,30 @@ class AltFormOnLattice:
         return hash((self.lattice, self.matrix))
 
 
+def _gram_products(e, left, right) -> List[List[int]]:
+    """The integers x . e . y for x in left (rows) and y in right (columns),
+    all integer coordinate rows."""
+    out = []
+    for x in left:
+        xe = [sum(x[p] * e[p][q] for p in range(4)) for q in range(4)]
+        out.append([sum(a * b for a, b in zip(xe, y)) for y in right])
+    return out
+
+
+def _ratio(n: int, den: int):
+    """n / den as an int when it is one, else as a Fraction."""
+    return n // den if n % den == 0 else Fraction(n, den)
+
+
 def im_on_lattice(h: HermitianForm, lattice: LatticeBasis) -> AltFormOnLattice:
     """Im h(b_i, b_j) as the integer product V . E . V^T over a common
-    denominator, V the basis coordinates and E the form's ambient Gram."""
+    denominator, V the basis coordinates and E the form's ambient Gram.
+    Integral entries are ints, the others Fractions."""
     den, e = h.gram
     d, rows = integer_coordinates(lattice.vectors)
-    ve = [[sum(r[p] * e[p][q] for p in range(4)) for q in range(4)]
-          for r in rows]
     den *= d * d
-    matrix = tuple(tuple(Fraction(sum(a * b for a, b in zip(vei, rj)), den)
-                         for rj in rows) for vei in ve)
+    matrix = tuple(tuple(_ratio(n, den) for n in row)
+                   for row in _gram_products(e, rows, rows))
     return AltFormOnLattice(lattice, matrix)
 
 
@@ -385,54 +401,81 @@ def tensor(l1: LineBundleClass, l2: LineBundleClass) -> LineBundleClass:
     return LineBundleClass(l1.form + l2.form, l1.character * l2.character)
 
 
-def _push_vector(f: EisMat, v: AmbientVector, conjugate_first: bool) -> AmbientVector:
-    z1, z2 = v.to_pair()
-    if conjugate_first:
-        z1, z2 = z1.conjugate(), z2.conjugate()
-    w = mat_apply(f, (z1, z2))
-    return AmbientVector.from_pair(w[0], w[1])
+def _zeta_dot(xs: Sequence[ZetaPair], ys: Sequence[ZetaPair]) -> ZetaPair:
+    """The sum of x*y over the paired Z[zeta] entries of xs and ys."""
+    a = b = 0
+    for x, y in zip(xs, ys):
+        p, q = _zeta_mul(x, y)
+        a += p
+        b += q
+    return a, b
+
+
+def _pulled_form(m: EisMat, f: EisMat, conjugate: bool) -> EisMat:
+    """f^T . m . conj(f), conjugated when conjugate, computed on Z[zeta]
+    pairs over one denominator; only the four entries become EisRat."""
+    dm, mp = _integer_matrix(m)
+    df, fp = _integer_matrix(f)
+    columns = tuple(zip(*fp))
+    # column j of m . conj(f)
+    m_fbar = [[_zeta_dot(row, [(a + b, -b) for a, b in col]) for row in mp]
+              for col in columns]
+    den = dm * df * df
+    out = []
+    for col in columns:
+        row = []
+        for mcol in m_fbar:
+            a, b = _zeta_dot(col, mcol)
+            if conjugate:
+                a, b = a + b, -b
+            row.append(EisRat(Fraction(a, den), Fraction(b, den)))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _pull_back(bundle: LineBundleClass, f: EisMat, target: LatticeBasis,
+               antiholomorphic: bool) -> LineBundleClass:
+    """Pullback along v -> f . v, or v -> f . conj(v) when antiholomorphic;
+    the anti-holomorphic case conjugates the form and negates the
+    semicharacter exponents."""
+    f = mat(f)
+    m2 = _pulled_form(bundle.form.matrix, f, antiholomorphic)
+    images = _map_vectors(_ambient_matrix(f, antiholomorphic), target.vectors)
+    sign = -1 if antiholomorphic else 1
+    exps = []
+    for b, image in zip(target.vectors, images):
+        try:
+            exps.append(sign * bundle.character.eval(image))
+        except NotInLattice as exc:
+            raise NotLatticeMap(
+                f"image of {b!r} is not in the source lattice") from exc
+    return LineBundleClass.build(HermitianForm(m2), target, exps)
 
 
 def pullback_hom(bundle: LineBundleClass, f: EisMat,
                  target: LatticeBasis) -> LineBundleClass:
     """Pullback along the holomorphic map with analytic matrix f, viewed
     as a map from the torus on target into the bundle's torus."""
-    f = mat(f)
-    m2 = mat_mul(mat_mul(mat_transpose(f), bundle.form.matrix), mat_conj(f))
-    exps = []
-    for b in target.vectors:
-        image = _push_vector(f, b, conjugate_first=False)
-        try:
-            exps.append(bundle.character.eval(image))
-        except NotInLattice as exc:
-            raise NotLatticeMap(
-                f"image of {b!r} is not in the source lattice") from exc
-    return LineBundleClass.build(HermitianForm(m2), target, exps)
+    return _pull_back(bundle, f, target, antiholomorphic=False)
 
 
 def pullback_antihom(bundle: LineBundleClass, s: EisMat,
                      target: LatticeBasis) -> LineBundleClass:
     """Pullback along the anti-holomorphic map v -> s . conj(v)."""
-    s = mat(s)
-    t = mat_mul(mat_mul(mat_transpose(s), bundle.form.matrix), mat_conj(s))
-    m2 = mat_conj(t)
-    exps = []
-    for b in target.vectors:
-        image = _push_vector(s, b, conjugate_first=True)
-        try:
-            exps.append(-bundle.character.eval(image))
-        except NotInLattice as exc:
-            raise NotLatticeMap(
-                f"image of {b!r} is not in the source lattice") from exc
-    return LineBundleClass.build(HermitianForm(m2), target, exps)
+    return _pull_back(bundle, s, target, antiholomorphic=True)
 
 
 def translate(bundle: LineBundleClass, v: AmbientVector) -> LineBundleClass:
     """Pullback along translation by v: the form is unchanged and the
-    semicharacter picks up the character exp(2*pi*i*Im h(v, .))."""
-    exps = [q + bundle.form.im_value(v, b)
-            for q, b in zip(bundle.character.exponents,
-                            bundle.lattice.vectors)]
+    semicharacter picks up the character exp(2*pi*i*Im h(v, .)).
+
+    The shifts Im h(v, b_j) for all basis vectors are the one integer
+    product x . E . V^T with the form's ambient Gram matrix E."""
+    den, e = bundle.form.gram
+    d, (x, *rows) = integer_coordinates((v, *bundle.lattice.vectors))
+    den *= d * d
+    exps = [q + Fraction(n, den) for q, n in
+            zip(bundle.character.exponents, _gram_products(e, (x,), rows)[0])]
     return LineBundleClass(bundle.form,
                            Semicharacter(bundle.lattice, exps,
                                          bundle.character.form))

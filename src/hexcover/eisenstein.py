@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -294,6 +295,33 @@ def inv2(A: EisMat) -> EisMat:
         (A[1][1] / d, -A[0][1] / d),
         (-A[1][0] / d, A[0][0] / d),
     )
+
+
+# Z[zeta] integers as (a, b) pairs for a + b*zeta.  A 2x2 matrix over
+# Q(zeta) becomes one denominator and a 2x2 array of such pairs, which is
+# how the pullbacks, the symmetries and the generator search compute.
+ZetaPair = Tuple[int, int]
+
+
+def _zeta_mul(x: ZetaPair, y: ZetaPair) -> ZetaPair:
+    # (a+b*z)(c+d*z) = ac + (ad+bc)z + bd*z^2, and z^2 = z - 1.
+    a, b = x
+    c, d = y
+    return (a * c - b * d, a * d + b * c + b * d)
+
+
+def _integer_matrix(m: EisMat) -> Tuple[int, Tuple[Tuple[ZetaPair, ...], ...]]:
+    """(den, P) with m[i][j] = (a + b*zeta) / den for (a, b) = P[i][j].
+
+    Only 2x2 matrices are accepted; any other shape raises ValueError.
+    """
+    if len(m) != 2 or any(len(row) != 2 for row in m):
+        raise ValueError("shape mismatch")
+    den = lcm(*(q.denominator for row in m for x in row for q in (x.a, x.b)))
+    return den, tuple(
+        tuple((x.a.numerator * (den // x.a.denominator),
+               x.b.numerator * (den // x.b.denominator)) for x in row)
+        for row in m)
 
 
 ZERO = EisRat(0)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .eisenstein import EisRat, Rat
+from .eisenstein import EisMat, EisRat, Rat, _integer_matrix
 
 
 class NotCommensurable(ValueError):
@@ -182,6 +182,45 @@ def integer_coordinates(vectors: Sequence[AmbientVector]) -> Tuple[int, List[Lis
     den = lcm(*(c.denominator for v in vectors for c in v.coordinates))
     return den, [[c.numerator * (den // c.denominator) for c in v.coordinates]
                  for v in vectors]
+
+
+# An integer 4x4 matrix F over a denominator den, acting as v -> F . v / den.
+_AmbientMap = Tuple[int, Tuple[Tuple[int, ...], ...]]
+
+
+def _ambient_matrix(m: EisMat, conjugate_first: bool = False) -> _AmbientMap:
+    """The map v -> m . v, or v -> m . conj(v) when conjugate_first, on
+    ambient coordinates, as (den, integer 4x4 rows F): the image of v is
+    F . v / den.
+
+    The entry p + q*zeta of m acts on one 2-block as [[p, -q], [q, p + q]]
+    (multiplication by zeta is J); with conjugation first, which sends
+    (x, y) to (x + y, -y), the block is [[p, p + q], [q, -p]].
+    """
+    den, pairs = _integer_matrix(m)
+    rows = [[0] * 4 for _ in range(4)]
+    for i in range(2):
+        for j in range(2):
+            p, q = pairs[i][j]
+            top, bottom = rows[2 * i], rows[2 * i + 1]
+            if conjugate_first:
+                top[2 * j], top[2 * j + 1] = p, p + q
+                bottom[2 * j], bottom[2 * j + 1] = q, -p
+            else:
+                top[2 * j], top[2 * j + 1] = p, -q
+                bottom[2 * j], bottom[2 * j + 1] = q, p + q
+    return den, tuple(map(tuple, rows))
+
+
+def _map_vectors(ambient: _AmbientMap,
+                 vectors: Sequence[AmbientVector]) -> List[AmbientVector]:
+    """Images of vectors under an _ambient_matrix map, by one integer
+    product over a common denominator."""
+    den, rows = ambient
+    d, ints = integer_coordinates(vectors)
+    den *= d
+    return [AmbientVector(tuple(Fraction(sum(a * b for a, b in zip(r, x)), den)
+                                for r in rows)) for x in ints]
 
 
 def _gauss_jordan(rows: Sequence[Sequence[Rat]]):

@@ -10,7 +10,7 @@ branch bundle.
 """
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from . import catalog
 from .appell_humbert import (
@@ -22,6 +22,8 @@ from .appell_humbert import (
 from .eisenstein import (
     EisMat,
     EisRat,
+    ZetaPair,
+    _zeta_mul,
     as_eis,
     det2,
     inv2,
@@ -30,7 +32,14 @@ from .eisenstein import (
     mat_identity,
     mat_mul,
 )
-from .lattice import AmbientVector, LatticeBasis, _det, coords_in
+from .lattice import (
+    AmbientVector,
+    LatticeBasis,
+    _ambient_matrix,
+    _det,
+    _map_vectors,
+    coords_in,
+)
 from .permgroup import Permutation
 from .torsion_covers import CharacterMod2, all_characters, classify_characters
 
@@ -108,13 +117,8 @@ class AffineSymmetry:
         return cls(mat_identity(2))
 
     def apply(self, v: AmbientVector) -> AmbientVector:
-        z1, z2 = v.to_pair()
-        if self.antiholomorphic:
-            z1, z2 = z1.conjugate(), z2.conjugate()
-        m = self.linear
-        w = AmbientVector.from_pair(m[0][0] * z1 + m[0][1] * z2,
-                                    m[1][0] * z1 + m[1][1] * z2)
-        return w + self.translation
+        ambient = _ambient_matrix(self.linear, self.antiholomorphic)
+        return _map_vectors(ambient, (v,))[0] + self.translation
 
     def compose(self, other: "AffineSymmetry") -> "AffineSymmetry":
         """The map v |-> self(other(v))."""
@@ -150,14 +154,14 @@ class AffineSymmetry:
 
 
 def _apply_linear(m: EisMat, v: AmbientVector) -> AmbientVector:
-    z1, z2 = v.to_pair()
-    return AmbientVector.from_pair(m[0][0] * z1 + m[0][1] * z2,
-                                   m[1][0] * z1 + m[1][1] * z2)
+    return _map_vectors(_ambient_matrix(m), (v,))[0]
+
+
+_CONJUGATION = _ambient_matrix(mat_identity(2), conjugate_first=True)
 
 
 def _conj_vector(v: AmbientVector) -> AmbientVector:
-    z1, z2 = v.to_pair()
-    return AmbientVector.from_pair(z1.conjugate(), z2.conjugate())
+    return _map_vectors(_CONJUGATION, (v,))[0]
 
 
 def rational_rep(g: AffineSymmetry, basis: LatticeBasis):
@@ -166,11 +170,10 @@ def rational_rep(g: AffineSymmetry, basis: LatticeBasis):
     Column j holds the coordinates of the image of the j-th basis vector; the
     determinant must be a unit for g to map the lattice onto itself.
     """
+    images = _map_vectors(_ambient_matrix(g.linear, g.antiholomorphic),
+                          basis.vectors)
     columns = []
-    for v in basis.vectors:
-        if g.antiholomorphic:
-            v = _conj_vector(v)
-        w = _apply_linear(g.linear, v)
+    for v, w in zip(basis.vectors, images):
         coords = coords_in(basis, w)
         if coords is None or any(c.denominator != 1 for c in coords):
             raise NotLatticePreserving(f"image of {v!r} leaves the lattice")
@@ -289,19 +292,9 @@ def action_on_square_roots(g: AffineSymmetry,
     return Permutation(images)
 
 
-# Z[zeta] integers as (a, b) pairs for a + b*zeta, for the generator search.
-ZetaPair = Tuple[int, int]
-
 _UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1))
 
 _SEARCH_TARGETS = ((3, 4, 1, 2), (2, 3, 1, 4))
-
-
-def _zeta_mul(x: ZetaPair, y: ZetaPair) -> ZetaPair:
-    # (a+b*z)(c+d*z) = ac + (ad+bc)z + bd*z^2, and z^2 = z - 1.
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c + b * d)
 
 
 def _zeta_pair(x: EisRat) -> ZetaPair:

@@ -1,10 +1,12 @@
 """Independent cross-checks used by the test suite.
 
-Everything here except scan_search_generators is deliberately written
-without the package under test: floating-point embeddings, sympy linear
-algebra, and brute-force loops.  scan_search_generators is the plain scan
-that the generator search's lookup replaced, kept on the package's Q(zeta)
-arithmetic as the reference for that search.
+Most of this is deliberately written without the package under test:
+floating-point embeddings, sympy linear algebra, and brute-force loops.
+Two groups run on the package's Q(zeta) arithmetic instead, as the
+references for code that replaced them with integer kernels:
+scan_search_generators is the plain scan that the generator search's
+lookup replaced, and the q_zeta_* functions are the EisRat pullbacks that
+the integer ambient-matrix kernel replaced.
 """
 
 import cmath
@@ -215,3 +217,47 @@ def scan_search_generators(height_bound):
             continue
         out.append(AffineSymmetry(linear))
     return out
+
+
+def q_zeta_push_vector(f, v, conjugate_first):
+    """Image of the ambient vector v under z -> f . z, or z -> f . conj(z)
+    when conjugate_first, by mat_apply on the Q(zeta) pair of v."""
+    from hexcover.eisenstein import mat_apply
+    from hexcover.lattice import AmbientVector
+
+    z1, z2 = v.to_pair()
+    if conjugate_first:
+        z1, z2 = z1.conjugate(), z2.conjugate()
+    w = mat_apply(f, (z1, z2))
+    return AmbientVector.from_pair(w[0], w[1])
+
+
+def q_zeta_pulled_form(m, f, conjugate):
+    """f^T . m . conj(f) by two mat_mul calls, conjugated when conjugate."""
+    from hexcover.eisenstein import mat_conj, mat_mul, mat_transpose
+
+    t = mat_mul(mat_mul(mat_transpose(f), m), mat_conj(f))
+    return mat_conj(t) if conjugate else t
+
+
+def q_zeta_pull_back(g, bundle):
+    """Pullback of a bundle class along the affine symmetry g in Q(zeta):
+    the translation shifts the exponents by Im h(t, b_j) from
+    HermitianForm.value, then the (anti)linear part pulls back the form
+    and pushes each basis vector by q_zeta_push_vector."""
+    from hexcover.appell_humbert import (HermitianForm, LineBundleClass,
+                                         Semicharacter)
+
+    lattice = bundle.lattice
+    shifted = Semicharacter(
+        lattice,
+        [q + bundle.form.value(g.translation, b).im
+         for q, b in zip(bundle.character.exponents, lattice.vectors)],
+        bundle.character.form)
+    anti = g.antiholomorphic
+    sign = -1 if anti else 1
+    exps = [sign * shifted.eval(q_zeta_push_vector(g.linear, b, anti))
+            for b in lattice.vectors]
+    form = HermitianForm(q_zeta_pulled_form(bundle.form.matrix, g.linear,
+                                            anti))
+    return LineBundleClass.build(form, lattice, exps)

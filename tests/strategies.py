@@ -15,6 +15,11 @@ half_integers = st.builds(Fraction, st.integers(-12, 12), st.just(2))
 
 ambient_vectors = st.builds(AmbientVector, st.tuples(*[rationals] * 4))
 
+# Elements of Q(zeta) and 2x2 matrices over it, integral or not.
+eis_rationals = st.builds(EisRat, rationals, rationals)
+eis_matrices = st.tuples(st.tuples(eis_rationals, eis_rationals),
+                         st.tuples(eis_rationals, eis_rationals))
+
 
 @st.composite
 def hermitian_forms(draw):

@@ -1,9 +1,10 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexcover import appell_humbert, catalog
@@ -17,6 +18,7 @@ from hexcover.appell_humbert import (
     NotLatticeMap,
     ORDER_TWO_SIGN_PATTERNS,
     Semicharacter,
+    _pulled_form,
     im_on_lattice,
     intersection_number,
     is_symmetric,
@@ -37,9 +39,11 @@ from oracles import (
     cocycle_eval_left,
     cocycle_eval_right,
     pfaffian4_from_upper,
+    q_zeta_pulled_form,
     sympy_det,
 )
-from strategies import ambient_vectors, hermitian_forms, lattice_bases
+from strategies import (ambient_vectors, eis_matrices, hermitian_forms,
+                        lattice_bases)
 
 
 def _signs(bundle):
@@ -208,7 +212,11 @@ def test_im_on_lattice_matches_q_zeta_values(h, lattice):
     vs = lattice.vectors
     for i, vi in enumerate(vs):
         for j, vj in enumerate(vs):
-            assert alt.matrix[i][j] == h.value(vi, vj).im
+            value = h.value(vi, vj).im
+            assert alt.matrix[i][j] == value
+            # integral entries are ints, the others Fractions
+            assert type(alt.matrix[i][j]) is (
+                int if value.denominator == 1 else Fraction)
 
 
 @given(hermitian_forms(), ambient_vectors, ambient_vectors)
@@ -434,3 +442,64 @@ def test_intersection_bilinear_on_curve_forms():
                    for i in range(4) for j in range(4))
         assert got == want
         assert got == intersection_number(hd, hc, catalog.PRODUCT_LATTICE)
+
+
+@given(hermitian_forms(), eis_matrices, st.booleans())
+def test_pulled_form_matches_q_zeta_oracle(h, f, conjugate):
+    assert _pulled_form(h.matrix, f, conjugate) == \
+        q_zeta_pulled_form(h.matrix, f, conjugate)
+
+
+@pytest.mark.parametrize("pullback", [pullback_hom, pullback_antihom])
+@pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]],
+                                  [[1, 0], [0, 1], [0, 0]]])
+def test_pullback_rejects_non_square_matrix(pullback, rows):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        pullback(catalog.BRANCH_PRODUCT, rows, catalog.PRODUCT_LATTICE)
+
+
+@settings(deadline=None)
+@given(hermitian_forms(), st.sampled_from((2, 4)).flatmap(lattice_bases),
+       ambient_vectors, st.data())
+def test_translate_shift_matches_im_value(h, lattice, t, data):
+    # scale h so that Im h is integral on the lattice, as a bundle needs
+    den = lcm(*(x.denominator
+                for row in im_on_lattice(h, lattice).matrix for x in row))
+    h = h.scaled(den)
+    exps = data.draw(st.lists(st.fractions(0, 1, max_denominator=6),
+                              min_size=lattice.rank, max_size=lattice.rank))
+    bundle = LineBundleClass.build(h, lattice, exps)
+    moved = translate(bundle, t)
+    assert moved.form == bundle.form
+    assert moved.character.form == bundle.character.form
+    assert moved.character.exponents == tuple(
+        (q + h.im_value(t, b)) % 1
+        for q, b in zip(bundle.character.exponents, lattice.vectors))
+
+
+def test_im_on_lattice_is_int_on_the_cover():
+    alt = im_on_lattice(catalog.SUM_FORM, catalog.COVER_LATTICE)
+    assert all(type(x) is int for row in alt.matrix for x in row)
+
+
+def test_alt_form_from_fractions_equals_int_form():
+    roots = list(catalog.SQUARE_ROOT_BUNDLES)
+    for bundle in (catalog.BRANCH_COVER, roots[0]):
+        alt = bundle.character.form
+        as_fractions = AltFormOnLattice(
+            alt.lattice, [[Fraction(x) for x in row] for row in alt.matrix])
+        assert as_fractions == alt
+        assert hash(as_fractions) == hash(alt)
+    # a root rebuilt on an all-Fraction form still validates and is found
+    root = roots[5]
+    form = root.character.form
+    rebuilt = LineBundleClass(root.form, Semicharacter(
+        root.lattice, root.character.exponents,
+        AltFormOnLattice(form.lattice,
+                         [[Fraction(x) for x in row] for row in form.matrix])))
+    assert roots.index(rebuilt) == 5
+    half = AltFormOnLattice(catalog.GENUS1_LATTICE,
+                            [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
+    assert half == AltFormOnLattice(catalog.GENUS1_LATTICE,
+                                    [[Fraction(0), Fraction(1, 2)],
+                                     [Fraction(-1, 2), Fraction(0)]])

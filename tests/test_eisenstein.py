@@ -11,6 +11,7 @@ from hexcover.eisenstein import (
     Order,
     ReIm,
     ZETA,
+    _integer_matrix,
     as_eis,
     det2,
     eis_conj,
@@ -28,6 +29,7 @@ from hexcover.eisenstein import (
 )
 
 from oracles import ZETA_C, close, reim_to_complex, to_complex
+from strategies import eis_matrices
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 eisrats = st.builds(EisRat, rationals, rationals)
@@ -167,3 +169,21 @@ def test_rectangular_shapes():
     prod = mat_mul(col, f)          # 2x2
     assert prod[0][1] == ZETA * EisRat(-1)
     assert mat_apply(f, vec([1, 1])) == (ZETA - 1,)
+
+
+@given(eis_matrices)
+def test_integer_matrix_round_trips(m):
+    den, pairs = _integer_matrix(m)
+    assert den >= 1
+    assert tuple(tuple(EisRat(Fraction(a, den), Fraction(b, den))
+                       for a, b in row) for row in pairs) == m
+    # den is the least common denominator
+    assert math.gcd(den, *(x for row in pairs for p in row for x in p)) == 1
+
+
+@pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]],
+                                  [[1, 0], [0, 1], [1, 1]],
+                                  [[1, 0]]])
+def test_integer_matrix_rejects_non_square_shapes(rows):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        _integer_matrix(mat(rows))

@@ -13,6 +13,8 @@ from hexcover.lattice import (
     NotCommensurable,
     NotContained,
     RankMismatch,
+    _ambient_matrix,
+    _map_vectors,
     base_change_is_unimodular,
     coords_in,
     hnf,
@@ -23,8 +25,9 @@ from hexcover.lattice import (
 )
 
 import golden
-from oracles import ZETA_C, close, sympy_coords, sympy_det, to_complex
-from strategies import ambient_vectors, lattice_bases, rationals
+from oracles import (ZETA_C, close, q_zeta_push_vector, sympy_coords,
+                     sympy_det, to_complex)
+from strategies import ambient_vectors, eis_matrices, lattice_bases, rationals
 
 PRODUCT = LatticeBasis.from_rows(golden.PRODUCT_BASIS)
 COVER = LatticeBasis.from_rows(golden.COVER_BASIS)
@@ -258,3 +261,23 @@ def test_coords_in_rank2_inside_and_outside_span(basis, coeffs, v):
     again = LatticeBasis.from_rows(_rows(basis))
     assert coords_in(again, inside) == coeffs
     assert coords_in(again, inside + off) is None
+
+
+@given(eis_matrices, st.booleans(),
+       st.lists(ambient_vectors, min_size=1, max_size=4))
+def test_ambient_matrix_maps_like_mat_apply(f, conjugate_first, vectors):
+    images = _map_vectors(_ambient_matrix(f, conjugate_first), vectors)
+    assert images == [q_zeta_push_vector(f, v, conjugate_first)
+                      for v in vectors]
+
+
+def test_ambient_matrix_blocks():
+    # p + q*zeta = 2 + 3*zeta on the (1, 2) block only
+    f = ((EisRat(0), EisRat(2, 3)), (EisRat(0), EisRat(0)))
+    den, rows = _ambient_matrix(f)
+    assert den == 1
+    assert [r[2:] for r in rows[:2]] == [(2, -3), (3, 5)]
+    den, rows = _ambient_matrix(f, conjugate_first=True)
+    assert [r[2:] for r in rows[:2]] == [(2, 5), (3, -2)]
+    assert all(x == 0 for r in rows for x in r[:2]) and \
+        all(x == 0 for r in rows[2:] for x in r)

@@ -6,12 +6,12 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hexcover import catalog
-from hexcover.eisenstein import (EisRat, is_unit, det2, mat, mat_conj,
-                                 mat_identity, mat_mul, mat_scale)
+from hexcover.eisenstein import (EisRat, _zeta_mul, is_unit, det2, mat,
+                                 mat_conj, mat_identity, mat_mul, mat_scale)
 from hexcover.lattice import AmbientVector, LatticeBasis
 from hexcover.permgroup import PermGroup, Permutation, commutator
 from hexcover.symmetry import (
@@ -35,7 +35,6 @@ from hexcover.symmetry import (
     _line_permutation,
     _moves_tangents,
     _unit_det_candidates,
-    _zeta_mul,
     _zeta_pair,
     action_on_square_roots,
     cross_ratio,
@@ -51,8 +50,9 @@ from hexcover.symmetry import (
 from hexcover.appell_humbert import pullback_hom, square_roots, translate
 
 import golden
-from oracles import scan_search_generators, scan_unit_det_candidates
-from strategies import unimodular_matrices
+from oracles import (q_zeta_pull_back, q_zeta_push_vector,
+                     scan_search_generators, scan_unit_det_candidates)
+from strategies import ambient_vectors, eis_matrices, unimodular_matrices
 
 
 ROOTS = list(catalog.SQUARE_ROOT_BUNDLES)
@@ -451,15 +451,21 @@ def _cycle_type(text):
     return sorted(len(c.split()) for c in re.findall(r"\(([^()]*)\)", text))
 
 
-@settings(max_examples=5, deadline=None)
-@given(unimodular_matrices())
-def test_orbits_invariant_under_rebasing(u):
+def _rebased_cover_roots(u):
+    """The sixteen square roots of the branch bundle on COVER_LATTICE with
+    basis vector j replaced by sum_k u[k][j] b_k."""
     old = catalog.COVER_LATTICE.vectors
     lattice = LatticeBasis([
         sum((u[k][j] * b for k, b in enumerate(old)), AmbientVector((0,) * 4))
         for j in range(4)])
-    roots = square_roots(pullback_hom(catalog.BRANCH_PRODUCT, mat_identity(2),
-                                      lattice))
+    return square_roots(pullback_hom(catalog.BRANCH_PRODUCT, mat_identity(2),
+                                     lattice))
+
+
+@settings(max_examples=5, deadline=None)
+@given(unimodular_matrices())
+def test_orbits_invariant_under_rebasing(u):
+    roots = _rebased_cover_roots(u)
     assert len(roots) == EXPECTED["orbits.root_count"]
     perms = {name: action_on_square_roots(g, roots)
              for name, g in PERM_SYMMETRIES.items()}
@@ -474,3 +480,32 @@ def test_orbits_invariant_under_rebasing(u):
     for name, perm in perms.items():
         assert sorted(len(c) for c in perm.cycles()) == \
             _cycle_type(EXPECTED[f"orbits.perm_{name}"])
+
+
+@settings(max_examples=4, deadline=None)
+@given(unimodular_matrices())
+@example([[int(i == j) for j in range(4)] for i in range(4)])
+def test_pull_back_matches_q_zeta_oracle_under_rebasing(u):
+    roots = _rebased_cover_roots(u)
+    for g in PERM_SYMMETRIES.values():
+        for root in roots:
+            assert pull_back(g, root) == q_zeta_pull_back(g, root)
+
+
+@given(eis_matrices, st.booleans(), ambient_vectors, ambient_vectors)
+def test_apply_matches_q_zeta_push(linear, anti, t, v):
+    assume(det2(linear))
+    g = AffineSymmetry(linear, anti, t)
+    assert g.apply(v) == q_zeta_push_vector(g.linear, v, anti) + t
+
+
+def test_rational_rep_rejection_names_the_basis_vector():
+    # fixes u1 = b_1 and sends b_2 = zeta*u1 + u2 outside the lattice; the
+    # message names b_2, not its conjugate
+    halving = AffineSymmetry([[1, 0], [0, Fraction(1, 2)]],
+                             antiholomorphic=True)
+    second = catalog.COVER_LATTICE.vectors[1]
+    assert halving.apply(second) != second
+    with pytest.raises(NotLatticePreserving,
+                       match=re.escape(f"image of {second!r} ")):
+        rational_rep(halving, catalog.COVER_LATTICE)
