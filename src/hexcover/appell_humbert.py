@@ -43,7 +43,8 @@ from .lattice import (
     LatticeBasis,
     RankMismatch,
     _ambient_matrix,
-    _map_vectors,
+    _basis_coordinates,
+    _map_basis,
     coords_in,
     integer_coordinates,
     orientation,
@@ -253,13 +254,20 @@ def _ratio(n: int, den: int):
 def im_on_lattice(h: HermitianForm, lattice: LatticeBasis) -> AltFormOnLattice:
     """Im h(b_i, b_j) as the integer product V . E . V^T over a common
     denominator, V the basis coordinates and E the form's ambient Gram.
-    Integral entries are ints, the others Fractions."""
-    den, e = h.gram
-    d, rows = integer_coordinates(lattice.vectors)
-    den *= d * d
-    matrix = tuple(tuple(_ratio(n, den) for n in row)
-                   for row in _gram_products(e, rows, rows))
-    return AltFormOnLattice(lattice, matrix)
+    Integral entries are ints, the others Fractions.
+
+    The result depends only on h.gram, so it is stored on the lattice under
+    that key and computed once per (Gram matrix, basis)."""
+    known = lattice._im_forms
+    alt = known.get(h.gram)
+    if alt is None:
+        den, e = h.gram
+        d, rows = _basis_coordinates(lattice)
+        den *= d * d
+        matrix = tuple(tuple(_ratio(n, den) for n in row)
+                       for row in _gram_products(e, rows, rows))
+        alt = known[h.gram] = AltFormOnLattice(lattice, matrix)
+    return alt
 
 
 def pfaffian(e: AltFormOnLattice) -> Fraction:
@@ -312,17 +320,23 @@ class Semicharacter:
         raise AttributeError("Semicharacter is immutable")
 
     def eval_coords(self, n: Sequence[int]) -> Fraction:
-        """Exponent of chi at sum(n[j] * basis[j])."""
-        expo = sum((Fraction(nj) * qj for nj, qj in zip(n, self.exponents)),
-                   Fraction(0))
-        rank = self.lattice.rank
+        """Exponent of chi at sum(n[j] * basis[j]): the sum of n_j q_j and
+        n_j n_k E_jk / 2 over j < k, as one integer over 2 * lcm of the
+        exponent denominators."""
+        exps = self.exponents
+        den = lcm(*(q.denominator for q in exps))
+        total = 2 * sum(nj * q.numerator * (den // q.denominator)
+                        for nj, q in zip(n, exps))
+        rows = self.form.matrix
+        rank = len(exps)
         for j in range(rank):
             if not n[j]:
                 continue
             for k in range(j + 1, rank):
                 if n[k]:
-                    expo += Fraction(n[j] * n[k], 2) * self.form.matrix[j][k]
-        return expo % 1
+                    # E is integral, so its entries' numerators are their values
+                    total += n[j] * n[k] * rows[j][k].numerator * den
+        return Fraction(total % (2 * den), 2 * den)
 
     def eval(self, v: AmbientVector) -> Fraction:
         sol = coords_in(self.lattice, v)
@@ -440,7 +454,9 @@ def _pull_back(bundle: LineBundleClass, f: EisMat, target: LatticeBasis,
     semicharacter exponents."""
     f = mat(f)
     m2 = _pulled_form(bundle.form.matrix, f, antiholomorphic)
-    images = _map_vectors(_ambient_matrix(f, antiholomorphic), target.vectors)
+    # a symmetry of the divisor preserves h, so the form is usually reused
+    form = bundle.form if m2 == bundle.form.matrix else HermitianForm(m2)
+    images = _map_basis(_ambient_matrix(f, antiholomorphic), target)
     sign = -1 if antiholomorphic else 1
     exps = []
     for b, image in zip(target.vectors, images):
@@ -449,7 +465,7 @@ def _pull_back(bundle: LineBundleClass, f: EisMat, target: LatticeBasis,
         except NotInLattice as exc:
             raise NotLatticeMap(
                 f"image of {b!r} is not in the source lattice") from exc
-    return LineBundleClass.build(HermitianForm(m2), target, exps)
+    return LineBundleClass.build(form, target, exps)
 
 
 def pullback_hom(bundle: LineBundleClass, f: EisMat,
@@ -472,8 +488,9 @@ def translate(bundle: LineBundleClass, v: AmbientVector) -> LineBundleClass:
     The shifts Im h(v, b_j) for all basis vectors are the one integer
     product x . E . V^T with the form's ambient Gram matrix E."""
     den, e = bundle.form.gram
-    d, (x, *rows) = integer_coordinates((v, *bundle.lattice.vectors))
-    den *= d * d
+    d, (x,) = integer_coordinates((v,))
+    db, rows = _basis_coordinates(bundle.lattice)
+    den *= d * db
     exps = [q + Fraction(n, den) for q, n in
             zip(bundle.character.exponents, _gram_products(e, (x,), rows)[0])]
     return LineBundleClass(bundle.form,

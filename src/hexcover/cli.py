@@ -217,10 +217,12 @@ def _build_rows(sections: Sequence[str], bound: int) -> List[Row]:
     return rows
 
 
-def _load_expected() -> List[dict]:
+def _load_expected(sections: Sequence[str]) -> List[dict]:
+    """The expected-value records of the given sections, in file order."""
     text = resources.files(__package__).joinpath(
         "expected_values.json").read_text("utf-8")
-    return json.loads(text)["checks"]
+    return [rec for rec in json.loads(text)["checks"]
+            if rec["check_id"].split(".", 1)[0] in sections]
 
 
 def _mangle(value):
@@ -236,10 +238,8 @@ def _mangle(value):
     raise TypeError(f"cannot perturb a value of type {type(value).__name__}")
 
 
-def _evaluate(sections: Sequence[str], computed: List[Row],
+def _evaluate(records: List[dict], computed: List[Row],
               perturb: str | None) -> List[dict]:
-    records = [rec for rec in _load_expected()
-               if rec["check_id"].split(".", 1)[0] in sections]
     values = dict(computed)
     if sorted(values) != sorted(rec["check_id"] for rec in records):
         raise RuntimeError("expected-values file is out of sync with the pipeline")
@@ -313,10 +313,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if bound < 2:
         parser.error("--bound must be at least 2")
     sections = _COMMAND_SECTIONS[args.command]
-    computed = _build_rows(sections, bound)
-    if args.perturb is not None and args.perturb not in dict(computed):
+    records = _load_expected(sections)
+    if args.perturb is not None and args.perturb not in {
+            rec["check_id"] for rec in records}:
         parser.error(f"unknown check id {args.perturb!r}")
-    report = _evaluate(sections, computed, args.perturb)
+    computed = _build_rows(sections, bound)
+    report = _evaluate(records, computed, args.perturb)
     text = _render_json(report) if args.json else _render_text(report)
     sys.stdout.write(text)
     return 0 if all(row["status"] == "pass" for row in report) else 1

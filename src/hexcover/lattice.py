@@ -34,7 +34,8 @@ class AmbientVector:
     __slots__ = ("coordinates",)
 
     def __init__(self, coordinates: Sequence[Rat]) -> None:
-        coords = tuple(Fraction(c) for c in coordinates)
+        coords = tuple(c if isinstance(c, Fraction) else Fraction(c)
+                       for c in coordinates)
         if len(coords) != 4:
             raise ValueError("ambient vectors have four coordinates")
         object.__setattr__(self, "coordinates", coords)
@@ -139,7 +140,7 @@ class ComplexLine:
 class LatticeBasis:
     """Ordered rationally independent generators of a lattice."""
 
-    __slots__ = ("vectors", "_solver")
+    __slots__ = ("vectors", "_solver", "_integer", "_im_forms")
 
     def __init__(self, vectors: Sequence[AmbientVector]) -> None:
         vecs = tuple(vectors)
@@ -147,8 +148,13 @@ class LatticeBasis:
         if len(pivots) != len(vecs):
             raise ValueError("basis vectors must be linearly independent")
         object.__setattr__(self, "vectors", vecs)
-        # Filled by _solver on the first coords_in against this basis.
+        # Caches, all derived from vectors: _solver is filled by _solver on
+        # the first coords_in against this basis, _integer by
+        # _basis_coordinates, and _im_forms by appell_humbert.im_on_lattice,
+        # which keys Im h on this basis by the form's integer Gram matrix.
         object.__setattr__(self, "_solver", None)
+        object.__setattr__(self, "_integer", None)
+        object.__setattr__(self, "_im_forms", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LatticeBasis is immutable")
@@ -184,6 +190,16 @@ def integer_coordinates(vectors: Sequence[AmbientVector]) -> Tuple[int, List[Lis
                  for v in vectors]
 
 
+def _basis_coordinates(basis: LatticeBasis) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """integer_coordinates of the basis vectors, computed once per basis."""
+    cached = basis._integer
+    if cached is None:
+        den, rows = integer_coordinates(basis.vectors)
+        cached = (den, tuple(map(tuple, rows)))
+        object.__setattr__(basis, "_integer", cached)
+    return cached
+
+
 # An integer 4x4 matrix F over a denominator den, acting as v -> F . v / den.
 _AmbientMap = Tuple[int, Tuple[Tuple[int, ...], ...]]
 
@@ -216,8 +232,17 @@ def _map_vectors(ambient: _AmbientMap,
                  vectors: Sequence[AmbientVector]) -> List[AmbientVector]:
     """Images of vectors under an _ambient_matrix map, by one integer
     product over a common denominator."""
+    return _map_coordinates(ambient, integer_coordinates(vectors))
+
+
+def _map_basis(ambient: _AmbientMap, basis: LatticeBasis) -> List[AmbientVector]:
+    """Images of the basis vectors, from the basis' cached coordinates."""
+    return _map_coordinates(ambient, _basis_coordinates(basis))
+
+
+def _map_coordinates(ambient: _AmbientMap, coordinates) -> List[AmbientVector]:
     den, rows = ambient
-    d, ints = integer_coordinates(vectors)
+    d, ints = coordinates
     den *= d
     return [AmbientVector(tuple(Fraction(sum(a * b for a, b in zip(r, x)), den)
                                 for r in rows)) for x in ints]

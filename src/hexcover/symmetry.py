@@ -10,7 +10,7 @@ branch bundle.
 """
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
 from .appell_humbert import (
@@ -23,6 +23,7 @@ from .eisenstein import (
     EisMat,
     EisRat,
     ZetaPair,
+    _integer_matrix,
     _zeta_mul,
     as_eis,
     det2,
@@ -37,6 +38,7 @@ from .lattice import (
     LatticeBasis,
     _ambient_matrix,
     _det,
+    _map_basis,
     _map_vectors,
     coords_in,
 )
@@ -170,8 +172,7 @@ def rational_rep(g: AffineSymmetry, basis: LatticeBasis):
     Column j holds the coordinates of the image of the j-th basis vector; the
     determinant must be a unit for g to map the lattice onto itself.
     """
-    images = _map_vectors(_ambient_matrix(g.linear, g.antiholomorphic),
-                          basis.vectors)
+    images = _map_basis(_ambient_matrix(g.linear, g.antiholomorphic), basis)
     columns = []
     for v, w in zip(basis.vectors, images):
         coords = coords_in(basis, w)
@@ -209,18 +210,40 @@ TILTED_TANGENTS = tuple(
     for p in _AMBIENT_TANGENTS)
 
 
-def _line_permutation(linear: EisMat, antiholomorphic: bool,
-                      points: Sequence[ProjectivePoint]):
-    """Images tuple of the induced map on the point set, or None."""
+def _zeta_pair(x: EisRat) -> ZetaPair:
+    if not x.is_integral():
+        raise ValueError(f"{x} is not an integer of Z[zeta]")
+    return (x.a.numerator, x.b.numerator)
+
+
+_AMBIENT_TANGENT_PAIRS = tuple((_zeta_pair(p.x), _zeta_pair(p.y))
+                               for p in _AMBIENT_TANGENTS)
+
+
+def _tangent_permutation(linear: EisMat,
+                         antiholomorphic: bool) -> Optional[Tuple[int, ...]]:
+    """Images tuple of the map induced by an invertible linear (conjugating
+    first when antiholomorphic) on the four ambient tangent lines, or None
+    when it moves one of them off the quadruple.
+
+    Scaling linear by its denominator does not change the projective map,
+    so the images are integral and proportionality is one
+    cross-multiplication in Z[zeta]; conjugation sends (a, b) to
+    (a + b, -b).
+    """
+    _, ((a11, a12), (a21, a22)) = _integer_matrix(linear)
     images = []
-    for p in points:
-        x, y = p.x, p.y
+    for x, y in _AMBIENT_TANGENT_PAIRS:
         if antiholomorphic:
-            x, y = x.conjugate(), y.conjugate()
-        q = ProjectivePoint(linear[0][0] * x + linear[0][1] * y,
-                            linear[1][0] * x + linear[1][1] * y)
-        for k, target in enumerate(points, start=1):
-            if q == target:
+            x, y = (x[0] + x[1], -x[1]), (y[0] + y[1], -y[1])
+        ux, uy = _zeta_mul(a11, x)
+        vx, vy = _zeta_mul(a12, y)
+        qx = (ux + vx, uy + vy)
+        ux, uy = _zeta_mul(a21, x)
+        vx, vy = _zeta_mul(a22, y)
+        qy = (ux + vx, uy + vy)
+        for k, (px, py) in enumerate(_AMBIENT_TANGENT_PAIRS, start=1):
+            if _zeta_mul(qx, py) == _zeta_mul(px, qy):
                 images.append(k)
                 break
         else:
@@ -236,7 +259,7 @@ def preserves_divisor(g: AffineSymmetry) -> bool:
     stabilization of the base set.
     """
     rational_rep(g, catalog.COVER_LATTICE)
-    if _line_permutation(g.linear, g.antiholomorphic, _AMBIENT_TANGENTS) is None:
+    if _tangent_permutation(g.linear, g.antiholomorphic) is None:
         return False
     for base in (_ZERO_VECTOR, catalog.BRANCH_BASE_POINT):
         coords = coords_in(catalog.COVER_LATTICE, g.translation - base)
@@ -249,8 +272,7 @@ def tangent_line_permutation(g: AffineSymmetry) -> Permutation:
     """The permutation of the four tangent lines induced by g."""
     if not preserves_divisor(g):
         raise NotDivisorPreserving("symmetry moves the branch divisor")
-    return Permutation(
-        _line_permutation(g.linear, g.antiholomorphic, _AMBIENT_TANGENTS))
+    return Permutation(_tangent_permutation(g.linear, g.antiholomorphic))
 
 
 def cross_ratio(p1: ProjectivePoint, p2: ProjectivePoint,
@@ -278,29 +300,31 @@ def pull_back(g: AffineSymmetry, bundle: LineBundleClass) -> LineBundleClass:
 
 def action_on_square_roots(g: AffineSymmetry,
                            roots: Sequence[LineBundleClass]) -> Permutation:
-    """Permutation of {1..16} given by pulling each square root back."""
+    """Permutation of {1..16} given by pulling each square root back.
+
+    Each pulled root is looked up by its semicharacter exponents and
+    confirmed by a full comparison, so it gets the first index of an equal
+    root, as list.index would give."""
     if not preserves_divisor(g):
         raise NotDivisorPreserving("symmetry moves the branch divisor")
     roots = list(roots)
+    by_exponents: Dict[tuple, List[int]] = {}
+    for k, root in enumerate(roots):
+        by_exponents.setdefault(root.character.exponents, []).append(k)
     images = []
     for root in roots:
         pulled = pull_back(g, root)
-        try:
-            images.append(roots.index(pulled) + 1)
-        except ValueError:
+        found = next((k for k in by_exponents.get(pulled.character.exponents, ())
+                      if roots[k] == pulled), None)
+        if found is None:
             raise RootNotFound("pullback left the supplied list of roots")
+        images.append(found + 1)
     return Permutation(images)
 
 
 _UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1))
 
 _SEARCH_TARGETS = ((3, 4, 1, 2), (2, 3, 1, 4))
-
-
-def _zeta_pair(x: EisRat) -> ZetaPair:
-    if not x.is_integral():
-        raise ValueError(f"{x} is not an integer of Z[zeta]")
-    return (x.a.numerator, x.b.numerator)
 
 
 _TILTED_TANGENT_PAIRS = tuple((_zeta_pair(p.x), _zeta_pair(p.y))
@@ -432,7 +456,7 @@ def gamma_action_on_sigma() -> Permutation:
     if not maps_equal(g.compose(g).compose(g), AffineSymmetry.identity(),
                       basis):
         raise ValueError("product symmetry is not of order 3")
-    if _line_permutation(g.linear, False, _AMBIENT_TANGENTS) is None:
+    if _tangent_permutation(g.linear, False) is None:
         raise NotDivisorPreserving("product symmetry moves the tangent lines")
     chars = all_characters()
     selected = classify_characters().selected

@@ -2,11 +2,14 @@
 
 Most of this is deliberately written without the package under test:
 floating-point embeddings, sympy linear algebra, and brute-force loops.
-Two groups run on the package's Q(zeta) arithmetic instead, as the
+Some run on the package's Q(zeta) and Fraction arithmetic instead, as the
 references for code that replaced them with integer kernels:
 scan_search_generators is the plain scan that the generator search's
-lookup replaced, and the q_zeta_* functions are the EisRat pullbacks that
-the integer ambient-matrix kernel replaced.
+lookup replaced, line_permutation is the Q(zeta) tangent permutation that
+the Z[zeta] cross-multiplication replaced, the q_zeta_* functions are the
+EisRat pullbacks that the integer ambient-matrix kernel replaced, and
+fraction_eval_coords is the term-by-term semicharacter evaluation that the
+single integer sum replaced.
 """
 
 import cmath
@@ -119,6 +122,21 @@ def cocycle_eval_right(basis_exponents, alt_upper, coords):
     return expo % 1
 
 
+def fraction_eval_coords(exponents, alt_matrix, n):
+    """Semicharacter exponent at sum(n[j] * b_j) from the basis exponents
+    and the alternating matrix, summed term by term in Fraction."""
+    expo = sum((Fraction(nj) * qj for nj, qj in zip(n, exponents)),
+               Fraction(0))
+    rank = len(exponents)
+    for j in range(rank):
+        if not n[j]:
+            continue
+        for k in range(j + 1, rank):
+            if n[k]:
+                expo += Fraction(n[j] * n[k], 2) * alt_matrix[j][k]
+    return expo % 1
+
+
 def gf3_matrices(det_one: bool):
     """All invertible 2x2 matrices over the 3-element field, optionally
     restricted to determinant 1."""
@@ -191,6 +209,28 @@ def scan_unit_det_candidates(height_bound):
     return out
 
 
+def line_permutation(linear, antiholomorphic, points):
+    """Images tuple of the map induced by linear (conjugating first when
+    antiholomorphic) on the ProjectivePoint list points, or None when some
+    image is not among them; computed in Q(zeta)."""
+    from hexcover.symmetry import ProjectivePoint
+
+    images = []
+    for p in points:
+        x, y = p.x, p.y
+        if antiholomorphic:
+            x, y = x.conjugate(), y.conjugate()
+        q = ProjectivePoint(linear[0][0] * x + linear[0][1] * y,
+                            linear[1][0] * x + linear[1][1] * y)
+        for k, target in enumerate(points, start=1):
+            if q == target:
+                images.append(k)
+                break
+        else:
+            return None
+    return tuple(images)
+
+
 def scan_search_generators(height_bound):
     """The generator search as a plain scan: the candidates of
     scan_unit_det_candidates, the tangent permutation computed in Q(zeta),
@@ -198,8 +238,7 @@ def scan_search_generators(height_bound):
     from hexcover import catalog
     from hexcover.eisenstein import EisRat, inv2, mat, mat_mul
     from hexcover.symmetry import (AffineSymmetry, NotLatticePreserving,
-                                   TILTED_TANGENTS, _line_permutation,
-                                   rational_rep)
+                                   TILTED_TANGENTS, rational_rep)
 
     targets = ((3, 4, 1, 2), (2, 3, 1, 4))
     shear = catalog.FRAME_SHEAR
@@ -208,7 +247,7 @@ def scan_search_generators(height_bound):
     for a11, a12, a21, a22 in scan_unit_det_candidates(height_bound):
         linear = mat([[EisRat(*a11), EisRat(*a12)],
                       [EisRat(*a21), EisRat(*a22)]])
-        if _line_permutation(linear, False, TILTED_TANGENTS) not in targets:
+        if line_permutation(linear, False, TILTED_TANGENTS) not in targets:
             continue
         ambient = mat_mul(mat_mul(shear, linear), unshear)
         try:

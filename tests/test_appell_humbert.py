@@ -38,6 +38,7 @@ import golden
 from oracles import (
     cocycle_eval_left,
     cocycle_eval_right,
+    fraction_eval_coords,
     pfaffian4_from_upper,
     q_zeta_pulled_form,
     sympy_det,
@@ -503,3 +504,62 @@ def test_alt_form_from_fractions_equals_int_form():
     assert half == AltFormOnLattice(catalog.GENUS1_LATTICE,
                                     [[Fraction(0), Fraction(1, 2)],
                                      [Fraction(-1, 2), Fraction(0)]])
+
+
+@st.composite
+def integral_alt_forms(draw, rank):
+    """Integral alternating forms on a random basis of the given rank, with
+    int or denominator-1 Fraction entries."""
+    lattice = draw(lattice_bases(rank))
+    wrap = Fraction if draw(st.booleans()) else int
+    m = [[wrap(0)] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            x = draw(st.integers(-6, 6))
+            m[i][j], m[j][i] = wrap(x), wrap(-x)
+    return AltFormOnLattice(lattice, m)
+
+
+@given(st.sampled_from((2, 4)).flatmap(integral_alt_forms), st.data())
+def test_eval_coords_matches_fraction_oracle(alt, data):
+    rank = alt.lattice.rank
+    exps = data.draw(st.lists(st.fractions(-2, 2, max_denominator=12),
+                              min_size=rank, max_size=rank))
+    n = data.draw(st.lists(st.integers(-7, 7), min_size=rank, max_size=rank))
+    chi = Semicharacter(alt.lattice, exps, alt)
+    got = chi.eval_coords(n)
+    assert got == fraction_eval_coords(chi.exponents, alt.matrix, n)
+    assert 0 <= got < 1
+
+
+@settings(deadline=None)
+@given(hermitian_forms(), hermitian_forms(),
+       st.sampled_from((2, 4)).flatmap(lattice_bases))
+def test_im_on_lattice_cache_matches_fresh_basis(h1, h2, lattice):
+    warm = [im_on_lattice(h, lattice) for h in (h1, h2, h1, h2)]
+    assert warm[2] is warm[0] and warm[3] is warm[1]
+    for h, alt in zip((h1, h2), warm):
+        fresh = LatticeBasis(lattice.vectors)
+        assert fresh is not lattice and fresh == lattice
+        assert im_on_lattice(h, fresh) == alt
+
+
+def test_equal_grams_share_one_cache_entry():
+    lattice = LatticeBasis(catalog.COVER_LATTICE.vectors)
+    h1 = _form_matrix([[(2, 0), (1, 1)], [(2, -1), (4, 0)]])
+    h2 = _form_matrix([[(2, 0), (1, 1)], [(2, -1), (4, 0)]])
+    assert h1 is not h2 and h1.gram == h2.gram
+    assert im_on_lattice(h2, lattice) is im_on_lattice(h1, lattice)
+    assert len(lattice._im_forms) == 1
+    im_on_lattice(h1.scaled(2), lattice)
+    assert len(lattice._im_forms) == 2
+
+
+def test_validation_still_runs_on_a_warm_cache():
+    lattice = LatticeBasis(catalog.COVER_LATTICE.vectors)
+    form = catalog.SUM_FORM
+    right = im_on_lattice(form, lattice)
+    LineBundleClass(form, Semicharacter(lattice, [0, 0, 0, 0], right))
+    wrong = right.scaled(2)
+    with pytest.raises(LatticeMismatch):
+        LineBundleClass(form, Semicharacter(lattice, [0, 0, 0, 0], wrong))

@@ -13,6 +13,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli
     import tomli as tomllib
 
+from hexcover import cli
 from hexcover.cli import main
 from hexcover.lattice import LatticeBasis, hnf
 
@@ -202,6 +203,20 @@ def test_usage_errors_exit_with_code_two(capsys):
             main(args)
         assert err.value.code == 2
         capsys.readouterr()
+
+
+def test_unknown_perturb_id_fails_before_any_row_is_built(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "_build_rows",
+                        lambda sections, bound: built.append(sections))
+    for args in (["tables", "--perturb", "no.such.check"],
+                 ["verify-all", "--perturb", "orbits.no_such_check"],
+                 ["search-aut", "--perturb", "orbits.root_count"]):
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 2
+        assert f"unknown check id {args[-1]!r}" in capsys.readouterr().err
+    assert built == []
 
 
 def test_search_bound_two_finds_the_same_generators(capsys):

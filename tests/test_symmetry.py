@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hexcover import catalog
+from hexcover import catalog, symmetry
 from hexcover.eisenstein import (EisRat, _zeta_mul, is_unit, det2, mat,
                                  mat_conj, mat_identity, mat_mul, mat_scale)
 from hexcover.lattice import AmbientVector, LatticeBasis
@@ -31,9 +31,10 @@ from hexcover.symmetry import (
     TILTED_ORDER6_SYMMETRY,
     TILTED_TANGENTS,
     _SEARCH_TARGETS,
+    _AMBIENT_TANGENTS,
     _UNITS,
-    _line_permutation,
     _moves_tangents,
+    _tangent_permutation,
     _unit_det_candidates,
     _zeta_pair,
     action_on_square_roots,
@@ -47,12 +48,14 @@ from hexcover.symmetry import (
     tangent_line_permutation,
     verify_presentation,
 )
-from hexcover.appell_humbert import pullback_hom, square_roots, translate
+from hexcover.appell_humbert import (LineBundleClass, pullback_hom,
+                                     square_roots, translate)
 
 import golden
-from oracles import (q_zeta_pull_back, q_zeta_push_vector,
+from oracles import (line_permutation, q_zeta_pull_back, q_zeta_push_vector,
                      scan_search_generators, scan_unit_det_candidates)
-from strategies import ambient_vectors, eis_matrices, unimodular_matrices
+from strategies import (ambient_vectors, eis_matrices, eis_rationals,
+                        unimodular_matrices)
 
 
 ROOTS = list(catalog.SQUARE_ROOT_BUNDLES)
@@ -283,7 +286,7 @@ def integer_tangent_test(linear):
 def test_integer_tangent_test_matches_q_zeta_permutation(linear):
     assert is_unit(det2(linear))
     assert integer_tangent_test(linear) == \
-        (_line_permutation(linear, False, TILTED_TANGENTS) in _SEARCH_TARGETS)
+        (line_permutation(linear, False, TILTED_TANGENTS) in _SEARCH_TARGETS)
 
 
 def test_integer_tangent_test_accepts_and_rejects():
@@ -509,3 +512,49 @@ def test_rational_rep_rejection_names_the_basis_vector():
     with pytest.raises(NotLatticePreserving,
                        match=re.escape(f"image of {second!r} ")):
         rational_rep(halving, catalog.COVER_LATTICE)
+
+
+def test_action_raises_when_a_root_is_dropped():
+    for dropped in (0, 6, 15):
+        short = ROOTS[:dropped] + ROOTS[dropped + 1:]
+        with pytest.raises(RootNotFound):
+            action_on_square_roots(ORDER4_SYMMETRY, short)
+    # same exponents on another form: found by the lookup, rejected by ==
+    decoy = list(ROOTS)
+    decoy[3] = LineBundleClass.build(catalog.SUM_FORM, ROOTS[3].lattice,
+                                     ROOTS[3].character.exponents)
+    with pytest.raises(RootNotFound):
+        action_on_square_roots(NEGATION, decoy)
+
+
+@pytest.mark.parametrize("g", [ORDER6_SYMMETRY, BASE_POINT_SWAP,
+                               ANTIHOLO_REFLECTION])
+def test_action_gives_first_index_of_a_duplicate(g, monkeypatch):
+    # a list with a duplicate has no permutation; read the raw images
+    monkeypatch.setattr(symmetry, "Permutation", tuple)
+    for roots in ([ROOTS[5]] + ROOTS, ROOTS + [ROOTS[2]],
+                  ROOTS[:9] + [ROOTS[12]] + ROOTS[9:]):
+        want = tuple(roots.index(pull_back(g, r)) + 1 for r in roots)
+        assert action_on_square_roots(g, roots) == want
+
+
+@st.composite
+def tangent_permuting_maps(draw):
+    """A nonzero Q(zeta) multiple of the (anti)linear part of a word in the
+    canonical symmetries, which permutes the four tangents."""
+    g = AffineSymmetry.identity()
+    for _ in range(draw(st.integers(0, 4))):
+        g = g.compose(draw(st.sampled_from(
+            (ORDER4_SYMMETRY, ORDER6_SYMMETRY, ANTIHOLO_REFLECTION))))
+    c = draw(eis_rationals)
+    assume(c)
+    return mat_scale(c, g.linear), g.antiholomorphic
+
+
+@given(st.one_of(st.tuples(eis_matrices, st.booleans()),
+                 tangent_permuting_maps()))
+def test_tangent_permutation_matches_q_zeta_oracle(case):
+    linear, antiholomorphic = case
+    assume(det2(linear))
+    assert _tangent_permutation(linear, antiholomorphic) == \
+        line_permutation(linear, antiholomorphic, _AMBIENT_TANGENTS)
