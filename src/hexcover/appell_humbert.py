@@ -24,14 +24,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .eisenstein import (
     EisMat,
     EisRat,
-    ReIm,
     ZetaPair,
     _integer_matrix,
+    _rational,
     _zeta_mul,
     mat,
     mat_add,
@@ -114,8 +114,8 @@ def _ambient_gram(m: EisMat) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
 class HermitianForm:
     """Conjugate-symmetric 2x2 matrix over Q(zeta), scaled by 1/sqrt(3).
 
-    value is the Q(zeta) evaluation; im_value and im_on_lattice use the
-    integer ambient Gram matrix gram of Im h instead.
+    im_value and im_on_lattice evaluate Im h through gram, the form's
+    integer ambient Gram matrix.
     """
 
     __slots__ = ("matrix", "gram")
@@ -135,15 +135,6 @@ class HermitianForm:
     @classmethod
     def zero(cls) -> "HermitianForm":
         return cls(((0, 0), (0, 0)))
-
-    def value(self, v: AmbientVector, w: AmbientVector) -> ReIm:
-        z = v.to_pair()
-        y = w.to_pair()
-        acc = EisRat(0)
-        for i in range(2):
-            for j in range(2):
-                acc = acc + z[i] * self.matrix[i][j] * y[j].conjugate()
-        return ReIm.from_scaled(acc)
 
     def im_value(self, v: AmbientVector, w: AmbientVector) -> Fraction:
         den, e = self.gram
@@ -309,7 +300,7 @@ class Semicharacter:
             raise LatticeMismatch("semicharacter form on a different lattice")
         if not form.is_integral():
             raise NotIntegral("semicharacter needs an integral alternating form")
-        exps = tuple(Fraction(q) % 1 for q in exponents)
+        exps = tuple(_rational(q) % 1 for q in exponents)
         if len(exps) != lattice.rank:
             raise ValueError("one exponent per basis vector")
         object.__setattr__(self, "lattice", lattice)
@@ -366,10 +357,6 @@ class Semicharacter:
 
     def __repr__(self) -> str:
         return f"Semicharacter({[str(q) for q in self.exponents]})"
-
-
-def semichar_eval(chi: Semicharacter, v: AmbientVector) -> Fraction:
-    return chi.eval(v)
 
 
 class LineBundleClass:
@@ -496,31 +483,6 @@ def translate(bundle: LineBundleClass, v: AmbientVector) -> LineBundleClass:
     return LineBundleClass(bundle.form,
                            Semicharacter(bundle.lattice, exps,
                                          bundle.character.form))
-
-
-def is_symmetric(bundle: LineBundleClass) -> bool:
-    return all(q in (Fraction(0), Fraction(1, 2))
-               for q in bundle.character.exponents)
-
-
-def symmetric_semichar_from_multiplicities(
-        rank: int,
-        multiplicities: Mapping[Tuple[int, ...], int]) -> Dict[Tuple[int, ...], int]:
-    """Semicharacter of a symmetric divisor D from its multiplicities at
-    the 2-torsion points.
-
-    Keys of multiplicities are parity vectors of length rank; the vector
-    of all zeros is the origin.  The value at a lattice vector with
-    parity p is (-1) ** (m(D, 0) + m(D, p/2)); missing keys mean
-    multiplicity 0.  Returns {parity: +-1} for all 2**rank classes.
-    """
-    zero = tuple([0] * rank)
-    m0 = multiplicities.get(zero, 0)
-    out: Dict[Tuple[int, ...], int] = {}
-    for parity in itertools.product((0, 1), repeat=rank):
-        m = m0 if parity == zero else multiplicities.get(parity, 0)
-        out[parity] = -1 if (m0 + m) % 2 else 1
-    return out
 
 
 def square_roots(bundle: LineBundleClass) -> List[LineBundleClass]:

@@ -16,10 +16,9 @@ from .appell_humbert import (
     HermitianForm,
     LineBundleClass,
     pullback_hom,
-    square_roots,
     tensor,
 )
-from .eisenstein import EisRat, ZETA, mat, mat_identity
+from .eisenstein import ONE, ZETA, EisRat, mat, mat_identity
 from .lattice import AmbientVector, ComplexLine, LatticeBasis
 
 # --- lattices ---------------------------------------------------------------
@@ -38,8 +37,6 @@ COVER_LATTICE = LatticeBasis.from_rows(
 GENUS1_LATTICE = LatticeBasis.from_rows([(0, 0, 1, 0), (0, 0, 0, 1)])
 
 # --- the four elliptic curves ----------------------------------------------
-
-ONE = EisRat(1)
 
 # Complex tangent lines of the curves in the standard frame (u1, u2).
 CURVE_LINES = (
@@ -91,16 +88,10 @@ CURVE_FORMS = (
 SUM_FORM = HermitianForm(
     [[EisRat(6), EisRat(-2, -2)], [EisRat(-4, 2), EisRat(6)]])
 
-# Principal polarization of product type on the product lattice.
-PRINCIPAL_FORM = HermitianForm([[2, 0], [0, 2]])
-
 # Branch bundle on the product surface and its pullback to the cover.
 BRANCH_PRODUCT = tensor(tensor(CURVE_BUNDLES[0], CURVE_BUNDLES[1]),
                         tensor(CURVE_BUNDLES[2], CURVE_BUNDLES[3]))
 BRANCH_COVER = pullback_hom(BRANCH_PRODUCT, mat_identity(2), COVER_LATTICE)
-
-# The sixteen square roots of the cover branch bundle, in canonical order.
-SQUARE_ROOT_BUNDLES = tuple(square_roots(BRANCH_COVER))
 
 # --- symmetries -------------------------------------------------------------
 
@@ -113,10 +104,8 @@ GAMMA_ORDER3 = mat([[-ZETA, 1], [0, 1]])
 SIGMA_LINEAR = mat([[0, ZETA - 1], [ZETA - 1, 0]])
 
 # Base change from the cover frame (w1, w2) = (u1, zeta*u1 + u2) to the
-# standard frame, and the two generators written in the cover frame.
+# standard frame.
 FRAME_SHEAR = mat([[1, ZETA], [0, 1]])
-TILTED_ORDER4 = mat([[1, 2 * ZETA - 2], [ZETA, -1]])
-TILTED_ORDER6 = mat([[-1, 0], [1 - ZETA, ZETA]])
 
 # On the cover surface the branch divisor has two quadruple points: the
 # origin and this representative of the kernel of the degree-2 isogeny

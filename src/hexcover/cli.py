@@ -161,7 +161,7 @@ def _invariants_rows() -> List[Row]:
                  list(resolution_invariants(SingularityProfile(6, [2, 2])))))
     rows.append(("invariants.smooth_baseline",
                  list(resolution_invariants(SingularityProfile(2)))))
-    cases = enumerate_branch_profiles(8)
+    cases = enumerate_branch_profiles()
     rows.append(("invariants.branch_labels", [c.label for c in cases]))
     rows.append(("invariants.branch_degrees", [c.d2 for c in cases]))
     rows.append(("invariants.branch_descriptions",

@@ -3,18 +3,27 @@
 zeta is a primitive sixth root of unity, so zeta**2 = zeta - 1 and
 conj(zeta) = 1 - zeta.  Every element is stored as a + b*zeta with
 rational a, b; the hexagonal ring Z[zeta] is the ring of integers.
-Two smaller orders matter for integrality constraints on symmetry
-candidates: Z[2*zeta] (b even) and the ideal 2*Z[zeta] (a, b even).
+Rationals are ints or Fractions only: a float or a string raises TypeError
+rather than being rounded into a Fraction.
 """
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from math import lcm
 from typing import Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
+
+
+def _rational(x: object) -> Fraction:
+    """x as a Fraction, for x an int or a Fraction; anything else, floats
+    and strings included, raises TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, got {x!r}")
 
 
 class EisRat:
@@ -23,8 +32,8 @@ class EisRat:
     __slots__ = ("a", "b")
 
     def __init__(self, a: Rat = 0, b: Rat = 0) -> None:
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "a", _rational(a))
+        object.__setattr__(self, "b", _rational(b))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("EisRat is immutable")
@@ -121,9 +130,6 @@ class EisRat:
     def is_integral(self) -> bool:
         return self.a.denominator == 1 and self.b.denominator == 1
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __repr__(self) -> str:
         return f"EisRat({self.a!r}, {self.b!r})"
 
@@ -149,84 +155,11 @@ class EisRat:
         return " ".join(parts)
 
 
-class Order(enum.Enum):
-    """The three orders that occur as integrality constraints."""
-
-    MAXIMAL = "Z[zeta]"
-    EVEN_ZETA = "Z[2*zeta]"
-    DOUBLED = "2*Z[zeta]"
-
-
-def eis_mul(x: EisRat, y: EisRat) -> EisRat:
-    return x * y
-
-
-def eis_conj(x: EisRat) -> EisRat:
-    return x.conjugate()
-
-
-def is_unit(x: EisRat) -> bool:
-    """True iff x is one of the six units of Z[zeta]."""
-    return x.is_integral() and x.norm() == 1
-
-
-def in_order(x: EisRat, order: Order) -> bool:
-    if not x.is_integral():
-        return False
-    if order is Order.MAXIMAL:
-        return True
-    if order is Order.EVEN_ZETA:
-        return x.b % 2 == 0
-    if order is Order.DOUBLED:
-        return x.a % 2 == 0 and x.b % 2 == 0
-    raise ValueError(f"unknown order {order!r}")
-
-
-class ReIm:
-    """Exact real/imaginary decomposition of (a + b*zeta)/sqrt(3).
-
-    The real part is re_coeff/sqrt(3) with re_coeff = a + b/2; the
-    imaginary part is rational, im = b/2.  Keeping the 1/sqrt(3) as a
-    tagged coefficient lets hermitian-form values round-trip exactly.
-    """
-
-    __slots__ = ("re_coeff", "im")
-
-    def __init__(self, re_coeff: Rat = 0, im: Rat = 0) -> None:
-        object.__setattr__(self, "re_coeff", Fraction(re_coeff))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ReIm is immutable")
-
-    @classmethod
-    def from_scaled(cls, x: EisRat) -> "ReIm":
-        """Decompose x/sqrt(3)."""
-        return cls(x.a + x.b / 2, x.b / 2)
-
-    def to_scaled(self) -> EisRat:
-        """The x with x/sqrt(3) equal to this value."""
-        b = 2 * self.im
-        return EisRat(self.re_coeff - self.im, b)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReIm):
-            return NotImplemented
-        return self.re_coeff == other.re_coeff and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re_coeff, self.im))
-
-    def __repr__(self) -> str:
-        return f"ReIm({self.re_coeff!r}, {self.im!r})"
-
-
 # ---------------------------------------------------------------------------
-# Small matrices over Q(zeta).  Matrices are tuples of row tuples; vectors
-# are tuples.  Shapes are whatever the caller supplies (2x2, 1x2, ...).
+# Small matrices over Q(zeta), as tuples of row tuples.  Shapes are
+# whatever the caller supplies (2x2, 1x2, ...).
 
 EisMat = Tuple[Tuple[EisRat, ...], ...]
-EisVec = Tuple[EisRat, ...]
 
 
 def as_eis(x: object) -> EisRat:
@@ -240,10 +173,6 @@ def mat(rows: Sequence[Sequence[object]]) -> EisMat:
     return tuple(tuple(as_eis(x) for x in row) for row in rows)
 
 
-def vec(entries: Sequence[object]) -> EisVec:
-    return tuple(as_eis(x) for x in entries)
-
-
 def mat_mul(A: EisMat, B: EisMat) -> EisMat:
     if len(A[0]) != len(B):
         raise ValueError("shape mismatch")
@@ -254,20 +183,8 @@ def mat_mul(A: EisMat, B: EisMat) -> EisMat:
     )
 
 
-def mat_apply(A: EisMat, v: EisVec) -> EisVec:
-    if len(A[0]) != len(v):
-        raise ValueError("shape mismatch")
-    return tuple(sum((A[i][k] * v[k] for k in range(len(v))), EisRat(0))
-                 for i in range(len(A)))
-
-
 def mat_add(A: EisMat, B: EisMat) -> EisMat:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_scale(c: object, A: EisMat) -> EisMat:
-    s = as_eis(c)
-    return tuple(tuple(s * x for x in row) for row in A)
 
 
 def mat_conj(A: EisMat) -> EisMat:
@@ -324,6 +241,5 @@ def _integer_matrix(m: EisMat) -> Tuple[int, Tuple[Tuple[ZetaPair, ...], ...]]:
         for row in m)
 
 
-ZERO = EisRat(0)
 ONE = EisRat(1)
 ZETA = EisRat(0, 1)

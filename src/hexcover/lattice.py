@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .eisenstein import EisMat, EisRat, Rat, _integer_matrix
+from .eisenstein import EisMat, EisRat, Rat, _integer_matrix, _rational
 
 
 class NotCommensurable(ValueError):
@@ -34,8 +34,7 @@ class AmbientVector:
     __slots__ = ("coordinates",)
 
     def __init__(self, coordinates: Sequence[Rat]) -> None:
-        coords = tuple(c if isinstance(c, Fraction) else Fraction(c)
-                       for c in coordinates)
+        coords = tuple(map(_rational, coordinates))
         if len(coords) != 4:
             raise ValueError("ambient vectors have four coordinates")
         object.__setattr__(self, "coordinates", coords)
@@ -43,20 +42,9 @@ class AmbientVector:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("AmbientVector is immutable")
 
-    @classmethod
-    def from_pair(cls, z1: EisRat, z2: EisRat) -> "AmbientVector":
-        return cls((z1.a, z1.b, z2.a, z2.b))
-
     def to_pair(self) -> Tuple[EisRat, EisRat]:
         x1, x2, x3, x4 = self.coordinates
         return EisRat(x1, x2), EisRat(x3, x4)
-
-    def mul_zeta(self) -> "AmbientVector":
-        x1, x2, x3, x4 = self.coordinates
-        return AmbientVector((-x2, x1 + x2, -x4, x3 + x4))
-
-    def scale_eis(self, c: EisRat) -> "AmbientVector":
-        return c.a * self + c.b * self.mul_zeta()
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coordinates)
@@ -111,13 +99,6 @@ class ComplexLine:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ComplexLine is immutable")
-
-    def contains_pair(self, z1: EisRat, z2: EisRat) -> bool:
-        d1, d2 = self.direction
-        return z1 * d2 - z2 * d1 == EisRat(0)
-
-    def contains(self, v: AmbientVector) -> bool:
-        return self.contains_pair(*v.to_pair())
 
     def _normalized(self) -> Tuple[EisRat, EisRat]:
         d1, d2 = self.direction
@@ -427,44 +408,6 @@ def hnf(basis: LatticeBasis, reference: LatticeBasis) -> Tuple[Tuple[Fraction, .
     ints = [[int(x * den) for x in row] for row in mat]
     reduced = _integer_column_hnf(ints)
     return tuple(tuple(Fraction(x, den) for x in row) for row in reduced)
-
-
-def index(sub: LatticeBasis, super_: LatticeBasis) -> int:
-    """Index [super : sub] for lattices of equal rank."""
-    if sub.rank != super_.rank:
-        raise RankMismatch(
-            f"rank {sub.rank} sublattice against rank {super_.rank} lattice")
-    mat = _coord_matrix(sub, super_)
-    for row in mat:
-        for x in row:
-            if x.denominator != 1:
-                raise NotContained("sublattice vector with fractional "
-                                   "coordinates in the superlattice")
-    d = _det(mat)
-    return abs(int(d))
-
-
-def base_change_is_unimodular(from_basis: LatticeBasis, to_basis: LatticeBasis) -> bool:
-    """True iff the two bases generate the same lattice, i.e. the change
-    matrix is integral with determinant +-1."""
-    if from_basis.rank != to_basis.rank:
-        raise RankMismatch("base change needs equal ranks")
-    try:
-        mat = _coord_matrix(from_basis, to_basis)
-    except NotCommensurable:
-        return False
-    if any(x.denominator != 1 for row in mat for x in row):
-        return False
-    return abs(_det(mat)) == 1
-
-
-def same_lattice(b1: LatticeBasis, b2: LatticeBasis) -> bool:
-    if b1.rank != b2.rank:
-        return False
-    try:
-        return base_change_is_unimodular(b1, b2)
-    except RankMismatch:  # pragma: no cover - ranks checked above
-        return False
 
 
 def orientation(basis: LatticeBasis) -> int:

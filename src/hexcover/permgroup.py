@@ -106,10 +106,6 @@ class Permutation:
         return f"Permutation[{body or 'id'}]"
 
 
-def commutator(x: Permutation, y: Permutation) -> Permutation:
-    return x * y * x.inverse() * y.inverse()
-
-
 class PermGroup:
     """Group generated by a list of permutations of common degree."""
 
@@ -127,8 +123,9 @@ class PermGroup:
         self.degree = degree
         self._elements = None
 
-    def elements(self, bound: int = CLOSURE_BOUND) -> frozenset:
-        """Closure of the generators by breadth-first products."""
+    def elements(self) -> frozenset:
+        """Closure of the generators by breadth-first products, at most
+        CLOSURE_BOUND elements."""
         if self._elements is not None:
             return self._elements
         found = {Permutation.identity(self.degree)}
@@ -141,9 +138,9 @@ class PermGroup:
                     if q not in found:
                         found.add(q)
                         fresh.append(q)
-                        if len(found) > bound:
+                        if len(found) > CLOSURE_BOUND:
                             raise OrderBoundExceeded(
-                                f"closure exceeds {bound} elements")
+                                f"closure exceeds {CLOSURE_BOUND} elements")
             frontier = fresh
         self._elements = frozenset(found)
         return self._elements
@@ -152,11 +149,9 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements())
 
-    def orbits(self, domain=None) -> tuple:
-        """Orbits on the domain, each sorted, listed by smallest element."""
-        if domain is None:
-            domain = range(1, self.degree + 1)
-        remaining = set(domain)
+    def orbits(self) -> tuple:
+        """Orbits on {1..degree}, each sorted, listed by smallest element."""
+        remaining = set(range(1, self.degree + 1))
         order = self.order
         out = []
         while remaining:

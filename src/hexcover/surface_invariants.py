@@ -17,10 +17,6 @@ class NonIntegral(ValueError):
     """Raised when an invariant that must be an integer comes out fractional."""
 
 
-class Unsupported(ValueError):
-    """Raised for a canonical-degree target outside the classifier's range."""
-
-
 class SingularityProfile:
     """Branch data of a double cover of an abelian surface.
 
@@ -107,7 +103,7 @@ def resolution_invariants(profile: SingularityProfile) -> ResolutionInvariants:
     return ResolutionInvariants(chi, k2)
 
 
-def enumerate_branch_profiles(k2_target: int = 8) -> list[BranchCase]:
+def enumerate_branch_profiles() -> list[BranchCase]:
     """The branch configurations that give a minimal cover with K^2 = 8.
 
     With chi = 1 the resolved canonical degree is 4 + 2 sum (m_i - 1), so the
@@ -117,13 +113,11 @@ def enumerate_branch_profiles(k2_target: int = 8) -> list[BranchCase]:
     near the other would leave rational curves on the resolution, which the
     minimal cover cannot contain.  Each remaining singular point is ordinary.
     """
-    if k2_target != 8:
-        raise Unsupported(f"only canonical degree 8 is classified, not {k2_target}")
     cases = []
     # mult profiles with sum (m_i - 1) <= 2, each m_i >= 2: (), (2,), (3,), (2, 2)
     for mults in ((), (2,), (3,), (2, 2)):
         excess = sum(m - 1 for m in mults)
-        if 4 + 2 * excess != k2_target:
+        if 4 + 2 * excess != 8:
             continue
         l2 = 2 + sum(m * (m - 1) for m in mults)  # forces chi = 1
         profile = SingularityProfile(l2, mults)

@@ -268,13 +268,6 @@ def preserves_divisor(g: AffineSymmetry) -> bool:
     return False
 
 
-def tangent_line_permutation(g: AffineSymmetry) -> Permutation:
-    """The permutation of the four tangent lines induced by g."""
-    if not preserves_divisor(g):
-        raise NotDivisorPreserving("symmetry moves the branch divisor")
-    return Permutation(_tangent_permutation(g.linear, g.antiholomorphic))
-
-
 def cross_ratio(p1: ProjectivePoint, p2: ProjectivePoint,
                 p3: ProjectivePoint, p4: ProjectivePoint) -> EisRat:
     """((p1-p3)(p2-p4)) / ((p2-p3)(p1-p4)), degenerating by cancellation."""
@@ -367,12 +360,12 @@ def _unit_det_candidates(height_bound: int):
     top_right = [(x, y) for x in even for y in even]
     bottom = [(x, y) for x in span for y in span]
     by_product = {}
-    index = 0
+    position = 0
     for a12 in top_right:
         for a21 in bottom:
             by_product.setdefault(_zeta_mul(a12, a21), []).append(
-                (index, a12, a21))
-            index += 1
+                (position, a12, a21))
+            position += 1
     out = []
     for a11 in top_left:
         for a22 in bottom:
@@ -477,7 +470,5 @@ BASE_POINT_SWAP = AffineSymmetry(mat_identity(2),
                                  translation=catalog.BRANCH_BASE_POINT)
 ANTIHOLO_REFLECTION = AffineSymmetry(catalog.SIGMA_LINEAR,
                                      antiholomorphic=True)
-TILTED_ORDER4_SYMMETRY = AffineSymmetry(catalog.TILTED_ORDER4)
-TILTED_ORDER6_SYMMETRY = AffineSymmetry(catalog.TILTED_ORDER6)
 # order-3 symmetry of the product surface
 PRODUCT_ORDER3 = AffineSymmetry(catalog.GAMMA_ORDER3)

@@ -18,13 +18,11 @@ from .appell_humbert import (
     ORDER_TWO_SIGN_PATTERNS,
     im_on_lattice,
 )
-from .eisenstein import mat_identity
 from .lattice import (
     AmbientVector,
     LatticeBasis,
     NotContained,
     coords_in,
-    index,
     line_membership_rank2,
 )
 
@@ -128,33 +126,6 @@ def check_2divisible(chi: CharacterMod2) -> bool:
         raise TrivialCharacter("divisibility test needs a nontrivial character")
     alt = im_on_lattice(catalog.SUM_FORM, kernel_lattice(chi))
     return all(x % 2 == 0 for x in alt.upper_triangle())
-
-
-class IsogenyDatum:
-    """Degree-2 cover of the product surface attached to a character.
-
-    The covering map sends x + ker(chi) to x + full lattice, so its analytic
-    representation is the identity; the kernel of the isogeny is the order-2
-    group generated by any lattice vector outside ker(chi).
-    """
-
-    __slots__ = ("character", "kernel_lattice", "analytic_rep")
-
-    def __init__(self, character: CharacterMod2) -> None:
-        if character.is_trivial:
-            raise TrivialCharacter("no cover for the trivial character")
-        kernel = kernel_lattice(character)
-        if index(kernel, catalog.PRODUCT_LATTICE) != 2:
-            raise ValueError("kernel is not of index 2")
-        object.__setattr__(self, "character", character)
-        object.__setattr__(self, "kernel_lattice", kernel)
-        object.__setattr__(self, "analytic_rep", mat_identity(2))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IsogenyDatum is immutable")
-
-    def __repr__(self) -> str:
-        return f"IsogenyDatum({self.character!r})"
 
 
 class CharacterClassification:

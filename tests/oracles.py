@@ -7,12 +7,19 @@ references for code that replaced them with integer kernels:
 scan_search_generators is the plain scan that the generator search's
 lookup replaced, line_permutation is the Q(zeta) tangent permutation that
 the Z[zeta] cross-multiplication replaced, the q_zeta_* functions are the
-EisRat pullbacks that the integer ambient-matrix kernel replaced, and
-fraction_eval_coords is the term-by-term semicharacter evaluation that the
-single integer sum replaced.
+EisRat pullbacks that the integer ambient-matrix kernel replaced (with
+mat_apply and ambient_from_pair, the Q(zeta) matrix-vector product and
+vector constructor they push vectors with), hermitian_value and ReIm are
+the Q(zeta) evaluation of a hermitian form that the integer Gram matrix
+replaced, and fraction_eval_coords is the term-by-term semicharacter
+evaluation that the single integer sum replaced.
+symmetric_semichar_from_multiplicities is the paper's rule for the
+semicharacter of a symmetric divisor, checked against the branch bundle.
+hnf_index, is_unit and mat_scale are one-line stand-ins for package
+helpers that only the tests called.
 """
 
-import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -261,14 +268,10 @@ def scan_search_generators(height_bound):
 def q_zeta_push_vector(f, v, conjugate_first):
     """Image of the ambient vector v under z -> f . z, or z -> f . conj(z)
     when conjugate_first, by mat_apply on the Q(zeta) pair of v."""
-    from hexcover.eisenstein import mat_apply
-    from hexcover.lattice import AmbientVector
-
     z1, z2 = v.to_pair()
     if conjugate_first:
         z1, z2 = z1.conjugate(), z2.conjugate()
-    w = mat_apply(f, (z1, z2))
-    return AmbientVector.from_pair(w[0], w[1])
+    return ambient_from_pair(*mat_apply(f, (z1, z2)))
 
 
 def q_zeta_pulled_form(m, f, conjugate):
@@ -282,7 +285,7 @@ def q_zeta_pulled_form(m, f, conjugate):
 def q_zeta_pull_back(g, bundle):
     """Pullback of a bundle class along the affine symmetry g in Q(zeta):
     the translation shifts the exponents by Im h(t, b_j) from
-    HermitianForm.value, then the (anti)linear part pulls back the form
+    hermitian_value, then the (anti)linear part pulls back the form
     and pushes each basis vector by q_zeta_push_vector."""
     from hexcover.appell_humbert import (HermitianForm, LineBundleClass,
                                          Semicharacter)
@@ -290,7 +293,7 @@ def q_zeta_pull_back(g, bundle):
     lattice = bundle.lattice
     shifted = Semicharacter(
         lattice,
-        [q + bundle.form.value(g.translation, b).im
+        [q + hermitian_value(bundle.form, g.translation, b).im
          for q, b in zip(bundle.character.exponents, lattice.vectors)],
         bundle.character.form)
     anti = g.antiholomorphic
@@ -300,3 +303,110 @@ def q_zeta_pull_back(g, bundle):
     form = HermitianForm(q_zeta_pulled_form(bundle.form.matrix, g.linear,
                                             anti))
     return LineBundleClass.build(form, lattice, exps)
+
+
+def hnf_index(sub, sup) -> int:
+    """The index [sup : sub] of two lattices of equal rank, as the product
+    of the diagonal of hnf(sub, sup), which must be integral."""
+    from hexcover.lattice import hnf
+
+    h = hnf(sub, sup)
+    assert all(x.denominator == 1 for row in h for x in row), \
+        "sub does not lie in sup"
+    return math.prod(h[i][i] for i in range(len(h)))
+
+
+def is_unit(x) -> bool:
+    """True iff the EisRat x is one of the six units of Z[zeta]."""
+    return x.is_integral() and x.norm() == 1
+
+
+def mat_scale(c, m):
+    """The Q(zeta) matrix m with every entry multiplied by c."""
+    return tuple(tuple(c * x for x in row) for row in m)
+
+
+def mat_apply(m, v):
+    """The Q(zeta) matrix m applied to the tuple of EisRat entries v."""
+    from hexcover.eisenstein import EisRat
+
+    if len(m[0]) != len(v):
+        raise ValueError("shape mismatch")
+    return tuple(sum((row[k] * v[k] for k in range(len(v))), EisRat(0))
+                 for row in m)
+
+
+def ambient_from_pair(z1, z2):
+    """The ambient vector with Q(zeta) coordinates (z1, z2)."""
+    from hexcover.lattice import AmbientVector
+
+    return AmbientVector((z1.a, z1.b, z2.a, z2.b))
+
+
+class ReIm:
+    """Exact real/imaginary decomposition of (a + b*zeta)/sqrt(3).
+
+    The real part is re_coeff/sqrt(3) with re_coeff = a + b/2; the
+    imaginary part is rational, im = b/2.  Keeping the 1/sqrt(3) as a
+    tagged coefficient lets hermitian-form values round-trip exactly.
+    """
+
+    __slots__ = ("re_coeff", "im")
+
+    def __init__(self, re_coeff=0, im=0) -> None:
+        self.re_coeff = Fraction(re_coeff)
+        self.im = Fraction(im)
+
+    @classmethod
+    def from_scaled(cls, x) -> "ReIm":
+        """Decompose x/sqrt(3)."""
+        return cls(x.a + x.b / 2, x.b / 2)
+
+    def to_scaled(self):
+        """The EisRat x with x/sqrt(3) equal to this value."""
+        from hexcover.eisenstein import EisRat
+
+        return EisRat(self.re_coeff - self.im, 2 * self.im)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ReIm):
+            return NotImplemented
+        return self.re_coeff == other.re_coeff and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re_coeff, self.im))
+
+    def __repr__(self) -> str:
+        return f"ReIm({self.re_coeff!r}, {self.im!r})"
+
+
+def hermitian_value(h, v, w) -> ReIm:
+    """h(v, w) for the HermitianForm h and ambient vectors v, w, summed in
+    Q(zeta) as t(v).M.conj(w) / sqrt(3)."""
+    from hexcover.eisenstein import EisRat
+
+    z = v.to_pair()
+    y = w.to_pair()
+    acc = EisRat(0)
+    for i in range(2):
+        for j in range(2):
+            acc = acc + z[i] * h.matrix[i][j] * y[j].conjugate()
+    return ReIm.from_scaled(acc)
+
+
+def symmetric_semichar_from_multiplicities(rank, multiplicities):
+    """Semicharacter of a symmetric divisor D from its multiplicities at
+    the 2-torsion points.
+
+    Keys of multiplicities are parity vectors of length rank; the vector
+    of all zeros is the origin.  The value at a lattice vector with
+    parity p is (-1) ** (m(D, 0) + m(D, p/2)); missing keys mean
+    multiplicity 0.  Returns {parity: +-1} for all 2**rank classes.
+    """
+    zero = tuple([0] * rank)
+    m0 = multiplicities.get(zero, 0)
+    out = {}
+    for parity in itertools.product((0, 1), repeat=rank):
+        m = m0 if parity == zero else multiplicities.get(parity, 0)
+        out[parity] = -1 if (m0 + m) % 2 else 1
+    return out

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from hexcover import catalog
 from hexcover.appell_humbert import (
+    HermitianForm,
     im_on_lattice,
     intersection_number,
     pfaffian,
@@ -17,7 +18,7 @@ from hexcover.appell_humbert import (
     square_roots,
     tensor,
 )
-from hexcover.eisenstein import ONE, ZETA, EisRat, inv2, mat, mat_mul, mat_scale
+from hexcover.eisenstein import ONE, ZETA, EisRat, inv2, mat, mat_mul
 from hexcover.lattice import AmbientVector, LatticeBasis, hnf
 from hexcover.permgroup import PermGroup, Permutation, matrix_fingerprint_gf3
 from hexcover.surface_invariants import (
@@ -56,6 +57,10 @@ import oracles
 
 def _pairs(matrix):
     return tuple(tuple((x.a, x.b) for x in row) for row in matrix)
+
+
+def _eis_matrix(pairs):
+    return mat([[EisRat(*entry) for entry in row] for row in pairs])
 
 
 def _sign_of(exponent: Fraction) -> int:
@@ -130,22 +135,22 @@ def test_criterion_5_symmetry_group():
     assert ratio * ZETA == ONE
     found = search_generators(3)
     assert len(found) == 4
+    tilted4 = _eis_matrix(golden.TILTED_ORDER4)
+    tilted6 = _eis_matrix(golden.TILTED_ORDER6)
     wanted = set()
-    for m in (catalog.TILTED_ORDER4, catalog.TILTED_ORDER6):
+    for m in (tilted4, tilted6):
         wanted.add(_pairs(m))
-        wanted.add(_pairs(mat_scale(-1, m)))
+        wanted.add(_pairs(oracles.mat_scale(-1, m)))
     assert {_pairs(g.linear) for g in found} == wanted
     shear = catalog.FRAME_SHEAR
     shear_inv = inv2(shear)
-    assert mat_mul(mat_mul(shear, catalog.TILTED_ORDER4), shear_inv) == \
-        catalog.ORDER4_GEN
-    assert mat_mul(mat_mul(shear, catalog.TILTED_ORDER6), shear_inv) == \
-        catalog.ORDER6_GEN
+    assert mat_mul(mat_mul(shear, tilted4), shear_inv) == catalog.ORDER4_GEN
+    assert mat_mul(mat_mul(shear, tilted6), shear_inv) == catalog.ORDER6_GEN
     print("criterion 5: PASS")
 
 
 def test_criterion_6_root_permutations():
-    roots = list(catalog.SQUARE_ROOT_BUNDLES)
+    roots = square_roots(catalog.BRANCH_COVER)
     for symmetry, cycles in (
             (ORDER4_SYMMETRY, golden.PERM_ORDER4),
             (ORDER6_SYMMETRY, golden.PERM_ORDER6),
@@ -158,7 +163,7 @@ def test_criterion_6_root_permutations():
 
 
 def test_criterion_7_orbit_theorem():
-    roots = list(catalog.SQUARE_ROOT_BUNDLES)
+    roots = square_roots(catalog.BRANCH_COVER)
     p_order4 = action_on_square_roots(ORDER4_SYMMETRY, roots)
     p_order6 = action_on_square_roots(ORDER6_SYMMETRY, roots)
     p_reflection = action_on_square_roots(ANTIHOLO_REFLECTION, roots)
@@ -186,7 +191,7 @@ def test_criterion_7_orbit_theorem():
 def test_criterion_8_numerical_invariants():
     assert tuple(resolution_invariants(SingularityProfile(8, [3]))) == (1, 8)
     assert tuple(resolution_invariants(SingularityProfile(6, [2, 2]))) == (1, 8)
-    cases = [(c.label, c.d2) for c in enumerate_branch_profiles(8)]
+    cases = [(c.label, c.d2) for c in enumerate_branch_profiles()]
     assert cases == [("I", 32), ("II", 24)]
     assert double_cover_invariants(24, 2) == (1, 8)
     assert ball_quotient_check()
@@ -211,8 +216,8 @@ def test_criterion_9_cross_module_consistency():
             assert pairing == (0 if i == j else 2)
     assert intersection_number(catalog.SUM_FORM, catalog.SUM_FORM,
                                catalog.COVER_LATTICE) == golden.SELF_INT_COVER
-    assert pfaffian(im_on_lattice(catalog.PRINCIPAL_FORM,
-                                  catalog.PRODUCT_LATTICE)) == \
+    principal = HermitianForm([[2, 0], [0, 2]])
+    assert pfaffian(im_on_lattice(principal, catalog.PRODUCT_LATTICE)) == \
         golden.PF_PRINCIPAL_PRODUCT
     character = catalog.BRANCH_PRODUCT.character
     upper = [int(x) for x in character.form.upper_triangle()]

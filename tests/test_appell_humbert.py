@@ -21,17 +21,14 @@ from hexcover.appell_humbert import (
     _pulled_form,
     im_on_lattice,
     intersection_number,
-    is_symmetric,
     pfaffian,
     pullback_antihom,
     pullback_hom,
-    semichar_eval,
     square_roots,
-    symmetric_semichar_from_multiplicities,
     tensor,
     translate,
 )
-from hexcover.eisenstein import EisRat, ZETA, mat, mat_identity
+from hexcover.eisenstein import EisRat, mat, mat_identity
 from hexcover.lattice import AmbientVector, LatticeBasis, RankMismatch
 
 import golden
@@ -39,12 +36,17 @@ from oracles import (
     cocycle_eval_left,
     cocycle_eval_right,
     fraction_eval_coords,
+    hermitian_value,
     pfaffian4_from_upper,
     q_zeta_pulled_form,
+    symmetric_semichar_from_multiplicities,
     sympy_det,
 )
 from strategies import (ambient_vectors, eis_matrices, hermitian_forms,
                         lattice_bases)
+
+# the sixteen square roots of the cover branch bundle, in canonical order
+ROOTS = square_roots(catalog.BRANCH_COVER)
 
 
 def _signs(bundle):
@@ -132,7 +134,9 @@ def test_pfaffians_and_self_intersections():
     assert pfaffian(alt) == golden.PF_PRODUCT
     alt_cover = catalog.BRANCH_COVER.character.form
     assert pfaffian(alt_cover) == golden.PF_COVER
-    principal = im_on_lattice(catalog.PRINCIPAL_FORM, catalog.PRODUCT_LATTICE)
+    # principal polarization of product type
+    principal = im_on_lattice(HermitianForm([[2, 0], [0, 2]]),
+                              catalog.PRODUCT_LATTICE)
     assert pfaffian(principal) == golden.PF_PRINCIPAL_PRODUCT
     zero = im_on_lattice(HermitianForm.zero(), catalog.PRODUCT_LATTICE)
     assert pfaffian(zero) == 0
@@ -213,7 +217,7 @@ def test_im_on_lattice_matches_q_zeta_values(h, lattice):
     vs = lattice.vectors
     for i, vi in enumerate(vs):
         for j, vj in enumerate(vs):
-            value = h.value(vi, vj).im
+            value = hermitian_value(h, vi, vj).im
             assert alt.matrix[i][j] == value
             # integral entries are ints, the others Fractions
             assert type(alt.matrix[i][j]) is (
@@ -222,9 +226,9 @@ def test_im_on_lattice_matches_q_zeta_values(h, lattice):
 
 @given(hermitian_forms(), ambient_vectors, ambient_vectors)
 def test_im_value_matches_q_zeta_value(h, v, w):
-    assert h.im_value(v, w) == h.value(v, w).im
-    assert h.scaled(Fraction(1, 2)).im_value(v, w) == \
-        h.scaled(Fraction(1, 2)).value(v, w).im
+    assert h.im_value(v, w) == hermitian_value(h, v, w).im
+    half = h.scaled(Fraction(1, 2))
+    assert half.im_value(v, w) == hermitian_value(half, v, w).im
 
 
 def test_semichar_eval_examples():
@@ -232,16 +236,16 @@ def test_semichar_eval_examples():
     assert chi.eval_coords([1, 0, 0, 0]) == Fraction(1, 2)   # value -1
     assert chi.eval_coords([0, 0, 0, 0]) == Fraction(0)
     v = AmbientVector((0, 1, 0, 0))
-    assert semichar_eval(chi, v) == Fraction(1, 2)
+    assert chi.eval(v) == Fraction(1, 2)
     with pytest.raises(NotInLattice):
-        semichar_eval(chi, AmbientVector((Fraction(1, 2), 0, 0, 0)))
+        chi.eval(AmbientVector((Fraction(1, 2), 0, 0, 0)))
 
 
 def test_semichar_cocycle_well_defined():
     chis = [catalog.BRANCH_PRODUCT.character,
             catalog.BRANCH_COVER.character,
-            catalog.SQUARE_ROOT_BUNDLES[0].character,
-            catalog.SQUARE_ROOT_BUNDLES[7].character]
+            ROOTS[0].character,
+            ROOTS[7].character]
     for chi in chis:
         qs = chi.exponents
         upper = chi.form.upper_triangle()
@@ -268,7 +272,7 @@ def test_tensor_lattice_mismatch():
 
 
 def test_square_of_root_is_branch_bundle():
-    psi1 = catalog.SQUARE_ROOT_BUNDLES[0]
+    psi1 = ROOTS[0]
     assert tensor(psi1, psi1) == catalog.BRANCH_COVER
     assert _signs(catalog.BRANCH_COVER) == golden.BRANCH_CHAR_COVER_SIGNS
 
@@ -317,7 +321,7 @@ def test_translate_by_lattice_vector_is_identity():
 
 def test_translate_composes():
     rng = random.Random(99)
-    bundle = catalog.SQUARE_ROOT_BUNDLES[0]
+    bundle = ROOTS[0]
     for _ in range(20):
         v = AmbientVector([Fraction(rng.randint(-4, 4), 2) for _ in range(4)])
         w = AmbientVector([Fraction(rng.randint(-4, 4), 2) for _ in range(4)])
@@ -325,37 +329,37 @@ def test_translate_composes():
 
 
 def test_translate_moves_psi1_to_psi7():
-    moved = translate(catalog.SQUARE_ROOT_BUNDLES[0],
-                      catalog.BRANCH_BASE_POINT)
-    assert moved == catalog.SQUARE_ROOT_BUNDLES[6]
-    moved4 = translate(catalog.SQUARE_ROOT_BUNDLES[3],
-                       catalog.BRANCH_BASE_POINT)
-    assert moved4 == catalog.SQUARE_ROOT_BUNDLES[7]
+    moved = translate(ROOTS[0], catalog.BRANCH_BASE_POINT)
+    assert moved == ROOTS[6]
+    moved4 = translate(ROOTS[3], catalog.BRANCH_BASE_POINT)
+    assert moved4 == ROOTS[7]
 
 
 def test_antihom_pullback_examples():
     sigma = catalog.SIGMA_LINEAR
-    got = pullback_antihom(catalog.SQUARE_ROOT_BUNDLES[0], sigma,
-                           catalog.COVER_LATTICE)
-    assert got == catalog.SQUARE_ROOT_BUNDLES[13]
-    got3 = pullback_antihom(catalog.SQUARE_ROOT_BUNDLES[2], sigma,
-                            catalog.COVER_LATTICE)
-    assert got3 == catalog.SQUARE_ROOT_BUNDLES[15]
+    got = pullback_antihom(ROOTS[0], sigma, catalog.COVER_LATTICE)
+    assert got == ROOTS[13]
+    got3 = pullback_antihom(ROOTS[2], sigma, catalog.COVER_LATTICE)
+    assert got3 == ROOTS[15]
 
 
 def test_antihom_applied_twice_is_identity():
     sigma = catalog.SIGMA_LINEAR
     for k in (0, 4, 9):
-        bundle = catalog.SQUARE_ROOT_BUNDLES[k]
+        bundle = ROOTS[k]
         once = pullback_antihom(bundle, sigma, catalog.COVER_LATTICE)
         twice = pullback_antihom(once, sigma, catalog.COVER_LATTICE)
         assert twice == bundle
 
 
 def test_is_symmetric():
+    # a symmetric bundle's semicharacter is +-1 on the basis
+    def is_symmetric(bundle):
+        return set(bundle.character.exponents) <= {0, Fraction(1, 2)}
+
     assert is_symmetric(catalog.BRANCH_PRODUCT)
     assert is_symmetric(catalog.BRANCH_COVER)
-    assert not is_symmetric(catalog.SQUARE_ROOT_BUNDLES[0])
+    assert not is_symmetric(ROOTS[0])
     trivial = LineBundleClass.build(HermitianForm.zero(),
                                     catalog.PRODUCT_LATTICE, [0, 0, 0, 0])
     assert is_symmetric(trivial)
@@ -386,7 +390,7 @@ def test_multiplicity_rule_reproduces_branch_character():
 
 
 def test_square_roots_of_cover_branch_match_printed_list():
-    roots = catalog.SQUARE_ROOT_BUNDLES
+    roots = ROOTS
     assert len(roots) == 16
     for root, expected in zip(roots, golden.SQUARE_ROOT_EXPONENTS):
         assert root.character.exponents == expected
@@ -424,6 +428,13 @@ def test_semicharacter_requires_integral_form():
     alt = catalog.BRANCH_PRODUCT.character.form.scaled(Fraction(1, 2))
     with pytest.raises(NotIntegral):
         Semicharacter(catalog.PRODUCT_LATTICE, [0, 0, 0, 0], alt)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_semicharacter_rejects_non_rational_exponents(bad):
+    alt = catalog.BRANCH_PRODUCT.character.form
+    with pytest.raises(TypeError):
+        Semicharacter(catalog.PRODUCT_LATTICE, [0, bad, 0, 0], alt)
 
 
 def test_intersection_bilinear_on_curve_forms():
@@ -484,7 +495,7 @@ def test_im_on_lattice_is_int_on_the_cover():
 
 
 def test_alt_form_from_fractions_equals_int_form():
-    roots = list(catalog.SQUARE_ROOT_BUNDLES)
+    roots = ROOTS
     for bundle in (catalog.BRANCH_COVER, roots[0]):
         alt = bundle.character.form
         as_fractions = AltFormOnLattice(

@@ -9,7 +9,6 @@ from hexcover.surface_invariants import (
     BranchCase,
     NonIntegral,
     SingularityProfile,
-    Unsupported,
     ball_quotient_check,
     double_cover_invariants,
     enumerate_branch_profiles,
@@ -54,12 +53,6 @@ def test_branch_enumeration_for_degree_eight():
     assert second.singularities == "two ordinary singular points of multiplicity 4"
     for case in cases:
         assert tuple(resolution_invariants(case.profile)) == (1, 8)
-
-
-def test_branch_enumeration_rejects_other_targets():
-    for target in (4, 6, 9, 16):
-        with pytest.raises(Unsupported):
-            enumerate_branch_profiles(target)
 
 
 def test_branch_case_validates_label():

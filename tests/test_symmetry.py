@@ -10,10 +10,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hexcover import catalog, symmetry
-from hexcover.eisenstein import (EisRat, _zeta_mul, is_unit, det2, mat,
-                                 mat_conj, mat_identity, mat_mul, mat_scale)
+from hexcover.eisenstein import (EisRat, _zeta_mul, det2, mat, mat_conj,
+                                 mat_identity, mat_mul)
 from hexcover.lattice import AmbientVector, LatticeBasis
-from hexcover.permgroup import PermGroup, Permutation, commutator
+from hexcover.permgroup import PermGroup, Permutation
 from hexcover.symmetry import (
     ANTIHOLO_REFLECTION,
     AffineSymmetry,
@@ -27,8 +27,6 @@ from hexcover.symmetry import (
     PRODUCT_ORDER3,
     ProjectivePoint,
     RootNotFound,
-    TILTED_ORDER4_SYMMETRY,
-    TILTED_ORDER6_SYMMETRY,
     TILTED_TANGENTS,
     _SEARCH_TARGETS,
     _AMBIENT_TANGENTS,
@@ -45,24 +43,36 @@ from hexcover.symmetry import (
     pull_back,
     rational_rep,
     search_generators,
-    tangent_line_permutation,
     verify_presentation,
 )
 from hexcover.appell_humbert import (LineBundleClass, pullback_hom,
                                      square_roots, translate)
 
 import golden
-from oracles import (line_permutation, q_zeta_pull_back, q_zeta_push_vector,
-                     scan_search_generators, scan_unit_det_candidates)
+from oracles import (is_unit, line_permutation, mat_scale, q_zeta_pull_back,
+                     q_zeta_push_vector, scan_search_generators,
+                     scan_unit_det_candidates)
 from strategies import (ambient_vectors, eis_matrices, eis_rationals,
                         unimodular_matrices)
 
 
-ROOTS = list(catalog.SQUARE_ROOT_BUNDLES)
+ROOTS = square_roots(catalog.BRANCH_COVER)
 
 
 def eis_matrix(pairs):
     return mat([[EisRat(*entry) for entry in row] for row in pairs])
+
+
+# the published generators in the sheared frame of the generator search
+TILTED_ORDER4 = eis_matrix(golden.TILTED_ORDER4)
+TILTED_ORDER6 = eis_matrix(golden.TILTED_ORDER6)
+
+
+def tangent_line_permutation(g):
+    """The permutation of the four tangent lines induced by g, which must
+    preserve the branch divisor."""
+    assert preserves_divisor(g)
+    return Permutation(_tangent_permutation(g.linear, g.antiholomorphic))
 
 
 def perm_of(cycles):
@@ -156,8 +166,7 @@ def test_preserves_divisor_rejects_line_breaking_map():
     shear2 = AffineSymmetry(mat_mul(catalog.FRAME_SHEAR, catalog.FRAME_SHEAR))
     rational_rep(shear2, catalog.COVER_LATTICE)  # lattice is preserved
     assert not preserves_divisor(shear2)
-    with pytest.raises(NotDivisorPreserving):
-        tangent_line_permutation(shear2)
+    assert _tangent_permutation(shear2.linear, False) is None
 
 
 def test_tangent_line_permutations():
@@ -220,10 +229,10 @@ def test_search_recovers_tilted_generators():
     assert len(found) == 4
     matrices = {g.linear for g in found}
     want = {
-        TILTED_ORDER4_SYMMETRY.linear,
-        mat_scale(-1, TILTED_ORDER4_SYMMETRY.linear),
-        TILTED_ORDER6_SYMMETRY.linear,
-        mat_scale(-1, TILTED_ORDER6_SYMMETRY.linear),
+        TILTED_ORDER4,
+        mat_scale(-1, TILTED_ORDER4),
+        TILTED_ORDER6,
+        mat_scale(-1, TILTED_ORDER6),
     }
     assert matrices == want
     for g in found:
@@ -263,8 +272,7 @@ def unit_det_matrices(draw):
     a tilted generator, which the tangent test accepts, or a product of
     elementary and diagonal unit matrices, which it mostly rejects."""
     if draw(st.booleans()):
-        m = draw(st.sampled_from([TILTED_ORDER4_SYMMETRY.linear,
-                                  TILTED_ORDER6_SYMMETRY.linear]))
+        m = draw(st.sampled_from([TILTED_ORDER4, TILTED_ORDER6]))
     else:
         m = mat_identity(2)
         for _ in range(draw(st.integers(0, 3))):
@@ -292,15 +300,14 @@ def test_integer_tangent_test_matches_q_zeta_permutation(linear):
 def test_integer_tangent_test_accepts_and_rejects():
     for u in _UNITS:
         scale = EisRat(*u)
-        for g in (TILTED_ORDER4_SYMMETRY, TILTED_ORDER6_SYMMETRY):
-            assert integer_tangent_test(mat_scale(scale, g.linear))
+        for m in (TILTED_ORDER4, TILTED_ORDER6):
+            assert integer_tangent_test(mat_scale(scale, m))
         # unit scalars fix every tangent, which is neither target
         assert not integer_tangent_test(mat_scale(scale, mat_identity(2)))
     for u in set(_UNITS) - {(1, 0)}:
         # diag(1, u), u != 1, moves the fourth tangent off the quadruple
         off = mat([[1, 0], [0, EisRat(*u)]])
-        assert not integer_tangent_test(
-            mat_mul(TILTED_ORDER4_SYMMETRY.linear, off))
+        assert not integer_tangent_test(mat_mul(TILTED_ORDER4, off))
     with pytest.raises(ValueError):
         _zeta_pair(EisRat(Fraction(1, 2)))
 
@@ -309,10 +316,8 @@ def test_shear_conjugation_recovers_standard_generators():
     shear = catalog.FRAME_SHEAR
     from hexcover.eisenstein import inv2
     unshear = inv2(shear)
-    assert mat_mul(mat_mul(shear, TILTED_ORDER4_SYMMETRY.linear), unshear) \
-        == catalog.ORDER4_GEN
-    assert mat_mul(mat_mul(shear, TILTED_ORDER6_SYMMETRY.linear), unshear) \
-        == catalog.ORDER6_GEN
+    assert mat_mul(mat_mul(shear, TILTED_ORDER4), unshear) == catalog.ORDER4_GEN
+    assert mat_mul(mat_mul(shear, TILTED_ORDER6), unshear) == catalog.ORDER6_GEN
     # the anti-holomorphic reflection moves to the sheared frame the same way
     tilted_refl = mat_mul(mat_mul(unshear, catalog.SIGMA_LINEAR),
                           mat_conj(shear))
@@ -369,7 +374,7 @@ def test_action_is_a_homomorphism():
 def test_commutator_square_is_negation():
     pg2 = action_on_square_roots(ORDER4_SYMMETRY, ROOTS)
     pg3 = action_on_square_roots(ORDER6_SYMMETRY, ROOTS)
-    c = commutator(pg2, pg3)
+    c = pg2 * pg3 * pg2.inverse() * pg3.inverse()
     assert c * c == perm_of(golden.PERM_NEGATION)
     # and at the level of maps on the surface
     g2, g3 = ORDER4_SYMMETRY, ORDER6_SYMMETRY
@@ -433,7 +438,7 @@ def test_gamma_lattice_images():
     cubed = PRODUCT_ORDER3.compose(PRODUCT_ORDER3).compose(PRODUCT_ORDER3)
     assert maps_equal(cubed, AffineSymmetry.identity(),
                       catalog.PRODUCT_LATTICE)
-    assert tangent_line_permutation is not None  # gamma checked internally
+    assert _tangent_permutation(PRODUCT_ORDER3.linear, False) is not None
 
 
 EXPECTED = {r["check_id"]: r["expected"] for r in json.loads(

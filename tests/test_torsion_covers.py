@@ -7,7 +7,6 @@ import pytest
 from hexcover import catalog
 from hexcover.appell_humbert import (
     NotInLattice,
-    ORDER_TWO_SIGN_PATTERNS,
     im_on_lattice,
     pullback_hom,
     square_roots,
@@ -19,12 +18,9 @@ from hexcover.lattice import (
     NotContained,
     coords_in,
     hnf,
-    index,
-    same_lattice,
 )
 from hexcover.torsion_covers import (
     CharacterMod2,
-    IsogenyDatum,
     TrivialCharacter,
     all_characters,
     check_2divisible,
@@ -34,6 +30,7 @@ from hexcover.torsion_covers import (
 )
 
 import golden
+from oracles import hnf_index
 
 
 CHARS = all_characters()
@@ -89,14 +86,15 @@ def test_kernel_lattices_match_published_bases():
         got = kernel_lattice(CHARS[k])
         assert hnf(got, catalog.PRODUCT_LATTICE) == hnf(
             published, catalog.PRODUCT_LATTICE)
-    assert same_lattice(kernel_lattice(CHARS[1]), catalog.COVER_LATTICE)
+    assert hnf(kernel_lattice(CHARS[1]), catalog.PRODUCT_LATTICE) == hnf(
+        catalog.COVER_LATTICE, catalog.PRODUCT_LATTICE)
 
 
 def test_kernel_lattice_properties_all_characters():
     for k in range(1, 16):
         chi = CHARS[k]
         kernel = kernel_lattice(chi)
-        assert index(kernel, catalog.PRODUCT_LATTICE) == 2
+        assert hnf_index(kernel, catalog.PRODUCT_LATTICE) == 2
         for v in kernel.vectors:
             assert chi.value(v) == 1
         # doubling any lattice vector lands in the kernel
@@ -207,15 +205,6 @@ def test_square_root_count_per_character():
                               kernel_lattice(CHARS[k]))
         n = len(square_roots(pulled))
         assert n == (16 if k in golden.SELECTED_CHARACTERS else 0)
-
-
-def test_isogeny_datum():
-    datum = IsogenyDatum(CHARS[1])
-    assert datum.analytic_rep == mat_identity(2)
-    assert index(datum.kernel_lattice, catalog.PRODUCT_LATTICE) == 2
-    assert same_lattice(datum.kernel_lattice, catalog.COVER_LATTICE)
-    with pytest.raises(TrivialCharacter):
-        IsogenyDatum(CHARS[0])
 
 
 def test_cover_base_point_is_2torsion_on_cover():
