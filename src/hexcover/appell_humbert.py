@@ -142,7 +142,7 @@ class HermitianForm:
         return Fraction(_gram_products(e, (x,), (y,))[0][0], den * d * d)
 
     def scaled(self, c: Fraction) -> "HermitianForm":
-        c = Fraction(c)
+        c = _rational(c)
         return HermitianForm(tuple(tuple(EisRat(x.a * c, x.b * c) for x in row)
                                    for row in self.matrix))
 
@@ -164,13 +164,16 @@ class HermitianForm:
 
 
 class AltFormOnLattice:
-    """Values Im h(b_i, b_j) of a hermitian form on an ordered basis."""
+    """Values Im h(b_i, b_j) of a hermitian form on an ordered basis.
+
+    Entries are ints or Fractions; a float or a string raises TypeError.
+    """
 
     __slots__ = ("lattice", "matrix")
 
     def __init__(self, lattice: LatticeBasis,
                  matrix: Sequence[Sequence[Fraction]]) -> None:
-        m = tuple(tuple(x if isinstance(x, (int, Fraction)) else Fraction(x)
+        m = tuple(tuple(x if isinstance(x, int) else _rational(x)
                         for x in row) for row in matrix)
         n = lattice.rank
         if len(m) != n or any(len(r) != n for r in m):
@@ -203,7 +206,7 @@ class AltFormOnLattice:
                      for i in range(n) for j in range(i + 1, n))
 
     def scaled(self, c: Fraction) -> "AltFormOnLattice":
-        c = Fraction(c)
+        c = _rational(c)
         return AltFormOnLattice(self.lattice,
                                 tuple(tuple(x * c for x in row)
                                       for row in self.matrix))

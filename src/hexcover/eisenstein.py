@@ -170,17 +170,30 @@ def as_eis(x: object) -> EisRat:
 
 
 def mat(rows: Sequence[Sequence[object]]) -> EisMat:
-    return tuple(tuple(as_eis(x) for x in row) for row in rows)
+    return tuple([tuple([x if type(x) is EisRat else as_eis(x) for x in row])
+                  for row in rows])
 
 
 def mat_mul(A: EisMat, B: EisMat) -> EisMat:
+    """The product A . B, summed on Z[zeta] pairs over the product of the
+    two factors' common denominators."""
     if len(A[0]) != len(B):
         raise ValueError("shape mismatch")
-    return tuple(
-        tuple(sum((A[i][k] * B[k][j] for k in range(len(B))), EisRat(0))
-              for j in range(len(B[0])))
-        for i in range(len(A))
-    )
+    da, pa = _cleared(A)
+    db, pb = _cleared(B)
+    den = da * db
+    out = []
+    for row in pa:
+        entries = []
+        for j in range(len(pb[0])):
+            a = b = 0
+            for x, brow in zip(row, pb):
+                p, q = _zeta_mul(x, brow[j])
+                a += p
+                b += q
+            entries.append(EisRat(Fraction(a, den), Fraction(b, den)))
+        out.append(tuple(entries))
+    return tuple(out)
 
 
 def mat_add(A: EisMat, B: EisMat) -> EisMat:
@@ -214,9 +227,9 @@ def inv2(A: EisMat) -> EisMat:
     )
 
 
-# Z[zeta] integers as (a, b) pairs for a + b*zeta.  A 2x2 matrix over
-# Q(zeta) becomes one denominator and a 2x2 array of such pairs, which is
-# how the pullbacks, the symmetries and the generator search compute.
+# Z[zeta] integers as (a, b) pairs for a + b*zeta.  A matrix over Q(zeta)
+# becomes one denominator and an array of such pairs, which is how mat_mul,
+# the pullbacks, the symmetries and the generator search compute.
 ZetaPair = Tuple[int, int]
 
 
@@ -227,18 +240,21 @@ def _zeta_mul(x: ZetaPair, y: ZetaPair) -> ZetaPair:
     return (a * c - b * d, a * d + b * c + b * d)
 
 
-def _integer_matrix(m: EisMat) -> Tuple[int, Tuple[Tuple[ZetaPair, ...], ...]]:
-    """(den, P) with m[i][j] = (a + b*zeta) / den for (a, b) = P[i][j].
-
-    Only 2x2 matrices are accepted; any other shape raises ValueError.
-    """
-    if len(m) != 2 or any(len(row) != 2 for row in m):
-        raise ValueError("shape mismatch")
+def _cleared(m: EisMat) -> Tuple[int, Tuple[Tuple[ZetaPair, ...], ...]]:
+    """(den, P) with m[i][j] = (a + b*zeta) / den for (a, b) = P[i][j] and
+    den the least common denominator, for a matrix m of any shape."""
     den = lcm(*(q.denominator for row in m for x in row for q in (x.a, x.b)))
     return den, tuple(
         tuple((x.a.numerator * (den // x.a.denominator),
                x.b.numerator * (den // x.b.denominator)) for x in row)
         for row in m)
+
+
+def _integer_matrix(m: EisMat) -> Tuple[int, Tuple[Tuple[ZetaPair, ...], ...]]:
+    """_cleared for a 2x2 matrix; any other shape raises ValueError."""
+    if len(m) != 2 or any(len(row) != 2 for row in m):
+        raise ValueError("shape mismatch")
+    return _cleared(m)
 
 
 ONE = EisRat(1)

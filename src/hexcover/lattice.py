@@ -125,16 +125,17 @@ class LatticeBasis:
 
     def __init__(self, vectors: Sequence[AmbientVector]) -> None:
         vecs = tuple(vectors)
-        pivots = _gauss_jordan([v.coordinates for v in vecs])[0]
-        if len(pivots) != len(vecs):
+        den, rows = integer_coordinates(vecs)
+        if len(_gauss_jordan(rows)[0]) != len(vecs):
             raise ValueError("basis vectors must be linearly independent")
         object.__setattr__(self, "vectors", vecs)
-        # Caches, all derived from vectors: _solver is filled by _solver on
-        # the first coords_in against this basis, _integer by
-        # _basis_coordinates, and _im_forms by appell_humbert.im_on_lattice,
-        # which keys Im h on this basis by the form's integer Gram matrix.
+        # Derived from vectors: _integer holds their integer coordinates
+        # (read through _basis_coordinates); the caches _solver and
+        # _im_forms are filled by _solver on the first coords_in against
+        # this basis and by appell_humbert.im_on_lattice, which keys Im h
+        # on this basis by the form's integer Gram matrix.
+        object.__setattr__(self, "_integer", (den, tuple(map(tuple, rows))))
         object.__setattr__(self, "_solver", None)
-        object.__setattr__(self, "_integer", None)
         object.__setattr__(self, "_im_forms", {})
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -172,13 +173,9 @@ def integer_coordinates(vectors: Sequence[AmbientVector]) -> Tuple[int, List[Lis
 
 
 def _basis_coordinates(basis: LatticeBasis) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """integer_coordinates of the basis vectors, computed once per basis."""
-    cached = basis._integer
-    if cached is None:
-        den, rows = integer_coordinates(basis.vectors)
-        cached = (den, tuple(map(tuple, rows)))
-        object.__setattr__(basis, "_integer", cached)
-    return cached
+    """integer_coordinates of the basis vectors, computed once when the
+    basis is built."""
+    return basis._integer
 
 
 # An integer 4x4 matrix F over a denominator den, acting as v -> F . v / den.
@@ -229,39 +226,41 @@ def _map_coordinates(ambient: _AmbientMap, coordinates) -> List[AmbientVector]:
                                 for r in rows)) for x in ints]
 
 
-def _gauss_jordan(rows: Sequence[Sequence[Rat]]):
-    """Reduced row echelon form R of a rational matrix A, with T . A = R.
+def _gauss_jordan(rows: Sequence[Sequence[int]]):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer
+    matrix A.
 
-    Returns (pivot columns, R, T, d); the number of pivots is the rank, and
-    d, the signed product of the pivots, is det(A) when A is square of full
+    Returns (pivot columns, R, T, d), all integers, with T . A = R; the
+    number of pivots is the rank, the pivot rows of R are d times the
+    reduced row echelon form of A and the other rows are zero.  Each step
+    replaces every other row by (p * row - row[col] * pivot row) / d, p the
+    new pivot and d the previous one, a division that is exact because
+    every entry is, up to sign, a minor of the matrix (A | I).  A row swap
+    negates the row moved down, so d is det(A) when A is square of full
     rank.
     """
     n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    m = [list(r) for r in rows]
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
     pivots: List[int] = []
-    det = Fraction(1)
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
+    d = 1
+    for col in range(len(m[0]) if m else 0):
         r0 = len(pivots)
         below = next((r for r in range(r0, n) if m[r][col]), None)
         if below is None:
             continue
         if below != r0:
-            m[r0], m[below] = m[below], m[r0]
-            t[r0], t[below] = t[below], t[r0]
-            det = -det
-        pv = m[r0][col]
-        det *= pv
-        m[r0] = [a / pv for a in m[r0]]
-        t[r0] = [a / pv for a in t[r0]]
+            m[r0], m[below] = m[below], [-a for a in m[r0]]
+            t[r0], t[below] = t[below], [-a for a in t[r0]]
+        p, prow, trow = m[r0][col], m[r0], t[r0]
         for r in range(n):
-            f = m[r][col]
-            if r != r0 and f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[r0])]
-                t[r] = [a - f * b for a, b in zip(t[r], t[r0])]
+            if r != r0:
+                f = m[r][col]
+                m[r] = [(p * a - f * b) // d for a, b in zip(m[r], prow)]
+                t[r] = [(p * a - f * b) // d for a, b in zip(t[r], trow)]
+        d = p
         pivots.append(col)
-    return pivots, m, t, det
+    return pivots, m, t, d
 
 
 def _solver(basis: LatticeBasis):
@@ -273,30 +272,30 @@ def _solver(basis: LatticeBasis):
     are inverse . v[pivots] / den.  Each (r, row) in checks reconstructs a
     non-pivot coordinate as row . v[pivots] / den, which must equal v[r]
     for v to lie in the span; rank 4 has no checks.
+
+    With V = scale . B the integer coordinates of the basis B, _gauss_jordan
+    gives T . V = R with R = d . rref(B) on the pivot rows, so
+    inverse = scale . T^t and the checks are the non-pivot columns of R,
+    all over den = d.
     """
     solver = basis._solver
     if solver is None:
-        pivots, reduced, transform, _ = _gauss_jordan(
-            [v.coordinates for v in basis.vectors])
+        scale, rows = _basis_coordinates(basis)
+        pivots, reduced, transform, d = _gauss_jordan(rows)
         k = len(pivots)
-        inverse = [[transform[j][i] for j in range(k)] for i in range(k)]
-        checks = [(r, [reduced[j][r] for j in range(k)])
-                  for r in range(4) if r not in pivots]
-        den = lcm(*(x.denominator for row in inverse for x in row),
-                  *(x.denominator for _, row in checks for x in row))
-
-        def scaled(row):
-            return tuple(x.numerator * (den // x.denominator) for x in row)
-
-        solver = (tuple(pivots), den, tuple(scaled(row) for row in inverse),
-                  tuple((r, scaled(row)) for r, row in checks))
+        solver = (tuple(pivots), d,
+                  tuple(tuple(scale * transform[j][i] for j in range(k))
+                        for i in range(k)),
+                  tuple((r, tuple(reduced[j][r] for j in range(k)))
+                        for r in range(4) if r not in pivots))
         object.__setattr__(basis, "_solver", solver)
     return solver
 
 
-def _det(rows: List[List[Fraction]]) -> Fraction:
-    pivots, _, _, det = _gauss_jordan(rows)
-    return det if len(pivots) == len(rows) else Fraction(0)
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix."""
+    pivots, _, _, d = _gauss_jordan(rows)
+    return d if len(pivots) == len(rows) else 0
 
 
 def coords_in(reference: LatticeBasis, v: AmbientVector) -> Optional[Tuple[Fraction, ...]]:
@@ -370,8 +369,9 @@ def integer_kernel(constraints: List[List[Fraction]], width: int) -> List[List[i
     """
     rows = []
     for row in constraints:
-        den = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-        rows.append([int(Fraction(x) * den) for x in row])
+        row = [_rational(x) for x in row]
+        den = lcm(*(x.denominator for x in row)) if row else 1
+        rows.append([int(x * den) for x in row])
     stacked = rows + [[1 if i == j else 0 for j in range(width)]
                       for i in range(width)]
     reduced, npivots = _column_reduce(stacked, len(rows))
@@ -419,8 +419,7 @@ def orientation(basis: LatticeBasis) -> int:
     """
     if basis.rank != 4:
         raise RankMismatch("orientation is defined for rank-4 bases")
-    d = _det([list(v.coordinates) for v in basis.vectors])
-    return 1 if d > 0 else -1
+    return 1 if _det(_basis_coordinates(basis)[1]) > 0 else -1
 
 
 def line_membership_rank2(line: ComplexLine, ambient: LatticeBasis) -> LatticeBasis:

@@ -324,23 +324,50 @@ _TILTED_TANGENT_PAIRS = tuple((_zeta_pair(p.x), _zeta_pair(p.y))
                               for p in TILTED_TANGENTS)
 
 
+def _tangent_equations(target: Sequence[int]):
+    """The tangent test for one target permutation as linear equations in
+    the entries (a11, a12, a21, a22), one per tilted tangent.
+
+    Tangent (x, y) goes to the target tangent (px, py) exactly when the
+    cross-multiplication (a11*x + a12*y)*py - px*(a21*x + a22*y) vanishes,
+    that is a11*(x*py) + a12*(y*py) - a21*(x*px) - a22*(y*px) = 0 in
+    Z[zeta].  Each equation lists (entry index, coefficient) pairs with the
+    zero coefficients dropped.
+    """
+    out = []
+    for (x, y), k in zip(_TILTED_TANGENT_PAIRS, target):
+        px, py = _TILTED_TANGENT_PAIRS[k - 1]
+        xpx, ypx = _zeta_mul(x, px), _zeta_mul(y, px)
+        coefficients = (_zeta_mul(x, py), _zeta_mul(y, py),
+                        (-xpx[0], -xpx[1]), (-ypx[0], -ypx[1]))
+        out.append(tuple((i, c) for i, c in enumerate(coefficients)
+                         if c != (0, 0)))
+    return tuple(out)
+
+
+_TANGENT_EQUATIONS = {target: _tangent_equations(target)
+                      for target in _SEARCH_TARGETS}
+
+
 def _moves_tangents(a11: ZetaPair, a12: ZetaPair, a21: ZetaPair,
                     a22: ZetaPair, target: Sequence[int]) -> bool:
     """Whether [[a11, a12], [a21, a22]] maps the i-th tilted tangent onto
-    the target[i]-th for every i, for an invertible integral matrix.
+    the target[i]-th for every i, for an invertible integral matrix and a
+    target among _SEARCH_TARGETS.
 
-    Both images and targets have integral coordinates, so proportionality
-    is one cross-multiplication in Z[zeta] per tangent.
+    Both images and targets have integral coordinates, so each tangent is
+    one equation of _tangent_equations; the first tilted tangent is (1, 0),
+    so most candidates fail after two products.
     """
-    for (x, y), k in zip(_TILTED_TANGENT_PAIRS, target):
-        ux, uy = _zeta_mul(a11, x)
-        vx, vy = _zeta_mul(a12, y)
-        qx = (ux + vx, uy + vy)
-        ux, uy = _zeta_mul(a21, x)
-        vx, vy = _zeta_mul(a22, y)
-        qy = (ux + vx, uy + vy)
-        px, py = _TILTED_TANGENT_PAIRS[k - 1]
-        if _zeta_mul(qx, py) != _zeta_mul(px, qy):
+    entries = (a11, a12, a21, a22)
+    for equation in _TANGENT_EQUATIONS[target]:
+        sa = sb = 0
+        for i, (c, d) in equation:
+            # _zeta_mul(entries[i], (c, d)), inlined in the search's hot loop
+            a, b = entries[i]
+            sa += a * c - b * d
+            sb += a * d + b * c + b * d
+        if sa or sb:
             return False
     return True
 
@@ -395,14 +422,18 @@ def search_generators(height_bound: int) -> List[AffineSymmetry]:
     span = range(-height_bound, height_bound + 1)
     entries = {(x, y): EisRat(x, y) for x in span for y in span}
     shear = catalog.FRAME_SHEAR
+    first, second = _SEARCH_TARGETS
     out = []
     for a11, a12, a21, a22 in _unit_det_candidates(height_bound):
-        # built for every unit-determinant candidate, not only for the
-        # survivors: perfbench counts these calls as the search's candidates
+        # Built for every unit-determinant candidate, though only the
+        # tangent test's survivors use it: perfbench counts the mat calls
+        # inside the search as its candidates, and its self-test pins them
+        # (4204 at bound 3).  The entries are EisRat already, so mat only
+        # checks their type.
         linear = mat([[entries[a11], entries[a12]],
                       [entries[a21], entries[a22]]])
-        if not any(_moves_tangents(a11, a12, a21, a22, target)
-                   for target in _SEARCH_TARGETS):
+        if not (_moves_tangents(a11, a12, a21, a22, first)
+                or _moves_tangents(a11, a12, a21, a22, second)):
             continue
         ambient = mat_mul(mat_mul(shear, linear), _SHEAR_INVERSE)
         candidate = AffineSymmetry(ambient)

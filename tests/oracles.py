@@ -6,7 +6,10 @@ Some run on the package's Q(zeta) and Fraction arithmetic instead, as the
 references for code that replaced them with integer kernels:
 scan_search_generators is the plain scan that the generator search's
 lookup replaced, line_permutation is the Q(zeta) tangent permutation that
-the Z[zeta] cross-multiplication replaced, the q_zeta_* functions are the
+the Z[zeta] cross-multiplication replaced,
+cross_multiplied_moves_tangents is that cross-multiplication, which the
+search's precomputed tangent equations replaced, eisrat_mat_mul is the
+EisRat matrix product that mat_mul's Z[zeta] sum replaced, the q_zeta_* functions are the
 EisRat pullbacks that the integer ambient-matrix kernel replaced (with
 mat_apply and ambient_from_pair, the Q(zeta) matrix-vector product and
 vector constructor they push vectors with), hermitian_value and ReIm are
@@ -46,6 +49,15 @@ def sympy_det(rows) -> Fraction:
     """Exact determinant of a rational matrix via sympy."""
     m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
     return Fraction(str(m.det()))
+
+
+def sympy_rref(rows):
+    """Reduced row echelon form of a rational matrix via sympy, as
+    (rows of Fractions, pivot columns)."""
+    m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
+    reduced, pivots = m.rref()
+    return ([[Fraction(str(x)) for x in reduced.row(i)]
+             for i in range(reduced.rows)], list(pivots))
 
 
 def sympy_solve_integral(basis_rows, target) -> bool:
@@ -238,6 +250,27 @@ def line_permutation(linear, antiholomorphic, points):
     return tuple(images)
 
 
+def cross_multiplied_moves_tangents(a11, a12, a21, a22, target):
+    """Whether the integral matrix [[a11, a12], [a21, a22]] of Z[zeta]
+    pairs maps the i-th tilted tangent onto the target[i]-th for every i:
+    each image is computed and cross-multiplied with its target in
+    Z[zeta]."""
+    from hexcover.eisenstein import _zeta_mul
+    from hexcover.symmetry import _TILTED_TANGENT_PAIRS
+
+    for (x, y), k in zip(_TILTED_TANGENT_PAIRS, target):
+        ux, uy = _zeta_mul(a11, x)
+        vx, vy = _zeta_mul(a12, y)
+        qx = (ux + vx, uy + vy)
+        ux, uy = _zeta_mul(a21, x)
+        vx, vy = _zeta_mul(a22, y)
+        qy = (ux + vx, uy + vy)
+        px, py = _TILTED_TANGENT_PAIRS[k - 1]
+        if _zeta_mul(qx, py) != _zeta_mul(px, qy):
+            return False
+    return True
+
+
 def scan_search_generators(height_bound):
     """The generator search as a plain scan: the candidates of
     scan_unit_det_candidates, the tangent permutation computed in Q(zeta),
@@ -324,6 +357,18 @@ def is_unit(x) -> bool:
 def mat_scale(c, m):
     """The Q(zeta) matrix m with every entry multiplied by c."""
     return tuple(tuple(c * x for x in row) for row in m)
+
+
+def eisrat_mat_mul(a, b):
+    """The Q(zeta) matrix product a . b, each entry summed in EisRat."""
+    from hexcover.eisenstein import EisRat
+
+    if len(a[0]) != len(b):
+        raise ValueError("shape mismatch")
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), EisRat(0))
+              for j in range(len(b[0])))
+        for i in range(len(a)))
 
 
 def mat_apply(m, v):

@@ -120,7 +120,8 @@ def test_alt_form_constructor_validates_skewness():
     alt = AltFormOnLattice(lattice, [[0, half], [-half, 0]])
     assert alt.matrix == ((0, half), (-half, 0))
     assert alt.upper_triangle() == (half,)
-    assert AltFormOnLattice(lattice, [["0", "1/2"], ["-1/2", "0"]]) == alt
+    with pytest.raises(TypeError):
+        AltFormOnLattice(lattice, [["0", "1/2"], ["-1/2", "0"]])
     with pytest.raises(ValueError, match="alternating matrix must be skew"):
         AltFormOnLattice(lattice, [[1, 0], [0, -1]])
     with pytest.raises(ValueError, match="alternating matrix must be skew"):
@@ -435,6 +436,17 @@ def test_semicharacter_rejects_non_rational_exponents(bad):
     alt = catalog.BRANCH_PRODUCT.character.form
     with pytest.raises(TypeError):
         Semicharacter(catalog.PRODUCT_LATTICE, [0, bad, 0, 0], alt)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_forms_reject_non_rational_entries_and_scales(bad):
+    alt = catalog.BRANCH_PRODUCT.character.form
+    with pytest.raises(TypeError):
+        AltFormOnLattice(catalog.GENUS1_LATTICE, [[0, bad], [-1, 0]])
+    with pytest.raises(TypeError):
+        alt.scaled(bad)
+    with pytest.raises(TypeError):
+        catalog.SUM_FORM.scaled(bad)
 
 
 def test_intersection_bilinear_on_curve_forms():

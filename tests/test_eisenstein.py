@@ -20,7 +20,8 @@ from hexcover.eisenstein import (
     mat_transpose,
 )
 
-from oracles import ReIm, close, is_unit, mat_apply, reim_to_complex, to_complex
+from oracles import (ReIm, close, eisrat_mat_mul, is_unit, mat_apply,
+                     reim_to_complex, to_complex)
 from strategies import eis_matrices
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -161,6 +162,29 @@ def test_rectangular_shapes():
     prod = mat_mul(col, f)          # 2x2
     assert prod[0][1] == ZETA * EisRat(-1)
     assert mat_apply(f, (EisRat(1), EisRat(1))) == (ZETA - 1,)
+
+
+@st.composite
+def multipliable_matrices(draw):
+    """A pair of matrices with fractional entries whose shapes are
+    2x2 and 2x2, 2x1 and 1x2, or 1x2 and 2x1."""
+    n, k, m = draw(st.sampled_from([(2, 2, 2), (2, 1, 2), (1, 2, 1)]))
+    a = tuple(tuple(draw(eisrats) for _ in range(k)) for _ in range(n))
+    b = tuple(tuple(draw(eisrats) for _ in range(m)) for _ in range(k))
+    return a, b
+
+
+@given(multipliable_matrices())
+def test_mat_mul_matches_eisrat_oracle(pair):
+    a, b = pair
+    product = mat_mul(a, b)
+    assert product == eisrat_mat_mul(a, b)
+    assert all(type(x) is EisRat for row in product for x in row)
+
+
+def test_mat_mul_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mat_mul(mat([[1, 0]]), mat([[1, 0]]))
 
 
 @given(eis_matrices)

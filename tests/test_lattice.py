@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hexcover.eisenstein import EisRat, ZETA, mat
@@ -12,6 +12,8 @@ from hexcover.lattice import (
     LatticeBasis,
     NotCommensurable,
     _ambient_matrix,
+    _det,
+    _gauss_jordan,
     _map_vectors,
     coords_in,
     hnf,
@@ -21,7 +23,8 @@ from hexcover.lattice import (
 
 import golden
 from oracles import (ZETA_C, ambient_from_pair, close, hnf_index,
-                     q_zeta_push_vector, sympy_coords, sympy_det, to_complex)
+                     q_zeta_push_vector, sympy_coords, sympy_det, sympy_rref,
+                     to_complex)
 from strategies import ambient_vectors, eis_matrices, lattice_bases, rationals
 
 PRODUCT = LatticeBasis.from_rows(golden.PRODUCT_BASIS)
@@ -53,6 +56,8 @@ def test_pair_round_trip():
 def test_ambient_vector_rejects_non_rationals(bad):
     with pytest.raises(TypeError):
         AmbientVector((1, 0, bad, 0))
+    with pytest.raises(TypeError):
+        integer_kernel([[1, bad]], 2)
 
 
 @given(st.tuples(small_ints, small_ints, small_ints, small_ints))
@@ -268,6 +273,61 @@ def test_coords_in_rank2_inside_and_outside_span(basis, coeffs, v):
     again = LatticeBasis.from_rows(_rows(basis))
     assert coords_in(again, inside) == coeffs
     assert coords_in(again, inside + off) is None
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices of a drawn shape and rank: square of full rank,
+    square and singular, or 2x4 and 3x4 of rank 1 to 3.  A matrix of rank
+    r < n is the product of an n x r and an r x width matrix."""
+    kind = draw(st.sampled_from(["full", "singular", "wide"]))
+    n = draw(st.integers(2, 3) if kind == "wide" else st.integers(2, 4))
+    width = 4 if kind == "wide" else n
+    rank = {"full": n, "singular": n - 1}.get(kind) or draw(st.integers(1, n))
+    entries = st.integers(-5, 5)
+    left = [[draw(entries) for _ in range(rank)] for _ in range(n)]
+    if rank == width:
+        rows = left
+    else:
+        right = [[draw(entries) for _ in range(width)] for _ in range(rank)]
+        rows = [[sum(left[i][k] * right[k][j] for k in range(rank))
+                 for j in range(width)] for i in range(n)]
+    assume(len(sympy_rref(rows)[1]) == rank)
+    return rows
+
+
+def _check_elimination(rows):
+    pivots, reduced, transform, d = _gauss_jordan(rows)
+    width = len(rows[0])
+    assert all(type(x) is int for m in (reduced, transform)
+               for row in m for x in row) and type(d) is int
+    assert [[sum(t * a[j] for t, a in zip(trow, rows)) for j in range(width)]
+            for trow in transform] == reduced
+    rref, sympy_pivots = sympy_rref(rows)
+    assert pivots == sympy_pivots
+    for i in range(len(rows)):
+        want = [d * x for x in rref[i]] if i < len(pivots) else [0] * width
+        assert reduced[i] == want
+    if len(rows) == width:
+        assert _det(rows) == sympy_det(rows)
+
+
+@given(integer_matrices())
+def test_gauss_jordan_matches_sympy(rows):
+    _check_elimination(rows)
+
+
+@pytest.mark.parametrize("rows, det", [
+    ([[0, 1], [1, 0]], -1),
+    ([[0, 2, 1], [3, 1, 0], [1, 0, 4]], -25),
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+    ([[0, 3], [0, 5]], 0),
+    ([[2, 0, 1, 3], [0, 0, 4, 1], [4, 0, 2, 6]], None),
+])
+def test_gauss_jordan_on_row_swaps_and_zero_columns(rows, det):
+    _check_elimination(rows)
+    if det is not None:
+        assert _det(rows) == det
 
 
 @given(eis_matrices, st.booleans(),

@@ -49,7 +49,8 @@ from hexcover.appell_humbert import (LineBundleClass, pullback_hom,
                                      square_roots, translate)
 
 import golden
-from oracles import (is_unit, line_permutation, mat_scale, q_zeta_pull_back,
+from oracles import (cross_multiplied_moves_tangents, is_unit,
+                     line_permutation, mat_scale, q_zeta_pull_back,
                      q_zeta_push_vector, scan_search_generators,
                      scan_unit_det_candidates)
 from strategies import (ambient_vectors, eis_matrices, eis_rationals,
@@ -295,6 +296,37 @@ def test_integer_tangent_test_matches_q_zeta_permutation(linear):
     assert is_unit(det2(linear))
     assert integer_tangent_test(linear) == \
         (line_permutation(linear, False, TILTED_TANGENTS) in _SEARCH_TARGETS)
+
+
+def _agrees_with_cross_multiplication(a11, a12, a21, a22):
+    found = []
+    for target in _SEARCH_TARGETS:
+        moved = _moves_tangents(a11, a12, a21, a22, target)
+        assert moved == cross_multiplied_moves_tangents(a11, a12, a21, a22,
+                                                        target)
+        found.append(moved)
+    return any(found)
+
+
+def test_tangent_equations_match_cross_multiplication_on_candidates():
+    candidates = _unit_det_candidates(3)
+    assert len(candidates) == 4196
+    # the four candidates that pass are the four generators the search finds
+    assert sum(_agrees_with_cross_multiplication(*c) for c in candidates) == 4
+
+
+integral_matrices = st.tuples(zeta_integers, zeta_integers, zeta_integers,
+                              zeta_integers)
+
+
+@given(st.one_of(
+    unit_det_matrices().map(
+        lambda m: tuple(_zeta_pair(x) for row in m for x in row)),
+    integral_matrices))
+def test_tangent_equations_match_cross_multiplication(entries):
+    a11, a12, a21, a22 = entries
+    assume(_zeta_mul(a11, a22) != _zeta_mul(a12, a21))
+    _agrees_with_cross_multiplication(a11, a12, a21, a22)
 
 
 def test_integer_tangent_test_accepts_and_rejects():
