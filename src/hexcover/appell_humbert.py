@@ -29,10 +29,11 @@ from typing import List, Sequence, Tuple
 from .eisenstein import (
     EisMat,
     EisRat,
-    ZetaPair,
+    _cleared,
+    _from_pairs,
     _integer_matrix,
+    _pair_product,
     _rational,
-    _zeta_mul,
     mat,
     mat_add,
     mat_conj,
@@ -43,9 +44,8 @@ from .lattice import (
     LatticeBasis,
     RankMismatch,
     _ambient_matrix,
-    _basis_coordinates,
-    _map_basis,
-    coords_in,
+    _lattice_coordinates,
+    _map_coordinates,
     integer_coordinates,
     orientation,
 )
@@ -100,14 +100,14 @@ def _ambient_gram(m: EisMat) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     a + b*zeta of M contributes b/2 on (1, 1) and (zeta, zeta), (a + b)/2
     on (zeta, 1) and -a/2 on (1, zeta).
     """
-    half = lcm(*(q.denominator for row in m for x in row for q in (x.a, x.b)))
+    half, pairs = _cleared(m)
     e = [[0] * 4 for _ in range(4)]
     for i in range(2):
         for j in range(2):
-            a, b = m[i][j].a * half, m[i][j].b * half
-            e[2 * i][2 * j] = e[2 * i + 1][2 * j + 1] = b.numerator
-            e[2 * i + 1][2 * j] = (a + b).numerator
-            e[2 * i][2 * j + 1] = -a.numerator
+            a, b = pairs[i][j]
+            e[2 * i][2 * j] = e[2 * i + 1][2 * j + 1] = b
+            e[2 * i + 1][2 * j] = a + b
+            e[2 * i][2 * j + 1] = -a
     return 2 * half, tuple(map(tuple, e))
 
 
@@ -190,16 +190,6 @@ class AltFormOnLattice:
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.matrix for x in row)
 
-    def value_on_coords(self, n: Sequence[int], m: Sequence[int]) -> Fraction:
-        acc = Fraction(0)
-        for i, ni in enumerate(n):
-            if not ni:
-                continue
-            for j, mj in enumerate(m):
-                if mj:
-                    acc += ni * self.matrix[i][j] * mj
-        return acc
-
     def upper_triangle(self) -> Tuple[Fraction, ...]:
         n = self.lattice.rank
         return tuple(self.matrix[i][j]
@@ -256,7 +246,7 @@ def im_on_lattice(h: HermitianForm, lattice: LatticeBasis) -> AltFormOnLattice:
     alt = known.get(h.gram)
     if alt is None:
         den, e = h.gram
-        d, rows = _basis_coordinates(lattice)
+        d, rows = lattice._integer
         den *= d * d
         matrix = tuple(tuple(_ratio(n, den) for n in row)
                        for row in _gram_products(e, rows, rows))
@@ -333,12 +323,10 @@ class Semicharacter:
         return Fraction(total % (2 * den), 2 * den)
 
     def eval(self, v: AmbientVector) -> Fraction:
-        sol = coords_in(self.lattice, v)
-        if sol is None:
-            raise NotInLattice("vector outside the lattice span")
-        if any(c.denominator != 1 for c in sol):
-            raise NotInLattice("vector has fractional lattice coordinates")
-        return self.eval_coords([int(c) for c in sol])
+        coords = _lattice_coordinates(self.lattice, v)
+        if coords is None:
+            raise NotInLattice("vector is not in the lattice")
+        return self.eval_coords(coords)
 
     def __mul__(self, other: "Semicharacter") -> "Semicharacter":
         if not isinstance(other, Semicharacter):
@@ -405,36 +393,16 @@ def tensor(l1: LineBundleClass, l2: LineBundleClass) -> LineBundleClass:
     return LineBundleClass(l1.form + l2.form, l1.character * l2.character)
 
 
-def _zeta_dot(xs: Sequence[ZetaPair], ys: Sequence[ZetaPair]) -> ZetaPair:
-    """The sum of x*y over the paired Z[zeta] entries of xs and ys."""
-    a = b = 0
-    for x, y in zip(xs, ys):
-        p, q = _zeta_mul(x, y)
-        a += p
-        b += q
-    return a, b
-
-
 def _pulled_form(m: EisMat, f: EisMat, conjugate: bool) -> EisMat:
-    """f^T . m . conj(f), conjugated when conjugate, computed on Z[zeta]
-    pairs over one denominator; only the four entries become EisRat."""
+    """f^T . m . conj(f), conjugated when conjugate, as two Z[zeta] pair
+    products over one denominator; only the four entries become EisRat."""
     dm, mp = _integer_matrix(m)
     df, fp = _integer_matrix(f)
-    columns = tuple(zip(*fp))
-    # column j of m . conj(f)
-    m_fbar = [[_zeta_dot(row, [(a + b, -b) for a, b in col]) for row in mp]
-              for col in columns]
-    den = dm * df * df
-    out = []
-    for col in columns:
-        row = []
-        for mcol in m_fbar:
-            a, b = _zeta_dot(col, mcol)
-            if conjugate:
-                a, b = a + b, -b
-            row.append(EisRat(Fraction(a, den), Fraction(b, den)))
-        out.append(tuple(row))
-    return tuple(out)
+    fbar = tuple(tuple((a + b, -b) for a, b in row) for row in fp)
+    out = _pair_product(_pair_product(tuple(zip(*fp)), mp), fbar)
+    if conjugate:
+        out = tuple(tuple((a + b, -b) for a, b in row) for row in out)
+    return _from_pairs(dm * df * df, out)
 
 
 def _pull_back(bundle: LineBundleClass, f: EisMat, target: LatticeBasis,
@@ -446,7 +414,8 @@ def _pull_back(bundle: LineBundleClass, f: EisMat, target: LatticeBasis,
     m2 = _pulled_form(bundle.form.matrix, f, antiholomorphic)
     # a symmetry of the divisor preserves h, so the form is usually reused
     form = bundle.form if m2 == bundle.form.matrix else HermitianForm(m2)
-    images = _map_basis(_ambient_matrix(f, antiholomorphic), target)
+    images = _map_coordinates(_ambient_matrix(f, antiholomorphic),
+                              target._integer)
     sign = -1 if antiholomorphic else 1
     exps = []
     for b, image in zip(target.vectors, images):
@@ -479,7 +448,7 @@ def translate(bundle: LineBundleClass, v: AmbientVector) -> LineBundleClass:
     product x . E . V^T with the form's ambient Gram matrix E."""
     den, e = bundle.form.gram
     d, (x,) = integer_coordinates((v,))
-    db, rows = _basis_coordinates(bundle.lattice)
+    db, rows = bundle.lattice._integer
     den *= d * db
     exps = [q + Fraction(n, den) for q, n in
             zip(bundle.character.exponents, _gram_products(e, (x,), rows)[0])]

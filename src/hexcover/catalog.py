@@ -78,19 +78,11 @@ GENUS1_THETA = LineBundleClass.build(
 CURVE_BUNDLES = tuple(
     pullback_hom(GENUS1_THETA, f, PRODUCT_LATTICE) for f in CURVE_MAPS)
 
-# Their published hermitian matrices, for cross-checking.
-CURVE_FORMS = (
-    HermitianForm([[0, 0], [0, 2]]),
-    HermitianForm([[2, 0], [0, 0]]),
-    HermitianForm([[2, -2], [-2, 2]]),
-    HermitianForm([[EisRat(2), EisRat(0, -2)], [EisRat(-2, 2), EisRat(2)]]),
-)
-SUM_FORM = HermitianForm(
-    [[EisRat(6), EisRat(-2, -2)], [EisRat(-4, 2), EisRat(6)]])
-
-# Branch bundle on the product surface and its pullback to the cover.
+# Branch bundle on the product surface, its hermitian form and its pullback
+# to the cover.
 BRANCH_PRODUCT = tensor(tensor(CURVE_BUNDLES[0], CURVE_BUNDLES[1]),
                         tensor(CURVE_BUNDLES[2], CURVE_BUNDLES[3]))
+SUM_FORM = BRANCH_PRODUCT.form
 BRANCH_COVER = pullback_hom(BRANCH_PRODUCT, mat_identity(2), COVER_LATTICE)
 
 # --- symmetries -------------------------------------------------------------

@@ -39,7 +39,6 @@ from .symmetry import (
     NEGATION,
     ORDER4_SYMMETRY,
     ORDER6_SYMMETRY,
-    ProjectivePoint,
     action_on_square_roots,
     cross_ratio,
     gamma_action_on_sigma,
@@ -93,10 +92,11 @@ def _tables_rows() -> List[Row]:
     cover = im_on_lattice(catalog.SUM_FORM, catalog.COVER_LATTICE)
     rows.append(("tables.branch_alt_cover",
                  [_as_int(x) for x in cover.upper_triangle()]))
-    for k, form in enumerate(catalog.CURVE_FORMS, start=1):
+    forms = [bundle.form for bundle in catalog.CURVE_BUNDLES]
+    for k, form in enumerate(forms, start=1):
         rows.append((f"tables.curve_form_{k}", _eis_mat(form.matrix)))
-    total = catalog.CURVE_FORMS[0]
-    for form in catalog.CURVE_FORMS[1:]:
+    total = forms[0]
+    for form in forms[1:]:
         total = total + form
     rows.append(("tables.branch_form_sum", _eis_mat(total.matrix)))
     return rows
@@ -195,8 +195,8 @@ def _search_rows(bound: int) -> List[Row]:
     reflection = mat_mul(mat_mul(shear_inv, catalog.SIGMA_LINEAR),
                          mat_conj(shear))
     rows.append(("search.reflection_in_sheared_frame", _eis_mat(reflection)))
-    tangents = [ProjectivePoint(*line.direction) for line in catalog.CURVE_LINES]
-    rows.append(("search.cross_ratio", _eis(cross_ratio(*tangents))))
+    rows.append(("search.cross_ratio",
+                 _eis(cross_ratio(*catalog.CURVE_LINES))))
     rotation = gamma_action_on_sigma()
     rows.append(("search.rotation_order", rotation.order()))
     rows.append(("search.rotation_cycle", _perm_str(rotation)))

@@ -181,19 +181,7 @@ def mat_mul(A: EisMat, B: EisMat) -> EisMat:
         raise ValueError("shape mismatch")
     da, pa = _cleared(A)
     db, pb = _cleared(B)
-    den = da * db
-    out = []
-    for row in pa:
-        entries = []
-        for j in range(len(pb[0])):
-            a = b = 0
-            for x, brow in zip(row, pb):
-                p, q = _zeta_mul(x, brow[j])
-                a += p
-                b += q
-            entries.append(EisRat(Fraction(a, den), Fraction(b, den)))
-        out.append(tuple(entries))
-    return tuple(out)
+    return _from_pairs(da * db, _pair_product(pa, pb))
 
 
 def mat_add(A: EisMat, B: EisMat) -> EisMat:
@@ -231,6 +219,7 @@ def inv2(A: EisMat) -> EisMat:
 # becomes one denominator and an array of such pairs, which is how mat_mul,
 # the pullbacks, the symmetries and the generator search compute.
 ZetaPair = Tuple[int, int]
+PairMat = Tuple[Tuple[ZetaPair, ...], ...]
 
 
 def _zeta_mul(x: ZetaPair, y: ZetaPair) -> ZetaPair:
@@ -240,7 +229,7 @@ def _zeta_mul(x: ZetaPair, y: ZetaPair) -> ZetaPair:
     return (a * c - b * d, a * d + b * c + b * d)
 
 
-def _cleared(m: EisMat) -> Tuple[int, Tuple[Tuple[ZetaPair, ...], ...]]:
+def _cleared(m: EisMat) -> Tuple[int, PairMat]:
     """(den, P) with m[i][j] = (a + b*zeta) / den for (a, b) = P[i][j] and
     den the least common denominator, for a matrix m of any shape."""
     den = lcm(*(q.denominator for row in m for x in row for q in (x.a, x.b)))
@@ -250,7 +239,30 @@ def _cleared(m: EisMat) -> Tuple[int, Tuple[Tuple[ZetaPair, ...], ...]]:
         for row in m)
 
 
-def _integer_matrix(m: EisMat) -> Tuple[int, Tuple[Tuple[ZetaPair, ...], ...]]:
+def _pair_product(P: PairMat, Q: PairMat) -> PairMat:
+    """The matrix product P . Q of two arrays of Z[zeta] pairs."""
+    columns = tuple(zip(*Q))
+    out = []
+    for row in P:
+        entries = []
+        for col in columns:
+            a = b = 0
+            for (p, q), (r, s) in zip(row, col):
+                # _zeta_mul((p, q), (r, s)), inlined
+                a += p * r - q * s
+                b += p * s + q * r + q * s
+            entries.append((a, b))
+        out.append(tuple(entries))
+    return tuple(out)
+
+
+def _from_pairs(den: int, P: PairMat) -> EisMat:
+    """The matrix with entries (a + b*zeta) / den for (a, b) in P."""
+    return tuple(tuple(EisRat(Fraction(a, den), Fraction(b, den))
+                       for a, b in row) for row in P)
+
+
+def _integer_matrix(m: EisMat) -> Tuple[int, PairMat]:
     """_cleared for a 2x2 matrix; any other shape raises ValueError."""
     if len(m) != 2 or any(len(row) != 2 for row in m):
         raise ValueError("shape mismatch")

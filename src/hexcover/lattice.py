@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .eisenstein import EisMat, EisRat, Rat, _integer_matrix, _rational
+from .eisenstein import EisMat, EisRat, Rat, _integer_matrix, _rational, as_eis
 
 
 class NotCommensurable(ValueError):
@@ -87,12 +87,13 @@ class AmbientVector:
 
 
 class ComplexLine:
-    """Complex line through the origin, a nonzero (z1, z2) up to scaling."""
+    """Complex line through the origin, a nonzero (z1, z2) up to scaling;
+    equally the point (z1 : z2) of the projective line."""
 
     __slots__ = ("direction",)
 
-    def __init__(self, direction: Tuple[EisRat, EisRat]) -> None:
-        d1, d2 = direction
+    def __init__(self, direction: Tuple[object, object]) -> None:
+        d1, d2 = map(as_eis, direction)
         if not d1 and not d2:
             raise ValueError("a complex line needs a nonzero direction")
         object.__setattr__(self, "direction", (d1, d2))
@@ -100,19 +101,15 @@ class ComplexLine:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ComplexLine is immutable")
 
-    def _normalized(self) -> Tuple[EisRat, EisRat]:
-        d1, d2 = self.direction
-        if d1:
-            return EisRat(1), d2 / d1
-        return EisRat(0), EisRat(1)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ComplexLine):
             return NotImplemented
-        return self._normalized() == other._normalized()
+        (x1, y1), (x2, y2) = self.direction, other.direction
+        return x1 * y2 == x2 * y1
 
     def __hash__(self) -> int:
-        return hash(self._normalized())
+        x, y = self.direction
+        return hash(x / y if y else None)
 
     def __repr__(self) -> str:
         return f"ComplexLine({self.direction!r})"
@@ -130,7 +127,7 @@ class LatticeBasis:
             raise ValueError("basis vectors must be linearly independent")
         object.__setattr__(self, "vectors", vecs)
         # Derived from vectors: _integer holds their integer coordinates
-        # (read through _basis_coordinates); the caches _solver and
+        # (integer_coordinates, computed once here); the caches _solver and
         # _im_forms are filled by _solver on the first coords_in against
         # this basis and by appell_humbert.im_on_lattice, which keys Im h
         # on this basis by the form's integer Gram matrix.
@@ -172,12 +169,6 @@ def integer_coordinates(vectors: Sequence[AmbientVector]) -> Tuple[int, List[Lis
                  for v in vectors]
 
 
-def _basis_coordinates(basis: LatticeBasis) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """integer_coordinates of the basis vectors, computed once when the
-    basis is built."""
-    return basis._integer
-
-
 # An integer 4x4 matrix F over a denominator den, acting as v -> F . v / den.
 _AmbientMap = Tuple[int, Tuple[Tuple[int, ...], ...]]
 
@@ -211,11 +202,6 @@ def _map_vectors(ambient: _AmbientMap,
     """Images of vectors under an _ambient_matrix map, by one integer
     product over a common denominator."""
     return _map_coordinates(ambient, integer_coordinates(vectors))
-
-
-def _map_basis(ambient: _AmbientMap, basis: LatticeBasis) -> List[AmbientVector]:
-    """Images of the basis vectors, from the basis' cached coordinates."""
-    return _map_coordinates(ambient, _basis_coordinates(basis))
 
 
 def _map_coordinates(ambient: _AmbientMap, coordinates) -> List[AmbientVector]:
@@ -280,7 +266,7 @@ def _solver(basis: LatticeBasis):
     """
     solver = basis._solver
     if solver is None:
-        scale, rows = _basis_coordinates(basis)
+        scale, rows = basis._integer
         pivots, reduced, transform, d = _gauss_jordan(rows)
         k = len(pivots)
         solver = (tuple(pivots), d,
@@ -310,6 +296,16 @@ def coords_in(reference: LatticeBasis, v: AmbientVector) -> Optional[Tuple[Fract
     den *= d
     return tuple(Fraction(sum(a * b for a, b in zip(row, at_pivots)), den)
                  for row in inverse)
+
+
+def _lattice_coordinates(basis: LatticeBasis,
+                         v: AmbientVector) -> Optional[Tuple[int, ...]]:
+    """Integer coordinates of v in basis, or None when v is not a vector of
+    the lattice: outside its rational span or at a fractional point."""
+    coords = coords_in(basis, v)
+    if coords is None or any(c.denominator != 1 for c in coords):
+        return None
+    return tuple(c.numerator for c in coords)
 
 
 # --- integer column reduction ----------------------------------------------
@@ -354,11 +350,6 @@ def _column_reduce(m: List[List[int]], pivot_rows: int) -> Tuple[List[List[int]]
                     m[r][j] -= q * m[r][c]
         c += 1
     return m, c
-
-
-def _integer_column_hnf(m: List[List[int]]) -> List[List[int]]:
-    reduced, _ = _column_reduce([list(r) for r in m], len(m))
-    return reduced
 
 
 def integer_kernel(constraints: List[List[Fraction]], width: int) -> List[List[int]]:
@@ -406,7 +397,7 @@ def hnf(basis: LatticeBasis, reference: LatticeBasis) -> Tuple[Tuple[Fraction, .
     mat = _coord_matrix(basis, reference)
     den = lcm(*(x.denominator for row in mat for x in row))
     ints = [[int(x * den) for x in row] for row in mat]
-    reduced = _integer_column_hnf(ints)
+    reduced, _ = _column_reduce(ints, len(ints))
     return tuple(tuple(Fraction(x, den) for x in row) for row in reduced)
 
 
@@ -419,7 +410,7 @@ def orientation(basis: LatticeBasis) -> int:
     """
     if basis.rank != 4:
         raise RankMismatch("orientation is defined for rank-4 bases")
-    return 1 if _det(_basis_coordinates(basis)[1]) > 0 else -1
+    return 1 if _det(basis._integer[1]) > 0 else -1
 
 
 def line_membership_rank2(line: ComplexLine, ambient: LatticeBasis) -> LatticeBasis:

@@ -66,12 +66,6 @@ class Permutation:
             raise ValueError("degree mismatch")
         return Permutation(other.images[i - 1] for i in self.images)
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for pos, img in enumerate(self.images, start=1):
-            inv[img - 1] = pos
-        return Permutation(inv)
-
     def cycles(self) -> tuple:
         """Disjoint cycles, fixed points omitted, ordered by smallest entry."""
         seen = set()

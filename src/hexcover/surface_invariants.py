@@ -83,17 +83,13 @@ class ResolutionInvariants(NamedTuple):
     chi: Fraction
     k2: int
 
-    @property
-    def non_integral_chi(self) -> bool:
-        return Fraction(self.chi).denominator != 1
-
 
 def resolution_invariants(profile: SingularityProfile) -> ResolutionInvariants:
     """Invariants of the canonical resolution of the double cover.
 
     chi = (L^2 - sum m_i(m_i - 1)) / 2 and K^2 = 2 L^2 - 2 sum (m_i - 1)^2.
-    A fractional chi is returned as-is; the ``non_integral_chi`` flag on the
-    result marks profiles that cannot come from an actual cover.
+    A fractional chi is returned as-is, as a Fraction; it marks profiles
+    that cannot come from an actual cover.
     """
     mults = profile.multiplicities
     chi = Fraction(profile.l2 - sum(m * (m - 1) for m in mults), 2)

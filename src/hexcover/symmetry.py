@@ -25,7 +25,6 @@ from .eisenstein import (
     ZetaPair,
     _integer_matrix,
     _zeta_mul,
-    as_eis,
     det2,
     inv2,
     mat,
@@ -35,12 +34,13 @@ from .eisenstein import (
 )
 from .lattice import (
     AmbientVector,
+    ComplexLine,
     LatticeBasis,
     _ambient_matrix,
     _det,
-    _map_basis,
+    _lattice_coordinates,
+    _map_coordinates,
     _map_vectors,
-    coords_in,
 )
 from .permgroup import Permutation
 from .torsion_covers import CharacterMod2, all_characters, classify_characters
@@ -63,36 +63,6 @@ class RootNotFound(ValueError):
 
 
 _ZERO_VECTOR = AmbientVector((0, 0, 0, 0))
-
-
-class ProjectivePoint:
-    """A point of the projective line, as a homogeneous coordinate pair."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y) -> None:
-        x = as_eis(x)
-        y = as_eis(y)
-        if not x and not y:
-            raise ValueError("homogeneous coordinates cannot both vanish")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectivePoint is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjectivePoint):
-            return NotImplemented
-        return self.x * other.y == other.x * self.y
-
-    def __hash__(self) -> int:
-        if self.y:
-            return hash(("ProjectivePoint", self.x / self.y))
-        return hash(("ProjectivePoint", None))
-
-    def __repr__(self) -> str:
-        return f"[{self.x} : {self.y}]"
 
 
 class AffineSymmetry:
@@ -125,20 +95,18 @@ class AffineSymmetry:
     def compose(self, other: "AffineSymmetry") -> "AffineSymmetry":
         """The map v |-> self(other(v))."""
         lin = mat_conj(other.linear) if self.antiholomorphic else other.linear
-        t = other.translation
-        if self.antiholomorphic:
-            t = _conj_vector(t)
-        moved = _apply_linear(self.linear, t) + self.translation
         return AffineSymmetry(mat_mul(self.linear, lin),
                               self.antiholomorphic != other.antiholomorphic,
-                              moved)
+                              self.apply(other.translation))
 
     def inverse(self) -> "AffineSymmetry":
+        """The map w |-> L^-1(w - t), L the (anti)linear part."""
         inv = inv2(self.linear)
-        back = -_apply_linear(inv, self.translation)
-        if not self.antiholomorphic:
-            return AffineSymmetry(inv, False, back)
-        return AffineSymmetry(mat_conj(inv), True, _conj_vector(back))
+        if self.antiholomorphic:
+            inv = mat_conj(inv)
+        back = AffineSymmetry(inv, self.antiholomorphic).apply(
+            -self.translation)
+        return AffineSymmetry(inv, self.antiholomorphic, back)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineSymmetry):
@@ -155,30 +123,20 @@ class AffineSymmetry:
         return f"AffineSymmetry({self.linear!r}, {tag}, {self.translation!r})"
 
 
-def _apply_linear(m: EisMat, v: AmbientVector) -> AmbientVector:
-    return _map_vectors(_ambient_matrix(m), (v,))[0]
-
-
-_CONJUGATION = _ambient_matrix(mat_identity(2), conjugate_first=True)
-
-
-def _conj_vector(v: AmbientVector) -> AmbientVector:
-    return _map_vectors(_CONJUGATION, (v,))[0]
-
-
 def rational_rep(g: AffineSymmetry, basis: LatticeBasis):
     """Integer matrix of the (anti)linear part of g on the lattice basis.
 
     Column j holds the coordinates of the image of the j-th basis vector; the
     determinant must be a unit for g to map the lattice onto itself.
     """
-    images = _map_basis(_ambient_matrix(g.linear, g.antiholomorphic), basis)
+    images = _map_coordinates(_ambient_matrix(g.linear, g.antiholomorphic),
+                              basis._integer)
     columns = []
     for v, w in zip(basis.vectors, images):
-        coords = coords_in(basis, w)
-        if coords is None or any(c.denominator != 1 for c in coords):
+        coords = _lattice_coordinates(basis, w)
+        if coords is None:
             raise NotLatticePreserving(f"image of {v!r} leaves the lattice")
-        columns.append(tuple(int(c) for c in coords))
+        columns.append(coords)
     rows = tuple(tuple(col[i] for col in columns)
                  for i in range(len(columns)))
     if _det(rows) not in (1, -1):
@@ -193,21 +151,17 @@ def maps_equal(g: AffineSymmetry, h: AffineSymmetry,
         return False
     if rational_rep(g, basis) != rational_rep(h, basis):
         return False
-    diff = coords_in(basis, g.translation - h.translation)
-    return diff is not None and all(c.denominator == 1 for c in diff)
+    shift = g.translation - h.translation
+    return _lattice_coordinates(basis, shift) is not None
 
-
-_AMBIENT_TANGENTS = tuple(ProjectivePoint(*line.direction)
-                          for line in catalog.CURVE_LINES)
 
 _SHEAR_INVERSE = inv2(catalog.FRAME_SHEAR)
 
 # The same four tangent directions written in the sheared frame used by the
 # generator search.
 TILTED_TANGENTS = tuple(
-    ProjectivePoint(_SHEAR_INVERSE[0][0] * p.x + _SHEAR_INVERSE[0][1] * p.y,
-                    _SHEAR_INVERSE[1][0] * p.x + _SHEAR_INVERSE[1][1] * p.y)
-    for p in _AMBIENT_TANGENTS)
+    ComplexLine(tuple(row[0] * x + row[1] * y for row in _SHEAR_INVERSE))
+    for x, y in (line.direction for line in catalog.CURVE_LINES))
 
 
 def _zeta_pair(x: EisRat) -> ZetaPair:
@@ -216,8 +170,8 @@ def _zeta_pair(x: EisRat) -> ZetaPair:
     return (x.a.numerator, x.b.numerator)
 
 
-_AMBIENT_TANGENT_PAIRS = tuple((_zeta_pair(p.x), _zeta_pair(p.y))
-                               for p in _AMBIENT_TANGENTS)
+_AMBIENT_TANGENT_PAIRS = tuple(tuple(map(_zeta_pair, line.direction))
+                               for line in catalog.CURVE_LINES)
 
 
 def _tangent_permutation(linear: EisMat,
@@ -261,15 +215,13 @@ def preserves_divisor(g: AffineSymmetry) -> bool:
     rational_rep(g, catalog.COVER_LATTICE)
     if _tangent_permutation(g.linear, g.antiholomorphic) is None:
         return False
-    for base in (_ZERO_VECTOR, catalog.BRANCH_BASE_POINT):
-        coords = coords_in(catalog.COVER_LATTICE, g.translation - base)
-        if coords is not None and all(c.denominator == 1 for c in coords):
-            return True
-    return False
+    return any(_lattice_coordinates(catalog.COVER_LATTICE,
+                                    g.translation - base) is not None
+               for base in (_ZERO_VECTOR, catalog.BRANCH_BASE_POINT))
 
 
-def cross_ratio(p1: ProjectivePoint, p2: ProjectivePoint,
-                p3: ProjectivePoint, p4: ProjectivePoint) -> EisRat:
+def cross_ratio(p1: ComplexLine, p2: ComplexLine,
+                p3: ComplexLine, p4: ComplexLine) -> EisRat:
     """((p1-p3)(p2-p4)) / ((p2-p3)(p1-p4)), degenerating by cancellation."""
     points = (p1, p2, p3, p4)
     for i in range(4):
@@ -278,7 +230,8 @@ def cross_ratio(p1: ProjectivePoint, p2: ProjectivePoint,
                 raise DegenerateQuadruple("repeated point in the quadruple")
 
     def d(p, q):
-        return p.x * q.y - q.x * p.y
+        (px, py), (qx, qy) = p.direction, q.direction
+        return px * qy - qx * py
 
     return (d(p1, p3) * d(p2, p4)) / (d(p2, p3) * d(p1, p4))
 
@@ -320,8 +273,8 @@ _UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1))
 _SEARCH_TARGETS = ((3, 4, 1, 2), (2, 3, 1, 4))
 
 
-_TILTED_TANGENT_PAIRS = tuple((_zeta_pair(p.x), _zeta_pair(p.y))
-                              for p in TILTED_TANGENTS)
+_TILTED_TANGENT_PAIRS = tuple(tuple(map(_zeta_pair, line.direction))
+                              for line in TILTED_TANGENTS)
 
 
 def _tangent_equations(target: Sequence[int]):
@@ -487,7 +440,7 @@ def gamma_action_on_sigma() -> Permutation:
     images = []
     for k in selected:
         pulled = CharacterMod2(
-            chars[k].value(_apply_linear(g.linear, v))
+            chars[k].value(g.apply(v))
             for v in basis.vectors)
         images.append(selected.index(chars.index(pulled)) + 1)
     return Permutation(images)

@@ -22,7 +22,7 @@ from .lattice import (
     AmbientVector,
     LatticeBasis,
     NotContained,
-    coords_in,
+    _lattice_coordinates,
     line_membership_rank2,
 )
 
@@ -62,10 +62,10 @@ class CharacterMod2:
         return sign
 
     def value(self, v: AmbientVector) -> int:
-        coords = coords_in(catalog.PRODUCT_LATTICE, v)
-        if coords is None or any(c.denominator != 1 for c in coords):
+        coords = _lattice_coordinates(catalog.PRODUCT_LATTICE, v)
+        if coords is None:
             raise NotInLattice(f"{v!r} is not in the product lattice")
-        return self.value_on_coords(int(c) for c in coords)
+        return self.value_on_coords(coords)
 
     def __mul__(self, other: "CharacterMod2") -> "CharacterMod2":
         return CharacterMod2(a * b for a, b in zip(self.values, other.values))
@@ -108,10 +108,10 @@ def kernel_lattice(chi: CharacterMod2) -> LatticeBasis:
 def restricts_nontrivially(chi: CharacterMod2, sub: LatticeBasis) -> bool:
     """Whether chi takes the value -1 somewhere on the given sublattice."""
     for v in sub.vectors:
-        coords = coords_in(catalog.PRODUCT_LATTICE, v)
-        if coords is None or any(c.denominator != 1 for c in coords):
+        coords = _lattice_coordinates(catalog.PRODUCT_LATTICE, v)
+        if coords is None:
             raise NotContained(f"{v!r} is not in the product lattice")
-        if chi.value_on_coords(int(c) for c in coords) == -1:
+        if chi.value_on_coords(coords) == -1:
             return True
     return False
 
@@ -165,8 +165,8 @@ def _torsion_on_curve(line) -> frozenset:
     member = line_membership_rank2(line, catalog.PRODUCT_LATTICE)
     rows = []
     for v in member.vectors:
-        coords = coords_in(catalog.PRODUCT_LATTICE, v)
-        rows.append(tuple(int(c) % 2 for c in coords))
+        coords = _lattice_coordinates(catalog.PRODUCT_LATTICE, v)
+        rows.append(tuple(c % 2 for c in coords))
     span = set()
     for bits in itertools.product((0, 1), repeat=len(rows)):
         combined = [0, 0, 0, 0]

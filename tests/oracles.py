@@ -14,12 +14,14 @@ EisRat pullbacks that the integer ambient-matrix kernel replaced (with
 mat_apply and ambient_from_pair, the Q(zeta) matrix-vector product and
 vector constructor they push vectors with), hermitian_value and ReIm are
 the Q(zeta) evaluation of a hermitian form that the integer Gram matrix
-replaced, and fraction_eval_coords is the term-by-term semicharacter
-evaluation that the single integer sum replaced.
+replaced, fraction_eval_coords is the term-by-term semicharacter
+evaluation that the single integer sum replaced, and formula_compose and
+formula_inverse are AffineSymmetry.compose and inverse as they were written
+before both went through AffineSymmetry.apply.
 symmetric_semichar_from_multiplicities is the paper's rule for the
 semicharacter of a symmetric divisor, checked against the branch bundle.
-hnf_index, is_unit and mat_scale are one-line stand-ins for package
-helpers that only the tests called.
+hnf_index, is_unit, mat_scale and perm_inverse are one-line stand-ins for
+package helpers that only the tests called.
 """
 
 import itertools
@@ -230,17 +232,17 @@ def scan_unit_det_candidates(height_bound):
 
 def line_permutation(linear, antiholomorphic, points):
     """Images tuple of the map induced by linear (conjugating first when
-    antiholomorphic) on the ProjectivePoint list points, or None when some
+    antiholomorphic) on the ComplexLine list points, or None when some
     image is not among them; computed in Q(zeta)."""
-    from hexcover.symmetry import ProjectivePoint
+    from hexcover.lattice import ComplexLine
 
     images = []
     for p in points:
-        x, y = p.x, p.y
+        x, y = p.direction
         if antiholomorphic:
             x, y = x.conjugate(), y.conjugate()
-        q = ProjectivePoint(linear[0][0] * x + linear[0][1] * y,
-                            linear[1][0] * x + linear[1][1] * y)
+        q = ComplexLine((linear[0][0] * x + linear[0][1] * y,
+                         linear[1][0] * x + linear[1][1] * y))
         for k, target in enumerate(points, start=1):
             if q == target:
                 images.append(k)
@@ -357,6 +359,44 @@ def is_unit(x) -> bool:
 def mat_scale(c, m):
     """The Q(zeta) matrix m with every entry multiplied by c."""
     return tuple(tuple(c * x for x in row) for row in m)
+
+
+def perm_inverse(p):
+    """The inverse of the Permutation p."""
+    from hexcover.permgroup import Permutation
+
+    return Permutation(sorted(range(1, p.degree + 1), key=p))
+
+
+def formula_compose(g, h):
+    """The AffineSymmetry v -> g(h(v)): h's linear part and translation are
+    conjugated when g is anti-holomorphic, and the translation is pushed
+    through g's linear part in Q(zeta)."""
+    from hexcover.eisenstein import mat_conj, mat_identity
+    from hexcover.symmetry import AffineSymmetry
+
+    lin = mat_conj(h.linear) if g.antiholomorphic else h.linear
+    t = h.translation
+    if g.antiholomorphic:
+        t = q_zeta_push_vector(mat_identity(2), t, True)
+    moved = q_zeta_push_vector(g.linear, t, False) + g.translation
+    return AffineSymmetry(eisrat_mat_mul(g.linear, lin),
+                          g.antiholomorphic != h.antiholomorphic, moved)
+
+
+def formula_inverse(g):
+    """The inverse AffineSymmetry of g: -L^-1(t) for a holomorphic g with
+    linear part L, conjugated along with L^-1 for an anti-holomorphic one;
+    pushed in Q(zeta)."""
+    from hexcover.eisenstein import inv2, mat_conj, mat_identity
+    from hexcover.symmetry import AffineSymmetry
+
+    inv = inv2(g.linear)
+    back = -q_zeta_push_vector(inv, g.translation, False)
+    if not g.antiholomorphic:
+        return AffineSymmetry(inv, False, back)
+    return AffineSymmetry(mat_conj(inv), True,
+                          q_zeta_push_vector(mat_identity(2), back, True))
 
 
 def eisrat_mat_mul(a, b):

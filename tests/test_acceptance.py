@@ -34,7 +34,6 @@ from hexcover.symmetry import (
     NEGATION,
     ORDER4_SYMMETRY,
     ORDER6_SYMMETRY,
-    ProjectivePoint,
     action_on_square_roots,
     cross_ratio,
     gamma_action_on_sigma,
@@ -53,6 +52,9 @@ from hexcover.torsion_covers import (
 
 import golden
 import oracles
+
+# the hermitian forms of the four curve bundles
+CURVE_FORMS = tuple(bundle.form for bundle in catalog.CURVE_BUNDLES)
 
 
 def _pairs(matrix):
@@ -78,7 +80,7 @@ def test_criterion_1_intersection_tables():
 
 
 def test_criterion_2_hermitian_classes():
-    for form, expected in zip(catalog.CURVE_FORMS, golden.CURVE_FORM_MATRICES):
+    for form, expected in zip(CURVE_FORMS, golden.CURVE_FORM_MATRICES):
         assert _pairs(form.matrix) == expected
     assert _pairs(catalog.SUM_FORM.matrix) == golden.SUM_FORM_MATRIX
     for a1, a2, a3, a4 in itertools.product((0, 1), repeat=4):
@@ -129,8 +131,7 @@ def test_criterion_5_symmetry_group():
     rational_rep(ORDER4_SYMMETRY, catalog.COVER_LATTICE)
     rational_rep(ORDER6_SYMMETRY, catalog.COVER_LATTICE)
     assert verify_presentation(ORDER4_SYMMETRY, ORDER6_SYMMETRY)
-    tangents = [ProjectivePoint(*line.direction) for line in catalog.CURVE_LINES]
-    ratio = cross_ratio(*tangents)
+    ratio = cross_ratio(*catalog.CURVE_LINES)
     assert (ratio.a, ratio.b) == golden.CROSS_RATIO
     assert ratio * ZETA == ONE
     found = search_generators(3)
@@ -203,15 +204,14 @@ def test_criterion_8_numerical_invariants():
 
 
 def test_criterion_9_cross_module_consistency():
-    gram = [[intersection_number(catalog.CURVE_FORMS[i], catalog.CURVE_FORMS[j],
+    gram = [[intersection_number(CURVE_FORMS[i], CURVE_FORMS[j],
                                  catalog.PRODUCT_LATTICE)
              for j in range(4)] for i in range(4)]
     assert gram == [[0 if i == j else 1 for j in range(4)] for i in range(4)]
     assert oracles.sympy_det(gram) == -3
     for i in range(4):
         for j in range(4):
-            pairing = intersection_number(catalog.CURVE_FORMS[i],
-                                          catalog.CURVE_FORMS[j],
+            pairing = intersection_number(CURVE_FORMS[i], CURVE_FORMS[j],
                                           catalog.COVER_LATTICE)
             assert pairing == (0 if i == j else 2)
     assert intersection_number(catalog.SUM_FORM, catalog.SUM_FORM,

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from hexcover.eisenstein import EisRat, ZETA, mat
@@ -25,7 +25,8 @@ import golden
 from oracles import (ZETA_C, ambient_from_pair, close, hnf_index,
                      q_zeta_push_vector, sympy_coords, sympy_det, sympy_rref,
                      to_complex)
-from strategies import ambient_vectors, eis_matrices, lattice_bases, rationals
+from strategies import (ambient_vectors, eis_matrices, eis_rationals,
+                        lattice_bases, rationals)
 
 PRODUCT = LatticeBasis.from_rows(golden.PRODUCT_BASIS)
 COVER = LatticeBasis.from_rows(golden.COVER_BASIS)
@@ -83,16 +84,25 @@ def test_scale_eis_matches_oracle(coords, c):
     assert close(got[0], want[0]) and close(got[1], want[1])
 
 
-def test_complex_line_scale_invariance():
-    d = (EisRat(1, 2), EisRat(0, -1))
-    line1 = ComplexLine(d)
-    c = EisRat(3, -5)
-    line2 = ComplexLine((d[0] * c, d[1] * c))
-    assert line1 == line2
-    assert hash(line1) == hash(line2)
-    assert line1 != ComplexLine((EisRat(1), EisRat(0)))
+# directions with a zero component drawn often, and never both zero
+directions = st.tuples(st.one_of(st.just(EisRat(0)), eis_rationals),
+                       st.one_of(st.just(EisRat(0)), eis_rationals)
+                       ).filter(any)
+
+
+@given(directions, directions, eis_rationals.filter(bool))
+@example((EisRat(1, 2), EisRat(0, -1)), (EisRat(1), EisRat(0)), EisRat(3, -5))
+@example((EisRat(1), ZETA), (EisRat(1), EisRat(0)), ZETA)
+def test_complex_line_scale_invariance(d, e, c):
+    line = ComplexLine(d)
+    scaled = ComplexLine((d[0] * c, d[1] * c))
+    assert line == scaled and hash(line) == hash(scaled)
+    other = ComplexLine(e)
+    crossed = bool(d[0] * e[1] - e[0] * d[1])
+    assert (line != other) == crossed
+    assert (scaled != other) == crossed
     with pytest.raises(ValueError):
-        ComplexLine((EisRat(0), EisRat(0)))
+        ComplexLine((0, 0))
 
 
 def test_dependent_basis_rejected():

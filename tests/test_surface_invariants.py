@@ -23,13 +23,13 @@ def test_resolution_published_cases():
     for (l2, mults), expected in golden.RESOLUTION_INVARIANTS.items():
         result = resolution_invariants(SingularityProfile(l2, mults))
         assert tuple(result) == expected
-        assert not result.non_integral_chi
+        assert Fraction(result.chi).denominator == 1
 
 
 def test_resolution_fractional_chi_is_flagged_not_raised():
     result = resolution_invariants(SingularityProfile(7))
     assert result.chi == Fraction(7, 2)
-    assert result.non_integral_chi
+    assert Fraction(result.chi).denominator == 2
     assert result.k2 == 14
 
 
@@ -126,4 +126,5 @@ def test_degree_formula_on_unit_chi_profiles(profile):
 def test_resolution_parity(l2, mults):
     result = resolution_invariants(SingularityProfile(l2, mults))
     assert result.k2 % 2 == 0
-    assert result.non_integral_chi == ((l2 - sum(m * (m - 1) for m in mults)) % 2 != 0)
+    assert (Fraction(result.chi).denominator != 1) == \
+        ((l2 - sum(m * (m - 1) for m in mults)) % 2 != 0)

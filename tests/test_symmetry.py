@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hexcover import catalog, symmetry
 from hexcover.eisenstein import (EisRat, _zeta_mul, det2, mat, mat_conj,
                                  mat_identity, mat_mul)
-from hexcover.lattice import AmbientVector, LatticeBasis
+from hexcover.lattice import AmbientVector, ComplexLine, LatticeBasis
 from hexcover.permgroup import PermGroup, Permutation
 from hexcover.symmetry import (
     ANTIHOLO_REFLECTION,
@@ -25,11 +25,9 @@ from hexcover.symmetry import (
     ORDER4_SYMMETRY,
     ORDER6_SYMMETRY,
     PRODUCT_ORDER3,
-    ProjectivePoint,
     RootNotFound,
     TILTED_TANGENTS,
     _SEARCH_TARGETS,
-    _AMBIENT_TANGENTS,
     _UNITS,
     _moves_tangents,
     _tangent_permutation,
@@ -49,10 +47,10 @@ from hexcover.appell_humbert import (LineBundleClass, pullback_hom,
                                      square_roots, translate)
 
 import golden
-from oracles import (cross_multiplied_moves_tangents, is_unit,
-                     line_permutation, mat_scale, q_zeta_pull_back,
-                     q_zeta_push_vector, scan_search_generators,
-                     scan_unit_det_candidates)
+from oracles import (cross_multiplied_moves_tangents, formula_compose,
+                     formula_inverse, is_unit, line_permutation, mat_scale,
+                     perm_inverse, q_zeta_pull_back, q_zeta_push_vector,
+                     scan_search_generators, scan_unit_det_candidates)
 from strategies import (ambient_vectors, eis_matrices, eis_rationals,
                         unimodular_matrices)
 
@@ -81,13 +79,14 @@ def perm_of(cycles):
 
 
 def test_projective_point_equality_is_scale_invariant():
+    # the projective points of the tangent quadruple are ComplexLines
     zeta = EisRat(0, 1)
-    p = ProjectivePoint(1, zeta)
-    q = ProjectivePoint(zeta, zeta * zeta)
+    p = ComplexLine((1, zeta))
+    q = ComplexLine((zeta, zeta * zeta))
     assert p == q and hash(p) == hash(q)
-    assert p != ProjectivePoint(1, 0)
+    assert p != ComplexLine((1, 0))
     with pytest.raises(ValueError):
-        ProjectivePoint(0, 0)
+        ComplexLine((0, 0))
 
 
 def test_affine_symmetry_validation():
@@ -181,7 +180,7 @@ def test_tangent_line_permutations():
 
 
 def test_tilted_tangent_points_match_published():
-    published = [ProjectivePoint(EisRat(*num), EisRat(*den))
+    published = [ComplexLine((EisRat(*num), EisRat(*den)))
                  for num, den in golden.TANGENT_POINTS_COVER_FRAME]
     assert list(TILTED_TANGENTS) == published
 
@@ -192,21 +191,20 @@ def test_cross_ratio_of_tangent_quadruple():
     # the value is the inverse of the primitive sixth root of unity
     assert EisRat(0, 1) * value == EisRat(1)
     # same quadruple written in the standard frame
-    ambient = [ProjectivePoint(*line.direction) for line in catalog.CURVE_LINES]
-    assert cross_ratio(*ambient) == value
+    assert cross_ratio(*catalog.CURVE_LINES) == value
 
 
 def test_cross_ratio_convention_anchor():
-    zero = ProjectivePoint(0, 1)
-    one = ProjectivePoint(1, 1)
-    inf = ProjectivePoint(1, 0)
-    x = ProjectivePoint(3, 1)
+    zero = ComplexLine((0, 1))
+    one = ComplexLine((1, 1))
+    inf = ComplexLine((1, 0))
+    x = ComplexLine((3, 1))
     assert cross_ratio(zero, one, inf, x) == EisRat(Fraction(2, 3))
 
 
 def test_cross_ratio_klein_invariance():
-    points = (ProjectivePoint(0, 1), ProjectivePoint(1, 1),
-              ProjectivePoint(1, 0), ProjectivePoint(5, 1))
+    points = (ComplexLine((0, 1)), ComplexLine((1, 1)),
+              ComplexLine((1, 0)), ComplexLine((5, 1)))
     base = cross_ratio(*points)
     klein = {(), ((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))}
     for images in itertools.permutations(range(4)):
@@ -220,9 +218,9 @@ def test_cross_ratio_klein_invariance():
 
 
 def test_cross_ratio_degenerate():
-    p = ProjectivePoint(1, 1)
+    p = ComplexLine((1, 1))
     with pytest.raises(DegenerateQuadruple):
-        cross_ratio(p, p, ProjectivePoint(1, 0), ProjectivePoint(0, 1))
+        cross_ratio(p, p, ComplexLine((1, 0)), ComplexLine((0, 1)))
 
 
 def test_search_recovers_tilted_generators():
@@ -406,7 +404,7 @@ def test_action_is_a_homomorphism():
 def test_commutator_square_is_negation():
     pg2 = action_on_square_roots(ORDER4_SYMMETRY, ROOTS)
     pg3 = action_on_square_roots(ORDER6_SYMMETRY, ROOTS)
-    c = pg2 * pg3 * pg2.inverse() * pg3.inverse()
+    c = pg2 * pg3 * perm_inverse(pg2) * perm_inverse(pg3)
     assert c * c == perm_of(golden.PERM_NEGATION)
     # and at the level of maps on the surface
     g2, g3 = ORDER4_SYMMETRY, ORDER6_SYMMETRY
@@ -539,6 +537,23 @@ def test_apply_matches_q_zeta_push(linear, anti, t, v):
     assert g.apply(v) == q_zeta_push_vector(g.linear, v, anti) + t
 
 
+@st.composite
+def affine_symmetries(draw):
+    """A random invertible Q(zeta) linear part, holomorphic or
+    anti-holomorphic, with a random translation."""
+    linear = draw(eis_matrices)
+    assume(det2(linear))
+    return AffineSymmetry(linear, draw(st.booleans()), draw(ambient_vectors))
+
+
+@given(affine_symmetries(), affine_symmetries(), ambient_vectors)
+def test_compose_and_inverse_match_formulas(g, h, v):
+    assert g.compose(h) == formula_compose(g, h)
+    assert g.inverse() == formula_inverse(g)
+    assert g.compose(h).apply(v) == g.apply(h.apply(v))
+    assert g.inverse().apply(g.apply(v)) == v
+
+
 def test_rational_rep_rejection_names_the_basis_vector():
     # fixes u1 = b_1 and sends b_2 = zeta*u1 + u2 outside the lattice; the
     # message names b_2, not its conjugate
@@ -594,4 +609,4 @@ def test_tangent_permutation_matches_q_zeta_oracle(case):
     linear, antiholomorphic = case
     assume(det2(linear))
     assert _tangent_permutation(linear, antiholomorphic) == \
-        line_permutation(linear, antiholomorphic, _AMBIENT_TANGENTS)
+        line_permutation(linear, antiholomorphic, catalog.CURVE_LINES)

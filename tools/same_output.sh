@@ -22,7 +22,13 @@ git -C "$root" archive "$(git -C "$root" rev-parse --verify "$ref^{commit}")" sr
 commands=(
     "verify-all"
     "verify-all --json"
+    "tables --json"
+    "characters --json"
     "orbits --json"
+    "invariants --json"
+    # the failure path: one corrupted check, exit status 1
+    "verify-all --perturb tables.curve_form_1"
+    "verify-all --perturb tables.curve_form_1 --json"
 )
 for bound in 2 3 4 5; do
     commands+=("search-aut --bound $bound --json")
