@@ -169,7 +169,7 @@ class AltFormOnLattice:
     Entries are ints or Fractions; a float or a string raises TypeError.
     """
 
-    __slots__ = ("lattice", "matrix")
+    __slots__ = ("lattice", "matrix", "_integral")
 
     def __init__(self, lattice: LatticeBasis,
                  matrix: Sequence[Sequence[Fraction]]) -> None:
@@ -183,12 +183,14 @@ class AltFormOnLattice:
             raise ValueError("alternating matrix must be skew")
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_integral",
+                           all(x.denominator == 1 for row in m for x in row))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("AltFormOnLattice is immutable")
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.matrix for x in row)
+        return self._integral
 
     def upper_triangle(self) -> Tuple[Fraction, ...]:
         n = self.lattice.rank
@@ -291,9 +293,10 @@ class Semicharacter:
                  form: AltFormOnLattice) -> None:
         if form.lattice != lattice:
             raise LatticeMismatch("semicharacter form on a different lattice")
-        if not form.is_integral():
+        if not form._integral:
             raise NotIntegral("semicharacter needs an integral alternating form")
-        exps = tuple(_rational(q) % 1 for q in exponents)
+        exps = tuple(q if 0 <= q < 1 else q % 1
+                     for q in map(_rational, exponents))
         if len(exps) != lattice.rank:
             raise ValueError("one exponent per basis vector")
         object.__setattr__(self, "lattice", lattice)
@@ -411,11 +414,20 @@ def _pull_back(bundle: LineBundleClass, f: EisMat, target: LatticeBasis,
     the anti-holomorphic case conjugates the form and negates the
     semicharacter exponents."""
     f = mat(f)
-    m2 = _pulled_form(bundle.form.matrix, f, antiholomorphic)
-    # a symmetry of the divisor preserves h, so the form is usually reused
-    form = bundle.form if m2 == bundle.form.matrix else HermitianForm(m2)
-    images = _map_coordinates(_ambient_matrix(f, antiholomorphic),
-                              target._integer)
+    # The pulled form and the images of the target basis do not depend on
+    # the semicharacter, so they are computed once per (f, flag, form) and
+    # kept on the target; the images stay the same objects, which makes
+    # coords_in on them a lookup.
+    key = (f, antiholomorphic, bundle.form.gram)
+    plan = target._pullbacks.get(key)
+    if plan is None:
+        m2 = _pulled_form(bundle.form.matrix, f, antiholomorphic)
+        # a symmetry of the divisor preserves h, so the form is usually reused
+        form = bundle.form if m2 == bundle.form.matrix else HermitianForm(m2)
+        images = tuple(_map_coordinates(_ambient_matrix(f, antiholomorphic),
+                                        target._integer))
+        plan = target._pullbacks[key] = (form, images)
+    form, images = plan
     sign = -1 if antiholomorphic else 1
     exps = []
     for b, image in zip(target.vectors, images):
@@ -445,16 +457,19 @@ def translate(bundle: LineBundleClass, v: AmbientVector) -> LineBundleClass:
     semicharacter picks up the character exp(2*pi*i*Im h(v, .)).
 
     The shifts Im h(v, b_j) for all basis vectors are the one integer
-    product x . E . V^T with the form's ambient Gram matrix E."""
+    product x . E . V^T with the form's ambient Gram matrix E; when all of
+    them are 0 the semicharacter is kept as it is."""
     den, e = bundle.form.gram
     d, (x,) = integer_coordinates((v,))
     db, rows = bundle.lattice._integer
-    den *= d * db
-    exps = [q + Fraction(n, den) for q, n in
-            zip(bundle.character.exponents, _gram_products(e, (x,), rows)[0])]
-    return LineBundleClass(bundle.form,
-                           Semicharacter(bundle.lattice, exps,
-                                         bundle.character.form))
+    shifts = _gram_products(e, (x,), rows)[0]
+    character = bundle.character
+    if any(shifts):
+        den *= d * db
+        exps = [q + Fraction(n, den)
+                for q, n in zip(character.exponents, shifts)]
+        character = Semicharacter(bundle.lattice, exps, character.form)
+    return LineBundleClass(bundle.form, character)
 
 
 def square_roots(bundle: LineBundleClass) -> List[LineBundleClass]:

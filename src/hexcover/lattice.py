@@ -31,13 +31,16 @@ class RankMismatch(ValueError):
 class AmbientVector:
     """Vector with four rational coordinates in the reference basis."""
 
-    __slots__ = ("coordinates",)
+    __slots__ = ("coordinates", "_hash")
 
     def __init__(self, coordinates: Sequence[Rat]) -> None:
         coords = tuple(map(_rational, coordinates))
         if len(coords) != 4:
             raise ValueError("ambient vectors have four coordinates")
         object.__setattr__(self, "coordinates", coords)
+        # hash of the coordinates, computed on first use: coords_in looks
+        # the same vectors up again and again
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("AmbientVector is immutable")
@@ -77,7 +80,11 @@ class AmbientVector:
         return self.coordinates == other.coordinates
 
     def __hash__(self) -> int:
-        return hash(self.coordinates)
+        h = self._hash
+        if h is None:
+            h = hash(self.coordinates)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __bool__(self) -> bool:
         return any(self.coordinates)
@@ -118,7 +125,8 @@ class ComplexLine:
 class LatticeBasis:
     """Ordered rationally independent generators of a lattice."""
 
-    __slots__ = ("vectors", "_solver", "_integer", "_im_forms")
+    __slots__ = ("vectors", "_solver", "_integer", "_coords", "_im_forms",
+                 "_pullbacks")
 
     def __init__(self, vectors: Sequence[AmbientVector]) -> None:
         vecs = tuple(vectors)
@@ -127,13 +135,19 @@ class LatticeBasis:
             raise ValueError("basis vectors must be linearly independent")
         object.__setattr__(self, "vectors", vecs)
         # Derived from vectors: _integer holds their integer coordinates
-        # (integer_coordinates, computed once here); the caches _solver and
-        # _im_forms are filled by _solver on the first coords_in against
-        # this basis and by appell_humbert.im_on_lattice, which keys Im h
-        # on this basis by the form's integer Gram matrix.
+        # (integer_coordinates, computed once here).  The caches are filled
+        # on use: _solver by the first coords_in against this basis,
+        # _coords by coords_in, which keys each result (None included) by
+        # the vector, _im_forms by appell_humbert.im_on_lattice, which keys
+        # Im h on this basis by the form's integer Gram matrix, and
+        # _pullbacks by appell_humbert._pull_back, which keys the pulled
+        # form and the basis images by (map, anti-holomorphic flag, Gram
+        # matrix of the bundle's form).
         object.__setattr__(self, "_integer", (den, tuple(map(tuple, rows))))
         object.__setattr__(self, "_solver", None)
+        object.__setattr__(self, "_coords", {})
         object.__setattr__(self, "_im_forms", {})
+        object.__setattr__(self, "_pullbacks", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LatticeBasis is immutable")
@@ -284,9 +298,24 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     return d if len(pivots) == len(rows) else 0
 
 
+_UNSOLVED = object()
+
+
 def coords_in(reference: LatticeBasis, v: AmbientVector) -> Optional[Tuple[Fraction, ...]]:
     """Coordinates of v in the reference basis, or None if v is outside
-    the rational span of the reference."""
+    the rational span of the reference.
+
+    Each result, None included, is stored on the reference basis keyed by
+    v, so asking again for an equal vector is one dict lookup."""
+    known = reference._coords
+    coords = known.get(v, _UNSOLVED)
+    if coords is _UNSOLVED:
+        coords = known[v] = _solve(reference, v)
+    return coords
+
+
+def _solve(reference: LatticeBasis, v: AmbientVector) -> Optional[Tuple[Fraction, ...]]:
+    """What coords_in returns for v, computed with the basis' _solver."""
     pivots, den, inverse, checks = _solver(reference)
     d, (ints,) = integer_coordinates((v,))
     at_pivots = [ints[p] for p in pivots]

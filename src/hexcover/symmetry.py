@@ -25,7 +25,6 @@ from .eisenstein import (
     ZetaPair,
     _integer_matrix,
     _zeta_mul,
-    det2,
     inv2,
     mat,
     mat_conj,
@@ -75,7 +74,10 @@ class AffineSymmetry:
         linear = mat(linear)
         if len(linear) != 2 or any(len(row) != 2 for row in linear):
             raise ValueError("the linear part must be a 2x2 matrix")
-        if not det2(linear):
+        # invertible exactly when det = a11*a22 - a12*a21 is nonzero, tested
+        # on the Z[zeta] pairs of the matrix cleared of denominators
+        _, ((a11, a12), (a21, a22)) = _integer_matrix(linear)
+        if _zeta_mul(a11, a22) == _zeta_mul(a12, a21):
             raise ValueError("the linear part must be invertible")
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "antiholomorphic", bool(antiholomorphic))

@@ -28,7 +28,7 @@ from hexcover.appell_humbert import (
     tensor,
     translate,
 )
-from hexcover.eisenstein import EisRat, mat, mat_identity
+from hexcover.eisenstein import ZETA, EisRat, mat, mat_identity
 from hexcover.lattice import AmbientVector, LatticeBasis, RankMismatch
 
 import golden
@@ -585,3 +585,62 @@ def test_validation_still_runs_on_a_warm_cache():
     wrong = right.scaled(2)
     with pytest.raises(LatticeMismatch):
         LineBundleClass(form, Semicharacter(lattice, [0, 0, 0, 0], wrong))
+
+
+# Z[zeta]^2 on a non-reduced basis.  Conjugation preserves it, so a linear
+# part in GL2(Z[zeta]) is a lattice map both holomorphically and
+# anti-holomorphically.
+_STANDARD_ROWS = ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 1))
+
+
+def test_pullback_plan_on_a_warm_lattice_matches_fresh_lattices():
+    warm = LatticeBasis.from_rows(_STANDARD_ROWS)
+    bundle = LineBundleClass.build(catalog.SUM_FORM.scaled(2), warm,
+                                   [0, Fraction(1, 3), 0, Fraction(1, 2)])
+    roots = square_roots(bundle)
+    assert len(roots) == 16 and roots[0].form != bundle.form
+    f = mat([[1, 1], [0, ZETA]])
+    results = {}
+    # the holomorphic map first, so that the anti-holomorphic one meets a
+    # warm cache with the same linear part; the bundle before its roots, so
+    # that the roots meet a warm cache holding another form
+    for pullback in (pullback_hom, pullback_antihom):
+        for source in [bundle] + roots:
+            got = results[pullback, source] = pullback(source, f, warm)
+            fresh = LatticeBasis(warm.vectors)
+            cold = LineBundleClass.build(source.form, fresh,
+                                         source.character.exponents)
+            assert got == pullback(cold, f, fresh)
+    assert len(warm._pullbacks) == 4  # one plan per (flag, form)
+    assert any(results[pullback_hom, r] != results[pullback_antihom, r]
+               for r in roots)
+
+
+def test_not_lattice_map_raises_on_a_warm_plan():
+    lattice = LatticeBasis(catalog.PRODUCT_LATTICE.vectors)
+    bundle = pullback_hom(catalog.BRANCH_PRODUCT, mat_identity(2), lattice)
+    halving = [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
+    for _ in range(2):
+        with pytest.raises(NotLatticeMap):
+            pullback_hom(bundle, halving, lattice)
+    assert len(lattice._pullbacks) == 2
+
+
+def test_semicharacter_checks_run_on_a_warm_cache():
+    lattice = LatticeBasis(catalog.PRODUCT_LATTICE.vectors)
+    form = catalog.BRANCH_PRODUCT.form
+    alt = im_on_lattice(form, lattice)
+    half = im_on_lattice(form.scaled(Fraction(1, 2)), lattice)
+    assert alt.is_integral() and not half.is_integral()
+    for _ in range(2):
+        assert im_on_lattice(form, lattice) is alt
+        chi = Semicharacter(lattice, [Fraction(-1, 3), Fraction(5, 2), 1,
+                                      Fraction(1, 4)], alt)
+        assert chi.exponents == (Fraction(2, 3), Fraction(1, 2), 0,
+                                 Fraction(1, 4))
+        assert all(type(q) is Fraction for q in chi.exponents)
+        for bad in (0.5, "1/2"):
+            with pytest.raises(TypeError):
+                Semicharacter(lattice, [0, bad, 0, 0], alt)
+        with pytest.raises(NotIntegral):
+            Semicharacter(lattice, [0, 0, 0, 0], half)

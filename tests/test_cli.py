@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import shutil
@@ -13,7 +14,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli
     import tomli as tomllib
 
-from hexcover import cli
+from hexcover import cli, torsion_covers
 from hexcover.cli import main
 from hexcover.lattice import LatticeBasis, hnf
 
@@ -275,3 +276,14 @@ def test_installed_console_script():
 
 def test_python_dash_m_runs_the_command():
     assert_invariants_pass(run_from_checkout("-m", "hexcover", "invariants"))
+
+
+def test_verify_all_classifies_the_characters_once(monkeypatch, capsys):
+    fresh = functools.lru_cache(maxsize=None)(
+        torsion_covers._classification.__wrapped__)
+    monkeypatch.setattr(torsion_covers, "_classification", fresh)
+    assert main(["verify-all"]) == 0
+    capsys.readouterr()
+    # the characters and search sections both ask; only the first computes
+    info = fresh.cache_info()
+    assert info.misses == 1 and info.hits >= 1

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hexcover import lattice
 from hexcover.eisenstein import EisRat, ZETA, mat
 from hexcover.lattice import (
     AmbientVector,
@@ -14,6 +15,7 @@ from hexcover.lattice import (
     _ambient_matrix,
     _det,
     _gauss_jordan,
+    _lattice_coordinates,
     _map_vectors,
     coords_in,
     hnf,
@@ -283,6 +285,43 @@ def test_coords_in_rank2_inside_and_outside_span(basis, coeffs, v):
     again = LatticeBasis.from_rows(_rows(basis))
     assert coords_in(again, inside) == coeffs
     assert coords_in(again, inside + off) is None
+
+
+@settings(deadline=None)
+@given(st.sampled_from((2, 4)).flatmap(lattice_bases),
+       st.lists(ambient_vectors, min_size=1, max_size=3))
+def test_coords_in_memo_matches_cold_basis_and_sympy(basis, vectors):
+    # half a basis vector lies in the span but is not a lattice vector
+    half = Fraction(1, 2) * basis.vectors[0]
+    queries = vectors + [half, basis.vectors[-1]]
+    first = [coords_in(basis, v) for v in queries]
+    # equal but distinct vectors, answered from the memo
+    again = [coords_in(basis, AmbientVector(v.coordinates)) for v in queries]
+    assert again == first
+    for v, got in zip(queries, first):
+        cold = LatticeBasis(basis.vectors)
+        assert coords_in(cold, v) == got
+        assert got == sympy_coords(_rows(basis), v.coordinates)
+    assert _lattice_coordinates(basis, half) is None
+    unit = tuple(int(i == basis.rank - 1) for i in range(basis.rank))
+    assert _lattice_coordinates(basis, basis.vectors[-1]) == unit
+
+
+def test_coords_in_memo_keeps_none_and_fractional_points(monkeypatch):
+    basis = LatticeBasis.from_rows(golden.CURVE_LATTICES[0])
+    outside = AmbientVector((0, 0, 1, 0))
+    half = Fraction(1, 2) * basis.vectors[1]
+    solved = []
+    solve = lattice._solve
+    monkeypatch.setattr(lattice, "_solve",
+                        lambda b, v: solved.append(v) or solve(b, v))
+    for _ in range(3):
+        assert coords_in(basis, outside) is None
+        assert coords_in(basis, AmbientVector(outside.coordinates)) is None
+        assert coords_in(basis, half) == (0, Fraction(1, 2))
+        assert _lattice_coordinates(basis, half) is None
+    # each vector is solved once, the one outside the span included
+    assert solved == [outside, half]
 
 
 @st.composite

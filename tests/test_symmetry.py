@@ -610,3 +610,25 @@ def test_tangent_permutation_matches_q_zeta_oracle(case):
     assume(det2(linear))
     assert _tangent_permutation(linear, antiholomorphic) == \
         line_permutation(linear, antiholomorphic, catalog.CURVE_LINES)
+
+
+@st.composite
+def maybe_singular_matrices(draw):
+    """2x2 Q(zeta) matrices, fractional entries included; in two draws of
+    three the matrix is singular, with proportional rows or columns."""
+    kind = draw(st.sampled_from(("any", "rows", "columns")))
+    if kind == "any":
+        return draw(eis_matrices)
+    a, b, c = draw(eis_rationals), draw(eis_rationals), draw(eis_rationals)
+    if kind == "rows":
+        return ((a, b), (c * a, c * b))
+    return ((a, c * a), (b, c * b))
+
+
+@given(maybe_singular_matrices(), st.booleans())
+def test_invertibility_check_matches_det2(linear, anti):
+    if det2(linear):
+        assert AffineSymmetry(linear, anti).linear == mat(linear)
+    else:
+        with pytest.raises(ValueError, match="must be invertible"):
+            AffineSymmetry(linear, anti)
