@@ -11,8 +11,10 @@ Conventions:
 * Hermitian matrices carry a global 1/sqrt(3) scale: the stored 2x2
   matrix M gives h(v, w) = t(v).M.conj(w) / sqrt(3).  With this scale
   every matrix that occurs here has entries in Z[zeta].
-* Semicharacter values are exponents q in Q/Z (value exp(2*pi*i*q)),
-  stored reduced into [0, 1).
+* Semicharacter values are exponents q in Q/Z (value exp(2*pi*i*q)).
+  A semicharacter stores its basis exponents as one denominator and
+  integer numerators in [0, den) with no common factor, so the calculus
+  runs on integers; they read back as Fractions in [0, 1).
 * Genus-1 bundles are carried on rank-2 lattices inside C^2 with a
   degenerate 2x2 form, so a single matrix shape serves everywhere.
 * Pfaffians are taken in the ambient orientation fixed by
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .eisenstein import (
@@ -278,52 +280,91 @@ def intersection_number(h1: HermitianForm, h2: HermitianForm,
     return int(val)
 
 
+def _reduced(den: int, nums: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
+    """The exponents nums[j] / den in canonical form: numerators reduced
+    into [0, den), then numerators and denominator divided by their gcd."""
+    nums = tuple(n % den for n in nums)
+    g = gcd(den, *nums)
+    if g > 1:
+        den //= g
+        nums = tuple(n // g for n in nums)
+    return den, nums
+
+
 class Semicharacter:
     """Function chi on a lattice with chi(x+y) = chi(x)chi(y)e^{pi i E(x,y)}.
 
     Stored as exponents in Q/Z on the ordered basis together with the
     alternating form E = Im h restricted to the lattice; the closed
     evaluation formula below extends the basis values to the whole
-    lattice, consistently because E is integral.
+    lattice, consistently because E is integral.  The exponents are kept as
+    one denominator and a tuple of integer numerators in canonical form
+    (see _reduced), so equal characters have equal data; exponents returns
+    them as Fractions.
     """
 
-    __slots__ = ("lattice", "exponents", "form")
+    __slots__ = ("lattice", "form", "_den", "_nums")
 
     def __init__(self, lattice: LatticeBasis, exponents: Sequence[Fraction],
                  form: AltFormOnLattice) -> None:
+        exps = tuple(map(_rational, exponents))
+        den = lcm(*(q.denominator for q in exps))
+        self._fill(lattice, den,
+                   [q.numerator * (den // q.denominator) for q in exps], form)
+
+    @classmethod
+    def _from_numerators(cls, lattice: LatticeBasis, den: int,
+                         nums: Sequence[int],
+                         form: AltFormOnLattice) -> "Semicharacter":
+        """The character with exponents nums[j] / den, which need not be
+        reduced; the checks are those of the constructor."""
+        chi = object.__new__(cls)
+        chi._fill(lattice, den, nums, form)
+        return chi
+
+    def _fill(self, lattice: LatticeBasis, den: int, nums: Sequence[int],
+              form: AltFormOnLattice) -> None:
         if form.lattice != lattice:
             raise LatticeMismatch("semicharacter form on a different lattice")
         if not form._integral:
             raise NotIntegral("semicharacter needs an integral alternating form")
-        exps = tuple(q if 0 <= q < 1 else q % 1
-                     for q in map(_rational, exponents))
-        if len(exps) != lattice.rank:
+        if len(nums) != lattice.rank:
             raise ValueError("one exponent per basis vector")
+        den, nums = _reduced(den, nums)
         object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "form", form)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", nums)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Semicharacter is immutable")
 
-    def eval_coords(self, n: Sequence[int]) -> Fraction:
-        """Exponent of chi at sum(n[j] * basis[j]): the sum of n_j q_j and
-        n_j n_k E_jk / 2 over j < k, as one integer over 2 * lcm of the
-        exponent denominators."""
-        exps = self.exponents
-        den = lcm(*(q.denominator for q in exps))
-        total = 2 * sum(nj * q.numerator * (den // q.denominator)
-                        for nj, q in zip(n, exps))
+    @property
+    def exponents(self) -> Tuple[Fraction, ...]:
+        """The exponents on the basis as Fractions in [0, 1)."""
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._nums)
+
+    def _numerator(self, n: Sequence[int]) -> int:
+        """2 * den times the exponent of chi at sum(n[j] * basis[j]), not
+        reduced: the sum of n_j q_j and n_j n_k E_jk / 2 over j < k."""
+        total = 2 * sum(nj * q for nj, q in zip(n, self._nums))
         rows = self.form.matrix
-        rank = len(exps)
+        rank = len(self._nums)
+        cross = 0
         for j in range(rank):
             if not n[j]:
                 continue
             for k in range(j + 1, rank):
                 if n[k]:
                     # E is integral, so its entries' numerators are their values
-                    total += n[j] * n[k] * rows[j][k].numerator * den
-        return Fraction(total % (2 * den), 2 * den)
+                    cross += n[j] * n[k] * rows[j][k].numerator
+        return total + self._den * cross
+
+    def eval_coords(self, n: Sequence[int]) -> Fraction:
+        """Exponent of chi at sum(n[j] * basis[j]), in [0, 1)."""
+        den = 2 * self._den
+        return Fraction(self._numerator(n) % den, den)
 
     def eval(self, v: AmbientVector) -> Fraction:
         coords = _lattice_coordinates(self.lattice, v)
@@ -336,18 +377,21 @@ class Semicharacter:
             return NotImplemented
         if self.lattice != other.lattice:
             raise LatticeMismatch("semicharacters on different lattices")
-        exps = tuple(a + b for a, b in zip(self.exponents, other.exponents))
-        return Semicharacter(self.lattice, exps, self.form + other.form)
+        d1, d2 = self._den, other._den
+        return Semicharacter._from_numerators(
+            self.lattice, d1 * d2,
+            [a * d2 + b * d1 for a, b in zip(self._nums, other._nums)],
+            self.form + other.form)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Semicharacter):
             return NotImplemented
-        return (self.lattice == other.lattice
-                and self.exponents == other.exponents
+        return (self._den == other._den and self._nums == other._nums
+                and self.lattice == other.lattice
                 and self.form == other.form)
 
     def __hash__(self) -> int:
-        return hash((self.lattice, self.exponents, self.form))
+        return hash((self.lattice, self._den, self._nums, self.form))
 
     def __repr__(self) -> str:
         return f"Semicharacter({[str(q) for q in self.exponents]})"
@@ -373,6 +417,14 @@ class LineBundleClass:
               exponents: Sequence[Fraction]) -> "LineBundleClass":
         alt = im_on_lattice(form, lattice)
         return cls(form, Semicharacter(lattice, exponents, alt))
+
+    @classmethod
+    def _from_numerators(cls, form: HermitianForm, lattice: LatticeBasis,
+                         den: int, nums: Sequence[int]) -> "LineBundleClass":
+        """build for the exponents nums[j] / den."""
+        alt = im_on_lattice(form, lattice)
+        return cls(form, Semicharacter._from_numerators(lattice, den, nums,
+                                                        alt))
 
     @property
     def lattice(self) -> LatticeBasis:
@@ -428,15 +480,16 @@ def _pull_back(bundle: LineBundleClass, f: EisMat, target: LatticeBasis,
                                         target._integer))
         plan = target._pullbacks[key] = (form, images)
     form, images = plan
-    sign = -1 if antiholomorphic else 1
-    exps = []
+    chi = bundle.character
+    nums = []
     for b, image in zip(target.vectors, images):
-        try:
-            exps.append(sign * bundle.character.eval(image))
-        except NotInLattice as exc:
-            raise NotLatticeMap(
-                f"image of {b!r} is not in the source lattice") from exc
-    return LineBundleClass.build(form, target, exps)
+        coords = _lattice_coordinates(chi.lattice, image)
+        if coords is None:
+            raise NotLatticeMap(f"image of {b!r} is not in the source lattice")
+        nums.append(chi._numerator(coords))
+    if antiholomorphic:
+        nums = [-n for n in nums]
+    return LineBundleClass._from_numerators(form, target, 2 * chi._den, nums)
 
 
 def pullback_hom(bundle: LineBundleClass, f: EisMat,
@@ -457,18 +510,28 @@ def translate(bundle: LineBundleClass, v: AmbientVector) -> LineBundleClass:
     semicharacter picks up the character exp(2*pi*i*Im h(v, .)).
 
     The shifts Im h(v, b_j) for all basis vectors are the one integer
-    product x . E . V^T with the form's ambient Gram matrix E; when all of
-    them are 0 the semicharacter is kept as it is."""
-    den, e = bundle.form.gram
-    d, (x,) = integer_coordinates((v,))
-    db, rows = bundle.lattice._integer
-    shifts = _gram_products(e, (x,), rows)[0]
+    product x . E . V^T with the form's ambient Gram matrix E, over one
+    denominator; they do not depend on the semicharacter, so they are kept
+    on the lattice per (Gram matrix, v).  When all of them are 0 the
+    semicharacter is kept as it is."""
+    lattice = bundle.lattice
+    gram = bundle.form.gram
+    key = (gram, v)
+    shifted = lattice._shifts.get(key)
+    if shifted is None:
+        den, e = gram
+        d, (x,) = integer_coordinates((v,))
+        db, rows = lattice._integer
+        shifted = lattice._shifts[key] = (
+            den * d * db, tuple(_gram_products(e, (x,), rows)[0]))
     character = bundle.character
+    den, shifts = shifted
     if any(shifts):
-        den *= d * db
-        exps = [q + Fraction(n, den)
-                for q, n in zip(character.exponents, shifts)]
-        character = Semicharacter(bundle.lattice, exps, character.form)
+        dc = character._den
+        character = Semicharacter._from_numerators(
+            lattice, dc * den,
+            [q * den + n * dc for q, n in zip(character._nums, shifts)],
+            character.form)
     return LineBundleClass(bundle.form, character)
 
 
@@ -484,7 +547,10 @@ def square_roots(bundle: LineBundleClass) -> List[LineBundleClass]:
     if not half_alt.is_integral():
         return []
     half_form = bundle.form.scaled(Fraction(1, 2))
-    base = [q / 2 for q in bundle.character.exponents]
+    # over 2 * den, the first root's numerators are those of the bundle and
+    # a sign -1 adds den, that is 1/2
+    chi = bundle.character
+    den = chi._den
     rank = bundle.lattice.rank
     if rank == 4:
         patterns: Sequence[Tuple[int, ...]] = ORDER_TWO_SIGN_PATTERNS
@@ -492,7 +558,7 @@ def square_roots(bundle: LineBundleClass) -> List[LineBundleClass]:
         patterns = tuple(itertools.product((1, -1), repeat=rank))
     roots = []
     for pattern in patterns:
-        exps = [q + (Fraction(1, 2) if s < 0 else Fraction(0))
-                for q, s in zip(base, pattern)]
-        roots.append(LineBundleClass.build(half_form, bundle.lattice, exps))
+        nums = [q + (den if s < 0 else 0) for q, s in zip(chi._nums, pattern)]
+        roots.append(LineBundleClass._from_numerators(
+            half_form, bundle.lattice, 2 * den, nums))
     return roots

@@ -29,11 +29,14 @@ def _rational(x: object) -> Fraction:
 class EisRat:
     """a + b*zeta with exact rational a, b."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "_hash")
 
     def __init__(self, a: Rat = 0, b: Rat = 0) -> None:
         object.__setattr__(self, "a", _rational(a))
         object.__setattr__(self, "b", _rational(b))
+        # hash of (a, b), computed on first use: matrices of EisRat key the
+        # pullback plans, which are looked up once per bundle pulled back
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("EisRat is immutable")
@@ -53,7 +56,11 @@ class EisRat:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        h = self._hash
+        if h is None:
+            h = hash((self.a, self.b))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)

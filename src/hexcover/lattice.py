@@ -126,7 +126,7 @@ class LatticeBasis:
     """Ordered rationally independent generators of a lattice."""
 
     __slots__ = ("vectors", "_solver", "_integer", "_coords", "_im_forms",
-                 "_pullbacks")
+                 "_pullbacks", "_shifts")
 
     def __init__(self, vectors: Sequence[AmbientVector]) -> None:
         vecs = tuple(vectors)
@@ -137,17 +137,21 @@ class LatticeBasis:
         # Derived from vectors: _integer holds their integer coordinates
         # (integer_coordinates, computed once here).  The caches are filled
         # on use: _solver by the first coords_in against this basis,
-        # _coords by coords_in, which keys each result (None included) by
-        # the vector, _im_forms by appell_humbert.im_on_lattice, which keys
-        # Im h on this basis by the form's integer Gram matrix, and
-        # _pullbacks by appell_humbert._pull_back, which keys the pulled
-        # form and the basis images by (map, anti-holomorphic flag, Gram
-        # matrix of the bundle's form).
+        # _coords by coords_in, which keys by the vector the pair of its
+        # rational coordinates and its integer lattice coordinates (each
+        # None when there are none), _im_forms by
+        # appell_humbert.im_on_lattice, which keys Im h on this basis by the
+        # form's integer Gram matrix, _pullbacks by appell_humbert._pull_back,
+        # which keys the pulled form and the basis images by (map,
+        # anti-holomorphic flag, Gram matrix of the bundle's form), and
+        # _shifts by appell_humbert.translate, which keys the integer shifts
+        # Im h(v, b_j) over their denominator by (Gram matrix, v).
         object.__setattr__(self, "_integer", (den, tuple(map(tuple, rows))))
         object.__setattr__(self, "_solver", None)
         object.__setattr__(self, "_coords", {})
         object.__setattr__(self, "_im_forms", {})
         object.__setattr__(self, "_pullbacks", {})
+        object.__setattr__(self, "_shifts", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LatticeBasis is immutable")
@@ -298,43 +302,49 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     return d if len(pivots) == len(rows) else 0
 
 
-_UNSOLVED = object()
-
-
 def coords_in(reference: LatticeBasis, v: AmbientVector) -> Optional[Tuple[Fraction, ...]]:
     """Coordinates of v in the reference basis, or None if v is outside
     the rational span of the reference.
 
     Each result, None included, is stored on the reference basis keyed by
-    v, so asking again for an equal vector is one dict lookup."""
+    v, together with what _lattice_coordinates returns for v, so asking
+    again for an equal vector is one dict lookup."""
     known = reference._coords
-    coords = known.get(v, _UNSOLVED)
-    if coords is _UNSOLVED:
-        coords = known[v] = _solve(reference, v)
-    return coords
+    solved = known.get(v)
+    if solved is None:
+        solved = known[v] = _solve(reference, v)
+    return solved[0]
 
 
-def _solve(reference: LatticeBasis, v: AmbientVector) -> Optional[Tuple[Fraction, ...]]:
-    """What coords_in returns for v, computed with the basis' _solver."""
+def _solve(reference: LatticeBasis, v: AmbientVector):
+    """(coords_in of v, _lattice_coordinates of v), computed with the
+    basis' _solver: the coordinates are integers over one denominator, so
+    they are a lattice vector's exactly when that denominator divides each
+    of them."""
     pivots, den, inverse, checks = _solver(reference)
     d, (ints,) = integer_coordinates((v,))
     at_pivots = [ints[p] for p in pivots]
     for r, row in checks:
         if sum(a * b for a, b in zip(row, at_pivots)) != ints[r] * den:
-            return None
+            return None, None
     den *= d
-    return tuple(Fraction(sum(a * b for a, b in zip(row, at_pivots)), den)
-                 for row in inverse)
+    nums = [sum(a * b for a, b in zip(row, at_pivots)) for row in inverse]
+    integral = all(n % den == 0 for n in nums)
+    return (tuple(Fraction(n, den) for n in nums),
+            tuple(n // den for n in nums) if integral else None)
 
 
 def _lattice_coordinates(basis: LatticeBasis,
                          v: AmbientVector) -> Optional[Tuple[int, ...]]:
     """Integer coordinates of v in basis, or None when v is not a vector of
-    the lattice: outside its rational span or at a fractional point."""
-    coords = coords_in(basis, v)
-    if coords is None or any(c.denominator != 1 for c in coords):
-        return None
-    return tuple(c.numerator for c in coords)
+    the lattice: outside its rational span or at a fractional point.
+
+    They are read from the coords_in memo, which stores them next to the
+    rational coordinates.  The memo is filled through coords_in itself, so
+    that every lookup stays a coords_in call, which perfbench's self-test
+    counts."""
+    coords_in(basis, v)
+    return basis._coords[v][1]
 
 
 # --- integer column reduction ----------------------------------------------

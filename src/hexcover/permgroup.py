@@ -38,6 +38,14 @@ class Permutation:
             raise ValueError("images are not a bijection of 1..n")
         object.__setattr__(self, "images", imgs)
 
+    @classmethod
+    def _unchecked(cls, images: tuple) -> "Permutation":
+        """The permutation with this tuple of int images, which the caller
+        knows to be a bijection of 1..n."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
@@ -64,7 +72,10 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Permutation(other.images[i - 1] for i in self.images)
+        # a product of two bijections is one
+        images = other.images
+        return Permutation._unchecked(tuple([images[i - 1]
+                                             for i in self.images]))
 
     def cycles(self) -> tuple:
         """Disjoint cycles, fixed points omitted, ordered by smallest entry."""

@@ -250,19 +250,22 @@ def action_on_square_roots(g: AffineSymmetry,
                            roots: Sequence[LineBundleClass]) -> Permutation:
     """Permutation of {1..16} given by pulling each square root back.
 
-    Each pulled root is looked up by its semicharacter exponents and
-    confirmed by a full comparison, so it gets the first index of an equal
-    root, as list.index would give."""
+    Each pulled root is looked up by the denominator and numerators of its
+    semicharacter exponents, which are canonical, and confirmed by a full
+    comparison, so it gets the first index of an equal root, as list.index
+    would give."""
     if not preserves_divisor(g):
         raise NotDivisorPreserving("symmetry moves the branch divisor")
     roots = list(roots)
     by_exponents: Dict[tuple, List[int]] = {}
     for k, root in enumerate(roots):
-        by_exponents.setdefault(root.character.exponents, []).append(k)
+        chi = root.character
+        by_exponents.setdefault((chi._den, chi._nums), []).append(k)
     images = []
     for root in roots:
         pulled = pull_back(g, root)
-        found = next((k for k in by_exponents.get(pulled.character.exponents, ())
+        chi = pulled.character
+        found = next((k for k in by_exponents.get((chi._den, chi._nums), ())
                       if roots[k] == pulled), None)
         if found is None:
             raise RootNotFound("pullback left the supplied list of roots")

@@ -15,7 +15,9 @@ mat_apply and ambient_from_pair, the Q(zeta) matrix-vector product and
 vector constructor they push vectors with), hermitian_value and ReIm are
 the Q(zeta) evaluation of a hermitian form that the integer Gram matrix
 replaced, fraction_eval_coords is the term-by-term semicharacter
-evaluation that the single integer sum replaced, and formula_compose and
+evaluation that the single integer sum replaced, FractionSemicharacter is
+the semicharacter with Fraction exponents that the one-denominator integer
+numerators replaced, and formula_compose and
 formula_inverse are AffineSymmetry.compose and inverse as they were written
 before both went through AffineSymmetry.apply.
 symmetric_semichar_from_multiplicities is the paper's rule for the
@@ -156,6 +158,55 @@ def fraction_eval_coords(exponents, alt_matrix, n):
             if n[k]:
                 expo += Fraction(n[j] * n[k], 2) * alt_matrix[j][k]
     return expo % 1
+
+
+class FractionSemicharacter:
+    """Semicharacter with its basis exponents stored as Fractions reduced
+    into [0, 1), evaluated by one integer sum over 2 * lcm of their
+    denominators."""
+
+    def __init__(self, lattice, exponents, form):
+        from hexcover.appell_humbert import LatticeMismatch, NotIntegral
+        from hexcover.eisenstein import _rational
+
+        if form.lattice != lattice:
+            raise LatticeMismatch("semicharacter form on a different lattice")
+        if not form.is_integral():
+            raise NotIntegral("semicharacter needs an integral alternating form")
+        exps = tuple(_rational(q) % 1 for q in exponents)
+        if len(exps) != lattice.rank:
+            raise ValueError("one exponent per basis vector")
+        self.lattice, self.exponents, self.form = lattice, exps, form
+
+    def eval_coords(self, n):
+        exps = self.exponents
+        den = math.lcm(*(q.denominator for q in exps))
+        total = 2 * sum(nj * q.numerator * (den // q.denominator)
+                        for nj, q in zip(n, exps))
+        rows = self.form.matrix
+        rank = len(exps)
+        for j in range(rank):
+            for k in range(j + 1, rank):
+                total += n[j] * n[k] * rows[j][k].numerator * den
+        return Fraction(total % (2 * den), 2 * den)
+
+    def __mul__(self, other):
+        from hexcover.appell_humbert import LatticeMismatch
+
+        if self.lattice != other.lattice:
+            raise LatticeMismatch("semicharacters on different lattices")
+        return FractionSemicharacter(
+            self.lattice,
+            [a + b for a, b in zip(self.exponents, other.exponents)],
+            self.form + other.form)
+
+    def __eq__(self, other):
+        return (self.lattice == other.lattice
+                and self.exponents == other.exponents
+                and self.form == other.form)
+
+    def __hash__(self):
+        return hash((self.lattice, self.exponents, self.form))
 
 
 def gf3_matrices(det_one: bool):

@@ -33,6 +33,7 @@ from hexcover.lattice import AmbientVector, LatticeBasis, RankMismatch
 
 import golden
 from oracles import (
+    FractionSemicharacter,
     cocycle_eval_left,
     cocycle_eval_right,
     fraction_eval_coords,
@@ -644,3 +645,133 @@ def test_semicharacter_checks_run_on_a_warm_cache():
                 Semicharacter(lattice, [0, bad, 0, 0], alt)
         with pytest.raises(NotIntegral):
             Semicharacter(lattice, [0, 0, 0, 0], half)
+
+
+# exponents with denominators up to 12, negative and above 1 included
+_EXPONENTS = st.fractions(-2, 2, max_denominator=12)
+
+
+def _exponent_lists(rank):
+    return st.lists(_EXPONENTS, min_size=rank, max_size=rank)
+
+
+@settings(deadline=None)
+@given(st.sampled_from((2, 4)).flatmap(integral_alt_forms), st.data())
+def test_semicharacter_matches_fraction_oracle(alt, data):
+    lattice, rank = alt.lattice, alt.lattice.rank
+    e1 = data.draw(_exponent_lists(rank))
+    if data.draw(st.booleans()):
+        # the same character written with other representatives
+        e2 = [q + data.draw(st.integers(-2, 2)) for q in e1]
+    else:
+        e2 = data.draw(_exponent_lists(rank))
+    n = data.draw(st.lists(st.integers(-7, 7), min_size=rank, max_size=rank))
+    chi1, chi2 = (Semicharacter(lattice, e, alt) for e in (e1, e2))
+    o1, o2 = (FractionSemicharacter(lattice, e, alt) for e in (e1, e2))
+    for chi, o in ((chi1, o1), (chi2, o2)):
+        assert chi.exponents == o.exponents
+        assert all(type(q) is Fraction for q in chi.exponents)
+        assert chi.eval_coords(n) == o.eval_coords(n)
+    prod, oprod = chi1 * chi2, o1 * o2
+    assert prod.exponents == oprod.exponents and prod.form == oprod.form
+    reduced = Semicharacter(lattice, oprod.exponents, oprod.form)
+    assert prod == reduced and hash(prod) == hash(reduced)
+    assert prod.eval_coords(n) == oprod.eval_coords(n)
+    assert (chi1 == chi2) == (o1 == o2)
+    if o1 == o2:
+        assert hash(chi1) == hash(chi2)
+    again = Semicharacter(lattice, o1.exponents, alt)
+    assert again == chi1 and hash(again) == hash(chi1)
+
+
+@settings(deadline=None)
+@given(st.sampled_from((2, 4)).flatmap(integral_alt_forms), st.data())
+def test_unreduced_numerators_give_equal_characters(alt, data):
+    lattice, rank = alt.lattice, alt.lattice.rank
+    exps = data.draw(_exponent_lists(rank))
+    chi = Semicharacter(lattice, exps, alt)
+    den = lcm(*(q.denominator for q in exps))
+    nums = [q.numerator * (den // q.denominator) for q in exps]
+    # a common factor and whole turns, negative ones included
+    k = data.draw(st.integers(1, 6))
+    turns = data.draw(st.lists(st.integers(-3, 3), min_size=rank,
+                               max_size=rank))
+    other = Semicharacter._from_numerators(
+        lattice, den * k, [(n + t * den) * k for n, t in zip(nums, turns)],
+        alt)
+    assert other == chi and hash(other) == hash(chi)
+    assert other.exponents == chi.exponents
+    assert (other._den, other._nums) == (chi._den, chi._nums)
+
+
+def test_unreduced_exponent_examples():
+    lattice = catalog.PRODUCT_LATTICE
+    alt = catalog.BRANCH_PRODUCT.character.form
+    quarter = Fraction(1, 4)
+    chi = Semicharacter(lattice, [Fraction(1, 2), quarter, quarter, 0], alt)
+    for other in (
+            Semicharacter(lattice, [Fraction(2, 4), Fraction(5, 4),
+                                    Fraction(-3, 4), 3], alt),
+            Semicharacter._from_numerators(lattice, 4, [2, 5, -3, 0], alt),
+            Semicharacter._from_numerators(lattice, 8, [-4, 2, 10, 16],
+                                           alt)):
+        assert other == chi and hash(other) == hash(chi)
+        assert other.exponents == (Fraction(1, 2), quarter, quarter, 0)
+    # 1/4 + 1/4 reduces to 1/2 over the denominator 2
+    trivial = im_on_lattice(HermitianForm.zero(), lattice)
+    fourth = Semicharacter(lattice, [quarter, 0, quarter, 0], trivial)
+    square = fourth * fourth
+    want = Semicharacter(lattice, [Fraction(1, 2), 0, Fraction(1, 2), 0],
+                         trivial)
+    assert square == want and hash(square) == hash(want)
+    assert (square._den, square._nums) == (2, (1, 0, 1, 0))
+    zero = Semicharacter._from_numerators(lattice, 6, [6, -12, 0, 18],
+                                          trivial)
+    assert (zero._den, zero._nums) == (1, (0, 0, 0, 0))
+    assert zero.exponents == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("make", [
+    Semicharacter, FractionSemicharacter,
+    lambda lattice, exps, form: Semicharacter._from_numerators(
+        lattice, 1, exps, form)])
+def test_semicharacter_errors_match_fraction_oracle(make):
+    lattice = catalog.PRODUCT_LATTICE
+    alt = catalog.BRANCH_PRODUCT.character.form
+    reordered = LatticeBasis(reversed(lattice.vectors))
+    alt_reordered = AltFormOnLattice(reordered, alt.matrix)
+    with pytest.raises(NotIntegral):
+        make(lattice, [0, 0, 0, 0], alt.scaled(Fraction(1, 2)))
+    with pytest.raises(LatticeMismatch):
+        make(lattice, [0, 0, 0, 0], alt_reordered)
+    with pytest.raises(ValueError, match="one exponent per basis vector"):
+        make(lattice, [0, 0, 0], alt)
+    chi = make(lattice, [0, 1, 0, 0], alt)
+    with pytest.raises(LatticeMismatch):
+        chi * make(reordered, [0, 0, 0, 0], alt_reordered)
+
+
+@settings(deadline=None)
+@given(hermitian_forms(), st.sampled_from((2, 4)).flatmap(lattice_bases),
+       ambient_vectors, ambient_vectors, st.data())
+def test_translate_on_a_warm_lattice_matches_fresh_lattices(h, lattice, t1,
+                                                            t2, data):
+    den = lcm(*(x.denominator
+                for row in im_on_lattice(h, lattice).matrix for x in row))
+    h = h.scaled(den)
+    bundles = [LineBundleClass.build(h, lattice,
+                                     data.draw(_exponent_lists(lattice.rank)))
+               for _ in range(2)]
+    # both bundles share the form, so the second one and the repeated
+    # vector meet a warm cache
+    for t in (t1, t2, t1):
+        for bundle in bundles:
+            warm = translate(bundle, t)
+            fresh = LatticeBasis(lattice.vectors)
+            cold = translate(LineBundleClass.build(
+                h, fresh, bundle.character.exponents), t)
+            assert warm == cold and hash(warm) == hash(cold)
+            assert warm.character.exponents == tuple(
+                (q + h.im_value(t, b)) % 1
+                for q, b in zip(bundle.character.exponents, lattice.vectors))
+    assert len(lattice._shifts) == len({t1, t2})

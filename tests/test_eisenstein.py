@@ -203,3 +203,30 @@ def test_integer_matrix_round_trips(m):
 def test_integer_matrix_rejects_non_square_shapes(rows):
     with pytest.raises(ValueError, match="shape mismatch"):
         _integer_matrix(mat(rows))
+
+
+def test_equal_eisrats_built_differently_hash_equal():
+    half = Fraction(1, 2)
+    built = [EisRat(1, half),
+             EisRat(Fraction(2, 2), Fraction(2, 4)),
+             EisRat(Fraction(3, 2), half) - EisRat(half),
+             EisRat(2, 1) * EisRat(half),
+             as_eis(EisRat(1, half)),
+             mat([[EisRat(1, half)]])[0][0]]
+    want = hash((Fraction(1), half))
+    for x in built:
+        assert x == built[0]
+        # the first call fills the cached hash, the second reads it
+        assert hash(x) == want and hash(x) == want
+    # equal matrices built from them are one dict key, as the pullback
+    # plans need
+    plans = {mat([[x, ZETA], [0, x]]): x for x in built}
+    assert len(plans) == 1
+
+
+@given(eisrats, eisrats)
+def test_hash_after_arithmetic_matches_a_fresh_eisrat(x, y):
+    z = (x + y) - y
+    fresh = EisRat(x.a, x.b)
+    assert z == x == fresh
+    assert hash(z) == hash(x) == hash(fresh) == hash((x.a, x.b))

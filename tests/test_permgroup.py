@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hexcover.permgroup import (
     CLOSURE_BOUND,
@@ -22,6 +24,35 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((2, 3))
     assert Permutation.identity(5)(3) == 3
+
+
+@pytest.mark.parametrize("images", [[1, 1], [0, 1], [2, 3], [1, 3, 3]])
+def test_public_constructor_still_validates(images):
+    with pytest.raises(ValueError, match="not a bijection"):
+        Permutation(images)
+
+
+@st.composite
+def permutation_pairs(draw):
+    n = draw(st.integers(1, 9))
+    images = st.permutations(range(1, n + 1))
+    return Permutation(draw(images)), Permutation(draw(images))
+
+
+@given(permutation_pairs())
+def test_product_equals_validated_permutation(pair):
+    p, q = pair
+    prod = p * q
+    want = Permutation([q(p(x)) for x in range(1, p.degree + 1)])
+    assert prod == want and hash(prod) == hash(want)
+    assert prod.images == want.images
+    assert all(type(i) is int for i in prod.images)
+    assert prod.order() == want.order() and prod.cycles() == want.cycles()
+
+
+def test_product_rejects_degree_mismatch():
+    with pytest.raises(ValueError, match="degree mismatch"):
+        Permutation.identity(2) * Permutation.identity(3)
 
 
 def test_left_to_right_product():
