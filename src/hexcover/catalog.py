@@ -18,7 +18,7 @@ from .appell_humbert import (
     pullback_hom,
     tensor,
 )
-from .eisenstein import ONE, ZETA, EisRat, mat, mat_identity
+from .eisenstein import ZETA, mat, mat_identity
 from .lattice import AmbientVector, ComplexLine, LatticeBasis
 
 # --- lattices ---------------------------------------------------------------
@@ -38,33 +38,20 @@ GENUS1_LATTICE = LatticeBasis.from_rows([(0, 0, 1, 0), (0, 0, 0, 1)])
 
 # --- the four elliptic curves ----------------------------------------------
 
-# Complex tangent lines of the curves in the standard frame (u1, u2).
-CURVE_LINES = (
-    ComplexLine((ONE, EisRat(0))),
-    ComplexLine((EisRat(0), ONE)),
-    ComplexLine((ONE, ONE)),
-    ComplexLine((ONE, ZETA)),
-)
-
-# Published rank-2 period lattices of the curves inside the product
-# lattice: span{l1, u1}, span{l2, u2}, span{l1+l2, u1+u2},
-# span{l1+l2-u2, l2+u1}.
-CURVE_LATTICES = (
-    LatticeBasis.from_rows([(0, 1, 0, 0), (1, 0, 0, 0)]),
-    LatticeBasis.from_rows([(0, 0, 0, 1), (0, 0, 1, 0)]),
-    LatticeBasis.from_rows([(0, 1, 0, 1), (1, 0, 1, 0)]),
-    LatticeBasis.from_rows([(0, 1, -1, 1), (1, 0, 0, 1)]),
-)
-
 # Linear forms cutting out the curves, written as analytic maps from C^2
 # into the second factor: (z1, z2) -> (0, F_k(z1, z2)) for
-# F_k = z2, z1, z1 - z2, zeta*z1 - z2.
+# F_k = z2, z1, z1 - z2, zeta*z1 - z2.  Each curve is the image of ker F_k,
+# and everything else about the curves is derived from these four forms.
 CURVE_MAPS = (
     mat([[0, 0], [0, 1]]),
     mat([[0, 0], [1, 0]]),
     mat([[0, 0], [1, -1]]),
     mat([[0, 0], [ZETA, -1]]),
 )
+
+# Complex tangent lines of the curves in the standard frame (u1, u2): the
+# kernel of F = a*z1 + b*z2 is the line through (b, -a).
+CURVE_LINES = tuple(ComplexLine((f[1][1], -f[1][0])) for f in CURVE_MAPS)
 
 # --- bundles ----------------------------------------------------------------
 

@@ -26,9 +26,9 @@ from .eisenstein import EisRat, inv2, mat_conj, mat_mul
 from .lattice import AmbientVector, hnf
 from .permgroup import PermGroup
 from .surface_invariants import (
+    NonIntegral,
     SingularityProfile,
     ball_quotient_check,
-    double_cover_invariants,
     enumerate_branch_profiles,
     product_quotient_invariants,
     resolution_invariants,
@@ -153,6 +153,17 @@ def _orbits_rows() -> List[Row]:
     return rows
 
 
+def _double_cover(square: int, quadruple_points: int) -> list:
+    """Invariants of the double cover branched along a curve 2L of
+    self-intersection square whose only singularities are the given number
+    of ordinary quadruple points; L^2 = square / 4 must be an integer."""
+    l2, rest = divmod(square, 4)
+    if rest:
+        raise NonIntegral(f"branch self-intersection {square} is not 4 L^2")
+    return list(resolution_invariants(
+        SingularityProfile(l2, [2] * quadruple_points)))
+
+
 def _invariants_rows() -> List[Row]:
     rows: List[Row] = []
     rows.append(("invariants.resolution_sextuple",
@@ -169,10 +180,8 @@ def _invariants_rows() -> List[Row]:
     square = intersection_number(catalog.SUM_FORM, catalog.SUM_FORM,
                                  catalog.COVER_LATTICE)
     rows.append(("invariants.cover_branch_square", square))
-    rows.append(("invariants.double_cover",
-                 list(double_cover_invariants(square, 2))))
-    rows.append(("invariants.smooth_double_cover",
-                 list(double_cover_invariants(8, 0))))
+    rows.append(("invariants.double_cover", _double_cover(square, 2)))
+    rows.append(("invariants.smooth_double_cover", _double_cover(8, 0)))
     rows.append(("invariants.product_quotient",
                  list(product_quotient_invariants(3, 4))))
     rows.append(("invariants.ball_quotient", ball_quotient_check()))

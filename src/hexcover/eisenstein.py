@@ -71,8 +71,6 @@ class EisRat:
             return NotImplemented
         return EisRat(self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
-
     def __sub__(self, other: object) -> "EisRat":
         o = self._coerce(other)
         if o is None:
@@ -108,12 +106,6 @@ class EisRat:
         # 1/x = conj(x) / norm(x)
         num = self * o.conjugate()
         return EisRat(num.a / n, num.b / n)
-
-    def __rtruediv__(self, other: object) -> "EisRat":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __pow__(self, k: int) -> "EisRat":
         if k < 0:
@@ -276,5 +268,4 @@ def _integer_matrix(m: EisMat) -> Tuple[int, PairMat]:
     return _cleared(m)
 
 
-ONE = EisRat(1)
 ZETA = EisRat(0, 1)

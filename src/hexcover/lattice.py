@@ -20,10 +20,6 @@ class NotCommensurable(ValueError):
     """The two lattices do not sit in a common rational span."""
 
 
-class NotContained(ValueError):
-    """A vector of the would-be sublattice falls outside the superlattice."""
-
-
 class RankMismatch(ValueError):
     """Operation requires lattices of equal rank."""
 
@@ -48,9 +44,6 @@ class AmbientVector:
     def to_pair(self) -> Tuple[EisRat, EisRat]:
         x1, x2, x3, x4 = self.coordinates
         return EisRat(x1, x2), EisRat(x3, x4)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coordinates)
 
     def __add__(self, other: "AmbientVector") -> "AmbientVector":
         if not isinstance(other, AmbientVector):
@@ -85,9 +78,6 @@ class AmbientVector:
             h = hash(self.coordinates)
             object.__setattr__(self, "_hash", h)
         return h
-
-    def __bool__(self) -> bool:
-        return any(self.coordinates)
 
     def __repr__(self) -> str:
         return f"AmbientVector({list(self.coordinates)!r})"
@@ -350,14 +340,13 @@ def _lattice_coordinates(basis: LatticeBasis,
 # --- integer column reduction ----------------------------------------------
 
 
-def _column_reduce(m: List[List[int]], pivot_rows: int) -> Tuple[List[List[int]], int]:
+def _column_reduce(m: List[List[int]]) -> List[List[int]]:
     """Bring the matrix to column echelon form using unimodular column
-    operations, creating pivots only in the first pivot_rows rows.
-    Returns the reduced matrix and the number of pivot columns."""
+    operations, and return it."""
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     c = 0
-    for i in range(pivot_rows):
+    for i in range(nrows):
         if c == ncols:
             break
         while True:
@@ -388,28 +377,7 @@ def _column_reduce(m: List[List[int]], pivot_rows: int) -> Tuple[List[List[int]]
                 for r in range(nrows):
                     m[r][j] -= q * m[r][c]
         c += 1
-    return m, c
-
-
-def integer_kernel(constraints: List[List[Fraction]], width: int) -> List[List[int]]:
-    """Saturated basis of {n in Z^width : constraints . n = 0}.
-
-    Each constraint is a length-width rational row; the result vectors are
-    primitive and generate the full integer kernel.
-    """
-    rows = []
-    for row in constraints:
-        row = [_rational(x) for x in row]
-        den = lcm(*(x.denominator for x in row)) if row else 1
-        rows.append([int(x * den) for x in row])
-    stacked = rows + [[1 if i == j else 0 for j in range(width)]
-                      for i in range(width)]
-    reduced, npivots = _column_reduce(stacked, len(rows))
-    kernel = []
-    for j in range(npivots, width):
-        if all(reduced[i][j] == 0 for i in range(len(rows))):
-            kernel.append([reduced[len(rows) + i][j] for i in range(width)])
-    return kernel
+    return m
 
 
 # --- lattice operations -----------------------------------------------------
@@ -436,7 +404,7 @@ def hnf(basis: LatticeBasis, reference: LatticeBasis) -> Tuple[Tuple[Fraction, .
     mat = _coord_matrix(basis, reference)
     den = lcm(*(x.denominator for row in mat for x in row))
     ints = [[int(x * den) for x in row] for row in mat]
-    reduced, _ = _column_reduce(ints, len(ints))
+    reduced = _column_reduce(ints)
     return tuple(tuple(Fraction(x, den) for x in row) for row in reduced)
 
 
@@ -450,24 +418,3 @@ def orientation(basis: LatticeBasis) -> int:
     if basis.rank != 4:
         raise RankMismatch("orientation is defined for rank-4 bases")
     return 1 if _det(basis._integer[1]) > 0 else -1
-
-
-def line_membership_rank2(line: ComplexLine, ambient: LatticeBasis) -> LatticeBasis:
-    """The sublattice of ambient lying on the complex line, as a saturated
-    rank-2 basis (rank 0 if the line misses the lattice)."""
-    d1, d2 = line.direction
-    constraint_a: List[Fraction] = []
-    constraint_b: List[Fraction] = []
-    for v in ambient.vectors:
-        z1, z2 = v.to_pair()
-        w = z1 * d2 - z2 * d1
-        constraint_a.append(w.a)
-        constraint_b.append(w.b)
-    kernel = integer_kernel([constraint_a, constraint_b], ambient.rank)
-    vectors = []
-    for coeffs in kernel:
-        acc = AmbientVector((0, 0, 0, 0))
-        for c, v in zip(coeffs, ambient.vectors):
-            acc = acc + c * v
-        vectors.append(acc)
-    return LatticeBasis(vectors)

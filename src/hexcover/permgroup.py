@@ -197,11 +197,6 @@ class GroupFingerprint:
     def __setattr__(self, name, value):
         raise AttributeError("GroupFingerprint is immutable")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupFingerprint):
-            return NotImplemented
-        return self.orders == other.orders and self.name == other.name
-
     def __repr__(self) -> str:
         return f"GroupFingerprint({self.orders}, name={self.name!r})"
 

@@ -44,9 +44,6 @@ class SingularityProfile:
             return NotImplemented
         return (self.l2, self.multiplicities) == (other.l2, other.multiplicities)
 
-    def __hash__(self) -> int:
-        return hash(("SingularityProfile", self.l2, self.multiplicities))
-
     def __repr__(self) -> str:
         return f"SingularityProfile(l2={self.l2}, multiplicities={self.multiplicities})"
 
@@ -67,12 +64,6 @@ class BranchCase:
 
     def __setattr__(self, name, value):
         raise AttributeError("BranchCase is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BranchCase):
-            return NotImplemented
-        return (self.label, self.d2, self.singularities, self.profile) == \
-            (other.label, other.d2, other.singularities, other.profile)
 
     def __repr__(self) -> str:
         return (f"BranchCase({self.label!r}, d2={self.d2}, "
@@ -126,24 +117,6 @@ def enumerate_branch_profiles() -> list[BranchCase]:
                 "II", 4 * l2,
                 "two ordinary singular points of multiplicity 4", profile))
     return cases
-
-
-def double_cover_invariants(d2: int, quadruple_points: int) -> tuple[int, int]:
-    """Invariants of a double cover of an abelian surface.
-
-    The branch divisor has self-intersection ``d2`` and its only
-    singularities are ``quadruple_points`` ordinary points of multiplicity 4;
-    each such point lowers chi by 1 and K^2 by 2 relative to the smooth-branch
-    values d2/8 and d2/2.  Branch curves with worse singularities go through
-    resolution_invariants instead.
-    """
-    if quadruple_points < 0:
-        raise ValueError("quadruple point count cannot be negative")
-    chi = Fraction(d2, 8) - quadruple_points
-    k2 = Fraction(d2, 2) - 2 * quadruple_points
-    if chi.denominator != 1 or k2.denominator != 1:
-        raise NonIntegral(f"branch self-intersection {d2} gives chi = {chi}")
-    return int(chi), int(k2)
 
 
 def product_quotient_invariants(g: int, group_order: int) -> tuple[int, int]:

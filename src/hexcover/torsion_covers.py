@@ -7,11 +7,14 @@ along such an isogeny, and the pulled-back bundle admits square roots exactly
 when the restricted intersection form becomes 2-divisible.  This module
 enumerates the sixteen characters, builds their kernel lattices, and runs the
 divisibility and restriction tests that single out the three good covers.
+The restriction test reads the 2-torsion points on each curve off the
+curve's linear form in the catalog.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from . import catalog
 from .appell_humbert import (
@@ -19,17 +22,16 @@ from .appell_humbert import (
     ORDER_TWO_SIGN_PATTERNS,
     im_on_lattice,
 )
-from .lattice import (
-    AmbientVector,
-    LatticeBasis,
-    NotContained,
-    _lattice_coordinates,
-    line_membership_rank2,
-)
+from .lattice import AmbientVector, LatticeBasis, _lattice_coordinates
 
 
 class TrivialCharacter(ValueError):
     """Raised when an operation needs a nontrivial character."""
+
+
+class NotOnto(ValueError):
+    """Raised when a curve's linear form does not map the product lattice
+    onto Z[zeta]."""
 
 
 class CharacterMod2:
@@ -106,17 +108,6 @@ def kernel_lattice(chi: CharacterMod2) -> LatticeBasis:
     return LatticeBasis(gens)
 
 
-def restricts_nontrivially(chi: CharacterMod2, sub: LatticeBasis) -> bool:
-    """Whether chi takes the value -1 somewhere on the given sublattice."""
-    for v in sub.vectors:
-        coords = _lattice_coordinates(catalog.PRODUCT_LATTICE, v)
-        if coords is None:
-            raise NotContained(f"{v!r} is not in the product lattice")
-        if chi.value_on_coords(coords) == -1:
-            return True
-    return False
-
-
 def check_2divisible(chi: CharacterMod2) -> bool:
     """Whether the intersection form halves on the kernel of chi.
 
@@ -157,26 +148,33 @@ class CharacterClassification:
         return len(self.leftover)
 
 
-def _torsion_on_curve(line) -> frozenset:
-    """Nonzero 2-torsion classes on one curve, as parity vectors.
+def _torsion_on_curve(curve_map) -> frozenset:
+    """Nonzero 2-torsion classes on the curve ker F, as parity vectors.
 
-    A half-lattice point lies on the curve exactly when its parity vector is
-    in the mod-2 span of the curve lattice's coordinates.
+    F = a*z1 + b*z2 is the second row of the curve map.  The half-lattice
+    point p = 1/2 sum e_i b_i lies on the curve exactly when F(p) is in
+    F(L), L the product lattice.  F(L) must be Z[zeta], which holds when
+    the 2x2 minors of the values F(b_i), as integer pairs, have gcd 1;
+    then p lies on the curve exactly when the sum of F(b_i) over e_i = 1 is
+    in 2 Z[zeta].
     """
-    member = line_membership_rank2(line, catalog.PRODUCT_LATTICE)
-    rows = []
-    for v in member.vectors:
-        coords = _lattice_coordinates(catalog.PRODUCT_LATTICE, v)
-        rows.append(tuple(c % 2 for c in coords))
-    span = set()
-    for bits in itertools.product((0, 1), repeat=len(rows)):
-        combined = [0, 0, 0, 0]
-        for b, row in zip(bits, rows):
-            if b:
-                combined = [(x + y) % 2 for x, y in zip(combined, row)]
-        span.add(tuple(combined))
-    span.discard((0, 0, 0, 0))
-    return frozenset(span)
+    (_, _), (a, b) = curve_map
+    values = []
+    for v in catalog.PRODUCT_LATTICE.vectors:
+        z1, z2 = v.to_pair()
+        w = a * z1 + b * z2
+        if not w.is_integral():
+            raise NotOnto(f"F({v!r}) = {w} is not in Z[zeta]")
+        values.append((w.a.numerator, w.b.numerator))
+    minors = (x1 * y2 - x2 * y1
+              for (x1, y1), (x2, y2) in itertools.combinations(values, 2))
+    if math.gcd(*minors) != 1:
+        raise NotOnto("the product lattice maps onto a proper sublattice "
+                      "of Z[zeta]")
+    return frozenset(
+        e for e in itertools.product((0, 1), repeat=4) if any(e)
+        and all(sum(w[j] for w, bit in zip(values, e) if bit) % 2 == 0
+                for j in (0, 1)))
 
 
 def classify_characters() -> CharacterClassification:
@@ -191,14 +189,13 @@ def classify_characters() -> CharacterClassification:
 # plain function, which perfbench's tracer wraps and counts.
 @functools.lru_cache(maxsize=None)
 def _classification() -> CharacterClassification:
-    chars = all_characters()
-    trivial_on = []
-    for chi in chars:
-        bad = tuple(k for k, sub in enumerate(catalog.CURVE_LATTICES)
-                    if not restricts_nontrivially(chi, sub))
-        trivial_on.append(bad)
+    # chi is trivial on a curve lattice exactly when it is +1 on that
+    # lattice mod 2, which is the origin and the curve's 2-torsion classes
+    incidence = tuple(_torsion_on_curve(f) for f in catalog.CURVE_MAPS)
+    trivial_on = [tuple(k for k, points in enumerate(incidence)
+                        if all(chi.value_on_coords(p) == 1 for p in points))
+                  for chi in all_characters()]
     selected = tuple(i for i in range(1, 16) if not trivial_on[i])
-    incidence = tuple(_torsion_on_curve(line) for line in catalog.CURVE_LINES)
     covered = set().union(*incidence)
     leftover = {p for p in itertools.product((0, 1), repeat=4)
                 if any(p) and p not in covered}

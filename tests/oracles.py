@@ -23,7 +23,10 @@ before both went through AffineSymmetry.apply.
 symmetric_semichar_from_multiplicities is the paper's rule for the
 semicharacter of a symmetric divisor, checked against the branch bundle.
 hnf_index, is_unit, mat_scale and perm_inverse are one-line stand-ins for
-package helpers that only the tests called.
+package helpers that only the tests called.  restricts_nontrivially is the
+restriction test on the generators of a curve lattice, which the
+classification replaced by the 2-torsion incidence it reads off the curve
+maps.
 """
 
 import itertools
@@ -400,6 +403,13 @@ def hnf_index(sub, sup) -> int:
     assert all(x.denominator == 1 for row in h for x in row), \
         "sub does not lie in sup"
     return math.prod(h[i][i] for i in range(len(h)))
+
+
+def restricts_nontrivially(chi, sub) -> bool:
+    """Whether the CharacterMod2 chi takes the value -1 somewhere on the
+    sublattice sub of the product lattice, by its values on the generators
+    of sub; a generator outside the product lattice raises NotInLattice."""
+    return any(chi.value(v) == -1 for v in sub.vectors)
 
 
 def is_unit(x) -> bool:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hexcover import lattice
+from hexcover import catalog, lattice
 from hexcover.eisenstein import EisRat, ZETA, mat
 from hexcover.lattice import (
     AmbientVector,
@@ -19,8 +19,6 @@ from hexcover.lattice import (
     _map_vectors,
     coords_in,
     hnf,
-    integer_kernel,
-    line_membership_rank2,
 )
 
 import golden
@@ -59,8 +57,6 @@ def test_pair_round_trip():
 def test_ambient_vector_rejects_non_rationals(bad):
     with pytest.raises(TypeError):
         AmbientVector((1, 0, bad, 0))
-    with pytest.raises(TypeError):
-        integer_kernel([[1, bad]], 2)
 
 
 @given(st.tuples(small_ints, small_ints, small_ints, small_ints))
@@ -177,30 +173,22 @@ def test_base_change_unimodular():
     assert hnf(COVER, PRODUCT) != hnf(PRODUCT, PRODUCT)
 
 
-def test_line_membership_reproduces_curve_lattices():
-    for direction, rows in zip(golden.CURVE_DIRECTIONS, golden.CURVE_LATTICES):
-        line = ComplexLine((EisRat(*direction[0]), EisRat(*direction[1])))
-        computed = line_membership_rank2(line, PRODUCT)
-        expected = LatticeBasis.from_rows(rows)
-        assert computed.rank == 2
-        assert hnf(computed, PRODUCT) == hnf(expected, PRODUCT)
-        # saturation: the published rank-2 lattice has index 1 in the kernel
-        assert hnf_index(expected, computed) == 1
-
-
-def test_line_membership_scaled_ambient():
-    line = ComplexLine((EisRat(1), EisRat(0)))
-    doubled = LatticeBasis([2 * v for v in PRODUCT.vectors])
-    inside = line_membership_rank2(line, doubled)
-    outer = line_membership_rank2(line, PRODUCT)
-    assert hnf_index(inside, outer) == 4
-
-
-def test_line_membership_trivial_intersection():
-    # ambient lattice inside the first complex factor, line = second factor
-    ambient = LatticeBasis.from_rows([(1, 0, 0, 0), (0, 1, 0, 0)])
-    line = ComplexLine((EisRat(0), EisRat(1)))
-    assert line_membership_rank2(line, ambient).rank == 0
+def test_curve_lattices_are_kernels_of_curve_maps():
+    # each published curve lattice is killed by its linear form F and is
+    # saturated in the product lattice (hnf pivots 1), so it is all of
+    # L cap ker F
+    for k, rows in enumerate(golden.CURVE_LATTICES):
+        (_, _), (a, b) = catalog.CURVE_MAPS[k]
+        curve = LatticeBasis.from_rows(rows)
+        for v in curve.vectors:
+            z1, z2 = v.to_pair()
+            assert not a * z1 + b * z2
+        h = hnf(curve, PRODUCT)
+        pivots = [next(x for x in col if x) for col in zip(*h)]
+        assert pivots == [1, 1]
+        direction = golden.CURVE_DIRECTIONS[k]
+        assert catalog.CURVE_LINES[k] == ComplexLine(
+            tuple(EisRat(*x) for x in direction))
 
 
 def test_not_commensurable():
@@ -245,15 +233,6 @@ def _abs_det4(t):
     for i in range(4):
         d *= t[i][i]
     return abs(d)
-
-
-def test_integer_kernel_is_saturated():
-    # kernel of (2  4) over Z^2 is generated by the primitive (2, -1)
-    kern = integer_kernel([[Fraction(2), Fraction(4)]], 2)
-    assert len(kern) == 1
-    v = kern[0]
-    assert abs(v[0] * 1 - v[1] * (-2)) in (0, 4)  # lies on the line
-    assert v in ([2, -1], [-2, 1])
 
 
 def test_coords_in_outside_span():

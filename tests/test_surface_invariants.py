@@ -5,12 +5,12 @@ from hypothesis import given, strategies as st
 
 from hexcover import catalog
 from hexcover.appell_humbert import intersection_number
+from hexcover.cli import _double_cover
 from hexcover.surface_invariants import (
     BranchCase,
     NonIntegral,
     SingularityProfile,
     ball_quotient_check,
-    double_cover_invariants,
     enumerate_branch_profiles,
     product_quotient_invariants,
     resolution_invariants,
@@ -61,17 +61,22 @@ def test_branch_case_validates_label():
 
 
 def test_double_cover_published_cases():
+    # a branch curve 2L of square d2 with quads ordinary quadruple points
+    # is the resolution profile (d2 / 4, [2] * quads)
     for (d2, quads), expected in golden.DOUBLE_COVER_INVARIANTS.items():
-        assert double_cover_invariants(d2, quads) == expected
+        assert d2 % 4 == 0
+        profile = SingularityProfile(d2 // 4, [2] * quads)
+        assert tuple(resolution_invariants(profile)) == expected
+        assert tuple(_double_cover(d2, quads)) == expected
 
 
 def test_double_cover_errors():
+    # the branch curve is 2L, so its square is 4 L^2
+    for d2 in (2, 10, 25, -3):
+        with pytest.raises(NonIntegral):
+            _double_cover(d2, 0)
     with pytest.raises(NonIntegral):
-        double_cover_invariants(4, 0)
-    with pytest.raises(NonIntegral):
-        double_cover_invariants(12, 1)
-    with pytest.raises(ValueError):
-        double_cover_invariants(24, -1)
+        _double_cover(26, 2)
 
 
 def test_product_quotient_published_cases():
@@ -103,7 +108,7 @@ def test_cover_self_intersection_feeds_double_cover_formula():
     d2 = intersection_number(catalog.SUM_FORM, catalog.SUM_FORM,
                              catalog.COVER_LATTICE)
     assert d2 == golden.SELF_INT_COVER
-    assert double_cover_invariants(d2, 2) == (1, 8)
+    assert _double_cover(d2, 2) == [1, 8]
 
 
 @st.composite

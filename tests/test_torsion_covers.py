@@ -3,37 +3,46 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hexcover import catalog
+from hexcover import catalog, torsion_covers
 from hexcover.appell_humbert import (
     NotInLattice,
     im_on_lattice,
     pullback_hom,
     square_roots,
 )
-from hexcover.eisenstein import mat_identity
+from hexcover.eisenstein import ZETA, EisRat, mat, mat_identity
 from hexcover.lattice import (
     AmbientVector,
     LatticeBasis,
-    NotContained,
+    ComplexLine,
     coords_in,
     hnf,
 )
+from hexcover.symmetry import cross_ratio
 from hexcover.torsion_covers import (
     CharacterMod2,
+    NotOnto,
     TrivialCharacter,
+    _torsion_on_curve,
     all_characters,
     check_2divisible,
     classify_characters,
     kernel_lattice,
-    restricts_nontrivially,
 )
 
 import golden
-from oracles import hnf_index
+from oracles import hnf_index, mat_scale, restricts_nontrivially
 
 
 CHARS = all_characters()
+# the published period lattices of the four curves
+CURVE_LATTICES = tuple(LatticeBasis.from_rows(rows)
+                       for rows in golden.CURVE_LATTICES)
+ONE = EisRat(1)
+UNITS = (ONE, -ONE, ZETA, -ZETA, ZETA - 1, 1 - ZETA)
 
 
 def test_character_list_matches_published_order():
@@ -112,23 +121,26 @@ def test_kernel_lattice_rejects_trivial():
 
 
 def test_restriction_examples():
-    lam = catalog.CURVE_LATTICES
+    lam = CURVE_LATTICES
+    trivial_on = classify_characters().trivial_on
     # fourth curve lattice contains l1+l2-u2, on which chi_1 is -1
     v = lam[3].vectors[0]
     assert CHARS[1].value(v) == -1
     assert restricts_nontrivially(CHARS[1], lam[3])
+    assert 3 not in trivial_on[1]
     # chi_4 is +1 on both generators of the second curve lattice
     assert CHARS[4].value_on_coords([0, 1, 0, 0]) == 1
     assert CHARS[4].value_on_coords([0, 0, 0, 1]) == 1
     assert not restricts_nontrivially(CHARS[4], lam[1])
+    assert trivial_on[4] == (1,)
     for sub in lam:
         assert not restricts_nontrivially(CHARS[0], sub)
 
 
 def test_restriction_requires_sublattice():
     shrunk = LatticeBasis([Fraction(1, 3) * v
-                           for v in catalog.CURVE_LATTICES[0].vectors])
-    with pytest.raises(NotContained):
+                           for v in CURVE_LATTICES[0].vectors])
+    with pytest.raises(NotInLattice):
         restricts_nontrivially(CHARS[1], shrunk)
 
 
@@ -160,6 +172,50 @@ def test_classification_incidence_table():
                                if any(p)} - union
 
 
+def test_trivial_on_matches_generator_oracle():
+    # the incidence read off the curve maps agrees with chi evaluated on
+    # the generators of the published curve lattices
+    result = classify_characters()
+    for chi, trivial in zip(CHARS, result.trivial_on):
+        assert trivial == tuple(
+            k for k, sub in enumerate(CURVE_LATTICES)
+            if not restricts_nontrivially(chi, sub))
+
+
+@pytest.mark.parametrize("form", [
+    (0, ZETA + 1),                      # onto the index-3 ideal (1 + zeta)
+    (2, 0),                             # onto 2 Z[zeta]
+    (0, EisRat(Fraction(1, 2))),        # off Z[zeta]
+    (0, 0),                             # the zero map
+])
+def test_curve_map_not_onto_raises(form):
+    with pytest.raises(NotOnto):
+        _torsion_on_curve(mat([[0, 0], list(form)]))
+
+
+def _kernel_line(f):
+    """The line killed by F = a*z1 + b*z2, the second row of the curve map
+    f, solved for z2 when b is nonzero."""
+    (_, _), (a, b) = f
+    return ComplexLine((ONE, -a / b) if b else (EisRat(0), ONE))
+
+
+@given(st.tuples(*[st.sampled_from(UNITS)] * 4))
+def test_unit_multiples_of_the_curve_maps_change_nothing(units):
+    scaled = tuple(mat_scale(u, f) for u, f in zip(units, catalog.CURVE_MAPS))
+    lines = tuple(map(_kernel_line, scaled))
+    assert lines == catalog.CURVE_LINES
+    assert cross_ratio(*lines) == cross_ratio(*catalog.CURVE_LINES)
+    result = classify_characters()
+    assert tuple(map(_torsion_on_curve, scaled)) == result.curve_incidence
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catalog, "CURVE_MAPS", scaled)
+        again = torsion_covers._classification.__wrapped__()
+    assert again.selected == result.selected
+    assert again.trivial_on == result.trivial_on
+    assert again.curve_incidence == result.curve_incidence
+
+
 def test_excluded_witness_curves_match_incidence():
     # a character kills a curve lattice exactly when its -1 locus misses the
     # curve's parity classes
@@ -176,7 +232,7 @@ def test_2divisibility_selects_same_characters():
         want = k in golden.SELECTED_CHARACTERS
         assert check_2divisible(CHARS[k]) == want
         all_restrict = all(restricts_nontrivially(CHARS[k], sub)
-                           for sub in catalog.CURVE_LATTICES)
+                           for sub in CURVE_LATTICES)
         assert all_restrict == want
 
 
