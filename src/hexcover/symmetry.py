@@ -10,6 +10,8 @@ branch bundle.
 """
 from __future__ import annotations
 
+from itertools import product
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
@@ -40,6 +42,7 @@ from .lattice import (
     _lattice_coordinates,
     _map_coordinates,
     _map_vectors,
+    coords_in,
 )
 from .permgroup import Permutation
 from .torsion_covers import CharacterMod2, all_characters, classify_characters
@@ -59,6 +62,10 @@ class DegenerateQuadruple(ValueError):
 
 class RootNotFound(ValueError):
     """A pulled-back square root is missing from the supplied labeling."""
+
+
+class NotOfOrderThree(ValueError):
+    """The order-3 symmetry of the product surface has another order."""
 
 
 _ZERO_VECTOR = AmbientVector((0, 0, 0, 0))
@@ -146,15 +153,39 @@ def rational_rep(g: AffineSymmetry, basis: LatticeBasis):
     return rows
 
 
-def maps_equal(g: AffineSymmetry, h: AffineSymmetry,
-               basis: LatticeBasis) -> bool:
-    """Equality as maps of the torus: same lattice action, same coset shift."""
-    if g.antiholomorphic != h.antiholomorphic:
-        return False
-    if rational_rep(g, basis) != rational_rep(h, basis):
-        return False
-    shift = g.translation - h.translation
-    return _lattice_coordinates(basis, shift) is not None
+# A lattice map (R, t) is an affine symmetry g in the coordinates of a
+# lattice basis: coordinates n go to R n + t, with R = rational_rep(g, basis)
+# the integer matrix of g's real-linear part and t the coordinates of g's
+# translation.
+
+
+def _lattice_map(g: AffineSymmetry, basis: LatticeBasis):
+    """The lattice map (R, t) of g on the basis."""
+    return rational_rep(g, basis), coords_in(basis, g.translation)
+
+
+def _identity_map(rank: int):
+    return (tuple(tuple(int(i == j) for j in range(rank))
+                  for i in range(rank)), (0,) * rank)
+
+
+def _compose_maps(f, h):
+    """The lattice map of f after h: (R_f R_h, R_f t_h + t_f).  R is the
+    matrix of the real-linear part, so this holds for an anti-holomorphic
+    f too."""
+    (rf, tf), (rh, th) = f, h
+    columns = tuple(zip(*rh))
+    return (tuple(tuple(sum(a * b for a, b in zip(row, col))
+                        for col in columns) for row in rf),
+            tuple(sum(a * b for a, b in zip(row, th)) + s
+                  for row, s in zip(rf, tf)))
+
+
+def _same_map(f, h) -> bool:
+    """Equality as maps of the torus: the same R, and translations that
+    differ by a lattice vector."""
+    return f[0] == h[0] and all((a - b).denominator == 1
+                                for a, b in zip(f[1], h[1]))
 
 
 _SHEAR_INVERSE = inv2(catalog.FRAME_SHEAR)
@@ -330,69 +361,122 @@ def _moves_tangents(a11: ZetaPair, a12: ZetaPair, a21: ZetaPair,
     return True
 
 
-def _unit_det_candidates(height_bound: int):
-    """Entry quadruples (a11, a12, a21, a22) of the search's congruence
-    pattern whose matrix has unit determinant.
-
-    Every (a12, a21) pair is indexed once by its product; for each
-    (a11, a22) the six products a11*a22 - u, u a unit, are looked up.  Hits
-    are sorted by the scan index of their (a12, a21) pair, so the list
-    follows a plain scan over a11, a22, a12, a21 (outermost first).
-    """
+def _entry_domains(height_bound: int):
+    """The values of a11, a12, a21 and a22 in the search's congruence
+    pattern: upper-left with even zeta part, upper-right with both parts
+    even, bottom row unrestricted, both parts of absolute value at most
+    height_bound."""
     span = range(-height_bound, height_bound + 1)
     even = [k for k in span if k % 2 == 0]
-    top_left = [(x, y) for x in span for y in even]
-    top_right = [(x, y) for x in even for y in even]
     bottom = [(x, y) for x in span for y in span]
-    by_product = {}
-    position = 0
+    return ([(x, y) for x in span for y in even],
+            [(x, y) for x in even for y in even],
+            bottom, bottom)
+
+
+def _unit_det_walk(domains):
+    """One pass over (a11, a22) in scan order, yielding a11, a22 and the
+    (a12, a21) pairs for which a11*a22 - a12*a21 is a unit, in the order
+    of a scan over a12, a21 (outermost first).
+
+    Each (a12, a21) pair goes into the bucket of a12*a21 + u for each of
+    the six units u, in scan order, so one lookup of a11*a22 finds its
+    hits already in order.
+    """
+    top_left, top_right, bottom_left, bottom_right = domains
+    buckets = {}
     for a12 in top_right:
-        for a21 in bottom:
-            by_product.setdefault(_zeta_mul(a12, a21), []).append(
-                (position, a12, a21))
-            position += 1
-    out = []
+        for a21 in bottom_left:
+            pa, pb = _zeta_mul(a12, a21)
+            for ua, ub in _UNITS:
+                buckets.setdefault((pa + ua, pb + ub), []).append((a12, a21))
     for a11 in top_left:
-        for a22 in bottom:
-            # det = a11*a22 - a12*a21 must be a unit of the ring
-            ha, hb = _zeta_mul(a11, a22)
-            hits = sorted(hit for ua, ub in _UNITS
-                          for hit in by_product.get((ha - ua, hb - ub), ()))
-            out.extend((a11, a12, a21, a22) for _, a12, a21 in hits)
-    return out
+        for a22 in bottom_right:
+            yield a11, a22, buckets.get(_zeta_mul(a11, a22), ())
+
+
+def _unit_det_candidates(height_bound: int):
+    """Entry quadruples (a11, a12, a21, a22) of the search's congruence
+    pattern whose matrix has unit determinant, in the order of a plain scan
+    over a11, a22, a12, a21 (outermost first)."""
+    return [(a11, a12, a21, a22)
+            for a11, a22, hits in _unit_det_walk(_entry_domains(height_bound))
+            for a12, a21 in hits]
+
+
+def _first_tangent_filter(domains):
+    """(key, passing): key picks from an entry quadruple the entries that
+    the first tangent equation of some target reads, and passing holds the
+    key values over the given domains that satisfy the first equation of at
+    least one target.
+
+    Each equation is sum c_i * e_i = 0 over the entries it reads.  The
+    last read entry is indexed by its term, so the other read entries are
+    walked once and the last is looked up by the negated partial sum.
+    """
+    firsts = [_TANGENT_EQUATIONS[target][0] for target in _SEARCH_TARGETS]
+    reads = sorted({i for equation in firsts for i, _ in equation})
+    *head, last = reads
+    key = itemgetter(*reads)
+    passing = set()
+    for equation in firsts:
+        coefficient = dict(equation)
+        by_term = {}
+        for e in domains[last]:
+            by_term.setdefault(_zeta_mul(e, coefficient.get(last, (0, 0))),
+                               []).append(e)
+        for values in product(*(domains[i] for i in head)):
+            sa = sb = 0
+            entries = [None] * 4
+            for i, e in zip(head, values):
+                a, b = _zeta_mul(e, coefficient.get(i, (0, 0)))
+                sa += a
+                sb += b
+                entries[i] = e
+            for e in by_term.get((-sa, -sb), ()):
+                entries[last] = e
+                passing.add(key(entries))
+    return key, passing
 
 
 def search_generators(height_bound: int) -> List[AffineSymmetry]:
     """All sheared-frame symmetries with small entries moving the tangent
     quadruple by one of the two target permutations.
 
-    Entries run over a fixed congruence pattern (upper-left with even zeta
-    part, upper-right with both parts even, bottom row unrestricted) with
-    both parts of absolute value at most height_bound.  The matrices of
-    unit determinant come from a lookup by product (_unit_det_candidates);
-    each is pruned by the induced tangent permutation, tested in Z[zeta]
-    integers, and finally by preservation of the cover lattice after
-    conjugating back to the standard frame.  Survivors are listed in the
-    order of a plain scan over a11, a22, a12, a21 (outermost first).
+    Entries run over a fixed congruence pattern (_entry_domains).  One
+    pass over the matrices of unit determinant (_unit_det_walk) drops, by
+    one set lookup, those that fail the first tangent equation of both
+    targets; the first tilted tangent is (1, 0), so that equation reads
+    only a11 and a21.  The rest get the full tangent test, in Z[zeta]
+    integers, and finally the test that they preserve the cover lattice
+    after conjugating back to the standard frame.  Survivors are listed in
+    the order of a plain scan over a11, a22, a12, a21 (outermost first).
     """
     if height_bound < 2:
         raise ValueError("height bound must be at least 2")
     span = range(-height_bound, height_bound + 1)
     entries = {(x, y): EisRat(x, y) for x in span for y in span}
-    shear = catalog.FRAME_SHEAR
+    domains = _entry_domains(height_bound)
+    key, passing = _first_tangent_filter(domains)
     first, second = _SEARCH_TARGETS
+    moved = []
+    for a11, a22, hits in _unit_det_walk(domains):
+        e11, e22 = entries[a11], entries[a22]
+        for a12, a21 in hits:
+            # Built for every unit-determinant candidate, though only the
+            # tangent test's survivors use it, solely for
+            # perfbench/selftest.py: it counts the mat calls inside the
+            # search as its candidates and pins them (4204 at bound 3), so
+            # a self-test re-pinned to the paper's counts drops this build.
+            # The entries are EisRat already, so mat only checks their type.
+            linear = mat([[e11, entries[a12]], [entries[a21], e22]])
+            quad = (a11, a12, a21, a22)
+            if key(quad) in passing and (_moves_tangents(*quad, first)
+                                         or _moves_tangents(*quad, second)):
+                moved.append(linear)
+    shear = catalog.FRAME_SHEAR
     out = []
-    for a11, a12, a21, a22 in _unit_det_candidates(height_bound):
-        # Built for every unit-determinant candidate, though only the
-        # tangent test's survivors use it: perfbench counts the mat calls
-        # inside the search as its candidates, and its self-test pins them
-        # (4204 at bound 3).  The entries are EisRat already, so mat only
-        # checks their type.
-        linear = mat([[entries[a11], entries[a12]],
-                      [entries[a21], entries[a22]]])
-        if not (_moves_tangents(a11, a12, a21, a22, first)
-                or _moves_tangents(a11, a12, a21, a22, second)):
-            continue
+    for linear in moved:
         ambient = mat_mul(mat_mul(shear, linear), _SHEAR_INVERSE)
         candidate = AffineSymmetry(ambient)
         try:
@@ -408,45 +492,49 @@ def verify_presentation(g2: AffineSymmetry, g3: AffineSymmetry) -> bool:
 
     Squares and the relevant cubes must equal the negation map on the cover,
     negation must be an involution, and the point swap must commute with the
-    anti-holomorphic reflection.
+    anti-holomorphic reflection.  The relations are checked on lattice maps
+    of the cover; a map that does not preserve the cover lattice fails them.
     """
     basis = catalog.COVER_LATTICE
     try:
-        square = g2.compose(g2)
-        cube = g3.compose(g3).compose(g3)
-        prod = g2.compose(g3)
-        prod3 = prod.compose(prod).compose(prod)
-        ok = (maps_equal(square, NEGATION, basis)
-              and maps_equal(cube, NEGATION, basis)
-              and maps_equal(prod3, NEGATION, basis)
-              and maps_equal(NEGATION.compose(NEGATION),
-                             AffineSymmetry.identity(), basis))
-        swap, refl = BASE_POINT_SWAP, ANTIHOLO_REFLECTION
-        comm = swap.compose(refl).compose(swap.inverse()).compose(
-            refl.inverse())
-        return ok and maps_equal(comm, AffineSymmetry.identity(), basis)
+        a, b, neg, swap, refl = [
+            _lattice_map(g, basis)
+            for g in (g2, g3, NEGATION, BASE_POINT_SWAP, ANTIHOLO_REFLECTION)]
     except NotLatticePreserving:
         return False
+    ab = _compose_maps(a, b)
+    return (_same_map(_compose_maps(a, a), neg)
+            and _same_map(_compose_maps(b, _compose_maps(b, b)), neg)
+            and _same_map(_compose_maps(ab, _compose_maps(ab, ab)), neg)
+            and _same_map(_compose_maps(neg, neg),
+                          _identity_map(len(basis.vectors)))
+            and _same_map(_compose_maps(swap, refl),
+                          _compose_maps(refl, swap)))
 
 
 def gamma_action_on_sigma() -> Permutation:
     """Permutation of the three selected characters under the order-3
-    symmetry of the product surface."""
+    symmetry of the product surface.
+
+    The symmetry acts on the product lattice by R = rational_rep, so a
+    character pulls back to its values on the columns of R."""
     g = PRODUCT_ORDER3
     basis = catalog.PRODUCT_LATTICE
-    rational_rep(g, basis)
-    if not maps_equal(g.compose(g).compose(g), AffineSymmetry.identity(),
-                      basis):
-        raise ValueError("product symmetry is not of order 3")
+    rotation = _lattice_map(g, basis)
+    rep, shift = rotation
+    cube, _ = _compose_maps(rotation, _compose_maps(rotation, rotation))
+    identity, _ = _identity_map(len(basis.vectors))
+    if cube != identity or any(x.denominator != 1 for x in shift):
+        raise NotOfOrderThree("product symmetry is not of order 3")
     if _tangent_permutation(g.linear, False) is None:
         raise NotDivisorPreserving("product symmetry moves the tangent lines")
     chars = all_characters()
     selected = classify_characters().selected
+    columns = tuple(zip(*rep))
     images = []
     for k in selected:
-        pulled = CharacterMod2(
-            chars[k].value(g.apply(v))
-            for v in basis.vectors)
+        pulled = CharacterMod2(chars[k].value_on_coords(col)
+                               for col in columns)
         images.append(selected.index(chars.index(pulled)) + 1)
     return Permutation(images)
 

@@ -19,7 +19,9 @@ evaluation that the single integer sum replaced, FractionSemicharacter is
 the semicharacter with Fraction exponents that the one-denominator integer
 numerators replaced, and formula_compose and
 formula_inverse are AffineSymmetry.compose and inverse as they were written
-before both went through AffineSymmetry.apply.
+before both went through AffineSymmetry.apply.  maps_equal is the
+equality of two AffineSymmetry objects as maps of a torus, which the
+symmetry checks replaced by integer lattice maps.
 symmetric_semichar_from_multiplicities is the paper's rule for the
 semicharacter of a symmetric divisor, checked against the branch bundle.
 hnf_index, is_unit, mat_scale and perm_inverse are one-line stand-ins for
@@ -427,6 +429,20 @@ def perm_inverse(p):
     from hexcover.permgroup import Permutation
 
     return Permutation(sorted(range(1, p.degree + 1), key=p))
+
+
+def maps_equal(g, h, basis) -> bool:
+    """Equality of the AffineSymmetry objects g and h as maps of the torus
+    of basis: the same lattice action and translations in the same coset."""
+    from hexcover.lattice import _lattice_coordinates
+    from hexcover.symmetry import rational_rep
+
+    if g.antiholomorphic != h.antiholomorphic:
+        return False
+    if rational_rep(g, basis) != rational_rep(h, basis):
+        return False
+    shift = g.translation - h.translation
+    return _lattice_coordinates(basis, shift) is not None
 
 
 def formula_compose(g, h):

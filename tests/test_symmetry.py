@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from hexcover import catalog, symmetry
 from hexcover.eisenstein import (EisRat, _zeta_mul, det2, mat, mat_conj,
                                  mat_identity, mat_mul)
-from hexcover.lattice import AmbientVector, ComplexLine, LatticeBasis
+from hexcover.lattice import (AmbientVector, ComplexLine, LatticeBasis,
+                              coords_in)
 from hexcover.permgroup import PermGroup, Permutation
 from hexcover.symmetry import (
     ANTIHOLO_REFLECTION,
@@ -22,21 +24,28 @@ from hexcover.symmetry import (
     NEGATION,
     NotDivisorPreserving,
     NotLatticePreserving,
+    NotOfOrderThree,
     ORDER4_SYMMETRY,
     ORDER6_SYMMETRY,
     PRODUCT_ORDER3,
     RootNotFound,
     TILTED_TANGENTS,
     _SEARCH_TARGETS,
+    _TANGENT_EQUATIONS,
+    _TILTED_TANGENT_PAIRS,
     _UNITS,
+    _compose_maps,
+    _entry_domains,
+    _first_tangent_filter,
+    _lattice_map,
     _moves_tangents,
+    _same_map,
     _tangent_permutation,
     _unit_det_candidates,
     _zeta_pair,
     action_on_square_roots,
     cross_ratio,
     gamma_action_on_sigma,
-    maps_equal,
     preserves_divisor,
     pull_back,
     rational_rep,
@@ -48,9 +57,10 @@ from hexcover.appell_humbert import (LineBundleClass, pullback_hom,
 
 import golden
 from oracles import (cross_multiplied_moves_tangents, formula_compose,
-                     formula_inverse, is_unit, line_permutation, mat_scale,
-                     perm_inverse, q_zeta_pull_back, q_zeta_push_vector,
-                     scan_search_generators, scan_unit_det_candidates)
+                     formula_inverse, is_unit, line_permutation, maps_equal,
+                     mat_scale, perm_inverse, q_zeta_pull_back,
+                     q_zeta_push_vector, scan_search_generators,
+                     scan_unit_det_candidates)
 from strategies import (ambient_vectors, eis_matrices, eis_rationals,
                         unimodular_matrices)
 
@@ -251,6 +261,43 @@ def test_search_matches_plain_scan(bound, count):
     assert search_generators(bound) == scan_search_generators(bound)
 
 
+def test_first_tangent_equation_reads_only_a11_and_a21():
+    # the first tilted tangent is (1, 0), so its image is (a11, a21)
+    assert _TILTED_TANGENT_PAIRS[0] == ((1, 0), (0, 0))
+    for target in _SEARCH_TARGETS:
+        first = _TANGENT_EQUATIONS[target][0]
+        assert sorted(i for i, _ in first) == [0, 2]
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_first_tangent_filter_is_the_first_cross_multiplication(bound):
+    domains = _entry_domains(bound)
+    key, passing = _first_tangent_filter(domains)
+    (x, _), zero = _TILTED_TANGENT_PAIRS[0], (0, 0)
+    want = set()
+    for a11, a21 in itertools.product(domains[0], domains[2]):
+        # the image of the first tilted tangent under [[a11, 0], [a21, 0]]
+        qx, qy = _zeta_mul(a11, x), _zeta_mul(a21, x)
+        for target in _SEARCH_TARGETS:
+            px, py = _TILTED_TANGENT_PAIRS[target[0] - 1]
+            if _zeta_mul(qx, py) == _zeta_mul(px, qy):
+                want.add((a11, a21))
+        assert key((a11, zero, a21, zero)) == (a11, a21)
+    assert passing == want
+
+
+def test_first_tangent_filter_keeps_every_accepted_candidate():
+    key, passing = _first_tangent_filter(_entry_domains(3))
+    candidates = _unit_det_candidates(3)
+    accepted = [c for c in candidates
+                if any(_moves_tangents(*c, target)
+                       for target in _SEARCH_TARGETS)]
+    assert len(accepted) == 4
+    assert all(key(c) in passing for c in accepted)
+    # and it is a filter: most candidates fail it
+    assert sum(key(c) in passing for c in candidates) < len(candidates) // 10
+
+
 def test_search_result_does_not_depend_on_bound():
     at3 = search_generators(3)
     for bound in (4, 5, 6):
@@ -357,6 +404,16 @@ def test_shear_conjugation_recovers_standard_generators():
 def test_presentation_relations():
     assert verify_presentation(ORDER4_SYMMETRY, ORDER6_SYMMETRY)
     assert not verify_presentation(AffineSymmetry.identity(), ORDER6_SYMMETRY)
+    # g3^2 is not the negation map, nor g2^3 (g2 has order 4)
+    assert not verify_presentation(ORDER6_SYMMETRY, ORDER4_SYMMETRY)
+
+
+def test_presentation_is_false_for_a_generator_off_the_lattice():
+    doubling = AffineSymmetry([[2, 0], [0, 1]])
+    with pytest.raises(NotLatticePreserving):
+        rational_rep(doubling, catalog.COVER_LATTICE)
+    assert verify_presentation(doubling, ORDER6_SYMMETRY) is False
+    assert verify_presentation(ORDER4_SYMMETRY, doubling) is False
 
 
 def test_negated_generator():
@@ -471,6 +528,12 @@ def test_gamma_lattice_images():
     assert _tangent_permutation(PRODUCT_ORDER3.linear, False) is not None
 
 
+def test_gamma_action_rejects_a_symmetry_not_of_order_three(monkeypatch):
+    monkeypatch.setattr(symmetry, "PRODUCT_ORDER3", NEGATION)
+    with pytest.raises(NotOfOrderThree, match="not of order 3"):
+        gamma_action_on_sigma()
+
+
 EXPECTED = {r["check_id"]: r["expected"] for r in json.loads(
     resources.files("hexcover").joinpath("expected_values.json")
     .read_text("utf-8"))["checks"]}
@@ -552,6 +615,56 @@ def test_compose_and_inverse_match_formulas(g, h, v):
     assert g.inverse() == formula_inverse(g)
     assert g.compose(h).apply(v) == g.apply(h.apply(v))
     assert g.inverse().apply(g.apply(v)) == v
+
+
+CANONICAL_SYMMETRIES = (ORDER4_SYMMETRY, ORDER6_SYMMETRY, NEGATION,
+                        BASE_POINT_SWAP, ANTIHOLO_REFLECTION)
+
+
+# Words that are the identity map of the torus.  The last two compose to
+# translations by nonzero cover-lattice vectors, so equality must allow for
+# a lattice shift.
+COVER_RELATIONS = ([NEGATION, NEGATION], [ORDER4_SYMMETRY] * 4,
+                   [ORDER6_SYMMETRY] * 6,
+                   [ANTIHOLO_REFLECTION, ANTIHOLO_REFLECTION],
+                   [BASE_POINT_SWAP, BASE_POINT_SWAP],
+                   [BASE_POINT_SWAP, ANTIHOLO_REFLECTION, BASE_POINT_SWAP,
+                    ANTIHOLO_REFLECTION])
+PRODUCT_RELATIONS = ([NEGATION, NEGATION], [PRODUCT_ORDER3] * 3)
+
+
+@st.composite
+def symmetry_words(draw, letters, relations):
+    """Two nonempty words in the given symmetries; half the time the second
+    is the first with a relation inserted, the same map of the torus."""
+    word = draw(st.lists(st.sampled_from(letters), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(word)))
+        return word, word[:at] + draw(st.sampled_from(relations)) + word[at:]
+    return word, draw(st.lists(st.sampled_from(letters), min_size=1,
+                               max_size=5))
+
+
+def _word_maps(word, basis):
+    """The word composed as AffineSymmetry objects and as lattice maps."""
+    return (functools.reduce(AffineSymmetry.compose, word),
+            functools.reduce(_compose_maps,
+                             [_lattice_map(g, basis) for g in word]))
+
+
+@pytest.mark.parametrize("letters, relations, basis", [
+    (CANONICAL_SYMMETRIES, COVER_RELATIONS, catalog.COVER_LATTICE),
+    ((PRODUCT_ORDER3, NEGATION), PRODUCT_RELATIONS, catalog.PRODUCT_LATTICE),
+], ids=["cover", "product"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_lattice_maps_match_affine_composition(letters, relations, basis,
+                                               data):
+    word, other = data.draw(symmetry_words(letters, relations))
+    g, composed = _word_maps(word, basis)
+    assert composed == (rational_rep(g, basis), coords_in(basis, g.translation))
+    h, other_composed = _word_maps(other, basis)
+    assert _same_map(composed, other_composed) == maps_equal(g, h, basis)
 
 
 def test_rational_rep_rejection_names_the_basis_vector():

@@ -22,6 +22,9 @@ git -C "$root" archive "$(git -C "$root" rev-parse --verify "$ref^{commit}")" sr
 commands=(
     "verify-all"
     "verify-all --json"
+    # the search section inside verify-all at other bounds
+    "verify-all --bound 2 --json"
+    "verify-all --bound 4 --json"
     "tables --json"
     "characters --json"
     "orbits --json"
