@@ -134,10 +134,6 @@ class HermitianForm:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HermitianForm is immutable")
 
-    @classmethod
-    def zero(cls) -> "HermitianForm":
-        return cls(((0, 0), (0, 0)))
-
     def im_value(self, v: AmbientVector, w: AmbientVector) -> Fraction:
         den, e = self.gram
         d, (x, y) = integer_coordinates((v, w))

@@ -77,13 +77,6 @@ def _int_rows(rows) -> list:
     return [[_as_int(x) for x in row] for row in rows]
 
 
-def _perm_str(p) -> str:
-    cycles = p.cycles()
-    if not cycles:
-        return "()"
-    return "".join("(" + " ".join(str(i) for i in c) + ")" for c in cycles)
-
-
 def _tables_rows() -> List[Row]:
     rows: List[Row] = []
     product = im_on_lattice(catalog.SUM_FORM, catalog.PRODUCT_LATTICE)
@@ -134,11 +127,11 @@ def _orbits_rows() -> List[Row]:
     p_negation = action_on_square_roots(NEGATION, roots)
     p_translation = action_on_square_roots(BASE_POINT_SWAP, roots)
     p_reflection = action_on_square_roots(ANTIHOLO_REFLECTION, roots)
-    rows.append(("orbits.perm_order4", _perm_str(p_order4)))
-    rows.append(("orbits.perm_order6", _perm_str(p_order6)))
-    rows.append(("orbits.perm_negation", _perm_str(p_negation)))
-    rows.append(("orbits.perm_translation", _perm_str(p_translation)))
-    rows.append(("orbits.perm_reflection", _perm_str(p_reflection)))
+    rows.append(("orbits.perm_order4", str(p_order4)))
+    rows.append(("orbits.perm_order6", str(p_order6)))
+    rows.append(("orbits.perm_negation", str(p_negation)))
+    rows.append(("orbits.perm_translation", str(p_translation)))
+    rows.append(("orbits.perm_reflection", str(p_reflection)))
     holo = PermGroup([p_order4, p_order6])
     full = PermGroup([p_order4, p_order6, p_reflection])
     rows.append(("orbits.holo_order", holo.order))
@@ -208,7 +201,7 @@ def _search_rows(bound: int) -> List[Row]:
                  _eis(cross_ratio(*catalog.CURVE_LINES))))
     rotation = gamma_action_on_sigma()
     rows.append(("search.rotation_order", rotation.order()))
-    rows.append(("search.rotation_cycle", _perm_str(rotation)))
+    rows.append(("search.rotation_cycle", str(rotation)))
     return rows
 
 

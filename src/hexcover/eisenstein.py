@@ -107,18 +107,6 @@ class EisRat:
         num = self * o.conjugate()
         return EisRat(num.a / n, num.b / n)
 
-    def __pow__(self, k: int) -> "EisRat":
-        if k < 0:
-            return EisRat(1) / self ** (-k)
-        out = EisRat(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def conjugate(self) -> "EisRat":
         # conj(zeta) = 1 - zeta
         return EisRat(self.a + self.b, -self.b)

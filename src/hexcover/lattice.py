@@ -205,13 +205,6 @@ def _ambient_matrix(m: EisMat, conjugate_first: bool = False) -> _AmbientMap:
     return den, tuple(map(tuple, rows))
 
 
-def _map_vectors(ambient: _AmbientMap,
-                 vectors: Sequence[AmbientVector]) -> List[AmbientVector]:
-    """Images of vectors under an _ambient_matrix map, by one integer
-    product over a common denominator."""
-    return _map_coordinates(ambient, integer_coordinates(vectors))
-
-
 def _map_coordinates(ambient: _AmbientMap, coordinates) -> List[AmbientVector]:
     den, rows = ambient
     d, ints = coordinates

@@ -7,6 +7,7 @@ over the 3-element field, never copied in as literals.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -19,10 +20,6 @@ class OrderBoundExceeded(RuntimeError):
     """Raised when a closure grows past the supported size."""
 
 
-class UnknownFingerprint(KeyError):
-    """Raised internally when a fingerprint matches no reference group."""
-
-
 class Permutation:
     """A bijection of {1..n}, stored as the tuple of images.
 
@@ -33,7 +30,9 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images) -> None:
-        imgs = tuple(int(i) for i in images)
+        imgs = tuple(images)
+        if not all(isinstance(i, int) for i in imgs):
+            raise TypeError(f"images must be ints, got {imgs!r}")
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError("images are not a bijection of 1..n")
         object.__setattr__(self, "images", imgs)
@@ -106,9 +105,15 @@ class Permutation:
     def __hash__(self) -> int:
         return hash(("Permutation", self.images))
 
+    def __str__(self) -> str:
+        """Cycle notation, "()" for the identity."""
+        cycles = self.cycles()
+        if not cycles:
+            return "()"
+        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+
     def __repr__(self) -> str:
-        body = "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles())
-        return f"Permutation[{body or 'id'}]"
+        return f"Permutation[{self}]"
 
 
 class PermGroup:
@@ -178,11 +183,8 @@ class PermGroup:
 
     def fingerprint(self) -> "GroupFingerprint":
         orders = Counter(p.order() for p in self.elements())
-        try:
-            name = identify_fingerprint(orders)
-        except UnknownFingerprint:
-            name = None
-        return GroupFingerprint(orders, name)
+        return GroupFingerprint(orders,
+                                _reference_table().get(_freeze(orders)))
 
 
 class GroupFingerprint:
@@ -237,26 +239,14 @@ def matrix_fingerprint_gf3(det_one: bool) -> dict:
     return dict(Counter(_gf3_order(m) for m in _gf3_units(det_one)))
 
 
-_REFERENCE_TABLE = None
-
-
+@functools.cache
 def _reference_table() -> dict:
-    global _REFERENCE_TABLE
-    if _REFERENCE_TABLE is None:
-        _REFERENCE_TABLE = {
-            _freeze(matrix_fingerprint_gf3(det_one=True)): "SL(2,3)",
-            _freeze(matrix_fingerprint_gf3(det_one=False)): "GL(2,3)",
-        }
-    return _REFERENCE_TABLE
+    """Reference names keyed by their frozen element-order multisets."""
+    return {
+        _freeze(matrix_fingerprint_gf3(det_one=True)): "SL(2,3)",
+        _freeze(matrix_fingerprint_gf3(det_one=False)): "GL(2,3)",
+    }
 
 
 def _freeze(orders) -> tuple:
     return tuple(sorted(orders.items()))
-
-
-def identify_fingerprint(orders) -> str:
-    table = _reference_table()
-    key = _freeze(orders)
-    if key not in table:
-        raise UnknownFingerprint(f"no reference group with orders {dict(orders)}")
-    return table[key]

@@ -30,10 +30,13 @@ class SingularityProfile:
     __slots__ = ("l2", "multiplicities")
 
     def __init__(self, l2, multiplicities=()) -> None:
-        mults = tuple(int(m) for m in multiplicities)
+        mults = tuple(multiplicities)
+        if not all(isinstance(x, int) for x in (l2, *mults)):
+            raise TypeError(f"l2 and the multiplicities must be ints, "
+                            f"got {l2!r} and {mults!r}")
         if any(m < 2 for m in mults):
             raise ValueError("negligible multiplicities (m < 2) are not tracked")
-        object.__setattr__(self, "l2", int(l2))
+        object.__setattr__(self, "l2", l2)
         object.__setattr__(self, "multiplicities", mults)
 
     def __setattr__(self, name, value):
@@ -57,8 +60,10 @@ class BranchCase:
                  profile: SingularityProfile) -> None:
         if label not in ("I", "II"):
             raise ValueError("label must be 'I' or 'II'")
+        if not isinstance(d2, int):
+            raise TypeError(f"d2 must be an int, got {d2!r}")
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "d2", int(d2))
+        object.__setattr__(self, "d2", d2)
         object.__setattr__(self, "singularities", singularities)
         object.__setattr__(self, "profile", profile)
 

@@ -29,7 +29,6 @@ from .eisenstein import (
     _zeta_mul,
     inv2,
     mat,
-    mat_conj,
     mat_identity,
     mat_mul,
 )
@@ -41,7 +40,6 @@ from .lattice import (
     _det,
     _lattice_coordinates,
     _map_coordinates,
-    _map_vectors,
     coords_in,
 )
 from .permgroup import Permutation
@@ -92,30 +90,6 @@ class AffineSymmetry:
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineSymmetry is immutable")
-
-    @classmethod
-    def identity(cls) -> "AffineSymmetry":
-        return cls(mat_identity(2))
-
-    def apply(self, v: AmbientVector) -> AmbientVector:
-        ambient = _ambient_matrix(self.linear, self.antiholomorphic)
-        return _map_vectors(ambient, (v,))[0] + self.translation
-
-    def compose(self, other: "AffineSymmetry") -> "AffineSymmetry":
-        """The map v |-> self(other(v))."""
-        lin = mat_conj(other.linear) if self.antiholomorphic else other.linear
-        return AffineSymmetry(mat_mul(self.linear, lin),
-                              self.antiholomorphic != other.antiholomorphic,
-                              self.apply(other.translation))
-
-    def inverse(self) -> "AffineSymmetry":
-        """The map w |-> L^-1(w - t), L the (anti)linear part."""
-        inv = inv2(self.linear)
-        if self.antiholomorphic:
-            inv = mat_conj(inv)
-        back = AffineSymmetry(inv, self.antiholomorphic).apply(
-            -self.translation)
-        return AffineSymmetry(inv, self.antiholomorphic, back)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineSymmetry):
@@ -393,15 +367,6 @@ def _unit_det_walk(domains):
     for a11 in top_left:
         for a22 in bottom_right:
             yield a11, a22, buckets.get(_zeta_mul(a11, a22), ())
-
-
-def _unit_det_candidates(height_bound: int):
-    """Entry quadruples (a11, a12, a21, a22) of the search's congruence
-    pattern whose matrix has unit determinant, in the order of a plain scan
-    over a11, a22, a12, a21 (outermost first)."""
-    return [(a11, a12, a21, a22)
-            for a11, a22, hits in _unit_det_walk(_entry_domains(height_bound))
-            for a12, a21 in hits]
 
 
 def _first_tangent_filter(domains):

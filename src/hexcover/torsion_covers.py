@@ -17,12 +17,8 @@ import itertools
 import math
 
 from . import catalog
-from .appell_humbert import (
-    NotInLattice,
-    ORDER_TWO_SIGN_PATTERNS,
-    im_on_lattice,
-)
-from .lattice import AmbientVector, LatticeBasis, _lattice_coordinates
+from .appell_humbert import ORDER_TWO_SIGN_PATTERNS, im_on_lattice
+from .lattice import LatticeBasis
 
 
 class TrivialCharacter(ValueError):
@@ -45,7 +41,9 @@ class CharacterMod2:
     __slots__ = ("values",)
 
     def __init__(self, values) -> None:
-        vals = tuple(int(v) for v in values)
+        vals = tuple(values)
+        if not all(isinstance(v, int) for v in vals):
+            raise TypeError(f"signs must be ints, got {vals!r}")
         if len(vals) != 4 or any(v not in (1, -1) for v in vals):
             raise ValueError("expected four signs")
         object.__setattr__(self, "values", vals)
@@ -63,12 +61,6 @@ class CharacterMod2:
             if n % 2:
                 sign *= v
         return sign
-
-    def value(self, v: AmbientVector) -> int:
-        coords = _lattice_coordinates(catalog.PRODUCT_LATTICE, v)
-        if coords is None:
-            raise NotInLattice(f"{v!r} is not in the product lattice")
-        return self.value_on_coords(coords)
 
     def __mul__(self, other: "CharacterMod2") -> "CharacterMod2":
         return CharacterMod2(a * b for a, b in zip(self.values, other.values))

@@ -17,11 +17,14 @@ the Q(zeta) evaluation of a hermitian form that the integer Gram matrix
 replaced, fraction_eval_coords is the term-by-term semicharacter
 evaluation that the single integer sum replaced, FractionSemicharacter is
 the semicharacter with Fraction exponents that the one-denominator integer
-numerators replaced, and formula_compose and
-formula_inverse are AffineSymmetry.compose and inverse as they were written
-before both went through AffineSymmetry.apply.  maps_equal is the
-equality of two AffineSymmetry objects as maps of a torus, which the
-symmetry checks replaced by integer lattice maps.
+numerators replaced.  formula_compose and
+formula_inverse are the only composition and inverse of AffineSymmetry
+objects: the package checks its group facts on integer lattice maps and
+has neither.  maps_equal is the equality of two AffineSymmetry objects as
+maps of a torus, which the symmetry checks replaced by integer lattice
+maps.  character_value evaluates an order-2 character at an ambient
+vector of the product lattice, which the package never does: it
+evaluates characters on integer lattice coordinates.
 symmetric_semichar_from_multiplicities is the paper's rule for the
 semicharacter of a symmetric divisor, checked against the branch bundle.
 hnf_index, is_unit, mat_scale and perm_inverse are one-line stand-ins for
@@ -231,20 +234,22 @@ def gf3_matrices(det_one: bool):
     return out
 
 
+def gf3_mul(x, y):
+    """The product of two 2x2 matrices over the 3-element field, each
+    given as its entries (a, b, c, d) row by row."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % 3, (a * f + b * h) % 3,
+            (c * e + d * g) % 3, (c * f + d * h) % 3)
+
+
 def gf3_order(m) -> int:
     """Multiplicative order of a 2x2 matrix over the 3-element field."""
-
-    def mul(x, y):
-        a, b, c, d = x
-        e, f, g, h = y
-        return ((a * e + b * g) % 3, (a * f + b * h) % 3,
-                (c * e + d * g) % 3, (c * f + d * h) % 3)
-
     ident = (1, 0, 0, 1)
     p = m
     k = 1
     while p != ident:
-        p = mul(p, m)
+        p = gf3_mul(p, m)
         k += 1
         if k > 100:
             raise RuntimeError("order computation ran away")
@@ -407,11 +412,25 @@ def hnf_index(sub, sup) -> int:
     return math.prod(h[i][i] for i in range(len(h)))
 
 
+def character_value(chi, v) -> int:
+    """The CharacterMod2 chi at the product-lattice vector v, from the
+    parity of v's lattice coordinates; a vector outside the product lattice
+    raises NotInLattice."""
+    from hexcover import catalog
+    from hexcover.appell_humbert import NotInLattice
+    from hexcover.lattice import _lattice_coordinates
+
+    coords = _lattice_coordinates(catalog.PRODUCT_LATTICE, v)
+    if coords is None:
+        raise NotInLattice(f"{v!r} is not in the product lattice")
+    return chi.value_on_coords(coords)
+
+
 def restricts_nontrivially(chi, sub) -> bool:
     """Whether the CharacterMod2 chi takes the value -1 somewhere on the
     sublattice sub of the product lattice, by its values on the generators
     of sub; a generator outside the product lattice raises NotInLattice."""
-    return any(chi.value(v) == -1 for v in sub.vectors)
+    return any(character_value(chi, v) == -1 for v in sub.vectors)
 
 
 def is_unit(x) -> bool:

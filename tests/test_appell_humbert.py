@@ -50,6 +50,8 @@ from strategies import (ambient_vectors, eis_matrices, hermitian_forms,
 ROOTS = square_roots(catalog.BRANCH_COVER)
 # the hermitian forms of the four curve bundles
 CURVE_FORMS = tuple(bundle.form for bundle in catalog.CURVE_BUNDLES)
+# the zero form, the first Chern class of the trivial bundle
+ZERO_FORM = HermitianForm(((0, 0), (0, 0)))
 
 
 def _signs(bundle):
@@ -140,7 +142,7 @@ def test_pfaffians_and_self_intersections():
     principal = im_on_lattice(HermitianForm([[2, 0], [0, 2]]),
                               catalog.PRODUCT_LATTICE)
     assert pfaffian(principal) == golden.PF_PRINCIPAL_PRODUCT
-    zero = im_on_lattice(HermitianForm.zero(), catalog.PRODUCT_LATTICE)
+    zero = im_on_lattice(ZERO_FORM, catalog.PRODUCT_LATTICE)
     assert pfaffian(zero) == 0
     # self-intersection via the intersection pairing
     assert intersection_number(catalog.SUM_FORM, catalog.SUM_FORM,
@@ -188,7 +190,7 @@ def test_intersection_gram_matrices():
             if i != j:
                 assert intersection_number(CURVE_FORMS[i], CURVE_FORMS[j],
                                            catalog.COVER_LATTICE) == 2
-    assert intersection_number(catalog.SUM_FORM, HermitianForm.zero(),
+    assert intersection_number(catalog.SUM_FORM, ZERO_FORM,
                                catalog.PRODUCT_LATTICE) == 0
 
 
@@ -262,7 +264,7 @@ def test_tensor_reproduces_branch_bundle():
     for b in catalog.CURVE_BUNDLES[1:]:
         acc = tensor(acc, b)
     assert acc == catalog.BRANCH_PRODUCT
-    trivial = LineBundleClass.build(HermitianForm.zero(),
+    trivial = LineBundleClass.build(ZERO_FORM,
                                     catalog.PRODUCT_LATTICE, [0, 0, 0, 0])
     assert tensor(catalog.BRANCH_PRODUCT, trivial) == catalog.BRANCH_PRODUCT
 
@@ -361,7 +363,7 @@ def test_is_symmetric():
     assert is_symmetric(catalog.BRANCH_PRODUCT)
     assert is_symmetric(catalog.BRANCH_COVER)
     assert not is_symmetric(ROOTS[0])
-    trivial = LineBundleClass.build(HermitianForm.zero(),
+    trivial = LineBundleClass.build(ZERO_FORM,
                                     catalog.PRODUCT_LATTICE, [0, 0, 0, 0])
     assert is_symmetric(trivial)
 
@@ -413,13 +415,13 @@ def test_square_roots_empty_on_product_surface():
 
 
 def test_square_roots_of_trivial_bundle():
-    trivial = LineBundleClass.build(HermitianForm.zero(),
+    trivial = LineBundleClass.build(ZERO_FORM,
                                     catalog.PRODUCT_LATTICE, [0, 0, 0, 0])
     roots = square_roots(trivial)
     assert len(roots) == 16
     assert roots[0].character.exponents == (0, 0, 0, 0)
     for root, pattern in zip(roots, ORDER_TWO_SIGN_PATTERNS):
-        assert root.form == HermitianForm.zero()
+        assert root.form == ZERO_FORM
         got = tuple(-1 if q == Fraction(1, 2) else 1
                     for q in root.character.exponents)
         assert got == pattern
@@ -454,8 +456,8 @@ def test_intersection_bilinear_on_curve_forms():
     for _ in range(10):
         c = [rng.randint(0, 2) for _ in range(4)]
         d = [rng.randint(0, 2) for _ in range(4)]
-        hc = HermitianForm.zero()
-        hd = HermitianForm.zero()
+        hc = ZERO_FORM
+        hd = ZERO_FORM
         for k in range(4):
             for _ in range(c[k]):
                 hc = hc + CURVE_FORMS[k]
@@ -718,7 +720,7 @@ def test_unreduced_exponent_examples():
         assert other == chi and hash(other) == hash(chi)
         assert other.exponents == (Fraction(1, 2), quarter, quarter, 0)
     # 1/4 + 1/4 reduces to 1/2 over the denominator 2
-    trivial = im_on_lattice(HermitianForm.zero(), lattice)
+    trivial = im_on_lattice(ZERO_FORM, lattice)
     fourth = Semicharacter(lattice, [quarter, 0, quarter, 0], trivial)
     square = fourth * fourth
     want = Semicharacter(lattice, [Fraction(1, 2), 0, Fraction(1, 2), 0],

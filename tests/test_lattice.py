@@ -16,9 +16,10 @@ from hexcover.lattice import (
     _det,
     _gauss_jordan,
     _lattice_coordinates,
-    _map_vectors,
+    _map_coordinates,
     coords_in,
     hnf,
+    integer_coordinates,
 )
 
 import golden
@@ -38,6 +39,12 @@ eis_small = st.builds(EisRat, small_ints, small_ints)
 def _vec_complex(v):
     z1, z2 = v.to_pair()
     return to_complex(z1), to_complex(z2)
+
+
+def _map_vectors(ambient, vectors):
+    """The images of vectors under an _ambient_matrix map, by the integer
+    product rational_rep runs on a lattice basis."""
+    return _map_coordinates(ambient, integer_coordinates(vectors))
 
 
 def _scale(c, v):

@@ -9,13 +9,11 @@ from hexcover.permgroup import (
     OrderBoundExceeded,
     PermGroup,
     Permutation,
-    UnknownFingerprint,
-    identify_fingerprint,
     matrix_fingerprint_gf3,
 )
 
 import golden
-from oracles import gf3_fingerprint, perm_inverse
+from oracles import gf3_fingerprint, gf3_matrices, gf3_mul, perm_inverse
 
 
 def test_permutation_validation():
@@ -23,6 +21,10 @@ def test_permutation_validation():
         Permutation((1, 1, 3))
     with pytest.raises(ValueError):
         Permutation((2, 3))
+    # images are ints: no string is parsed and no float truncated
+    for bad in (["2", "1"], [2.0, 1], [1.5, 2]):
+        with pytest.raises(TypeError):
+            Permutation(bad)
     assert Permutation.identity(5)(3) == 3
 
 
@@ -30,7 +32,6 @@ def test_permutation_validation():
 def test_public_constructor_still_validates(images):
     with pytest.raises(ValueError, match="not a bijection"):
         Permutation(images)
-
 
 @st.composite
 def permutation_pairs(draw):
@@ -48,6 +49,13 @@ def test_product_equals_validated_permutation(pair):
     assert prod.images == want.images
     assert all(type(i) is int for i in prod.images)
     assert prod.order() == want.order() and prod.cycles() == want.cycles()
+
+
+def test_str_is_cycle_notation():
+    p = Permutation.from_cycles([(3, 1), (2, 5, 4)], 6)
+    assert str(p) == "(1 3)(2 5 4)"
+    assert repr(p) == "Permutation[(1 3)(2 5 4)]"
+    assert str(Permutation.identity(4)) == "()"
 
 
 def test_product_rejects_degree_mismatch():
@@ -133,6 +141,15 @@ def test_commutator_convention():
     assert got.order() == 3
 
 
+def regular_representation(det_one):
+    """The group of invertible 2x2 matrices over GF(3), determinant 1 only
+    when det_one, acting on itself by right multiplication."""
+    elements = gf3_matrices(det_one)
+    index = {m: k for k, m in enumerate(elements, start=1)}
+    return PermGroup([Permutation([index[gf3_mul(x, g)] for x in elements])
+                      for g in elements])
+
+
 def test_reference_fingerprints_from_matrix_oracle():
     special = matrix_fingerprint_gf3(det_one=True)
     full = matrix_fingerprint_gf3(det_one=False)
@@ -142,10 +159,15 @@ def test_reference_fingerprints_from_matrix_oracle():
     assert special == gf3_fingerprint(det_one=True)
     assert full == gf3_fingerprint(det_one=False)
     assert special == golden.SL23_FINGERPRINT
-    assert identify_fingerprint(special) == "SL(2,3)"
-    assert identify_fingerprint(full) == "GL(2,3)"
-    with pytest.raises(UnknownFingerprint):
-        identify_fingerprint({1: 1, 2: 1})
+    # the regular representations carry the reference names; a group in
+    # neither table gets none
+    assert regular_representation(det_one=True).fingerprint().name == \
+        "SL(2,3)"
+    assert regular_representation(det_one=False).fingerprint().name == \
+        "GL(2,3)"
+    swap = PermGroup([Permutation.from_cycles([(1, 2)], 2)])
+    assert swap.fingerprint().orders == {1: 1, 2: 1}
+    assert swap.fingerprint().name is None
 
 
 def test_fingerprint_identifies_permutation_models():

@@ -1,4 +1,4 @@
-"""Every public module-level name of the package is used by the package.
+"""Every public name of the package is used by the package.
 
 The scan is static: each module of src/hexcover is parsed with ast, and a
 public function, class or assigned name (no leading underscore) counts as
@@ -6,12 +6,21 @@ used when some module loads it other than inside the statement that defines
 it; from another module that means importing it with ``from .m import name``
 and loading it, or loading ``m.name`` after ``from . import m``.  A name
 only the tests need belongs in the tests.
+
+Methods are held to the same rule, by name: a public method, property,
+classmethod or staticmethod of a class at module level counts as used when
+an attribute of that name is loaded somewhere in the package outside the
+method's own def, or in tests/test_acceptance.py, whose tests replay the
+published claims.  Dunders are exempt; Python calls them.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hexcover"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hexcover"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 
 def _defined_names(stmt):
@@ -79,3 +88,52 @@ def test_scan_sees_definitions_and_cross_module_uses():
     for name in (("eisenstein", "EisRat"), ("lattice", "coords_in"),
                  ("catalog", "COVER_LATTICE")):
         assert name in definitions and name in uses
+
+
+def _attribute_loads(node) -> Counter:
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Load))
+
+
+def _method_scan():
+    """(methods, package_uses, claim_uses): the public methods as
+    (module, class, name) with the number of loads of their name inside
+    their own def, and the attribute names loaded in the package and in
+    the acceptance tests."""
+    methods = {}
+    package_uses = Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        package_uses += _attribute_loads(tree)
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not stmt.name.startswith("_")):
+                    methods[(path.stem, cls.name, stmt.name)] = \
+                        _attribute_loads(stmt)[stmt.name]
+    claim_uses = _attribute_loads(ast.parse(ACCEPTANCE.read_text("utf-8")))
+    return methods, package_uses, claim_uses
+
+
+def test_every_public_method_is_used_by_the_package_or_a_claim():
+    methods, package_uses, claim_uses = _method_scan()
+    unused = sorted(f"{m}.{c}.{name}"
+                    for (m, c, name), own in methods.items()
+                    if package_uses[name] == own and not claim_uses[name])
+    assert not unused, f"public methods neither the package nor an " \
+        f"acceptance test uses: {unused}"
+
+
+def test_method_scan_sees_methods_properties_and_claim_uses():
+    methods, package_uses, claim_uses = _method_scan()
+    # a method, a property and a classmethod the package calls
+    for key in (("permgroup", "Permutation", "cycles"),
+                ("lattice", "LatticeBasis", "rank"),
+                ("permgroup", "Permutation", "identity")):
+        assert key in methods and package_uses[key[2]] > methods[key]
+    # a classmethod only the published claims call
+    assert ("permgroup", "Permutation", "from_cycles") in methods
+    assert not package_uses["from_cycles"] and claim_uses["from_cycles"]

