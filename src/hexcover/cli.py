@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 from . import catalog
 from .appell_humbert import im_on_lattice, intersection_number, square_roots
-from .eisenstein import EisRat, inv2, mat_conj, mat_mul
+from .eisenstein import EisRat, _gf3_residues, inv2, mat_conj, mat_mul
 from .lattice import AmbientVector, hnf
 from .permgroup import PermGroup
 from .surface_invariants import (
@@ -134,11 +134,14 @@ def _orbits_rows() -> List[Row]:
     rows.append(("orbits.perm_reflection", str(p_reflection)))
     holo = PermGroup([p_order4, p_order6])
     full = PermGroup([p_order4, p_order6, p_reflection])
+    # each generator's linear part modulo 1 + zeta, in GF(3)
+    matrices = [_gf3_residues(g.linear) for g in
+                (ORDER4_SYMMETRY, ORDER6_SYMMETRY, ANTIHOLO_REFLECTION)]
     rows.append(("orbits.holo_order", holo.order))
-    rows.append(("orbits.holo_group", holo.fingerprint().name))
+    rows.append(("orbits.holo_group", holo.matrix_group_name(matrices[:2])))
     rows.append(("orbits.holo_partition", [list(o) for o in holo.orbits()]))
     rows.append(("orbits.full_order", full.order))
-    rows.append(("orbits.full_group", full.fingerprint().name))
+    rows.append(("orbits.full_group", full.matrix_group_name(matrices)))
     rows.append(("orbits.full_partition", [list(o) for o in full.orbits()]))
     conclusion = (f"{len(holo.orbits())} surfaces up to isomorphism, "
                   f"{len(full.orbits())} up to conjugation")

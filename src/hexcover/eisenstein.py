@@ -216,6 +216,21 @@ def _zeta_mul(x: ZetaPair, y: ZetaPair) -> ZetaPair:
     return (a * c - b * d, a * d + b * c + b * d)
 
 
+def _zeta_pair(x: EisRat) -> ZetaPair:
+    if not x.is_integral():
+        raise ValueError(f"{x} is not an integer of Z[zeta]")
+    return (x.a.numerator, x.b.numerator)
+
+
+def _gf3_residues(m: EisMat) -> Tuple[int, ...]:
+    """The entries of an integral matrix, row by row, modulo the prime
+    1 + zeta.  Its residue field is GF(3) and zeta goes to -1, so
+    a + b*zeta goes to (a - b) mod 3; conjugation, (a + b) - b*zeta, fixes
+    every residue.  A non-integral entry raises ValueError."""
+    return tuple((a - b) % 3 for a, b in (_zeta_pair(x) for row in m
+                                          for x in row))
+
+
 def _cleared(m: EisMat) -> Tuple[int, PairMat]:
     """(den, P) with m[i][j] = (a + b*zeta) / den for (a, b) = P[i][j] and
     den the least common denominator, for a matrix m of any shape."""

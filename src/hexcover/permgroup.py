@@ -1,16 +1,13 @@
 """Small permutation groups by brute force.
 
-Closure from generators, orbits, and identification of the group type by the
-multiset of element orders.  The reference fingerprints for the two matrix
-groups showing up downstream are computed here by enumerating 2x2 matrices
-over the 3-element field, never copied in as literals.
+Closure from generators, orbits, and a proof that a group is SL(2,3) or
+GL(2,3): pairing each generator with a 2x2 matrix over the 3-element field
+is checked to be an isomorphism onto the matrix group, by closing the pairs
+and comparing orders.
 """
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-from collections import Counter
 
 
 CLOSURE_BOUND = 10_000
@@ -123,6 +120,8 @@ class PermGroup:
 
     def __init__(self, generators, degree: int | None = None) -> None:
         gens = tuple(generators)
+        if not all(isinstance(g, Permutation) for g in gens):
+            raise TypeError(f"generators must be Permutations, got {gens!r}")
         if degree is None:
             if not gens:
                 raise ValueError("need a degree for the empty generator list")
@@ -181,72 +180,46 @@ class PermGroup:
             out.append(tuple(sorted(orbit)))
         return tuple(out)
 
-    def fingerprint(self) -> "GroupFingerprint":
-        orders = Counter(p.order() for p in self.elements())
-        return GroupFingerprint(orders,
-                                _reference_table().get(_freeze(orders)))
+    def matrix_group_name(self, matrices) -> str | None:
+        """"SL(2,3)" or "GL(2,3)" when sending each generator to the GF(3)
+        matrix at its position extends to an isomorphism onto that group,
+        else None.  A matrix is four ints (a, b, c, d) in range(3), row by
+        row, acting on the nonzero row vectors of GF(3)^2 by v -> v.m so
+        that products compose as permutation products do.
+
+        The pairs (generator, matrix action) generate a group that projects
+        onto both factors; when the three orders agree, both projections
+        are bijective and the pair group is the graph of an isomorphism.
+        The image lies in GL(2,3), of order 48; generated by matrices of
+        determinant 1, it lies in SL(2,3), of order 24.
+        """
+        matrices = [tuple(m) for m in matrices]
+        if any(len(m) != 4 or not all(type(x) is int for x in m)
+               for m in matrices):
+            raise TypeError(f"GF(3) matrices are four ints, got {matrices!r}")
+        if not all(0 <= x < 3 for m in matrices for x in m):
+            raise ValueError(f"GF(3) entries are in range(3): {matrices!r}")
+        if len(matrices) != len(self.generators):
+            raise ValueError(f"{len(matrices)} matrices for "
+                             f"{len(self.generators)} generators")
+        dets = {(a * d - b * c) % 3 for a, b, c, d in matrices}
+        if 0 in dets:
+            return None
+        actions = [Permutation([_GF3_LABELS[(x * a + y * c) % 3,
+                                            (x * b + y * d) % 3]
+                                for x, y in _GF3_VECTORS])
+                   for a, b, c, d in matrices]
+        image = PermGroup(actions, degree=len(_GF3_VECTORS))
+        graph = PermGroup(
+            [Permutation(g.images + tuple(k + self.degree for k in p.images))
+             for g, p in zip(self.generators, actions)],
+            degree=self.degree + image.degree)
+        if not self.order == image.order == graph.order:
+            return None
+        if image.order == 48:
+            return "GL(2,3)"
+        return "SL(2,3)" if image.order == 24 and dets <= {1} else None
 
 
-class GroupFingerprint:
-    """Multiset of element orders, with a name when it matches a reference."""
-
-    __slots__ = ("orders", "name")
-
-    def __init__(self, orders, name) -> None:
-        object.__setattr__(self, "orders", dict(orders))
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupFingerprint is immutable")
-
-    def __repr__(self) -> str:
-        return f"GroupFingerprint({self.orders}, name={self.name!r})"
-
-
-# --- reference fingerprints over the 3-element field ------------------------
-
-def _gf3_units(det_one: bool):
-    for a, b, c, d in itertools.product(range(3), repeat=4):
-        det = (a * d - b * c) % 3
-        if det == 0 or (det_one and det != 1):
-            continue
-        yield (a, b, c, d)
-
-
-def _gf3_mul(m, n):
-    return ((m[0] * n[0] + m[1] * n[2]) % 3,
-            (m[0] * n[1] + m[1] * n[3]) % 3,
-            (m[2] * n[0] + m[3] * n[2]) % 3,
-            (m[2] * n[1] + m[3] * n[3]) % 3)
-
-
-def _gf3_order(m) -> int:
-    identity = (1, 0, 0, 1)
-    power = m
-    k = 1
-    while power != identity:
-        power = _gf3_mul(power, m)
-        k += 1
-    return k
-
-
-def matrix_fingerprint_gf3(det_one: bool) -> dict:
-    """Element-order multiset of the invertible 2x2 matrices over GF(3).
-
-    With det_one the determinant is restricted to 1.  These two groups are
-    the references the identification table is built from.
-    """
-    return dict(Counter(_gf3_order(m) for m in _gf3_units(det_one)))
-
-
-@functools.cache
-def _reference_table() -> dict:
-    """Reference names keyed by their frozen element-order multisets."""
-    return {
-        _freeze(matrix_fingerprint_gf3(det_one=True)): "SL(2,3)",
-        _freeze(matrix_fingerprint_gf3(det_one=False)): "GL(2,3)",
-    }
-
-
-def _freeze(orders) -> tuple:
-    return tuple(sorted(orders.items()))
+_GF3_VECTORS = tuple((x, y) for x in range(3) for y in range(3) if x or y)
+_GF3_LABELS = {v: k for k, v in enumerate(_GF3_VECTORS, start=1)}

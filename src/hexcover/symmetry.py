@@ -27,6 +27,7 @@ from .eisenstein import (
     ZetaPair,
     _integer_matrix,
     _zeta_mul,
+    _zeta_pair,
     inv2,
     mat,
     mat_identity,
@@ -84,8 +85,12 @@ class AffineSymmetry:
         _, ((a11, a12), (a21, a22)) = _integer_matrix(linear)
         if _zeta_mul(a11, a22) == _zeta_mul(a12, a21):
             raise ValueError("the linear part must be invertible")
+        if (type(antiholomorphic) is not bool
+                or not isinstance(translation, AmbientVector)):
+            raise TypeError("antiholomorphic must be a bool and the "
+                            "translation an AmbientVector")
         object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "antiholomorphic", bool(antiholomorphic))
+        object.__setattr__(self, "antiholomorphic", antiholomorphic)
         object.__setattr__(self, "translation", translation)
 
     def __setattr__(self, name, value):
@@ -169,12 +174,6 @@ _SHEAR_INVERSE = inv2(catalog.FRAME_SHEAR)
 TILTED_TANGENTS = tuple(
     ComplexLine(tuple(row[0] * x + row[1] * y for row in _SHEAR_INVERSE))
     for x, y in (line.direction for line in catalog.CURVE_LINES))
-
-
-def _zeta_pair(x: EisRat) -> ZetaPair:
-    if not x.is_integral():
-        raise ValueError(f"{x} is not an integer of Z[zeta]")
-    return (x.a.numerator, x.b.numerator)
 
 
 _AMBIENT_TANGENT_PAIRS = tuple(tuple(map(_zeta_pair, line.direction))

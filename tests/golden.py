@@ -251,10 +251,6 @@ FULL_ORBIT_PARTITION = (frozenset(range(1, 17)),)
 HOLO_GROUP_ORDER = 24
 FULL_GROUP_ORDER = 48
 
-# Multiset of element orders for the binary tetrahedral matrix group over
-# the 3-element field (determinant 1).
-SL23_FINGERPRINT = {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
-
 # Cycle induced on the three selected characters by the order-3 symmetry
 # of the product surface (1 -> 3 -> 2 -> 1).
 GAMMA_CHARACTER_CYCLE = (1, 3, 2)

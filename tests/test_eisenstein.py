@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hexcover.eisenstein import (
     EisRat,
     ZETA,
+    _gf3_residues,
     _integer_matrix,
     as_eis,
     det2,
@@ -230,3 +231,26 @@ def test_hash_after_arithmetic_matches_a_fresh_eisrat(x, y):
     fresh = EisRat(x.a, x.b)
     assert z == x == fresh
     assert hash(z) == hash(x) == hash(fresh) == hash((x.a, x.b))
+
+
+integers = st.integers(-50, 50)
+integral_eisrats = st.builds(EisRat, integers, integers)
+
+
+@given(integral_eisrats, integral_eisrats)
+def test_gf3_residue_is_a_ring_map_fixed_by_conjugation(x, y):
+    def residue(z):
+        (r,) = _gf3_residues(((z,),))
+        return r
+
+    assert residue(x * y) == residue(x) * residue(y) % 3
+    assert residue(x + y) == (residue(x) + residue(y)) % 3
+    assert residue(x.conjugate()) == residue(x)
+    # 1 + zeta generates the kernel: its multiples, and only they, go to 0
+    assert (residue(x) == 0) == ((x / (ZETA + 1)).is_integral())
+
+
+def test_gf3_residues_read_rows_and_reject_fractions():
+    assert _gf3_residues(mat([[ZETA, -1], [1 - ZETA, 3]])) == (2, 2, 2, 0)
+    with pytest.raises(ValueError, match="not an integer"):
+        _gf3_residues(mat([[1, Fraction(1, 2)], [0, 1]]))

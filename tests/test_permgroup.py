@@ -4,16 +4,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sympy.combinatorics import Permutation as SymPermutation
+from sympy.combinatorics import PermutationGroup
+from sympy.combinatorics.homomorphisms import group_isomorphism
+
+from hexcover import catalog
+from hexcover.eisenstein import _gf3_residues
 from hexcover.permgroup import (
     CLOSURE_BOUND,
     OrderBoundExceeded,
     PermGroup,
     Permutation,
-    matrix_fingerprint_gf3,
 )
 
 import golden
-from oracles import gf3_fingerprint, gf3_matrices, gf3_mul, perm_inverse
+from oracles import gf3_matrices, gf3_mul, gf3_vector_action, perm_inverse
 
 
 def test_permutation_validation():
@@ -94,9 +99,8 @@ def test_closure_trivial_and_small():
     assert trivial.orbits() == ((1,), (2,), (3,), (4,))
     swap = PermGroup([Permutation.from_cycles([(1, 2)], 4)])
     assert swap.order == 2
-    fp = swap.fingerprint()
-    assert fp.orders == {1: 1, 2: 1}
-    assert fp.name is None
+    # -1 pairs with the swap isomorphically, onto neither named group
+    assert swap.matrix_group_name([(2, 0, 0, 2)]) is None
 
 
 def test_closure_generator_order_independent():
@@ -141,43 +145,106 @@ def test_commutator_convention():
     assert got.order() == 3
 
 
+def test_group_rejects_non_permutation_generators():
+    for bad in ([1, 2], [Permutation.identity(2), (2, 1)], ["(1 2)"]):
+        with pytest.raises(TypeError, match="must be Permutations"):
+            PermGroup(bad)
+
+
+def test_matrix_group_name_validates_matrices():
+    swap = PermGroup([Permutation.from_cycles([(1, 2)], 2)])
+    for bad in ([(1, 0, 0)], [(1, 0, 0, 1, 0)], [(1.0, 0, 0, 1)],
+                [(True, 0, 0, 1)], [("1", 0, 0, 1)], [1]):
+        with pytest.raises(TypeError):
+            swap.matrix_group_name(bad)
+    for bad in ([(3, 0, 0, 1)], [(1, 0, 0, -1)]):
+        with pytest.raises(ValueError, match="range"):
+            swap.matrix_group_name(bad)
+    for count in ([], [(1, 0, 0, 1)] * 2):
+        with pytest.raises(ValueError, match="generators"):
+            swap.matrix_group_name(count)
+    # a singular matrix is no element of GL(2,3)
+    assert swap.matrix_group_name([(1, 1, 1, 1)]) is None
+
+
 def regular_representation(det_one):
     """The group of invertible 2x2 matrices over GF(3), determinant 1 only
-    when det_one, acting on itself by right multiplication."""
+    when det_one, acting on itself by right multiplication, and the matrix
+    each generator multiplies by."""
     elements = gf3_matrices(det_one)
     index = {m: k for k, m in enumerate(elements, start=1)}
-    return PermGroup([Permutation([index[gf3_mul(x, g)] for x in elements])
-                      for g in elements])
+    group = PermGroup([Permutation([index[gf3_mul(x, g)] for x in elements])
+                       for g in elements])
+    return group, elements
 
 
-def test_reference_fingerprints_from_matrix_oracle():
-    special = matrix_fingerprint_gf3(det_one=True)
-    full = matrix_fingerprint_gf3(det_one=False)
-    assert sum(special.values()) == 24
-    assert sum(full.values()) == 48
-    # independent enumeration in the test oracle agrees
-    assert special == gf3_fingerprint(det_one=True)
-    assert full == gf3_fingerprint(det_one=False)
-    assert special == golden.SL23_FINGERPRINT
-    # the regular representations carry the reference names; a group in
-    # neither table gets none
-    assert regular_representation(det_one=True).fingerprint().name == \
-        "SL(2,3)"
-    assert regular_representation(det_one=False).fingerprint().name == \
-        "GL(2,3)"
-    swap = PermGroup([Permutation.from_cycles([(1, 2)], 2)])
-    assert swap.fingerprint().orders == {1: 1, 2: 1}
-    assert swap.fingerprint().name is None
+def test_regular_representations_are_named():
+    special, special_matrices = regular_representation(det_one=True)
+    full, full_matrices = regular_representation(det_one=False)
+    assert special.order == 24 and full.order == 48
+    assert special.matrix_group_name(special_matrices) == "SL(2,3)"
+    assert full.matrix_group_name(full_matrices) == "GL(2,3)"
+    # right multiplication by g^-1 is a bijection too, but an
+    # anti-isomorphism: the pairing with inverses is no homomorphism
+    inverse = {m: n for m in full_matrices for n in full_matrices
+               if gf3_mul(m, n) == (1, 0, 0, 1)}
+    assert full.matrix_group_name([inverse[m] for m in full_matrices]) is None
 
 
-def test_fingerprint_identifies_permutation_models():
-    # a permutation model of the 24-element reference group: the action of
-    # the unit quaternions extended by an order-3 element, realized here by
-    # two explicit generators of the published square-root action
-    g2 = Permutation.from_cycles(golden.PERM_ORDER4, 16)
-    g3 = Permutation.from_cycles(golden.PERM_ORDER6, 16)
-    group = PermGroup([g2, g3])
-    assert group.order == 24
-    fp = group.fingerprint()
-    assert fp.name == "SL(2,3)"
-    assert fp.orders == matrix_fingerprint_gf3(det_one=True)
+ROOT_GENERATORS = (Permutation.from_cycles(golden.PERM_ORDER4, 16),
+                   Permutation.from_cycles(golden.PERM_ORDER6, 16),
+                   Permutation.from_cycles(golden.PERM_SIGMA, 16))
+ROOT_MATRICES = tuple(_gf3_residues(m) for m in (
+    catalog.ORDER4_GEN, catalog.ORDER6_GEN, catalog.SIGMA_LINEAR))
+
+
+def test_root_action_is_named_by_an_isomorphism():
+    holo = PermGroup(ROOT_GENERATORS[:2])
+    full = PermGroup(ROOT_GENERATORS)
+    assert holo.order == 24 and full.order == 48
+    assert holo.matrix_group_name(ROOT_MATRICES[:2]) == "SL(2,3)"
+    assert full.matrix_group_name(ROOT_MATRICES) == "GL(2,3)"
+    # the same two matrices the other way round pair no isomorphism
+    swapped = ROOT_MATRICES[1::-1]
+    assert holo.matrix_group_name(swapped) is None
+
+
+def _graph_order(perms, actions) -> int:
+    degree = perms[0].degree
+    return PermGroup([Permutation(p.images + tuple(k + degree
+                                                   for k in a.images))
+                      for p, a in zip(perms, actions)]).order
+
+
+def test_column_action_convention_fails_the_full_group():
+    # v -> m.v composes matrices in the opposite order to the permutation
+    # products; on columns the holomorphic pairing survives, but the full
+    # pair group grows past 48, so no isomorphism is claimed
+    rows = [gf3_vector_action(m) for m in ROOT_MATRICES]
+    columns = [gf3_vector_action(m, column=True) for m in ROOT_MATRICES]
+    assert _graph_order(ROOT_GENERATORS, rows) == 48
+    assert _graph_order(ROOT_GENERATORS, columns) > 48
+    # m acts on columns as its transpose does on rows
+    transposed = [(a, c, b, d) for a, b, c, d in ROOT_MATRICES]
+    assert [gf3_vector_action(m) for m in transposed] == columns
+    full = PermGroup(ROOT_GENERATORS)
+    assert full.matrix_group_name(transposed) is None
+    holo = PermGroup(ROOT_GENERATORS[:2])
+    assert holo.matrix_group_name(transposed[:2]) == "SL(2,3)"
+
+
+def _sympy_group(perms):
+    return PermutationGroup([SymPermutation([k - 1 for k in p.images])
+                             for p in perms])
+
+
+def test_root_groups_match_sympy_isomorphism_oracle():
+    special = _sympy_group([gf3_vector_action(m)
+                            for m in gf3_matrices(det_one=True)])
+    general = _sympy_group([gf3_vector_action(m)
+                            for m in gf3_matrices(det_one=False)])
+    assert special.order() == 24 and general.order() == 48
+    assert group_isomorphism(_sympy_group(ROOT_GENERATORS[:2]), special,
+                             isomorphism=False)
+    assert group_isomorphism(_sympy_group(ROOT_GENERATORS), general,
+                             isomorphism=False)

@@ -7,11 +7,13 @@ it; from another module that means importing it with ``from .m import name``
 and loading it, or loading ``m.name`` after ``from . import m``.  A name
 only the tests need belongs in the tests.
 
-Methods are held to the same rule, by name: a public method, property,
-classmethod or staticmethod of a class at module level counts as used when
-an attribute of that name is loaded somewhere in the package outside the
+Methods are held to the same rule: a public method, property, classmethod
+or staticmethod of a class C at module level counts as used when an
+attribute of its name is loaded somewhere in the package outside the
 method's own def, or in tests/test_acceptance.py, whose tests replay the
-published claims.  Dunders are exempt; Python calls them.
+published claims.  A load whose receiver is a package class, ``D.name``,
+counts for D's method only; any other receiver, ``x.name``, counts for
+every method of that name.  Dunders are exempt; Python calls them.
 """
 
 import ast
@@ -90,39 +92,61 @@ def test_scan_sees_definitions_and_cross_module_uses():
         assert name in definitions and name in uses
 
 
-def _attribute_loads(node) -> Counter:
-    return Counter(n.attr for n in ast.walk(node)
-                   if isinstance(n, ast.Attribute)
-                   and isinstance(n.ctx, ast.Load))
+def _attribute_loads(node, classes) -> Counter:
+    """Attribute loads in node, keyed (D, name) when the receiver is the
+    name of a class D in classes, and (None, name) otherwise."""
+    return Counter(
+        (n.value.id if isinstance(n.value, ast.Name)
+         and n.value.id in classes else None, n.attr)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
 
 
-def _method_scan():
+def _loads(counter, cls, name) -> int:
+    """The loads in counter that can reach method name of class cls."""
+    return counter[(cls, name)] + counter[(None, name)]
+
+
+def _method_scan(sources=None, claims=None):
     """(methods, package_uses, claim_uses): the public methods as
-    (module, class, name) with the number of loads of their name inside
-    their own def, and the attribute names loaded in the package and in
-    the acceptance tests."""
+    (module, class, name) with the attribute loads inside their own def,
+    and the attribute loads in the package and in the acceptance tests,
+    keyed as _attribute_loads keys them.  sources maps module names to
+    their text and claims is the text of the claim tests; they default to
+    src/hexcover and tests/test_acceptance.py."""
+    if sources is None:
+        sources = {p.stem: p.read_text("utf-8")
+                   for p in sorted(PACKAGE.glob("*.py"))}
+    if claims is None:
+        claims = ACCEPTANCE.read_text("utf-8")
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    classes = {cls.name for tree in trees.values() for cls in tree.body
+               if isinstance(cls, ast.ClassDef)}
     methods = {}
     package_uses = Counter()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text("utf-8"))
-        package_uses += _attribute_loads(tree)
+    for module, tree in trees.items():
+        package_uses += _attribute_loads(tree, classes)
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
             for stmt in cls.body:
                 if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not stmt.name.startswith("_")):
-                    methods[(path.stem, cls.name, stmt.name)] = \
-                        _attribute_loads(stmt)[stmt.name]
-    claim_uses = _attribute_loads(ast.parse(ACCEPTANCE.read_text("utf-8")))
+                    methods[(module, cls.name, stmt.name)] = \
+                        _attribute_loads(stmt, classes)
+    claim_uses = _attribute_loads(ast.parse(claims), classes)
     return methods, package_uses, claim_uses
 
 
+def _unused_methods(methods, package_uses, claim_uses):
+    return sorted(f"{m}.{c}.{name}"
+                  for (m, c, name), own in methods.items()
+                  if _loads(package_uses, c, name) == _loads(own, c, name)
+                  and not _loads(claim_uses, c, name))
+
+
 def test_every_public_method_is_used_by_the_package_or_a_claim():
-    methods, package_uses, claim_uses = _method_scan()
-    unused = sorted(f"{m}.{c}.{name}"
-                    for (m, c, name), own in methods.items()
-                    if package_uses[name] == own and not claim_uses[name])
+    unused = _unused_methods(*_method_scan())
     assert not unused, f"public methods neither the package nor an " \
         f"acceptance test uses: {unused}"
 
@@ -133,7 +157,43 @@ def test_method_scan_sees_methods_properties_and_claim_uses():
     for key in (("permgroup", "Permutation", "cycles"),
                 ("lattice", "LatticeBasis", "rank"),
                 ("permgroup", "Permutation", "identity")):
-        assert key in methods and package_uses[key[2]] > methods[key]
+        _, cls, name = key
+        assert key in methods
+        assert _loads(package_uses, cls, name) > _loads(methods[key], cls,
+                                                        name)
     # a classmethod only the published claims call
     assert ("permgroup", "Permutation", "from_cycles") in methods
-    assert not package_uses["from_cycles"] and claim_uses["from_cycles"]
+    assert not _loads(package_uses, "Permutation", "from_cycles")
+    assert _loads(claim_uses, "Permutation", "from_cycles")
+
+
+def test_method_scan_resolves_class_receivers():
+    # Permutation.identity is loaded; AffineSymmetry.identity shares the
+    # name but is never loaded, and only the class receiver tells them apart
+    sources = {
+        "permgroup": (
+            "class Permutation:\n"
+            "    @classmethod\n"
+            "    def identity(cls, degree):\n"
+            "        return cls(range(1, degree + 1))\n"
+            "\n"
+            "def trivial(degree):\n"
+            "    return Permutation.identity(degree)\n"),
+        "symmetry": (
+            "class AffineSymmetry:\n"
+            "    @classmethod\n"
+            "    def identity(cls):\n"
+            "        return cls()\n"
+            "\n"
+            "    def apply(self, v):\n"
+            "        return v\n"
+            "\n"
+            "def move(g, v):\n"
+            "    return g.apply(v)\n"),
+    }
+    scan = _method_scan(sources, claims="")
+    assert _unused_methods(*scan) == ["symmetry.AffineSymmetry.identity"]
+    # the same load through an instance reaches both, as before
+    sources["permgroup"] = sources["permgroup"].replace(
+        "Permutation.identity(degree)", "p.identity(degree)")
+    assert _unused_methods(*_method_scan(sources, claims="")) == []

@@ -10,8 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hexcover import catalog, symmetry
-from hexcover.eisenstein import (EisRat, _zeta_mul, det2, mat, mat_conj,
-                                 mat_identity, mat_mul)
+from hexcover.eisenstein import (EisRat, _gf3_residues, _zeta_mul, det2, mat,
+                                 mat_conj, mat_identity, mat_mul)
 from hexcover.lattice import (AmbientVector, ComplexLine, LatticeBasis,
                               coords_in)
 from hexcover.permgroup import PermGroup, Permutation
@@ -113,6 +113,19 @@ def test_affine_symmetry_validation():
         AffineSymmetry([[1, 0], [0, 0]])
     with pytest.raises(ValueError):
         AffineSymmetry([[1, 0, 0], [0, 1, 0]])
+
+
+def test_affine_symmetry_rejects_untyped_translation():
+    for bad in ((Fraction(1, 2), 0, 0, 0), (0.5, 0, 0, 0), None):
+        with pytest.raises(TypeError, match="AmbientVector"):
+            AffineSymmetry(mat_identity(2), translation=bad)
+
+
+def test_affine_symmetry_rejects_non_bool_antiholomorphic():
+    for bad in ("no", 0, 1, None):
+        with pytest.raises(TypeError, match="must be a bool"):
+            AffineSymmetry(mat_identity(2), bad)
+    assert AffineSymmetry(mat_identity(2), False) == IDENTITY
 
 
 def test_anti_flag_composition():
@@ -484,8 +497,9 @@ def test_holomorphic_group_structure():
     pg3 = action_on_square_roots(ORDER6_SYMMETRY, ROOTS)
     group = PermGroup([pg2, pg3])
     assert group.order == golden.HOLO_GROUP_ORDER
-    fp = group.fingerprint()
-    assert fp.name == "SL(2,3)"
+    matrices = [_gf3_residues(g.linear)
+                for g in (ORDER4_SYMMETRY, ORDER6_SYMMETRY)]
+    assert group.matrix_group_name(matrices) == "SL(2,3)"
     order2 = [p for p in group.elements() if p.order() == 2]
     assert order2 == [perm_of(golden.PERM_NEGATION)]
     orbits = group.orbits()
@@ -498,7 +512,9 @@ def test_full_group_structure():
     psigma = action_on_square_roots(ANTIHOLO_REFLECTION, ROOTS)
     group = PermGroup([pg2, pg3, psigma])
     assert group.order == golden.FULL_GROUP_ORDER
-    assert group.fingerprint().name == "GL(2,3)"
+    matrices = [_gf3_residues(g.linear) for g in
+                (ORDER4_SYMMETRY, ORDER6_SYMMETRY, ANTIHOLO_REFLECTION)]
+    assert group.matrix_group_name(matrices) == "GL(2,3)"
     orbits = group.orbits()
     assert {frozenset(o) for o in orbits} == set(golden.FULL_ORBIT_PARTITION)
 

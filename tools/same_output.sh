@@ -32,6 +32,8 @@ commands=(
     # the failure path: one corrupted check, exit status 1
     "verify-all --perturb tables.curve_form_1"
     "verify-all --perturb tables.curve_form_1 --json"
+    # the failure path of the group-name row, named from an isomorphism
+    "verify-all --perturb orbits.full_group --json"
 )
 for bound in 2 3 4 5; do
     commands+=("search-aut --bound $bound --json")
