@@ -71,6 +71,8 @@ class EisRat:
             return NotImplemented
         return EisRat(self.a + o.a, self.b + o.b)
 
+    __radd__ = __add__
+
     def __sub__(self, other: object) -> "EisRat":
         o = self._coerce(other)
         if o is None:

@@ -49,15 +49,6 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         return cls(range(1, degree + 1))
 
-    @classmethod
-    def from_cycles(cls, cycles, degree: int) -> "Permutation":
-        images = list(range(1, degree + 1))
-        for cycle in cycles:
-            c = tuple(cycle)
-            for a, b in zip(c, c[1:] + c[:1]):
-                images[a - 1] = b
-        return cls(images)
-
     @property
     def degree(self) -> int:
         return len(self.images)

@@ -1,4 +1,13 @@
-"""Frozen expected values shared by the test suite.
+"""Expected values shared by the test suite.
+
+The rule: a value that a CLI check carries is read from EXPECTED, the
+packaged expected_values.json, and is entered nowhere else in the tests.
+This module holds, besides that loader, only published data that no check
+carries: the lattice bases, the published kernel bases, the curve lattices
+and directions, the pfaffians, the order-2 signs, the torsion parity sets,
+the semicharacter signs and closed forms, the square-root exponents, the
+rational representations, the tangent data and the product-quotient cases
+beyond the one the CLI checks.
 
 Conventions used throughout:
 
@@ -15,7 +24,16 @@ Conventions used throughout:
   ordered basis (l1, l2, u1, u2) with l1 = zeta*u1, l2 = zeta*u2.
 """
 
+import json
 from fractions import Fraction as F
+from importlib import resources
+
+# The expected-values file the CLI diffs against, and its check_id ->
+# expected map.  JSON values: lists for tuples, cycle notation for
+# permutations, sorted lists for orbit partitions.
+EXPECTED_FILE = json.loads(resources.files("hexcover").joinpath(
+    "expected_values.json").read_text("utf-8"))
+EXPECTED = {r["check_id"]: r["expected"] for r in EXPECTED_FILE["checks"]}
 
 # --- lattice bases, in ambient coordinates (rows are basis vectors) --------
 
@@ -61,33 +79,15 @@ CURVE_DIRECTIONS = (
     ((1, 0), (0, 1)),
 )
 
-# --- hermitian forms -------------------------------------------------------
+# --- pfaffians --------------------------------------------------------------
 
-# Scaled matrices M = sqrt(3)*H for the four curve bundles and their sum.
-# Entries are (a, b) pairs.
-CURVE_FORM_MATRICES = (
-    (((0, 0), (0, 0)), ((0, 0), (2, 0))),
-    (((2, 0), (0, 0)), ((0, 0), (0, 0))),
-    (((2, 0), (-2, 0)), ((-2, 0), (2, 0))),
-    (((2, 0), (0, -2)), ((-2, 2), (2, 0))),
-)
-SUM_FORM_MATRIX = (((6, 0), (-2, -2)), ((-4, 2), (6, 0)))
-PRINCIPAL_FORM_MATRIX = (((2, 0), (0, 0)), ((0, 0), (2, 0)))
-
-# Upper triangle (E12, E13, E14, E23, E24, E34) of Im h on the stated basis.
-BRANCH_ALT_UPPER_PRODUCT = (-1, 3, -2, -1, 3, -1)   # sum form on PRODUCT_BASIS
-BRANCH_ALT_UPPER_COVER = (-4, 0, -2, -6, -4, 6)     # sum form on COVER_BASIS
-
-# Oriented pfaffians and self-intersection numbers.
+# Oriented pfaffians of Im h: the branch form on the product and the cover
+# lattice, and the principal polarization on the product lattice; and the
+# branch self-intersection on the product surface.
 PF_PRODUCT = 6
-SELF_INT_PRODUCT = 12
 PF_COVER = 12
-SELF_INT_COVER = 24
 PF_PRINCIPAL_PRODUCT = 1
-
-# Witness for 2-divisibility on the first kernel lattice: the value of
-# Im h at (l1+u2, l2+u2) is even.
-TWO_DIVISIBILITY_WITNESS = -6
+SELF_INT_PRODUCT = 12
 
 # --- order-2 characters of the product lattice ----------------------------
 
@@ -110,13 +110,6 @@ ORDER_TWO_SIGNS = (
     (-1, -1, 1, 1),
     (-1, -1, -1, -1),
 )
-
-# Indices of the characters that restrict nontrivially to every curve
-# lattice and whose kernel makes the branch class 2-divisible.
-SELECTED_CHARACTERS = (1, 2, 3)
-
-# Number of 2-torsion points of the product surface lying on no curve.
-TORSION_LEFTOVER = 3
 
 # Nonzero 2-torsion points on each curve, as parity vectors of half lattice
 # vectors in the basis (l1, l2, u1, u2).
@@ -182,26 +175,6 @@ SQUARE_ROOT_EXPONENTS = (
 
 # --- symmetries of the cover surface ---------------------------------------
 
-# Analytic matrices in the standard frame (u1, u2); entries are (a, b) pairs.
-ORDER4_GEN = (((0, 1), (-1, 0)), ((0, 1), (0, -1)))          # order-4 generator
-ORDER6_GEN = (((0, 0), (-1, 1)), ((1, -1), (-1, 1)))         # order-6 generator
-GAMMA_GEN = (((0, -1), (1, 0)), ((0, 0), (1, 0)))            # order-3, product surface
-
-# Anti-holomorphic generator v -> S * conj(v) in the standard frame.
-SIGMA_LINEAR = (((0, 0), (-1, 1)), ((-1, 1), (0, 0)))
-
-# The same map written in the cover frame (w1, w2) = (u1, zeta*u1 + u2).
-SIGMA_LINEAR_COVER_FRAME = (((1, 0), (0, 0)), ((-1, 1), (0, 1)))
-
-# Base change N from the cover frame to the standard frame, and the search
-# normal forms of the two generators in the cover frame.
-FRAME_SHEAR = (((1, 0), (0, 1)), ((0, 0), (1, 0)))
-TILTED_ORDER4 = (((1, 0), (-2, 2)), ((0, 1), (-1, 0)))
-TILTED_ORDER6 = (((-1, 0), (0, 0)), ((1, -1), (0, 1)))
-
-# Nonzero base point of the branch divisor: zeta*u1, in ambient coordinates.
-BRANCH_BASE_POINT = (0, 1, 0, 0)
-
 # Matrices whose columns are the images of the cover basis vectors under
 # the order-4 generator and the anti-holomorphic generator, written in
 # cover-basis coordinates.
@@ -219,49 +192,21 @@ RATIONAL_REP_SIGMA = (
 )
 
 # Tangent directions of the four curves in the cover frame, as projective
-# points, and their cross-ratio.
+# points.
 TANGENT_POINTS_COVER_FRAME = (
     ((1, 0), (0, 0)),
     ((0, -1), (1, 0)),
     ((1, -1), (1, 0)),
     ((1, -2), (1, 0)),
 )
-CROSS_RATIO = (1, -1)  # 1 - zeta = zeta**-1
 
 # Permutation induced on the four tangent directions (cycles, 1-indexed).
 TANGENT_PERM_ORDER4 = ((1, 3), (2, 4))
 TANGENT_PERM_ORDER6 = ((1, 2, 3),)
 TANGENT_PERM_SIGMA = ((1, 2),)
 
-# --- permutation action on the sixteen square roots ------------------------
-
-PERM_ORDER4 = ((1, 13, 7, 12), (2, 9, 14, 16), (3, 5, 15, 6), (4, 11, 8, 10))
-PERM_ORDER6 = ((1, 13, 5, 7, 12, 6), (2, 4, 11, 14, 8, 10), (3, 15), (9, 16))
-PERM_NEGATION = ((1, 7), (2, 14), (3, 15), (4, 8), (5, 6), (9, 16), (10, 11),
-                 (12, 13))
-PERM_SIGMA = ((1, 14), (2, 7), (3, 16), (4, 5), (6, 8), (9, 15), (10, 12),
-              (11, 13))
-
-HOLO_ORBIT_PARTITION = (
-    frozenset({1, 3, 5, 6, 7, 12, 13, 15}),
-    frozenset({2, 4, 8, 9, 10, 11, 14, 16}),
-)
-FULL_ORBIT_PARTITION = (frozenset(range(1, 17)),)
-
-HOLO_GROUP_ORDER = 24
-FULL_GROUP_ORDER = 48
-
-# Cycle induced on the three selected characters by the order-3 symmetry
-# of the product surface (1 -> 3 -> 2 -> 1).
-GAMMA_CHARACTER_CYCLE = (1, 3, 2)
-
 # --- numerical invariants --------------------------------------------------
 
-RESOLUTION_INVARIANTS = {
-    (8, (3,)): (1, 8),
-    (6, (2, 2)): (1, 8),
-    (2, ()): (1, 4),
-}
-DOUBLE_COVER_INVARIANTS = {(24, 2): (1, 8), (8, 0): (1, 4)}
-PRODUCT_QUOTIENT_INVARIANTS = {(3, 4): (1, 8), (2, 1): (1, 8), (5, 16): (1, 8)}
-BALL_QUOTIENT_IDENTITY = 12
+# Product-quotient cases beyond the CLI's (genus 3, group order 4):
+# (genus, group order) -> (chi, K^2).
+PRODUCT_QUOTIENT_INVARIANTS = {(2, 1): (1, 8), (5, 16): (1, 8)}

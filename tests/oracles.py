@@ -27,8 +27,10 @@ vector of the product lattice, which the package never does: it
 evaluates characters on integer lattice coordinates.
 symmetric_semichar_from_multiplicities is the paper's rule for the
 semicharacter of a symmetric divisor, checked against the branch bundle.
-hnf_index, is_unit, mat_scale and perm_inverse are one-line stand-ins for
-package helpers that only the tests called.  restricts_nontrivially is the
+hnf_index, is_unit, mat_scale, perm_inverse and perm_from_cycles are short
+stand-ins for package helpers that only the tests called; parse_cycles
+reads a permutation's cycle notation, as the expected values file writes
+it, back into cycles.  restricts_nontrivially is the
 restriction test on the generators of a curve lattice, which the
 classification replaced by the 2-torsion incidence it reads off the curve
 maps.
@@ -36,6 +38,7 @@ maps.
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import sympy
@@ -70,14 +73,6 @@ def sympy_rref(rows):
     reduced, pivots = m.rref()
     return ([[Fraction(str(x)) for x in reduced.row(i)]
              for i in range(reduced.rows)], list(pivots))
-
-
-def sympy_solve_integral(basis_rows, target) -> bool:
-    """True iff target is an integer combination of the basis rows."""
-    a = sympy.Matrix([[sympy.Rational(x) for x in row] for row in basis_rows]).T
-    b = sympy.Matrix([sympy.Rational(x) for x in target])
-    sol = a.solve(b)
-    return all(s.is_integer for s in sol)
 
 
 def sympy_coords(basis_rows, target):
@@ -447,6 +442,27 @@ def perm_inverse(p):
     from hexcover.permgroup import Permutation
 
     return Permutation(sorted(range(1, p.degree + 1), key=p))
+
+
+def perm_from_cycles(cycles, degree: int):
+    """The Permutation of 1..degree with the given cycles, each a sequence
+    of ints; the points in no cycle are fixed."""
+    from hexcover.permgroup import Permutation
+
+    images = list(range(1, degree + 1))
+    for cycle in cycles:
+        c = tuple(cycle)
+        for a, b in zip(c, c[1:] + c[:1]):
+            images[a - 1] = b
+    return Permutation(images)
+
+
+def parse_cycles(text: str) -> tuple:
+    """The cycles of a permutation written in cycle notation, such as
+    "(1 13 7 12)(2 9)", as tuples of ints; "()" has none."""
+    return tuple(tuple(int(k) for k in body.split())
+                 for body in re.findall(r"\(([^()]*)\)", text)
+                 if body.strip())
 
 
 def maps_equal(g, h, basis) -> bool:

@@ -20,7 +20,7 @@ from hexcover.appell_humbert import (
 )
 from hexcover.eisenstein import ZETA, EisRat, _gf3_residues, inv2, mat, mat_mul
 from hexcover.lattice import AmbientVector, LatticeBasis, hnf
-from hexcover.permgroup import PermGroup, Permutation
+from hexcover.permgroup import PermGroup
 from hexcover.surface_invariants import (
     SingularityProfile,
     ball_quotient_check,
@@ -50,17 +50,15 @@ from hexcover.torsion_covers import (
 
 import golden
 import oracles
+from golden import EXPECTED
 
 # the hermitian forms of the four curve bundles
 CURVE_FORMS = tuple(bundle.form for bundle in catalog.CURVE_BUNDLES)
 
 
 def _pairs(matrix):
-    return tuple(tuple((x.a, x.b) for x in row) for row in matrix)
-
-
-def _eis_matrix(pairs):
-    return mat([[EisRat(*entry) for entry in row] for row in pairs])
+    """A Q(zeta) matrix as the expected values are written: [a, b] lists."""
+    return [[[x.a, x.b] for x in row] for row in matrix]
 
 
 def _sign_of(exponent: Fraction) -> int:
@@ -71,16 +69,17 @@ def _sign_of(exponent: Fraction) -> int:
 
 def test_criterion_1_intersection_tables():
     product = im_on_lattice(catalog.SUM_FORM, catalog.PRODUCT_LATTICE)
-    assert product.upper_triangle() == golden.BRANCH_ALT_UPPER_PRODUCT
+    assert list(product.upper_triangle()) == \
+        EXPECTED["tables.branch_alt_product"]
     cover = im_on_lattice(catalog.SUM_FORM, catalog.COVER_LATTICE)
-    assert cover.upper_triangle() == golden.BRANCH_ALT_UPPER_COVER
+    assert list(cover.upper_triangle()) == EXPECTED["tables.branch_alt_cover"]
     print("criterion 1: PASS")
 
 
 def test_criterion_2_hermitian_classes():
-    for form, expected in zip(CURVE_FORMS, golden.CURVE_FORM_MATRICES):
-        assert _pairs(form.matrix) == expected
-    assert _pairs(catalog.SUM_FORM.matrix) == golden.SUM_FORM_MATRIX
+    for k, form in enumerate(CURVE_FORMS, start=1):
+        assert _pairs(form.matrix) == EXPECTED[f"tables.curve_form_{k}"]
+    assert _pairs(catalog.SUM_FORM.matrix) == EXPECTED["tables.branch_form_sum"]
     for a1, a2, a3, a4 in itertools.product((0, 1), repeat=4):
         v = AmbientVector((a1, a2, a3, a4))
         branch_sign = _sign_of(catalog.BRANCH_PRODUCT.character.eval(v))
@@ -94,10 +93,11 @@ def test_criterion_2_hermitian_classes():
 def test_criterion_3_character_classification():
     outcome = classify_characters()
     chars = all_characters()
-    assert outcome.selected == golden.SELECTED_CHARACTERS
+    selected = EXPECTED["characters.selected"]
+    assert list(outcome.selected) == selected
     curves = [LatticeBasis.from_rows(rows) for rows in golden.CURVE_LATTICES]
     for k in range(1, 16):
-        wanted = k in golden.SELECTED_CHARACTERS
+        wanted = k in selected
         assert check_2divisible(chars[k]) == wanted
         assert all(oracles.restricts_nontrivially(chars[k], c)
                    for c in curves) == wanted
@@ -107,19 +107,20 @@ def test_criterion_3_character_classification():
         assert computed == published
     witness = catalog.SUM_FORM.im_value(AmbientVector((0, 1, 1, 0)),
                                         AmbientVector((0, 0, 1, 1)))
-    assert witness == golden.TWO_DIVISIBILITY_WITNESS
-    assert outcome.leftover_count == golden.TORSION_LEFTOVER
+    assert witness == EXPECTED["characters.witness_parity"]
+    assert outcome.leftover_count == EXPECTED["characters.leftover_torsion"]
     print("criterion 3: PASS")
 
 
 def test_criterion_4_square_roots():
     roots = square_roots(catalog.BRANCH_COVER)
-    assert len(roots) == 16
+    assert len(roots) == EXPECTED["orbits.root_count"]
     assert [root.character.exponents for root in roots] == \
         list(golden.SQUARE_ROOT_EXPONENTS)
     for root in roots:
         assert tensor(root, root) == catalog.BRANCH_COVER
-    assert square_roots(catalog.BRANCH_PRODUCT) == []
+    assert len(square_roots(catalog.BRANCH_PRODUCT)) == \
+        EXPECTED["orbits.product_root_count"]
     print("criterion 4: PASS")
 
 
@@ -131,34 +132,32 @@ def test_criterion_5_symmetry_group():
     rational_rep(ORDER6_SYMMETRY, catalog.COVER_LATTICE)
     assert verify_presentation(ORDER4_SYMMETRY, ORDER6_SYMMETRY)
     ratio = cross_ratio(*catalog.CURVE_LINES)
-    assert (ratio.a, ratio.b) == golden.CROSS_RATIO
+    assert [ratio.a, ratio.b] == EXPECTED["search.cross_ratio"]
     assert ratio * ZETA == 1
     found = search_generators(3)
-    assert len(found) == 4
-    tilted4 = _eis_matrix(golden.TILTED_ORDER4)
-    tilted6 = _eis_matrix(golden.TILTED_ORDER6)
-    wanted = set()
-    for m in (tilted4, tilted6):
-        wanted.add(_pairs(m))
-        wanted.add(_pairs(oracles.mat_scale(-1, m)))
-    assert {_pairs(g.linear) for g in found} == wanted
+    assert len(found) == EXPECTED["search.candidate_count"]
+    assert sorted(_pairs(g.linear) for g in found) == \
+        EXPECTED["search.tilted_matrices"]
     shear = catalog.FRAME_SHEAR
     shear_inv = inv2(shear)
-    assert mat_mul(mat_mul(shear, tilted4), shear_inv) == catalog.ORDER4_GEN
-    assert mat_mul(mat_mul(shear, tilted6), shear_inv) == catalog.ORDER6_GEN
+    conjugates = [_pairs(mat_mul(mat_mul(shear, g.linear), shear_inv))
+                  for g in found]
+    assert sorted(conjugates) == EXPECTED["search.ambient_conjugates"]
+    # back in the standard frame, the candidates include both generators
+    assert _pairs(catalog.ORDER4_GEN) in conjugates
+    assert _pairs(catalog.ORDER6_GEN) in conjugates
     print("criterion 5: PASS")
 
 
 def test_criterion_6_root_permutations():
     roots = square_roots(catalog.BRANCH_COVER)
-    for symmetry, cycles in (
-            (ORDER4_SYMMETRY, golden.PERM_ORDER4),
-            (ORDER6_SYMMETRY, golden.PERM_ORDER6),
-            (NEGATION, golden.PERM_NEGATION),
-            (BASE_POINT_SWAP, golden.PERM_NEGATION),
-            (ANTIHOLO_REFLECTION, golden.PERM_SIGMA)):
+    for symmetry, name in ((ORDER4_SYMMETRY, "order4"),
+                           (ORDER6_SYMMETRY, "order6"),
+                           (NEGATION, "negation"),
+                           (BASE_POINT_SWAP, "translation"),
+                           (ANTIHOLO_REFLECTION, "reflection")):
         computed = action_on_square_roots(symmetry, roots)
-        assert computed == Permutation.from_cycles(cycles, 16)
+        assert str(computed) == EXPECTED[f"orbits.perm_{name}"]
     print("criterion 6: PASS")
 
 
@@ -169,33 +168,39 @@ def test_criterion_7_orbit_theorem():
     p_reflection = action_on_square_roots(ANTIHOLO_REFLECTION, roots)
     holo = PermGroup([p_order4, p_order6])
     full = PermGroup([p_order4, p_order6, p_reflection])
-    assert holo.order == golden.HOLO_GROUP_ORDER
-    assert full.order == golden.FULL_GROUP_ORDER
+    assert holo.order == EXPECTED["orbits.holo_order"]
+    assert full.order == EXPECTED["orbits.full_order"]
     # the linear parts modulo 1 + zeta give an explicit isomorphism onto
     # the matrix groups over the 3-element field
     matrices = [_gf3_residues(g.linear) for g in
                 (ORDER4_SYMMETRY, ORDER6_SYMMETRY, ANTIHOLO_REFLECTION)]
-    assert holo.matrix_group_name(matrices[:2]) == "SL(2,3)"
-    assert full.matrix_group_name(matrices) == "GL(2,3)"
-    assert tuple(frozenset(o) for o in holo.orbits()) == \
-        golden.HOLO_ORBIT_PARTITION
-    assert tuple(frozenset(o) for o in full.orbits()) == \
-        golden.FULL_ORBIT_PARTITION
+    assert holo.matrix_group_name(matrices[:2]) == EXPECTED["orbits.holo_group"]
+    assert full.matrix_group_name(matrices) == EXPECTED["orbits.full_group"]
+    assert sorted(sorted(o) for o in holo.orbits()) == \
+        EXPECTED["orbits.holo_partition"]
+    assert sorted(sorted(o) for o in full.orbits()) == \
+        EXPECTED["orbits.full_partition"]
     print("criterion 7: PASS")
 
 
 def test_criterion_8_numerical_invariants():
-    assert tuple(resolution_invariants(SingularityProfile(8, [3]))) == (1, 8)
-    assert tuple(resolution_invariants(SingularityProfile(6, [2, 2]))) == (1, 8)
-    cases = [(c.label, c.d2) for c in enumerate_branch_profiles()]
-    assert cases == [("I", 32), ("II", 24)]
-    cover_branch = SingularityProfile(golden.SELF_INT_COVER // 4, [2, 2])
-    assert tuple(resolution_invariants(cover_branch)) == (1, 8)
+    for check_id, profile in (
+            ("invariants.resolution_sextuple", SingularityProfile(8, [3])),
+            ("invariants.resolution_quadruples",
+             SingularityProfile(6, [2, 2]))):
+        assert list(resolution_invariants(profile)) == EXPECTED[check_id]
+    cases = enumerate_branch_profiles()
+    assert [c.label for c in cases] == EXPECTED["invariants.branch_labels"]
+    assert [c.d2 for c in cases] == EXPECTED["invariants.branch_degrees"]
+    square = EXPECTED["invariants.cover_branch_square"]
+    cover_branch = SingularityProfile(square // 4, [2, 2])
+    assert list(resolution_invariants(cover_branch)) == \
+        EXPECTED["invariants.double_cover"]
     assert ball_quotient_check()
     assert not ball_quotient_check(k2=9)
     rotation = gamma_action_on_sigma()
-    assert rotation.order() == 3
-    assert rotation == Permutation.from_cycles((golden.GAMMA_CHARACTER_CYCLE,), 3)
+    assert rotation.order() == EXPECTED["search.rotation_order"]
+    assert str(rotation) == EXPECTED["search.rotation_cycle"]
     print("criterion 8: PASS")
 
 
@@ -211,7 +216,8 @@ def test_criterion_9_cross_module_consistency():
                                           catalog.COVER_LATTICE)
             assert pairing == (0 if i == j else 2)
     assert intersection_number(catalog.SUM_FORM, catalog.SUM_FORM,
-                               catalog.COVER_LATTICE) == golden.SELF_INT_COVER
+                               catalog.COVER_LATTICE) == \
+        EXPECTED["invariants.cover_branch_square"]
     principal = HermitianForm([[2, 0], [0, 2]])
     assert pfaffian(im_on_lattice(principal, catalog.PRODUCT_LATTICE)) == \
         golden.PF_PRINCIPAL_PRODUCT
@@ -231,7 +237,7 @@ def test_criterion_9_cross_module_consistency():
                   for _ in range(2)] for _ in range(2)])
         g = mat([[EisRat(rng.randint(-1, 1), rng.randint(-1, 1))
                   for _ in range(2)] for _ in range(2)])
-        fg = mat([[sum((f[i][k] * g[k][j] for k in range(2)), EisRat(0))
+        fg = mat([[sum(f[i][k] * g[k][j] for k in range(2))
                    for j in range(2)] for i in range(2)])
         assert pullback_hom(pullback_hom(bundle, f, lat), g, lat) == \
             pullback_hom(bundle, fg, lat)

@@ -32,6 +32,7 @@ from hexcover.eisenstein import ZETA, EisRat, mat, mat_identity
 from hexcover.lattice import AmbientVector, LatticeBasis, RankMismatch
 
 import golden
+from golden import EXPECTED
 from oracles import (
     FractionSemicharacter,
     cocycle_eval_left,
@@ -78,10 +79,10 @@ def test_hermitian_constructor_rejects_asymmetric():
 
 
 def test_curve_bundle_forms_match_published_matrices():
-    for bundle, pairs in zip(catalog.CURVE_BUNDLES,
-                             golden.CURVE_FORM_MATRICES):
-        assert bundle.form == _form_matrix(pairs)
-    assert catalog.BRANCH_PRODUCT.form == _form_matrix(golden.SUM_FORM_MATRIX)
+    for k, bundle in enumerate(catalog.CURVE_BUNDLES, start=1):
+        assert bundle.form == _form_matrix(EXPECTED[f"tables.curve_form_{k}"])
+    assert catalog.BRANCH_PRODUCT.form == \
+        _form_matrix(EXPECTED["tables.branch_form_sum"])
 
 
 def test_curve_characters_match_closed_forms():
@@ -110,11 +111,10 @@ def test_branch_character_matches_closed_form_on_16_parities():
 
 def test_branch_alt_form_tables():
     alt = catalog.BRANCH_PRODUCT.character.form
-    assert alt.upper_triangle() == tuple(
-        Fraction(x) for x in golden.BRANCH_ALT_UPPER_PRODUCT)
+    assert list(alt.upper_triangle()) == EXPECTED["tables.branch_alt_product"]
     alt_cover = catalog.BRANCH_COVER.character.form
-    assert alt_cover.upper_triangle() == tuple(
-        Fraction(x) for x in golden.BRANCH_ALT_UPPER_COVER)
+    assert list(alt_cover.upper_triangle()) == \
+        EXPECTED["tables.branch_alt_cover"]
 
 
 def test_alt_form_constructor_validates_skewness():
@@ -148,17 +148,18 @@ def test_pfaffians_and_self_intersections():
     assert intersection_number(catalog.SUM_FORM, catalog.SUM_FORM,
                                catalog.PRODUCT_LATTICE) == golden.SELF_INT_PRODUCT
     assert intersection_number(catalog.SUM_FORM, catalog.SUM_FORM,
-                               catalog.COVER_LATTICE) == golden.SELF_INT_COVER
+                               catalog.COVER_LATTICE) == \
+        EXPECTED["invariants.cover_branch_square"]
 
 
 def test_pfaffian_oracle_cross_check():
     # the raw three-term expansion of the frozen table, oriented by the
     # sign of the ambient coordinate determinant (computed via sympy)
-    raw = pfaffian4_from_upper(golden.BRANCH_ALT_UPPER_PRODUCT)
+    raw = pfaffian4_from_upper(EXPECTED["tables.branch_alt_product"])
     det = sympy_det(golden.PRODUCT_BASIS)
     sign = 1 if det > 0 else -1
     assert sign * raw == golden.PF_PRODUCT
-    raw_cover = pfaffian4_from_upper(golden.BRANCH_ALT_UPPER_COVER)
+    raw_cover = pfaffian4_from_upper(EXPECTED["tables.branch_alt_cover"])
     det_cover = sympy_det(golden.COVER_BASIS)
     sign_cover = 1 if det_cover > 0 else -1
     assert sign_cover * raw_cover == golden.PF_COVER
@@ -394,12 +395,12 @@ def test_multiplicity_rule_reproduces_branch_character():
 
 def test_square_roots_of_cover_branch_match_printed_list():
     roots = ROOTS
-    assert len(roots) == 16
+    assert len(roots) == EXPECTED["orbits.root_count"]
     for root, expected in zip(roots, golden.SQUARE_ROOT_EXPONENTS):
         assert root.character.exponents == expected
         assert root.form == catalog.SUM_FORM.scaled(Fraction(1, 2))
     # pairwise distinct, squares agree, quotients are +-1 characters
-    assert len(set(roots)) == 16
+    assert len(set(roots)) == len(roots)
     for root in roots:
         assert tensor(root, root) == catalog.BRANCH_COVER
     base = roots[0]
@@ -411,7 +412,7 @@ def test_square_roots_of_cover_branch_match_printed_list():
 
 def test_square_roots_empty_on_product_surface():
     assert square_roots(catalog.BRANCH_PRODUCT) == []
-    assert any(x % 2 for x in golden.BRANCH_ALT_UPPER_PRODUCT)
+    assert any(x % 2 for x in EXPECTED["tables.branch_alt_product"])
 
 
 def test_square_roots_of_trivial_bundle():

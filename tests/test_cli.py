@@ -4,7 +4,6 @@ import os
 import shutil
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -16,9 +15,9 @@ except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli
 
 from hexcover import cli, torsion_covers
 from hexcover.cli import main
-from hexcover.lattice import LatticeBasis, hnf
 
 import golden
+from golden import EXPECTED
 
 SECTION_COMMANDS = {
     "tables": "tables",
@@ -34,117 +33,14 @@ def run_cli(capsys, *args):
     return code, capsys.readouterr().out
 
 
-def _perm_str(cycles):
-    if not cycles:
-        return "()"
-    return "".join("(" + " ".join(str(i) for i in c) + ")" for c in cycles)
-
-
-def _eis_mat(pairs):
-    return [[[int(a), int(b)] for (a, b) in row] for row in pairs]
-
-
-def _neg_mat(pairs):
-    return [[[-int(a), -int(b)] for (a, b) in row] for row in pairs]
-
-
-def _int_rows(rows):
-    return [[int(x) for x in row] for row in rows]
-
-
-def expected_mapping():
-    product = LatticeBasis.from_rows(golden.PRODUCT_BASIS)
-    kernels = {k: _int_rows(hnf(LatticeBasis.from_rows(rows), product))
-               for k, rows in golden.KERNEL_BASIS_PUBLISHED.items()}
-    mapping = {
-        "tables.branch_alt_product": list(golden.BRANCH_ALT_UPPER_PRODUCT),
-        "tables.branch_alt_cover": list(golden.BRANCH_ALT_UPPER_COVER),
-        "tables.branch_form_sum": _eis_mat(golden.SUM_FORM_MATRIX),
-        "characters.selected": list(golden.SELECTED_CHARACTERS),
-        "characters.divisible_flags":
-            [k in golden.SELECTED_CHARACTERS for k in range(1, 16)],
-        "characters.witness_parity": golden.TWO_DIVISIBILITY_WITNESS,
-        "characters.curve_torsion_counts":
-            [len(s) for s in golden.CURVE_TORSION_PARITIES],
-        "characters.covered_torsion":
-            len(set().union(*golden.CURVE_TORSION_PARITIES)),
-        "characters.leftover_torsion": golden.TORSION_LEFTOVER,
-        "orbits.root_count": len(golden.SQUARE_ROOT_EXPONENTS),
-        "orbits.product_root_count": 0,
-        "orbits.perm_order4": _perm_str(golden.PERM_ORDER4),
-        "orbits.perm_order6": _perm_str(golden.PERM_ORDER6),
-        "orbits.perm_negation": _perm_str(golden.PERM_NEGATION),
-        "orbits.perm_translation": _perm_str(golden.PERM_NEGATION),
-        "orbits.perm_reflection": _perm_str(golden.PERM_SIGMA),
-        "orbits.holo_order": golden.HOLO_GROUP_ORDER,
-        "orbits.holo_group": "SL(2,3)",
-        "orbits.holo_partition":
-            [sorted(s) for s in golden.HOLO_ORBIT_PARTITION],
-        "orbits.full_order": golden.FULL_GROUP_ORDER,
-        "orbits.full_group": "GL(2,3)",
-        "orbits.full_partition":
-            [sorted(s) for s in golden.FULL_ORBIT_PARTITION],
-        "orbits.conclusion": "2 surfaces up to isomorphism, 1 up to conjugation",
-        "invariants.resolution_sextuple":
-            list(golden.RESOLUTION_INVARIANTS[(8, (3,))]),
-        "invariants.resolution_quadruples":
-            list(golden.RESOLUTION_INVARIANTS[(6, (2, 2))]),
-        "invariants.smooth_baseline":
-            list(golden.RESOLUTION_INVARIANTS[(2, ())]),
-        "invariants.branch_labels": ["I", "II"],
-        "invariants.branch_degrees": [32, 24],
-        "invariants.branch_descriptions":
-            ["one ordinary singular point of multiplicity 6",
-             "two ordinary singular points of multiplicity 4"],
-        "invariants.cover_branch_square": golden.SELF_INT_COVER,
-        "invariants.double_cover":
-            list(golden.DOUBLE_COVER_INVARIANTS[(24, 2)]),
-        "invariants.smooth_double_cover":
-            list(golden.DOUBLE_COVER_INVARIANTS[(8, 0)]),
-        "invariants.product_quotient":
-            list(golden.PRODUCT_QUOTIENT_INVARIANTS[(3, 4)]),
-        "invariants.ball_quotient": True,
-        "search.candidate_count": 4,
-        "search.tilted_matrices": sorted(
-            [_eis_mat(golden.TILTED_ORDER4), _neg_mat(golden.TILTED_ORDER4),
-             _eis_mat(golden.TILTED_ORDER6), _neg_mat(golden.TILTED_ORDER6)]),
-        "search.ambient_conjugates": sorted(
-            [_eis_mat(golden.ORDER4_GEN), _neg_mat(golden.ORDER4_GEN),
-             _eis_mat(golden.ORDER6_GEN), _neg_mat(golden.ORDER6_GEN)]),
-        "search.presentation": True,
-        "search.reflection_in_sheared_frame":
-            _eis_mat(golden.SIGMA_LINEAR_COVER_FRAME),
-        "search.cross_ratio": [int(x) for x in golden.CROSS_RATIO],
-        "search.rotation_order": 3,
-        "search.rotation_cycle": _perm_str((golden.GAMMA_CHARACTER_CYCLE,)),
-    }
-    for k, matrix in enumerate(golden.CURVE_FORM_MATRICES, start=1):
-        mapping[f"tables.curve_form_{k}"] = _eis_mat(matrix)
-    for k in golden.SELECTED_CHARACTERS:
-        mapping[f"characters.kernel_hnf_{k}"] = kernels[k]
-    return mapping
-
-
-def load_expected_file():
-    text = resources.files("hexcover").joinpath(
-        "expected_values.json").read_text("utf-8")
-    return json.loads(text)
-
-
-def test_expected_file_is_pinned_to_the_golden_constants():
-    data = load_expected_file()
-    assert data["version"] == 1
-    records = data["checks"]
+def test_expected_file_has_one_record_per_check():
+    assert golden.EXPECTED_FILE["version"] == 1
+    records = golden.EXPECTED_FILE["checks"]
     ids = [r["check_id"] for r in records]
-    assert len(ids) == len(set(ids)) == 49
+    assert len(ids) == len(set(ids)) == len(EXPECTED) == 49
     assert all(isinstance(r["anchor"], str) and r["anchor"] for r in records)
     sections = list(dict.fromkeys(i.split(".", 1)[0] for i in ids))
     assert sections == ["tables", "characters", "orbits", "invariants", "search"]
-    mapping = expected_mapping()
-    assert set(mapping) == set(ids)
-    for record in records:
-        assert record["expected"] == mapping[record["check_id"]], \
-            record["check_id"]
 
 
 def test_verify_all_passes(capsys):
@@ -160,14 +56,13 @@ def test_each_section_runs_its_slice_of_the_file(section, capsys):
     code, out = run_cli(capsys, SECTION_COMMANDS[section], "--json")
     assert code == 0
     rows = json.loads(out)["checks"]
-    file_ids = [r["check_id"] for r in load_expected_file()["checks"]
-                if r["check_id"].split(".", 1)[0] == section]
+    file_ids = [i for i in EXPECTED if i.split(".", 1)[0] == section]
     assert [r["check_id"] for r in rows] == file_ids
     for row in rows:
         assert set(row) == {"check_id", "anchor", "expected", "computed",
                             "status"}
         assert row["status"] == "pass"
-        assert row["computed"] == row["expected"]
+        assert row["computed"] == row["expected"] == EXPECTED[row["check_id"]]
 
 
 @pytest.mark.parametrize("command,check_id", [
@@ -190,8 +85,9 @@ def test_perturb_text_mode_shows_the_diff(capsys):
                         "characters.leftover_torsion")
     assert code == 1
     assert "FAIL  characters.leftover_torsion" in out
-    assert "expected: 3" in out
-    assert "computed: 4" in out
+    leftover = EXPECTED["characters.leftover_torsion"]
+    assert f"expected: {leftover}" in out
+    assert f"computed: {leftover + 1}" in out
     assert out.splitlines()[-1] == "9 checks: 8 passed, 1 failed"
 
 

@@ -108,6 +108,11 @@ def test_ring_axioms(x, y, z):
     assert (x + y).conjugate() == x.conjugate() + y.conjugate()
 
 
+@given(st.one_of(st.integers(-30, 30), rationals), eisrats)
+def test_rational_plus_eisrat_commutes(x, e):
+    assert x + e == e + x == EisRat(x) + e
+
+
 def test_ring_axioms_bulk_random():
     rng = random.Random(20260822)
     for _ in range(10_000):

@@ -17,8 +17,9 @@ from hexcover.permgroup import (
     Permutation,
 )
 
-import golden
-from oracles import gf3_matrices, gf3_mul, gf3_vector_action, perm_inverse
+from golden import EXPECTED
+from oracles import (gf3_matrices, gf3_mul, gf3_vector_action, parse_cycles,
+                     perm_from_cycles, perm_inverse)
 
 
 def test_permutation_validation():
@@ -57,7 +58,7 @@ def test_product_equals_validated_permutation(pair):
 
 
 def test_str_is_cycle_notation():
-    p = Permutation.from_cycles([(3, 1), (2, 5, 4)], 6)
+    p = perm_from_cycles([(3, 1), (2, 5, 4)], 6)
     assert str(p) == "(1 3)(2 5 4)"
     assert repr(p) == "Permutation[(1 3)(2 5 4)]"
     assert str(Permutation.identity(4)) == "()"
@@ -70,18 +71,19 @@ def test_product_rejects_degree_mismatch():
 
 def test_left_to_right_product():
     # (1 2)(1 3) = (1 2 3) under left-to-right composition
-    p = Permutation.from_cycles([(1, 2)], 3)
-    q = Permutation.from_cycles([(1, 3)], 3)
+    p = perm_from_cycles([(1, 2)], 3)
+    q = perm_from_cycles([(1, 3)], 3)
     assert (p * q).cycles() == ((1, 2, 3),)
     assert (q * p).cycles() == ((1, 3, 2),)
 
 
 def test_cycles_and_order():
-    p = Permutation.from_cycles([(1, 13, 7, 12), (2, 9, 14, 16),
-                                 (3, 5, 15, 6), (4, 11, 8, 10)], 16)
+    text = EXPECTED["orbits.perm_order4"]
+    cycles = parse_cycles(text)
+    p = perm_from_cycles(cycles, 16)
     assert p.order() == 4
-    assert p.cycles() == ((1, 13, 7, 12), (2, 9, 14, 16),
-                          (3, 5, 15, 6), (4, 11, 8, 10))
+    assert p.cycles() == cycles
+    assert str(p) == text
 
 
 def test_from_cycles_round_trip():
@@ -90,22 +92,22 @@ def test_from_cycles_round_trip():
         images = list(range(1, 11))
         rng.shuffle(images)
         p = Permutation(images)
-        assert Permutation.from_cycles(p.cycles(), 10) == p
+        assert perm_from_cycles(p.cycles(), 10) == p
 
 
 def test_closure_trivial_and_small():
     trivial = PermGroup([], degree=4)
     assert trivial.order == 1
     assert trivial.orbits() == ((1,), (2,), (3,), (4,))
-    swap = PermGroup([Permutation.from_cycles([(1, 2)], 4)])
+    swap = PermGroup([perm_from_cycles([(1, 2)], 4)])
     assert swap.order == 2
     # -1 pairs with the swap isomorphically, onto neither named group
     assert swap.matrix_group_name([(2, 0, 0, 2)]) is None
 
 
 def test_closure_generator_order_independent():
-    a = Permutation.from_cycles([(1, 2, 3, 4)], 5)
-    b = Permutation.from_cycles([(1, 2)], 5)
+    a = perm_from_cycles([(1, 2, 3, 4)], 5)
+    b = perm_from_cycles([(1, 2)], 5)
     g1 = PermGroup([a, b])
     g2 = PermGroup([b, a])
     assert g1.elements() == g2.elements()
@@ -114,8 +116,8 @@ def test_closure_generator_order_independent():
 
 def test_closure_bound_guard():
     # symmetric group on 9 points has 362880 elements
-    a = Permutation.from_cycles([tuple(range(1, 10))], 9)
-    b = Permutation.from_cycles([(1, 2)], 9)
+    a = perm_from_cycles([tuple(range(1, 10))], 9)
+    b = perm_from_cycles([(1, 2)], 9)
     with pytest.raises(OrderBoundExceeded):
         PermGroup([a, b]).elements()
     assert CLOSURE_BOUND == 10_000
@@ -137,8 +139,8 @@ def test_orbit_sizes_divide_order():
 def test_commutator_convention():
     # products read left to right: x * y applies x first, so
     # x * y = (1 3 2) and the commutator x y x^-1 y^-1 = (x y)^2 = (1 2 3)
-    x = Permutation.from_cycles([(1, 2)], 3)
-    y = Permutation.from_cycles([(2, 3)], 3)
+    x = perm_from_cycles([(1, 2)], 3)
+    y = perm_from_cycles([(2, 3)], 3)
     assert (x * y).cycles() == ((1, 3, 2),)
     got = x * y * perm_inverse(x) * perm_inverse(y)
     assert got.cycles() == ((1, 2, 3),)
@@ -152,7 +154,7 @@ def test_group_rejects_non_permutation_generators():
 
 
 def test_matrix_group_name_validates_matrices():
-    swap = PermGroup([Permutation.from_cycles([(1, 2)], 2)])
+    swap = PermGroup([perm_from_cycles([(1, 2)], 2)])
     for bad in ([(1, 0, 0)], [(1, 0, 0, 1, 0)], [(1.0, 0, 0, 1)],
                 [(True, 0, 0, 1)], [("1", 0, 0, 1)], [1]):
         with pytest.raises(TypeError):
@@ -191,9 +193,10 @@ def test_regular_representations_are_named():
     assert full.matrix_group_name([inverse[m] for m in full_matrices]) is None
 
 
-ROOT_GENERATORS = (Permutation.from_cycles(golden.PERM_ORDER4, 16),
-                   Permutation.from_cycles(golden.PERM_ORDER6, 16),
-                   Permutation.from_cycles(golden.PERM_SIGMA, 16))
+# the published root permutations of the two generators and the reflection
+ROOT_GENERATORS = tuple(
+    perm_from_cycles(parse_cycles(EXPECTED[f"orbits.perm_{name}"]), 16)
+    for name in ("order4", "order6", "reflection"))
 ROOT_MATRICES = tuple(_gf3_residues(m) for m in (
     catalog.ORDER4_GEN, catalog.ORDER6_GEN, catalog.SIGMA_LINEAR))
 
@@ -201,9 +204,11 @@ ROOT_MATRICES = tuple(_gf3_residues(m) for m in (
 def test_root_action_is_named_by_an_isomorphism():
     holo = PermGroup(ROOT_GENERATORS[:2])
     full = PermGroup(ROOT_GENERATORS)
-    assert holo.order == 24 and full.order == 48
-    assert holo.matrix_group_name(ROOT_MATRICES[:2]) == "SL(2,3)"
-    assert full.matrix_group_name(ROOT_MATRICES) == "GL(2,3)"
+    assert holo.order == EXPECTED["orbits.holo_order"]
+    assert full.order == EXPECTED["orbits.full_order"]
+    assert holo.matrix_group_name(ROOT_MATRICES[:2]) == \
+        EXPECTED["orbits.holo_group"]
+    assert full.matrix_group_name(ROOT_MATRICES) == EXPECTED["orbits.full_group"]
     # the same two matrices the other way round pair no isomorphism
     swapped = ROOT_MATRICES[1::-1]
     assert holo.matrix_group_name(swapped) is None
@@ -219,18 +224,20 @@ def _graph_order(perms, actions) -> int:
 def test_column_action_convention_fails_the_full_group():
     # v -> m.v composes matrices in the opposite order to the permutation
     # products; on columns the holomorphic pairing survives, but the full
-    # pair group grows past 48, so no isomorphism is claimed
+    # pair group grows past the group's order, so no isomorphism is claimed
+    order = EXPECTED["orbits.full_order"]
     rows = [gf3_vector_action(m) for m in ROOT_MATRICES]
     columns = [gf3_vector_action(m, column=True) for m in ROOT_MATRICES]
-    assert _graph_order(ROOT_GENERATORS, rows) == 48
-    assert _graph_order(ROOT_GENERATORS, columns) > 48
+    assert _graph_order(ROOT_GENERATORS, rows) == order
+    assert _graph_order(ROOT_GENERATORS, columns) > order
     # m acts on columns as its transpose does on rows
     transposed = [(a, c, b, d) for a, b, c, d in ROOT_MATRICES]
     assert [gf3_vector_action(m) for m in transposed] == columns
     full = PermGroup(ROOT_GENERATORS)
     assert full.matrix_group_name(transposed) is None
     holo = PermGroup(ROOT_GENERATORS[:2])
-    assert holo.matrix_group_name(transposed[:2]) == "SL(2,3)"
+    assert holo.matrix_group_name(transposed[:2]) == \
+        EXPECTED["orbits.holo_group"]
 
 
 def _sympy_group(perms):

@@ -161,10 +161,10 @@ def test_method_scan_sees_methods_properties_and_claim_uses():
         assert key in methods
         assert _loads(package_uses, cls, name) > _loads(methods[key], cls,
                                                         name)
-    # a classmethod only the published claims call
-    assert ("permgroup", "Permutation", "from_cycles") in methods
-    assert not _loads(package_uses, "Permutation", "from_cycles")
-    assert _loads(claim_uses, "Permutation", "from_cycles")
+    # a method only the published claims call
+    assert ("appell_humbert", "Semicharacter", "eval") in methods
+    assert not _loads(package_uses, "Semicharacter", "eval")
+    assert _loads(claim_uses, "Semicharacter", "eval")
 
 
 def test_method_scan_resolves_class_receivers():

@@ -17,12 +17,17 @@ from hexcover.surface_invariants import (
 )
 
 import golden
+from golden import EXPECTED
 
 
 def test_resolution_published_cases():
-    for (l2, mults), expected in golden.RESOLUTION_INVARIANTS.items():
-        result = resolution_invariants(SingularityProfile(l2, mults))
-        assert tuple(result) == expected
+    for check_id, profile in (
+            ("invariants.resolution_sextuple", SingularityProfile(8, [3])),
+            ("invariants.resolution_quadruples",
+             SingularityProfile(6, [2, 2])),
+            ("invariants.smooth_baseline", SingularityProfile(2))):
+        result = resolution_invariants(profile)
+        assert list(result) == EXPECTED[check_id]
         assert Fraction(result.chi).denominator == 1
 
 
@@ -48,16 +53,16 @@ def test_profile_rejects_negligible_points():
 
 def test_branch_enumeration_for_degree_eight():
     cases = enumerate_branch_profiles()
-    assert [c.label for c in cases] == ["I", "II"]
+    assert [c.label for c in cases] == EXPECTED["invariants.branch_labels"]
     first, second = cases
-    assert first.d2 == 32
+    assert [c.d2 for c in cases] == EXPECTED["invariants.branch_degrees"]
+    assert [c.singularities for c in cases] == \
+        EXPECTED["invariants.branch_descriptions"]
     assert first.profile == SingularityProfile(8, [3])
-    assert "multiplicity 6" in first.singularities
-    assert second.d2 == 24
     assert second.profile == SingularityProfile(6, [2, 2])
-    assert second.singularities == "two ordinary singular points of multiplicity 4"
-    for case in cases:
-        assert tuple(resolution_invariants(case.profile)) == (1, 8)
+    for case, check_id in zip(cases, ("invariants.resolution_sextuple",
+                                      "invariants.resolution_quadruples")):
+        assert list(resolution_invariants(case.profile)) == EXPECTED[check_id]
 
 
 def test_branch_case_validates_label():
@@ -71,11 +76,14 @@ def test_branch_case_validates_label():
 def test_double_cover_published_cases():
     # a branch curve 2L of square d2 with quads ordinary quadruple points
     # is the resolution profile (d2 / 4, [2] * quads)
-    for (d2, quads), expected in golden.DOUBLE_COVER_INVARIANTS.items():
+    for d2, quads, check_id in (
+            (EXPECTED["invariants.cover_branch_square"], 2,
+             "invariants.double_cover"),
+            (8, 0, "invariants.smooth_double_cover")):
         assert d2 % 4 == 0
         profile = SingularityProfile(d2 // 4, [2] * quads)
-        assert tuple(resolution_invariants(profile)) == expected
-        assert tuple(_double_cover(d2, quads)) == expected
+        assert list(resolution_invariants(profile)) == EXPECTED[check_id]
+        assert _double_cover(d2, quads) == EXPECTED[check_id]
 
 
 def test_double_cover_errors():
@@ -88,7 +96,9 @@ def test_double_cover_errors():
 
 
 def test_product_quotient_published_cases():
-    for (g, order), expected in golden.PRODUCT_QUOTIENT_INVARIANTS.items():
+    cases = {(3, 4): tuple(EXPECTED["invariants.product_quotient"]),
+             **golden.PRODUCT_QUOTIENT_INVARIANTS}
+    for (g, order), expected in cases.items():
         assert product_quotient_invariants(g, order) == expected
         # arithmetic oracle, avoiding the library's Fraction path
         assert (g - 1) ** 2 % order == 0
@@ -115,8 +125,8 @@ def test_ball_quotient_identities():
 def test_cover_self_intersection_feeds_double_cover_formula():
     d2 = intersection_number(catalog.SUM_FORM, catalog.SUM_FORM,
                              catalog.COVER_LATTICE)
-    assert d2 == golden.SELF_INT_COVER
-    assert _double_cover(d2, 2) == [1, 8]
+    assert d2 == EXPECTED["invariants.cover_branch_square"]
+    assert _double_cover(d2, 2) == EXPECTED["invariants.double_cover"]
 
 
 @st.composite

@@ -1,9 +1,7 @@
 import functools
 import itertools
-import json
 import re
 from fractions import Fraction
-from importlib import resources
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -55,15 +53,25 @@ from hexcover.appell_humbert import (LineBundleClass, pullback_hom,
                                      square_roots, translate)
 
 import golden
+from golden import EXPECTED
 from oracles import (cross_multiplied_moves_tangents, formula_compose,
                      formula_inverse, is_unit, line_permutation, maps_equal,
-                     mat_scale, perm_inverse, q_zeta_pull_back,
+                     mat_scale, parse_cycles, perm_inverse, q_zeta_pull_back,
                      q_zeta_push_vector, scan_search_generators,
                      scan_unit_det_candidates)
 from strategies import eis_matrices, eis_rationals, unimodular_matrices
 
 
 ROOTS = square_roots(catalog.BRANCH_COVER)
+
+# The five symmetries behind the orbits.perm_* checks.
+PERM_SYMMETRIES = {
+    "order4": ORDER4_SYMMETRY,
+    "order6": ORDER6_SYMMETRY,
+    "negation": NEGATION,
+    "translation": BASE_POINT_SWAP,
+    "reflection": ANTIHOLO_REFLECTION,
+}
 
 
 IDENTITY = AffineSymmetry(mat_identity(2))
@@ -81,9 +89,9 @@ def eis_matrix(pairs):
     return mat([[EisRat(*entry) for entry in row] for row in pairs])
 
 
-# the published generators in the sheared frame of the generator search
-TILTED_ORDER4 = eis_matrix(golden.TILTED_ORDER4)
-TILTED_ORDER6 = eis_matrix(golden.TILTED_ORDER6)
+# the four generator candidates in the sheared frame of the search: the two
+# published generators and their negatives
+TILTED = tuple(eis_matrix(m) for m in EXPECTED["search.tilted_matrices"])
 
 
 def tangent_line_permutation(g):
@@ -91,10 +99,6 @@ def tangent_line_permutation(g):
     preserve the branch divisor."""
     assert preserves_divisor(g)
     return Permutation(_tangent_permutation(g.linear, g.antiholomorphic))
-
-
-def perm_of(cycles):
-    return Permutation.from_cycles(cycles, 16)
 
 
 def test_projective_point_equality_is_scale_invariant():
@@ -207,7 +211,7 @@ def test_tilted_tangent_points_match_published():
 
 def test_cross_ratio_of_tangent_quadruple():
     value = cross_ratio(*TILTED_TANGENTS)
-    assert value == EisRat(*golden.CROSS_RATIO)
+    assert value == EisRat(*EXPECTED["search.cross_ratio"])
     # the value is the inverse of the primitive sixth root of unity
     assert EisRat(0, 1) * value == EisRat(1)
     # same quadruple written in the standard frame
@@ -245,15 +249,9 @@ def test_cross_ratio_degenerate():
 
 def test_search_recovers_tilted_generators():
     found = search_generators(3)
-    assert len(found) == 4
-    matrices = {g.linear for g in found}
-    want = {
-        TILTED_ORDER4,
-        mat_scale(-1, TILTED_ORDER4),
-        TILTED_ORDER6,
-        mat_scale(-1, TILTED_ORDER6),
-    }
-    assert matrices == want
+    assert len(found) == EXPECTED["search.candidate_count"]
+    want = set(TILTED)
+    assert {g.linear for g in found} == want
     for g in found:
         assert not g.antiholomorphic
         assert is_unit(det2(g.linear))
@@ -302,7 +300,7 @@ def test_first_tangent_filter_keeps_every_accepted_candidate():
     accepted = [c for c in candidates
                 if any(_moves_tangents(*c, target)
                        for target in _SEARCH_TARGETS)]
-    assert len(accepted) == 4
+    assert len(accepted) == EXPECTED["search.candidate_count"]
     assert all(key(c) in passing for c in accepted)
     # and it is a filter: most candidates fail it
     assert sum(key(c) in passing for c in candidates) < len(candidates) // 10
@@ -328,7 +326,7 @@ def unit_det_matrices(draw):
     a tilted generator, which the tangent test accepts, or a product of
     elementary and diagonal unit matrices, which it mostly rejects."""
     if draw(st.booleans()):
-        m = draw(st.sampled_from([TILTED_ORDER4, TILTED_ORDER6]))
+        m = draw(st.sampled_from(TILTED))
     else:
         m = mat_identity(2)
         for _ in range(draw(st.integers(0, 3))):
@@ -367,7 +365,8 @@ def test_tangent_equations_match_cross_multiplication_on_candidates():
     candidates = unit_det_candidates(3)
     assert len(candidates) == 4196
     # the four candidates that pass are the four generators the search finds
-    assert sum(_agrees_with_cross_multiplication(*c) for c in candidates) == 4
+    assert sum(_agrees_with_cross_multiplication(*c) for c in candidates) == \
+        EXPECTED["search.candidate_count"]
 
 
 integral_matrices = st.tuples(zeta_integers, zeta_integers, zeta_integers,
@@ -387,14 +386,15 @@ def test_tangent_equations_match_cross_multiplication(entries):
 def test_integer_tangent_test_accepts_and_rejects():
     for u in _UNITS:
         scale = EisRat(*u)
-        for m in (TILTED_ORDER4, TILTED_ORDER6):
+        for m in TILTED:
             assert integer_tangent_test(mat_scale(scale, m))
         # unit scalars fix every tangent, which is neither target
         assert not integer_tangent_test(mat_scale(scale, mat_identity(2)))
     for u in set(_UNITS) - {(1, 0)}:
         # diag(1, u), u != 1, moves the fourth tangent off the quadruple
         off = mat([[1, 0], [0, EisRat(*u)]])
-        assert not integer_tangent_test(mat_mul(TILTED_ORDER4, off))
+        for m in TILTED:
+            assert not integer_tangent_test(mat_mul(m, off))
     with pytest.raises(ValueError):
         _zeta_pair(EisRat(Fraction(1, 2)))
 
@@ -403,12 +403,15 @@ def test_shear_conjugation_recovers_standard_generators():
     shear = catalog.FRAME_SHEAR
     from hexcover.eisenstein import inv2
     unshear = inv2(shear)
-    assert mat_mul(mat_mul(shear, TILTED_ORDER4), unshear) == catalog.ORDER4_GEN
-    assert mat_mul(mat_mul(shear, TILTED_ORDER6), unshear) == catalog.ORDER6_GEN
+    conjugates = {mat_mul(mat_mul(shear, m), unshear) for m in TILTED}
+    assert conjugates == {eis_matrix(m)
+                          for m in EXPECTED["search.ambient_conjugates"]}
+    assert {catalog.ORDER4_GEN, catalog.ORDER6_GEN} <= conjugates
     # the anti-holomorphic reflection moves to the sheared frame the same way
     tilted_refl = mat_mul(mat_mul(unshear, catalog.SIGMA_LINEAR),
                           mat_conj(shear))
-    assert tilted_refl == eis_matrix(golden.SIGMA_LINEAR_COVER_FRAME)
+    assert tilted_refl == \
+        eis_matrix(EXPECTED["search.reflection_in_sheared_frame"])
 
 
 def test_presentation_relations():
@@ -446,15 +449,11 @@ def test_negated_generator():
 
 
 def test_action_matches_published_cycles():
-    assert action_on_square_roots(ORDER4_SYMMETRY, ROOTS) == \
-        perm_of(golden.PERM_ORDER4)
-    assert action_on_square_roots(ORDER6_SYMMETRY, ROOTS) == \
-        perm_of(golden.PERM_ORDER6)
-    assert action_on_square_roots(ANTIHOLO_REFLECTION, ROOTS) == \
-        perm_of(golden.PERM_SIGMA)
+    for name, g in PERM_SYMMETRIES.items():
+        assert str(action_on_square_roots(g, ROOTS)) == \
+            EXPECTED[f"orbits.perm_{name}"]
     neg = action_on_square_roots(NEGATION, ROOTS)
-    tau = action_on_square_roots(BASE_POINT_SWAP, ROOTS)
-    assert neg == tau == perm_of(golden.PERM_NEGATION)
+    assert action_on_square_roots(BASE_POINT_SWAP, ROOTS) == neg
 
 
 def test_action_is_a_homomorphism():
@@ -472,7 +471,7 @@ def test_commutator_square_is_negation():
     pg2 = action_on_square_roots(ORDER4_SYMMETRY, ROOTS)
     pg3 = action_on_square_roots(ORDER6_SYMMETRY, ROOTS)
     c = pg2 * pg3 * perm_inverse(pg2) * perm_inverse(pg3)
-    assert c * c == perm_of(golden.PERM_NEGATION)
+    assert str(c * c) == EXPECTED["orbits.perm_negation"]
     # and at the level of maps on the surface
     g2, g3 = ORDER4_SYMMETRY, ORDER6_SYMMETRY
     comm = functools.reduce(formula_compose, (g2, g3, formula_inverse(g2),
@@ -496,14 +495,14 @@ def test_holomorphic_group_structure():
     pg2 = action_on_square_roots(ORDER4_SYMMETRY, ROOTS)
     pg3 = action_on_square_roots(ORDER6_SYMMETRY, ROOTS)
     group = PermGroup([pg2, pg3])
-    assert group.order == golden.HOLO_GROUP_ORDER
+    assert group.order == EXPECTED["orbits.holo_order"]
     matrices = [_gf3_residues(g.linear)
                 for g in (ORDER4_SYMMETRY, ORDER6_SYMMETRY)]
-    assert group.matrix_group_name(matrices) == "SL(2,3)"
-    order2 = [p for p in group.elements() if p.order() == 2]
-    assert order2 == [perm_of(golden.PERM_NEGATION)]
-    orbits = group.orbits()
-    assert {frozenset(o) for o in orbits} == set(golden.HOLO_ORBIT_PARTITION)
+    assert group.matrix_group_name(matrices) == EXPECTED["orbits.holo_group"]
+    order2 = [str(p) for p in group.elements() if p.order() == 2]
+    assert order2 == [EXPECTED["orbits.perm_negation"]]
+    assert sorted(sorted(o) for o in group.orbits()) == \
+        EXPECTED["orbits.holo_partition"]
 
 
 def test_full_group_structure():
@@ -511,12 +510,12 @@ def test_full_group_structure():
     pg3 = action_on_square_roots(ORDER6_SYMMETRY, ROOTS)
     psigma = action_on_square_roots(ANTIHOLO_REFLECTION, ROOTS)
     group = PermGroup([pg2, pg3, psigma])
-    assert group.order == golden.FULL_GROUP_ORDER
+    assert group.order == EXPECTED["orbits.full_order"]
     matrices = [_gf3_residues(g.linear) for g in
                 (ORDER4_SYMMETRY, ORDER6_SYMMETRY, ANTIHOLO_REFLECTION)]
-    assert group.matrix_group_name(matrices) == "GL(2,3)"
-    orbits = group.orbits()
-    assert {frozenset(o) for o in orbits} == set(golden.FULL_ORBIT_PARTITION)
+    assert group.matrix_group_name(matrices) == EXPECTED["orbits.full_group"]
+    assert sorted(sorted(o) for o in group.orbits()) == \
+        EXPECTED["orbits.full_partition"]
 
 
 def test_pull_back_translation_only():
@@ -526,8 +525,8 @@ def test_pull_back_translation_only():
 
 def test_gamma_character_cycle():
     got = gamma_action_on_sigma()
-    assert got == Permutation.from_cycles([golden.GAMMA_CHARACTER_CYCLE], 3)
-    assert got.order() == 3
+    assert str(got) == EXPECTED["search.rotation_cycle"]
+    assert got.order() == EXPECTED["search.rotation_order"]
 
 
 def test_gamma_lattice_images():
@@ -549,22 +548,8 @@ def test_gamma_action_rejects_a_symmetry_not_of_order_three(monkeypatch):
         gamma_action_on_sigma()
 
 
-EXPECTED = {r["check_id"]: r["expected"] for r in json.loads(
-    resources.files("hexcover").joinpath("expected_values.json")
-    .read_text("utf-8"))["checks"]}
-
-# The five symmetries behind the orbits.perm_* checks.
-PERM_SYMMETRIES = {
-    "order4": ORDER4_SYMMETRY,
-    "order6": ORDER6_SYMMETRY,
-    "negation": NEGATION,
-    "translation": BASE_POINT_SWAP,
-    "reflection": ANTIHOLO_REFLECTION,
-}
-
-
 def _cycle_type(text):
-    return sorted(len(c.split()) for c in re.findall(r"\(([^()]*)\)", text))
+    return sorted(len(c) for c in parse_cycles(text))
 
 
 def _rebased_cover_roots(u):

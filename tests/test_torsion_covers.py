@@ -34,6 +34,7 @@ from hexcover.torsion_covers import (
 )
 
 import golden
+from golden import EXPECTED
 from oracles import (character_value, hnf_index, mat_scale,
                      restricts_nontrivially)
 
@@ -43,6 +44,8 @@ CHARS = all_characters()
 CURVE_LATTICES = tuple(LatticeBasis.from_rows(rows)
                        for rows in golden.CURVE_LATTICES)
 ONE = EisRat(1)
+# the characters that restrict nontrivially to every curve
+SELECTED = EXPECTED["characters.selected"]
 UNITS = (ONE, -ONE, ZETA, -ZETA, ZETA - 1, 1 - ZETA)
 
 
@@ -147,7 +150,7 @@ def test_restriction_requires_sublattice():
 
 def test_classification_selects_three_characters():
     result = classify_characters()
-    assert result.selected == golden.SELECTED_CHARACTERS
+    assert list(result.selected) == SELECTED
     # the trivial character restricts trivially everywhere
     assert result.trivial_on[0] == (0, 1, 2, 3)
     # every nontrivial character fails on at most one curve
@@ -165,10 +168,12 @@ def test_classification_incidence_table():
     for got, want in zip(result.curve_incidence,
                          golden.CURVE_TORSION_PARITIES):
         assert got == frozenset(want)
-        assert len(got) == 3
+    assert [len(got) for got in result.curve_incidence] == \
+        EXPECTED["characters.curve_torsion_counts"]
     union = set().union(*result.curve_incidence)
-    assert len(union) == 12  # curves meet pairwise only at the origin
-    assert result.leftover_count == golden.TORSION_LEFTOVER
+    # curves meet pairwise only at the origin
+    assert len(union) == EXPECTED["characters.covered_torsion"]
+    assert result.leftover_count == EXPECTED["characters.leftover_torsion"]
     assert result.leftover == {p for p in itertools.product((0, 1), repeat=4)
                                if any(p)} - union
 
@@ -230,7 +235,7 @@ def test_excluded_witness_curves_match_incidence():
 
 def test_2divisibility_selects_same_characters():
     for k in range(1, 16):
-        want = k in golden.SELECTED_CHARACTERS
+        want = k in SELECTED
         assert check_2divisible(CHARS[k]) == want
         all_restrict = all(restricts_nontrivially(CHARS[k], sub)
                            for sub in CURVE_LATTICES)
@@ -241,16 +246,17 @@ def test_2divisibility_witness_entry():
     # Im h(l1+u2, l2+u2) on the first kernel basis
     v = catalog.COVER_LATTICE.vectors[1]
     w = catalog.COVER_LATTICE.vectors[2]
-    assert catalog.SUM_FORM.im_value(v, w) == golden.TWO_DIVISIBILITY_WITNESS
+    witness = EXPECTED["characters.witness_parity"]
+    assert catalog.SUM_FORM.im_value(v, w) == witness
     alt = im_on_lattice(catalog.SUM_FORM, catalog.COVER_LATTICE)
-    assert alt.matrix[1][2] == golden.TWO_DIVISIBILITY_WITNESS
+    assert alt.matrix[1][2] == witness
 
 
 def test_excluded_characters_have_odd_entry():
     for k in range(1, 16):
         alt = im_on_lattice(catalog.SUM_FORM, kernel_lattice(CHARS[k]))
         odd = [x for x in alt.upper_triangle() if x % 2]
-        if k in golden.SELECTED_CHARACTERS:
+        if k in SELECTED:
             assert not odd
         else:
             assert odd
@@ -261,7 +267,7 @@ def test_square_root_count_per_character():
         pulled = pullback_hom(catalog.BRANCH_PRODUCT, mat_identity(2),
                               kernel_lattice(CHARS[k]))
         n = len(square_roots(pulled))
-        assert n == (16 if k in golden.SELECTED_CHARACTERS else 0)
+        assert n == (16 if k in SELECTED else 0)
 
 
 def test_cover_base_point_is_2torsion_on_cover():
