@@ -23,7 +23,6 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence, Tuple
@@ -533,12 +532,15 @@ def translate(bundle: LineBundleClass, v: AmbientVector) -> LineBundleClass:
 
 def square_roots(bundle: LineBundleClass) -> List[LineBundleClass]:
     """All Appell-Humbert square roots (h/2, psi) with psi**2 the bundle's
-    semicharacter; empty when Im(h)/2 is not integral on the lattice.
+    semicharacter; empty when Im(h)/2 is not integral on the lattice.  The
+    lattice must have rank 4.
 
     The order is deterministic: the first root has basis exponents in
-    [0, 1/2); the rest multiply it by the nontrivial order-2 characters,
-    for rank 4 in the fixed published ordering.
+    [0, 1/2); the rest multiply it by the nontrivial order-2 characters in
+    the fixed published ordering.
     """
+    if bundle.lattice.rank != 4:
+        raise RankMismatch("square roots need a rank-4 lattice")
     half_alt = bundle.character.form.scaled(Fraction(1, 2))
     if not half_alt.is_integral():
         return []
@@ -547,13 +549,8 @@ def square_roots(bundle: LineBundleClass) -> List[LineBundleClass]:
     # a sign -1 adds den, that is 1/2
     chi = bundle.character
     den = chi._den
-    rank = bundle.lattice.rank
-    if rank == 4:
-        patterns: Sequence[Tuple[int, ...]] = ORDER_TWO_SIGN_PATTERNS
-    else:
-        patterns = tuple(itertools.product((1, -1), repeat=rank))
     roots = []
-    for pattern in patterns:
+    for pattern in ORDER_TWO_SIGN_PATTERNS:
         nums = [q + (den if s < 0 else 0) for q, s in zip(chi._nums, pattern)]
         roots.append(LineBundleClass._from_numerators(
             half_form, bundle.lattice, 2 * den, nums))

@@ -139,12 +139,13 @@ def _orbits_rows() -> List[Row]:
                 (ORDER4_SYMMETRY, ORDER6_SYMMETRY, ANTIHOLO_REFLECTION)]
     rows.append(("orbits.holo_order", holo.order))
     rows.append(("orbits.holo_group", holo.matrix_group_name(matrices[:2])))
-    rows.append(("orbits.holo_partition", [list(o) for o in holo.orbits()]))
+    holo_orbits, full_orbits = holo.orbits(), full.orbits()
+    rows.append(("orbits.holo_partition", [list(o) for o in holo_orbits]))
     rows.append(("orbits.full_order", full.order))
     rows.append(("orbits.full_group", full.matrix_group_name(matrices)))
-    rows.append(("orbits.full_partition", [list(o) for o in full.orbits()]))
-    conclusion = (f"{len(holo.orbits())} surfaces up to isomorphism, "
-                  f"{len(full.orbits())} up to conjugation")
+    rows.append(("orbits.full_partition", [list(o) for o in full_orbits]))
+    conclusion = (f"{len(holo_orbits)} surfaces up to isomorphism, "
+                  f"{len(full_orbits)} up to conjugation")
     rows.append(("orbits.conclusion", conclusion))
     return rows
 
@@ -162,13 +163,14 @@ def _double_cover(square: int, quadruple_points: int) -> list:
 
 def _invariants_rows() -> List[Row]:
     rows: List[Row] = []
+    # case I is the sextuple point, case II the two quadruple points
+    cases = enumerate_branch_profiles()
     rows.append(("invariants.resolution_sextuple",
-                 list(resolution_invariants(SingularityProfile(8, [3])))))
+                 list(resolution_invariants(cases[0].profile))))
     rows.append(("invariants.resolution_quadruples",
-                 list(resolution_invariants(SingularityProfile(6, [2, 2])))))
+                 list(resolution_invariants(cases[1].profile))))
     rows.append(("invariants.smooth_baseline",
                  list(resolution_invariants(SingularityProfile(2)))))
-    cases = enumerate_branch_profiles()
     rows.append(("invariants.branch_labels", [c.label for c in cases]))
     rows.append(("invariants.branch_degrees", [c.d2 for c in cases]))
     rows.append(("invariants.branch_descriptions",

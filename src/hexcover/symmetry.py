@@ -10,8 +10,6 @@ branch bundle.
 """
 from __future__ import annotations
 
-from itertools import product
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
@@ -22,9 +20,7 @@ from .appell_humbert import (
     translate,
 )
 from .eisenstein import (
-    EisMat,
     EisRat,
-    ZetaPair,
     _integer_matrix,
     _zeta_mul,
     _zeta_pair,
@@ -178,22 +174,24 @@ TILTED_TANGENTS = tuple(
 
 _AMBIENT_TANGENT_PAIRS = tuple(tuple(map(_zeta_pair, line.direction))
                                for line in catalog.CURVE_LINES)
+_TILTED_TANGENT_PAIRS = tuple(tuple(map(_zeta_pair, line.direction))
+                              for line in TILTED_TANGENTS)
 
 
-def _tangent_permutation(linear: EisMat,
-                         antiholomorphic: bool) -> Optional[Tuple[int, ...]]:
-    """Images tuple of the map induced by an invertible linear (conjugating
-    first when antiholomorphic) on the four ambient tangent lines, or None
-    when it moves one of them off the quadruple.
+def _tangent_permutation(pairs, antiholomorphic: bool,
+                         tangents) -> Optional[Tuple[int, ...]]:
+    """Images tuple of the map induced on the tangent quadruple (the Z[zeta]
+    pairs of its four directions) by the integral matrix pairs, conjugating
+    first when antiholomorphic, or None when it moves one of the tangents
+    off the quadruple.
 
-    Scaling linear by its denominator does not change the projective map,
-    so the images are integral and proportionality is one
-    cross-multiplication in Z[zeta]; conjugation sends (a, b) to
-    (a + b, -b).
+    A matrix cleared of its denominator induces the same projective map, so
+    the images are integral and proportionality is one cross-multiplication
+    in Z[zeta]; conjugation sends (a, b) to (a + b, -b).
     """
-    _, ((a11, a12), (a21, a22)) = _integer_matrix(linear)
+    (a11, a12), (a21, a22) = pairs
     images = []
-    for x, y in _AMBIENT_TANGENT_PAIRS:
+    for x, y in tangents:
         if antiholomorphic:
             x, y = (x[0] + x[1], -x[1]), (y[0] + y[1], -y[1])
         ux, uy = _zeta_mul(a11, x)
@@ -202,7 +200,7 @@ def _tangent_permutation(linear: EisMat,
         ux, uy = _zeta_mul(a21, x)
         vx, vy = _zeta_mul(a22, y)
         qy = (ux + vx, uy + vy)
-        for k, (px, py) in enumerate(_AMBIENT_TANGENT_PAIRS, start=1):
+        for k, (px, py) in enumerate(tangents, start=1):
             if _zeta_mul(qx, py) == _zeta_mul(px, qy):
                 images.append(k)
                 break
@@ -219,7 +217,8 @@ def preserves_divisor(g: AffineSymmetry) -> bool:
     stabilization of the base set.
     """
     rational_rep(g, catalog.COVER_LATTICE)
-    if _tangent_permutation(g.linear, g.antiholomorphic) is None:
+    if _tangent_permutation(_integer_matrix(g.linear)[1], g.antiholomorphic,
+                            _AMBIENT_TANGENT_PAIRS) is None:
         return False
     return any(_lattice_coordinates(catalog.COVER_LATTICE,
                                     g.translation - base) is not None
@@ -282,58 +281,6 @@ _UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1))
 _SEARCH_TARGETS = ((3, 4, 1, 2), (2, 3, 1, 4))
 
 
-_TILTED_TANGENT_PAIRS = tuple(tuple(map(_zeta_pair, line.direction))
-                              for line in TILTED_TANGENTS)
-
-
-def _tangent_equations(target: Sequence[int]):
-    """The tangent test for one target permutation as linear equations in
-    the entries (a11, a12, a21, a22), one per tilted tangent.
-
-    Tangent (x, y) goes to the target tangent (px, py) exactly when the
-    cross-multiplication (a11*x + a12*y)*py - px*(a21*x + a22*y) vanishes,
-    that is a11*(x*py) + a12*(y*py) - a21*(x*px) - a22*(y*px) = 0 in
-    Z[zeta].  Each equation lists (entry index, coefficient) pairs with the
-    zero coefficients dropped.
-    """
-    out = []
-    for (x, y), k in zip(_TILTED_TANGENT_PAIRS, target):
-        px, py = _TILTED_TANGENT_PAIRS[k - 1]
-        xpx, ypx = _zeta_mul(x, px), _zeta_mul(y, px)
-        coefficients = (_zeta_mul(x, py), _zeta_mul(y, py),
-                        (-xpx[0], -xpx[1]), (-ypx[0], -ypx[1]))
-        out.append(tuple((i, c) for i, c in enumerate(coefficients)
-                         if c != (0, 0)))
-    return tuple(out)
-
-
-_TANGENT_EQUATIONS = {target: _tangent_equations(target)
-                      for target in _SEARCH_TARGETS}
-
-
-def _moves_tangents(a11: ZetaPair, a12: ZetaPair, a21: ZetaPair,
-                    a22: ZetaPair, target: Sequence[int]) -> bool:
-    """Whether [[a11, a12], [a21, a22]] maps the i-th tilted tangent onto
-    the target[i]-th for every i, for an invertible integral matrix and a
-    target among _SEARCH_TARGETS.
-
-    Both images and targets have integral coordinates, so each tangent is
-    one equation of _tangent_equations; the first tilted tangent is (1, 0),
-    so most candidates fail after two products.
-    """
-    entries = (a11, a12, a21, a22)
-    for equation in _TANGENT_EQUATIONS[target]:
-        sa = sb = 0
-        for i, (c, d) in equation:
-            # _zeta_mul(entries[i], (c, d)), inlined in the search's hot loop
-            a, b = entries[i]
-            sa += a * c - b * d
-            sb += a * d + b * c + b * d
-        if sa or sb:
-            return False
-    return True
-
-
 def _entry_domains(height_bound: int):
     """The values of a11, a12, a21 and a22 in the search's congruence
     pattern: upper-left with even zeta part, upper-right with both parts
@@ -368,39 +315,24 @@ def _unit_det_walk(domains):
             yield a11, a22, buckets.get(_zeta_mul(a11, a22), ())
 
 
-def _first_tangent_filter(domains):
-    """(key, passing): key picks from an entry quadruple the entries that
-    the first tangent equation of some target reads, and passing holds the
-    key values over the given domains that satisfy the first equation of at
-    least one target.
+def _first_tangent_pairs(top_left, bottom_left):
+    """The (a11, a21) pairs over the given domains that send the first
+    tilted tangent onto the first image of some target permutation.
 
-    Each equation is sum c_i * e_i = 0 over the entries it reads.  The
-    last read entry is indexed by its term, so the other read entries are
-    walked once and the last is looked up by the negated partial sum.
+    The first tilted tangent is (1, 0), so its image is (a11, a21), and it
+    lies on a target tangent (px, py) exactly when a11*py == px*a21.  Per
+    target, the a11 are indexed by a11*py and each a21 looks up px*a21.
     """
-    firsts = [_TANGENT_EQUATIONS[target][0] for target in _SEARCH_TARGETS]
-    reads = sorted({i for equation in firsts for i, _ in equation})
-    *head, last = reads
-    key = itemgetter(*reads)
     passing = set()
-    for equation in firsts:
-        coefficient = dict(equation)
+    for target in _SEARCH_TARGETS:
+        px, py = _TILTED_TANGENT_PAIRS[target[0] - 1]
         by_term = {}
-        for e in domains[last]:
-            by_term.setdefault(_zeta_mul(e, coefficient.get(last, (0, 0))),
-                               []).append(e)
-        for values in product(*(domains[i] for i in head)):
-            sa = sb = 0
-            entries = [None] * 4
-            for i, e in zip(head, values):
-                a, b = _zeta_mul(e, coefficient.get(i, (0, 0)))
-                sa += a
-                sb += b
-                entries[i] = e
-            for e in by_term.get((-sa, -sb), ()):
-                entries[last] = e
-                passing.add(key(entries))
-    return key, passing
+        for a11 in top_left:
+            by_term.setdefault(_zeta_mul(a11, py), []).append(a11)
+        for a21 in bottom_left:
+            for a11 in by_term.get(_zeta_mul(px, a21), ()):
+                passing.add((a11, a21))
+    return passing
 
 
 def search_generators(height_bound: int) -> List[AffineSymmetry]:
@@ -409,10 +341,11 @@ def search_generators(height_bound: int) -> List[AffineSymmetry]:
 
     Entries run over a fixed congruence pattern (_entry_domains).  One
     pass over the matrices of unit determinant (_unit_det_walk) drops, by
-    one set lookup, those that fail the first tangent equation of both
-    targets; the first tilted tangent is (1, 0), so that equation reads
-    only a11 and a21.  The rest get the full tangent test, in Z[zeta]
-    integers, and finally the test that they preserve the cover lattice
+    one set lookup of (a11, a21), those that send the first tilted tangent
+    to no target's first image (_first_tangent_pairs).  The rest get the
+    package's one tangent test, _tangent_permutation on the Z[zeta] entries
+    and the tilted tangents, and are kept when it gives a target
+    permutation; last comes the test that they preserve the cover lattice
     after conjugating back to the standard frame.  Survivors are listed in
     the order of a plain scan over a11, a22, a12, a21 (outermost first).
     """
@@ -421,8 +354,7 @@ def search_generators(height_bound: int) -> List[AffineSymmetry]:
     span = range(-height_bound, height_bound + 1)
     entries = {(x, y): EisRat(x, y) for x in span for y in span}
     domains = _entry_domains(height_bound)
-    key, passing = _first_tangent_filter(domains)
-    first, second = _SEARCH_TARGETS
+    passing = _first_tangent_pairs(domains[0], domains[2])
     moved = []
     for a11, a22, hits in _unit_det_walk(domains):
         e11, e22 = entries[a11], entries[a22]
@@ -434,9 +366,10 @@ def search_generators(height_bound: int) -> List[AffineSymmetry]:
             # a self-test re-pinned to the paper's counts drops this build.
             # The entries are EisRat already, so mat only checks their type.
             linear = mat([[e11, entries[a12]], [entries[a21], e22]])
-            quad = (a11, a12, a21, a22)
-            if key(quad) in passing and (_moves_tangents(*quad, first)
-                                         or _moves_tangents(*quad, second)):
+            if ((a11, a21) in passing
+                    and _tangent_permutation(((a11, a12), (a21, a22)), False,
+                                             _TILTED_TANGENT_PAIRS)
+                    in _SEARCH_TARGETS):
                 moved.append(linear)
     shear = catalog.FRAME_SHEAR
     out = []
@@ -490,7 +423,8 @@ def gamma_action_on_sigma() -> Permutation:
     identity, _ = _identity_map(len(basis.vectors))
     if cube != identity or any(x.denominator != 1 for x in shift):
         raise NotOfOrderThree("product symmetry is not of order 3")
-    if _tangent_permutation(g.linear, False) is None:
+    if _tangent_permutation(_integer_matrix(g.linear)[1], False,
+                            _AMBIENT_TANGENT_PAIRS) is None:
         raise NotDivisorPreserving("product symmetry moves the tangent lines")
     chars = all_characters()
     selected = classify_characters().selected

@@ -117,18 +117,15 @@ class CharacterClassification:
 
     selected: indices (into all_characters) of the characters restricting
        nontrivially to every curve lattice.
-    trivial_on: for each of the sixteen characters, the tuple of curve
-       indices (0-based) on which it restricts trivially.
     curve_incidence: for each curve, the nonzero 2-torsion classes lying on
        it, as parity vectors in product-basis coordinates.
     leftover: the nonzero 2-torsion classes lying on no curve.
     """
 
-    __slots__ = ("selected", "trivial_on", "curve_incidence", "leftover")
+    __slots__ = ("selected", "curve_incidence", "leftover")
 
-    def __init__(self, selected, trivial_on, curve_incidence, leftover) -> None:
+    def __init__(self, selected, curve_incidence, leftover) -> None:
         object.__setattr__(self, "selected", tuple(selected))
-        object.__setattr__(self, "trivial_on", tuple(trivial_on))
         object.__setattr__(self, "curve_incidence", tuple(curve_incidence))
         object.__setattr__(self, "leftover", frozenset(leftover))
 
@@ -191,4 +188,4 @@ def _classification() -> CharacterClassification:
     covered = set().union(*incidence)
     leftover = {p for p in itertools.product((0, 1), repeat=4)
                 if any(p) and p not in covered}
-    return CharacterClassification(selected, trivial_on, incidence, leftover)
+    return CharacterClassification(selected, incidence, leftover)

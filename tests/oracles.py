@@ -6,9 +6,8 @@ Some run on the package's Q(zeta) and Fraction arithmetic instead, as the
 references for code that replaced them with integer kernels:
 scan_search_generators is the plain scan that the generator search's
 lookup replaced, line_permutation is the Q(zeta) tangent permutation that
-the Z[zeta] cross-multiplication replaced,
-cross_multiplied_moves_tangents is that cross-multiplication, which the
-search's precomputed tangent equations replaced, eisrat_mat_mul is the
+the Z[zeta] cross-multiplication of _tangent_permutation replaced, on the
+ambient tangents and on the search's tilted ones, eisrat_mat_mul is the
 EisRat matrix product that mat_mul's Z[zeta] sum replaced, the q_zeta_* functions are the
 EisRat pullbacks that the integer ambient-matrix kernel replaced (with
 mat_apply and ambient_from_pair, the Q(zeta) matrix-vector product and
@@ -305,27 +304,6 @@ def line_permutation(linear, antiholomorphic, points):
         else:
             return None
     return tuple(images)
-
-
-def cross_multiplied_moves_tangents(a11, a12, a21, a22, target):
-    """Whether the integral matrix [[a11, a12], [a21, a22]] of Z[zeta]
-    pairs maps the i-th tilted tangent onto the target[i]-th for every i:
-    each image is computed and cross-multiplied with its target in
-    Z[zeta]."""
-    from hexcover.eisenstein import _zeta_mul
-    from hexcover.symmetry import _TILTED_TANGENT_PAIRS
-
-    for (x, y), k in zip(_TILTED_TANGENT_PAIRS, target):
-        ux, uy = _zeta_mul(a11, x)
-        vx, vy = _zeta_mul(a12, y)
-        qx = (ux + vx, uy + vy)
-        ux, uy = _zeta_mul(a21, x)
-        vx, vy = _zeta_mul(a22, y)
-        qy = (ux + vx, uy + vy)
-        px, py = _TILTED_TANGENT_PAIRS[k - 1]
-        if _zeta_mul(qx, py) != _zeta_mul(px, qy):
-            return False
-    return True
 
 
 def scan_search_generators(height_bound):

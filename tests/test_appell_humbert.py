@@ -428,6 +428,19 @@ def test_square_roots_of_trivial_bundle():
         assert got == pattern
 
 
+def test_square_roots_require_rank_4():
+    # the sign patterns are the sixteen of rank 4; on a rank-2 lattice they
+    # would pair with two exponents only, so rank 2 raises, whether or not
+    # the form halves
+    theta = catalog.GENUS1_THETA
+    square = tensor(theta, theta)
+    assert square.lattice.rank == 2
+    assert square.character.form.scaled(Fraction(1, 2)).is_integral()
+    for bundle in (theta, square):
+        with pytest.raises(RankMismatch, match="rank-4"):
+            square_roots(bundle)
+
+
 def test_semicharacter_requires_integral_form():
     alt = catalog.BRANCH_PRODUCT.character.form.scaled(Fraction(1, 2))
     with pytest.raises(NotIntegral):

@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hexcover import catalog, symmetry
-from hexcover.eisenstein import (EisRat, _gf3_residues, _zeta_mul, det2, mat,
-                                 mat_conj, mat_identity, mat_mul)
+from hexcover.eisenstein import (EisRat, _gf3_residues, _integer_matrix,
+                                 _zeta_mul, det2, inv2, mat, mat_conj,
+                                 mat_identity, mat_mul)
 from hexcover.lattice import (AmbientVector, ComplexLine, LatticeBasis,
                               coords_in)
 from hexcover.permgroup import PermGroup, Permutation
@@ -27,15 +28,14 @@ from hexcover.symmetry import (
     PRODUCT_ORDER3,
     RootNotFound,
     TILTED_TANGENTS,
+    _AMBIENT_TANGENT_PAIRS,
     _SEARCH_TARGETS,
-    _TANGENT_EQUATIONS,
     _TILTED_TANGENT_PAIRS,
     _UNITS,
     _compose_maps,
     _entry_domains,
-    _first_tangent_filter,
+    _first_tangent_pairs,
     _lattice_map,
-    _moves_tangents,
     _same_map,
     _tangent_permutation,
     _unit_det_walk,
@@ -54,8 +54,8 @@ from hexcover.appell_humbert import (LineBundleClass, pullback_hom,
 
 import golden
 from golden import EXPECTED
-from oracles import (cross_multiplied_moves_tangents, formula_compose,
-                     formula_inverse, is_unit, line_permutation, maps_equal,
+from oracles import (formula_compose, formula_inverse, is_unit,
+                     line_permutation, maps_equal,
                      mat_scale, parse_cycles, perm_inverse, q_zeta_pull_back,
                      q_zeta_push_vector, scan_search_generators,
                      scan_unit_det_candidates)
@@ -94,11 +94,27 @@ def eis_matrix(pairs):
 TILTED = tuple(eis_matrix(m) for m in EXPECTED["search.tilted_matrices"])
 
 
+def ambient_tangent_permutation(linear, antiholomorphic):
+    """_tangent_permutation of a Q(zeta) matrix on the ambient tangents, as
+    preserves_divisor calls it."""
+    return _tangent_permutation(_integer_matrix(linear)[1], antiholomorphic,
+                                _AMBIENT_TANGENT_PAIRS)
+
+
+def tilted_tangent_permutation(quad):
+    """_tangent_permutation of an entry quadruple (a11, a12, a21, a22) on
+    the tilted tangents, as search_generators calls it."""
+    a11, a12, a21, a22 = quad
+    return _tangent_permutation(((a11, a12), (a21, a22)), False,
+                                _TILTED_TANGENT_PAIRS)
+
+
 def tangent_line_permutation(g):
     """The permutation of the four tangent lines induced by g, which must
     preserve the branch divisor."""
     assert preserves_divisor(g)
-    return Permutation(_tangent_permutation(g.linear, g.antiholomorphic))
+    return Permutation(ambient_tangent_permutation(g.linear,
+                                                   g.antiholomorphic))
 
 
 def test_projective_point_equality_is_scale_invariant():
@@ -190,7 +206,7 @@ def test_preserves_divisor_rejects_line_breaking_map():
     shear2 = AffineSymmetry(mat_mul(catalog.FRAME_SHEAR, catalog.FRAME_SHEAR))
     rational_rep(shear2, catalog.COVER_LATTICE)  # lattice is preserved
     assert not preserves_divisor(shear2)
-    assert _tangent_permutation(shear2.linear, False) is None
+    assert ambient_tangent_permutation(shear2.linear, False) is None
 
 
 def test_tangent_line_permutations():
@@ -270,18 +286,21 @@ def test_search_matches_plain_scan(bound, count):
 
 
 def test_first_tangent_equation_reads_only_a11_and_a21():
-    # the first tilted tangent is (1, 0), so its image is (a11, a21)
+    # the first tilted tangent is (1, 0), so its image is (a11, a21): on
+    # that tangent alone the test reads only the first column
     assert _TILTED_TANGENT_PAIRS[0] == ((1, 0), (0, 0))
-    for target in _SEARCH_TARGETS:
-        first = _TANGENT_EQUATIONS[target][0]
-        assert sorted(i for i, _ in first) == [0, 2]
+    first = _TILTED_TANGENT_PAIRS[:1]
+    small = [(x, y) for x in (-1, 0, 2) for y in (-1, 0, 1)]
+    for a11, a12, a21, a22 in itertools.product(small, repeat=4):
+        fixed = _tangent_permutation(((a11, a12), (a21, a22)), False, first)
+        assert fixed == ((1,) if a21 == (0, 0) else None)
 
 
 @pytest.mark.parametrize("bound", [2, 3])
 def test_first_tangent_filter_is_the_first_cross_multiplication(bound):
     domains = _entry_domains(bound)
-    key, passing = _first_tangent_filter(domains)
-    (x, _), zero = _TILTED_TANGENT_PAIRS[0], (0, 0)
+    passing = _first_tangent_pairs(domains[0], domains[2])
+    x, _ = _TILTED_TANGENT_PAIRS[0]
     want = set()
     for a11, a21 in itertools.product(domains[0], domains[2]):
         # the image of the first tilted tangent under [[a11, 0], [a21, 0]]
@@ -290,20 +309,22 @@ def test_first_tangent_filter_is_the_first_cross_multiplication(bound):
             px, py = _TILTED_TANGENT_PAIRS[target[0] - 1]
             if _zeta_mul(qx, py) == _zeta_mul(px, qy):
                 want.add((a11, a21))
-        assert key((a11, zero, a21, zero)) == (a11, a21)
     assert passing == want
 
 
 def test_first_tangent_filter_keeps_every_accepted_candidate():
-    key, passing = _first_tangent_filter(_entry_domains(3))
+    domains = _entry_domains(3)
+    passing = _first_tangent_pairs(domains[0], domains[2])
     candidates = unit_det_candidates(3)
+    assert len(candidates) == 4196
     accepted = [c for c in candidates
-                if any(_moves_tangents(*c, target)
-                       for target in _SEARCH_TARGETS)]
+                if tilted_tangent_permutation(c) in _SEARCH_TARGETS]
+    # the four candidates that pass are the four generators the search finds
     assert len(accepted) == EXPECTED["search.candidate_count"]
-    assert all(key(c) in passing for c in accepted)
+    assert all((a11, a21) in passing for a11, _, a21, _ in accepted)
     # and it is a filter: most candidates fail it
-    assert sum(key(c) in passing for c in candidates) < len(candidates) // 10
+    assert sum((a11, a21) in passing for a11, _, a21, _ in candidates) < \
+        len(candidates) // 10
 
 
 def test_search_result_does_not_depend_on_bound():
@@ -339,9 +360,8 @@ def unit_det_matrices(draw):
 
 
 def integer_tangent_test(linear):
-    (a11, a12), (a21, a22) = [[_zeta_pair(x) for x in row] for row in linear]
-    return any(_moves_tangents(a11, a12, a21, a22, target)
-               for target in _SEARCH_TARGETS)
+    quad = tuple(_zeta_pair(x) for row in linear for x in row)
+    return tilted_tangent_permutation(quad) in _SEARCH_TARGETS
 
 
 @given(unit_det_matrices())
@@ -349,38 +369,6 @@ def test_integer_tangent_test_matches_q_zeta_permutation(linear):
     assert is_unit(det2(linear))
     assert integer_tangent_test(linear) == \
         (line_permutation(linear, False, TILTED_TANGENTS) in _SEARCH_TARGETS)
-
-
-def _agrees_with_cross_multiplication(a11, a12, a21, a22):
-    found = []
-    for target in _SEARCH_TARGETS:
-        moved = _moves_tangents(a11, a12, a21, a22, target)
-        assert moved == cross_multiplied_moves_tangents(a11, a12, a21, a22,
-                                                        target)
-        found.append(moved)
-    return any(found)
-
-
-def test_tangent_equations_match_cross_multiplication_on_candidates():
-    candidates = unit_det_candidates(3)
-    assert len(candidates) == 4196
-    # the four candidates that pass are the four generators the search finds
-    assert sum(_agrees_with_cross_multiplication(*c) for c in candidates) == \
-        EXPECTED["search.candidate_count"]
-
-
-integral_matrices = st.tuples(zeta_integers, zeta_integers, zeta_integers,
-                              zeta_integers)
-
-
-@given(st.one_of(
-    unit_det_matrices().map(
-        lambda m: tuple(_zeta_pair(x) for row in m for x in row)),
-    integral_matrices))
-def test_tangent_equations_match_cross_multiplication(entries):
-    a11, a12, a21, a22 = entries
-    assume(_zeta_mul(a11, a22) != _zeta_mul(a12, a21))
-    _agrees_with_cross_multiplication(a11, a12, a21, a22)
 
 
 def test_integer_tangent_test_accepts_and_rejects():
@@ -401,7 +389,6 @@ def test_integer_tangent_test_accepts_and_rejects():
 
 def test_shear_conjugation_recovers_standard_generators():
     shear = catalog.FRAME_SHEAR
-    from hexcover.eisenstein import inv2
     unshear = inv2(shear)
     conjugates = {mat_mul(mat_mul(shear, m), unshear) for m in TILTED}
     assert conjugates == {eis_matrix(m)
@@ -539,7 +526,8 @@ def test_gamma_lattice_images():
     cubed = functools.reduce(formula_compose, [PRODUCT_ORDER3] * 3)
     assert maps_equal(cubed, IDENTITY,
                       catalog.PRODUCT_LATTICE)
-    assert _tangent_permutation(PRODUCT_ORDER3.linear, False) is not None
+    assert ambient_tangent_permutation(PRODUCT_ORDER3.linear, False) \
+        is not None
 
 
 def test_gamma_action_rejects_a_symmetry_not_of_order_three(monkeypatch):
@@ -693,13 +681,50 @@ def tangent_permuting_maps(draw):
     return mat_scale(c, g.linear), g.antiholomorphic
 
 
-@given(st.one_of(st.tuples(eis_matrices, st.booleans()),
-                 tangent_permuting_maps()))
+# w -> M R conj(w) in the sheared frame, M the identity or a tilted
+# generator and R the anti-holomorphic reflection there: anti-holomorphic
+# maps that permute the tilted tangents
+tilted_reflections = st.tuples(
+    st.sampled_from((mat_identity(2),) + TILTED).map(
+        lambda m: mat_mul(m, eis_matrix(
+            EXPECTED["search.reflection_in_sheared_frame"]))),
+    st.just(True))
+# sheared-frame cases: unit-determinant matrices, of which the tilted
+# generators' multiples permute the tilted tangents, and the reflections
+tilted_cases = st.one_of(st.tuples(unit_det_matrices(), st.booleans()),
+                         tilted_reflections)
+AMBIENT_FRAME = (_AMBIENT_TANGENT_PAIRS, catalog.CURVE_LINES)
+TILTED_FRAME = (_TILTED_TANGENT_PAIRS, TILTED_TANGENTS)
+
+
+@given(st.one_of(
+    st.tuples(eis_matrices, st.booleans(),
+              st.sampled_from((AMBIENT_FRAME, TILTED_FRAME))),
+    tangent_permuting_maps().map(lambda case: (*case, AMBIENT_FRAME)),
+    tilted_cases.map(lambda case: (*case, TILTED_FRAME))))
 def test_tangent_permutation_matches_q_zeta_oracle(case):
-    linear, antiholomorphic = case
+    # the ambient tangents, as preserves_divisor asks, and the tilted ones,
+    # as the search asks
+    linear, antiholomorphic, (tangents, lines) = case
     assume(det2(linear))
-    assert _tangent_permutation(linear, antiholomorphic) == \
-        line_permutation(linear, antiholomorphic, catalog.CURVE_LINES)
+    assert _tangent_permutation(_integer_matrix(linear)[1], antiholomorphic,
+                                tangents) == \
+        line_permutation(linear, antiholomorphic, lines)
+
+
+@given(st.one_of(st.tuples(eis_matrices, st.booleans()), tilted_cases))
+def test_tangent_permutation_is_the_same_in_both_frames(case):
+    # the tilted tangents are the ambient ones in the sheared frame w with
+    # z = S w, so a map w -> M w (or M conj(w)) and its ambient form
+    # S M S^-1 (or S M conj(S)^-1) permute the two quadruples alike
+    linear, anti = case
+    assume(det2(linear))
+    shear = catalog.FRAME_SHEAR
+    back = inv2(mat_conj(shear) if anti else shear)
+    ambient = mat_mul(mat_mul(shear, linear), back)
+    assert _tangent_permutation(_integer_matrix(linear)[1], anti,
+                                _TILTED_TANGENT_PAIRS) == \
+        ambient_tangent_permutation(ambient, anti)
 
 
 @st.composite

@@ -49,6 +49,13 @@ SELECTED = EXPECTED["characters.selected"]
 UNITS = (ONE, -ONE, ZETA, -ZETA, ZETA - 1, 1 - ZETA)
 
 
+def trivial_curves(chi, incidence):
+    """The curves (0-based) on which chi restricts trivially: those whose
+    2-torsion classes, as parity vectors in incidence, chi sends to +1."""
+    return tuple(c for c, points in enumerate(incidence)
+                 if all(chi.value_on_coords(p) == 1 for p in points))
+
+
 def test_character_list_matches_published_order():
     assert len(CHARS) == 16
     assert CHARS[0].is_trivial
@@ -126,17 +133,17 @@ def test_kernel_lattice_rejects_trivial():
 
 def test_restriction_examples():
     lam = CURVE_LATTICES
-    trivial_on = classify_characters().trivial_on
+    incidence = classify_characters().curve_incidence
     # fourth curve lattice contains l1+l2-u2, on which chi_1 is -1
     v = lam[3].vectors[0]
     assert character_value(CHARS[1], v) == -1
     assert restricts_nontrivially(CHARS[1], lam[3])
-    assert 3 not in trivial_on[1]
+    assert 3 not in trivial_curves(CHARS[1], incidence)
     # chi_4 is +1 on both generators of the second curve lattice
     assert CHARS[4].value_on_coords([0, 1, 0, 0]) == 1
     assert CHARS[4].value_on_coords([0, 0, 0, 1]) == 1
     assert not restricts_nontrivially(CHARS[4], lam[1])
-    assert trivial_on[4] == (1,)
+    assert trivial_curves(CHARS[4], incidence) == (1,)
     for sub in lam:
         assert not restricts_nontrivially(CHARS[0], sub)
 
@@ -151,15 +158,16 @@ def test_restriction_requires_sublattice():
 def test_classification_selects_three_characters():
     result = classify_characters()
     assert list(result.selected) == SELECTED
+    trivial_on = [trivial_curves(chi, result.curve_incidence) for chi in CHARS]
     # the trivial character restricts trivially everywhere
-    assert result.trivial_on[0] == (0, 1, 2, 3)
+    assert trivial_on[0] == (0, 1, 2, 3)
     # every nontrivial character fails on at most one curve
     for k in range(1, 16):
-        assert len(result.trivial_on[k]) <= 1
+        assert len(trivial_on[k]) <= 1
     excluded = [k for k in range(1, 16) if k not in result.selected]
     assert len(excluded) == 12
     for k in excluded:
-        assert len(result.trivial_on[k]) == 1
+        assert len(trivial_on[k]) == 1
 
 
 def test_classification_incidence_table():
@@ -182,8 +190,8 @@ def test_trivial_on_matches_generator_oracle():
     # the incidence read off the curve maps agrees with chi evaluated on
     # the generators of the published curve lattices
     result = classify_characters()
-    for chi, trivial in zip(CHARS, result.trivial_on):
-        assert trivial == tuple(
+    for chi in CHARS:
+        assert trivial_curves(chi, result.curve_incidence) == tuple(
             k for k, sub in enumerate(CURVE_LATTICES)
             if not restricts_nontrivially(chi, sub))
 
@@ -218,19 +226,20 @@ def test_unit_multiples_of_the_curve_maps_change_nothing(units):
         patch.setattr(catalog, "CURVE_MAPS", scaled)
         again = torsion_covers._classification.__wrapped__()
     assert again.selected == result.selected
-    assert again.trivial_on == result.trivial_on
     assert again.curve_incidence == result.curve_incidence
 
 
 def test_excluded_witness_curves_match_incidence():
     # a character kills a curve lattice exactly when its -1 locus misses the
-    # curve's parity classes
+    # curve's parity classes, so the selected characters are those whose -1
+    # locus meets every curve's classes
     result = classify_characters()
     for k in range(1, 16):
         chi = CHARS[k]
-        for c, parities in enumerate(result.curve_incidence):
-            trivial = all(chi.value_on_coords(p) == 1 for p in parities)
-            assert trivial == (c in result.trivial_on[k])
+        meets_every_curve = all(
+            any(chi.value_on_coords(p) == -1 for p in parities)
+            for parities in result.curve_incidence)
+        assert meets_every_curve == (k in result.selected)
 
 
 def test_2divisibility_selects_same_characters():

@@ -35,7 +35,7 @@ commands=(
     # the failure path of the group-name row, named from an isomorphism
     "verify-all --perturb orbits.full_group --json"
 )
-for bound in 2 3 4 5; do
+for bound in 2 3 4 5 6 8; do
     commands+=("search-aut --bound $bound --json")
 done
 
