@@ -290,39 +290,37 @@ class Semicharacter:
     """Function chi on a lattice with chi(x+y) = chi(x)chi(y)e^{pi i E(x,y)}.
 
     Stored as exponents in Q/Z on the ordered basis together with the
-    alternating form E = Im h restricted to the lattice; the closed
-    evaluation formula below extends the basis values to the whole
-    lattice, consistently because E is integral.  The exponents are kept as
-    one denominator and a tuple of integer numerators in canonical form
-    (see _reduced), so equal characters have equal data; exponents returns
-    them as Fractions.
+    alternating form E = Im h restricted to the lattice, which carries the
+    lattice; the closed evaluation formula below extends the basis values
+    to the whole lattice, consistently because E is integral.  The
+    exponents are kept as one denominator and a tuple of integer
+    numerators in canonical form (see _reduced), so equal characters have
+    equal data; exponents returns them as Fractions.
     """
 
     __slots__ = ("lattice", "form", "_den", "_nums")
 
-    def __init__(self, lattice: LatticeBasis, exponents: Sequence[Fraction],
+    def __init__(self, exponents: Sequence[Fraction],
                  form: AltFormOnLattice) -> None:
         exps = tuple(map(_rational, exponents))
         den = lcm(*(q.denominator for q in exps))
-        self._fill(lattice, den,
-                   [q.numerator * (den // q.denominator) for q in exps], form)
+        self._fill(den, [q.numerator * (den // q.denominator) for q in exps],
+                   form)
 
     @classmethod
-    def _from_numerators(cls, lattice: LatticeBasis, den: int,
-                         nums: Sequence[int],
+    def _from_numerators(cls, den: int, nums: Sequence[int],
                          form: AltFormOnLattice) -> "Semicharacter":
         """The character with exponents nums[j] / den, which need not be
         reduced; the checks are those of the constructor."""
         chi = object.__new__(cls)
-        chi._fill(lattice, den, nums, form)
+        chi._fill(den, nums, form)
         return chi
 
-    def _fill(self, lattice: LatticeBasis, den: int, nums: Sequence[int],
+    def _fill(self, den: int, nums: Sequence[int],
               form: AltFormOnLattice) -> None:
-        if form.lattice != lattice:
-            raise LatticeMismatch("semicharacter form on a different lattice")
         if not form._integral:
             raise NotIntegral("semicharacter needs an integral alternating form")
+        lattice = form.lattice
         if len(nums) != lattice.rank:
             raise ValueError("one exponent per basis vector")
         den, nums = _reduced(den, nums)
@@ -370,11 +368,9 @@ class Semicharacter:
     def __mul__(self, other: "Semicharacter") -> "Semicharacter":
         if not isinstance(other, Semicharacter):
             return NotImplemented
-        if self.lattice != other.lattice:
-            raise LatticeMismatch("semicharacters on different lattices")
         d1, d2 = self._den, other._den
         return Semicharacter._from_numerators(
-            self.lattice, d1 * d2,
+            d1 * d2,
             [a * d2 + b * d1 for a, b in zip(self._nums, other._nums)],
             self.form + other.form)
 
@@ -382,11 +378,10 @@ class Semicharacter:
         if not isinstance(other, Semicharacter):
             return NotImplemented
         return (self._den == other._den and self._nums == other._nums
-                and self.lattice == other.lattice
                 and self.form == other.form)
 
     def __hash__(self) -> int:
-        return hash((self.lattice, self._den, self._nums, self.form))
+        return hash((self._den, self._nums, self.form))
 
     def __repr__(self) -> str:
         return f"Semicharacter({[str(q) for q in self.exponents]})"
@@ -411,15 +406,14 @@ class LineBundleClass:
     def build(cls, form: HermitianForm, lattice: LatticeBasis,
               exponents: Sequence[Fraction]) -> "LineBundleClass":
         alt = im_on_lattice(form, lattice)
-        return cls(form, Semicharacter(lattice, exponents, alt))
+        return cls(form, Semicharacter(exponents, alt))
 
     @classmethod
     def _from_numerators(cls, form: HermitianForm, lattice: LatticeBasis,
                          den: int, nums: Sequence[int]) -> "LineBundleClass":
         """build for the exponents nums[j] / den."""
         alt = im_on_lattice(form, lattice)
-        return cls(form, Semicharacter._from_numerators(lattice, den, nums,
-                                                        alt))
+        return cls(form, Semicharacter._from_numerators(den, nums, alt))
 
     @property
     def lattice(self) -> LatticeBasis:
@@ -438,8 +432,8 @@ class LineBundleClass:
 
 
 def tensor(l1: LineBundleClass, l2: LineBundleClass) -> LineBundleClass:
-    if l1.lattice != l2.lattice:
-        raise LatticeMismatch("tensor product needs a common lattice")
+    """The product bundle; on different lattices the sum of the
+    semicharacter forms raises LatticeMismatch."""
     return LineBundleClass(l1.form + l2.form, l1.character * l2.character)
 
 
@@ -524,7 +518,7 @@ def translate(bundle: LineBundleClass, v: AmbientVector) -> LineBundleClass:
     if any(shifts):
         dc = character._den
         character = Semicharacter._from_numerators(
-            lattice, dc * den,
+            dc * den,
             [q * den + n * dc for q, n in zip(character._nums, shifts)],
             character.form)
     return LineBundleClass(bundle.form, character)

@@ -23,7 +23,7 @@ from typing import List, Sequence, Tuple
 from . import catalog
 from .appell_humbert import im_on_lattice, intersection_number, square_roots
 from .eisenstein import EisRat, _gf3_residues, inv2, mat_conj, mat_mul
-from .lattice import AmbientVector, hnf
+from .lattice import hnf
 from .permgroup import PermGroup
 from .surface_invariants import (
     NonIntegral,
@@ -105,8 +105,8 @@ def _characters_rows() -> List[Row]:
     for k in outcome.selected:
         normal = hnf(kernel_lattice(chars[k]), catalog.PRODUCT_LATTICE)
         rows.append((f"characters.kernel_hnf_{k}", _int_rows(normal)))
-    witness = catalog.SUM_FORM.im_value(AmbientVector((0, 1, 1, 0)),
-                                        AmbientVector((0, 0, 1, 1)))
+    # the mixed cover generators l1 + u2 and l2 + u2
+    witness = catalog.SUM_FORM.im_value(*catalog.COVER_LATTICE.vectors[1:3])
     rows.append(("characters.witness_parity", _as_int(witness)))
     rows.append(("characters.curve_torsion_counts",
                  [len(points) for points in outcome.curve_incidence]))
@@ -178,11 +178,12 @@ def _invariants_rows() -> List[Row]:
     square = intersection_number(catalog.SUM_FORM, catalog.SUM_FORM,
                                  catalog.COVER_LATTICE)
     rows.append(("invariants.cover_branch_square", square))
-    rows.append(("invariants.double_cover", _double_cover(square, 2)))
+    chi, k2 = _double_cover(square, 2)
+    rows.append(("invariants.double_cover", [chi, k2]))
     rows.append(("invariants.smooth_double_cover", _double_cover(8, 0)))
     rows.append(("invariants.product_quotient",
                  list(product_quotient_invariants(3, 4))))
-    rows.append(("invariants.ball_quotient", ball_quotient_check()))
+    rows.append(("invariants.ball_quotient", ball_quotient_check(k2, chi)))
     return rows
 
 

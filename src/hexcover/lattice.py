@@ -121,23 +121,25 @@ class LatticeBasis:
     def __init__(self, vectors: Sequence[AmbientVector]) -> None:
         vecs = tuple(vectors)
         den, rows = integer_coordinates(vecs)
-        if len(_gauss_jordan(rows)[0]) != len(vecs):
+        solver = _solver(den, rows)
+        if len(solver[0]) != len(vecs):
             raise ValueError("basis vectors must be linearly independent")
         object.__setattr__(self, "vectors", vecs)
-        # Derived from vectors: _integer holds their integer coordinates
-        # (integer_coordinates, computed once here).  The caches are filled
-        # on use: _solver by the first coords_in against this basis,
-        # _coords by coords_in, which keys by the vector the pair of its
-        # rational coordinates and its integer lattice coordinates (each
-        # None when there are none), _im_forms by
-        # appell_humbert.im_on_lattice, which keys Im h on this basis by the
-        # form's integer Gram matrix, _pullbacks by appell_humbert._pull_back,
-        # which keys the pulled form and the basis images by (map,
-        # anti-holomorphic flag, Gram matrix of the bundle's form), and
-        # _shifts by appell_humbert.translate, which keys the integer shifts
+        # Derived from vectors, once, here: _integer holds their integer
+        # coordinates (integer_coordinates) and _solver the data coords_in
+        # and orientation read, built from the one elimination that also
+        # checks the rank.  The caches are filled on use: _coords by
+        # coords_in, which keys by the vector the pair of its rational
+        # coordinates and its integer lattice coordinates (each None when
+        # there are none), _im_forms by appell_humbert.im_on_lattice, which
+        # keys Im h on this basis by the form's integer Gram matrix,
+        # _pullbacks by appell_humbert._pull_back, which keys the pulled
+        # form and the basis images by (map, anti-holomorphic flag, Gram
+        # matrix of the bundle's form), and _shifts by
+        # appell_humbert.translate, which keys the integer shifts
         # Im h(v, b_j) over their denominator by (Gram matrix, v).
         object.__setattr__(self, "_integer", (den, tuple(map(tuple, rows))))
-        object.__setattr__(self, "_solver", None)
+        object.__setattr__(self, "_solver", solver)
         object.__setattr__(self, "_coords", {})
         object.__setattr__(self, "_im_forms", {})
         object.__setattr__(self, "_pullbacks", {})
@@ -250,33 +252,28 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]):
     return pivots, m, t, d
 
 
-def _solver(basis: LatticeBasis):
-    """The cached data coords_in needs for basis: (pivots, den, inverse,
-    checks), all integers.
+def _solver(scale: int, rows: Sequence[Sequence[int]]):
+    """The data coords_in needs for the basis B with integer coordinates
+    rows = V = scale . B: (pivots, den, inverse, checks), all integers.
 
     For the k basis vectors, the k x k minor on the pivot coordinates is
     invertible; inverse is den times its inverse, so the coordinates of v
     are inverse . v[pivots] / den.  Each (r, row) in checks reconstructs a
     non-pivot coordinate as row . v[pivots] / den, which must equal v[r]
-    for v to lie in the span; rank 4 has no checks.
+    for v to lie in the span; rank 4 has no checks.  Fewer than k pivots
+    mean that the rows are dependent.
 
-    With V = scale . B the integer coordinates of the basis B, _gauss_jordan
-    gives T . V = R with R = d . rref(B) on the pivot rows, so
-    inverse = scale . T^t and the checks are the non-pivot columns of R,
-    all over den = d.
+    _gauss_jordan gives T . V = R with R = d . rref(B) on the pivot rows,
+    so inverse = scale . T^t and the checks are the non-pivot columns of
+    R, all over den = d; at rank 4, d = det(V).
     """
-    solver = basis._solver
-    if solver is None:
-        scale, rows = basis._integer
-        pivots, reduced, transform, d = _gauss_jordan(rows)
-        k = len(pivots)
-        solver = (tuple(pivots), d,
-                  tuple(tuple(scale * transform[j][i] for j in range(k))
-                        for i in range(k)),
-                  tuple((r, tuple(reduced[j][r] for j in range(k)))
-                        for r in range(4) if r not in pivots))
-        object.__setattr__(basis, "_solver", solver)
-    return solver
+    pivots, reduced, transform, d = _gauss_jordan(rows)
+    k = len(pivots)
+    return (tuple(pivots), d,
+            tuple(tuple(scale * transform[j][i] for j in range(k))
+                  for i in range(k)),
+            tuple((r, tuple(reduced[j][r] for j in range(k)))
+                  for r in range(4) if r not in pivots))
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
@@ -304,7 +301,7 @@ def _solve(reference: LatticeBasis, v: AmbientVector):
     basis' _solver: the coordinates are integers over one denominator, so
     they are a lattice vector's exactly when that denominator divides each
     of them."""
-    pivots, den, inverse, checks = _solver(reference)
+    pivots, den, inverse, checks = reference._solver
     d, (ints,) = integer_coordinates((v,))
     at_pivots = [ints[p] for p in pivots]
     for r, row in checks:
@@ -410,4 +407,5 @@ def orientation(basis: LatticeBasis) -> int:
     """
     if basis.rank != 4:
         raise RankMismatch("orientation is defined for rank-4 bases")
-    return 1 if _det(basis._integer[1]) > 0 else -1
+    # the solver's denominator is det(V), V = scale . B with scale > 0
+    return 1 if basis._solver[1] > 0 else -1

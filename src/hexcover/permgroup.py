@@ -105,18 +105,18 @@ class Permutation:
 
 
 class PermGroup:
-    """Group generated by a list of permutations of common degree."""
+    """Group generated by a non-empty list of permutations of common
+    degree, which is the group's degree."""
 
     __slots__ = ("generators", "degree", "_elements")
 
-    def __init__(self, generators, degree: int | None = None) -> None:
+    def __init__(self, generators) -> None:
         gens = tuple(generators)
         if not all(isinstance(g, Permutation) for g in gens):
             raise TypeError(f"generators must be Permutations, got {gens!r}")
-        if degree is None:
-            if not gens:
-                raise ValueError("need a degree for the empty generator list")
-            degree = gens[0].degree
+        if not gens:
+            raise ValueError("need at least one generator")
+        degree = gens[0].degree
         if any(g.degree != degree for g in gens):
             raise ValueError("generators act on different sets")
         self.generators = gens
@@ -150,22 +150,15 @@ class PermGroup:
         return len(self.elements())
 
     def orbits(self) -> tuple:
-        """Orbits on {1..degree}, each sorted, listed by smallest element."""
+        """Orbits on {1..degree}, each sorted, listed by smallest element;
+        the orbit of k is its set of images under the elements."""
+        elements = self.elements()
         remaining = set(range(1, self.degree + 1))
-        order = self.order
         out = []
         while remaining:
             start = min(remaining)
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                k = frontier.pop()
-                for g in self.generators:
-                    img = g(k)
-                    if img not in orbit:
-                        orbit.add(img)
-                        frontier.append(img)
-            if order % len(orbit):
+            orbit = {g(start) for g in elements}
+            if len(elements) % len(orbit):
                 raise RuntimeError("orbit size does not divide group order")
             remaining -= orbit
             out.append(tuple(sorted(orbit)))
@@ -200,11 +193,10 @@ class PermGroup:
                                             (x * b + y * d) % 3]
                                 for x, y in _GF3_VECTORS])
                    for a, b, c, d in matrices]
-        image = PermGroup(actions, degree=len(_GF3_VECTORS))
+        image = PermGroup(actions)
         graph = PermGroup(
             [Permutation(g.images + tuple(k + self.degree for k in p.images))
-             for g, p in zip(self.generators, actions)],
-            degree=self.degree + image.degree)
+             for g, p in zip(self.generators, actions)])
         if not self.order == image.order == graph.order:
             return None
         if image.order == 48:

@@ -54,21 +54,23 @@ class SingularityProfile:
 class BranchCase:
     """One admissible branch configuration for a canonical-degree-8 cover."""
 
-    __slots__ = ("label", "d2", "singularities", "profile")
+    __slots__ = ("label", "singularities", "profile")
 
-    def __init__(self, label: str, d2: int, singularities: str,
+    def __init__(self, label: str, singularities: str,
                  profile: SingularityProfile) -> None:
         if label not in ("I", "II"):
             raise ValueError("label must be 'I' or 'II'")
-        if not isinstance(d2, int):
-            raise TypeError(f"d2 must be an int, got {d2!r}")
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "d2", d2)
         object.__setattr__(self, "singularities", singularities)
         object.__setattr__(self, "profile", profile)
 
     def __setattr__(self, name, value):
         raise AttributeError("BranchCase is immutable")
+
+    @property
+    def d2(self) -> int:
+        """Self-intersection of the branch curve D = 2L, so 4 L^2."""
+        return 4 * self.profile.l2
 
     def __repr__(self) -> str:
         return (f"BranchCase({self.label!r}, d2={self.d2}, "
@@ -108,19 +110,18 @@ def enumerate_branch_profiles() -> list[BranchCase]:
     cases = []
     # mult profiles with sum (m_i - 1) <= 2, each m_i >= 2: (), (2,), (3,), (2, 2)
     for mults in ((), (2,), (3,), (2, 2)):
-        excess = sum(m - 1 for m in mults)
-        if 4 + 2 * excess != 8:
-            continue
         l2 = 2 + sum(m * (m - 1) for m in mults)  # forces chi = 1
         profile = SingularityProfile(l2, mults)
+        if resolution_invariants(profile).k2 != 8:
+            continue
         if mults == (3,):
             cases.append(BranchCase(
-                "I", 4 * l2,
-                "one ordinary singular point of multiplicity 6", profile))
+                "I", "one ordinary singular point of multiplicity 6",
+                profile))
         elif mults == (2, 2):
             cases.append(BranchCase(
-                "II", 4 * l2,
-                "two ordinary singular points of multiplicity 4", profile))
+                "II", "two ordinary singular points of multiplicity 4",
+                profile))
     return cases
 
 
@@ -139,8 +140,9 @@ def product_quotient_invariants(g: int, group_order: int) -> tuple[int, int]:
     return int(chi), 8 * int(chi)
 
 
-def ball_quotient_check(k2: int = 8, chi: int = 1) -> bool:
-    """Whether both logarithmic Chern-number identities come out at 12.
+def ball_quotient_check(k2: int, chi: int) -> bool:
+    """Whether both logarithmic Chern-number identities come out at 12 for
+    a surface with these invariants; they must be ints.
 
     The surface carries four disjoint elliptic curves of self-intersection -1
     and, on its singular model's resolution, two disjoint elliptic curves of
@@ -149,6 +151,8 @@ def ball_quotient_check(k2: int = 8, chi: int = 1) -> bool:
     the C_i; equality at 12 on both is the numerical criterion for the two
     open ball-quotient structures.
     """
+    if not isinstance(k2, int) or not isinstance(chi, int):
+        raise TypeError(f"k2 and chi must be ints, got {k2!r} and {chi!r}")
     c2 = 12 * chi - k2
     for self_ints in ((-1, -1, -1, -1), (-2, -2)):
         # adjunction for a smooth elliptic curve: K.C = -C^2

@@ -360,7 +360,6 @@ def q_zeta_pull_back(g, bundle):
 
     lattice = bundle.lattice
     shifted = Semicharacter(
-        lattice,
         [q + hermitian_value(bundle.form, g.translation, b).im
          for q, b in zip(bundle.character.exponents, lattice.vectors)],
         bundle.character.form)

@@ -194,10 +194,10 @@ def test_criterion_8_numerical_invariants():
     assert [c.d2 for c in cases] == EXPECTED["invariants.branch_degrees"]
     square = EXPECTED["invariants.cover_branch_square"]
     cover_branch = SingularityProfile(square // 4, [2, 2])
-    assert list(resolution_invariants(cover_branch)) == \
-        EXPECTED["invariants.double_cover"]
-    assert ball_quotient_check()
-    assert not ball_quotient_check(k2=9)
+    chi, k2 = resolution_invariants(cover_branch)
+    assert [chi, k2] == EXPECTED["invariants.double_cover"]
+    assert ball_quotient_check(k2, chi)
+    assert not ball_quotient_check(k2 + 1, chi)
     rotation = gamma_action_on_sigma()
     assert rotation.order() == EXPECTED["search.rotation_order"]
     assert str(rotation) == EXPECTED["search.rotation_cycle"]

@@ -20,6 +20,7 @@ from hexcover.lattice import (
     coords_in,
     hnf,
     integer_coordinates,
+    orientation,
 )
 
 import golden
@@ -363,6 +364,34 @@ def test_gauss_jordan_on_row_swaps_and_zero_columns(rows, det):
     _check_elimination(rows)
     if det is not None:
         assert _det(rows) == det
+
+
+@given(lattice_bases(4))
+def test_orientation_is_the_sign_of_the_determinant(basis):
+    det = sympy_det([v.coordinates for v in basis.vectors])
+    assert orientation(basis) == (1 if det > 0 else -1)
+
+
+def test_one_elimination_per_basis(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return _gauss_jordan(rows)
+
+    monkeypatch.setattr(lattice, "_gauss_jordan", counting)
+    for rows in (golden.COVER_BASIS, [(1, 0, 0, 0), (0, 0, 1, 0)]):
+        calls.clear()
+        basis = LatticeBasis.from_rows(rows)
+        assert len(calls) == 1
+        for v in ((1, 2, 3, 4), (Fraction(1, 2), 0, 1, 0), (0, 0, 5, 0)):
+            coords_in(basis, AmbientVector(v))
+        if basis.rank == 4:
+            orientation(basis)
+        else:
+            with pytest.raises(lattice.RankMismatch):
+                orientation(basis)
+        assert len(calls) == 1
 
 
 @given(eis_matrices, st.booleans(),

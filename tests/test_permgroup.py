@@ -96,13 +96,33 @@ def test_from_cycles_round_trip():
 
 
 def test_closure_trivial_and_small():
-    trivial = PermGroup([], degree=4)
+    trivial = PermGroup([Permutation.identity(4)])
     assert trivial.order == 1
     assert trivial.orbits() == ((1,), (2,), (3,), (4,))
     swap = PermGroup([perm_from_cycles([(1, 2)], 4)])
     assert swap.order == 2
     # -1 pairs with the swap isomorphically, onto neither named group
     assert swap.matrix_group_name([(2, 0, 0, 2)]) is None
+
+
+def test_group_needs_a_generator():
+    with pytest.raises(ValueError):
+        PermGroup([])
+
+
+@st.composite
+def small_groups(draw):
+    n = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1,
+                         max_size=3))
+    return PermGroup([Permutation(g) for g in gens])
+
+
+@given(small_groups())
+def test_orbits_match_sympy(group):
+    want = sorted(tuple(sorted(k + 1 for k in orbit))
+                  for orbit in _sympy_group(group.generators).orbits())
+    assert group.orbits() == tuple(want)
 
 
 def test_closure_generator_order_independent():

@@ -67,10 +67,9 @@ def test_branch_enumeration_for_degree_eight():
 
 def test_branch_case_validates_label():
     with pytest.raises(ValueError):
-        BranchCase("III", 32, "anything", SingularityProfile(8, [3]))
-    for d2 in (32.0, "32", Fraction(32)):
-        with pytest.raises(TypeError):
-            BranchCase("I", d2, "anything", SingularityProfile(8, [3]))
+        BranchCase("III", "anything", SingularityProfile(8, [3]))
+    # the branch square D = 2L is read off the profile
+    assert BranchCase("I", "anything", SingularityProfile(8, [3])).d2 == 32
 
 
 def test_double_cover_published_cases():
@@ -115,11 +114,16 @@ def test_product_quotient_errors():
 
 
 def test_ball_quotient_identities():
-    assert ball_quotient_check()
+    assert ball_quotient_check(8, 1)
     assert ball_quotient_check(k2=8, chi=1)
-    assert not ball_quotient_check(k2=9)
-    assert not ball_quotient_check(k2=7)
-    assert not ball_quotient_check(chi=2)
+    assert not ball_quotient_check(k2=9, chi=1)
+    assert not ball_quotient_check(k2=7, chi=1)
+    assert not ball_quotient_check(k2=8, chi=2)
+    # k2 and chi are ints: nothing is truncated or parsed
+    for k2, chi in ((8.0, 1.0), (8.0, 1), (8, 1.0), ("8", 1), (8, "1"),
+                    (8, Fraction(1))):
+        with pytest.raises(TypeError):
+            ball_quotient_check(k2, chi)
 
 
 def test_cover_self_intersection_feeds_double_cover_formula():

@@ -34,6 +34,8 @@ commands=(
     "verify-all --perturb tables.curve_form_1 --json"
     # the failure path of the group-name row, named from an isomorphism
     "verify-all --perturb orbits.full_group --json"
+    # the failure path of a bool row, computed from the cover's invariants
+    "invariants --perturb invariants.ball_quotient --json"
 )
 for bound in 2 3 4 5 6 8; do
     commands+=("search-aut --bound $bound --json")
