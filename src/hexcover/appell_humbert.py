@@ -15,8 +15,9 @@ Conventions:
   A semicharacter stores its basis exponents as one denominator and
   integer numerators in [0, den) with no common factor, so the calculus
   runs on integers; they read back as Fractions in [0, 1).
-* Genus-1 bundles are carried on rank-2 lattices inside C^2 with a
-  degenerate 2x2 form, so a single matrix shape serves everywhere.
+* Every lattice has rank 4.  A genus-1 bundle is carried on a product
+  lattice as the pullback along the projection to its factor, with a
+  degenerate form, so a single matrix shape serves everywhere.
 * Pfaffians are taken in the ambient orientation fixed by
   lattice.orientation, which makes ample classes positive.
 """
@@ -43,7 +44,6 @@ from .eisenstein import (
 from .lattice import (
     AmbientVector,
     LatticeBasis,
-    RankMismatch,
     _ambient_matrix,
     _lattice_coordinates,
     _map_coordinates,
@@ -161,7 +161,8 @@ class HermitianForm:
 
 
 class AltFormOnLattice:
-    """Values Im h(b_i, b_j) of a hermitian form on an ordered basis.
+    """Values Im h(b_i, b_j) of a hermitian form on an ordered basis, a
+    4x4 matrix.
 
     Entries are ints or Fractions; a float or a string raises TypeError.
     """
@@ -172,11 +173,11 @@ class AltFormOnLattice:
                  matrix: Sequence[Sequence[Fraction]]) -> None:
         m = tuple(tuple(x if isinstance(x, int) else _rational(x)
                         for x in row) for row in matrix)
-        n = lattice.rank
-        if len(m) != n or any(len(r) != n for r in m):
-            raise ValueError("matrix shape must match the lattice rank")
-        if any(m[i][i] for i in range(n)) or any(
-                m[i][j] != -m[j][i] for i in range(n) for j in range(i + 1, n)):
+        if len(m) != 4 or any(len(r) != 4 for r in m):
+            raise ValueError("alternating matrix must be 4x4")
+        if any(m[i][i] for i in range(4)) or any(
+                m[i][j] != -m[j][i]
+                for i in range(4) for j in range(i + 1, 4)):
             raise ValueError("alternating matrix must be skew")
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "matrix", m)
@@ -190,9 +191,8 @@ class AltFormOnLattice:
         return self._integral
 
     def upper_triangle(self) -> Tuple[Fraction, ...]:
-        n = self.lattice.rank
         return tuple(self.matrix[i][j]
-                     for i in range(n) for j in range(i + 1, n))
+                     for i in range(4) for j in range(i + 1, 4))
 
     def scaled(self, c: Fraction) -> "AltFormOnLattice":
         c = _rational(c)
@@ -254,9 +254,7 @@ def im_on_lattice(h: HermitianForm, lattice: LatticeBasis) -> AltFormOnLattice:
 
 
 def pfaffian(e: AltFormOnLattice) -> Fraction:
-    """Oriented pfaffian of a rank-4 alternating form."""
-    if e.lattice.rank != 4:
-        raise RankMismatch("pfaffian needs a rank-4 lattice")
+    """Oriented pfaffian of an alternating form."""
     m = e.matrix
     raw = m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
     return orientation(e.lattice) * raw
@@ -321,7 +319,7 @@ class Semicharacter:
         if not form._integral:
             raise NotIntegral("semicharacter needs an integral alternating form")
         lattice = form.lattice
-        if len(nums) != lattice.rank:
+        if len(nums) != 4:
             raise ValueError("one exponent per basis vector")
         den, nums = _reduced(den, nums)
         object.__setattr__(self, "lattice", lattice)
@@ -343,12 +341,11 @@ class Semicharacter:
         reduced: the sum of n_j q_j and n_j n_k E_jk / 2 over j < k."""
         total = 2 * sum(nj * q for nj, q in zip(n, self._nums))
         rows = self.form.matrix
-        rank = len(self._nums)
         cross = 0
-        for j in range(rank):
+        for j in range(4):
             if not n[j]:
                 continue
-            for k in range(j + 1, rank):
+            for k in range(j + 1, 4):
                 if n[k]:
                     # E is integral, so its entries' numerators are their values
                     cross += n[j] * n[k] * rows[j][k].numerator
@@ -526,15 +523,12 @@ def translate(bundle: LineBundleClass, v: AmbientVector) -> LineBundleClass:
 
 def square_roots(bundle: LineBundleClass) -> List[LineBundleClass]:
     """All Appell-Humbert square roots (h/2, psi) with psi**2 the bundle's
-    semicharacter; empty when Im(h)/2 is not integral on the lattice.  The
-    lattice must have rank 4.
+    semicharacter; empty when Im(h)/2 is not integral on the lattice.
 
     The order is deterministic: the first root has basis exponents in
     [0, 1/2); the rest multiply it by the nontrivial order-2 characters in
     the fixed published ordering.
     """
-    if bundle.lattice.rank != 4:
-        raise RankMismatch("square roots need a rank-4 lattice")
     half_alt = bundle.character.form.scaled(Fraction(1, 2))
     if not half_alt.is_integral():
         return []

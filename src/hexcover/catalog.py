@@ -32,10 +32,6 @@ PRODUCT_LATTICE = LatticeBasis.from_rows(
 COVER_LATTICE = LatticeBasis.from_rows(
     [(1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 2, 0)])
 
-# Period lattice of the second complex factor, carrying the genus-1
-# theta bundle; ordered basis (u2, zeta*u2).
-GENUS1_LATTICE = LatticeBasis.from_rows([(0, 0, 1, 0), (0, 0, 0, 1)])
-
 # --- the four elliptic curves ----------------------------------------------
 
 # Linear forms cutting out the curves, written as analytic maps from C^2
@@ -55,11 +51,14 @@ CURVE_LINES = tuple(ComplexLine((f[1][1], -f[1][0])) for f in CURVE_MAPS)
 
 # --- bundles ----------------------------------------------------------------
 
-# Theta bundle of the second-factor curve at the origin: degenerate form
-# with semicharacter -1 on both generators.
+# Theta bundle of the second-factor curve at the origin, pulled back to
+# the product surface by the second projection: degenerate form with
+# semicharacter -1 on l2 and u2 and trivial on the first factor.  A
+# curve map lands in the second factor, so its bundle is the pullback of
+# this one (f^*(pr_2^* Theta) = (pr_2 . f)^* Theta).
 GENUS1_THETA = LineBundleClass.build(
-    HermitianForm([[0, 0], [0, 2]]), GENUS1_LATTICE,
-    (Fraction(1, 2), Fraction(1, 2)))
+    HermitianForm([[0, 0], [0, 2]]), PRODUCT_LATTICE,
+    (0, Fraction(1, 2), 0, Fraction(1, 2)))
 
 # Bundles of the four curves on the product surface, by pullback.
 CURVE_BUNDLES = tuple(

@@ -1,4 +1,4 @@
-"""Rational lattices of rank 2 and 4 in the real 4-space underlying C^2.
+"""Rational lattices of rank 4 in the real 4-space underlying C^2.
 
 The ambient space carries the fixed reference basis (u1, zeta*u1, u2,
 zeta*u2), where (u1, u2) is the standard complex basis; a vector is four
@@ -14,14 +14,6 @@ from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .eisenstein import EisMat, EisRat, Rat, _integer_matrix, _rational, as_eis
-
-
-class NotCommensurable(ValueError):
-    """The two lattices do not sit in a common rational span."""
-
-
-class RankMismatch(ValueError):
-    """Operation requires lattices of equal rank."""
 
 
 class AmbientVector:
@@ -113,25 +105,30 @@ class ComplexLine:
 
 
 class LatticeBasis:
-    """Ordered rationally independent generators of a lattice."""
+    """Four ordered rationally independent generators of a full lattice in
+    the ambient space."""
 
     __slots__ = ("vectors", "_solver", "_integer", "_coords", "_im_forms",
                  "_pullbacks", "_shifts")
 
     def __init__(self, vectors: Sequence[AmbientVector]) -> None:
         vecs = tuple(vectors)
+        if not all(isinstance(v, AmbientVector) for v in vecs):
+            raise TypeError("basis vectors must be AmbientVectors")
+        if len(vecs) != 4:
+            raise ValueError("a basis has four vectors")
         den, rows = integer_coordinates(vecs)
         solver = _solver(den, rows)
-        if len(solver[0]) != len(vecs):
+        if solver is None:
             raise ValueError("basis vectors must be linearly independent")
         object.__setattr__(self, "vectors", vecs)
         # Derived from vectors, once, here: _integer holds their integer
         # coordinates (integer_coordinates) and _solver the data coords_in
         # and orientation read, built from the one elimination that also
-        # checks the rank.  The caches are filled on use: _coords by
+        # checks independence.  The caches are filled on use: _coords by
         # coords_in, which keys by the vector the pair of its rational
-        # coordinates and its integer lattice coordinates (each None when
-        # there are none), _im_forms by appell_humbert.im_on_lattice, which
+        # coordinates and its integer lattice coordinates (None at a
+        # fractional point), _im_forms by appell_humbert.im_on_lattice, which
         # keys Im h on this basis by the form's integer Gram matrix,
         # _pullbacks by appell_humbert._pull_back, which keys the pulled
         # form and the basis images by (map, anti-holomorphic flag, Gram
@@ -151,10 +148,6 @@ class LatticeBasis:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rat]]) -> "LatticeBasis":
         return cls([AmbientVector(r) for r in rows])
-
-    @property
-    def rank(self) -> int:
-        return len(self.vectors)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatticeBasis):
@@ -254,26 +247,18 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]):
 
 def _solver(scale: int, rows: Sequence[Sequence[int]]):
     """The data coords_in needs for the basis B with integer coordinates
-    rows = V = scale . B: (pivots, den, inverse, checks), all integers.
+    rows = V = scale . B: (det, inverse), integers with det = det(V) and
+    inverse = det . (B^t)^-1, so the coordinates of v are
+    inverse . v / det.  None when the rows are dependent.
 
-    For the k basis vectors, the k x k minor on the pivot coordinates is
-    invertible; inverse is den times its inverse, so the coordinates of v
-    are inverse . v[pivots] / den.  Each (r, row) in checks reconstructs a
-    non-pivot coordinate as row . v[pivots] / den, which must equal v[r]
-    for v to lie in the span; rank 4 has no checks.  Fewer than k pivots
-    mean that the rows are dependent.
-
-    _gauss_jordan gives T . V = R with R = d . rref(B) on the pivot rows,
-    so inverse = scale . T^t and the checks are the non-pivot columns of
-    R, all over den = d; at rank 4, d = det(V).
+    _gauss_jordan gives T . V = det . I for independent rows, so
+    inverse = scale . T^t.
     """
-    pivots, reduced, transform, d = _gauss_jordan(rows)
-    k = len(pivots)
-    return (tuple(pivots), d,
-            tuple(tuple(scale * transform[j][i] for j in range(k))
-                  for i in range(k)),
-            tuple((r, tuple(reduced[j][r] for j in range(k)))
-                  for r in range(4) if r not in pivots))
+    pivots, _, transform, d = _gauss_jordan(rows)
+    if len(pivots) != 4:
+        return None
+    return d, tuple(tuple(scale * transform[j][i] for j in range(4))
+                    for i in range(4))
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
@@ -282,13 +267,13 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     return d if len(pivots) == len(rows) else 0
 
 
-def coords_in(reference: LatticeBasis, v: AmbientVector) -> Optional[Tuple[Fraction, ...]]:
-    """Coordinates of v in the reference basis, or None if v is outside
-    the rational span of the reference.
+def coords_in(reference: LatticeBasis,
+              v: AmbientVector) -> Tuple[Fraction, ...]:
+    """Rational coordinates of v in the reference basis.
 
-    Each result, None included, is stored on the reference basis keyed by
-    v, together with what _lattice_coordinates returns for v, so asking
-    again for an equal vector is one dict lookup."""
+    Each result is stored on the reference basis keyed by v, together with
+    what _lattice_coordinates returns for v, so asking again for an equal
+    vector is one dict lookup."""
     known = reference._coords
     solved = known.get(v)
     if solved is None:
@@ -301,14 +286,10 @@ def _solve(reference: LatticeBasis, v: AmbientVector):
     basis' _solver: the coordinates are integers over one denominator, so
     they are a lattice vector's exactly when that denominator divides each
     of them."""
-    pivots, den, inverse, checks = reference._solver
+    den, inverse = reference._solver
     d, (ints,) = integer_coordinates((v,))
-    at_pivots = [ints[p] for p in pivots]
-    for r, row in checks:
-        if sum(a * b for a, b in zip(row, at_pivots)) != ints[r] * den:
-            return None, None
     den *= d
-    nums = [sum(a * b for a, b in zip(row, at_pivots)) for row in inverse]
+    nums = [sum(a * b for a, b in zip(row, ints)) for row in inverse]
     integral = all(n % den == 0 for n in nums)
     return (tuple(Fraction(n, den) for n in nums),
             tuple(n // den for n in nums) if integral else None)
@@ -317,7 +298,7 @@ def _solve(reference: LatticeBasis, v: AmbientVector):
 def _lattice_coordinates(basis: LatticeBasis,
                          v: AmbientVector) -> Optional[Tuple[int, ...]]:
     """Integer coordinates of v in basis, or None when v is not a vector of
-    the lattice: outside its rational span or at a fractional point.
+    the lattice, that is, when its coordinates are fractional.
 
     They are read from the coords_in memo, which stores them next to the
     rational coordinates.  The memo is filled through coords_in itself, so
@@ -375,15 +356,8 @@ def _column_reduce(m: List[List[int]]) -> List[List[int]]:
 
 def _coord_matrix(basis: LatticeBasis, reference: LatticeBasis) -> List[List[Fraction]]:
     """Columns are the reference-coordinates of the basis vectors."""
-    cols = []
-    for v in basis.vectors:
-        sol = coords_in(reference, v)
-        if sol is None:
-            raise NotCommensurable(
-                "basis vector outside the rational span of the reference")
-        cols.append(list(sol))
-    n = reference.rank
-    return [[cols[j][i] for j in range(len(cols))] for i in range(n)]
+    cols = [coords_in(reference, v) for v in basis.vectors]
+    return [list(row) for row in zip(*cols)]
 
 
 def hnf(basis: LatticeBasis, reference: LatticeBasis) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -401,11 +375,9 @@ def hnf(basis: LatticeBasis, reference: LatticeBasis) -> Tuple[Tuple[Fraction, .
 def orientation(basis: LatticeBasis) -> int:
     """Sign of the determinant of the ambient coordinate matrix.
 
-    Fixes the orientation of every rank-4 basis against the reference
-    basis once and for all, so pfaffians of alternating forms do not
-    depend on the ordering of the generators.
+    Fixes the orientation of every basis against the reference basis once
+    and for all, so pfaffians of alternating forms do not depend on the
+    ordering of the generators.
     """
-    if basis.rank != 4:
-        raise RankMismatch("orientation is defined for rank-4 bases")
     # the solver's denominator is det(V), V = scale . B with scale > 0
-    return 1 if basis._solver[1] > 0 else -1
+    return 1 if basis._solver[0] > 0 else -1

@@ -139,9 +139,8 @@ def _lattice_map(g: AffineSymmetry, basis: LatticeBasis):
     return rational_rep(g, basis), coords_in(basis, g.translation)
 
 
-def _identity_map(rank: int):
-    return (tuple(tuple(int(i == j) for j in range(rank))
-                  for i in range(rank)), (0,) * rank)
+_IDENTITY_MAP = (tuple(tuple(int(i == j) for j in range(4)) for i in range(4)),
+                 (0, 0, 0, 0))
 
 
 def _compose_maps(f, h):
@@ -403,8 +402,7 @@ def verify_presentation(g2: AffineSymmetry, g3: AffineSymmetry) -> bool:
     return (_same_map(_compose_maps(a, a), neg)
             and _same_map(_compose_maps(b, _compose_maps(b, b)), neg)
             and _same_map(_compose_maps(ab, _compose_maps(ab, ab)), neg)
-            and _same_map(_compose_maps(neg, neg),
-                          _identity_map(len(basis.vectors)))
+            and _same_map(_compose_maps(neg, neg), _IDENTITY_MAP)
             and _same_map(_compose_maps(swap, refl),
                           _compose_maps(refl, swap)))
 
@@ -420,8 +418,7 @@ def gamma_action_on_sigma() -> Permutation:
     rotation = _lattice_map(g, basis)
     rep, shift = rotation
     cube, _ = _compose_maps(rotation, _compose_maps(rotation, rotation))
-    identity, _ = _identity_map(len(basis.vectors))
-    if cube != identity or any(x.denominator != 1 for x in shift):
+    if cube != _IDENTITY_MAP[0] or any(x.denominator != 1 for x in shift):
         raise NotOfOrderThree("product symmetry is not of order 3")
     if _tangent_permutation(_integer_matrix(g.linear)[1], False,
                             _AMBIENT_TANGENT_PAIRS) is None:

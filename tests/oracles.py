@@ -176,7 +176,7 @@ class FractionSemicharacter:
         if not form.is_integral():
             raise NotIntegral("semicharacter needs an integral alternating form")
         exps = tuple(_rational(q) % 1 for q in exponents)
-        if len(exps) != lattice.rank:
+        if len(exps) != 4:
             raise ValueError("one exponent per basis vector")
         self.lattice, self.exponents, self.form = lattice, exps, form
 
@@ -397,11 +397,12 @@ def character_value(chi, v) -> int:
     return chi.value_on_coords(coords)
 
 
-def restricts_nontrivially(chi, sub) -> bool:
+def restricts_nontrivially(chi, generators) -> bool:
     """Whether the CharacterMod2 chi takes the value -1 somewhere on the
-    sublattice sub of the product lattice, by its values on the generators
-    of sub; a generator outside the product lattice raises NotInLattice."""
-    return any(character_value(chi, v) == -1 for v in sub.vectors)
+    sublattice of the product lattice spanned by the AmbientVectors
+    generators, by its values on them; a generator outside the product
+    lattice raises NotInLattice."""
+    return any(character_value(chi, v) == -1 for v in generators)
 
 
 def is_unit(x) -> bool:

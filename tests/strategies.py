@@ -31,10 +31,9 @@ def hermitian_forms(draw):
 
 
 @st.composite
-def lattice_bases(draw, rank):
-    """Bases of the given rank whose coordinates may be fractional."""
-    rows = draw(st.lists(st.tuples(*[rationals] * 4),
-                         min_size=rank, max_size=rank))
+def lattice_bases(draw):
+    """Bases whose coordinates may be fractional."""
+    rows = draw(st.lists(st.tuples(*[rationals] * 4), min_size=4, max_size=4))
     try:
         return LatticeBasis.from_rows(rows)
     except ValueError:

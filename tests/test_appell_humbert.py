@@ -29,7 +29,7 @@ from hexcover.appell_humbert import (
     translate,
 )
 from hexcover.eisenstein import ZETA, EisRat, mat, mat_identity
-from hexcover.lattice import AmbientVector, LatticeBasis, RankMismatch
+from hexcover.lattice import AmbientVector, LatticeBasis
 
 import golden
 from golden import EXPECTED
@@ -85,6 +85,14 @@ def test_curve_bundle_forms_match_published_matrices():
         _form_matrix(EXPECTED["tables.branch_form_sum"])
 
 
+def test_first_curve_bundle_is_the_theta_bundle():
+    # the first curve map is the second projection, and the theta bundle
+    # is carried on the product lattice as its pullback along it
+    assert catalog.CURVE_MAPS[0] == mat([[0, 0], [0, 1]])
+    assert catalog.CURVE_BUNDLES[0] == catalog.GENUS1_THETA
+    assert catalog.GENUS1_THETA.lattice == catalog.PRODUCT_LATTICE
+
+
 def test_curve_characters_match_closed_forms():
     # lattice vector a1*u1 + a2*l1 + a3*u2 + a4*l2, product-basis coords
     # (a2, a4, a1, a3)
@@ -117,20 +125,34 @@ def test_branch_alt_form_tables():
         EXPECTED["tables.branch_alt_cover"]
 
 
+def _alt_rows(upper):
+    """The 4x4 alternating matrix with the given entries above the
+    diagonal, row by row."""
+    m = [[0] * 4 for _ in range(4)]
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    for (i, j), x in zip(pairs, upper):
+        m[i][j], m[j][i] = x, -x
+    return m
+
+
 def test_alt_form_constructor_validates_skewness():
-    lattice = catalog.GENUS1_LATTICE
+    lattice = catalog.PRODUCT_LATTICE
     half = Fraction(1, 2)
-    alt = AltFormOnLattice(lattice, [[0, half], [-half, 0]])
-    assert alt.matrix == ((0, half), (-half, 0))
-    assert alt.upper_triangle() == (half,)
+    rows = _alt_rows((half, 0, 0, 0, 0, 1))
+    alt = AltFormOnLattice(lattice, rows)
+    assert alt.matrix == tuple(map(tuple, rows))
+    assert alt.upper_triangle() == (half, 0, 0, 0, 0, 1)
     with pytest.raises(TypeError):
-        AltFormOnLattice(lattice, [["0", "1/2"], ["-1/2", "0"]])
+        AltFormOnLattice(lattice, [[str(x) for x in row] for row in rows])
     with pytest.raises(ValueError, match="alternating matrix must be skew"):
-        AltFormOnLattice(lattice, [[1, 0], [0, -1]])
+        AltFormOnLattice(lattice, [[int(i == j) for j in range(4)]
+                                   for i in range(4)])
     with pytest.raises(ValueError, match="alternating matrix must be skew"):
-        AltFormOnLattice(lattice, [[0, half], [half, 0]])
-    with pytest.raises(ValueError, match="matrix shape must match"):
-        AltFormOnLattice(lattice, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        AltFormOnLattice(lattice, [[abs(x) for x in row] for row in rows])
+    for shape in ([[0, half], [-half, 0]], [row[:3] for row in rows],
+                  rows[:3]):
+        with pytest.raises(ValueError, match="must be 4x4"):
+            AltFormOnLattice(lattice, shape)
 
 
 def test_pfaffians_and_self_intersections():
@@ -173,10 +195,18 @@ def test_pfaffian_invariant_under_rebasing():
 
 
 def test_pfaffian_requires_rank4():
+    # the theta form of the genus-1 curve, on the product lattice, is
+    # degenerate: the curve has self-intersection 0
     alt = im_on_lattice(HermitianForm([[0, 0], [0, 2]]),
-                        catalog.GENUS1_LATTICE)
-    with pytest.raises(RankMismatch):
-        pfaffian(alt)
+                        catalog.PRODUCT_LATTICE)
+    assert alt == catalog.GENUS1_THETA.character.form
+    assert pfaffian(alt) == 0
+    # a form on a rank-2 lattice cannot be built, so every pfaffian is of
+    # a 4x4 matrix
+    with pytest.raises(ValueError, match="must be 4x4"):
+        AltFormOnLattice(catalog.PRODUCT_LATTICE, [[0, 1], [-1, 0]])
+    with pytest.raises(ValueError, match="four vectors"):
+        LatticeBasis.from_rows([(0, 0, 1, 0), (0, 0, 0, 1)])
 
 
 def test_intersection_gram_matrices():
@@ -215,7 +245,7 @@ def test_intersection_rejects_fractional_pfaffian_difference(monkeypatch):
                             catalog.PRODUCT_LATTICE)
 
 
-@given(hermitian_forms(), st.sampled_from((2, 4)).flatmap(lattice_bases))
+@given(hermitian_forms(), lattice_bases())
 def test_im_on_lattice_matches_q_zeta_values(h, lattice):
     alt = im_on_lattice(h, lattice)
     vs = lattice.vectors
@@ -429,16 +459,19 @@ def test_square_roots_of_trivial_bundle():
 
 
 def test_square_roots_require_rank_4():
-    # the sign patterns are the sixteen of rank 4; on a rank-2 lattice they
-    # would pair with two exponents only, so rank 2 raises, whether or not
-    # the form halves
+    # the sign patterns are the sixteen of rank 4, and every lattice has
+    # rank 4: the genus-1 theta bundle lives on the product lattice, where
+    # its square has the sixteen roots, itself among them
     theta = catalog.GENUS1_THETA
+    assert square_roots(theta) == []
     square = tensor(theta, theta)
-    assert square.lattice.rank == 2
-    assert square.character.form.scaled(Fraction(1, 2)).is_integral()
-    for bundle in (theta, square):
-        with pytest.raises(RankMismatch, match="rank-4"):
-            square_roots(bundle)
+    roots = square_roots(square)
+    assert len(roots) == 16 and len(set(roots)) == 16
+    assert theta in roots
+    assert all(tensor(root, root) == square for root in roots)
+    # a rank-2 basis cannot be built
+    with pytest.raises(ValueError, match="four vectors"):
+        LatticeBasis(theta.lattice.vectors[1::2])
 
 
 def test_semicharacter_requires_integral_form():
@@ -458,7 +491,8 @@ def test_semicharacter_rejects_non_rational_exponents(bad):
 def test_forms_reject_non_rational_entries_and_scales(bad):
     alt = catalog.BRANCH_PRODUCT.character.form
     with pytest.raises(TypeError):
-        AltFormOnLattice(catalog.GENUS1_LATTICE, [[0, bad], [-1, 0]])
+        AltFormOnLattice(catalog.PRODUCT_LATTICE,
+                         [[0, bad, 0, 0], [-1, 0, 0, 0], [0] * 4, [0] * 4])
     with pytest.raises(TypeError):
         alt.scaled(bad)
     with pytest.raises(TypeError):
@@ -499,15 +533,14 @@ def test_pullback_rejects_non_square_matrix(pullback, rows):
 
 
 @settings(deadline=None)
-@given(hermitian_forms(), st.sampled_from((2, 4)).flatmap(lattice_bases),
-       ambient_vectors, st.data())
+@given(hermitian_forms(), lattice_bases(), ambient_vectors, st.data())
 def test_translate_shift_matches_im_value(h, lattice, t, data):
     # scale h so that Im h is integral on the lattice, as a bundle needs
     den = lcm(*(x.denominator
                 for row in im_on_lattice(h, lattice).matrix for x in row))
     h = h.scaled(den)
     exps = data.draw(st.lists(st.fractions(0, 1, max_denominator=6),
-                              min_size=lattice.rank, max_size=lattice.rank))
+                              min_size=4, max_size=4))
     bundle = LineBundleClass.build(h, lattice, exps)
     moved = translate(bundle, t)
     assert moved.form == bundle.form
@@ -538,33 +571,38 @@ def test_alt_form_from_fractions_equals_int_form():
         AltFormOnLattice(form.lattice,
                          [[Fraction(x) for x in row] for row in form.matrix])))
     assert roots.index(rebuilt) == 5
-    half = AltFormOnLattice(catalog.GENUS1_LATTICE,
-                            [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
-    assert half == AltFormOnLattice(catalog.GENUS1_LATTICE,
-                                    [[Fraction(0), Fraction(1, 2)],
-                                     [Fraction(-1, 2), Fraction(0)]])
+    rows = _alt_rows((Fraction(1, 2), 0, 0, 0, 0, 1))
+    half = AltFormOnLattice(catalog.PRODUCT_LATTICE, rows)
+    assert half == AltFormOnLattice(catalog.PRODUCT_LATTICE,
+                                    [[Fraction(x) for x in row]
+                                     for row in rows])
+
+
+# exponents with denominators up to 12, negative and above 1 included, and
+# lattice coordinates, one per basis vector
+_EXPONENT_LISTS = st.lists(st.fractions(-2, 2, max_denominator=12),
+                           min_size=4, max_size=4)
+_COORDINATES = st.lists(st.integers(-7, 7), min_size=4, max_size=4)
 
 
 @st.composite
-def integral_alt_forms(draw, rank):
-    """Integral alternating forms on a random basis of the given rank, with
-    int or denominator-1 Fraction entries."""
-    lattice = draw(lattice_bases(rank))
+def integral_alt_forms(draw):
+    """Integral alternating forms on a random basis, with int or
+    denominator-1 Fraction entries."""
+    lattice = draw(lattice_bases())
     wrap = Fraction if draw(st.booleans()) else int
-    m = [[wrap(0)] * rank for _ in range(rank)]
-    for i in range(rank):
-        for j in range(i + 1, rank):
+    m = [[wrap(0)] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
             x = draw(st.integers(-6, 6))
             m[i][j], m[j][i] = wrap(x), wrap(-x)
     return AltFormOnLattice(lattice, m)
 
 
-@given(st.sampled_from((2, 4)).flatmap(integral_alt_forms), st.data())
+@given(integral_alt_forms(), st.data())
 def test_eval_coords_matches_fraction_oracle(alt, data):
-    rank = alt.lattice.rank
-    exps = data.draw(st.lists(st.fractions(-2, 2, max_denominator=12),
-                              min_size=rank, max_size=rank))
-    n = data.draw(st.lists(st.integers(-7, 7), min_size=rank, max_size=rank))
+    exps = data.draw(_EXPONENT_LISTS)
+    n = data.draw(_COORDINATES)
     chi = Semicharacter(exps, alt)
     got = chi.eval_coords(n)
     assert got == fraction_eval_coords(chi.exponents, alt.matrix, n)
@@ -572,8 +610,7 @@ def test_eval_coords_matches_fraction_oracle(alt, data):
 
 
 @settings(deadline=None)
-@given(hermitian_forms(), hermitian_forms(),
-       st.sampled_from((2, 4)).flatmap(lattice_bases))
+@given(hermitian_forms(), hermitian_forms(), lattice_bases())
 def test_im_on_lattice_cache_matches_fresh_basis(h1, h2, lattice):
     warm = [im_on_lattice(h, lattice) for h in (h1, h2, h1, h2)]
     assert warm[2] is warm[0] and warm[3] is warm[1]
@@ -663,25 +700,17 @@ def test_semicharacter_checks_run_on_a_warm_cache():
             Semicharacter([0, 0, 0, 0], half)
 
 
-# exponents with denominators up to 12, negative and above 1 included
-_EXPONENTS = st.fractions(-2, 2, max_denominator=12)
-
-
-def _exponent_lists(rank):
-    return st.lists(_EXPONENTS, min_size=rank, max_size=rank)
-
-
 @settings(deadline=None)
-@given(st.sampled_from((2, 4)).flatmap(integral_alt_forms), st.data())
+@given(integral_alt_forms(), st.data())
 def test_semicharacter_matches_fraction_oracle(alt, data):
-    lattice, rank = alt.lattice, alt.lattice.rank
-    e1 = data.draw(_exponent_lists(rank))
+    lattice = alt.lattice
+    e1 = data.draw(_EXPONENT_LISTS)
     if data.draw(st.booleans()):
         # the same character written with other representatives
         e2 = [q + data.draw(st.integers(-2, 2)) for q in e1]
     else:
-        e2 = data.draw(_exponent_lists(rank))
-    n = data.draw(st.lists(st.integers(-7, 7), min_size=rank, max_size=rank))
+        e2 = data.draw(_EXPONENT_LISTS)
+    n = data.draw(_COORDINATES)
     chi1, chi2 = (Semicharacter(e, alt) for e in (e1, e2))
     o1, o2 = (FractionSemicharacter(lattice, e, alt) for e in (e1, e2))
     for chi, o in ((chi1, o1), (chi2, o2)):
@@ -701,17 +730,15 @@ def test_semicharacter_matches_fraction_oracle(alt, data):
 
 
 @settings(deadline=None)
-@given(st.sampled_from((2, 4)).flatmap(integral_alt_forms), st.data())
+@given(integral_alt_forms(), st.data())
 def test_unreduced_numerators_give_equal_characters(alt, data):
-    rank = alt.lattice.rank
-    exps = data.draw(_exponent_lists(rank))
+    exps = data.draw(_EXPONENT_LISTS)
     chi = Semicharacter(exps, alt)
     den = lcm(*(q.denominator for q in exps))
     nums = [q.numerator * (den // q.denominator) for q in exps]
     # a common factor and whole turns, negative ones included
     k = data.draw(st.integers(1, 6))
-    turns = data.draw(st.lists(st.integers(-3, 3), min_size=rank,
-                               max_size=rank))
+    turns = data.draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
     other = Semicharacter._from_numerators(
         den * k, [(n + t * den) * k for n, t in zip(nums, turns)], alt)
     assert other == chi and hash(other) == hash(chi)
@@ -766,15 +793,15 @@ def test_semicharacter_errors_match_fraction_oracle(make):
 
 
 @settings(deadline=None)
-@given(hermitian_forms(), st.sampled_from((2, 4)).flatmap(lattice_bases),
-       ambient_vectors, ambient_vectors, st.data())
+@given(hermitian_forms(), lattice_bases(), ambient_vectors, ambient_vectors,
+       st.data())
 def test_translate_on_a_warm_lattice_matches_fresh_lattices(h, lattice, t1,
                                                             t2, data):
     den = lcm(*(x.denominator
                 for row in im_on_lattice(h, lattice).matrix for x in row))
     h = h.scaled(den)
     bundles = [LineBundleClass.build(h, lattice,
-                                     data.draw(_exponent_lists(lattice.rank)))
+                                     data.draw(_EXPONENT_LISTS))
                for _ in range(2)]
     # both bundles share the form, so the second one and the repeated
     # vector meet a warm cache

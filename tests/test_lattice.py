@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,7 +13,6 @@ from hexcover.lattice import (
     AmbientVector,
     ComplexLine,
     LatticeBasis,
-    NotCommensurable,
     _ambient_matrix,
     _det,
     _gauss_jordan,
@@ -28,7 +29,7 @@ from oracles import (ZETA_C, ambient_from_pair, close, hnf_index,
                      q_zeta_push_vector, sympy_coords, sympy_det, sympy_rref,
                      to_complex)
 from strategies import (ambient_vectors, eis_matrices, eis_rationals,
-                        lattice_bases, rationals)
+                        lattice_bases)
 
 PRODUCT = LatticeBasis.from_rows(golden.PRODUCT_BASIS)
 COVER = LatticeBasis.from_rows(golden.COVER_BASIS)
@@ -183,26 +184,20 @@ def test_base_change_unimodular():
 
 def test_curve_lattices_are_kernels_of_curve_maps():
     # each published curve lattice is killed by its linear form F and is
-    # saturated in the product lattice (hnf pivots 1), so it is all of
-    # L cap ker F
+    # saturated in the product lattice (the 2x2 minors of its generators'
+    # product coordinates have gcd 1), so it is all of L cap ker F
     for k, rows in enumerate(golden.CURVE_LATTICES):
         (_, _), (a, b) = catalog.CURVE_MAPS[k]
-        curve = LatticeBasis.from_rows(rows)
-        for v in curve.vectors:
+        generators = tuple(map(AmbientVector, rows))
+        for v in generators:
             z1, z2 = v.to_pair()
             assert not a * z1 + b * z2
-        h = hnf(curve, PRODUCT)
-        pivots = [next(x for x in col if x) for col in zip(*h)]
-        assert pivots == [1, 1]
+        x, y = (_lattice_coordinates(PRODUCT, v) for v in generators)
+        assert gcd(*(x[i] * y[j] - x[j] * y[i]
+                     for i, j in combinations(range(4), 2))) == 1
         direction = golden.CURVE_DIRECTIONS[k]
         assert catalog.CURVE_LINES[k] == ComplexLine(
             tuple(EisRat(*x) for x in direction))
-
-
-def test_not_commensurable():
-    rank2 = LatticeBasis.from_rows(golden.CURVE_LATTICES[0])
-    with pytest.raises(NotCommensurable):
-        hnf(PRODUCT, rank2)
 
 
 def test_index_multiplicativity_random_chains():
@@ -243,16 +238,11 @@ def _abs_det4(t):
     return abs(d)
 
 
-def test_coords_in_outside_span():
-    rank2 = LatticeBasis.from_rows(golden.CURVE_LATTICES[0])
-    assert coords_in(rank2, AmbientVector((0, 0, 1, 0))) is None
-
-
 def _rows(basis):
     return [v.coordinates for v in basis.vectors]
 
 
-@given(lattice_bases(4), ambient_vectors)
+@given(lattice_bases(), ambient_vectors)
 def test_coords_in_matches_sympy_rank4(basis, v):
     got = coords_in(basis, v)
     assert got == sympy_coords(_rows(basis), v.coordinates)
@@ -260,22 +250,8 @@ def test_coords_in_matches_sympy_rank4(basis, v):
     assert coords_in(basis, v) == coords_in(again, v) == got
 
 
-@given(lattice_bases(2), st.tuples(rationals, rationals), ambient_vectors)
-def test_coords_in_rank2_inside_and_outside_span(basis, coeffs, v):
-    inside = coeffs[0] * basis.vectors[0] + coeffs[1] * basis.vectors[1]
-    assert coords_in(basis, inside) == coeffs
-    assert coords_in(basis, v) == sympy_coords(_rows(basis), v.coordinates)
-    units = [AmbientVector([int(i == j) for j in range(4)]) for i in range(4)]
-    off = next(e for e in units if sympy_coords(_rows(basis), e.coordinates)
-               is None)
-    assert coords_in(basis, inside + off) is None
-    again = LatticeBasis.from_rows(_rows(basis))
-    assert coords_in(again, inside) == coeffs
-    assert coords_in(again, inside + off) is None
-
-
 @settings(deadline=None)
-@given(st.sampled_from((2, 4)).flatmap(lattice_bases),
+@given(lattice_bases(),
        st.lists(ambient_vectors, min_size=1, max_size=3))
 def test_coords_in_memo_matches_cold_basis_and_sympy(basis, vectors):
     # half a basis vector lies in the span but is not a lattice vector
@@ -290,25 +266,26 @@ def test_coords_in_memo_matches_cold_basis_and_sympy(basis, vectors):
         assert coords_in(cold, v) == got
         assert got == sympy_coords(_rows(basis), v.coordinates)
     assert _lattice_coordinates(basis, half) is None
-    unit = tuple(int(i == basis.rank - 1) for i in range(basis.rank))
-    assert _lattice_coordinates(basis, basis.vectors[-1]) == unit
+    assert _lattice_coordinates(basis, basis.vectors[-1]) == (0, 0, 0, 1)
 
 
 def test_coords_in_memo_keeps_none_and_fractional_points(monkeypatch):
-    basis = LatticeBasis.from_rows(golden.CURVE_LATTICES[0])
-    outside = AmbientVector((0, 0, 1, 0))
+    basis = COVER
+    inside = basis.vectors[0] + basis.vectors[2]
     half = Fraction(1, 2) * basis.vectors[1]
     solved = []
     solve = lattice._solve
     monkeypatch.setattr(lattice, "_solve",
                         lambda b, v: solved.append(v) or solve(b, v))
     for _ in range(3):
-        assert coords_in(basis, outside) is None
-        assert coords_in(basis, AmbientVector(outside.coordinates)) is None
-        assert coords_in(basis, half) == (0, Fraction(1, 2))
+        assert coords_in(basis, inside) == (1, 0, 1, 0)
+        assert _lattice_coordinates(basis, AmbientVector(
+            inside.coordinates)) == (1, 0, 1, 0)
+        assert coords_in(basis, half) == (0, Fraction(1, 2), 0, 0)
         assert _lattice_coordinates(basis, half) is None
-    # each vector is solved once, the one outside the span included
-    assert solved == [outside, half]
+    # each vector is solved once, the fractional point (lattice
+    # coordinates None) included
+    assert solved == [inside, half]
 
 
 @st.composite
@@ -366,7 +343,7 @@ def test_gauss_jordan_on_row_swaps_and_zero_columns(rows, det):
         assert _det(rows) == det
 
 
-@given(lattice_bases(4))
+@given(lattice_bases())
 def test_orientation_is_the_sign_of_the_determinant(basis):
     det = sympy_det([v.coordinates for v in basis.vectors])
     assert orientation(basis) == (1 if det > 0 else -1)
@@ -380,18 +357,33 @@ def test_one_elimination_per_basis(monkeypatch):
         return _gauss_jordan(rows)
 
     monkeypatch.setattr(lattice, "_gauss_jordan", counting)
-    for rows in (golden.COVER_BASIS, [(1, 0, 0, 0), (0, 0, 1, 0)]):
-        calls.clear()
-        basis = LatticeBasis.from_rows(rows)
-        assert len(calls) == 1
-        for v in ((1, 2, 3, 4), (Fraction(1, 2), 0, 1, 0), (0, 0, 5, 0)):
-            coords_in(basis, AmbientVector(v))
-        if basis.rank == 4:
-            orientation(basis)
-        else:
-            with pytest.raises(lattice.RankMismatch):
-                orientation(basis)
-        assert len(calls) == 1
+    basis = LatticeBasis.from_rows(golden.COVER_BASIS)
+    assert len(calls) == 1
+    for v in ((1, 2, 3, 4), (Fraction(1, 2), 0, 1, 0), (0, 0, 5, 0)):
+        coords_in(basis, AmbientVector(v))
+    orientation(basis)
+    assert len(calls) == 1
+    # a rank-2 basis cannot be built: it is refused before any elimination
+    with pytest.raises(ValueError, match="four vectors"):
+        LatticeBasis.from_rows([(1, 0, 0, 0), (0, 0, 1, 0)])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("count", [0, 2, 3, 5])
+def test_basis_needs_four_vectors(count):
+    rows = golden.PRODUCT_BASIS + ((1, 1, 0, 0),)
+    with pytest.raises(ValueError, match="four vectors"):
+        LatticeBasis.from_rows(rows[:count])
+
+
+def test_basis_needs_independent_ambient_vectors():
+    v = PRODUCT.vectors
+    with pytest.raises(ValueError, match="independent"):
+        LatticeBasis([v[0], v[1], v[2], v[0] - 2 * v[2]])
+    with pytest.raises(TypeError, match="AmbientVector"):
+        LatticeBasis(golden.PRODUCT_BASIS)
+    with pytest.raises(TypeError, match="AmbientVector"):
+        LatticeBasis([v[0], v[1], v[2], v[3].coordinates])
 
 
 @given(eis_matrices, st.booleans(),

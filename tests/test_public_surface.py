@@ -155,7 +155,7 @@ def test_method_scan_sees_methods_properties_and_claim_uses():
     methods, package_uses, claim_uses = _method_scan()
     # a method, a property and a classmethod the package calls
     for key in (("permgroup", "Permutation", "cycles"),
-                ("lattice", "LatticeBasis", "rank"),
+                ("appell_humbert", "LineBundleClass", "lattice"),
                 ("permgroup", "Permutation", "identity")):
         _, cls, name = key
         assert key in methods

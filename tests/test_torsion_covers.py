@@ -40,8 +40,8 @@ from oracles import (character_value, hnf_index, mat_scale,
 
 
 CHARS = all_characters()
-# the published period lattices of the four curves
-CURVE_LATTICES = tuple(LatticeBasis.from_rows(rows)
+# generators of the published period lattices of the four curves
+CURVE_LATTICES = tuple(tuple(map(AmbientVector, rows))
                        for rows in golden.CURVE_LATTICES)
 ONE = EisRat(1)
 # the characters that restrict nontrivially to every curve
@@ -135,7 +135,7 @@ def test_restriction_examples():
     lam = CURVE_LATTICES
     incidence = classify_characters().curve_incidence
     # fourth curve lattice contains l1+l2-u2, on which chi_1 is -1
-    v = lam[3].vectors[0]
+    v = lam[3][0]
     assert character_value(CHARS[1], v) == -1
     assert restricts_nontrivially(CHARS[1], lam[3])
     assert 3 not in trivial_curves(CHARS[1], incidence)
@@ -149,8 +149,7 @@ def test_restriction_examples():
 
 
 def test_restriction_requires_sublattice():
-    shrunk = LatticeBasis([Fraction(1, 3) * v
-                           for v in CURVE_LATTICES[0].vectors])
+    shrunk = tuple(Fraction(1, 3) * v for v in CURVE_LATTICES[0])
     with pytest.raises(NotInLattice):
         restricts_nontrivially(CHARS[1], shrunk)
 
