@@ -171,7 +171,7 @@ class AltFormOnLattice:
 
     def __init__(self, lattice: LatticeBasis,
                  matrix: Sequence[Sequence[Fraction]]) -> None:
-        m = tuple(tuple(x if isinstance(x, int) else _rational(x)
+        m = tuple(tuple(x if type(x) is int else _rational(x)
                         for x in row) for row in matrix)
         if len(m) != 4 or any(len(r) != 4 for r in m):
             raise ValueError("alternating matrix must be 4x4")

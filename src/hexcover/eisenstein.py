@@ -4,7 +4,8 @@ zeta is a primitive sixth root of unity, so zeta**2 = zeta - 1 and
 conj(zeta) = 1 - zeta.  Every element is stored as a + b*zeta with
 rational a, b; the hexagonal ring Z[zeta] is the ring of integers.
 Rationals are ints or Fractions only: a float or a string raises TypeError
-rather than being rounded into a Fraction.
+rather than being rounded into a Fraction, and so does a bool, which is an
+int to Python but not a number here.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ Rat = Union[int, Fraction]
 
 
 def _rational(x: object) -> Fraction:
-    """x as a Fraction, for x an int or a Fraction; anything else, floats
-    and strings included, raises TypeError."""
+    """x as a Fraction, for x an int or a Fraction; anything else, floats,
+    strings and bools included, raises TypeError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and type(x) is not bool:
         return Fraction(x)
     raise TypeError(f"expected an int or a Fraction, got {x!r}")
 
@@ -45,7 +46,7 @@ class EisRat:
     def _coerce(x: object) -> "EisRat | None":
         if isinstance(x, EisRat):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, (int, Fraction)) and type(x) is not bool:
             return EisRat(x)
         return None
 
@@ -158,9 +159,19 @@ def as_eis(x: object) -> EisRat:
     return v
 
 
+def _eis_row(row: Sequence[object]) -> Tuple[EisRat, ...]:
+    """row as a tuple of EisRat: row itself when it is one already."""
+    if type(row) is tuple:
+        for x in row:
+            if type(x) is not EisRat:
+                break
+        else:
+            return row
+    return tuple([x if type(x) is EisRat else as_eis(x) for x in row])
+
+
 def mat(rows: Sequence[Sequence[object]]) -> EisMat:
-    return tuple([tuple([x if type(x) is EisRat else as_eis(x) for x in row])
-                  for row in rows])
+    return tuple([_eis_row(row) for row in rows])
 
 
 def mat_mul(A: EisMat, B: EisMat) -> EisMat:

@@ -3,73 +3,100 @@
 The ambient space carries the fixed reference basis (u1, zeta*u1, u2,
 zeta*u2), where (u1, u2) is the standard complex basis; a vector is four
 rationals against that basis, equivalently a pair (z1, z2) of Q(zeta)
-elements.  Multiplication by zeta acts on each 2-block by the integer
-matrix J = [[0, -1], [1, 1]], which satisfies J**2 = J - 1.
+elements, stored as four integers over one denominator so that its
+arithmetic, hashing and comparison stay on ints.  Multiplication by zeta
+acts on each 2-block by the integer matrix J = [[0, -1], [1, 1]], which
+satisfies J**2 = J - 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .eisenstein import EisMat, EisRat, Rat, _integer_matrix, _rational, as_eis
 
 
 class AmbientVector:
-    """Vector with four rational coordinates in the reference basis."""
+    """Vector with four rational coordinates in the reference basis, held
+    as four integer numerators over one positive denominator, in lowest
+    terms: the coordinates are _nums[i] / _den and gcd(_den, *_nums) == 1,
+    so equal vectors have equal (_den, _nums)."""
 
-    __slots__ = ("coordinates", "_hash")
+    __slots__ = ("_den", "_nums")
 
     def __init__(self, coordinates: Sequence[Rat]) -> None:
         coords = tuple(map(_rational, coordinates))
         if len(coords) != 4:
             raise ValueError("ambient vectors have four coordinates")
-        object.__setattr__(self, "coordinates", coords)
-        # hash of the coordinates, computed on first use: coords_in looks
-        # the same vectors up again and again
-        object.__setattr__(self, "_hash", None)
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = lcm(*(c.denominator for c in coords))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", tuple(
+            c.numerator * (den // c.denominator) for c in coords))
+
+    @classmethod
+    def _from_integers(cls, den: int, nums: Sequence[int]) -> "AmbientVector":
+        """The vector with coordinates nums[i] / den, for den > 0."""
+        g = gcd(den, *nums)
+        v = object.__new__(cls)
+        object.__setattr__(v, "_den", den // g)
+        object.__setattr__(v, "_nums", tuple(n // g for n in nums))
+        return v
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("AmbientVector is immutable")
 
+    @property
+    def coordinates(self) -> Tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._nums)
+
     def to_pair(self) -> Tuple[EisRat, EisRat]:
-        x1, x2, x3, x4 = self.coordinates
-        return EisRat(x1, x2), EisRat(x3, x4)
+        den = self._den
+        x1, x2, x3, x4 = self._nums
+        return (EisRat(Fraction(x1, den), Fraction(x2, den)),
+                EisRat(Fraction(x3, den), Fraction(x4, den)))
+
+    def _combine(self, other: "AmbientVector", sign: int) -> "AmbientVector":
+        """self + sign * other, over the lcm of the two denominators."""
+        d1, d2 = self._den, other._den
+        den = lcm(d1, d2)
+        s, t = den // d1, sign * (den // d2)
+        return AmbientVector._from_integers(
+            den, [a * s + b * t for a, b in zip(self._nums, other._nums)])
 
     def __add__(self, other: "AmbientVector") -> "AmbientVector":
         if not isinstance(other, AmbientVector):
             return NotImplemented
-        return AmbientVector(tuple(a + b for a, b in
-                                   zip(self.coordinates, other.coordinates)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "AmbientVector") -> "AmbientVector":
         if not isinstance(other, AmbientVector):
             return NotImplemented
-        return AmbientVector(tuple(a - b for a, b in
-                                   zip(self.coordinates, other.coordinates)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "AmbientVector":
-        return AmbientVector(tuple(-a for a in self.coordinates))
+        return AmbientVector._from_integers(self._den,
+                                            [-a for a in self._nums])
 
     def __mul__(self, scalar: Rat) -> "AmbientVector":
-        if not isinstance(scalar, (int, Fraction)):
+        if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return AmbientVector(tuple(a * scalar for a in self.coordinates))
+        return AmbientVector._from_integers(
+            self._den * scalar.denominator,
+            [a * scalar.numerator for a in self._nums])
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AmbientVector):
             return NotImplemented
-        return self.coordinates == other.coordinates
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self.coordinates)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self._den, self._nums))
 
     def __repr__(self) -> str:
         return f"AmbientVector({list(self.coordinates)!r})"
@@ -126,7 +153,8 @@ class LatticeBasis:
         # coordinates (integer_coordinates) and _solver the data coords_in
         # and orientation read, built from the one elimination that also
         # checks independence.  The caches are filled on use: _coords by
-        # coords_in, which keys by the vector the pair of its rational
+        # coords_in, which keys by the vector (hashed and compared on its
+        # integer numerators and denominator) the pair of its rational
         # coordinates and its integer lattice coordinates (None at a
         # fractional point), _im_forms by appell_humbert.im_on_lattice, which
         # keys Im h on this basis by the form's integer Gram matrix,
@@ -167,9 +195,8 @@ class LatticeBasis:
 def integer_coordinates(vectors: Sequence[AmbientVector]) -> Tuple[int, List[List[int]]]:
     """Common denominator d and integer rows with row[i] / d the ambient
     coordinates of vectors[i]."""
-    den = lcm(*(c.denominator for v in vectors for c in v.coordinates))
-    return den, [[c.numerator * (den // c.denominator) for c in v.coordinates]
-                 for v in vectors]
+    den = lcm(*(v._den for v in vectors))
+    return den, [[n * (den // v._den) for n in v._nums] for v in vectors]
 
 
 # An integer 4x4 matrix F over a denominator den, acting as v -> F . v / den.
@@ -204,8 +231,9 @@ def _map_coordinates(ambient: _AmbientMap, coordinates) -> List[AmbientVector]:
     den, rows = ambient
     d, ints = coordinates
     den *= d
-    return [AmbientVector(tuple(Fraction(sum(a * b for a, b in zip(r, x)), den)
-                                for r in rows)) for x in ints]
+    return [AmbientVector._from_integers(
+                den, [sum(a * b for a, b in zip(r, x)) for r in rows])
+            for x in ints]
 
 
 def _gauss_jordan(rows: Sequence[Sequence[int]]):
@@ -287,9 +315,8 @@ def _solve(reference: LatticeBasis, v: AmbientVector):
     they are a lattice vector's exactly when that denominator divides each
     of them."""
     den, inverse = reference._solver
-    d, (ints,) = integer_coordinates((v,))
-    den *= d
-    nums = [sum(a * b for a, b in zip(row, ints)) for row in inverse]
+    den *= v._den
+    nums = [sum(a * b for a, b in zip(row, v._nums)) for row in inverse]
     integral = all(n % den == 0 for n in nums)
     return (tuple(Fraction(n, den) for n in nums),
             tuple(n // den for n in nums) if integral else None)

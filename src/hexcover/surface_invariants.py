@@ -151,7 +151,7 @@ def ball_quotient_check(k2: int, chi: int) -> bool:
     the C_i; equality at 12 on both is the numerical criterion for the two
     open ball-quotient structures.
     """
-    if not isinstance(k2, int) or not isinstance(chi, int):
+    if type(k2) is not int or type(chi) is not int:
         raise TypeError(f"k2 and chi must be ints, got {k2!r} and {chi!r}")
     c2 = 12 * chi - k2
     for self_ints in ((-1, -1, -1, -1), (-2, -2)):

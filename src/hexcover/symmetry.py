@@ -294,35 +294,42 @@ def _entry_domains(height_bound: int):
 
 
 def _unit_det_walk(domains):
-    """One pass over (a11, a22) in scan order, yielding a11, a22 and the
-    (a12, a21) pairs for which a11*a22 - a12*a21 is a unit, in the order
-    of a scan over a12, a21 (outermost first).
+    """One pass over (a11, a22) in scan order, yielding a11, e11, a22, e22
+    and the (a12, e12, a21, e21) for which a11*a22 - a12*a21 is a unit, in
+    the order of a scan over a12, a21 (outermost first); each e is the
+    EisRat of the Z[zeta] pair before it, built once per domain value.
 
-    Each (a12, a21) pair goes into the bucket of a12*a21 + u for each of
+    Each (a12, a21) entry goes into the bucket of a12*a21 + u for each of
     the six units u, in scan order, so one lookup of a11*a22 finds its
     hits already in order.
     """
     top_left, top_right, bottom_left, bottom_right = domains
+    entries = {x: EisRat(*x) for x in set().union(*domains)}
     buckets = {}
     for a12 in top_right:
+        e12 = entries[a12]
         for a21 in bottom_left:
             pa, pb = _zeta_mul(a12, a21)
+            hit = (a12, e12, a21, entries[a21])
             for ua, ub in _UNITS:
-                buckets.setdefault((pa + ua, pb + ub), []).append((a12, a21))
+                buckets.setdefault((pa + ua, pb + ub), []).append(hit)
     for a11 in top_left:
+        e11 = entries[a11]
         for a22 in bottom_right:
-            yield a11, a22, buckets.get(_zeta_mul(a11, a22), ())
+            yield (a11, e11, a22, entries[a22],
+                   buckets.get(_zeta_mul(a11, a22), ()))
 
 
 def _first_tangent_pairs(top_left, bottom_left):
-    """The (a11, a21) pairs over the given domains that send the first
-    tilted tangent onto the first image of some target permutation.
+    """A dict from a11 in top_left to the set of a21 in bottom_left for
+    which (a11, a21) sends the first tilted tangent onto the first image of
+    some target permutation; an a11 with no such a21 is not a key.
 
     The first tilted tangent is (1, 0), so its image is (a11, a21), and it
     lies on a target tangent (px, py) exactly when a11*py == px*a21.  Per
     target, the a11 are indexed by a11*py and each a21 looks up px*a21.
     """
-    passing = set()
+    passing = {}
     for target in _SEARCH_TARGETS:
         px, py = _TILTED_TANGENT_PAIRS[target[0] - 1]
         by_term = {}
@@ -330,7 +337,7 @@ def _first_tangent_pairs(top_left, bottom_left):
             by_term.setdefault(_zeta_mul(a11, py), []).append(a11)
         for a21 in bottom_left:
             for a11 in by_term.get(_zeta_mul(px, a21), ()):
-                passing.add((a11, a21))
+                passing.setdefault(a11, set()).add(a21)
     return passing
 
 
@@ -339,8 +346,9 @@ def search_generators(height_bound: int) -> List[AffineSymmetry]:
     quadruple by one of the two target permutations.
 
     Entries run over a fixed congruence pattern (_entry_domains).  One
-    pass over the matrices of unit determinant (_unit_det_walk) drops, by
-    one set lookup of (a11, a21), those that send the first tilted tangent
+    pass over the matrices of unit determinant (_unit_det_walk), which
+    hands over each entry with its EisRat, drops by one set lookup of a21
+    among the passing ones of a11 those that send the first tilted tangent
     to no target's first image (_first_tangent_pairs).  The rest get the
     package's one tangent test, _tangent_permutation on the Z[zeta] entries
     and the tilted tangents, and are kept when it gives a target
@@ -350,22 +358,20 @@ def search_generators(height_bound: int) -> List[AffineSymmetry]:
     """
     if height_bound < 2:
         raise ValueError("height bound must be at least 2")
-    span = range(-height_bound, height_bound + 1)
-    entries = {(x, y): EisRat(x, y) for x in span for y in span}
     domains = _entry_domains(height_bound)
     passing = _first_tangent_pairs(domains[0], domains[2])
     moved = []
-    for a11, a22, hits in _unit_det_walk(domains):
-        e11, e22 = entries[a11], entries[a22]
-        for a12, a21 in hits:
+    for a11, e11, a22, e22, hits in _unit_det_walk(domains):
+        first = passing.get(a11, ())
+        for a12, e12, a21, e21 in hits:
             # Built for every unit-determinant candidate, though only the
             # tangent test's survivors use it, solely for
             # perfbench/selftest.py: it counts the mat calls inside the
             # search as its candidates and pins them (4204 at bound 3), so
             # a self-test re-pinned to the paper's counts drops this build.
-            # The entries are EisRat already, so mat only checks their type.
-            linear = mat([[e11, entries[a12]], [entries[a21], e22]])
-            if ((a11, a21) in passing
+            # The rows are tuples of EisRat already, so mat reuses them.
+            linear = mat(((e11, e12), (e21, e22)))
+            if (a21 in first
                     and _tangent_permutation(((a11, a12), (a21, a22)), False,
                                              _TILTED_TANGENT_PAIRS)
                     in _SEARCH_TARGETS):

@@ -16,7 +16,10 @@ the Q(zeta) evaluation of a hermitian form that the integer Gram matrix
 replaced, fraction_eval_coords is the term-by-term semicharacter
 evaluation that the single integer sum replaced, FractionSemicharacter is
 the semicharacter with Fraction exponents that the one-denominator integer
-numerators replaced.  formula_compose and
+numerators replaced, and FractionAmbientVector, fraction_integer_coordinates
+and fraction_map_coordinates are the ambient vector with Fraction
+coordinates and the two integer conversions that the ambient vector's
+integers over one denominator replaced.  formula_compose and
 formula_inverse are the only composition and inverse of AffineSymmetry
 objects: the package checks its group facts on integer lattice maps and
 has neither.  maps_equal is the equality of two AffineSymmetry objects as
@@ -508,6 +511,57 @@ def mat_apply(m, v):
         raise ValueError("shape mismatch")
     return tuple(sum((row[k] * v[k] for k in range(len(v))), EisRat(0))
                  for row in m)
+
+
+class FractionAmbientVector:
+    """Ambient vector with its four coordinates stored as Fractions, with
+    the coordinate-wise Fraction arithmetic that the integers over one
+    denominator replaced."""
+
+    def __init__(self, coordinates):
+        from hexcover.eisenstein import _rational
+
+        self.coordinates = tuple(map(_rational, coordinates))
+        if len(self.coordinates) != 4:
+            raise ValueError("ambient vectors have four coordinates")
+
+    def __add__(self, other):
+        return FractionAmbientVector(
+            a + b for a, b in zip(self.coordinates, other.coordinates))
+
+    def __sub__(self, other):
+        return FractionAmbientVector(
+            a - b for a, b in zip(self.coordinates, other.coordinates))
+
+    def __neg__(self):
+        return FractionAmbientVector(-a for a in self.coordinates)
+
+    def __mul__(self, scalar):
+        return FractionAmbientVector(a * scalar for a in self.coordinates)
+
+    def __eq__(self, other):
+        return self.coordinates == other.coordinates
+
+    def __hash__(self):
+        return hash(self.coordinates)
+
+
+def fraction_integer_coordinates(vectors):
+    """Common denominator d and integer rows with row[i] / d the Fraction
+    coordinates of vectors[i], d the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for v in vectors for c in v.coordinates))
+    return den, [[c.numerator * (den // c.denominator) for c in v.coordinates]
+                 for v in vectors]
+
+
+def fraction_map_coordinates(ambient, coordinates):
+    """The FractionAmbientVectors F . x / (den * d) for the integer map
+    (den, F) and each integer row x of coordinates = (d, rows)."""
+    den, rows = ambient
+    d, ints = coordinates
+    return [FractionAmbientVector(
+                Fraction(sum(a * b for a, b in zip(r, x)), den * d)
+                for r in rows) for x in ints]
 
 
 def ambient_from_pair(z1, z2):

@@ -480,14 +480,14 @@ def test_semicharacter_requires_integral_form():
         Semicharacter([0, 0, 0, 0], alt)
 
 
-@pytest.mark.parametrize("bad", [0.5, "1/2"])
+@pytest.mark.parametrize("bad", [0.5, "1/2", True])
 def test_semicharacter_rejects_non_rational_exponents(bad):
     alt = catalog.BRANCH_PRODUCT.character.form
     with pytest.raises(TypeError):
         Semicharacter([0, bad, 0, 0], alt)
 
 
-@pytest.mark.parametrize("bad", [0.5, "1/2"])
+@pytest.mark.parametrize("bad", [0.5, "1/2", True])
 def test_forms_reject_non_rational_entries_and_scales(bad):
     alt = catalog.BRANCH_PRODUCT.character.form
     with pytest.raises(TypeError):

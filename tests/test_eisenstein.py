@@ -69,13 +69,52 @@ def test_exactly_six_units_in_small_box():
     assert len(units) == 6
 
 
-@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", "3"])
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", "3", True])
 def test_eisrat_rejects_non_rationals(bad):
     # a float would be rounded into a 53-bit Fraction, a string parsed
     with pytest.raises(TypeError):
         EisRat(bad)
     with pytest.raises(TypeError):
         EisRat(1, bad)
+
+
+def test_bool_is_not_a_rational():
+    # bool is a subclass of int, but True is not the number 1 here
+    x = EisRat(1)
+    assert x.__eq__(True) is NotImplemented
+    assert x != True  # noqa: E712  (the comparison under test)
+    for op in (lambda: x + True, lambda: False * x, lambda: x / True):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(TypeError):
+        as_eis(False)
+    with pytest.raises(TypeError):
+        mat([[1, True], [0, 1]])
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0], [0, 1]],
+    ((1, 0), (0, 1)),
+    [(EisRat(1), 0), [0, EisRat(1)]],
+    ((EisRat(1), EisRat(0)), (EisRat(0), EisRat(1))),
+])
+def test_mat_builds_equal_tuple_matrices(rows):
+    m = mat(rows)
+    assert m == mat_identity(2)
+    assert type(m) is tuple and all(type(row) is tuple for row in m)
+    assert all(type(x) is EisRat for row in m for x in row)
+
+
+def test_mat_reuses_only_rows_that_are_eisrat_tuples():
+    row = (ZETA, EisRat(1))
+    m = mat((row, [ZETA, 1], (ZETA, 1)))
+    assert m[0] is row
+    assert m[1] == m[2] == row
+    # a mat built from a mat is the same matrix, row for row
+    assert all(a is b for a, b in zip(mat(m), m))
+    for bad in ([[1.0]], ((ZETA, 0.5),), [["1"]]):
+        with pytest.raises(TypeError):
+            mat(bad)
 
 
 @given(eisrats, eisrats)

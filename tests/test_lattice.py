@@ -25,9 +25,10 @@ from hexcover.lattice import (
 )
 
 import golden
-from oracles import (ZETA_C, ambient_from_pair, close, hnf_index,
-                     q_zeta_push_vector, sympy_coords, sympy_det, sympy_rref,
-                     to_complex)
+from oracles import (ZETA_C, FractionAmbientVector, ambient_from_pair, close,
+                     fraction_integer_coordinates, fraction_map_coordinates,
+                     hnf_index, q_zeta_push_vector, sympy_coords, sympy_det,
+                     sympy_rref, to_complex)
 from strategies import (ambient_vectors, eis_matrices, eis_rationals,
                         lattice_bases)
 
@@ -62,10 +63,110 @@ def test_pair_round_trip():
     assert ambient_from_pair(z1, z2) == v
 
 
-@pytest.mark.parametrize("bad", [0.5, "1/2"])
+@pytest.mark.parametrize("bad", [0.5, "1/2", True])
 def test_ambient_vector_rejects_non_rationals(bad):
     with pytest.raises(TypeError):
         AmbientVector((1, 0, bad, 0))
+
+
+# Rationals with denominators up to 12, so that the four coordinates of a
+# vector, and two vectors, have mixed denominators.
+mixed_rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+mixed_coordinates = st.tuples(*[mixed_rationals] * 4)
+scalars = st.one_of(st.integers(-6, 6), mixed_rationals)
+
+
+def _check_canonical(v, coordinates):
+    """v holds the given coordinates as integers over one positive
+    denominator in lowest terms, and no Fraction."""
+    den, nums = v._den, v._nums
+    assert type(den) is int and all(type(n) is int for n in nums)
+    assert den >= 1 and gcd(den, *nums) == 1
+    assert tuple(Fraction(n, den) for n in nums) == tuple(coordinates)
+    assert v.coordinates == tuple(coordinates)
+
+
+@given(mixed_coordinates)
+def test_ambient_vector_is_canonical(coords):
+    v = AmbientVector(coords)
+    _check_canonical(v, coords)
+    assert v == AmbientVector(v.coordinates)
+    # the same vector over a multiple of its denominator reduces to it
+    for k in (2, 6, v._den):
+        w = AmbientVector._from_integers(k * v._den,
+                                         [k * n for n in v._nums])
+        assert (w._den, w._nums) == (v._den, v._nums)
+        assert w == v and hash(w) == hash(v)
+
+
+def test_ambient_vector_rejects_bool_scalars():
+    v = AmbientVector((1, Fraction(1, 2), 0, 3))
+    assert v.__mul__(True) is NotImplemented
+    with pytest.raises(TypeError):
+        v * True
+
+
+@given(mixed_coordinates, mixed_coordinates)
+def test_ambient_vector_equality_and_hash_follow_coordinates(x, y):
+    v, w = AmbientVector(x), AmbientVector(y)
+    assert (v == w) == (FractionAmbientVector(x) == FractionAmbientVector(y))
+    # equal vectors reached by different arithmetic hash alike
+    again = (v + w) - w
+    assert again == v and hash(again) == hash(v)
+    assert ((v - w) == AmbientVector((0, 0, 0, 0))) == (x == y)
+
+
+@given(mixed_coordinates, mixed_coordinates, scalars)
+def test_ambient_vector_arithmetic_matches_fraction_oracle(x, y, c):
+    v, w = AmbientVector(x), AmbientVector(y)
+    fv, fw = FractionAmbientVector(x), FractionAmbientVector(y)
+    for got, want in ((v + w, fv + fw), (v - w, fv - fw), (-v, -fv),
+                      (v * c, fv * c), (c * v, fv * c)):
+        assert type(got) is AmbientVector
+        _check_canonical(got, want.coordinates)
+
+
+@given(st.lists(mixed_coordinates, min_size=1, max_size=4))
+def test_integer_coordinates_match_fraction_oracle(rows):
+    got = integer_coordinates([AmbientVector(r) for r in rows])
+    assert got == fraction_integer_coordinates(
+        [FractionAmbientVector(r) for r in rows])
+
+
+@given(st.integers(1, 12),
+       st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+                min_size=4, max_size=4),
+       st.lists(mixed_coordinates, min_size=1, max_size=4))
+def test_map_coordinates_matches_fraction_oracle(den, rows, vectors):
+    ambient = (den, tuple(map(tuple, rows)))
+    coordinates = integer_coordinates([AmbientVector(v) for v in vectors])
+    got = _map_coordinates(ambient, coordinates)
+    want = fraction_map_coordinates(ambient, coordinates)
+    assert len(got) == len(want)
+    for v, f in zip(got, want):
+        _check_canonical(v, f.coordinates)
+
+
+def test_integer_vector_paths_build_no_fraction(monkeypatch):
+    vectors = COVER.vectors + (
+        AmbientVector((Fraction(1, 3), 0, Fraction(-1, 2), 2)),)
+    ambient = _ambient_matrix(mat([[ZETA, Fraction(1, 2)], [0, 1]]))
+    want = fraction_map_coordinates(
+        ambient, fraction_integer_coordinates(
+            [FractionAmbientVector(v.coordinates) for v in vectors]))
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(lattice, "Fraction", no_fraction)
+    images = _map_coordinates(ambient, integer_coordinates(vectors))
+    doubled = [-(v + w - v) - w for v, w in zip(vectors, images)]
+    assert doubled == [-(w + w) for w in images]
+    assert [hash(d) for d in doubled] == [hash(-(w + w)) for w in images]
+    monkeypatch.undo()
+    assert [v.coordinates for v in images] == [f.coordinates for f in want]
+    assert [v.coordinates for v in doubled] == [(f * -2).coordinates
+                                                for f in want]
 
 
 @given(st.tuples(small_ints, small_ints, small_ints, small_ints))

@@ -121,7 +121,7 @@ def test_ball_quotient_identities():
     assert not ball_quotient_check(k2=8, chi=2)
     # k2 and chi are ints: nothing is truncated or parsed
     for k2, chi in ((8.0, 1.0), (8.0, 1), (8, 1.0), ("8", 1), (8, "1"),
-                    (8, Fraction(1))):
+                    (8, Fraction(1)), (True, 1), (8, True)):
         with pytest.raises(TypeError):
             ball_quotient_check(k2, chi)
 

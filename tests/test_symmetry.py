@@ -79,10 +79,23 @@ IDENTITY = AffineSymmetry(mat_identity(2))
 
 def unit_det_candidates(bound):
     """The search's unit-determinant entry quadruples, flattened from one
-    pass of _unit_det_walk."""
-    return [(a11, a12, a21, a22)
-            for a11, a22, hits in _unit_det_walk(_entry_domains(bound))
-            for a12, a21 in hits]
+    pass of _unit_det_walk, whose EisRat entries must be those of the
+    Z[zeta] pairs."""
+    out = []
+    for a11, e11, a22, e22, hits in _unit_det_walk(_entry_domains(bound)):
+        for a12, e12, a21, e21 in hits:
+            assert (e11, e12, e21, e22) == tuple(
+                EisRat(*x) for x in (a11, a12, a21, a22))
+            out.append((a11, a12, a21, a22))
+    return out
+
+
+def first_tangent_pairs(domains):
+    """The (a11, a21) pairs that pass the search's prefilter, flattened
+    from the a21 sets of _first_tangent_pairs."""
+    return {(a11, a21) for a11, a21s in
+            _first_tangent_pairs(domains[0], domains[2]).items()
+            for a21 in a21s}
 
 
 def eis_matrix(pairs):
@@ -285,6 +298,26 @@ def test_search_matches_plain_scan(bound, count):
     assert search_generators(bound) == scan_search_generators(bound)
 
 
+@pytest.mark.parametrize("bound", [2, 3])
+def test_search_calls_mat_through_the_module_once_per_candidate(
+        monkeypatch, bound):
+    # perfbench/selftest.py counts the calls of symmetry.mat inside
+    # search_generators(3), one per unit-determinant candidate and two per
+    # generator found, and pins them at 4204; a call made through another
+    # binding than the module global would go uncounted there and here.
+    # Goes with that pin when the self-test is re-pinned.
+    candidates = len(scan_unit_det_candidates(bound))
+    calls = []
+    build = symmetry.mat
+    monkeypatch.setattr(symmetry, "mat",
+                        lambda rows: calls.append(rows) or build(rows))
+    found = search_generators(bound)
+    assert len(found) == EXPECTED["search.candidate_count"]
+    assert len(calls) == candidates + 2 * len(found)
+    if bound == 3:
+        assert len(calls) == 4204
+
+
 def test_first_tangent_equation_reads_only_a11_and_a21():
     # the first tilted tangent is (1, 0), so its image is (a11, a21): on
     # that tangent alone the test reads only the first column
@@ -299,7 +332,7 @@ def test_first_tangent_equation_reads_only_a11_and_a21():
 @pytest.mark.parametrize("bound", [2, 3])
 def test_first_tangent_filter_is_the_first_cross_multiplication(bound):
     domains = _entry_domains(bound)
-    passing = _first_tangent_pairs(domains[0], domains[2])
+    passing = first_tangent_pairs(domains)
     x, _ = _TILTED_TANGENT_PAIRS[0]
     want = set()
     for a11, a21 in itertools.product(domains[0], domains[2]):
@@ -313,8 +346,7 @@ def test_first_tangent_filter_is_the_first_cross_multiplication(bound):
 
 
 def test_first_tangent_filter_keeps_every_accepted_candidate():
-    domains = _entry_domains(3)
-    passing = _first_tangent_pairs(domains[0], domains[2])
+    passing = first_tangent_pairs(_entry_domains(3))
     candidates = unit_det_candidates(3)
     assert len(candidates) == 4196
     accepted = [c for c in candidates
