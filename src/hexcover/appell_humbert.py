@@ -31,6 +31,7 @@ from typing import List, Sequence, Tuple
 from .eisenstein import (
     EisMat,
     EisRat,
+    _Immutable,
     _cleared,
     _from_pairs,
     _integer_matrix,
@@ -112,7 +113,7 @@ def _ambient_gram(m: EisMat) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     return 2 * half, tuple(map(tuple, e))
 
 
-class HermitianForm:
+class HermitianForm(_Immutable):
     """Conjugate-symmetric 2x2 matrix over Q(zeta), scaled by 1/sqrt(3).
 
     im_value and im_on_lattice evaluate Im h through gram, the form's
@@ -129,9 +130,6 @@ class HermitianForm:
             raise ValueError("matrix is not conjugate-symmetric")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "gram", _ambient_gram(m))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("HermitianForm is immutable")
 
     def im_value(self, v: AmbientVector, w: AmbientVector) -> Fraction:
         den, e = self.gram
@@ -160,7 +158,7 @@ class HermitianForm:
         return f"HermitianForm({[[str(x) for x in row] for row in self.matrix]})"
 
 
-class AltFormOnLattice:
+class AltFormOnLattice(_Immutable):
     """Values Im h(b_i, b_j) of a hermitian form on an ordered basis, a
     4x4 matrix.
 
@@ -183,9 +181,6 @@ class AltFormOnLattice:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_integral",
                            all(x.denominator == 1 for row in m for x in row))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("AltFormOnLattice is immutable")
 
     def is_integral(self) -> bool:
         return self._integral
@@ -284,7 +279,7 @@ def _reduced(den: int, nums: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
     return den, nums
 
 
-class Semicharacter:
+class Semicharacter(_Immutable):
     """Function chi on a lattice with chi(x+y) = chi(x)chi(y)e^{pi i E(x,y)}.
 
     Stored as exponents in Q/Z on the ordered basis together with the
@@ -326,9 +321,6 @@ class Semicharacter:
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_nums", nums)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Semicharacter is immutable")
 
     @property
     def exponents(self) -> Tuple[Fraction, ...]:
@@ -384,7 +376,7 @@ class Semicharacter:
         return f"Semicharacter({[str(q) for q in self.exponents]})"
 
 
-class LineBundleClass:
+class LineBundleClass(_Immutable):
     """Pair (hermitian form, semicharacter) on a fixed lattice."""
 
     __slots__ = ("form", "character")
@@ -395,9 +387,6 @@ class LineBundleClass:
                 "semicharacter form is not Im of the hermitian form")
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "character", character)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LineBundleClass is immutable")
 
     @classmethod
     def build(cls, form: HermitianForm, lattice: LatticeBasis,

@@ -18,8 +18,8 @@ from .appell_humbert import (
     pullback_hom,
     tensor,
 )
-from .eisenstein import ZETA, mat, mat_identity
-from .lattice import AmbientVector, ComplexLine, LatticeBasis
+from .eisenstein import ZETA, _zeta_pair, mat, mat_identity
+from .lattice import AmbientVector, LatticeBasis
 
 # --- lattices ---------------------------------------------------------------
 
@@ -45,9 +45,12 @@ CURVE_MAPS = (
     mat([[0, 0], [ZETA, -1]]),
 )
 
-# Complex tangent lines of the curves in the standard frame (u1, u2): the
-# kernel of F = a*z1 + b*z2 is the line through (b, -a).
-CURVE_LINES = tuple(ComplexLine((f[1][1], -f[1][0])) for f in CURVE_MAPS)
+# Tangent directions of the curves in the standard frame (u1, u2), as the
+# Z[zeta] pairs of a direction vector: the kernel of F = a*z1 + b*z2 is the
+# line through (b, -a).  A direction is defined up to scaling, so only
+# proportionality between two of them means anything.
+CURVE_LINES = tuple((_zeta_pair(f[1][1]), _zeta_pair(-f[1][0]))
+                    for f in CURVE_MAPS)
 
 # --- bundles ----------------------------------------------------------------
 

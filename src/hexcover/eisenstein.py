@@ -27,7 +27,18 @@ def _rational(x: object) -> Fraction:
     raise TypeError(f"expected an int or a Fraction, got {x!r}")
 
 
-class EisRat:
+class _Immutable:
+    """Base of the package's value types.  Each subclass declares its own
+    __slots__ and fills them once, in its constructor, through
+    object.__setattr__; any later assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class EisRat(_Immutable):
     """a + b*zeta with exact rational a, b."""
 
     __slots__ = ("a", "b", "_hash")
@@ -38,9 +49,6 @@ class EisRat:
         # hash of (a, b), computed on first use: matrices of EisRat key the
         # pullback plans, which are looked up once per bundle pulled back
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("EisRat is immutable")
 
     @staticmethod
     def _coerce(x: object) -> "EisRat | None":

@@ -15,10 +15,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .eisenstein import EisMat, EisRat, Rat, _integer_matrix, _rational, as_eis
+from .eisenstein import (EisMat, EisRat, Rat, _Immutable, _integer_matrix,
+                         _rational)
 
 
-class AmbientVector:
+class AmbientVector(_Immutable):
     """Vector with four rational coordinates in the reference basis, held
     as four integer numerators over one positive denominator, in lowest
     terms: the coordinates are _nums[i] / _den and gcd(_den, *_nums) == 1,
@@ -44,9 +45,6 @@ class AmbientVector:
         object.__setattr__(v, "_den", den // g)
         object.__setattr__(v, "_nums", tuple(n // g for n in nums))
         return v
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("AmbientVector is immutable")
 
     @property
     def coordinates(self) -> Tuple[Fraction, ...]:
@@ -102,36 +100,7 @@ class AmbientVector:
         return f"AmbientVector({list(self.coordinates)!r})"
 
 
-class ComplexLine:
-    """Complex line through the origin, a nonzero (z1, z2) up to scaling;
-    equally the point (z1 : z2) of the projective line."""
-
-    __slots__ = ("direction",)
-
-    def __init__(self, direction: Tuple[object, object]) -> None:
-        d1, d2 = map(as_eis, direction)
-        if not d1 and not d2:
-            raise ValueError("a complex line needs a nonzero direction")
-        object.__setattr__(self, "direction", (d1, d2))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ComplexLine is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ComplexLine):
-            return NotImplemented
-        (x1, y1), (x2, y2) = self.direction, other.direction
-        return x1 * y2 == x2 * y1
-
-    def __hash__(self) -> int:
-        x, y = self.direction
-        return hash(x / y if y else None)
-
-    def __repr__(self) -> str:
-        return f"ComplexLine({self.direction!r})"
-
-
-class LatticeBasis:
+class LatticeBasis(_Immutable):
     """Four ordered rationally independent generators of a full lattice in
     the ambient space."""
 
@@ -169,9 +138,6 @@ class LatticeBasis:
         object.__setattr__(self, "_im_forms", {})
         object.__setattr__(self, "_pullbacks", {})
         object.__setattr__(self, "_shifts", {})
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LatticeBasis is immutable")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rat]]) -> "LatticeBasis":

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from .eisenstein import _Immutable
+
 
 CLOSURE_BOUND = 10_000
 
@@ -17,7 +19,7 @@ class OrderBoundExceeded(RuntimeError):
     """Raised when a closure grows past the supported size."""
 
 
-class Permutation:
+class Permutation(_Immutable):
     """A bijection of {1..n}, stored as the tuple of images.
 
     Products read left to right: (p * q)(x) = q(p(x)), so cycle lists compose
@@ -28,7 +30,8 @@ class Permutation:
 
     def __init__(self, images) -> None:
         imgs = tuple(images)
-        if not all(isinstance(i, int) for i in imgs):
+        # a bool is an int to Python but not an image
+        if not all(type(i) is int for i in imgs):
             raise TypeError(f"images must be ints, got {imgs!r}")
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError("images are not a bijection of 1..n")
@@ -41,9 +44,6 @@ class Permutation:
         p = object.__new__(cls)
         object.__setattr__(p, "images", images)
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":

@@ -12,12 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .eisenstein import _Immutable
+
 
 class NonIntegral(ValueError):
     """Raised when an invariant that must be an integer comes out fractional."""
 
 
-class SingularityProfile:
+class SingularityProfile(_Immutable):
     """Branch data of a double cover of an abelian surface.
 
     The branch divisor is twice a class L; ``l2`` records the
@@ -31,16 +33,14 @@ class SingularityProfile:
 
     def __init__(self, l2, multiplicities=()) -> None:
         mults = tuple(multiplicities)
-        if not all(isinstance(x, int) for x in (l2, *mults)):
+        # a bool is an int to Python but not a count
+        if not all(type(x) is int for x in (l2, *mults)):
             raise TypeError(f"l2 and the multiplicities must be ints, "
                             f"got {l2!r} and {mults!r}")
         if any(m < 2 for m in mults):
             raise ValueError("negligible multiplicities (m < 2) are not tracked")
         object.__setattr__(self, "l2", l2)
         object.__setattr__(self, "multiplicities", mults)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SingularityProfile is immutable")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SingularityProfile):
@@ -51,7 +51,7 @@ class SingularityProfile:
         return f"SingularityProfile(l2={self.l2}, multiplicities={self.multiplicities})"
 
 
-class BranchCase:
+class BranchCase(_Immutable):
     """One admissible branch configuration for a canonical-degree-8 cover."""
 
     __slots__ = ("label", "singularities", "profile")
@@ -63,9 +63,6 @@ class BranchCase:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "singularities", singularities)
         object.__setattr__(self, "profile", profile)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BranchCase is immutable")
 
     @property
     def d2(self) -> int:
@@ -128,8 +125,11 @@ def enumerate_branch_profiles() -> list[BranchCase]:
 def product_quotient_invariants(g: int, group_order: int) -> tuple[int, int]:
     """Invariants of a free quotient of a product of two genus-g curves.
 
-    chi = (g - 1)^2 / |G| and K^2 = 8 chi.
+    chi = (g - 1)^2 / |G| and K^2 = 8 chi; g and |G| must be ints.
     """
+    if type(g) is not int or type(group_order) is not int:
+        raise TypeError(f"g and the group order must be ints, got {g!r} "
+                        f"and {group_order!r}")
     if g < 2:
         raise ValueError("the curve must have genus at least 2")
     if group_order < 1:

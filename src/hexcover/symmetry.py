@@ -10,6 +10,7 @@ branch bundle.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
@@ -21,9 +22,11 @@ from .appell_humbert import (
 )
 from .eisenstein import (
     EisRat,
+    _Immutable,
+    _cleared,
     _integer_matrix,
+    _pair_product,
     _zeta_mul,
-    _zeta_pair,
     inv2,
     mat,
     mat_identity,
@@ -31,7 +34,6 @@ from .eisenstein import (
 )
 from .lattice import (
     AmbientVector,
-    ComplexLine,
     LatticeBasis,
     _ambient_matrix,
     _det,
@@ -66,7 +68,7 @@ class NotOfOrderThree(ValueError):
 _ZERO_VECTOR = AmbientVector((0, 0, 0, 0))
 
 
-class AffineSymmetry:
+class AffineSymmetry(_Immutable):
     """Map v |-> linear . v + t, conjugating first when anti-holomorphic."""
 
     __slots__ = ("linear", "antiholomorphic", "translation")
@@ -88,9 +90,6 @@ class AffineSymmetry:
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "antiholomorphic", antiholomorphic)
         object.__setattr__(self, "translation", translation)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineSymmetry is immutable")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineSymmetry):
@@ -165,16 +164,11 @@ def _same_map(f, h) -> bool:
 _SHEAR_INVERSE = inv2(catalog.FRAME_SHEAR)
 
 # The same four tangent directions written in the sheared frame used by the
-# generator search.
-TILTED_TANGENTS = tuple(
-    ComplexLine(tuple(row[0] * x + row[1] * y for row in _SHEAR_INVERSE))
-    for x, y in (line.direction for line in catalog.CURVE_LINES))
-
-
-_AMBIENT_TANGENT_PAIRS = tuple(tuple(map(_zeta_pair, line.direction))
-                               for line in catalog.CURVE_LINES)
-_TILTED_TANGENT_PAIRS = tuple(tuple(map(_zeta_pair, line.direction))
-                              for line in TILTED_TANGENTS)
+# generator search: the columns of S^-1 D for D the 2x4 array whose columns
+# are the directions of catalog.CURVE_LINES.  S^-1 is integral, so the
+# denominator _cleared returns is 1.
+_TILTED_TANGENT_PAIRS = tuple(zip(*_pair_product(
+    _cleared(_SHEAR_INVERSE)[1], tuple(zip(*catalog.CURVE_LINES)))))
 
 
 def _tangent_permutation(pairs, antiholomorphic: bool,
@@ -217,27 +211,31 @@ def preserves_divisor(g: AffineSymmetry) -> bool:
     """
     rational_rep(g, catalog.COVER_LATTICE)
     if _tangent_permutation(_integer_matrix(g.linear)[1], g.antiholomorphic,
-                            _AMBIENT_TANGENT_PAIRS) is None:
+                            catalog.CURVE_LINES) is None:
         return False
     return any(_lattice_coordinates(catalog.COVER_LATTICE,
                                     g.translation - base) is not None
                for base in (_ZERO_VECTOR, catalog.BRANCH_BASE_POINT))
 
 
-def cross_ratio(p1: ComplexLine, p2: ComplexLine,
-                p3: ComplexLine, p4: ComplexLine) -> EisRat:
-    """((p1-p3)(p2-p4)) / ((p2-p3)(p1-p4)), degenerating by cancellation."""
-    points = (p1, p2, p3, p4)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if points[i] == points[j]:
-                raise DegenerateQuadruple("repeated point in the quadruple")
+def cross_ratio(p1, p2, p3, p4) -> EisRat:
+    """((p1-p3)(p2-p4)) / ((p2-p3)(p1-p4)) for four points of the projective
+    line, each the Z[zeta] pairs of a direction (x, y).
 
+    The difference of p and q is the determinant px*qy - qx*py, which
+    vanishes exactly when the two directions are proportional or one of
+    them is zero, that is when the quadruple repeats a point.
+    """
     def d(p, q):
-        (px, py), (qx, qy) = p.direction, q.direction
-        return px * qy - qx * py
+        (px, py), (qx, qy) = p, q
+        ux, uy = _zeta_mul(px, qy)
+        vx, vy = _zeta_mul(qx, py)
+        return ux - vx, uy - vy
 
-    return (d(p1, p3) * d(p2, p4)) / (d(p2, p3) * d(p1, p4))
+    if any(d(p, q) == (0, 0) for p, q in combinations((p1, p2, p3, p4), 2)):
+        raise DegenerateQuadruple("repeated point in the quadruple")
+    return (EisRat(*_zeta_mul(d(p1, p3), d(p2, p4)))
+            / EisRat(*_zeta_mul(d(p2, p3), d(p1, p4))))
 
 
 def pull_back(g: AffineSymmetry, bundle: LineBundleClass) -> LineBundleClass:
@@ -427,7 +425,7 @@ def gamma_action_on_sigma() -> Permutation:
     if cube != _IDENTITY_MAP[0] or any(x.denominator != 1 for x in shift):
         raise NotOfOrderThree("product symmetry is not of order 3")
     if _tangent_permutation(_integer_matrix(g.linear)[1], False,
-                            _AMBIENT_TANGENT_PAIRS) is None:
+                            catalog.CURVE_LINES) is None:
         raise NotDivisorPreserving("product symmetry moves the tangent lines")
     chars = all_characters()
     selected = classify_characters().selected

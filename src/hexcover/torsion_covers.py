@@ -18,6 +18,7 @@ import math
 
 from . import catalog
 from .appell_humbert import ORDER_TWO_SIGN_PATTERNS, im_on_lattice
+from .eisenstein import _Immutable
 from .lattice import LatticeBasis
 
 
@@ -30,7 +31,7 @@ class NotOnto(ValueError):
     onto Z[zeta]."""
 
 
-class CharacterMod2:
+class CharacterMod2(_Immutable):
     """A homomorphism from the product lattice to {+1, -1}.
 
     Stored as the four values on the ordered product-lattice basis; values
@@ -42,14 +43,12 @@ class CharacterMod2:
 
     def __init__(self, values) -> None:
         vals = tuple(values)
-        if not all(isinstance(v, int) for v in vals):
+        # a bool is an int to Python but not a sign
+        if not all(type(v) is int for v in vals):
             raise TypeError(f"signs must be ints, got {vals!r}")
         if len(vals) != 4 or any(v not in (1, -1) for v in vals):
             raise ValueError("expected four signs")
         object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CharacterMod2 is immutable")
 
     @property
     def is_trivial(self) -> bool:
@@ -112,7 +111,7 @@ def check_2divisible(chi: CharacterMod2) -> bool:
     return all(x % 2 == 0 for x in alt.upper_triangle())
 
 
-class CharacterClassification:
+class CharacterClassification(_Immutable):
     """Outcome of testing all fifteen nontrivial characters.
 
     selected: indices (into all_characters) of the characters restricting
@@ -128,9 +127,6 @@ class CharacterClassification:
         object.__setattr__(self, "selected", tuple(selected))
         object.__setattr__(self, "curve_incidence", tuple(curve_incidence))
         object.__setattr__(self, "leftover", frozenset(leftover))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CharacterClassification is immutable")
 
     @property
     def leftover_count(self) -> int:

@@ -5,9 +5,13 @@ floating-point embeddings, sympy linear algebra, and brute-force loops.
 Some run on the package's Q(zeta) and Fraction arithmetic instead, as the
 references for code that replaced them with integer kernels:
 scan_search_generators is the plain scan that the generator search's
-lookup replaced, line_permutation is the Q(zeta) tangent permutation that
-the Z[zeta] cross-multiplication of _tangent_permutation replaced, on the
-ambient tangents and on the search's tilted ones, eisrat_mat_mul is the
+lookup replaced, ComplexLine is the Q(zeta) point of the projective line
+that the package's Z[zeta] direction pairs replaced (complex_line builds
+one from such a pair), q_zeta_cross_ratio is the cross-ratio of four
+ComplexLines that the determinants of cross_ratio on the pairs replaced,
+line_permutation is the Q(zeta) tangent permutation that the Z[zeta]
+cross-multiplication of _tangent_permutation replaced, on the ambient
+tangents and on the search's tilted ones, eisrat_mat_mul is the
 EisRat matrix product that mat_mul's Z[zeta] sum replaced, the q_zeta_* functions are the
 EisRat pullbacks that the integer ambient-matrix kernel replaced (with
 mat_apply and ambient_from_pair, the Q(zeta) matrix-vector product and
@@ -42,6 +46,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from typing import Tuple
 
 import sympy
 
@@ -287,12 +292,70 @@ def scan_unit_det_candidates(height_bound):
     return out
 
 
-def line_permutation(linear, antiholomorphic, points):
-    """Images tuple of the map induced by linear (conjugating first when
-    antiholomorphic) on the ComplexLine list points, or None when some
-    image is not among them; computed in Q(zeta)."""
-    from hexcover.lattice import ComplexLine
+class ComplexLine:
+    """Complex line through the origin, a nonzero (z1, z2) up to scaling;
+    equally the point (z1 : z2) of the projective line."""
 
+    __slots__ = ("direction",)
+
+    def __init__(self, direction: Tuple[object, object]) -> None:
+        from hexcover.eisenstein import as_eis
+
+        d1, d2 = map(as_eis, direction)
+        if not d1 and not d2:
+            raise ValueError("a complex line needs a nonzero direction")
+        object.__setattr__(self, "direction", (d1, d2))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("ComplexLine is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ComplexLine):
+            return NotImplemented
+        (x1, y1), (x2, y2) = self.direction, other.direction
+        return x1 * y2 == x2 * y1
+
+    def __hash__(self) -> int:
+        x, y = self.direction
+        return hash(x / y if y else None)
+
+    def __repr__(self) -> str:
+        return f"ComplexLine({self.direction!r})"
+
+
+def complex_line(pairs):
+    """The ComplexLine through a direction given as two Z[zeta] pairs, as
+    the package writes the tangent directions."""
+    from hexcover.eisenstein import EisRat
+
+    x, y = pairs
+    return ComplexLine((EisRat(*x), EisRat(*y)))
+
+
+def q_zeta_cross_ratio(p1, p2, p3, p4):
+    """((p1-p3)(p2-p4)) / ((p2-p3)(p1-p4)) for four ComplexLines, computed
+    in Q(zeta); a repeated point raises DegenerateQuadruple."""
+    from hexcover.symmetry import DegenerateQuadruple
+
+    points = (p1, p2, p3, p4)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if points[i] == points[j]:
+                raise DegenerateQuadruple("repeated point in the quadruple")
+
+    def d(p, q):
+        (px, py), (qx, qy) = p.direction, q.direction
+        return px * qy - qx * py
+
+    return (d(p1, p3) * d(p2, p4)) / (d(p2, p3) * d(p1, p4))
+
+
+def line_permutation(linear, antiholomorphic, tangents):
+    """Images tuple of the map induced by linear (conjugating first when
+    antiholomorphic) on the lines through the tangents, directions given
+    as Z[zeta] pairs as _tangent_permutation reads them, or None when some
+    image is not among them; computed in Q(zeta)."""
+    points = [complex_line(t) for t in tangents]
     images = []
     for p in points:
         x, y = p.direction
@@ -316,7 +379,7 @@ def scan_search_generators(height_bound):
     from hexcover import catalog
     from hexcover.eisenstein import EisRat, inv2, mat, mat_mul
     from hexcover.symmetry import (AffineSymmetry, NotLatticePreserving,
-                                   TILTED_TANGENTS, rational_rep)
+                                   _TILTED_TANGENT_PAIRS, rational_rep)
 
     targets = ((3, 4, 1, 2), (2, 3, 1, 4))
     shear = catalog.FRAME_SHEAR
@@ -325,7 +388,8 @@ def scan_search_generators(height_bound):
     for a11, a12, a21, a22 in scan_unit_det_candidates(height_bound):
         linear = mat([[EisRat(*a11), EisRat(*a12)],
                       [EisRat(*a21), EisRat(*a22)]])
-        if line_permutation(linear, False, TILTED_TANGENTS) not in targets:
+        if line_permutation(linear, False,
+                            _TILTED_TANGENT_PAIRS) not in targets:
             continue
         ambient = mat_mul(mat_mul(shear, linear), unshear)
         try:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hexcover.eisenstein import (
     EisRat,
     ZETA,
+    _Immutable,
     _gf3_residues,
     _integer_matrix,
     as_eis,
@@ -298,3 +299,48 @@ def test_gf3_residues_read_rows_and_reject_fractions():
     assert _gf3_residues(mat([[ZETA, -1], [1 - ZETA, 3]])) == (2, 2, 2, 0)
     with pytest.raises(ValueError, match="not an integer"):
         _gf3_residues(mat([[1, Fraction(1, 2)], [0, 1]]))
+
+
+def _value_types():
+    """One instance of each of the package's value types, by class name;
+    imported here so that the eisenstein tests above need none of it."""
+    from hexcover import catalog, symmetry
+    from hexcover.appell_humbert import im_on_lattice
+    from hexcover.lattice import AmbientVector
+    from hexcover.permgroup import Permutation
+    from hexcover.surface_invariants import (SingularityProfile,
+                                             enumerate_branch_profiles)
+    from hexcover.torsion_covers import all_characters, classify_characters
+
+    bundle = catalog.GENUS1_THETA
+    return {type(x).__name__: x for x in (
+        EisRat(1, 2), AmbientVector((0, 1, 0, 0)), catalog.PRODUCT_LATTICE,
+        bundle.form, im_on_lattice(bundle.form, bundle.lattice),
+        bundle.character, bundle, Permutation.identity(3),
+        SingularityProfile(2), enumerate_branch_profiles()[0],
+        symmetry.NEGATION, all_characters()[1], classify_characters())}
+
+
+VALUE_TYPES = ("EisRat", "AmbientVector", "LatticeBasis", "HermitianForm",
+               "AltFormOnLattice", "Semicharacter", "LineBundleClass",
+               "Permutation", "SingularityProfile", "BranchCase",
+               "AffineSymmetry", "CharacterMod2", "CharacterClassification")
+
+
+def test_value_types_are_the_immutable_subclasses():
+    # importing the package's modules defines every subclass
+    instances = _value_types()
+    assert sorted(VALUE_TYPES) == sorted(instances) == sorted(
+        cls.__name__ for cls in _Immutable.__subclasses__())
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_are_immutable(name):
+    value = _value_types()[name]
+    assert isinstance(value, _Immutable)
+    assert not hasattr(value, "__dict__")
+    # neither a slot nor a new attribute can be assigned, and the message
+    # names the value's own class
+    for attr in (type(value).__slots__[0], "extra"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, attr, None)

@@ -27,8 +27,9 @@ def test_permutation_validation():
         Permutation((1, 1, 3))
     with pytest.raises(ValueError):
         Permutation((2, 3))
-    # images are ints: no string is parsed and no float truncated
-    for bad in (["2", "1"], [2.0, 1], [1.5, 2]):
+    # images are ints: no string is parsed, no float truncated and no bool
+    # read as 0 or 1
+    for bad in (["2", "1"], [2.0, 1], [1.5, 2], [True, 2], [2, True]):
         with pytest.raises(TypeError):
             Permutation(bad)
     assert Permutation.identity(5)(3) == 3

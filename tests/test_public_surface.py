@@ -197,3 +197,15 @@ def test_method_scan_resolves_class_receivers():
     sources["permgroup"] = sources["permgroup"].replace(
         "Permutation.identity(degree)", "p.identity(degree)")
     assert _unused_methods(*_method_scan(sources, claims="")) == []
+
+
+def test_only_the_immutable_base_defines_setattr():
+    # the value types share one __setattr__, eisenstein._Immutable's
+    defining = sorted(
+        f"{path.stem}.{cls.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__setattr__")
+    assert defining == ["eisenstein._Immutable"]

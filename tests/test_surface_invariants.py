@@ -44,9 +44,11 @@ def test_profile_rejects_negligible_points():
             SingularityProfile(8, [3, bad])
     with pytest.raises(AttributeError):
         SingularityProfile(8, [3]).l2 = 9
-    # l2 and the multiplicities are ints: nothing is truncated or parsed
+    # l2 and the multiplicities are ints: nothing is truncated or parsed,
+    # and a bool is not a count
     for l2, mults in ((6.9, [2.5, 2.2]), (6, [2.0, 2]), (8.0, [3]),
-                      (Fraction(8), [3]), ("8", [3]), (8, ["3"])):
+                      (Fraction(8), [3]), ("8", [3]), (8, ["3"]),
+                      (True, [2]), (8, [3, True])):
         with pytest.raises(TypeError):
             SingularityProfile(l2, mults)
 
@@ -111,6 +113,11 @@ def test_product_quotient_errors():
         product_quotient_invariants(1, 4)
     with pytest.raises(ValueError):
         product_quotient_invariants(3, 0)
+    # g and the group order are ints, as ball_quotient_check's arguments are
+    for g, order in ((3, True), (True, 4), (3.0, 4), (3, 4.0),
+                     (3, Fraction(4)), ("3", 4)):
+        with pytest.raises(TypeError):
+            product_quotient_invariants(g, order)
 
 
 def test_ball_quotient_identities():

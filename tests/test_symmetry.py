@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from hexcover import catalog, symmetry
 from hexcover.eisenstein import (EisRat, _gf3_residues, _integer_matrix,
-                                 _zeta_mul, det2, inv2, mat, mat_conj,
-                                 mat_identity, mat_mul)
-from hexcover.lattice import (AmbientVector, ComplexLine, LatticeBasis,
-                              coords_in)
+                                 _zeta_mul, _zeta_pair, det2, inv2, mat,
+                                 mat_conj, mat_identity, mat_mul)
+from hexcover.lattice import AmbientVector, LatticeBasis, coords_in
 from hexcover.permgroup import PermGroup, Permutation
 from hexcover.symmetry import (
     ANTIHOLO_REFLECTION,
@@ -27,8 +26,6 @@ from hexcover.symmetry import (
     ORDER6_SYMMETRY,
     PRODUCT_ORDER3,
     RootNotFound,
-    TILTED_TANGENTS,
-    _AMBIENT_TANGENT_PAIRS,
     _SEARCH_TARGETS,
     _TILTED_TANGENT_PAIRS,
     _UNITS,
@@ -39,7 +36,6 @@ from hexcover.symmetry import (
     _same_map,
     _tangent_permutation,
     _unit_det_walk,
-    _zeta_pair,
     action_on_square_roots,
     cross_ratio,
     gamma_action_on_sigma,
@@ -54,9 +50,10 @@ from hexcover.appell_humbert import (LineBundleClass, pullback_hom,
 
 import golden
 from golden import EXPECTED
-from oracles import (formula_compose, formula_inverse, is_unit,
-                     line_permutation, maps_equal,
-                     mat_scale, parse_cycles, perm_inverse, q_zeta_pull_back,
+from oracles import (ComplexLine, complex_line, formula_compose,
+                     formula_inverse, is_unit, line_permutation, maps_equal,
+                     mat_scale, parse_cycles, perm_inverse,
+                     q_zeta_cross_ratio, q_zeta_pull_back,
                      q_zeta_push_vector, scan_search_generators,
                      scan_unit_det_candidates)
 from strategies import eis_matrices, eis_rationals, unimodular_matrices
@@ -111,7 +108,7 @@ def ambient_tangent_permutation(linear, antiholomorphic):
     """_tangent_permutation of a Q(zeta) matrix on the ambient tangents, as
     preserves_divisor calls it."""
     return _tangent_permutation(_integer_matrix(linear)[1], antiholomorphic,
-                                _AMBIENT_TANGENT_PAIRS)
+                                catalog.CURVE_LINES)
 
 
 def tilted_tangent_permutation(quad):
@@ -131,7 +128,8 @@ def tangent_line_permutation(g):
 
 
 def test_projective_point_equality_is_scale_invariant():
-    # the projective points of the tangent quadruple are ComplexLines
+    # the oracle's projective points, ComplexLines, against which the
+    # package's tangent directions are checked
     zeta = EisRat(0, 1)
     p = ComplexLine((1, zeta))
     q = ComplexLine((zeta, zeta * zeta))
@@ -233,31 +231,40 @@ def test_tangent_line_permutations():
 
 
 def test_tilted_tangent_points_match_published():
+    # the published points (num : den) and the search's directions are the
+    # same four points of the projective line, up to a unit per point
     published = [ComplexLine((EisRat(*num), EisRat(*den)))
                  for num, den in golden.TANGENT_POINTS_COVER_FRAME]
-    assert list(TILTED_TANGENTS) == published
+    assert list(map(complex_line, _TILTED_TANGENT_PAIRS)) == published
 
 
 def test_cross_ratio_of_tangent_quadruple():
-    value = cross_ratio(*TILTED_TANGENTS)
+    value = cross_ratio(*_TILTED_TANGENT_PAIRS)
     assert value == EisRat(*EXPECTED["search.cross_ratio"])
     # the value is the inverse of the primitive sixth root of unity
     assert EisRat(0, 1) * value == EisRat(1)
     # same quadruple written in the standard frame
     assert cross_ratio(*catalog.CURVE_LINES) == value
+    assert q_zeta_cross_ratio(*map(complex_line, catalog.CURVE_LINES)) == \
+        value
+
+
+def rational_point(x, y):
+    """The direction (x, y) of rational integers, as Z[zeta] pairs."""
+    return ((x, 0), (y, 0))
 
 
 def test_cross_ratio_convention_anchor():
-    zero = ComplexLine((0, 1))
-    one = ComplexLine((1, 1))
-    inf = ComplexLine((1, 0))
-    x = ComplexLine((3, 1))
+    zero = rational_point(0, 1)
+    one = rational_point(1, 1)
+    inf = rational_point(1, 0)
+    x = rational_point(3, 1)
     assert cross_ratio(zero, one, inf, x) == EisRat(Fraction(2, 3))
 
 
 def test_cross_ratio_klein_invariance():
-    points = (ComplexLine((0, 1)), ComplexLine((1, 1)),
-              ComplexLine((1, 0)), ComplexLine((5, 1)))
+    points = (rational_point(0, 1), rational_point(1, 1),
+              rational_point(1, 0), rational_point(5, 1))
     base = cross_ratio(*points)
     klein = {(), ((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))}
     for images in itertools.permutations(range(4)):
@@ -271,9 +278,56 @@ def test_cross_ratio_klein_invariance():
 
 
 def test_cross_ratio_degenerate():
-    p = ComplexLine((1, 1))
+    p = rational_point(1, 1)
+    inf, zero = rational_point(1, 0), rational_point(0, 1)
     with pytest.raises(DegenerateQuadruple):
-        cross_ratio(p, p, ComplexLine((1, 0)), ComplexLine((0, 1)))
+        cross_ratio(p, p, inf, zero)
+    # (1, zeta) and (zeta, zeta^2) are the same point, and a zero direction
+    # is no point at all
+    with pytest.raises(DegenerateQuadruple):
+        cross_ratio(((1, 0), (0, 1)), inf, zero, ((0, 1), (-1, 1)))
+    with pytest.raises(DegenerateQuadruple):
+        cross_ratio(p, inf, zero, ((0, 0), (0, 0)))
+
+
+zeta_integers = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@st.composite
+def direction_quadruples(draw):
+    """Four integral directions, each a Z[zeta] pair (x, y); often one is
+    a Z[zeta] multiple of another, or zero."""
+    points = [draw(st.tuples(zeta_integers, zeta_integers))
+              for _ in range(4)]
+    kind = draw(st.sampled_from(("any", "proportional", "zero")))
+    i, j = draw(st.permutations(range(4)))[:2]
+    if kind == "proportional":
+        c = draw(zeta_integers)
+        points[j] = tuple(_zeta_mul(c, x) for x in points[i])
+    elif kind == "zero":
+        points[j] = ((0, 0), (0, 0))
+    return tuple(points)
+
+
+@given(direction_quadruples())
+@example((((1, 0), (0, 1)), ((0, 1), (-1, 1)), ((1, 0), (0, 0)),
+          ((0, 0), (1, 0))))
+@example((((1, 0), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (1, 0)),
+          ((0, 0), (0, 0))))
+def test_cross_ratio_matches_q_zeta_oracle(points):
+    # the oracle's ComplexLine refuses a zero direction, and compares the
+    # others projectively
+    if any(x == y == (0, 0) for x, y in points):
+        with pytest.raises(DegenerateQuadruple):
+            cross_ratio(*points)
+        return
+    try:
+        want = q_zeta_cross_ratio(*map(complex_line, points))
+    except DegenerateQuadruple:
+        with pytest.raises(DegenerateQuadruple):
+            cross_ratio(*points)
+    else:
+        assert cross_ratio(*points) == want
 
 
 def test_search_recovers_tilted_generators():
@@ -365,9 +419,6 @@ def test_search_result_does_not_depend_on_bound():
         assert search_generators(bound) == at3
 
 
-zeta_integers = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
-
-
 @given(zeta_integers, zeta_integers)
 def test_zeta_pair_product_matches_eisrat(x, y):
     assert EisRat(*_zeta_mul(x, y)) == EisRat(*x) * EisRat(*y)
@@ -400,7 +451,8 @@ def integer_tangent_test(linear):
 def test_integer_tangent_test_matches_q_zeta_permutation(linear):
     assert is_unit(det2(linear))
     assert integer_tangent_test(linear) == \
-        (line_permutation(linear, False, TILTED_TANGENTS) in _SEARCH_TARGETS)
+        (line_permutation(linear, False, _TILTED_TANGENT_PAIRS)
+         in _SEARCH_TARGETS)
 
 
 def test_integer_tangent_test_accepts_and_rejects():
@@ -725,8 +777,8 @@ tilted_reflections = st.tuples(
 # generators' multiples permute the tilted tangents, and the reflections
 tilted_cases = st.one_of(st.tuples(unit_det_matrices(), st.booleans()),
                          tilted_reflections)
-AMBIENT_FRAME = (_AMBIENT_TANGENT_PAIRS, catalog.CURVE_LINES)
-TILTED_FRAME = (_TILTED_TANGENT_PAIRS, TILTED_TANGENTS)
+AMBIENT_FRAME = catalog.CURVE_LINES
+TILTED_FRAME = _TILTED_TANGENT_PAIRS
 
 
 @given(st.one_of(
@@ -737,11 +789,11 @@ TILTED_FRAME = (_TILTED_TANGENT_PAIRS, TILTED_TANGENTS)
 def test_tangent_permutation_matches_q_zeta_oracle(case):
     # the ambient tangents, as preserves_divisor asks, and the tilted ones,
     # as the search asks
-    linear, antiholomorphic, (tangents, lines) = case
+    linear, antiholomorphic, tangents = case
     assume(det2(linear))
     assert _tangent_permutation(_integer_matrix(linear)[1], antiholomorphic,
                                 tangents) == \
-        line_permutation(linear, antiholomorphic, lines)
+        line_permutation(linear, antiholomorphic, tangents)
 
 
 @given(st.one_of(st.tuples(eis_matrices, st.booleans()), tilted_cases))

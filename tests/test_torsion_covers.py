@@ -13,11 +13,10 @@ from hexcover.appell_humbert import (
     pullback_hom,
     square_roots,
 )
-from hexcover.eisenstein import ZETA, EisRat, mat, mat_identity
+from hexcover.eisenstein import ZETA, EisRat, _zeta_pair, mat, mat_identity
 from hexcover.lattice import (
     AmbientVector,
     LatticeBasis,
-    ComplexLine,
     coords_in,
     hnf,
 )
@@ -35,8 +34,8 @@ from hexcover.torsion_covers import (
 
 import golden
 from golden import EXPECTED
-from oracles import (character_value, hnf_index, mat_scale,
-                     restricts_nontrivially)
+from oracles import (ComplexLine, character_value, complex_line, hnf_index,
+                     mat_scale, restricts_nontrivially)
 
 
 CHARS = all_characters()
@@ -78,8 +77,10 @@ def test_character_rejects_bad_values():
         CharacterMod2((1, 1, 1))
     with pytest.raises(ValueError):
         CharacterMod2((1, 0, 1, 1))
-    # signs are ints: no float is truncated and no string parsed
-    for bad in ((1.7, -1.2, 1, 1), (1, -1.0, 1, 1), ("1", -1, 1, 1)):
+    # signs are ints: no float is truncated, no string parsed and no bool
+    # read as 1
+    for bad in ((1.7, -1.2, 1, 1), (1, -1.0, 1, 1), ("1", -1, 1, 1),
+                (True, 1, 1, 1), (1, -1, 1, True)):
         with pytest.raises(TypeError):
             CharacterMod2(bad)
 
@@ -217,8 +218,12 @@ def _kernel_line(f):
 def test_unit_multiples_of_the_curve_maps_change_nothing(units):
     scaled = tuple(mat_scale(u, f) for u, f in zip(units, catalog.CURVE_MAPS))
     lines = tuple(map(_kernel_line, scaled))
-    assert lines == catalog.CURVE_LINES
-    assert cross_ratio(*lines) == cross_ratio(*catalog.CURVE_LINES)
+    assert lines == tuple(map(complex_line, catalog.CURVE_LINES))
+    # the directions catalog.CURVE_LINES would read off the scaled maps
+    directions = tuple((_zeta_pair(f[1][1]), _zeta_pair(-f[1][0]))
+                       for f in scaled)
+    assert tuple(map(complex_line, directions)) == lines
+    assert cross_ratio(*directions) == cross_ratio(*catalog.CURVE_LINES)
     result = classify_characters()
     assert tuple(map(_torsion_on_curve, scaled)) == result.curve_incidence
     with pytest.MonkeyPatch.context() as patch:

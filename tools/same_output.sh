@@ -36,6 +36,8 @@ commands=(
     "verify-all --perturb orbits.full_group --json"
     # the failure path of a bool row, computed from the cover's invariants
     "invariants --perturb invariants.ball_quotient --json"
+    # the failure path of the cross-ratio row, computed on Z[zeta] pairs
+    "search-aut --bound 3 --perturb search.cross_ratio --json"
 )
 for bound in 2 3 4 5 6 8; do
     commands+=("search-aut --bound $bound --json")
