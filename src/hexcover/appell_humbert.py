@@ -34,7 +34,6 @@ from .eisenstein import (
     _Immutable,
     _cleared,
     _from_pairs,
-    _integer_matrix,
     _pair_product,
     _rational,
     mat,
@@ -426,8 +425,8 @@ def tensor(l1: LineBundleClass, l2: LineBundleClass) -> LineBundleClass:
 def _pulled_form(m: EisMat, f: EisMat, conjugate: bool) -> EisMat:
     """f^T . m . conj(f), conjugated when conjugate, as two Z[zeta] pair
     products over one denominator; only the four entries become EisRat."""
-    dm, mp = _integer_matrix(m)
-    df, fp = _integer_matrix(f)
+    dm, mp = _cleared(m)
+    df, fp = _cleared(f)
     fbar = tuple(tuple((a + b, -b) for a, b in row) for row in fp)
     out = _pair_product(_pair_product(tuple(zip(*fp)), mp), fbar)
     if conjugate:
@@ -448,6 +447,9 @@ def _pull_back(bundle: LineBundleClass, f: EisMat, target: LatticeBasis,
     key = (f, antiholomorphic, bundle.form.gram)
     plan = target._pullbacks.get(key)
     if plan is None:
+        # f comes from the caller, and the kernels below assume it is 2x2
+        if len(f) != 2 or any(len(row) != 2 for row in f):
+            raise ValueError("shape mismatch")
         m2 = _pulled_form(bundle.form.matrix, f, antiholomorphic)
         # a symmetry of the divisor preserves h, so the form is usually reused
         form = bundle.form if m2 == bundle.form.matrix else HermitianForm(m2)

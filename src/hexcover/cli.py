@@ -161,20 +161,33 @@ def _double_cover(square: int, quadruple_points: int) -> list:
         SingularityProfile(l2, [2] * quadruple_points)))
 
 
+def _branch_description(profile: SingularityProfile) -> str:
+    """The singular points of a branch profile in words.  A profile with
+    K^2 = 8 has one point of multiplicity 6 or two of multiplicity 4, so
+    its points share one multiplicity and number at most two."""
+    (m,) = set(profile.multiplicities)
+    count = len(profile.multiplicities)
+    points = "point" if count == 1 else "points"
+    return (f"{('one', 'two')[count - 1]} ordinary singular {points} "
+            f"of multiplicity {2 * m}")
+
+
 def _invariants_rows() -> List[Row]:
     rows: List[Row] = []
     # case I is the sextuple point, case II the two quadruple points
     cases = enumerate_branch_profiles()
     rows.append(("invariants.resolution_sextuple",
-                 list(resolution_invariants(cases[0].profile))))
+                 list(resolution_invariants(cases[0]))))
     rows.append(("invariants.resolution_quadruples",
-                 list(resolution_invariants(cases[1].profile))))
+                 list(resolution_invariants(cases[1]))))
     rows.append(("invariants.smooth_baseline",
                  list(resolution_invariants(SingularityProfile(2)))))
-    rows.append(("invariants.branch_labels", [c.label for c in cases]))
-    rows.append(("invariants.branch_degrees", [c.d2 for c in cases]))
+    rows.append(("invariants.branch_labels",
+                 [("I", "II")[k] for k in range(len(cases))]))
+    # the branch curve is D = 2L
+    rows.append(("invariants.branch_degrees", [4 * c.l2 for c in cases]))
     rows.append(("invariants.branch_descriptions",
-                 [c.singularities for c in cases]))
+                 [_branch_description(c) for c in cases]))
     square = intersection_number(catalog.SUM_FORM, catalog.SUM_FORM,
                                  catalog.COVER_LATTICE)
     rows.append(("invariants.cover_branch_square", square))

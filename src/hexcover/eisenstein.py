@@ -285,11 +285,4 @@ def _from_pairs(den: int, P: PairMat) -> EisMat:
                        for a, b in row) for row in P)
 
 
-def _integer_matrix(m: EisMat) -> Tuple[int, PairMat]:
-    """_cleared for a 2x2 matrix; any other shape raises ValueError."""
-    if len(m) != 2 or any(len(row) != 2 for row in m):
-        raise ValueError("shape mismatch")
-    return _cleared(m)
-
-
 ZETA = EisRat(0, 1)

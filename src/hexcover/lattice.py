@@ -15,8 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .eisenstein import (EisMat, EisRat, Rat, _Immutable, _integer_matrix,
-                         _rational)
+from .eisenstein import EisMat, Rat, _Immutable, _cleared, _rational
 
 
 class AmbientVector(_Immutable):
@@ -50,12 +49,6 @@ class AmbientVector(_Immutable):
     def coordinates(self) -> Tuple[Fraction, ...]:
         den = self._den
         return tuple(Fraction(n, den) for n in self._nums)
-
-    def to_pair(self) -> Tuple[EisRat, EisRat]:
-        den = self._den
-        x1, x2, x3, x4 = self._nums
-        return (EisRat(Fraction(x1, den), Fraction(x2, den)),
-                EisRat(Fraction(x3, den), Fraction(x4, den)))
 
     def _combine(self, other: "AmbientVector", sign: int) -> "AmbientVector":
         """self + sign * other, over the lcm of the two denominators."""
@@ -178,7 +171,7 @@ def _ambient_matrix(m: EisMat, conjugate_first: bool = False) -> _AmbientMap:
     (multiplication by zeta is J); with conjugation first, which sends
     (x, y) to (x + y, -y), the block is [[p, p + q], [q, -p]].
     """
-    den, pairs = _integer_matrix(m)
+    den, pairs = _cleared(m)
     rows = [[0] * 4 for _ in range(4)]
     for i in range(2):
         for j in range(2):

@@ -57,6 +57,8 @@ class Permutation(_Immutable):
         return self.images[k - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
+        if not isinstance(other, Permutation):
+            return NotImplemented
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
         # a product of two bijections is one
@@ -104,9 +106,10 @@ class Permutation(_Immutable):
         return f"Permutation[{self}]"
 
 
-class PermGroup:
+class PermGroup(_Immutable):
     """Group generated by a non-empty list of permutations of common
-    degree, which is the group's degree."""
+    degree, which is the group's degree.  The generators are fixed, so the
+    closure is computed once and kept."""
 
     __slots__ = ("generators", "degree", "_elements")
 
@@ -119,9 +122,9 @@ class PermGroup:
         degree = gens[0].degree
         if any(g.degree != degree for g in gens):
             raise ValueError("generators act on different sets")
-        self.generators = gens
-        self.degree = degree
-        self._elements = None
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "_elements", None)
 
     def elements(self) -> frozenset:
         """Closure of the generators by breadth-first products, at most
@@ -142,7 +145,7 @@ class PermGroup:
                             raise OrderBoundExceeded(
                                 f"closure exceeds {CLOSURE_BOUND} elements")
             frontier = fresh
-        self._elements = frozenset(found)
+        object.__setattr__(self, "_elements", frozenset(found))
         return self._elements
 
     @property

@@ -9,6 +9,7 @@ the complement of the contracted elliptic curves.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -51,29 +52,6 @@ class SingularityProfile(_Immutable):
         return f"SingularityProfile(l2={self.l2}, multiplicities={self.multiplicities})"
 
 
-class BranchCase(_Immutable):
-    """One admissible branch configuration for a canonical-degree-8 cover."""
-
-    __slots__ = ("label", "singularities", "profile")
-
-    def __init__(self, label: str, singularities: str,
-                 profile: SingularityProfile) -> None:
-        if label not in ("I", "II"):
-            raise ValueError("label must be 'I' or 'II'")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "singularities", singularities)
-        object.__setattr__(self, "profile", profile)
-
-    @property
-    def d2(self) -> int:
-        """Self-intersection of the branch curve D = 2L, so 4 L^2."""
-        return 4 * self.profile.l2
-
-    def __repr__(self) -> str:
-        return (f"BranchCase({self.label!r}, d2={self.d2}, "
-                f"singularities={self.singularities!r})")
-
-
 class ResolutionInvariants(NamedTuple):
     chi: Fraction
     k2: int
@@ -94,32 +72,32 @@ def resolution_invariants(profile: SingularityProfile) -> ResolutionInvariants:
     return ResolutionInvariants(chi, k2)
 
 
-def enumerate_branch_profiles() -> list[BranchCase]:
-    """The branch configurations that give a minimal cover with K^2 = 8.
+def enumerate_branch_profiles() -> list[SingularityProfile]:
+    """The branch profiles that give a minimal cover with chi = 1 and
+    K^2 = 8, the sextuple point first.
 
-    With chi = 1 the resolved canonical degree is 4 + 2 sum (m_i - 1), so the
-    multiplicity sum is bounded and the profiles can be listed outright.  Two
-    survivors of the bound are discarded: a single m = 2 point only reaches
-    canonical degree 6, and a pair of quadruple points with one infinitely
-    near the other would leave rational curves on the resolution, which the
-    minimal cover cannot contain.  Each remaining singular point is ordinary.
+    With chi = 1, L^2 = 2 + sum m_i(m_i - 1) and the resolved canonical
+    degree is 4 + 2 sum (m_i - 1), so K^2 = 8 bounds sum (m_i - 1) by 2.
+    Every non-increasing tuple of multiplicities m_i >= 2 within that bound
+    is tried, and kept when the resolution formula gives chi = 1 and
+    K^2 = 8: a single m = 2 point only reaches canonical degree 6.  A pair
+    of quadruple points with one infinitely near the other would leave
+    rational curves on the resolution, which the minimal cover cannot
+    contain, so each singular point of a kept profile is ordinary.
     """
-    cases = []
-    # mult profiles with sum (m_i - 1) <= 2, each m_i >= 2: (), (2,), (3,), (2, 2)
-    for mults in ((), (2,), (3,), (2, 2)):
-        l2 = 2 + sum(m * (m - 1) for m in mults)  # forces chi = 1
-        profile = SingularityProfile(l2, mults)
-        if resolution_invariants(profile).k2 != 8:
-            continue
-        if mults == (3,):
-            cases.append(BranchCase(
-                "I", "one ordinary singular point of multiplicity 6",
-                profile))
-        elif mults == (2, 2):
-            cases.append(BranchCase(
-                "II", "two ordinary singular points of multiplicity 4",
-                profile))
-    return cases
+    bound = 2
+    profiles = []
+    for count in range(bound + 1):
+        # multiplicities drawn from a descending range come out non-increasing
+        for mults in itertools.combinations_with_replacement(
+                range(bound + 1, 1, -1), count):
+            if sum(m - 1 for m in mults) > bound:
+                continue
+            profile = SingularityProfile(
+                2 + sum(m * (m - 1) for m in mults), mults)
+            if resolution_invariants(profile) == (1, 8):
+                profiles.append(profile)
+    return profiles
 
 
 def product_quotient_invariants(g: int, group_order: int) -> tuple[int, int]:

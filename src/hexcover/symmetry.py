@@ -24,7 +24,6 @@ from .eisenstein import (
     EisRat,
     _Immutable,
     _cleared,
-    _integer_matrix,
     _pair_product,
     _zeta_mul,
     inv2,
@@ -80,7 +79,7 @@ class AffineSymmetry(_Immutable):
             raise ValueError("the linear part must be a 2x2 matrix")
         # invertible exactly when det = a11*a22 - a12*a21 is nonzero, tested
         # on the Z[zeta] pairs of the matrix cleared of denominators
-        _, ((a11, a12), (a21, a22)) = _integer_matrix(linear)
+        _, ((a11, a12), (a21, a22)) = _cleared(linear)
         if _zeta_mul(a11, a22) == _zeta_mul(a12, a21):
             raise ValueError("the linear part must be invertible")
         if (type(antiholomorphic) is not bool
@@ -210,7 +209,7 @@ def preserves_divisor(g: AffineSymmetry) -> bool:
     stabilization of the base set.
     """
     rational_rep(g, catalog.COVER_LATTICE)
-    if _tangent_permutation(_integer_matrix(g.linear)[1], g.antiholomorphic,
+    if _tangent_permutation(_cleared(g.linear)[1], g.antiholomorphic,
                             catalog.CURVE_LINES) is None:
         return False
     return any(_lattice_coordinates(catalog.COVER_LATTICE,
@@ -424,7 +423,7 @@ def gamma_action_on_sigma() -> Permutation:
     cube, _ = _compose_maps(rotation, _compose_maps(rotation, rotation))
     if cube != _IDENTITY_MAP[0] or any(x.denominator != 1 for x in shift):
         raise NotOfOrderThree("product symmetry is not of order 3")
-    if _tangent_permutation(_integer_matrix(g.linear)[1], False,
+    if _tangent_permutation(_cleared(g.linear)[1], False,
                             catalog.CURVE_LINES) is None:
         raise NotDivisorPreserving("product symmetry moves the tangent lines")
     chars = all_characters()

@@ -19,7 +19,7 @@ import math
 from . import catalog
 from .appell_humbert import ORDER_TWO_SIGN_PATTERNS, im_on_lattice
 from .eisenstein import _Immutable
-from .lattice import LatticeBasis
+from .lattice import LatticeBasis, _ambient_matrix, _map_coordinates
 
 
 class TrivialCharacter(ValueError):
@@ -62,6 +62,8 @@ class CharacterMod2(_Immutable):
         return sign
 
     def __mul__(self, other: "CharacterMod2") -> "CharacterMod2":
+        if not isinstance(other, CharacterMod2):
+            return NotImplemented
         return CharacterMod2(a * b for a, b in zip(self.values, other.values))
 
     def __eq__(self, other) -> bool:
@@ -141,16 +143,18 @@ def _torsion_on_curve(curve_map) -> frozenset:
     F(L), L the product lattice.  F(L) must be Z[zeta], which holds when
     the 2x2 minors of the values F(b_i), as integer pairs, have gcd 1;
     then p lies on the curve exactly when the sum of F(b_i) over e_i = 1 is
-    in 2 Z[zeta].
+    in 2 Z[zeta].  F(b_i) is the second block of the image of b_i under the
+    curve map, computed by the ambient-matrix kernel.
     """
-    (_, _), (a, b) = curve_map
+    basis = catalog.PRODUCT_LATTICE
     values = []
-    for v in catalog.PRODUCT_LATTICE.vectors:
-        z1, z2 = v.to_pair()
-        w = a * z1 + b * z2
-        if not w.is_integral():
-            raise NotOnto(f"F({v!r}) = {w} is not in Z[zeta]")
-        values.append((w.a.numerator, w.b.numerator))
+    for b, image in zip(basis.vectors, _map_coordinates(
+            _ambient_matrix(curve_map), basis._integer)):
+        den, (_, _, x, y) = image._den, image._nums
+        if x % den or y % den:
+            raise NotOnto(f"F({b!r}) = ({x} + {y}*zeta)/{den} is not in "
+                          f"Z[zeta]")
+        values.append((x // den, y // den))
     minors = (x1 * y2 - x2 * y1
               for (x1, y1), (x2, y2) in itertools.combinations(values, 2))
     if math.gcd(*minors) != 1:

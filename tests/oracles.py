@@ -14,8 +14,11 @@ cross-multiplication of _tangent_permutation replaced, on the ambient
 tangents and on the search's tilted ones, eisrat_mat_mul is the
 EisRat matrix product that mat_mul's Z[zeta] sum replaced, the q_zeta_* functions are the
 EisRat pullbacks that the integer ambient-matrix kernel replaced (with
-mat_apply and ambient_from_pair, the Q(zeta) matrix-vector product and
-vector constructor they push vectors with), hermitian_value and ReIm are
+mat_apply, ambient_from_pair and to_pair, the Q(zeta) matrix-vector
+product and the conversions between an ambient vector and its Q(zeta)
+pair that they push vectors with), q_zeta_torsion_on_curve is the Q(zeta)
+evaluation of a curve's linear form on the product basis that the
+ambient-matrix kernel replaced, hermitian_value and ReIm are
 the Q(zeta) evaluation of a hermitian form that the integer Gram matrix
 replaced, fraction_eval_coords is the term-by-term semicharacter
 evaluation that the single integer sum replaced, FractionSemicharacter is
@@ -39,7 +42,9 @@ reads a permutation's cycle notation, as the expected values file writes
 it, back into cycles.  restricts_nontrivially is the
 restriction test on the generators of a curve lattice, which the
 classification replaced by the 2-torsion incidence it reads off the curve
-maps.
+maps.  brute_force_branch_profiles tries every small branch profile
+against the chi and K^2 formulas written out again, as the reference for
+the bounded enumeration of the branch profiles.
 """
 
 import itertools
@@ -403,7 +408,7 @@ def scan_search_generators(height_bound):
 def q_zeta_push_vector(f, v, conjugate_first):
     """Image of the ambient vector v under z -> f . z, or z -> f . conj(z)
     when conjugate_first, by mat_apply on the Q(zeta) pair of v."""
-    z1, z2 = v.to_pair()
+    z1, z2 = to_pair(v)
     if conjugate_first:
         z1, z2 = z1.conjugate(), z2.conjugate()
     return ambient_from_pair(*mat_apply(f, (z1, z2)))
@@ -635,6 +640,43 @@ def ambient_from_pair(z1, z2):
     return AmbientVector((z1.a, z1.b, z2.a, z2.b))
 
 
+def to_pair(v):
+    """The Q(zeta) coordinates (z1, z2) of the ambient vector v, as two
+    EisRat; ambient_from_pair inverts it."""
+    from hexcover.eisenstein import EisRat
+
+    x1, x2, x3, x4 = v.coordinates
+    return EisRat(x1, x2), EisRat(x3, x4)
+
+
+def q_zeta_torsion_on_curve(curve_map) -> frozenset:
+    """The nonzero 2-torsion classes on ker F, F = a*z1 + b*z2 the second
+    row of the curve map, as parity vectors: F(b_i) is summed in Q(zeta) on
+    the EisRat pairs of the product basis.  Raises NotOnto as the package
+    does: for a value off Z[zeta], and for values whose 2x2 minors are not
+    coprime."""
+    from hexcover import catalog
+    from hexcover.torsion_covers import NotOnto
+
+    (_, _), (a, b) = curve_map
+    values = []
+    for v in catalog.PRODUCT_LATTICE.vectors:
+        z1, z2 = to_pair(v)
+        w = a * z1 + b * z2
+        if not w.is_integral():
+            raise NotOnto(f"F({v!r}) = {w} is not in Z[zeta]")
+        values.append((int(w.a), int(w.b)))
+    minors = (x1 * y2 - x2 * y1
+              for (x1, y1), (x2, y2) in itertools.combinations(values, 2))
+    if math.gcd(*minors) != 1:
+        raise NotOnto("the product lattice maps onto a proper sublattice "
+                      "of Z[zeta]")
+    return frozenset(
+        e for e in itertools.product((0, 1), repeat=4) if any(e)
+        and all(sum(w[j] for w, bit in zip(values, e) if bit) % 2 == 0
+                for j in (0, 1)))
+
+
 class ReIm:
     """Exact real/imaginary decomposition of (a + b*zeta)/sqrt(3).
 
@@ -677,8 +719,8 @@ def hermitian_value(h, v, w) -> ReIm:
     Q(zeta) as t(v).M.conj(w) / sqrt(3)."""
     from hexcover.eisenstein import EisRat
 
-    z = v.to_pair()
-    y = w.to_pair()
+    z = to_pair(v)
+    y = to_pair(w)
     acc = EisRat(0)
     for i in range(2):
         for j in range(2):
@@ -702,3 +744,22 @@ def symmetric_semichar_from_multiplicities(rank, multiplicities):
         m = m0 if parity == zero else multiplicities.get(parity, 0)
         out[parity] = -1 if (m0 + m) % 2 else 1
     return out
+
+
+def brute_force_branch_profiles(max_multiplicity=5, max_points=3,
+                                max_l2=70):
+    """Every (L^2, multiplicities) with 0 <= L^2 <= max_l2, at most
+    max_points multiplicities in 2..max_multiplicity listed in
+    non-increasing order, and chi = (L^2 - sum m(m - 1)) / 2 = 1 and
+    K^2 = 2 L^2 - 2 sum (m - 1)^2 = 8, found by trying them all."""
+    found = set()
+    for count in range(max_points + 1):
+        for mults in itertools.product(range(2, max_multiplicity + 1),
+                                       repeat=count):
+            mults = tuple(sorted(mults, reverse=True))
+            for l2 in range(max_l2 + 1):
+                chi = Fraction(l2 - sum(m * (m - 1) for m in mults), 2)
+                k2 = 2 * l2 - 2 * sum((m - 1) ** 2 for m in mults)
+                if chi == 1 and k2 == 8:
+                    found.add((l2, mults))
+    return found

@@ -191,8 +191,9 @@ def test_criterion_8_numerical_invariants():
              SingularityProfile(6, [2, 2]))):
         assert list(resolution_invariants(profile)) == EXPECTED[check_id]
     cases = enumerate_branch_profiles()
-    assert [c.label for c in cases] == EXPECTED["invariants.branch_labels"]
-    assert [c.d2 for c in cases] == EXPECTED["invariants.branch_degrees"]
+    assert cases == [SingularityProfile(8, [3]), SingularityProfile(6, [2, 2])]
+    assert len(cases) == len(EXPECTED["invariants.branch_labels"])
+    assert [4 * c.l2 for c in cases] == EXPECTED["invariants.branch_degrees"]
     square = EXPECTED["invariants.cover_branch_square"]
     cover_branch = SingularityProfile(square // 4, [2, 2])
     chi, k2 = resolution_invariants(cover_branch)

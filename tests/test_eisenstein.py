@@ -10,8 +10,8 @@ from hexcover.eisenstein import (
     EisRat,
     ZETA,
     _Immutable,
+    _cleared,
     _gf3_residues,
-    _integer_matrix,
     as_eis,
     det2,
     inv2,
@@ -234,21 +234,13 @@ def test_mat_mul_rejects_mismatched_shapes():
 
 
 @given(eis_matrices)
-def test_integer_matrix_round_trips(m):
-    den, pairs = _integer_matrix(m)
+def test_cleared_round_trips(m):
+    den, pairs = _cleared(m)
     assert den >= 1
     assert tuple(tuple(EisRat(Fraction(a, den), Fraction(b, den))
                        for a, b in row) for row in pairs) == m
     # den is the least common denominator
     assert math.gcd(den, *(x for row in pairs for p in row for x in p)) == 1
-
-
-@pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]],
-                                  [[1, 0], [0, 1], [1, 1]],
-                                  [[1, 0]]])
-def test_integer_matrix_rejects_non_square_shapes(rows):
-    with pytest.raises(ValueError, match="shape mismatch"):
-        _integer_matrix(mat(rows))
 
 
 def test_equal_eisrats_built_differently_hash_equal():
@@ -307,9 +299,8 @@ def _value_types():
     from hexcover import catalog, symmetry
     from hexcover.appell_humbert import im_on_lattice
     from hexcover.lattice import AmbientVector
-    from hexcover.permgroup import Permutation
-    from hexcover.surface_invariants import (SingularityProfile,
-                                             enumerate_branch_profiles)
+    from hexcover.permgroup import PermGroup, Permutation
+    from hexcover.surface_invariants import SingularityProfile
     from hexcover.torsion_covers import all_characters, classify_characters
 
     bundle = catalog.GENUS1_THETA
@@ -317,13 +308,13 @@ def _value_types():
         EisRat(1, 2), AmbientVector((0, 1, 0, 0)), catalog.PRODUCT_LATTICE,
         bundle.form, im_on_lattice(bundle.form, bundle.lattice),
         bundle.character, bundle, Permutation.identity(3),
-        SingularityProfile(2), enumerate_branch_profiles()[0],
+        PermGroup([Permutation.identity(3)]), SingularityProfile(2),
         symmetry.NEGATION, all_characters()[1], classify_characters())}
 
 
 VALUE_TYPES = ("EisRat", "AmbientVector", "LatticeBasis", "HermitianForm",
                "AltFormOnLattice", "Semicharacter", "LineBundleClass",
-               "Permutation", "SingularityProfile", "BranchCase",
+               "Permutation", "PermGroup", "SingularityProfile",
                "AffineSymmetry", "CharacterMod2", "CharacterClassification")
 
 

@@ -47,6 +47,14 @@ def permutation_pairs(draw):
     return Permutation(draw(images)), Permutation(draw(images))
 
 
+def test_product_with_a_non_permutation_is_a_type_error():
+    # __mul__ returns NotImplemented, so Python raises the TypeError
+    p = Permutation([2, 1, 3])
+    for other in (3, 1.5, None):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            p * other
+
+
 @given(permutation_pairs())
 def test_product_equals_validated_permutation(pair):
     p, q = pair
@@ -166,6 +174,17 @@ def test_commutator_convention():
     got = x * y * perm_inverse(x) * perm_inverse(y)
     assert got.cycles() == ((1, 2, 3),)
     assert got.order() == 3
+
+
+def test_group_is_immutable():
+    # the closure is memoized, so new generators would leave a stale order
+    p, q = Permutation([2, 1, 3]), Permutation([1, 3, 2])
+    g = PermGroup([p])
+    assert g.order == 2
+    with pytest.raises(AttributeError, match="^PermGroup is immutable$"):
+        g.generators = (p, q)
+    assert g.generators == (p,) and g.order == 2
+    assert PermGroup([p, q]).order == 6
 
 
 def test_group_rejects_non_permutation_generators():

@@ -5,9 +5,8 @@ from hypothesis import given, strategies as st
 
 from hexcover import catalog
 from hexcover.appell_humbert import intersection_number
-from hexcover.cli import _double_cover
+from hexcover.cli import _double_cover, _invariants_rows
 from hexcover.surface_invariants import (
-    BranchCase,
     NonIntegral,
     SingularityProfile,
     ball_quotient_check,
@@ -18,6 +17,7 @@ from hexcover.surface_invariants import (
 
 import golden
 from golden import EXPECTED
+from oracles import brute_force_branch_profiles
 
 
 def test_resolution_published_cases():
@@ -54,24 +54,26 @@ def test_profile_rejects_negligible_points():
 
 
 def test_branch_enumeration_for_degree_eight():
-    cases = enumerate_branch_profiles()
-    assert [c.label for c in cases] == EXPECTED["invariants.branch_labels"]
-    first, second = cases
-    assert [c.d2 for c in cases] == EXPECTED["invariants.branch_degrees"]
-    assert [c.singularities for c in cases] == \
-        EXPECTED["invariants.branch_descriptions"]
-    assert first.profile == SingularityProfile(8, [3])
-    assert second.profile == SingularityProfile(6, [2, 2])
-    for case, check_id in zip(cases, ("invariants.resolution_sextuple",
-                                      "invariants.resolution_quadruples")):
-        assert list(resolution_invariants(case.profile)) == EXPECTED[check_id]
+    profiles = enumerate_branch_profiles()
+    assert profiles == [SingularityProfile(8, [3]),
+                        SingularityProfile(6, [2, 2])]
+    for profile, check_id in zip(profiles, (
+            "invariants.resolution_sextuple",
+            "invariants.resolution_quadruples")):
+        assert list(resolution_invariants(profile)) == EXPECTED[check_id]
+    # the labels, the branch squares D^2 = 4 L^2 and the descriptions are
+    # derived from the profiles
+    rows = dict(_invariants_rows())
+    for check_id in ("invariants.branch_labels", "invariants.branch_degrees",
+                     "invariants.branch_descriptions"):
+        assert rows[check_id] == EXPECTED[check_id]
 
 
-def test_branch_case_validates_label():
-    with pytest.raises(ValueError):
-        BranchCase("III", "anything", SingularityProfile(8, [3]))
-    # the branch square D = 2L is read off the profile
-    assert BranchCase("I", "anything", SingularityProfile(8, [3])).d2 == 32
+def test_branch_enumeration_matches_brute_force():
+    profiles = enumerate_branch_profiles()
+    found = [(p.l2, p.multiplicities) for p in profiles]
+    assert len(set(found)) == len(found)
+    assert set(found) == brute_force_branch_profiles()
 
 
 def test_double_cover_published_cases():

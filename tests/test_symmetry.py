@@ -8,9 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hexcover import catalog, symmetry
-from hexcover.eisenstein import (EisRat, _gf3_residues, _integer_matrix,
-                                 _zeta_mul, _zeta_pair, det2, inv2, mat,
-                                 mat_conj, mat_identity, mat_mul)
+from hexcover.eisenstein import (EisRat, _cleared, _gf3_residues, _zeta_mul,
+                                 _zeta_pair, det2, inv2, mat, mat_conj,
+                                 mat_identity, mat_mul)
 from hexcover.lattice import AmbientVector, LatticeBasis, coords_in
 from hexcover.permgroup import PermGroup, Permutation
 from hexcover.symmetry import (
@@ -107,7 +107,7 @@ TILTED = tuple(eis_matrix(m) for m in EXPECTED["search.tilted_matrices"])
 def ambient_tangent_permutation(linear, antiholomorphic):
     """_tangent_permutation of a Q(zeta) matrix on the ambient tangents, as
     preserves_divisor calls it."""
-    return _tangent_permutation(_integer_matrix(linear)[1], antiholomorphic,
+    return _tangent_permutation(_cleared(linear)[1], antiholomorphic,
                                 catalog.CURVE_LINES)
 
 
@@ -791,7 +791,7 @@ def test_tangent_permutation_matches_q_zeta_oracle(case):
     # as the search asks
     linear, antiholomorphic, tangents = case
     assume(det2(linear))
-    assert _tangent_permutation(_integer_matrix(linear)[1], antiholomorphic,
+    assert _tangent_permutation(_cleared(linear)[1], antiholomorphic,
                                 tangents) == \
         line_permutation(linear, antiholomorphic, tangents)
 
@@ -806,7 +806,7 @@ def test_tangent_permutation_is_the_same_in_both_frames(case):
     shear = catalog.FRAME_SHEAR
     back = inv2(mat_conj(shear) if anti else shear)
     ambient = mat_mul(mat_mul(shear, linear), back)
-    assert _tangent_permutation(_integer_matrix(linear)[1], anti,
+    assert _tangent_permutation(_cleared(linear)[1], anti,
                                 _TILTED_TANGENT_PAIRS) == \
         ambient_tangent_permutation(ambient, anti)
 

@@ -35,7 +35,9 @@ from hexcover.torsion_covers import (
 import golden
 from golden import EXPECTED
 from oracles import (ComplexLine, character_value, complex_line, hnf_index,
-                     mat_scale, restricts_nontrivially)
+                     mat_scale, q_zeta_torsion_on_curve,
+                     restricts_nontrivially)
+from strategies import eis_rationals
 
 
 CHARS = all_characters()
@@ -70,6 +72,10 @@ def test_characters_form_an_elementary_group():
         assert a * b in seen
     for a in CHARS:
         assert (a * a).is_trivial
+    # __mul__ returns NotImplemented for anything else: a TypeError
+    for other in (3, 1.5, None):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            CharacterMod2([1, 1, 1, -1]) * other
 
 
 def test_character_rejects_bad_values():
@@ -203,8 +209,11 @@ def test_trivial_on_matches_generator_oracle():
     (0, 0),                             # the zero map
 ])
 def test_curve_map_not_onto_raises(form):
+    curve_map = mat([[0, 0], list(form)])
     with pytest.raises(NotOnto):
-        _torsion_on_curve(mat([[0, 0], list(form)]))
+        _torsion_on_curve(curve_map)
+    with pytest.raises(NotOnto):
+        q_zeta_torsion_on_curve(curve_map)
 
 
 def _kernel_line(f):
@@ -212,6 +221,24 @@ def _kernel_line(f):
     f, solved for z2 when b is nonzero."""
     (_, _), (a, b) = f
     return ComplexLine((ONE, -a / b) if b else (EisRat(0), ONE))
+
+
+_form_entries = st.one_of(
+    st.builds(EisRat, st.integers(-3, 3), st.integers(-3, 3)), eis_rationals)
+
+
+@given(st.tuples(eis_rationals, eis_rationals),
+       st.tuples(_form_entries, _form_entries))
+def test_torsion_on_curve_matches_q_zeta_oracle(first_row, form):
+    # only the second row is F, so a fractional first row changes nothing
+    for f in (*catalog.CURVE_MAPS, mat([first_row, form])):
+        try:
+            want = q_zeta_torsion_on_curve(f)
+        except NotOnto:
+            with pytest.raises(NotOnto):
+                _torsion_on_curve(f)
+        else:
+            assert _torsion_on_curve(f) == want
 
 
 @given(st.tuples(*[st.sampled_from(UNITS)] * 4))
@@ -226,6 +253,8 @@ def test_unit_multiples_of_the_curve_maps_change_nothing(units):
     assert cross_ratio(*directions) == cross_ratio(*catalog.CURVE_LINES)
     result = classify_characters()
     assert tuple(map(_torsion_on_curve, scaled)) == result.curve_incidence
+    assert tuple(map(q_zeta_torsion_on_curve, scaled)) == \
+        result.curve_incidence
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(catalog, "CURVE_MAPS", scaled)
         again = torsion_covers._classification.__wrapped__()

@@ -26,8 +26,10 @@ commands=(
     "verify-all --bound 2 --json"
     "verify-all --bound 4 --json"
     "tables --json"
+    "characters"
     "characters --json"
     "orbits --json"
+    "invariants"
     "invariants --json"
     # the failure path: one corrupted check, exit status 1
     "verify-all --perturb tables.curve_form_1"
@@ -38,6 +40,10 @@ commands=(
     "invariants --perturb invariants.ball_quotient --json"
     # the failure path of the cross-ratio row, computed on Z[zeta] pairs
     "search-aut --bound 3 --perturb search.cross_ratio --json"
+    # the failure paths of a row derived from the branch profiles and of
+    # one read off the curves' 2-torsion
+    "invariants --perturb invariants.branch_descriptions --json"
+    "characters --perturb characters.curve_torsion_counts --json"
 )
 for bound in 2 3 4 5 6 8; do
     commands+=("search-aut --bound $bound --json")
