@@ -14,11 +14,11 @@ itself can be exercised.
 """
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from importlib import resources
-from typing import List, Sequence, Tuple
+from typing import List, NoReturn, Sequence, Tuple
 
 from . import catalog
 from .appell_humbert import im_on_lattice, intersection_number, square_roots
@@ -49,13 +49,31 @@ from .torsion_covers import all_characters, check_2divisible, classify_character
 
 Row = Tuple[str, object]
 
-_COMMAND_SECTIONS = {
-    "tables": ("tables",),
-    "characters": ("characters",),
-    "orbits": ("orbits",),
-    "invariants": ("invariants",),
-    "search-aut": ("search",),
-    "verify-all": ("tables", "characters", "orbits", "invariants", "search"),
+# The command table, which the parser and the help text both read: each
+# command's description and the sections it runs.  The commands that run the
+# search section are the ones that take --bound.
+_COMMANDS = {
+    "tables": ("intersection tables and hermitian forms", ("tables",)),
+    "characters": ("order-2 characters, kernels and divisibility",
+                   ("characters",)),
+    "orbits": ("square roots, group closures and orbits", ("orbits",)),
+    "invariants": ("numeric invariants of the covers", ("invariants",)),
+    "search-aut": ("bounded generator search and relations", ("search",)),
+    "verify-all": ("every section in order",
+                   ("tables", "characters", "orbits", "invariants", "search")),
+}
+
+_BOUND_COMMANDS = tuple(name for name, (_, sections) in _COMMANDS.items()
+                        if "search" in sections)
+_DEFAULT_BOUND = 3
+
+# option -> (the name of its value, None for a flag; description)
+_OPTIONS = {
+    "--json": (None, "emit the report as JSON"),
+    "--perturb": ("CHECK_ID", "corrupt one computed value (test hook)"),
+    "--bound": ("N", "height bound for the generator search, "
+                f"{' and '.join(_BOUND_COMMANDS)} only "
+                f"(default {_DEFAULT_BOUND})"),
 }
 
 
@@ -300,47 +318,146 @@ def _render_json(report: List[dict]) -> str:
     return json.dumps({"checks": report}, indent=2) + "\n"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hexcover",
-        description="Recompute the double-cover classification and diff it "
-                    "against the shipped expected values.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "tables": "intersection tables and hermitian forms",
-        "characters": "order-2 characters, kernels and divisibility",
-        "orbits": "square roots, group closures and orbits",
-        "invariants": "numeric invariants of the covers",
-        "search-aut": "bounded generator search and relations",
-        "verify-all": "every section in order",
-    }
-    for name, help_text in descriptions.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--json", action="store_true",
-                         help="emit the report as JSON")
-        cmd.add_argument("--perturb", metavar="CHECK_ID", default=None,
-                         help="corrupt one computed value (test hook)")
-        if name in ("search-aut", "verify-all"):
-            cmd.add_argument("--bound", type=int, default=3,
-                             help="height bound for the generator search "
-                                  "(default 3)")
-    return parser
+_HELP = ("-h", "--help")
+_USAGE = ("usage: hexcover [-h] COMMAND "
+          + " ".join(f"[{name} {metavar}]" if metavar else f"[{name}]"
+                     for name, (metavar, _) in _OPTIONS.items()))
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _help_text() -> str:
+    rows = [("commands:", [(name, text)
+                           for name, (text, _) in _COMMANDS.items()]),
+            ("options:", [(", ".join(_HELP), "show this help and exit")]
+             + [(f"{name} {metavar}" if metavar else name, text)
+                for name, (metavar, text) in _OPTIONS.items()])]
+    width = 2 + max(len(left) for _, pairs in rows for left, _ in pairs)
+    lines = [_USAGE, "", "Recompute the double-cover classification and "
+             "diff it against\nthe shipped expected values."]
+    for heading, pairs in rows:
+        lines += ["", heading]
+        lines += [f"  {left:<{width}}{text}" for left, text in pairs]
+    return "\n".join(lines) + "\n"
+
+
+def _fail(message: str) -> NoReturn:
+    sys.stderr.write(f"{_USAGE}\nhexcover: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(token: str, names: Sequence[str]):
+    """A token among the option strings names, read the way argparse reads
+    it: None for an argument, else (option, its value after '=' or None),
+    where the option is None when no name matches."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    head, eq, value = token.partition("=")
+    if eq and head in names:
+        return head, value
+    if token.startswith("--"):  # a long option may be a unique prefix
+        matches = [(name, value if eq else None) for name in names
+                   if name.startswith(head)]
+    else:  # a short option takes the rest of the token as its value
+        matches = [(name, token[2:]) for name in names if name == token[:2]]
+    if len(matches) > 1:
+        _fail(f"ambiguous option: {token} could match "
+              + ", ".join(name for name, _ in matches))
+    if matches:
+        return matches[0]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _flag(name: str, value: str | None) -> None:
+    """Take a flag given with the value _option read off its token."""
+    if name == "-h" and value and not value.strip("h"):
+        value = None  # -hh and -h=h bundle -h with itself
+    if value is not None:
+        _fail(f"argument {name}: ignored explicit argument {value!r}")
+    if name in _HELP:
+        sys.stdout.write(_help_text())
+        raise SystemExit(0)
+
+
+def _parse(argv: Sequence[str]) -> Tuple[str, bool, str | None, int]:
+    """(command, json, perturb, bound) of the argument list argv.
+
+    Only -h may come before the command.  After it the options may come in
+    any order and repeat (the last one wins), a value may follow its option
+    or an '=', and a long option may be cut to a unique prefix.  Tokens are
+    taken from left to right, so help stops at the first -h, but an unknown
+    option or a stray argument fails only once every token is read.
+    """
+    unknown = []
+    for k, token in enumerate(argv):
+        # a "--" here is taken for the command, and fails as one
+        option = None if token == "--" else _option(token, _HELP)
+        if option is None:
+            break
+        if option[0] is None:
+            unknown.append(token)
+        else:
+            _flag(*option)
+    else:
+        _fail("the following arguments are required: COMMAND")
+    command, rest = argv[k], list(argv[k + 1:])
+    if command not in _COMMANDS:
+        _fail(f"invalid command {command!r} (choose from "
+              + ", ".join(_COMMANDS) + ")")
+    names = [*_HELP, *(name for name in _OPTIONS
+                       if name != "--bound" or command in _BOUND_COMMANDS)]
+    if "--" in rest:  # every token after "--" is an argument
+        cut = rest.index("--")
+        rest, unknown = rest[:cut], unknown + rest[cut:]
+    options = [_option(token, names) for token in rest]
+    values = {"--json": False, "--perturb": None, "--bound": _DEFAULT_BOUND}
+    k = 0
+    while k < len(rest):
+        option, k = options[k], k + 1
+        if option is None or option[0] is None:
+            unknown.append(rest[k - 1])
+            continue
+        name, value = option
+        if name in _HELP or _OPTIONS[name][0] is None:
+            _flag(name, value)
+            values[name] = True
+            continue
+        if value is None:
+            if k == len(rest) or options[k] is not None:
+                _fail(f"argument {name}: expected one argument")
+            value, k = rest[k], k + 1
+        if name == "--bound" and value != "--":
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(f"argument --bound: invalid int value: {value!r}")
+        values[name] = value
+    for name in ("--perturb", "--bound"):
+        # argparse drops a value "--" given after "=", so a later repeat
+        # of the option may still supply one
+        if values[name] == "--":
+            _fail(f"argument {name}: expected one argument")
+    if unknown:
+        _fail("unrecognized arguments: " + " ".join(unknown))
+    return command, values["--json"], values["--perturb"], values["--bound"]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    bound = getattr(args, "bound", 3)
+    command, as_json, perturb, bound = _parse(
+        sys.argv[1:] if argv is None else argv)
     if bound < 2:
-        parser.error("--bound must be at least 2")
-    sections = _COMMAND_SECTIONS[args.command]
+        _fail("--bound must be at least 2")
+    sections = _COMMANDS[command][1]
     records = _load_expected(sections)
-    if args.perturb is not None and args.perturb not in {
+    if perturb is not None and perturb not in {
             rec["check_id"] for rec in records}:
-        parser.error(f"unknown check id {args.perturb!r}")
+        _fail(f"unknown check id {perturb!r}")
     computed = _build_rows(sections, bound)
-    report = _evaluate(records, computed, args.perturb)
-    text = _render_json(report) if args.json else _render_text(report)
+    report = _evaluate(records, computed, perturb)
+    text = _render_json(report) if as_json else _render_text(report)
     sys.stdout.write(text)
     return 0 if all(row["status"] == "pass" for row in report) else 1
 

@@ -44,9 +44,12 @@ restriction test on the generators of a curve lattice, which the
 classification replaced by the 2-torsion incidence it reads off the curve
 maps.  brute_force_branch_profiles tries every small branch profile
 against the chi and K^2 formulas written out again, as the reference for
-the bounded enumeration of the branch profiles.
+the bounded enumeration of the branch profiles.  _build_parser is the
+argparse parser of the command line, which the CLI's own parser of its
+one grammar replaced.
 """
 
+import argparse
 import itertools
 import math
 import re
@@ -763,3 +766,30 @@ def brute_force_branch_profiles(max_multiplicity=5, max_points=3,
                 if chi == 1 and k2 == 8:
                     found.add((l2, mults))
     return found
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="hexcover",
+        description="Recompute the double-cover classification and diff it "
+                    "against the shipped expected values.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    descriptions = {
+        "tables": "intersection tables and hermitian forms",
+        "characters": "order-2 characters, kernels and divisibility",
+        "orbits": "square roots, group closures and orbits",
+        "invariants": "numeric invariants of the covers",
+        "search-aut": "bounded generator search and relations",
+        "verify-all": "every section in order",
+    }
+    for name, help_text in descriptions.items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--json", action="store_true",
+                         help="emit the report as JSON")
+        cmd.add_argument("--perturb", metavar="CHECK_ID", default=None,
+                         help="corrupt one computed value (test hook)")
+        if name in ("search-aut", "verify-all"):
+            cmd.add_argument("--bound", type=int, default=3,
+                             help="height bound for the generator search "
+                                  "(default 3)")
+    return parser

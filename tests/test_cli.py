@@ -1,4 +1,7 @@
+import contextlib
 import functools
+import inspect
+import io
 import json
 import os
 import shutil
@@ -7,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -17,6 +22,7 @@ from hexcover import cli, torsion_covers
 from hexcover.cli import main
 
 import golden
+import oracles
 from golden import EXPECTED
 
 SECTION_COMMANDS = {
@@ -100,6 +106,145 @@ def test_usage_errors_exit_with_code_two(capsys):
             main(args)
         assert err.value.code == 2
         capsys.readouterr()
+
+
+def parse_outcome(parse, argv):
+    """parse(argv)'s result, or the code it exits with, and what it wrote
+    to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def argparse_parse(argv):
+    args = oracles._build_parser().parse_args(argv)
+    return args.command, args.json, args.perturb, getattr(args, "bound", 3)
+
+
+def assert_parses_like_argparse(argv):
+    expected, _, _ = parse_outcome(argparse_parse, argv)
+    if isinstance(expected, tuple) and [] in expected[2:]:
+        # argparse keeps an empty list for a value "--" given after "=",
+        # on which main raised TypeError; it is now a usage error
+        expected = 2
+    result, out, err = parse_outcome(cli._parse, argv)
+    assert result == expected, argv
+    if result == 0:
+        assert (out, err) == (cli._help_text(), ""), argv
+    elif result == 2:
+        assert out == "" and err.startswith("usage: hexcover "), argv
+        assert "\nhexcover: error: " in err, argv
+    else:
+        assert out == err == "", argv
+
+
+ARGV_GRID = [
+    # rejected: no command, an unknown command, an unknown option, an
+    # option without its value, a bound that is not an int, --bound for a
+    # command without the search, an option before the command
+    [], ["bogus"], ["tables", "--bogus"], ["tables", "--perturb"],
+    ["search-aut", "--bound", "x"], ["tables", "--bound", "3"],
+    ["--bound=-3"], ["--json", "tables"], ["tables", "x"], ["tables", "--"],
+    ["--", "tables"], ["-", "tables"], ["tables", "-"], ["tables", "-3"],
+    ["tables", "--json=1"], ["tables", "--perturb", "--json"],
+    ["tables", "--perturb", "--", "x"], ["search-aut", "--bound"],
+    ["search-aut", "--bound", "-x"], ["-hx"], ["-h="], ["--help=x"],
+    ["--=x"], ["tables", "--=x"], ["tables", "-h", "--=x"],
+    ["tables", "-h x"], ["search-aut", "--bound", "x", "-h"],
+    ["tables", "--perturb=--"], ["search-aut", "--bound=--"],
+    # accepted: any order, repeats, "=", unique prefixes, odd values
+    *([name] for name in cli._COMMANDS),
+    ["verify-all", "--bound=-3"], ["verify-all", "--bound", "-3"],
+    ["verify-all", "--json", "--perturb", "tables.curve_form_1",
+     "--bound", "4"],
+    ["verify-all", "--bound", "4", "--perturb", "tables.curve_form_1",
+     "--json"],
+    ["search-aut", "--bound=5", "--perturb=search.cross_ratio", "--json"],
+    ["search-aut", "--js", "--bo", "4", "--pert", "x"],
+    ["search-aut", "--b=2", "--j", "--p=x"],
+    ["tables", "--json", "--json", "--perturb", "a", "--perturb=b"],
+    ["verify-all", "--bound", "2", "--bound=6"],
+    ["search-aut", "--bound=--", "--bound", "4"],
+    ["tables", "--perturb", "-3"], ["tables", "--perturb", "-"],
+    ["tables", "--perturb", ""], ["tables", "--perturb="],
+    ["tables", "--perturb", "a b"], ["tables", "--perturb", "-a b"],
+    ["search-aut", "--bound", " 7 "], ["search-aut", "--bound", "3_0"],
+    # help: it stops at the first -h, before or after the command
+    ["-h"], ["--help"], ["--he"], ["-hh"], ["-h=h"], ["-h", "bogus"],
+    ["--bogus", "-h"], ["tables", "-h"], ["tables", "--hel", "--bound"],
+    ["search-aut", "--bound", "1", "-h"], ["--bogus", "tables", "-h"],
+    ["tables", "-h", "--"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_GRID, ids=repr)
+def test_parser_matches_argparse_on_the_grid(argv):
+    assert_parses_like_argparse(argv)
+
+
+PERTURB_VALUES = ["tables.curve_form_1", "x", "", "-3", "-x", "a b", "4",
+                  "1", "--"]
+OPTION_TOKENS = st.one_of(
+    st.sampled_from([["--json"], ["--js"], ["--j"], ["--json=1"], ["-h"],
+                     ["--he"], ["x"], ["-"], ["--"], ["--bogus"]]),
+    st.builds(lambda name, value: [name, value],
+              st.sampled_from(["--perturb", "--pert", "--p", "--bound",
+                               "--bo", "--b"]),
+              st.sampled_from(PERTURB_VALUES)),
+    st.builds(lambda name, value: [f"{name}={value}"],
+              st.sampled_from(["--perturb", "--pe", "--bound", "--b"]),
+              st.sampled_from(PERTURB_VALUES)),
+)
+
+
+@given(st.lists(OPTION_TOKENS, max_size=1),
+       st.sampled_from([*cli._COMMANDS, "bogus"]),
+       st.lists(OPTION_TOKENS, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_argparse_on_option_lists(before, command, after):
+    argv = [token for option in before for token in option]
+    argv += [command, *(token for option in after for token in option)]
+    assert_parses_like_argparse(argv)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["search-aut", "-h"]])
+def test_help_lists_every_command_and_option(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 0
+    out, err_text = capsys.readouterr()
+    assert err_text == ""
+    lines = out.splitlines()
+    assert lines[0] == ("usage: hexcover [-h] COMMAND [--json] "
+                        "[--perturb CHECK_ID] [--bound N]")
+    source = inspect.getsource(cli)
+    for name, (description, _) in cli._COMMANDS.items():
+        assert any(line.split() == [name, *description.split()]
+                   for line in lines), name
+        # the table is the only copy of the description in the module
+        assert source.count(f'"{description}"') == 1, description
+    for name, (metavar, description) in cli._OPTIONS.items():
+        left = f"  {name} {metavar} " if metavar else f"  {name} "
+        assert any(line.startswith(left) and line.endswith(description)
+                   for line in lines), name
+    assert "search-aut and verify-all only (default 3)" in out
+    assert any(line.split()[:2] == ["-h,", "--help"] for line in lines)
+
+
+def test_cli_imports_no_argument_parser_or_locale():
+    probe = ("import contextlib, io, sys\n"
+             "import hexcover.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = hexcover.cli.main(['tables', '--json'])\n"
+             "loaded = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+             "print(code, sorted(loaded))\n")
+    result = run_from_checkout("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 []\n"
 
 
 def test_unknown_perturb_id_fails_before_any_row_is_built(monkeypatch, capsys):

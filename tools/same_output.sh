@@ -8,7 +8,10 @@
 # worktree is registered, so an interrupted run leaves nothing in .git).
 # Each command below runs once from that export and once from the
 # checkout's src/; stdout and the exit status of each pair are compared
-# with cmp.  Exits 0 when every pair is identical, 1 otherwise.
+# with cmp.  stderr is not compared: the usage line and the wording of a
+# usage error may change, as they did when the CLI's own parser replaced
+# argparse's, so it is only shown for a pair that differs.  Exits 0 when
+# every pair is identical, 1 otherwise.
 set -euo pipefail
 
 ref=${1:?usage: tools/same_output.sh REF}
@@ -44,6 +47,11 @@ commands=(
     # one read off the curves' 2-torsion
     "invariants --perturb invariants.branch_descriptions --json"
     "characters --perturb characters.curve_torsion_counts --json"
+    # usage errors: exit status 2 and nothing on stdout
+    "search-aut --bound 1"
+    "tables --perturb no.such.check"
+    "tables --bound 3"
+    ""
 )
 for bound in 2 3 4 5 6 8; do
     commands+=("search-aut --bound $bound --json")
@@ -52,12 +60,13 @@ done
 differ=0
 for command in "${commands[@]}"; do
     name=${command// /_}
+    name=${name:-no_command}
     for side in ref new; do
         if [ "$side" = ref ]; then src=$tmp/ref/src; else src=$root/src; fi
         status=0
         # shellcheck disable=SC2086  # the command is split into arguments
         PYTHONPATH=$src python3 -m hexcover $command \
-            >"$tmp/out/$name.$side" || status=$?
+            >"$tmp/out/$name.$side" 2>"$tmp/out/$name.$side.err" || status=$?
         echo "exit $status" >>"$tmp/out/$name.$side"
     done
     if cmp -s "$tmp/out/$name.ref" "$tmp/out/$name.new"; then
@@ -65,6 +74,7 @@ for command in "${commands[@]}"; do
     else
         echo "DIFF  hexcover $command"
         cmp "$tmp/out/$name.ref" "$tmp/out/$name.new" || true
+        cat "$tmp/out/$name.new.err"
         differ=1
     fi
 done
