@@ -15,7 +15,6 @@ itself can be exercised.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from importlib import resources
 from typing import List, NoReturn, Sequence, Tuple
@@ -322,7 +321,6 @@ _HELP = ("-h", "--help")
 _USAGE = ("usage: hexcover [-h] COMMAND "
           + " ".join(f"[{name} {metavar}]" if metavar else f"[{name}]"
                      for name, (metavar, _) in _OPTIONS.items()))
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _help_text() -> str:
@@ -345,111 +343,64 @@ def _fail(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-def _option(token: str, names: Sequence[str]):
-    """A token among the option strings names, read the way argparse reads
-    it: None for an argument, else (option, its value after '=' or None),
-    where the option is None when no name matches."""
-    if token[:1] != "-" or token == "-":
-        return None
-    if token in names:
-        return token, None
-    head, eq, value = token.partition("=")
-    if eq and head in names:
-        return head, value
-    if token.startswith("--"):  # a long option may be a unique prefix
-        matches = [(name, value if eq else None) for name in names
-                   if name.startswith(head)]
-    else:  # a short option takes the rest of the token as its value
-        matches = [(name, token[2:]) for name in names if name == token[:2]]
-    if len(matches) > 1:
-        _fail(f"ambiguous option: {token} could match "
-              + ", ".join(name for name, _ in matches))
-    if matches:
-        return matches[0]
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return None, None
-
-
-def _flag(name: str, value: str | None) -> None:
-    """Take a flag given with the value _option read off its token."""
-    if name == "-h" and value and not value.strip("h"):
-        value = None  # -hh and -h=h bundle -h with itself
-    if value is not None:
-        _fail(f"argument {name}: ignored explicit argument {value!r}")
-    if name in _HELP:
-        sys.stdout.write(_help_text())
-        raise SystemExit(0)
-
-
 def _parse(argv: Sequence[str]) -> Tuple[str, bool, str | None, int]:
-    """(command, json, perturb, bound) of the argument list argv.
-
-    Only -h may come before the command.  After it the options may come in
-    any order and repeat (the last one wins), a value may follow its option
-    or an '=', and a long option may be cut to a unique prefix.  Tokens are
-    taken from left to right, so help stops at the first -h, but an unknown
-    option or a stray argument fails only once every token is read.
+    """(command, json, perturb, bound) of the argument list argv, read once
+    from left to right.  An option is -h, or a token longer than '--' that
+    starts with it, and names the one option it is a prefix of; --bound
+    follows only a command that runs the search.  The first other token is
+    the command.  Help exits at once; a flag takes no value; a valued option
+    takes the text after '=', or else the next token as it stands, and the
+    last repeat wins.  Any other token, an option before the command and a
+    missing command fail.
     """
-    unknown = []
-    for k, token in enumerate(argv):
-        # a "--" here is taken for the command, and fails as one
-        option = None if token == "--" else _option(token, _HELP)
-        if option is None:
-            break
-        if option[0] is None:
-            unknown.append(token)
-        else:
-            _flag(*option)
-    else:
-        _fail("the following arguments are required: COMMAND")
-    command, rest = argv[k], list(argv[k + 1:])
-    if command not in _COMMANDS:
-        _fail(f"invalid command {command!r} (choose from "
-              + ", ".join(_COMMANDS) + ")")
-    names = [*_HELP, *(name for name in _OPTIONS
-                       if name != "--bound" or command in _BOUND_COMMANDS)]
-    if "--" in rest:  # every token after "--" is an argument
-        cut = rest.index("--")
-        rest, unknown = rest[:cut], unknown + rest[cut:]
-    options = [_option(token, names) for token in rest]
+    command, tokens = None, iter(argv)
     values = {"--json": False, "--perturb": None, "--bound": _DEFAULT_BOUND}
-    k = 0
-    while k < len(rest):
-        option, k = options[k], k + 1
-        if option is None or option[0] is None:
-            unknown.append(rest[k - 1])
+    for token in tokens:
+        if token != "-h" and not (token.startswith("--") and len(token) > 2):
+            if command is not None:
+                _fail(f"unrecognized argument {token!r}")
+            if token not in _COMMANDS:
+                _fail(f"invalid command {token!r} (choose from "
+                      + ", ".join(_COMMANDS) + ")")
+            command = token
             continue
-        name, value = option
-        if name in _HELP or _OPTIONS[name][0] is None:
-            _flag(name, value)
+        head, eq, value = ("--help" if token == "-h" else token).partition("=")
+        names = [name for name in ("--help", *_OPTIONS)
+                 if name != "--bound" or command in _BOUND_COMMANDS]
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) != 1:
+            _fail(f"unrecognized option {token!r}")
+        name = matches[0]
+        metavar = _OPTIONS[name][0] if name in _OPTIONS else None
+        if eq and metavar is None:
+            _fail(f"argument {name} takes no value")
+        if name == "--help":
+            sys.stdout.write(_help_text())
+            raise SystemExit(0)
+        if command is None:
+            _fail(f"argument {name} must follow the command")
+        if metavar is None:
             values[name] = True
             continue
+        value = value if eq else next(tokens, None)
         if value is None:
-            if k == len(rest) or options[k] is not None:
-                _fail(f"argument {name}: expected one argument")
-            value, k = rest[k], k + 1
-        if name == "--bound" and value != "--":
+            _fail(f"argument {name}: expected one argument")
+        if name == "--bound":
             try:
                 value = int(value)
             except ValueError:
                 _fail(f"argument --bound: invalid int value: {value!r}")
         values[name] = value
-    for name in ("--perturb", "--bound"):
-        # argparse drops a value "--" given after "=", so a later repeat
-        # of the option may still supply one
-        if values[name] == "--":
-            _fail(f"argument {name}: expected one argument")
-    if unknown:
-        _fail("unrecognized arguments: " + " ".join(unknown))
+    if command is None:
+        _fail("the following arguments are required: COMMAND")
+    if values["--bound"] < 2:
+        _fail("--bound must be at least 2")
     return command, values["--json"], values["--perturb"], values["--bound"]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     command, as_json, perturb, bound = _parse(
         sys.argv[1:] if argv is None else argv)
-    if bound < 2:
-        _fail("--bound must be at least 2")
     sections = _COMMANDS[command][1]
     records = _load_expected(sections)
     if perturb is not None and perturb not in {

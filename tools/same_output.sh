@@ -47,6 +47,13 @@ commands=(
     # one read off the curves' 2-torsion
     "invariants --perturb invariants.branch_descriptions --json"
     "characters --perturb characters.curve_torsion_counts --json"
+    # the help text, before and after the command
+    "--help"
+    "tables -h"
+    # the other spellings of the options: "=", a unique prefix
+    "verify-all --bound=4 --json"
+    "search-aut --js --bo 4 --json"
+    "tables --perturb=tables.curve_form_1 --json"
     # usage errors: exit status 2 and nothing on stdout
     "search-aut --bound 1"
     "tables --perturb no.such.check"
