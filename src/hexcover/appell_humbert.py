@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import List, Sequence, Tuple
 
 from .eisenstein import (
@@ -120,6 +121,7 @@ class HermitianForm(_Immutable):
     """
 
     __slots__ = ("matrix", "gram")
+    _key = attrgetter("matrix")
 
     def __init__(self, matrix: Sequence[Sequence[object]]) -> None:
         m = mat(matrix)
@@ -145,16 +147,8 @@ class HermitianForm(_Immutable):
             return NotImplemented
         return HermitianForm(mat_add(self.matrix, other.matrix))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HermitianForm):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
-
     def __repr__(self) -> str:
-        return f"HermitianForm({[[str(x) for x in row] for row in self.matrix]})"
+        return f"HermitianForm({self.matrix!r})"
 
 
 class AltFormOnLattice(_Immutable):
@@ -165,6 +159,7 @@ class AltFormOnLattice(_Immutable):
     """
 
     __slots__ = ("lattice", "matrix", "_integral")
+    _key = attrgetter("lattice", "matrix")
 
     def __init__(self, lattice: LatticeBasis,
                  matrix: Sequence[Sequence[Fraction]]) -> None:
@@ -203,14 +198,6 @@ class AltFormOnLattice(_Immutable):
                                 tuple(tuple(a + b for a, b in zip(ra, rb))
                                       for ra, rb in zip(self.matrix,
                                                         other.matrix)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AltFormOnLattice):
-            return NotImplemented
-        return self.lattice == other.lattice and self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash((self.lattice, self.matrix))
 
 
 def _gram_products(e, left, right) -> List[List[int]]:
@@ -291,6 +278,7 @@ class Semicharacter(_Immutable):
     """
 
     __slots__ = ("lattice", "form", "_den", "_nums")
+    _key = attrgetter("_den", "_nums", "form")
 
     def __init__(self, exponents: Sequence[Fraction],
                  form: AltFormOnLattice) -> None:
@@ -362,15 +350,6 @@ class Semicharacter(_Immutable):
             [a * d2 + b * d1 for a, b in zip(self._nums, other._nums)],
             self.form + other.form)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Semicharacter):
-            return NotImplemented
-        return (self._den == other._den and self._nums == other._nums
-                and self.form == other.form)
-
-    def __hash__(self) -> int:
-        return hash((self._den, self._nums, self.form))
-
     def __repr__(self) -> str:
         return f"Semicharacter({[str(q) for q in self.exponents]})"
 
@@ -379,6 +358,7 @@ class LineBundleClass(_Immutable):
     """Pair (hermitian form, semicharacter) on a fixed lattice."""
 
     __slots__ = ("form", "character")
+    _key = attrgetter("form", "character")
 
     def __init__(self, form: HermitianForm, character: Semicharacter) -> None:
         if im_on_lattice(form, character.lattice) != character.form:
@@ -403,14 +383,6 @@ class LineBundleClass(_Immutable):
     @property
     def lattice(self) -> LatticeBasis:
         return self.character.lattice
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LineBundleClass):
-            return NotImplemented
-        return self.form == other.form and self.character == other.character
-
-    def __hash__(self) -> int:
-        return hash((self.form, self.character))
 
     def __repr__(self) -> str:
         return f"LineBundleClass({self.form!r}, {self.character!r})"

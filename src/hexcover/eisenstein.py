@@ -30,12 +30,27 @@ def _rational(x: object) -> Fraction:
 class _Immutable:
     """Base of the package's value types.  Each subclass declares its own
     __slots__ and fills them once, in its constructor, through
-    object.__setattr__; any later assignment raises AttributeError."""
+    object.__setattr__; any later assignment raises AttributeError.
+
+    Each subclass also declares _key, an operator.attrgetter of the slots
+    that hold its value: two values are equal when they have one type and
+    equal keys, and a value hashes as its key.  EisRat, which also equals
+    ints and Fractions, and AmbientVector, hashed on every coords_in lookup,
+    define their own __eq__ and __hash__ instead."""
 
     __slots__ = ()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
 
 class EisRat(_Immutable):
@@ -131,27 +146,6 @@ class EisRat(_Immutable):
     def __repr__(self) -> str:
         return f"EisRat({self.a!r}, {self.b!r})"
 
-    def __str__(self) -> str:
-        if not self:
-            return "0"
-        parts = []
-        if self.a:
-            parts.append(str(self.a))
-        if self.b:
-            if self.b == 1:
-                zterm = "zeta"
-            elif self.b == -1:
-                zterm = "-zeta"
-            else:
-                zterm = f"{self.b}*zeta"
-            if parts and not zterm.startswith("-"):
-                parts.append(f"+ {zterm}")
-            elif parts:
-                parts.append(f"- {zterm[1:]}")
-            else:
-                parts.append(zterm)
-        return " ".join(parts)
-
 
 # ---------------------------------------------------------------------------
 # Small matrices over Q(zeta), as tuples of row tuples.  Shapes are
@@ -239,7 +233,7 @@ def _zeta_mul(x: ZetaPair, y: ZetaPair) -> ZetaPair:
 
 def _zeta_pair(x: EisRat) -> ZetaPair:
     if not x.is_integral():
-        raise ValueError(f"{x} is not an integer of Z[zeta]")
+        raise ValueError(f"{x!r} is not an integer of Z[zeta]")
     return (x.a.numerator, x.b.numerator)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .eisenstein import EisMat, Rat, _Immutable, _cleared, _rational
@@ -81,6 +82,8 @@ class AmbientVector(_Immutable):
 
     __rmul__ = __mul__
 
+    # not _Immutable's key rule: coords_in hashes a vector on every lookup,
+    # and reading the two slots here costs less than calling a key
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AmbientVector):
             return NotImplemented
@@ -99,6 +102,7 @@ class LatticeBasis(_Immutable):
 
     __slots__ = ("vectors", "_solver", "_integer", "_coords", "_im_forms",
                  "_pullbacks", "_shifts")
+    _key = attrgetter("vectors")
 
     def __init__(self, vectors: Sequence[AmbientVector]) -> None:
         vecs = tuple(vectors)
@@ -135,14 +139,6 @@ class LatticeBasis(_Immutable):
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rat]]) -> "LatticeBasis":
         return cls([AmbientVector(r) for r in rows])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LatticeBasis):
-            return NotImplemented
-        return self.vectors == other.vectors
-
-    def __hash__(self) -> int:
-        return hash(self.vectors)
 
     def __repr__(self) -> str:
         return f"LatticeBasis({list(self.vectors)!r})"

@@ -8,6 +8,7 @@ and comparing orders.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 from .eisenstein import _Immutable
 
@@ -27,6 +28,7 @@ class Permutation(_Immutable):
     """
 
     __slots__ = ("images",)
+    _key = attrgetter("images")
 
     def __init__(self, images) -> None:
         imgs = tuple(images)
@@ -87,14 +89,6 @@ class Permutation(_Immutable):
     def order(self) -> int:
         return math.lcm(1, *(len(c) for c in self.cycles()))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(("Permutation", self.images))
-
     def __str__(self) -> str:
         """Cycle notation, "()" for the identity."""
         cycles = self.cycles()
@@ -112,6 +106,7 @@ class PermGroup(_Immutable):
     closure is computed once and kept."""
 
     __slots__ = ("generators", "degree", "_elements")
+    _key = attrgetter("generators")
 
     def __init__(self, generators) -> None:
         gens = tuple(generators)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
 from .eisenstein import _Immutable
@@ -31,6 +32,7 @@ class SingularityProfile(_Immutable):
     """
 
     __slots__ = ("l2", "multiplicities")
+    _key = attrgetter("l2", "multiplicities")
 
     def __init__(self, l2, multiplicities=()) -> None:
         mults = tuple(multiplicities)
@@ -42,11 +44,6 @@ class SingularityProfile(_Immutable):
             raise ValueError("negligible multiplicities (m < 2) are not tracked")
         object.__setattr__(self, "l2", l2)
         object.__setattr__(self, "multiplicities", mults)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SingularityProfile):
-            return NotImplemented
-        return (self.l2, self.multiplicities) == (other.l2, other.multiplicities)
 
     def __repr__(self) -> str:
         return f"SingularityProfile(l2={self.l2}, multiplicities={self.multiplicities})"

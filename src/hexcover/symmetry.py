@@ -11,6 +11,7 @@ branch bundle.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
@@ -71,6 +72,7 @@ class AffineSymmetry(_Immutable):
     """Map v |-> linear . v + t, conjugating first when anti-holomorphic."""
 
     __slots__ = ("linear", "antiholomorphic", "translation")
+    _key = attrgetter("linear", "antiholomorphic", "translation")
 
     def __init__(self, linear, antiholomorphic: bool = False,
                  translation: AmbientVector = _ZERO_VECTOR) -> None:
@@ -89,16 +91,6 @@ class AffineSymmetry(_Immutable):
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "antiholomorphic", antiholomorphic)
         object.__setattr__(self, "translation", translation)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AffineSymmetry):
-            return NotImplemented
-        return (self.linear == other.linear
-                and self.antiholomorphic == other.antiholomorphic
-                and self.translation == other.translation)
-
-    def __hash__(self) -> int:
-        return hash((self.linear, self.antiholomorphic, self.translation))
 
     def __repr__(self) -> str:
         tag = "anti" if self.antiholomorphic else "holo"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import attrgetter
 
 from . import catalog
 from .appell_humbert import ORDER_TWO_SIGN_PATTERNS, im_on_lattice
@@ -40,6 +41,7 @@ class CharacterMod2(_Immutable):
     """
 
     __slots__ = ("values",)
+    _key = attrgetter("values")
 
     def __init__(self, values) -> None:
         vals = tuple(values)
@@ -65,14 +67,6 @@ class CharacterMod2(_Immutable):
         if not isinstance(other, CharacterMod2):
             return NotImplemented
         return CharacterMod2(a * b for a, b in zip(self.values, other.values))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CharacterMod2):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(("CharacterMod2", self.values))
 
     def __repr__(self) -> str:
         return f"CharacterMod2({self.values})"
@@ -124,6 +118,7 @@ class CharacterClassification(_Immutable):
     """
 
     __slots__ = ("selected", "curve_incidence", "leftover")
+    _key = attrgetter("selected", "curve_incidence", "leftover")
 
     def __init__(self, selected, curve_incidence, leftover) -> None:
         object.__setattr__(self, "selected", tuple(selected))

@@ -293,23 +293,88 @@ def test_gf3_residues_read_rows_and_reject_fractions():
         _gf3_residues(mat([[1, Fraction(1, 2)], [0, 1]]))
 
 
-def _value_types():
-    """One instance of each of the package's value types, by class name;
+def _value_cases():
+    """For each of the package's value types, by class name: an instance,
+    the same value rebuilt from its own data, and instances that differ
+    from it in one key slot each (one per slot that can change alone);
     imported here so that the eisenstein tests above need none of it."""
     from hexcover import catalog, symmetry
-    from hexcover.appell_humbert import im_on_lattice
-    from hexcover.lattice import AmbientVector
+    from hexcover.appell_humbert import (AltFormOnLattice, HermitianForm,
+                                         LineBundleClass, Semicharacter,
+                                         im_on_lattice)
+    from hexcover.lattice import AmbientVector, LatticeBasis
     from hexcover.permgroup import PermGroup, Permutation
     from hexcover.surface_invariants import SingularityProfile
-    from hexcover.torsion_covers import all_characters, classify_characters
+    from hexcover.torsion_covers import (CharacterClassification,
+                                         CharacterMod2, all_characters,
+                                         classify_characters)
 
+    half = Fraction(1, 2)
+    rows = [(0, 1, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 1, 0)]
     bundle = catalog.GENUS1_THETA
-    return {type(x).__name__: x for x in (
-        EisRat(1, 2), AmbientVector((0, 1, 0, 0)), catalog.PRODUCT_LATTICE,
-        bundle.form, im_on_lattice(bundle.form, bundle.lattice),
-        bundle.character, bundle, Permutation.identity(3),
-        PermGroup([Permutation.identity(3)]), SingularityProfile(2),
-        symmetry.NEGATION, all_characters()[1], classify_characters())}
+    alt = im_on_lattice(bundle.form, bundle.lattice)
+    other_alt = im_on_lattice(HermitianForm([[0, 0], [0, 4]]), bundle.lattice)
+    negation = [[-1, 0], [0, -1]]
+    classes = classify_characters()
+    cases = (
+        (EisRat(1, 2), EisRat(Fraction(2, 2), 2), EisRat(2, 2), EisRat(1, 3)),
+        (AmbientVector((0, 1, 0, 0)), AmbientVector((0, Fraction(2, 2), 0, 0)),
+         AmbientVector((0, half, 0, 0)), AmbientVector((0, 1, 0, 1))),
+        (catalog.PRODUCT_LATTICE, LatticeBasis.from_rows(rows),
+         catalog.COVER_LATTICE),
+        (bundle.form, HermitianForm([[0, 0], [0, 2]]),
+         HermitianForm([[0, 0], [0, 4]])),
+        (alt, AltFormOnLattice(LatticeBasis.from_rows(rows),
+                               [list(row) for row in alt.matrix]),
+         AltFormOnLattice(catalog.COVER_LATTICE, alt.matrix),
+         alt.scaled(2)),
+        # (1/4, ...) has the numerators of (1/2, ...) over another
+        # denominator
+        (bundle.character, Semicharacter((0, half, 0, half), alt),
+         Semicharacter((0, Fraction(1, 4), 0, Fraction(1, 4)), alt),
+         Semicharacter((half, half, 0, half), alt),
+         Semicharacter((0, half, 0, half), other_alt)),
+        # the form is fixed by the character's, so only the character can
+        # change alone
+        (bundle, LineBundleClass.build(HermitianForm([[0, 0], [0, 2]]),
+                                       LatticeBasis.from_rows(rows),
+                                       (0, half, 0, half)),
+         LineBundleClass.build(bundle.form, bundle.lattice,
+                               (half, half, 0, half))),
+        (Permutation.identity(3), Permutation([1, 2, 3]),
+         Permutation([2, 1, 3])),
+        (PermGroup([Permutation.identity(3)]),
+         PermGroup([Permutation([1, 2, 3])]),
+         PermGroup([Permutation([2, 1, 3])])),
+        (SingularityProfile(2), SingularityProfile(2, []),
+         SingularityProfile(3), SingularityProfile(2, [2])),
+        (symmetry.NEGATION,
+         symmetry.AffineSymmetry(negation, False, AmbientVector((0,) * 4)),
+         symmetry.AffineSymmetry([[1, 0], [0, -1]]),
+         symmetry.AffineSymmetry(negation, True),
+         symmetry.AffineSymmetry(negation,
+                                 translation=AmbientVector((0, 1, 0, 0)))),
+        (all_characters()[1], CharacterMod2(list(all_characters()[1].values)),
+         all_characters()[2]),
+        (classes,
+         CharacterClassification(list(classes.selected),
+                                 list(classes.curve_incidence),
+                                 set(classes.leftover)),
+         CharacterClassification(classes.selected[1:],
+                                 classes.curve_incidence, classes.leftover),
+         CharacterClassification(classes.selected,
+                                 classes.curve_incidence[::-1],
+                                 classes.leftover),
+         CharacterClassification(classes.selected,
+                                 classes.curve_incidence, ())),
+    )
+    return {type(value).__name__: (value, rebuilt, variants)
+            for value, rebuilt, *variants in cases}
+
+
+def _value_types():
+    """One instance of each of the package's value types, by class name."""
+    return {name: case[0] for name, case in _value_cases().items()}
 
 
 VALUE_TYPES = ("EisRat", "AmbientVector", "LatticeBasis", "HermitianForm",
@@ -335,3 +400,19 @@ def test_value_types_are_immutable(name):
     for attr in (type(value).__slots__[0], "extra"):
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             setattr(value, attr, None)
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_compare_by_value(name):
+    cases = _value_cases()
+    value, rebuilt, variants = cases[name]
+    assert rebuilt is not value
+    assert rebuilt == value and not rebuilt != value
+    assert hash(rebuilt) == hash(value)
+    assert value.__eq__(object()) is NotImplemented
+    for other, (other_value, _, _) in cases.items():
+        if other != name:
+            assert value != other_value and not value == other_value
+    assert variants
+    for variant in variants:
+        assert variant != value and not variant == value

@@ -209,3 +209,33 @@ def test_only_the_immutable_base_defines_setattr():
         for stmt in cls.body
         if isinstance(stmt, ast.FunctionDef) and stmt.name == "__setattr__")
     assert defining == ["eisenstein._Immutable"]
+
+
+def test_value_types_compare_by_their_key():
+    # equality and hashing are eisenstein._Immutable's, by the _key each
+    # value type declares; only EisRat, equal to ints and Fractions too,
+    # and AmbientVector, the key of the coords_in memo, keep their own
+    defining, keyed, unkeyed = [], [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            name = f"{path.stem}.{cls.name}"
+            if any(isinstance(stmt, ast.FunctionDef)
+                   and stmt.name in ("__eq__", "__hash__")
+                   for stmt in cls.body):
+                defining.append(name)
+            elif any(isinstance(base, ast.Name) and base.id == "_Immutable"
+                     for base in cls.bases):
+                sets_key = any(
+                    isinstance(stmt, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "_key"
+                            for t in stmt.targets)
+                    for stmt in cls.body)
+                (keyed if sets_key else unkeyed).append(name)
+    assert sorted(defining) == ["eisenstein.EisRat",
+                                     "eisenstein._Immutable",
+                                     "lattice.AmbientVector"]
+    assert unkeyed == []
+    # the thirteen value types, less EisRat and AmbientVector
+    assert len(keyed) == 11
