@@ -22,7 +22,7 @@ from typing import List, NoReturn, Sequence, Tuple
 from . import catalog
 from .appell_humbert import im_on_lattice, intersection_number, square_roots
 from .eisenstein import EisRat, _gf3_residues, inv2, mat_conj, mat_mul
-from .lattice import hnf
+from .lattice import coords_in
 from .permgroup import PermGroup
 from .surface_invariants import (
     NonIntegral,
@@ -120,7 +120,10 @@ def _characters_rows() -> List[Row]:
     rows.append(("characters.divisible_flags",
                  [check_2divisible(chars[k]) for k in range(1, 16)]))
     for k in outcome.selected:
-        normal = hnf(kernel_lattice(chars[k]), catalog.PRODUCT_LATTICE)
+        # kernel_lattice's basis is already the normal form; its product
+        # coordinates are the columns
+        normal = zip(*(coords_in(catalog.PRODUCT_LATTICE, v)
+                       for v in kernel_lattice(chars[k]).vectors))
         rows.append((f"characters.kernel_hnf_{k}", _int_rows(normal)))
     # the mixed cover generators l1 + u2 and l2 + u2
     witness = catalog.SUM_FORM.im_value(*catalog.COVER_LATTICE.vectors[1:3])

@@ -61,8 +61,8 @@ class EisRat(_Immutable):
     def __init__(self, a: Rat = 0, b: Rat = 0) -> None:
         object.__setattr__(self, "a", _rational(a))
         object.__setattr__(self, "b", _rational(b))
-        # hash of (a, b), computed on first use: matrices of EisRat key the
-        # pullback plans, which are looked up once per bundle pulled back
+        # hash computed on first use: matrices of EisRat key the pullback
+        # plans, which are looked up once per bundle pulled back
         object.__setattr__(self, "_hash", None)
 
     @staticmethod
@@ -82,7 +82,8 @@ class EisRat(_Immutable):
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.a, self.b))
+            # a rational hashes as the int or Fraction it equals
+            h = hash((self.a, self.b)) if self.b else hash(self.a)
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -187,6 +188,8 @@ def mat_mul(A: EisMat, B: EisMat) -> EisMat:
 
 
 def mat_add(A: EisMat, B: EisMat) -> EisMat:
+    if tuple(map(len, A)) != tuple(map(len, B)):
+        raise ValueError("shape mismatch")
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
@@ -204,6 +207,8 @@ def mat_identity(n: int) -> EisMat:
 
 
 def det2(A: EisMat) -> EisRat:
+    if tuple(map(len, A)) != (2, 2):
+        raise ValueError("shape mismatch")
     return A[0][0] * A[1][1] - A[0][1] * A[1][0]
 
 

@@ -290,68 +290,7 @@ def _lattice_coordinates(basis: LatticeBasis,
     return basis._coords[v][1]
 
 
-# --- integer column reduction ----------------------------------------------
-
-
-def _column_reduce(m: List[List[int]]) -> List[List[int]]:
-    """Bring the matrix to column echelon form using unimodular column
-    operations, and return it."""
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    c = 0
-    for i in range(nrows):
-        if c == ncols:
-            break
-        while True:
-            nz = [j for j in range(c, ncols) if m[i][j]]
-            if len(nz) <= 1:
-                break
-            j0 = min(nz, key=lambda j: abs(m[i][j]))
-            for j in nz:
-                if j == j0:
-                    continue
-                q = m[i][j] // m[i][j0]
-                if q:
-                    for r in range(nrows):
-                        m[r][j] -= q * m[r][j0]
-        nz = [j for j in range(c, ncols) if m[i][j]]
-        if not nz:
-            continue
-        j0 = nz[0]
-        if j0 != c:
-            for r in range(nrows):
-                m[r][c], m[r][j0] = m[r][j0], m[r][c]
-        if m[i][c] < 0:
-            for r in range(nrows):
-                m[r][c] = -m[r][c]
-        for j in range(c):
-            q = m[i][j] // m[i][c]
-            if q:
-                for r in range(nrows):
-                    m[r][j] -= q * m[r][c]
-        c += 1
-    return m
-
-
 # --- lattice operations -----------------------------------------------------
-
-
-def _coord_matrix(basis: LatticeBasis, reference: LatticeBasis) -> List[List[Fraction]]:
-    """Columns are the reference-coordinates of the basis vectors."""
-    cols = [coords_in(reference, v) for v in basis.vectors]
-    return [list(row) for row in zip(*cols)]
-
-
-def hnf(basis: LatticeBasis, reference: LatticeBasis) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Hermite normal form of the coordinate matrix of basis relative to
-    reference (column-style, lower triangular, residues reduced into
-    [0, diagonal)).  Two bases generate the same lattice iff their normal
-    forms relative to a common reference are equal."""
-    mat = _coord_matrix(basis, reference)
-    den = lcm(*(x.denominator for row in mat for x in row))
-    ints = [[int(x * den) for x in row] for row in mat]
-    reduced = _column_reduce(ints)
-    return tuple(tuple(Fraction(x, den) for x in row) for row in reduced)
 
 
 def orientation(basis: LatticeBasis) -> int:

@@ -78,20 +78,24 @@ def all_characters() -> list[CharacterMod2]:
 
 
 def kernel_lattice(chi: CharacterMod2) -> LatticeBasis:
-    """A basis of the index-2 sublattice on which chi is identically +1.
+    """The index-2 sublattice on which chi is identically +1, in Hermite
+    normal form relative to the product basis b.
 
-    Doubling the first basis vector with value -1 and adding it to every
-    other -1 vector yields four independent kernel generators.
+    With l the last index where chi(b_l) = -1, the generators are
+    b_j + b_l for each j with chi(b_j) = -1, so 2 b_l at l, and b_j for
+    the rest.  Their product coordinates, as columns, are lower triangular
+    with diagonal 1 except a 2 at l, and row l holds the residue 1 left of
+    that 2 in each column j with chi(b_j) = -1: the normal form (Cohen,
+    GTM 138, 2.4.2).
     """
     if chi.is_trivial:
         raise TrivialCharacter("the trivial character has full kernel")
     basis = catalog.PRODUCT_LATTICE.vectors
-    first_neg = min(i for i, v in enumerate(chi.values) if v == -1)
-    gens = [2 * basis[first_neg]]
-    for i, v in enumerate(chi.values):
-        if i == first_neg:
-            continue
-        gens.append(basis[i] if v == 1 else basis[i] + basis[first_neg])
+    last = max(i for i, v in enumerate(chi.values) if v == -1)
+    gens = list(basis)
+    for j, v in enumerate(chi.values):
+        if v == -1:
+            gens[j] = basis[j] + basis[last]
     return LatticeBasis(gens)
 
 

@@ -36,7 +36,12 @@ vector of the product lattice, which the package never does: it
 evaluates characters on integer lattice coordinates.
 symmetric_semichar_from_multiplicities is the paper's rule for the
 semicharacter of a symmetric divisor, checked against the branch bundle.
-hnf_index, is_unit, mat_scale, perm_inverse and perm_from_cycles are short
+hnf_index is the index of one lattice in another, the absolute sympy
+determinant of the coordinates the package's coords_in solves for.
+sympy_hnf is sympy's Hermite normal form of a basis' coordinates, solved
+by sympy, which the tests compare lattices by, and first_doubled_kernel
+is the character kernel basis that kernel_lattice's normal form replaced.
+is_unit, mat_scale, perm_inverse and perm_from_cycles are short
 stand-ins for package helpers that only the tests called; parse_cycles
 reads a permutation's cycle notation, as the expected values file writes
 it, back into cycles.  restricts_nontrivially is the
@@ -448,14 +453,50 @@ def q_zeta_pull_back(g, bundle):
 
 
 def hnf_index(sub, sup) -> int:
-    """The index [sup : sub] of two lattices of equal rank, as the product
-    of the diagonal of hnf(sub, sup), which must be integral."""
-    from hexcover.lattice import hnf
+    """The index [sup : sub] of two lattices of equal rank, as the absolute
+    determinant of the coordinates of sub's generators in sup's basis,
+    found by coords_in; they must be integral."""
+    from hexcover.lattice import coords_in
 
-    h = hnf(sub, sup)
-    assert all(x.denominator == 1 for row in h for x in row), \
+    cols = [coords_in(sup, v) for v in sub.vectors]
+    assert all(x.denominator == 1 for c in cols for x in c), \
         "sub does not lie in sup"
-    return math.prod(h[i][i] for i in range(len(h)))
+    return abs(int(sympy_det(cols)))
+
+
+def sympy_hnf(basis, reference):
+    """sympy's Hermite normal form of the integer matrix whose columns are
+    the coordinates of basis' generators in reference's, solved by sympy,
+    as a tuple of rows.  It depends only on the lattice that basis spans,
+    so two bases of one lattice have equal normal forms; basis must lie in
+    the lattice of reference."""
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    rows = [v.coordinates for v in reference.vectors]
+    cols = [sympy_coords(rows, v.coordinates) for v in basis.vectors]
+    assert all(x.denominator == 1 for c in cols for x in c), \
+        "basis does not lie in the lattice of reference"
+    h = hermite_normal_form(sympy.Matrix([[int(x) for x in row]
+                                          for row in zip(*cols)]))
+    return tuple(tuple(int(x) for x in h.row(i)) for i in range(h.rows))
+
+
+def first_doubled_kernel(chi):
+    """A basis of the kernel of the nontrivial CharacterMod2 chi by the
+    construction that kernel_lattice's normal form replaced: with f the
+    first index where chi(b_f) = -1 on the product basis b, the generators
+    are 2 b_f, then b_j + b_f for the other j with chi(b_j) = -1 and b_j
+    for the rest."""
+    from hexcover import catalog
+    from hexcover.lattice import LatticeBasis
+
+    basis = catalog.PRODUCT_LATTICE.vectors
+    first = chi.values.index(-1)
+    gens = [2 * basis[first]]
+    for j, v in enumerate(chi.values):
+        if j != first:
+            gens.append(basis[j] if v == 1 else basis[j] + basis[first])
+    return LatticeBasis(gens)
 
 
 def character_value(chi, v) -> int:

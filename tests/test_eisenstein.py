@@ -16,6 +16,7 @@ from hexcover.eisenstein import (
     det2,
     inv2,
     mat,
+    mat_add,
     mat_conj,
     mat_identity,
     mat_mul,
@@ -233,6 +234,23 @@ def test_mat_mul_rejects_mismatched_shapes():
         mat_mul(mat([[1, 0]]), mat([[1, 0]]))
 
 
+IDENTITY3 = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("helper, args", [
+    (det2, (IDENTITY3,)),
+    (det2, (mat([[1, 0]]),)),
+    (inv2, (IDENTITY3,)),
+    (inv2, (mat([[1], [0]]),)),
+    (mat_add, (mat_identity(2), mat([[1], [0]]))),
+    (mat_add, (mat_identity(2), IDENTITY3)),
+])
+def test_matrix_helpers_reject_other_shapes(helper, args):
+    # zip and fixed indices would otherwise truncate to a wrong answer
+    with pytest.raises(ValueError, match="shape mismatch"):
+        helper(*args)
+
+
 @given(eis_matrices)
 def test_cleared_round_trips(m):
     den, pairs = _cleared(m)
@@ -267,7 +285,18 @@ def test_hash_after_arithmetic_matches_a_fresh_eisrat(x, y):
     z = (x + y) - y
     fresh = EisRat(x.a, x.b)
     assert z == x == fresh
-    assert hash(z) == hash(x) == hash(fresh) == hash((x.a, x.b))
+    # a rational hashes as its one coordinate, so that it hashes like the
+    # int or Fraction it equals
+    want = hash((x.a, x.b)) if x.b else hash(x.a)
+    assert hash(z) == hash(x) == hash(fresh) == want
+
+
+@pytest.mark.parametrize("value", [0, 3, -7, Fraction(3), Fraction(-5, 6)])
+def test_rational_eisrat_hashes_as_the_rational_it_equals(value):
+    x = EisRat(value)
+    assert x == value and hash(x) == hash(value)
+    assert {value: "x"}.get(x) == "x" and {x: "x"}.get(value) == "x"
+    assert len({value, x}) == 1 and x in {value} and value in {x}
 
 
 integers = st.integers(-50, 50)

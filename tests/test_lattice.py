@@ -18,7 +18,6 @@ from hexcover.lattice import (
     _lattice_coordinates,
     _map_coordinates,
     coords_in,
-    hnf,
     integer_coordinates,
     orientation,
 )
@@ -218,54 +217,10 @@ def test_dependent_basis_rejected():
         LatticeBasis.from_rows([(1, 0, 0, 0), (2, 0, 0, 0)])
 
 
-def test_hnf_identity_and_scaling():
-    ident = tuple(tuple(Fraction(1 if i == j else 0) for j in range(4))
-                  for i in range(4))
-    assert hnf(PRODUCT, PRODUCT) == ident
-    doubled = LatticeBasis([2 * v for v in PRODUCT.vectors])
-    assert hnf(doubled, PRODUCT) == tuple(tuple(2 * x for x in row)
-                                          for row in ident)
-
-
-def test_hnf_is_a_lattice_invariant():
-    # rebase the cover lattice by a unimodular shuffle
-    v = COVER.vectors
-    rebased = LatticeBasis([v[1], v[0] + 3 * v[1], v[3], v[2] - v[3] + v[0]])
-    assert hnf(rebased, PRODUCT) == hnf(COVER, PRODUCT)
-    assert hnf(rebased, COVER) == hnf(COVER, COVER)
-
-
-def test_hnf_idempotence():
-    h = hnf(COVER, PRODUCT)
-    # interpret the normal form rows as product-basis coordinates again
-    vectors = []
-    for j in range(4):
-        acc = AmbientVector((0, 0, 0, 0))
-        for i in range(4):
-            acc = acc + h[i][j] * PRODUCT.vectors[i]
-        vectors.append(acc)
-    again = LatticeBasis(vectors)
-    assert hnf(again, PRODUCT) == h
-
-
-def test_hnf_shape_convention():
-    h = hnf(COVER, PRODUCT)
-    for i in range(4):
-        assert h[i][i] > 0
-        for j in range(i + 1, 4):
-            assert h[i][j] == 0
-        for j in range(i):
-            assert 0 <= h[i][j] < h[i][i]
-
-
 def test_index_examples():
     kernel1 = LatticeBasis.from_rows(golden.KERNEL_BASIS_PUBLISHED[1])
     assert hnf_index(kernel1, PRODUCT) == 2
     assert hnf_index(PRODUCT, PRODUCT) == 1
-    # a lattice outside the other has a fractional normal form
-    doubled = LatticeBasis([2 * v for v in PRODUCT.vectors])
-    assert any(x.denominator != 1 for row in hnf(PRODUCT, doubled)
-               for x in row)
 
 
 def test_index_matches_sympy_determinant():
@@ -273,14 +228,6 @@ def test_index_matches_sympy_determinant():
         kernel = LatticeBasis.from_rows(rows)
         det = sympy_det(rows)  # product basis is a permutation of the axes
         assert hnf_index(kernel, PRODUCT) == abs(int(det)) == 2
-
-
-def test_base_change_unimodular():
-    # equal normal forms against a common reference mean the same lattice
-    w1, w2 = COVER.vectors[0], COVER.vectors[1]
-    alt = LatticeBasis([w1, w2, 2 * _scale(ZETA, w1), _scale(ZETA, w2)])
-    assert hnf(alt, PRODUCT) == hnf(COVER, PRODUCT)
-    assert hnf(COVER, PRODUCT) != hnf(PRODUCT, PRODUCT)
 
 
 def test_curve_lattices_are_kernels_of_curve_maps():

@@ -18,7 +18,6 @@ from hexcover.lattice import (
     AmbientVector,
     LatticeBasis,
     coords_in,
-    hnf,
 )
 from hexcover.symmetry import cross_ratio
 from hexcover.torsion_covers import (
@@ -34,9 +33,10 @@ from hexcover.torsion_covers import (
 
 import golden
 from golden import EXPECTED
-from oracles import (ComplexLine, character_value, complex_line, hnf_index,
-                     mat_scale, q_zeta_torsion_on_curve,
-                     restricts_nontrivially)
+from oracles import (ComplexLine, character_value, complex_line,
+                     first_doubled_kernel, hnf_index, mat_scale,
+                     q_zeta_torsion_on_curve, restricts_nontrivially,
+                     sympy_hnf)
 from strategies import eis_rationals
 
 
@@ -108,13 +108,30 @@ def test_character_value_by_parity():
 
 
 def test_kernel_lattices_match_published_bases():
+    product = catalog.PRODUCT_LATTICE
     for k, rows in golden.KERNEL_BASIS_PUBLISHED.items():
         published = LatticeBasis.from_rows(rows)
-        got = kernel_lattice(CHARS[k])
-        assert hnf(got, catalog.PRODUCT_LATTICE) == hnf(
-            published, catalog.PRODUCT_LATTICE)
-    assert hnf(kernel_lattice(CHARS[1]), catalog.PRODUCT_LATTICE) == hnf(
-        catalog.COVER_LATTICE, catalog.PRODUCT_LATTICE)
+        assert sympy_hnf(kernel_lattice(CHARS[k]), product) == \
+            sympy_hnf(published, product)
+    assert sympy_hnf(kernel_lattice(CHARS[1]), product) == \
+        sympy_hnf(catalog.COVER_LATTICE, product)
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+def test_kernel_lattice_is_its_hermite_normal_form(k):
+    # lower triangular, positive diagonal, each row's entries left of the
+    # diagonal reduced into [0, diagonal): with the same lattice as another
+    # kernel basis, the normal form is unique, so this is it
+    product = catalog.PRODUCT_LATTICE
+    kernel = kernel_lattice(CHARS[k])
+    h = list(zip(*(coords_in(product, v) for v in kernel.vectors)))
+    assert all(x.denominator == 1 for row in h for x in row)
+    for i in range(4):
+        assert h[i][i] > 0
+        assert all(h[i][j] == 0 for j in range(i + 1, 4))
+        assert all(0 <= h[i][j] < h[i][i] for j in range(i))
+    assert sympy_hnf(kernel, product) == \
+        sympy_hnf(first_doubled_kernel(CHARS[k]), product)
 
 
 def test_kernel_lattice_properties_all_characters():

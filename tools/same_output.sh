@@ -47,6 +47,8 @@ commands=(
     # one read off the curves' 2-torsion
     "invariants --perturb invariants.branch_descriptions --json"
     "characters --perturb characters.curve_torsion_counts --json"
+    # the failure path of a kernel row, read off kernel_lattice's basis
+    "characters --perturb characters.kernel_hnf_2 --json"
     # the help text, before and after the command
     "--help"
     "tables -h"
