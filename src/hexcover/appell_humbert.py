@@ -32,10 +32,12 @@ from typing import List, Sequence, Tuple
 from .eisenstein import (
     EisMat,
     EisRat,
+    Rat,
     _Immutable,
     _cleared,
     _from_pairs,
     _pair_product,
+    _ratio,
     _rational,
     mat,
     mat_add,
@@ -155,16 +157,16 @@ class AltFormOnLattice(_Immutable):
     """Values Im h(b_i, b_j) of a hermitian form on an ordered basis, a
     4x4 matrix.
 
-    Entries are ints or Fractions; a float or a string raises TypeError.
+    Entries are in the canonical form of eisenstein._rational, an int when
+    integral, else a Fraction; a float or a string raises TypeError.
     """
 
     __slots__ = ("lattice", "matrix", "_integral")
     _key = attrgetter("lattice", "matrix")
 
     def __init__(self, lattice: LatticeBasis,
-                 matrix: Sequence[Sequence[Fraction]]) -> None:
-        m = tuple(tuple(x if type(x) is int else _rational(x)
-                        for x in row) for row in matrix)
+                 matrix: Sequence[Sequence[Rat]]) -> None:
+        m = tuple(tuple(map(_rational, row)) for row in matrix)
         if len(m) != 4 or any(len(r) != 4 for r in m):
             raise ValueError("alternating matrix must be 4x4")
         if any(m[i][i] for i in range(4)) or any(
@@ -174,12 +176,12 @@ class AltFormOnLattice(_Immutable):
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_integral",
-                           all(x.denominator == 1 for row in m for x in row))
+                           all(type(x) is int for row in m for x in row))
 
     def is_integral(self) -> bool:
         return self._integral
 
-    def upper_triangle(self) -> Tuple[Fraction, ...]:
+    def upper_triangle(self) -> Tuple[Rat, ...]:
         return tuple(self.matrix[i][j]
                      for i in range(4) for j in range(i + 1, 4))
 
@@ -210,15 +212,10 @@ def _gram_products(e, left, right) -> List[List[int]]:
     return out
 
 
-def _ratio(n: int, den: int):
-    """n / den as an int when it is one, else as a Fraction."""
-    return n // den if n % den == 0 else Fraction(n, den)
-
-
 def im_on_lattice(h: HermitianForm, lattice: LatticeBasis) -> AltFormOnLattice:
     """Im h(b_i, b_j) as the integer product V . E . V^T over a common
-    denominator, V the basis coordinates and E the form's ambient Gram.
-    Integral entries are ints, the others Fractions.
+    denominator, V the basis coordinates and E the form's ambient Gram,
+    each entry put in canonical form by eisenstein._ratio.
 
     The result depends only on h.gram, so it is stored on the lattice under
     that key and computed once per (Gram matrix, basis)."""
@@ -234,7 +231,7 @@ def im_on_lattice(h: HermitianForm, lattice: LatticeBasis) -> AltFormOnLattice:
     return alt
 
 
-def pfaffian(e: AltFormOnLattice) -> Fraction:
+def pfaffian(e: AltFormOnLattice) -> Rat:
     """Oriented pfaffian of an alternating form."""
     m = e.matrix
     raw = m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
@@ -326,8 +323,8 @@ class Semicharacter(_Immutable):
                 continue
             for k in range(j + 1, 4):
                 if n[k]:
-                    # E is integral, so its entries' numerators are their values
-                    cross += n[j] * n[k] * rows[j][k].numerator
+                    # E is integral, so its entries are ints
+                    cross += n[j] * n[k] * rows[j][k]
         return total + self._den * cross
 
     def eval_coords(self, n: Sequence[int]) -> Fraction:

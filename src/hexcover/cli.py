@@ -21,7 +21,7 @@ from typing import List, NoReturn, Sequence, Tuple
 
 from . import catalog
 from .appell_humbert import im_on_lattice, intersection_number, square_roots
-from .eisenstein import EisRat, _gf3_residues, inv2, mat_conj, mat_mul
+from .eisenstein import EisRat, _gf3_residues, mat_conj, mat_mul
 from .lattice import coords_in
 from .permgroup import PermGroup
 from .surface_invariants import (
@@ -38,6 +38,7 @@ from .symmetry import (
     NEGATION,
     ORDER4_SYMMETRY,
     ORDER6_SYMMETRY,
+    _SHEAR_INVERSE,
     action_on_square_roots,
     cross_ratio,
     gamma_action_on_sigma,
@@ -227,13 +228,13 @@ def _search_rows(bound: int) -> List[Row]:
     rows.append(("search.tilted_matrices",
                  sorted(_eis_mat(g.linear) for g in found)))
     shear = catalog.FRAME_SHEAR
-    shear_inv = inv2(shear)
-    conjugates = sorted(_eis_mat(mat_mul(mat_mul(shear, g.linear), shear_inv))
+    conjugates = sorted(_eis_mat(mat_mul(mat_mul(shear, g.linear),
+                                         _SHEAR_INVERSE))
                         for g in found)
     rows.append(("search.ambient_conjugates", conjugates))
     rows.append(("search.presentation",
                  verify_presentation(ORDER4_SYMMETRY, ORDER6_SYMMETRY)))
-    reflection = mat_mul(mat_mul(shear_inv, catalog.SIGMA_LINEAR),
+    reflection = mat_mul(mat_mul(_SHEAR_INVERSE, catalog.SIGMA_LINEAR),
                          mat_conj(shear))
     rows.append(("search.reflection_in_sheared_frame", _eis_mat(reflection)))
     rows.append(("search.cross_ratio",

@@ -3,9 +3,14 @@
 zeta is a primitive sixth root of unity, so zeta**2 = zeta - 1 and
 conj(zeta) = 1 - zeta.  Every element is stored as a + b*zeta with
 rational a, b; the hexagonal ring Z[zeta] is the ring of integers.
-Rationals are ints or Fractions only: a float or a string raises TypeError
-rather than being rounded into a Fraction, and so does a bool, which is an
-int to Python but not a number here.
+
+Every exact rational the package computes, here and in lattice and
+appell_humbert, has one canonical form: an int when it is integral, else a
+Fraction in lowest terms (_rational, _ratio).  Almost every value the
+classification meets is an integer, so its arithmetic stays on ints.  A
+float or a string raises TypeError rather than being rounded into a
+Fraction, and so does a bool, which is an int to Python but not a number
+here.
 """
 
 from __future__ import annotations
@@ -17,14 +22,24 @@ from typing import Sequence, Tuple, Union
 Rat = Union[int, Fraction]
 
 
-def _rational(x: object) -> Fraction:
-    """x as a Fraction, for x an int or a Fraction; anything else, floats,
-    strings and bools included, raises TypeError."""
-    if isinstance(x, Fraction):
+def _rational(x: object) -> Rat:
+    """x in canonical form, for x an int or a Fraction: an int as it is, a
+    Fraction with denominator 1 as its numerator, any other Fraction
+    unchanged.  Anything else, floats, strings and bools included, raises
+    TypeError."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int) and type(x) is not bool:
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an int or a Fraction, got {x!r}")
+
+
+def _ratio(n: int, den: int) -> Rat:
+    """n / den in canonical form: an int when den divides n, else a
+    Fraction."""
+    return n // den if n % den == 0 else Fraction(n, den)
 
 
 class _Immutable:
@@ -54,7 +69,8 @@ class _Immutable:
 
 
 class EisRat(_Immutable):
-    """a + b*zeta with exact rational a, b."""
+    """a + b*zeta with exact rational a, b, each in the canonical form of
+    _rational: an int when it is integral, else a Fraction."""
 
     __slots__ = ("a", "b", "_hash")
 
@@ -130,19 +146,20 @@ class EisRat(_Immutable):
         n = o.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(zeta)")
-        # 1/x = conj(x) / norm(x)
+        # 1/x = conj(x) / norm(x), through Fraction, as int / int is a float
         num = self * o.conjugate()
-        return EisRat(num.a / n, num.b / n)
+        return EisRat(Fraction(num.a, n), Fraction(num.b, n))
 
     def conjugate(self) -> "EisRat":
         # conj(zeta) = 1 - zeta
         return EisRat(self.a + self.b, -self.b)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> Rat:
         return self.a * self.a + self.a * self.b + self.b * self.b
 
     def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
+        # in canonical form exactly the integral parts are ints
+        return type(self.a) is int and type(self.b) is int
 
     def __repr__(self) -> str:
         return f"EisRat({self.a!r}, {self.b!r})"
@@ -174,13 +191,23 @@ def _eis_row(row: Sequence[object]) -> Tuple[EisRat, ...]:
 
 
 def mat(rows: Sequence[Sequence[object]]) -> EisMat:
+    """rows as a tuple of EisRat row tuples; a row that is one already is
+    reused as it is.
+
+    The row lengths are not checked, so a ragged matrix passes: the
+    generator search calls mat once per unit-determinant candidate,
+    thousands of times at bound 3, so the operations that need a shape
+    check it themselves (mat_mul, mat_add, det2, the 2x2 forms and
+    pullbacks)."""
     return tuple([_eis_row(row) for row in rows])
 
 
 def mat_mul(A: EisMat, B: EisMat) -> EisMat:
     """The product A . B, summed on Z[zeta] pairs over the product of the
-    two factors' common denominators."""
-    if len(A[0]) != len(B):
+    two factors' common denominators.  Each row of A must have len(B)
+    entries and the rows of B one common length."""
+    n = len(B)
+    if any(len(row) != n for row in A) or len(set(map(len, B))) > 1:
         raise ValueError("shape mismatch")
     da, pa = _cleared(A)
     db, pb = _cleared(B)
@@ -239,7 +266,7 @@ def _zeta_mul(x: ZetaPair, y: ZetaPair) -> ZetaPair:
 def _zeta_pair(x: EisRat) -> ZetaPair:
     if not x.is_integral():
         raise ValueError(f"{x!r} is not an integer of Z[zeta]")
-    return (x.a.numerator, x.b.numerator)
+    return (x.a, x.b)
 
 
 def _gf3_residues(m: EisMat) -> Tuple[int, ...]:
@@ -280,7 +307,7 @@ def _pair_product(P: PairMat, Q: PairMat) -> PairMat:
 
 def _from_pairs(den: int, P: PairMat) -> EisMat:
     """The matrix with entries (a + b*zeta) / den for (a, b) in P."""
-    return tuple(tuple(EisRat(Fraction(a, den), Fraction(b, den))
+    return tuple(tuple(EisRat(_ratio(a, den), _ratio(b, den))
                        for a, b in row) for row in P)
 
 

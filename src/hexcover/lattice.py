@@ -16,7 +16,7 @@ from math import gcd, lcm
 from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
-from .eisenstein import EisMat, Rat, _Immutable, _cleared, _rational
+from .eisenstein import EisMat, Rat, _Immutable, _cleared, _ratio, _rational
 
 
 class AmbientVector(_Immutable):
@@ -251,8 +251,10 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def coords_in(reference: LatticeBasis,
-              v: AmbientVector) -> Tuple[Fraction, ...]:
-    """Rational coordinates of v in the reference basis.
+              v: AmbientVector) -> Tuple[Rat, ...]:
+    """Rational coordinates of v in the reference basis, each in the
+    canonical form of eisenstein._rational: an int tuple at a lattice
+    vector, and a Fraction only at a fractional entry.
 
     Each result is stored on the reference basis keyed by v, together with
     what _lattice_coordinates returns for v, so asking again for an equal
@@ -268,13 +270,14 @@ def _solve(reference: LatticeBasis, v: AmbientVector):
     """(coords_in of v, _lattice_coordinates of v), computed with the
     basis' _solver: the coordinates are integers over one denominator, so
     they are a lattice vector's exactly when that denominator divides each
-    of them."""
+    of them, and then the one integer tuple is both."""
     den, inverse = reference._solver
     den *= v._den
     nums = [sum(a * b for a, b in zip(row, v._nums)) for row in inverse]
-    integral = all(n % den == 0 for n in nums)
-    return (tuple(Fraction(n, den) for n in nums),
-            tuple(n // den for n in nums) if integral else None)
+    if all(n % den == 0 for n in nums):
+        coords = tuple([n // den for n in nums])
+        return coords, coords
+    return tuple([_ratio(n, den) for n in nums]), None
 
 
 def _lattice_coordinates(basis: LatticeBasis,

@@ -738,7 +738,8 @@ class ReIm:
     @classmethod
     def from_scaled(cls, x) -> "ReIm":
         """Decompose x/sqrt(3)."""
-        return cls(x.a + x.b / 2, x.b / 2)
+        half = Fraction(x.b, 2)
+        return cls(x.a + half, half)
 
     def to_scaled(self):
         """The EisRat x with x/sqrt(3) equal to this value."""

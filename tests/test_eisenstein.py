@@ -11,7 +11,10 @@ from hexcover.eisenstein import (
     ZETA,
     _Immutable,
     _cleared,
+    _from_pairs,
     _gf3_residues,
+    _ratio,
+    _rational,
     as_eis,
     det2,
     inv2,
@@ -71,7 +74,7 @@ def test_exactly_six_units_in_small_box():
     assert len(units) == 6
 
 
-@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", "3", True])
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", "3", True, 2.0, False])
 def test_eisrat_rejects_non_rationals(bad):
     # a float would be rounded into a 53-bit Fraction, a string parsed
     with pytest.raises(TypeError):
@@ -234,6 +237,16 @@ def test_mat_mul_rejects_mismatched_shapes():
         mat_mul(mat([[1, 0]]), mat([[1, 0]]))
 
 
+@pytest.mark.parametrize("a, b", [
+    ([[1, 0]], [[1, 0], [1]]),
+    ([[1, 0], [1]], [[1], [1]]),
+])
+def test_mat_mul_rejects_ragged_factors(a, b):
+    # zip would otherwise truncate the product to a wrong shape
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mat_mul(mat(a), mat(b))
+
+
 IDENTITY3 = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
@@ -297,6 +310,84 @@ def test_rational_eisrat_hashes_as_the_rational_it_equals(value):
     assert x == value and hash(x) == hash(value)
     assert {value: "x"}.get(x) == "x" and {x: "x"}.get(value) == "x"
     assert len({value, x}) == 1 and x in {value} and value in {x}
+
+
+@pytest.mark.parametrize("value, want", [
+    (3, 3), (-7, -7), (0, 0),
+    (Fraction(6, 3), 2), (Fraction(0), 0),
+    (Fraction(-5, 6), Fraction(-5, 6)),
+])
+def test_rational_is_an_int_exactly_when_integral(value, want):
+    got = _rational(value)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("n, den, want", [
+    (6, 3, 2), (-6, 3, -2), (0, 5, 0), (6, -3, -2),
+    (1, 2, Fraction(1, 2)), (-4, 6, Fraction(-2, 3)), (3, -6, Fraction(-1, 2)),
+])
+def test_ratio_is_an_int_exactly_when_den_divides(n, den, want):
+    got = _ratio(n, den)
+    assert got == want and type(got) is type(want)
+
+
+def _is_canonical(q) -> bool:
+    """q is an int when integral, else a Fraction; never a float or bool."""
+    return type(q) is int or (type(q) is Fraction and q.denominator > 1)
+
+
+def _check_parts(x, a, b):
+    """x is a + b*zeta for the Fractions a, b, with canonical parts, and it
+    hashes as the value with Fraction parts does."""
+    assert type(x) is EisRat
+    assert _is_canonical(x.a) and _is_canonical(x.b)
+    assert x.a == a and x.b == b
+    assert hash(x) == (hash((a, b)) if b else hash(a))
+
+
+mixed_rationals = st.one_of(st.integers(-30, 30), rationals)
+mixed_eisrats = st.builds(EisRat, mixed_rationals, mixed_rationals)
+mixed_matrices = st.tuples(st.tuples(mixed_eisrats, mixed_eisrats),
+                           st.tuples(mixed_eisrats, mixed_eisrats))
+
+
+@given(mixed_eisrats, mixed_eisrats)
+def test_arithmetic_keeps_parts_canonical(x, y):
+    # the oracle: the same operations on the parts as Fractions
+    a, b, c, d = (Fraction(q) for q in (x.a, x.b, y.a, y.b))
+    _check_parts(x, a, b)
+    _check_parts(EisRat(a, b), a, b)
+    _check_parts(x + y, a + c, b + d)
+    _check_parts(x - y, a - c, b - d)
+    _check_parts(x * y, a * c - b * d, a * d + b * c + b * d)
+    _check_parts(x.conjugate(), a + b, -b)
+    if y:
+        # x / y = x * conj(y) / norm(y)
+        n = c * c + c * d + d * d
+        _check_parts(x / y, (a * c + a * d + b * d) / n, (b * c - a * d) / n)
+
+
+@given(mixed_matrices, mixed_matrices)
+def test_matrix_entries_keep_parts_canonical(m, n):
+    for row in mat_mul(m, n):
+        for x in row:
+            _check_parts(x, Fraction(x.a), Fraction(x.b))
+    assert mat_mul(m, n) == eisrat_mat_mul(m, n)
+    if det2(m):
+        inverse = inv2(m)
+        for row in inverse:
+            for x in row:
+                _check_parts(x, Fraction(x.a), Fraction(x.b))
+        assert mat_mul(m, inverse) == mat_identity(2)
+
+
+@given(st.integers(1, 12),
+       st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+                min_size=1, max_size=4))
+def test_from_pairs_keeps_parts_canonical(den, pairs):
+    (row,) = _from_pairs(den, (tuple(pairs),))
+    for x, (a, b) in zip(row, pairs):
+        _check_parts(x, Fraction(a, den), Fraction(b, den))
 
 
 integers = st.integers(-50, 50)

@@ -317,6 +317,23 @@ def test_coords_in_memo_matches_cold_basis_and_sympy(basis, vectors):
     assert _lattice_coordinates(basis, basis.vectors[-1]) == (0, 0, 0, 1)
 
 
+@given(lattice_bases(), st.tuples(*[st.integers(-5, 5)] * 4),
+       st.integers(0, 3))
+def test_coords_in_is_an_int_tuple_at_lattice_vectors(basis, n, k):
+    v = AmbientVector((0, 0, 0, 0))
+    for nj, b in zip(n, basis.vectors):
+        v = v + nj * b
+    got = coords_in(basis, v)
+    assert got == n and all(type(c) is int for c in got)
+    # the one integer tuple is also the memo's lattice coordinates
+    assert _lattice_coordinates(basis, v) is got
+    # half a basis vector off: a Fraction at that entry only
+    off = coords_in(basis, v + Fraction(1, 2) * basis.vectors[k])
+    assert off[k] == n[k] + Fraction(1, 2) and type(off[k]) is Fraction
+    assert all(type(c) is int and c == nj
+               for j, (c, nj) in enumerate(zip(off, n)) if j != k)
+
+
 def test_coords_in_memo_keeps_none_and_fractional_points(monkeypatch):
     basis = COVER
     inside = basis.vectors[0] + basis.vectors[2]

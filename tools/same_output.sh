@@ -49,6 +49,10 @@ commands=(
     "characters --perturb characters.curve_torsion_counts --json"
     # the failure path of a kernel row, read off kernel_lattice's basis
     "characters --perturb characters.kernel_hnf_2 --json"
+    # the failure paths of two rows read off EisRat parts: the search's
+    # conjugates back to the standard frame and the sum of the curve forms
+    "search-aut --bound 3 --perturb search.ambient_conjugates --json"
+    "tables --perturb tables.branch_form_sum --json"
     # the help text, before and after the command
     "--help"
     "tables -h"
