@@ -179,27 +179,34 @@ def as_eis(x: object) -> EisRat:
     return v
 
 
-def _eis_row(row: Sequence[object]) -> Tuple[EisRat, ...]:
-    """row as a tuple of EisRat: row itself when it is one already."""
-    if type(row) is tuple:
-        for x in row:
-            if type(x) is not EisRat:
-                break
-        else:
-            return row
-    return tuple([x if type(x) is EisRat else as_eis(x) for x in row])
-
-
 def mat(rows: Sequence[Sequence[object]]) -> EisMat:
-    """rows as a tuple of EisRat row tuples; a row that is one already is
-    reused as it is.
+    """rows as a tuple of EisRat row tuples.  A tuple of such rows is
+    returned as it is, after one scan of its entry types; otherwise a row
+    that is one already is reused and every other row is built entry by
+    entry through as_eis, so a float, a bool or a string raises TypeError.
 
     The row lengths are not checked, so a ragged matrix passes: the
     generator search calls mat once per unit-determinant candidate,
     thousands of times at bound 3, so the operations that need a shape
     check it themselves (mat_mul, mat_add, det2, the 2x2 forms and
     pullbacks)."""
-    return tuple([_eis_row(row) for row in rows])
+    if type(rows) is tuple:
+        for row in rows:
+            if type(row) is not tuple:
+                break
+            for x in row:
+                if type(x) is not EisRat:
+                    break
+            else:
+                continue
+            break
+        else:
+            return rows
+    return tuple([row if type(row) is tuple
+                  and all(type(x) is EisRat for x in row)
+                  else tuple([x if type(x) is EisRat else as_eis(x)
+                              for x in row])
+                  for row in rows])
 
 
 def mat_mul(A: EisMat, B: EisMat) -> EisMat:

@@ -171,21 +171,26 @@ def _tangent_permutation(pairs, antiholomorphic: bool,
 
     A matrix cleared of its denominator induces the same projective map, so
     the images are integral and proportionality is one cross-multiplication
-    in Z[zeta]; conjugation sends (a, b) to (a + b, -b).
+    in Z[zeta]; conjugation sends (a, b) to (a + b, -b).  The entries and
+    the tangents are unpacked into their int parts, and the image and the
+    cross-multiplication are _zeta_mul written out on them.
     """
-    (a11, a12), (a21, a22) = pairs
+    # a11 = p + q*zeta, a12 = r + s*zeta, a21 = t + u*zeta, a22 = v + w*zeta
+    ((p, q), (r, s)), ((t, u), (v, w)) = pairs
     images = []
-    for x, y in tangents:
+    for (xa, xb), (ya, yb) in tangents:
         if antiholomorphic:
-            x, y = (x[0] + x[1], -x[1]), (y[0] + y[1], -y[1])
-        ux, uy = _zeta_mul(a11, x)
-        vx, vy = _zeta_mul(a12, y)
-        qx = (ux + vx, uy + vy)
-        ux, uy = _zeta_mul(a21, x)
-        vx, vy = _zeta_mul(a22, y)
-        qy = (ux + vx, uy + vy)
-        for k, (px, py) in enumerate(tangents, start=1):
-            if _zeta_mul(qx, py) == _zeta_mul(px, qy):
+            xa, xb, ya, yb = xa + xb, -xb, ya + yb, -yb
+        # (ia, ib) = a11*x + a12*y and (ja, jb) = a21*x + a22*y
+        ia = p * xa - q * xb + r * ya - s * yb
+        ib = p * xb + q * xa + q * xb + r * yb + s * ya + s * yb
+        ja = t * xa - u * xb + v * ya - w * yb
+        jb = t * xb + u * xa + u * xb + v * yb + w * ya + w * yb
+        for k, ((ma, mb), (na, nb)) in enumerate(tangents, start=1):
+            # the image lies on the tangent (m, n) when i*n == m*j
+            if (ia * na - ib * nb == ma * ja - mb * jb
+                    and ia * nb + ib * na + ib * nb
+                    == ma * jb + mb * ja + mb * jb):
                 images.append(k)
                 break
         else:
@@ -358,7 +363,8 @@ def search_generators(height_bound: int) -> List[AffineSymmetry]:
             # perfbench/selftest.py: it counts the mat calls inside the
             # search as its candidates and pins them (4204 at bound 3), so
             # a self-test re-pinned to the paper's counts drops this build.
-            # The rows are tuples of EisRat already, so mat reuses them.
+            # A tuple of EisRat tuples, so mat scans its entry types and
+            # returns it as it is.
             linear = mat(((e11, e12), (e21, e22)))
             if (a21 in first
                     and _tangent_permutation(((a11, a12), (a21, a22)), False,

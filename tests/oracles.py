@@ -51,7 +51,9 @@ maps.  brute_force_branch_profiles tries every small branch profile
 against the chi and K^2 formulas written out again, as the reference for
 the bounded enumeration of the branch profiles.  _build_parser is the
 argparse parser of the command line, which the CLI's own parser of its
-one grammar replaced.
+one grammar replaced.  exact is the one way a value enters the exact
+oracles: Fraction(x) and sympy.Rational(x) would each take a float
+silently, rounded to its 53 bits.
 """
 
 import argparse
@@ -65,6 +67,14 @@ import sympy
 
 ZETA_C = complex(0.5, math.sqrt(3) / 2)
 ROOT3 = math.sqrt(3)
+
+
+def exact(x) -> Fraction:
+    """x as a Fraction, for x an int (not a bool) or a Fraction; anything
+    else, a float, a bool or a string, raises TypeError."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {x!r}")
+    return Fraction(x)
 
 
 def to_complex(x) -> complex:
@@ -82,14 +92,16 @@ def close(x: complex, y: complex, tol: float = 1e-9) -> bool:
 
 def sympy_det(rows) -> Fraction:
     """Exact determinant of a rational matrix via sympy."""
-    m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
+    m = sympy.Matrix([[sympy.Rational(exact(x)) for x in row]
+                      for row in rows])
     return Fraction(str(m.det()))
 
 
 def sympy_rref(rows):
     """Reduced row echelon form of a rational matrix via sympy, as
     (rows of Fractions, pivot columns)."""
-    m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
+    m = sympy.Matrix([[sympy.Rational(exact(x)) for x in row]
+                      for row in rows])
     reduced, pivots = m.rref()
     return ([[Fraction(str(x)) for x in reduced.row(i)]
              for i in range(reduced.rows)], list(pivots))
@@ -98,8 +110,9 @@ def sympy_rref(rows):
 def sympy_coords(basis_rows, target):
     """Coordinates of target in the span of the (independent) basis rows,
     or None when target lies outside that span."""
-    a = sympy.Matrix([[sympy.Rational(x) for x in row] for row in basis_rows]).T
-    b = sympy.Matrix([sympy.Rational(x) for x in target])
+    a = sympy.Matrix([[sympy.Rational(exact(x)) for x in row]
+                      for row in basis_rows]).T
+    b = sympy.Matrix([sympy.Rational(exact(x)) for x in target])
     try:
         sol, _ = a.gauss_jordan_solve(b)
     except ValueError:
@@ -171,7 +184,7 @@ def cocycle_eval_right(basis_exponents, alt_upper, coords):
 def fraction_eval_coords(exponents, alt_matrix, n):
     """Semicharacter exponent at sum(n[j] * b_j) from the basis exponents
     and the alternating matrix, summed term by term in Fraction."""
-    expo = sum((Fraction(nj) * qj for nj, qj in zip(n, exponents)),
+    expo = sum((exact(nj) * qj for nj, qj in zip(n, exponents)),
                Fraction(0))
     rank = len(exponents)
     for j in range(rank):
@@ -732,8 +745,8 @@ class ReIm:
     __slots__ = ("re_coeff", "im")
 
     def __init__(self, re_coeff=0, im=0) -> None:
-        self.re_coeff = Fraction(re_coeff)
-        self.im = Fraction(im)
+        self.re_coeff = exact(re_coeff)
+        self.im = exact(im)
 
     @classmethod
     def from_scaled(cls, x) -> "ReIm":

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexcover import catalog
 from hexcover.eisenstein import (
     EisRat,
     ZETA,
@@ -26,8 +27,9 @@ from hexcover.eisenstein import (
     mat_transpose,
 )
 
-from oracles import (ReIm, close, eisrat_mat_mul, is_unit, mat_apply,
-                     reim_to_complex, to_complex)
+from oracles import (ReIm, close, eisrat_mat_mul, exact,
+                     fraction_eval_coords, is_unit, mat_apply,
+                     reim_to_complex, sympy_coords, sympy_det, to_complex)
 from strategies import eis_matrices
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -102,6 +104,9 @@ def test_bool_is_not_a_rational():
     ((1, 0), (0, 1)),
     [(EisRat(1), 0), [0, EisRat(1)]],
     ((EisRat(1), EisRat(0)), (EisRat(0), EisRat(1))),
+    # a generator of rows, which mat reads once
+    (row for row in ((EisRat(1), 0), [0, EisRat(1)])),
+    (row for row in mat_identity(2)),
 ])
 def test_mat_builds_equal_tuple_matrices(rows):
     m = mat(rows)
@@ -120,6 +125,25 @@ def test_mat_reuses_only_rows_that_are_eisrat_tuples():
     for bad in ([[1.0]], ((ZETA, 0.5),), [["1"]]):
         with pytest.raises(TypeError):
             mat(bad)
+
+
+@pytest.mark.parametrize("m", [mat_identity(2), mat_identity(3),
+                               catalog.FRAME_SHEAR, catalog.ORDER6_GEN,
+                               ((ZETA,),), ((),), ()])
+def test_mat_returns_a_tuple_of_eisrat_tuples_as_it_is(m):
+    assert mat(m) is m
+
+
+@pytest.mark.parametrize("bad", [True, 0.5, "1"])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_mat_scans_every_entry_of_a_tuple_of_tuples(bad, where):
+    # a tuple of tuples with one entry that is not an EisRat is not a
+    # matrix, wherever that entry is
+    rows = [list(row) for row in mat_identity(2)]
+    i, j = where
+    rows[i][j] = bad
+    with pytest.raises(TypeError):
+        mat(tuple(map(tuple, rows)))
 
 
 @given(eisrats, eisrats)
@@ -180,6 +204,19 @@ def test_reim_decomposition():
     # (2 + 4*zeta)/sqrt(3) = 4/sqrt(3) + 2i
     r = ReIm.from_scaled(EisRat(2, 4))
     assert r == ReIm(4, 2)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, "1"])
+def test_exact_oracles_reject_non_rationals(bad):
+    # Fraction(0.5) and sympy.Rational(0.5) would each take the float
+    # silently; the oracles compare exact values only
+    assert exact(3) == 3 and exact(Fraction(1, 2)) == Fraction(1, 2)
+    for build in (exact, ReIm, lambda x: ReIm(0, x),
+                  lambda x: sympy_det([[x]]),
+                  lambda x: sympy_coords([[1]], [x]),
+                  lambda x: fraction_eval_coords((0,), ((0,),), (x,))):
+        with pytest.raises(TypeError):
+            build(bad)
 
 
 @given(eisrats)

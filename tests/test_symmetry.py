@@ -471,6 +471,29 @@ def test_integer_tangent_test_accepts_and_rejects():
         _zeta_pair(EisRat(Fraction(1, 2)))
 
 
+@pytest.mark.parametrize("tangents", [catalog.CURVE_LINES,
+                                      _TILTED_TANGENT_PAIRS],
+                         ids=["ambient", "tilted"])
+@pytest.mark.parametrize("antiholomorphic", [False, True])
+def test_tangent_test_matches_q_zeta_permutation_on_a_box(antiholomorphic,
+                                                          tangents):
+    # every invertible matrix with entries 0 or a unit of Z[zeta], the
+    # domain of _tangent_permutation (AffineSymmetry and the search both
+    # require invertibility), against the Q(zeta) oracle
+    entries = ((0, 0),) + _UNITS
+    kept = 0
+    for a11, a12, a21, a22 in itertools.product(entries, repeat=4):
+        if _zeta_mul(a11, a22) == _zeta_mul(a12, a21):
+            continue
+        pairs = ((a11, a12), (a21, a22))
+        linear = tuple(tuple(EisRat(*x) for x in row) for row in pairs)
+        got = _tangent_permutation(pairs, antiholomorphic, tangents)
+        assert got == line_permutation(linear, antiholomorphic, tangents)
+        kept += got is not None
+    # the box holds maps that permute the quadruple, not only rejections
+    assert kept
+
+
 def test_shear_conjugation_recovers_standard_generators():
     shear = catalog.FRAME_SHEAR
     unshear = inv2(shear)
