@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import List, Sequence, Tuple
 
 from .eisenstein import (
@@ -48,6 +48,7 @@ from .lattice import (
     AmbientVector,
     LatticeBasis,
     _ambient_matrix,
+    _int_product,
     _lattice_coordinates,
     _map_coordinates,
     integer_coordinates,
@@ -100,26 +101,23 @@ def _ambient_gram(m: EisMat) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     Im h(v, w) = v . E . w / den for ambient coordinates
     (z1.a, z1.b, z2.a, z2.b).
 
-    Im of (x/sqrt(3)) is half the zeta coefficient of x, so the entry
-    a + b*zeta of M contributes b/2 on (1, 1) and (zeta, zeta), (a + b)/2
-    on (zeta, 1) and -a/2 on (1, zeta).
+    h(v, w) = sum of v_i y_i / sqrt(3) for y = m . conj(w), and
+    Im(x y / sqrt(3)) = (x.a y.b + x.b (y.a + y.b)) / 2: for rows (a, b)
+    of a 2-block of _ambient_matrix(m, conjugate_first=True), E has rows
+    (b, a + b) there, over twice its denominator.
     """
-    half, pairs = _cleared(m)
-    e = [[0] * 4 for _ in range(4)]
-    for i in range(2):
-        for j in range(2):
-            a, b = pairs[i][j]
-            e[2 * i][2 * j] = e[2 * i + 1][2 * j + 1] = b
-            e[2 * i + 1][2 * j] = a + b
-            e[2 * i][2 * j + 1] = -a
-    return 2 * half, tuple(map(tuple, e))
+    den, rows = _ambient_matrix(m, conjugate_first=True)
+    e = []
+    for a, b in zip(rows[::2], rows[1::2]):
+        e += [b, tuple(map(add, a, b))]
+    return 2 * den, tuple(e)
 
 
 class HermitianForm(_Immutable):
     """Conjugate-symmetric 2x2 matrix over Q(zeta), scaled by 1/sqrt(3).
 
-    im_value and im_on_lattice evaluate Im h through gram, the form's
-    integer ambient Gram matrix.
+    gram is its integer ambient Gram matrix (_ambient_gram), through
+    which im_on_lattice and translate evaluate Im h.
     """
 
     __slots__ = ("matrix", "gram")
@@ -133,11 +131,6 @@ class HermitianForm(_Immutable):
             raise ValueError("matrix is not conjugate-symmetric")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "gram", _ambient_gram(m))
-
-    def im_value(self, v: AmbientVector, w: AmbientVector) -> Fraction:
-        den, e = self.gram
-        d, (x, y) = integer_coordinates((v, w))
-        return Fraction(_gram_products(e, (x,), (y,))[0][0], den * d * d)
 
     def scaled(self, c: Fraction) -> "HermitianForm":
         c = _rational(c)
@@ -202,16 +195,6 @@ class AltFormOnLattice(_Immutable):
                                                         other.matrix)))
 
 
-def _gram_products(e, left, right) -> List[List[int]]:
-    """The integers x . e . y for x in left (rows) and y in right (columns),
-    all integer coordinate rows."""
-    out = []
-    for x in left:
-        xe = [sum(x[p] * e[p][q] for p in range(4)) for q in range(4)]
-        out.append([sum(a * b for a, b in zip(xe, y)) for y in right])
-    return out
-
-
 def im_on_lattice(h: HermitianForm, lattice: LatticeBasis) -> AltFormOnLattice:
     """Im h(b_i, b_j) as the integer product V . E . V^T over a common
     denominator, V the basis coordinates and E the form's ambient Gram,
@@ -225,8 +208,8 @@ def im_on_lattice(h: HermitianForm, lattice: LatticeBasis) -> AltFormOnLattice:
         den, e = h.gram
         d, rows = lattice._integer
         den *= d * d
-        matrix = tuple(tuple(_ratio(n, den) for n in row)
-                       for row in _gram_products(e, rows, rows))
+        matrix = tuple(tuple(_ratio(n, den) for n in row) for row in
+                       _int_product(_int_product(rows, e), tuple(zip(*rows))))
         alt = known[h.gram] = AltFormOnLattice(lattice, matrix)
     return alt
 
@@ -315,6 +298,7 @@ class Semicharacter(_Immutable):
     def _numerator(self, n: Sequence[int]) -> int:
         """2 * den times the exponent of chi at sum(n[j] * basis[j]), not
         reduced: the sum of n_j q_j and n_j n_k E_jk / 2 over j < k."""
+        # written out: it runs per pulled vector and skips zero coordinates
         total = 2 * sum(nj * q for nj, q in zip(n, self._nums))
         rows = self.form.matrix
         cross = 0
@@ -466,10 +450,10 @@ def translate(bundle: LineBundleClass, v: AmbientVector) -> LineBundleClass:
     shifted = lattice._shifts.get(key)
     if shifted is None:
         den, e = gram
-        d, (x,) = integer_coordinates((v,))
+        d, x = integer_coordinates((v,))
         db, rows = lattice._integer
-        shifted = lattice._shifts[key] = (
-            den * d * db, tuple(_gram_products(e, (x,), rows)[0]))
+        (shifts,) = _int_product(_int_product(x, e), tuple(zip(*rows)))
+        shifted = lattice._shifts[key] = (den * d * db, shifts)
     character = bundle.character
     den, shifts = shifted
     if any(shifts):

@@ -21,7 +21,7 @@ from typing import List, NoReturn, Sequence, Tuple
 
 from . import catalog
 from .appell_humbert import im_on_lattice, intersection_number, square_roots
-from .eisenstein import EisRat, _gf3_residues, mat_conj, mat_mul
+from .eisenstein import EisRat, _gf3_residues, _rational, mat_conj, mat_mul
 from .lattice import coords_in
 from .permgroup import PermGroup
 from .surface_invariants import (
@@ -78,9 +78,10 @@ _OPTIONS = {
 
 
 def _as_int(x) -> int:
-    if getattr(x, "denominator", 1) != 1:
+    x = _rational(x)  # a float, a str or a bool raises TypeError
+    if type(x) is not int:
         raise ValueError(f"expected an integer, got {x!r}")
-    return int(x)
+    return x
 
 
 def _eis(x: EisRat) -> list:
@@ -126,9 +127,9 @@ def _characters_rows() -> List[Row]:
         normal = zip(*(coords_in(catalog.PRODUCT_LATTICE, v)
                        for v in kernel_lattice(chars[k]).vectors))
         rows.append((f"characters.kernel_hnf_{k}", _int_rows(normal)))
-    # the mixed cover generators l1 + u2 and l2 + u2
-    witness = catalog.SUM_FORM.im_value(*catalog.COVER_LATTICE.vectors[1:3])
-    rows.append(("characters.witness_parity", _as_int(witness)))
+    # Im h on the mixed cover generators l1 + u2 and l2 + u2
+    cover = im_on_lattice(catalog.SUM_FORM, catalog.COVER_LATTICE)
+    rows.append(("characters.witness_parity", _as_int(cover.matrix[1][2])))
     rows.append(("characters.curve_torsion_counts",
                  [len(points) for points in outcome.curve_incidence]))
     covered = set().union(*outcome.curve_incidence)

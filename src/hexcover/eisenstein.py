@@ -264,6 +264,7 @@ PairMat = Tuple[Tuple[ZetaPair, ...], ...]
 
 
 def _zeta_mul(x: ZetaPair, y: ZetaPair) -> ZetaPair:
+    # written out: a product in Z[zeta], which lattice._int_product is not
     # (a+b*z)(c+d*z) = ac + (ad+bc)z + bd*z^2, and z^2 = z - 1.
     a, b = x
     c, d = y
@@ -304,7 +305,7 @@ def _pair_product(P: PairMat, Q: PairMat) -> PairMat:
         for col in columns:
             a = b = 0
             for (p, q), (r, s) in zip(row, col):
-                # _zeta_mul((p, q), (r, s)), inlined
+                # _zeta_mul((p, q), (r, s)) inlined: Z[zeta], not Q
                 a += p * r - q * s
                 b += p * s + q * r + q * s
             entries.append((a, b))

@@ -7,13 +7,18 @@ elements, stored as four integers over one denominator so that its
 arithmetic, hashing and comparison stay on ints.  Multiplication by zeta
 acts on each 2-block by the integer matrix J = [[0, -1], [1, 1]], which
 satisfies J**2 = J - 1.
+
+_int_product is the package's one integer matrix product.  Loops stay
+written out only where they are hot or over another ring: _gauss_jordan,
+_solve, Semicharacter._numerator and the Z[zeta] pair loops _zeta_mul,
+_pair_product and _tangent_permutation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .eisenstein import EisMat, Rat, _Immutable, _cleared, _ratio, _rational
@@ -168,27 +173,29 @@ def _ambient_matrix(m: EisMat, conjugate_first: bool = False) -> _AmbientMap:
     (x, y) to (x + y, -y), the block is [[p, p + q], [q, -p]].
     """
     den, pairs = _cleared(m)
-    rows = [[0] * 4 for _ in range(4)]
-    for i in range(2):
-        for j in range(2):
-            p, q = pairs[i][j]
-            top, bottom = rows[2 * i], rows[2 * i + 1]
-            if conjugate_first:
-                top[2 * j], top[2 * j + 1] = p, p + q
-                bottom[2 * j], bottom[2 * j + 1] = q, -p
-            else:
-                top[2 * j], top[2 * j + 1] = p, -q
-                bottom[2 * j], bottom[2 * j + 1] = q, p + q
-    return den, tuple(map(tuple, rows))
+    rows = []
+    # the row (p + q*zeta, r + s*zeta) of m gives two rows of F
+    for (p, q), (r, s) in pairs:
+        if conjugate_first:
+            rows += [(p, p + q, r, r + s), (q, -p, s, -r)]
+        else:
+            rows += [(p, -q, r, -s), (q, p + q, s, r + s)]
+    return den, tuple(rows)
+
+
+def _int_product(A, B) -> Tuple[Tuple[Rat, ...], ...]:
+    """A . B for matrices given as rows of ints or Fractions, as rows."""
+    columns = tuple(zip(*B))
+    return tuple([tuple([sum(map(mul, row, col)) for col in columns])
+                  for row in A])
 
 
 def _map_coordinates(ambient: _AmbientMap, coordinates) -> List[AmbientVector]:
     den, rows = ambient
     d, ints = coordinates
     den *= d
-    return [AmbientVector._from_integers(
-                den, [sum(a * b for a, b in zip(r, x)) for r in rows])
-            for x in ints]
+    return [AmbientVector._from_integers(den, image)
+            for image in _int_product(ints, tuple(zip(*rows)))]
 
 
 def _gauss_jordan(rows: Sequence[Sequence[int]]):
@@ -218,6 +225,7 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]):
             m[r0], m[below] = m[below], [-a for a in m[r0]]
             t[r0], t[below] = t[below], [-a for a in t[r0]]
         p, prow, trow = m[r0][col], m[r0], t[r0]
+        # written out: an elimination step rewrites rows, it is no product
         for r in range(n):
             if r != r0:
                 f = m[r][col]
@@ -273,6 +281,7 @@ def _solve(reference: LatticeBasis, v: AmbientVector):
     of them, and then the one integer tuple is both."""
     den, inverse = reference._solver
     den *= v._den
+    # written out: every coords_in miss runs it, and a call would cost more
     nums = [sum(a * b for a, b in zip(row, v._nums)) for row in inverse]
     if all(n % den == 0 for n in nums):
         coords = tuple([n // den for n in nums])

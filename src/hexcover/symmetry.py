@@ -37,6 +37,7 @@ from .lattice import (
     LatticeBasis,
     _ambient_matrix,
     _det,
+    _int_product,
     _lattice_coordinates,
     _map_coordinates,
     coords_in,
@@ -111,8 +112,7 @@ def rational_rep(g: AffineSymmetry, basis: LatticeBasis):
         if coords is None:
             raise NotLatticePreserving(f"image of {v!r} leaves the lattice")
         columns.append(coords)
-    rows = tuple(tuple(col[i] for col in columns)
-                 for i in range(len(columns)))
+    rows = tuple(zip(*columns))
     if _det(rows) not in (1, -1):
         raise NotLatticePreserving("lattice map is not invertible over Z")
     return rows
@@ -138,11 +138,9 @@ def _compose_maps(f, h):
     matrix of the real-linear part, so this holds for an anti-holomorphic
     f too."""
     (rf, tf), (rh, th) = f, h
-    columns = tuple(zip(*rh))
-    return (tuple(tuple(sum(a * b for a, b in zip(row, col))
-                        for col in columns) for row in rf),
-            tuple(sum(a * b for a, b in zip(row, th)) + s
-                  for row, s in zip(rf, tf)))
+    moved = _int_product(rf, tuple(zip(th)))  # t_h as a one-column matrix
+    return (_int_product(rf, rh),
+            tuple(x + t for (x,), t in zip(moved, tf)))
 
 
 def _same_map(f, h) -> bool:
@@ -166,14 +164,16 @@ def _tangent_permutation(pairs, antiholomorphic: bool,
                          tangents) -> Optional[Tuple[int, ...]]:
     """Images tuple of the map induced on the tangent quadruple (the Z[zeta]
     pairs of its four directions) by the integral matrix pairs, conjugating
-    first when antiholomorphic, or None when it moves one of the tangents
-    off the quadruple.
+    first when antiholomorphic, or None when it does not permute the
+    quadruple: it moves a tangent off it, or sends two tangents to one (a
+    singular matrix; a zero image matches every tangent).
 
     A matrix cleared of its denominator induces the same projective map, so
     the images are integral and proportionality is one cross-multiplication
     in Z[zeta]; conjugation sends (a, b) to (a + b, -b).  The entries and
     the tangents are unpacked into their int parts, and the image and the
-    cross-multiplication are _zeta_mul written out on them.
+    cross-multiplication are _zeta_mul written out on them, as the search
+    runs this test per candidate.
     """
     # a11 = p + q*zeta, a12 = r + s*zeta, a21 = t + u*zeta, a22 = v + w*zeta
     ((p, q), (r, s)), ((t, u), (v, w)) = pairs
@@ -195,7 +195,7 @@ def _tangent_permutation(pairs, antiholomorphic: bool,
                 break
         else:
             return None
-    return tuple(images)
+    return tuple(images) if len(set(images)) == len(images) else None
 
 
 def preserves_divisor(g: AffineSymmetry) -> bool:

@@ -20,7 +20,7 @@ from operator import attrgetter
 from . import catalog
 from .appell_humbert import ORDER_TWO_SIGN_PATTERNS, im_on_lattice
 from .eisenstein import _Immutable
-from .lattice import LatticeBasis, _ambient_matrix, _map_coordinates
+from .lattice import LatticeBasis, _ambient_matrix, _int_product
 
 
 class TrivialCharacter(ValueError):
@@ -143,13 +143,16 @@ def _torsion_on_curve(curve_map) -> frozenset:
     the 2x2 minors of the values F(b_i), as integer pairs, have gcd 1;
     then p lies on the curve exactly when the sum of F(b_i) over e_i = 1 is
     in 2 Z[zeta].  F(b_i) is the second block of the image of b_i under the
-    curve map, computed by the ambient-matrix kernel.
+    curve map: the product of the basis coordinates with the transposed
+    last two rows of its ambient matrix.
     """
     basis = catalog.PRODUCT_LATTICE
+    den, rows = _ambient_matrix(curve_map)
+    d, coords = basis._integer
+    den *= d
     values = []
-    for b, image in zip(basis.vectors, _map_coordinates(
-            _ambient_matrix(curve_map), basis._integer)):
-        den, (_, _, x, y) = image._den, image._nums
+    for b, (x, y) in zip(basis.vectors,
+                         _int_product(coords, tuple(zip(*rows[2:])))):
         if x % den or y % den:
             raise NotOnto(f"F({b!r}) = ({x} + {y}*zeta)/{den} is not in "
                           f"Z[zeta]")
@@ -159,10 +162,10 @@ def _torsion_on_curve(curve_map) -> frozenset:
     if math.gcd(*minors) != 1:
         raise NotOnto("the product lattice maps onto a proper sublattice "
                       "of Z[zeta]")
+    parities = tuple(itertools.product((0, 1), repeat=4))
     return frozenset(
-        e for e in itertools.product((0, 1), repeat=4) if any(e)
-        and all(sum(w[j] for w, bit in zip(values, e) if bit) % 2 == 0
-                for j in (0, 1)))
+        e for e, (x, y) in zip(parities, _int_product(parities, values))
+        if any(e) and x % 2 == 0 and y % 2 == 0)
 
 
 def classify_characters() -> CharacterClassification:

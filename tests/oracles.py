@@ -107,6 +107,16 @@ def sympy_rref(rows):
              for i in range(reduced.rows)], list(pivots))
 
 
+def sympy_product(a_rows, b_rows):
+    """The matrix product of two rational matrices via sympy, as rows of
+    Fractions."""
+    a, b = (sympy.Matrix([[sympy.Rational(exact(x)) for x in row]
+                          for row in rows]) for rows in (a_rows, b_rows))
+    product = a * b
+    return [[Fraction(str(x)) for x in product.row(i)]
+            for i in range(product.rows)]
+
+
 def sympy_coords(basis_rows, target):
     """Coordinates of target in the span of the (independent) basis rows,
     or None when target lies outside that span."""
@@ -379,23 +389,27 @@ def q_zeta_cross_ratio(p1, p2, p3, p4):
 def line_permutation(linear, antiholomorphic, tangents):
     """Images tuple of the map induced by linear (conjugating first when
     antiholomorphic) on the lines through the tangents, directions given
-    as Z[zeta] pairs as _tangent_permutation reads them, or None when some
-    image is not among them; computed in Q(zeta)."""
+    as Z[zeta] pairs as _tangent_permutation reads them, or None when it
+    is no permutation of them: some image is zero, is not among them, or
+    is the image of another tangent too; computed in Q(zeta)."""
     points = [complex_line(t) for t in tangents]
     images = []
     for p in points:
         x, y = p.direction
         if antiholomorphic:
             x, y = x.conjugate(), y.conjugate()
-        q = ComplexLine((linear[0][0] * x + linear[0][1] * y,
-                         linear[1][0] * x + linear[1][1] * y))
+        image = (linear[0][0] * x + linear[0][1] * y,
+                 linear[1][0] * x + linear[1][1] * y)
+        if not image[0] and not image[1]:
+            return None
+        q = ComplexLine(image)
         for k, target in enumerate(points, start=1):
             if q == target:
                 images.append(k)
                 break
         else:
             return None
-    return tuple(images)
+    return tuple(images) if len(set(images)) == len(images) else None
 
 
 def scan_search_generators(height_bound):

@@ -18,6 +18,7 @@ from hexcover.appell_humbert import (
     square_roots,
     tensor,
 )
+from hexcover.cli import _invariants_rows
 from hexcover.eisenstein import ZETA, EisRat, _gf3_residues, inv2, mat, mat_mul
 from hexcover.lattice import AmbientVector, LatticeBasis
 from hexcover.permgroup import PermGroup
@@ -108,9 +109,11 @@ def test_criterion_3_character_classification():
         published = oracles.sympy_hnf(LatticeBasis.from_rows(rows),
                                       catalog.PRODUCT_LATTICE)
         assert computed == published
-    witness = catalog.SUM_FORM.im_value(AmbientVector((0, 1, 1, 0)),
-                                        AmbientVector((0, 0, 1, 1)))
-    assert witness == EXPECTED["characters.witness_parity"]
+    # Im h on the cover generators (0, 1, 1, 0) and (0, 0, 1, 1)
+    assert catalog.COVER_LATTICE.vectors[1:3] == (
+        AmbientVector((0, 1, 1, 0)), AmbientVector((0, 0, 1, 1)))
+    witness = im_on_lattice(catalog.SUM_FORM, catalog.COVER_LATTICE)
+    assert witness.matrix[1][2] == EXPECTED["characters.witness_parity"]
     assert outcome.leftover_count == EXPECTED["characters.leftover_torsion"]
     print("criterion 3: PASS")
 
@@ -206,6 +209,17 @@ def test_criterion_8_numerical_invariants():
     assert rotation.order() == EXPECTED["search.rotation_order"]
     assert str(rotation) == EXPECTED["search.rotation_cycle"]
     print("criterion 8: PASS")
+
+
+def test_headline_claim_needs_a_witness():
+    # (chi, K^2) of the double cover as verify-all computes it.  With
+    # e = 12 chi - K^2 (Noether), K^2 = 2e is the Chern ratio of every
+    # compact quotient of H x H, so these invariants alone cannot show
+    # that the universal cover is not H x H.
+    chi, k2 = dict(_invariants_rows())["invariants.double_cover"]
+    assert (chi, k2) == (1, 8)
+    e = 12 * chi - k2
+    assert e == 4 and k2 == 2 * e
 
 
 def test_criterion_9_cross_module_consistency():

@@ -258,11 +258,19 @@ def test_im_on_lattice_matches_q_zeta_values(h, lattice):
                 int if value.denominator == 1 else Fraction)
 
 
+def _gram_value(h, v, w) -> Fraction:
+    """v . E . w / den for h.gram = (den, E), on Fraction coordinates."""
+    den, e = h.gram
+    x, y = v.coordinates, w.coordinates
+    return sum(x[i] * e[i][j] * y[j]
+               for i in range(4) for j in range(4)) / den
+
+
 @given(hermitian_forms(), ambient_vectors, ambient_vectors)
-def test_im_value_matches_q_zeta_value(h, v, w):
-    assert h.im_value(v, w) == hermitian_value(h, v, w).im
+def test_gram_matches_q_zeta_value(h, v, w):
+    assert _gram_value(h, v, w) == hermitian_value(h, v, w).im
     half = h.scaled(Fraction(1, 2))
-    assert half.im_value(v, w) == hermitian_value(half, v, w).im
+    assert _gram_value(half, v, w) == hermitian_value(half, v, w).im
 
 
 def test_semichar_eval_examples():
@@ -534,7 +542,7 @@ def test_pullback_rejects_non_square_matrix(pullback, rows):
 
 @settings(deadline=None)
 @given(hermitian_forms(), lattice_bases(), ambient_vectors, st.data())
-def test_translate_shift_matches_im_value(h, lattice, t, data):
+def test_translate_shift_matches_q_zeta_value(h, lattice, t, data):
     # scale h so that Im h is integral on the lattice, as a bundle needs
     den = lcm(*(x.denominator
                 for row in im_on_lattice(h, lattice).matrix for x in row))
@@ -546,7 +554,7 @@ def test_translate_shift_matches_im_value(h, lattice, t, data):
     assert moved.form == bundle.form
     assert moved.character.form == bundle.character.form
     assert moved.character.exponents == tuple(
-        (q + h.im_value(t, b)) % 1
+        (q + hermitian_value(h, t, b).im) % 1
         for q, b in zip(bundle.character.exponents, lattice.vectors))
 
 
@@ -813,6 +821,6 @@ def test_translate_on_a_warm_lattice_matches_fresh_lattices(h, lattice, t1,
                 h, fresh, bundle.character.exponents), t)
             assert warm == cold and hash(warm) == hash(cold)
             assert warm.character.exponents == tuple(
-                (q + h.im_value(t, b)) % 1
+                (q + hermitian_value(h, t, b).im) % 1
                 for q, b in zip(bundle.character.exponents, lattice.vectors))
     assert len(lattice._shifts) == len({t1, t2})

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,21 @@ def test_expected_file_has_one_record_per_check():
     assert all(isinstance(r["anchor"], str) and r["anchor"] for r in records)
     sections = list(dict.fromkeys(i.split(".", 1)[0] for i in ids))
     assert sections == ["tables", "characters", "orbits", "invariants", "search"]
+
+
+@pytest.mark.parametrize("value, error", [
+    (2.5, TypeError), (2.0, TypeError), ("3", TypeError), (True, TypeError),
+    (Fraction(1, 2), ValueError)],
+    ids=["float", "integral-float", "str", "bool", "fraction"])
+def test_as_int_refuses_what_is_no_int(value, error):
+    # a float, a str or a bool is neither truncated nor converted
+    with pytest.raises(error):
+        cli._as_int(value)
+
+
+def test_as_int_reads_an_integral_fraction_as_an_int():
+    n = cli._as_int(Fraction(4, 2))
+    assert n == 2 and type(n) is int
 
 
 def test_verify_all_passes(capsys):

@@ -15,6 +15,7 @@ from hexcover.lattice import (
     _ambient_matrix,
     _det,
     _gauss_jordan,
+    _int_product,
     _lattice_coordinates,
     _map_coordinates,
     coords_in,
@@ -27,9 +28,9 @@ from oracles import (ZETA_C, ComplexLine, FractionAmbientVector,
                      ambient_from_pair, close, complex_line,
                      fraction_integer_coordinates, fraction_map_coordinates,
                      hnf_index, q_zeta_push_vector, sympy_coords, sympy_det,
-                     sympy_rref, to_complex, to_pair)
+                     sympy_product, sympy_rref, to_complex, to_pair)
 from strategies import (ambient_vectors, eis_matrices, eis_rationals,
-                        lattice_bases)
+                        lattice_bases, rationals)
 
 PRODUCT = LatticeBasis.from_rows(golden.PRODUCT_BASIS)
 COVER = LatticeBasis.from_rows(golden.COVER_BASIS)
@@ -144,6 +145,33 @@ def test_map_coordinates_matches_fraction_oracle(den, rows, vectors):
     assert len(got) == len(want)
     for v, f in zip(got, want):
         _check_canonical(v, f.coordinates)
+
+
+@st.composite
+def _product_factors(draw):
+    """Two matrices of matching shapes with int entries, or with int and
+    Fraction entries mixed; the shapes include the row-times-square and
+    square-times-column products of translate and _compose_maps."""
+    n, k, m = draw(st.one_of(st.sampled_from([(1, 4, 4), (4, 4, 1),
+                                              (4, 4, 4), (16, 4, 2)]),
+                             st.tuples(*[st.integers(1, 5)] * 3)))
+    entries = draw(st.sampled_from([st.integers(-30, 30),
+                                    st.one_of(st.integers(-30, 30),
+                                              rationals)]))
+    return tuple(tuple(tuple(draw(entries) for _ in range(cols))
+                       for _ in range(rows))
+                 for rows, cols in ((n, k), (k, m)))
+
+
+@given(_product_factors())
+def test_int_product_matches_sympy(factors):
+    a, b = factors
+    got = _int_product(a, b)
+    assert type(got) is tuple and all(type(row) is tuple for row in got)
+    assert [list(row) for row in got] == sympy_product(a, b)
+    # int factors keep the product on ints
+    if all(type(x) is int for m in factors for row in m for x in row):
+        assert all(type(x) is int for row in got for x in row)
 
 
 def test_integer_vector_paths_build_no_fraction(monkeypatch):

@@ -477,21 +477,31 @@ def test_integer_tangent_test_accepts_and_rejects():
 @pytest.mark.parametrize("antiholomorphic", [False, True])
 def test_tangent_test_matches_q_zeta_permutation_on_a_box(antiholomorphic,
                                                           tangents):
-    # every invertible matrix with entries 0 or a unit of Z[zeta], the
-    # domain of _tangent_permutation (AffineSymmetry and the search both
-    # require invertibility), against the Q(zeta) oracle
+    # all 2401 matrices with entries 0 or a unit of Z[zeta], singular ones
+    # included, against the Q(zeta) oracle
     entries = ((0, 0),) + _UNITS
     kept = 0
     for a11, a12, a21, a22 in itertools.product(entries, repeat=4):
-        if _zeta_mul(a11, a22) == _zeta_mul(a12, a21):
-            continue
         pairs = ((a11, a12), (a21, a22))
         linear = tuple(tuple(EisRat(*x) for x in row) for row in pairs)
         got = _tangent_permutation(pairs, antiholomorphic, tangents)
         assert got == line_permutation(linear, antiholomorphic, tangents)
+        # a singular matrix permutes no quadruple
+        assert got is None or _zeta_mul(a11, a22) != _zeta_mul(a12, a21)
         kept += got is not None
     # the box holds maps that permute the quadruple, not only rejections
     assert kept
+    # rows (y, -x), (y, -x), conjugated first when antiholomorphic, for the
+    # second direction (x, y): it goes to zero, which lies on every
+    # tangent, and the others to one line (on the ambient tangents without
+    # the distinctness test this gave (3, 1, 3, 3))
+    x, y = tangents[1]
+    row = (y, tuple(-c for c in x))
+    if antiholomorphic:
+        row = tuple((a + b, -b) for a, b in row)
+    linear = tuple(tuple(EisRat(*e) for e in r) for r in (row, row))
+    assert line_permutation(linear, antiholomorphic, tangents) is None
+    assert _tangent_permutation((row, row), antiholomorphic, tangents) is None
 
 
 def test_shear_conjugation_recovers_standard_generators():

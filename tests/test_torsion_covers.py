@@ -34,9 +34,9 @@ from hexcover.torsion_covers import (
 import golden
 from golden import EXPECTED
 from oracles import (ComplexLine, character_value, complex_line,
-                     first_doubled_kernel, hnf_index, mat_scale,
-                     q_zeta_torsion_on_curve, restricts_nontrivially,
-                     sympy_hnf)
+                     first_doubled_kernel, hermitian_value, hnf_index,
+                     mat_scale, q_zeta_torsion_on_curve,
+                     restricts_nontrivially, sympy_hnf)
 from strategies import eis_rationals
 
 
@@ -306,7 +306,7 @@ def test_2divisibility_witness_entry():
     v = catalog.COVER_LATTICE.vectors[1]
     w = catalog.COVER_LATTICE.vectors[2]
     witness = EXPECTED["characters.witness_parity"]
-    assert catalog.SUM_FORM.im_value(v, w) == witness
+    assert hermitian_value(catalog.SUM_FORM, v, w).im == witness
     alt = im_on_lattice(catalog.SUM_FORM, catalog.COVER_LATTICE)
     assert alt.matrix[1][2] == witness
 
