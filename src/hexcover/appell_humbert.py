@@ -41,8 +41,6 @@ from .eisenstein import (
     _rational,
     mat,
     mat_add,
-    mat_conj,
-    mat_transpose,
 )
 from .lattice import (
     AmbientVector,
@@ -117,7 +115,9 @@ class HermitianForm(_Immutable):
     """Conjugate-symmetric 2x2 matrix over Q(zeta), scaled by 1/sqrt(3).
 
     gram is its integer ambient Gram matrix (_ambient_gram), through
-    which im_on_lattice and translate evaluate Im h.
+    which im_on_lattice and translate evaluate Im h.  h is hermitian
+    exactly when gram is skew: k = h - h* is sesquilinear, with
+    Im k(v, w) = Im h(v, w) + Im h(w, v) and Re k(v, w) = Im k(iv, w).
     """
 
     __slots__ = ("matrix", "gram")
@@ -127,10 +127,11 @@ class HermitianForm(_Immutable):
         m = mat(matrix)
         if len(m) != 2 or any(len(r) != 2 for r in m):
             raise ValueError("hermitian forms here are 2x2")
-        if mat_conj(mat_transpose(m)) != m:
+        gram = _ambient_gram(m)
+        if gram[1] != tuple(tuple(-x for x in c) for c in zip(*gram[1])):
             raise ValueError("matrix is not conjugate-symmetric")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "gram", _ambient_gram(m))
+        object.__setattr__(self, "gram", gram)
 
     def scaled(self, c: Fraction) -> "HermitianForm":
         c = _rational(c)
@@ -449,6 +450,8 @@ def translate(bundle: LineBundleClass, v: AmbientVector) -> LineBundleClass:
     key = (gram, v)
     shifted = lattice._shifts.get(key)
     if shifted is None:
+        if not isinstance(v, AmbientVector):
+            raise TypeError(f"expected an AmbientVector, got {v!r}")
         den, e = gram
         d, x = integer_coordinates((v,))
         db, rows = lattice._integer

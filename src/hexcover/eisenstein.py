@@ -231,10 +231,6 @@ def mat_conj(A: EisMat) -> EisMat:
     return tuple(tuple(x.conjugate() for x in row) for row in A)
 
 
-def mat_transpose(A: EisMat) -> EisMat:
-    return tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0])))
-
-
 def mat_identity(n: int) -> EisMat:
     return tuple(tuple(EisRat(1 if i == j else 0) for j in range(n))
                  for i in range(n))
@@ -269,6 +265,13 @@ def _zeta_mul(x: ZetaPair, y: ZetaPair) -> ZetaPair:
     a, b = x
     c, d = y
     return (a * c - b * d, a * d + b * c + b * d)
+
+
+def _zeta_det(x, y) -> ZetaPair:
+    """x0*y1 - y0*x1, the determinant of the Z[zeta] rows x and y."""
+    a, b = _zeta_mul(x[0], y[1])
+    c, d = _zeta_mul(y[0], x[1])
+    return (a - c, b - d)
 
 
 def _zeta_pair(x: EisRat) -> ZetaPair:

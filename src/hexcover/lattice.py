@@ -8,10 +8,12 @@ arithmetic, hashing and comparison stay on ints.  Multiplication by zeta
 acts on each 2-block by the integer matrix J = [[0, -1], [1, 1]], which
 satisfies J**2 = J - 1.
 
-_int_product is the package's one integer matrix product.  Loops stay
-written out only where they are hot or over another ring: _gauss_jordan,
-_solve, Semicharacter._numerator and the Z[zeta] pair loops _zeta_mul,
-_pair_product and _tangent_permutation.
+_int_product is the package's one integer matrix product; over Z[zeta]
+the kernels are eisenstein's _zeta_mul, _zeta_det and _pair_product.  Loops
+stay written out only where they are hot or over another ring:
+_gauss_jordan, _solve, Semicharacter._numerator, the pair loops of
+_zeta_mul and _pair_product, and the generator search's per-candidate
+loops _tangent_permutation, _first_tangent_pairs and _unit_det_walk.
 """
 
 from __future__ import annotations
@@ -279,6 +281,8 @@ def _solve(reference: LatticeBasis, v: AmbientVector):
     basis' _solver: the coordinates are integers over one denominator, so
     they are a lattice vector's exactly when that denominator divides each
     of them, and then the one integer tuple is both."""
+    if not isinstance(v, AmbientVector):  # on a miss only: hits stay free
+        raise TypeError(f"expected an AmbientVector, got {v!r}")
     den, inverse = reference._solver
     den *= v._den
     # written out: every coords_in miss runs it, and a call would cost more

@@ -10,11 +10,10 @@ the complement of the contracted elliptic curves.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple
 
-from .eisenstein import _Immutable
+from .eisenstein import Rat, _Immutable, _ratio
 
 
 class NonIntegral(ValueError):
@@ -50,7 +49,7 @@ class SingularityProfile(_Immutable):
 
 
 class ResolutionInvariants(NamedTuple):
-    chi: Fraction
+    chi: Rat
     k2: int
 
 
@@ -58,14 +57,12 @@ def resolution_invariants(profile: SingularityProfile) -> ResolutionInvariants:
     """Invariants of the canonical resolution of the double cover.
 
     chi = (L^2 - sum m_i(m_i - 1)) / 2 and K^2 = 2 L^2 - 2 sum (m_i - 1)^2.
-    A fractional chi is returned as-is, as a Fraction; it marks profiles
-    that cannot come from an actual cover.
+    A fractional chi is returned as a Fraction (eisenstein._ratio); it
+    marks profiles that cannot come from an actual cover.
     """
     mults = profile.multiplicities
-    chi = Fraction(profile.l2 - sum(m * (m - 1) for m in mults), 2)
+    chi = _ratio(profile.l2 - sum(m * (m - 1) for m in mults), 2)
     k2 = 2 * profile.l2 - 2 * sum((m - 1) ** 2 for m in mults)
-    if chi.denominator == 1:
-        chi = int(chi)
     return ResolutionInvariants(chi, k2)
 
 
@@ -109,10 +106,10 @@ def product_quotient_invariants(g: int, group_order: int) -> tuple[int, int]:
         raise ValueError("the curve must have genus at least 2")
     if group_order < 1:
         raise ValueError("group order must be positive")
-    chi = Fraction((g - 1) ** 2, group_order)
-    if chi.denominator != 1:
+    chi, rest = divmod((g - 1) ** 2, group_order)
+    if rest:
         raise NonIntegral(f"(g - 1)^2 = {(g - 1) ** 2} is not divisible by {group_order}")
-    return int(chi), 8 * int(chi)
+    return chi, 8 * chi
 
 
 def ball_quotient_check(k2: int, chi: int) -> bool:

@@ -26,6 +26,7 @@ from .eisenstein import (
     _Immutable,
     _cleared,
     _pair_product,
+    _zeta_det,
     _zeta_mul,
     inv2,
     mat,
@@ -80,10 +81,9 @@ class AffineSymmetry(_Immutable):
         linear = mat(linear)
         if len(linear) != 2 or any(len(row) != 2 for row in linear):
             raise ValueError("the linear part must be a 2x2 matrix")
-        # invertible exactly when det = a11*a22 - a12*a21 is nonzero, tested
-        # on the Z[zeta] pairs of the matrix cleared of denominators
-        _, ((a11, a12), (a21, a22)) = _cleared(linear)
-        if _zeta_mul(a11, a22) == _zeta_mul(a12, a21):
+        # invertible exactly when the determinant is nonzero, tested on the
+        # Z[zeta] pairs of the matrix cleared of denominators
+        if _zeta_det(*_cleared(linear)[1]) == (0, 0):
             raise ValueError("the linear part must be invertible")
         if (type(antiholomorphic) is not bool
                 or not isinstance(translation, AmbientVector)):
@@ -118,36 +118,31 @@ def rational_rep(g: AffineSymmetry, basis: LatticeBasis):
     return rows
 
 
-# A lattice map (R, t) is an affine symmetry g in the coordinates of a
-# lattice basis: coordinates n go to R n + t, with R = rational_rep(g, basis)
-# the integer matrix of g's real-linear part and t the coordinates of g's
-# translation.
+# A lattice map is an affine symmetry g in the coordinates of a lattice
+# basis: coordinates n go to R n + t, with R = rational_rep(g, basis) the
+# integer matrix of g's real-linear part and t the coordinates of g's
+# translation.  It is kept as the augmented 5x5 matrix [[R, t], [0, 1]], so
+# the map of f after h is the product _int_product(f, h); R is the matrix
+# of the real-linear part, so this holds for an anti-holomorphic f too.
 
 
 def _lattice_map(g: AffineSymmetry, basis: LatticeBasis):
-    """The lattice map (R, t) of g on the basis."""
-    return rational_rep(g, basis), coords_in(basis, g.translation)
+    """The lattice map of g on the basis, as [[R, t], [0, 1]]; t may hold
+    Fractions."""
+    shift = coords_in(basis, g.translation)
+    return (*(row + (t,) for row, t in zip(rational_rep(g, basis), shift)),
+            (0, 0, 0, 0, 1))
 
 
-_IDENTITY_MAP = (tuple(tuple(int(i == j) for j in range(4)) for i in range(4)),
-                 (0, 0, 0, 0))
-
-
-def _compose_maps(f, h):
-    """The lattice map of f after h: (R_f R_h, R_f t_h + t_f).  R is the
-    matrix of the real-linear part, so this holds for an anti-holomorphic
-    f too."""
-    (rf, tf), (rh, th) = f, h
-    moved = _int_product(rf, tuple(zip(th)))  # t_h as a one-column matrix
-    return (_int_product(rf, rh),
-            tuple(x + t for (x,), t in zip(moved, tf)))
+_IDENTITY_MAP = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
 
 
 def _same_map(f, h) -> bool:
     """Equality as maps of the torus: the same R, and translations that
-    differ by a lattice vector."""
-    return f[0] == h[0] and all((a - b).denominator == 1
-                                for a, b in zip(f[1], h[1]))
+    differ by a lattice vector (read off the denominator, as a Fraction
+    sum may leave an integer a Fraction)."""
+    return all(a[:4] == b[:4] and (a[4] - b[4]).denominator == 1
+               for a, b in zip(f, h))
 
 
 _SHEAR_INVERSE = inv2(catalog.FRAME_SHEAR)
@@ -218,20 +213,15 @@ def cross_ratio(p1, p2, p3, p4) -> EisRat:
     """((p1-p3)(p2-p4)) / ((p2-p3)(p1-p4)) for four points of the projective
     line, each the Z[zeta] pairs of a direction (x, y).
 
-    The difference of p and q is the determinant px*qy - qx*py, which
+    The difference of p and q is the determinant _zeta_det(p, q), which
     vanishes exactly when the two directions are proportional or one of
     them is zero, that is when the quadruple repeats a point.
     """
-    def d(p, q):
-        (px, py), (qx, qy) = p, q
-        ux, uy = _zeta_mul(px, qy)
-        vx, vy = _zeta_mul(qx, py)
-        return ux - vx, uy - vy
-
-    if any(d(p, q) == (0, 0) for p, q in combinations((p1, p2, p3, p4), 2)):
+    if any(_zeta_det(p, q) == (0, 0)
+           for p, q in combinations((p1, p2, p3, p4), 2)):
         raise DegenerateQuadruple("repeated point in the quadruple")
-    return (EisRat(*_zeta_mul(d(p1, p3), d(p2, p4)))
-            / EisRat(*_zeta_mul(d(p2, p3), d(p1, p4))))
+    return (EisRat(*_zeta_mul(_zeta_det(p1, p3), _zeta_det(p2, p4)))
+            / EisRat(*_zeta_mul(_zeta_det(p2, p3), _zeta_det(p1, p4))))
 
 
 def pull_back(g: AffineSymmetry, bundle: LineBundleClass) -> LineBundleClass:
@@ -399,34 +389,33 @@ def verify_presentation(g2: AffineSymmetry, g3: AffineSymmetry) -> bool:
             for g in (g2, g3, NEGATION, BASE_POINT_SWAP, ANTIHOLO_REFLECTION)]
     except NotLatticePreserving:
         return False
-    ab = _compose_maps(a, b)
-    return (_same_map(_compose_maps(a, a), neg)
-            and _same_map(_compose_maps(b, _compose_maps(b, b)), neg)
-            and _same_map(_compose_maps(ab, _compose_maps(ab, ab)), neg)
-            and _same_map(_compose_maps(neg, neg), _IDENTITY_MAP)
-            and _same_map(_compose_maps(swap, refl),
-                          _compose_maps(refl, swap)))
+    ab = _int_product(a, b)
+    return (_same_map(_int_product(a, a), neg)
+            and _same_map(_int_product(b, _int_product(b, b)), neg)
+            and _same_map(_int_product(ab, _int_product(ab, ab)), neg)
+            and _same_map(_int_product(neg, neg), _IDENTITY_MAP)
+            and _same_map(_int_product(swap, refl),
+                          _int_product(refl, swap)))
 
 
 def gamma_action_on_sigma() -> Permutation:
     """Permutation of the three selected characters under the order-3
     symmetry of the product surface.
 
-    The symmetry acts on the product lattice by R = rational_rep, so a
-    character pulls back to its values on the columns of R."""
+    The symmetry acts on the product lattice by the R block of its lattice
+    map, so a character pulls back to its values on the columns of R."""
     g = PRODUCT_ORDER3
-    basis = catalog.PRODUCT_LATTICE
-    rotation = _lattice_map(g, basis)
-    rep, shift = rotation
-    cube, _ = _compose_maps(rotation, _compose_maps(rotation, rotation))
-    if cube != _IDENTITY_MAP[0] or any(x.denominator != 1 for x in shift):
+    rotation = _lattice_map(g, catalog.PRODUCT_LATTICE)
+    cube = _int_product(rotation, _int_product(rotation, rotation))
+    if ([row[:4] for row in cube] != [row[:4] for row in _IDENTITY_MAP]
+            or any(row[4].denominator != 1 for row in rotation)):
         raise NotOfOrderThree("product symmetry is not of order 3")
     if _tangent_permutation(_cleared(g.linear)[1], False,
                             catalog.CURVE_LINES) is None:
         raise NotDivisorPreserving("product symmetry moves the tangent lines")
     chars = all_characters()
     selected = classify_characters().selected
-    columns = tuple(zip(*rep))
+    columns = tuple(zip(*rotation[:4]))[:4]
     images = []
     for k in selected:
         pulled = CharacterMod2(chars[k].value_on_coords(col)

@@ -451,10 +451,19 @@ def q_zeta_push_vector(f, v, conjugate_first):
 
 def q_zeta_pulled_form(m, f, conjugate):
     """f^T . m . conj(f) by two mat_mul calls, conjugated when conjugate."""
-    from hexcover.eisenstein import mat_conj, mat_mul, mat_transpose
+    from hexcover.eisenstein import mat_conj, mat_mul
 
-    t = mat_mul(mat_mul(mat_transpose(f), m), mat_conj(f))
+    t = mat_mul(mat_mul(tuple(zip(*f)), m), mat_conj(f))
     return mat_conj(t) if conjugate else t
+
+
+def is_conjugate_symmetric(m):
+    """Whether the Q(zeta) matrix m equals its conjugate transpose, by
+    mat_conj on the transpose."""
+    from hexcover.eisenstein import mat, mat_conj
+
+    m = mat(m)
+    return mat_conj(tuple(zip(*m))) == m
 
 
 def q_zeta_pull_back(g, bundle):

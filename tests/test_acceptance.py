@@ -8,6 +8,9 @@ import itertools
 import random
 from fractions import Fraction
 
+import sympy
+from sympy.matrices.normalforms import smith_normal_form
+
 from hexcover import catalog
 from hexcover.appell_humbert import (
     HermitianForm,
@@ -30,6 +33,7 @@ from hexcover.surface_invariants import (
 )
 from hexcover.symmetry import (
     ANTIHOLO_REFLECTION,
+    AffineSymmetry,
     BASE_POINT_SWAP,
     NEGATION,
     ORDER4_SYMMETRY,
@@ -220,6 +224,39 @@ def test_headline_claim_needs_a_witness():
     assert (chi, k2) == (1, 8)
     e = 12 * chi - k2
     assert e == 4 and k2 == 2 * e
+
+
+def test_rigidity_the_curves_span_neron_severi():
+    # NS(A) is the integral alternating forms E on the product lattice with
+    # E(zeta v, zeta w) = E(v, w), that is Z^T E Z = E for Z the lattice map
+    # of multiplication by zeta: a kernel in the six entries above the
+    # diagonal (Birkenhake-Lange, 2.2)
+    z = sympy.Matrix(rational_rep(AffineSymmetry([[ZETA, 0], [0, ZETA]]),
+                                  catalog.PRODUCT_LATTICE))
+    pairs = list(itertools.combinations(range(4), 2))
+
+    def alternating(upper):
+        e = sympy.zeros(4, 4)
+        for (i, j), x in zip(pairs, upper):
+            e[i, j], e[j, i] = x, -x
+        return e
+
+    columns = []
+    for k in range(6):
+        e = alternating([int(i == k) for i in range(6)])
+        moved = z.T * e * z - e
+        columns.append([moved[i, j] for i, j in pairs])
+    system = sympy.Matrix(columns).T
+    # rho(A) = 4, the largest Picard number of an abelian surface
+    assert len(system.nullspace()) == 4
+    # the four curve forms lie in NS(A), and their Smith normal form is
+    # diag(1, 1, 1, 1), so they span a saturated rank-4 sublattice of the
+    # integral points of the kernel: a Z-basis of NS(A)
+    curves = sympy.Matrix([im_on_lattice(h, catalog.PRODUCT_LATTICE)
+                           .upper_triangle() for h in CURVE_FORMS])
+    assert (system * curves.T).is_zero_matrix
+    assert smith_normal_form(curves, domain=sympy.ZZ) == \
+        sympy.Matrix.hstack(sympy.eye(4), sympy.zeros(4, 2))
 
 
 def test_criterion_9_cross_module_consistency():

@@ -28,8 +28,8 @@ from hexcover.appell_humbert import (
     tensor,
     translate,
 )
-from hexcover.eisenstein import ZETA, EisRat, mat, mat_identity
-from hexcover.lattice import AmbientVector, LatticeBasis
+from hexcover.eisenstein import ZETA, EisRat, _zeta_det, mat, mat_identity
+from hexcover.lattice import AmbientVector, LatticeBasis, coords_in
 
 import golden
 from golden import EXPECTED
@@ -39,13 +39,14 @@ from oracles import (
     cocycle_eval_right,
     fraction_eval_coords,
     hermitian_value,
+    is_conjugate_symmetric,
     pfaffian4_from_upper,
     q_zeta_pulled_form,
     symmetric_semichar_from_multiplicities,
     sympy_det,
 )
-from strategies import (ambient_vectors, eis_matrices, hermitian_forms,
-                        lattice_bases)
+from strategies import (ambient_vectors, eis_matrices, eis_rationals,
+                        hermitian_forms, lattice_bases, rationals)
 
 # the sixteen square roots of the cover branch bundle, in canonical order
 ROOTS = square_roots(catalog.BRANCH_COVER)
@@ -76,6 +77,34 @@ def test_hermitian_constructor_rejects_asymmetric():
         HermitianForm([[0, 1], [0, 0]])
     # conjugate-symmetric with zeta entries is accepted
     HermitianForm([[2, EisRat(0, -2)], [EisRat(-2, 2), 2]])
+
+
+@st.composite
+def _nearly_hermitian(draw):
+    """A 2x2 matrix over Q(zeta): a third of the draws conjugate-symmetric,
+    a third conjugate-symmetric but for one entry moved by a nonzero
+    amount (which a real amount on the diagonal keeps symmetric), and a
+    third arbitrary."""
+    kind = draw(st.sampled_from(("hermitian", "moved", "arbitrary")))
+    if kind == "arbitrary":
+        return draw(eis_matrices)
+    off = draw(eis_rationals)
+    m = [[EisRat(draw(rationals)), off],
+         [off.conjugate(), EisRat(draw(rationals))]]
+    if kind == "moved":
+        i, j = draw(st.sampled_from(((0, 0), (0, 1), (1, 0), (1, 1))))
+        m[i][j] += draw(eis_rationals.filter(bool))
+    return m
+
+
+@given(_nearly_hermitian())
+def test_hermitian_test_matches_conjugate_transpose(m):
+    # the constructor tests that the integer Gram of Im h is skew
+    if is_conjugate_symmetric(m):
+        assert HermitianForm(m).matrix == mat(m)
+    else:
+        with pytest.raises(ValueError, match="not conjugate-symmetric"):
+            HermitianForm(m)
 
 
 def test_curve_bundle_forms_match_published_matrices():
@@ -225,6 +254,44 @@ def test_intersection_gram_matrices():
                                catalog.PRODUCT_LATTICE) == 0
 
 
+def _curve_form(direction):
+    """The form of the elliptic curve through 0 with tangent direction
+    (u, v), given as Z[zeta] pairs: GENUS1_THETA pulled back along
+    (z1, z2) -> (0, v*z1 - u*z2), whose kernel is that curve."""
+    u, v = (EisRat(*x) for x in direction)
+    return pullback_hom(catalog.GENUS1_THETA, mat([[0, 0], [v, -u]]),
+                        catalog.PRODUCT_LATTICE).form
+
+
+def _kani(p, q):
+    """N(ad - bc) for the directions p = (a, b) and q = (c, d)."""
+    return EisRat(*_zeta_det(p, q)).norm()
+
+
+def test_kani_formula_on_the_four_curves():
+    # E_(a:b) . E_(c:d) = N(ad - bc) (Kani, Manuscripta Math. 84, 1994):
+    # pairwise unit determinants, so the Gram is J - I
+    lines = catalog.CURVE_LINES
+    assert tuple(map(_curve_form, lines)) == CURVE_FORMS
+    gram = [[_kani(p, q) for q in lines] for p in lines]
+    assert gram == [[int(i != j) for j in range(4)] for i in range(4)]
+    assert gram == [[intersection_number(hi, hj, catalog.PRODUCT_LATTICE)
+                     for hj in CURVE_FORMS] for hi in CURVE_FORMS]
+
+
+_small_integers = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+# the primitive directions (1 : x) and (x : 1)
+_primitive_directions = st.builds(
+    lambda x, first: (x, (1, 0)) if first else ((1, 0), x),
+    _small_integers, st.booleans())
+
+
+@given(_primitive_directions, _primitive_directions)
+def test_kani_formula_on_primitive_directions(p, q):
+    assert intersection_number(_curve_form(p), _curve_form(q),
+                               catalog.PRODUCT_LATTICE) == _kani(p, q)
+
+
 def test_intersection_rejects_nonintegral():
     half = catalog.SUM_FORM.scaled(Fraction(1, 2))
     with pytest.raises(NotIntegral):
@@ -359,6 +426,16 @@ def test_translate_by_lattice_vector_is_identity():
     bundle = catalog.BRANCH_COVER
     for v in catalog.COVER_LATTICE.vectors:
         assert translate(bundle, v) == bundle
+
+
+@pytest.mark.parametrize("solve", [
+    lambda v: coords_in(catalog.COVER_LATTICE, v),
+    lambda v: translate(catalog.BRANCH_COVER, v),
+], ids=["coords_in", "translate"])
+@pytest.mark.parametrize("bad", [(0, 1, 0, 0), None], ids=["tuple", "none"])
+def test_vector_arguments_must_be_ambient_vectors(solve, bad):
+    with pytest.raises(TypeError, match="expected an AmbientVector"):
+        solve(bad)
 
 
 def test_translate_composes():

@@ -35,6 +35,24 @@ SECTION_COMMANDS = {
 }
 
 
+def _non_json(value):
+    """The parts of value that are not a list, an int, a bool or a str, by
+    exact type; lists are walked."""
+    if type(value) is list:
+        return [x for v in value for x in _non_json(v)]
+    return [] if type(value) in (int, bool, str) else [value]
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_every_computed_row_is_a_json_value(bound):
+    # the rows are compared with the expected values as they are built, so
+    # a tuple or a Fraction in a row must fail here, not as a FAIL line
+    rows = cli._build_rows(cli._COMMANDS["verify-all"][1], bound)
+    assert len(rows) == 49
+    assert [(check_id, x) for check_id, value in rows
+            for x in _non_json(value)] == []
+
+
 def run_cli(capsys, *args):
     code = main(list(args))
     return code, capsys.readouterr().out

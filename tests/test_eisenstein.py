@@ -16,6 +16,7 @@ from hexcover.eisenstein import (
     _gf3_residues,
     _ratio,
     _rational,
+    _zeta_det,
     as_eis,
     det2,
     inv2,
@@ -24,7 +25,6 @@ from hexcover.eisenstein import (
     mat_conj,
     mat_identity,
     mat_mul,
-    mat_transpose,
 )
 
 from oracles import (ReIm, close, eisrat_mat_mul, exact,
@@ -234,7 +234,7 @@ def test_matrix_helpers():
     # check one entry by hand: (1*zeta + zeta*(1-zeta)) = zeta + zeta - zeta^2
     assert ab[0][0] == ZETA + ZETA - ZETA * ZETA
     assert mat_mul(a, mat_identity(2)) == a
-    assert mat_transpose(mat_transpose(a)) == a
+    assert tuple(zip(*zip(*a))) == a
     assert mat_conj(mat_conj(b)) == b
     assert det2(mat_mul(a, b)) == det2(a) * det2(b)
     assert mat_mul(a, inv2(a)) == mat_identity(2)
@@ -243,9 +243,20 @@ def test_matrix_helpers():
     assert as_eis(Fraction(1, 2)) == EisRat(Fraction(1, 2))
 
 
+zeta_pairs = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+
+
+@given(st.tuples(zeta_pairs, zeta_pairs), st.tuples(zeta_pairs, zeta_pairs))
+def test_zeta_det_matches_eisrat_determinant(x, y):
+    rows = tuple(tuple(EisRat(*p) for p in row) for row in (x, y))
+    assert EisRat(*_zeta_det(x, y)) == det2(rows)
+    # rows or columns: the transpose has the same determinant
+    assert _zeta_det(x, y) == _zeta_det(*zip(x, y))
+
+
 def test_rectangular_shapes():
     f = mat([[ZETA, -1]])           # 1x2 row
-    col = mat_transpose(f)          # 2x1
+    col = tuple(zip(*f))            # 2x1
     prod = mat_mul(col, f)          # 2x2
     assert prod[0][1] == ZETA * EisRat(-1)
     assert mat_apply(f, (EisRat(1), EisRat(1))) == (ZETA - 1,)

@@ -150,8 +150,8 @@ def test_map_coordinates_matches_fraction_oracle(den, rows, vectors):
 @st.composite
 def _product_factors(draw):
     """Two matrices of matching shapes with int entries, or with int and
-    Fraction entries mixed; the shapes include the row-times-square and
-    square-times-column products of translate and _compose_maps."""
+    Fraction entries mixed; the shapes include the row-times-square
+    product of translate and a square-times-column product."""
     n, k, m = draw(st.one_of(st.sampled_from([(1, 4, 4), (4, 4, 1),
                                               (4, 4, 4), (16, 4, 2)]),
                              st.tuples(*[st.integers(1, 5)] * 3)))
@@ -163,7 +163,18 @@ def _product_factors(draw):
                  for rows, cols in ((n, k), (k, m)))
 
 
-@given(_product_factors())
+@st.composite
+def _augmented_maps(draw):
+    """Two 5x5 lattice maps [[R, t], [0, 1]] with int R and a last column
+    t of ints and Fractions, as symmetry composes them."""
+    def augmented():
+        return tuple([tuple(draw(st.integers(-5, 5)) for _ in range(4))
+                      + (draw(st.one_of(st.integers(-5, 5), rationals)),)
+                      for _ in range(4)]) + ((0, 0, 0, 0, 1),)
+    return augmented(), augmented()
+
+
+@given(st.one_of(_product_factors(), _augmented_maps()))
 def test_int_product_matches_sympy(factors):
     a, b = factors
     got = _int_product(a, b)

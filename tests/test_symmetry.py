@@ -11,7 +11,7 @@ from hexcover import catalog, symmetry
 from hexcover.eisenstein import (EisRat, _cleared, _gf3_residues, _zeta_mul,
                                  _zeta_pair, det2, inv2, mat, mat_conj,
                                  mat_identity, mat_mul)
-from hexcover.lattice import AmbientVector, LatticeBasis, coords_in
+from hexcover.lattice import AmbientVector, LatticeBasis, _int_product
 from hexcover.permgroup import PermGroup, Permutation
 from hexcover.symmetry import (
     ANTIHOLO_REFLECTION,
@@ -29,7 +29,6 @@ from hexcover.symmetry import (
     _SEARCH_TARGETS,
     _TILTED_TANGENT_PAIRS,
     _UNITS,
-    _compose_maps,
     _entry_domains,
     _first_tangent_pairs,
     _lattice_map,
@@ -730,7 +729,7 @@ def _word_maps(word, basis):
     """The word composed as AffineSymmetry objects, by the Q(zeta)
     formula, and as lattice maps."""
     return (functools.reduce(formula_compose, word),
-            functools.reduce(_compose_maps,
+            functools.reduce(_int_product,
                              [_lattice_map(g, basis) for g in word]))
 
 
@@ -744,7 +743,7 @@ def test_lattice_maps_match_affine_composition(letters, relations, basis,
                                                data):
     word, other = data.draw(symmetry_words(letters, relations))
     g, composed = _word_maps(word, basis)
-    assert composed == (rational_rep(g, basis), coords_in(basis, g.translation))
+    assert composed == _lattice_map(g, basis)
     h, other_composed = _word_maps(other, basis)
     assert _same_map(composed, other_composed) == maps_equal(g, h, basis)
 

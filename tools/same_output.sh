@@ -53,6 +53,12 @@ commands=(
     # conjugates back to the standard frame and the sum of the curve forms
     "search-aut --bound 3 --perturb search.ambient_conjugates --json"
     "tables --perturb tables.branch_form_sum --json"
+    # the failure paths of the rows that lattice maps and the rational rule
+    # compute: the bool of verify_presentation, the rotation's permutation
+    # from gamma_action_on_sigma and the product-quotient invariants
+    "search-aut --perturb search.presentation --json"
+    "search-aut --perturb search.rotation_cycle --json"
+    "invariants --perturb invariants.product_quotient --json"
     # the help text, before and after the command
     "--help"
     "tables -h"
