@@ -175,15 +175,14 @@ class AltFormOnLattice(_Immutable):
     def is_integral(self) -> bool:
         return self._integral
 
+    def is_even(self) -> bool:
+        """Whether every entry is an even integer, that is, whether the
+        form halves on the lattice (square_roots, check_2divisible)."""
+        return self._integral and not any(x % 2 for x in self.upper_triangle())
+
     def upper_triangle(self) -> Tuple[Rat, ...]:
         return tuple(self.matrix[i][j]
                      for i in range(4) for j in range(i + 1, 4))
-
-    def scaled(self, c: Fraction) -> "AltFormOnLattice":
-        c = _rational(c)
-        return AltFormOnLattice(self.lattice,
-                                tuple(tuple(x * c for x in row)
-                                      for row in self.matrix))
 
     def __add__(self, other: "AltFormOnLattice") -> "AltFormOnLattice":
         if not isinstance(other, AltFormOnLattice):
@@ -476,8 +475,7 @@ def square_roots(bundle: LineBundleClass) -> List[LineBundleClass]:
     [0, 1/2); the rest multiply it by the nontrivial order-2 characters in
     the fixed published ordering.
     """
-    half_alt = bundle.character.form.scaled(Fraction(1, 2))
-    if not half_alt.is_integral():
+    if not bundle.character.form.is_even():
         return []
     half_form = bundle.form.scaled(Fraction(1, 2))
     # over 2 * den, the first root's numerators are those of the bundle and

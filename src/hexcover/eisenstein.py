@@ -72,14 +72,11 @@ class EisRat(_Immutable):
     """a + b*zeta with exact rational a, b, each in the canonical form of
     _rational: an int when it is integral, else a Fraction."""
 
-    __slots__ = ("a", "b", "_hash")
+    __slots__ = ("a", "b")
 
     def __init__(self, a: Rat = 0, b: Rat = 0) -> None:
         object.__setattr__(self, "a", _rational(a))
         object.__setattr__(self, "b", _rational(b))
-        # hash computed on first use: matrices of EisRat key the pullback
-        # plans, which are looked up once per bundle pulled back
-        object.__setattr__(self, "_hash", None)
 
     @staticmethod
     def _coerce(x: object) -> "EisRat | None":
@@ -96,12 +93,8 @@ class EisRat(_Immutable):
         return self.a == o.a and self.b == o.b
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            # a rational hashes as the int or Fraction it equals
-            h = hash((self.a, self.b)) if self.b else hash(self.a)
-            object.__setattr__(self, "_hash", h)
-        return h
+        # a rational hashes as the int or Fraction it equals
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
@@ -181,9 +174,9 @@ def as_eis(x: object) -> EisRat:
 
 def mat(rows: Sequence[Sequence[object]]) -> EisMat:
     """rows as a tuple of EisRat row tuples.  A tuple of such rows is
-    returned as it is, after one scan of its entry types; otherwise a row
-    that is one already is reused and every other row is built entry by
-    entry through as_eis, so a float, a bool or a string raises TypeError.
+    returned as it is, after one scan of its entry types; anything else is
+    built entry by entry through as_eis, so a float, a bool or a string
+    raises TypeError.
 
     The row lengths are not checked, so a ragged matrix passes: the
     generator search calls mat once per unit-determinant candidate,
@@ -202,11 +195,7 @@ def mat(rows: Sequence[Sequence[object]]) -> EisMat:
             break
         else:
             return rows
-    return tuple([row if type(row) is tuple
-                  and all(type(x) is EisRat for x in row)
-                  else tuple([x if type(x) is EisRat else as_eis(x)
-                              for x in row])
-                  for row in rows])
+    return tuple(tuple(as_eis(x) for x in row) for row in rows)
 
 
 def mat_mul(A: EisMat, B: EisMat) -> EisMat:

@@ -105,10 +105,7 @@ def check_2divisible(chi: CharacterMod2) -> bool:
     Restricts the imaginary part of the branch form to ker(chi) and asks for
     every entry to be even.
     """
-    if chi.is_trivial:
-        raise TrivialCharacter("divisibility test needs a nontrivial character")
-    alt = im_on_lattice(catalog.SUM_FORM, kernel_lattice(chi))
-    return all(x % 2 == 0 for x in alt.upper_triangle())
+    return im_on_lattice(catalog.SUM_FORM, kernel_lattice(chi)).is_even()
 
 
 class CharacterClassification(_Immutable):

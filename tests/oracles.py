@@ -77,6 +77,12 @@ def exact(x) -> Fraction:
     return Fraction(x)
 
 
+def halves_integrally(matrix) -> bool:
+    """Whether x / 2 is an integer for every entry x of matrix, computed
+    in Fractions: the 2-divisibility of a form on a lattice."""
+    return all((exact(x) / 2).denominator == 1 for row in matrix for x in row)
+
+
 def to_complex(x) -> complex:
     """Numeric embedding of an (a, b) pair or EisRat-like object."""
     return float(x.a) + float(x.b) * ZETA_C

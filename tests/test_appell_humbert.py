@@ -38,6 +38,7 @@ from oracles import (
     cocycle_eval_left,
     cocycle_eval_right,
     fraction_eval_coords,
+    halves_integrally,
     hermitian_value,
     is_conjugate_symmetric,
     pfaffian4_from_upper,
@@ -560,7 +561,8 @@ def test_square_roots_require_rank_4():
 
 
 def test_semicharacter_requires_integral_form():
-    alt = catalog.BRANCH_PRODUCT.character.form.scaled(Fraction(1, 2))
+    bundle = catalog.BRANCH_PRODUCT
+    alt = im_on_lattice(bundle.form.scaled(Fraction(1, 2)), bundle.lattice)
     with pytest.raises(NotIntegral):
         Semicharacter([0, 0, 0, 0], alt)
 
@@ -574,12 +576,9 @@ def test_semicharacter_rejects_non_rational_exponents(bad):
 
 @pytest.mark.parametrize("bad", [0.5, "1/2", True])
 def test_forms_reject_non_rational_entries_and_scales(bad):
-    alt = catalog.BRANCH_PRODUCT.character.form
     with pytest.raises(TypeError):
         AltFormOnLattice(catalog.PRODUCT_LATTICE,
                          [[0, bad, 0, 0], [-1, 0, 0, 0], [0] * 4, [0] * 4])
-    with pytest.raises(TypeError):
-        alt.scaled(bad)
     with pytest.raises(TypeError):
         catalog.SUM_FORM.scaled(bad)
 
@@ -684,6 +683,29 @@ def integral_alt_forms(draw):
     return AltFormOnLattice(lattice, m)
 
 
+@st.composite
+def alt_forms_even_or_not(draw):
+    """Alternating forms on the product basis with int and Fraction
+    entries; in about half of the draws every entry is even."""
+    even = draw(st.booleans())
+    m = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if even:
+                wrap = draw(st.sampled_from((int, Fraction)))
+                x = wrap(2 * draw(st.integers(-3, 3)))
+            else:
+                x = Fraction(draw(st.integers(-6, 6)),
+                             draw(st.sampled_from((1, 2, 3))))
+            m[i][j], m[j][i] = x, -x
+    return AltFormOnLattice(catalog.PRODUCT_LATTICE, m)
+
+
+@given(alt_forms_even_or_not())
+def test_is_even_matches_halving_oracle(alt):
+    assert alt.is_even() == halves_integrally(alt.matrix)
+
+
 @given(integral_alt_forms(), st.data())
 def test_eval_coords_matches_fraction_oracle(alt, data):
     exps = data.draw(_EXPONENT_LISTS)
@@ -721,7 +743,7 @@ def test_validation_still_runs_on_a_warm_cache():
     form = catalog.SUM_FORM
     right = im_on_lattice(form, lattice)
     LineBundleClass(form, Semicharacter([0, 0, 0, 0], right))
-    wrong = right.scaled(2)
+    wrong = im_on_lattice(form.scaled(2), lattice)
     with pytest.raises(LatticeMismatch):
         LineBundleClass(form, Semicharacter([0, 0, 0, 0], wrong))
 
@@ -867,7 +889,8 @@ def test_semicharacter_errors_match_fraction_oracle(make):
     reordered = LatticeBasis(reversed(lattice.vectors))
     alt_reordered = AltFormOnLattice(reordered, alt.matrix)
     with pytest.raises(NotIntegral):
-        make([0, 0, 0, 0], alt.scaled(Fraction(1, 2)))
+        make([0, 0, 0, 0], im_on_lattice(
+            catalog.BRANCH_PRODUCT.form.scaled(Fraction(1, 2)), lattice))
     with pytest.raises(ValueError, match="one exponent per basis vector"):
         make([0, 0, 0], alt)
     chi = make([0, 1, 0, 0], alt)

@@ -115,11 +115,10 @@ def test_mat_builds_equal_tuple_matrices(rows):
     assert all(type(x) is EisRat for row in m for x in row)
 
 
-def test_mat_reuses_only_rows_that_are_eisrat_tuples():
+def test_mat_builds_mixed_rows_entry_by_entry():
     row = (ZETA, EisRat(1))
     m = mat((row, [ZETA, 1], (ZETA, 1)))
-    assert m[0] is row
-    assert m[1] == m[2] == row
+    assert m == (row, row, row)
     # a mat built from a mat is the same matrix, row for row
     assert all(a is b for a, b in zip(mat(m), m))
     for bad in ([[1.0]], ((ZETA, 0.5),), [["1"]]):
@@ -495,7 +494,7 @@ def _value_cases():
         (alt, AltFormOnLattice(LatticeBasis.from_rows(rows),
                                [list(row) for row in alt.matrix]),
          AltFormOnLattice(catalog.COVER_LATTICE, alt.matrix),
-         alt.scaled(2)),
+         im_on_lattice(bundle.form.scaled(2), bundle.lattice)),
         # (1/4, ...) has the numerators of (1/2, ...) over another
         # denominator
         (bundle.character, Semicharacter((0, half, 0, half), alt),

@@ -322,10 +322,14 @@ def test_excluded_characters_have_odd_entry():
 
 
 def test_square_root_count_per_character():
+    # the characters section's 2-divisibility test and the orbits section's
+    # square roots agree on every cover: 16 roots where the form halves,
+    # none elsewhere
     for k in range(1, 16):
         pulled = pullback_hom(catalog.BRANCH_PRODUCT, mat_identity(2),
                               kernel_lattice(CHARS[k]))
         n = len(square_roots(pulled))
+        assert n == (16 if check_2divisible(CHARS[k]) else 0)
         assert n == (16 if k in SELECTED else 0)
 
 

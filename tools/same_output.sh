@@ -59,6 +59,10 @@ commands=(
     "search-aut --perturb search.presentation --json"
     "search-aut --perturb search.rotation_cycle --json"
     "invariants --perturb invariants.product_quotient --json"
+    # the failure paths of the two rows that AltFormOnLattice.is_even
+    # decides: check_2divisible per character and square_roots' count
+    "characters --perturb characters.divisible_flags --json"
+    "orbits --perturb orbits.product_root_count --json"
     # the help text, before and after the command
     "--help"
     "tables -h"
