@@ -147,6 +147,11 @@ class HermitianForm(_Immutable):
         return f"HermitianForm({self.matrix!r})"
 
 
+def _all_even(matrix) -> bool:
+    """Whether every entry is an even int: the one 2-divisibility test."""
+    return all(type(x) is int and not x % 2 for row in matrix for x in row)
+
+
 class AltFormOnLattice(_Immutable):
     """Values Im h(b_i, b_j) of a hermitian form on an ordered basis, a
     4x4 matrix.
@@ -176,9 +181,8 @@ class AltFormOnLattice(_Immutable):
         return self._integral
 
     def is_even(self) -> bool:
-        """Whether every entry is an even integer, that is, whether the
-        form halves on the lattice (square_roots, check_2divisible)."""
-        return self._integral and not any(x % 2 for x in self.upper_triangle())
+        """Whether the form halves on the lattice (square_roots)."""
+        return _all_even(self.matrix)
 
     def upper_triangle(self) -> Tuple[Rat, ...]:
         return tuple(self.matrix[i][j]

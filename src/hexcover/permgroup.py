@@ -20,6 +20,11 @@ class OrderBoundExceeded(RuntimeError):
     """Raised when a closure grows past the supported size."""
 
 
+def _product(first: tuple, second: tuple) -> tuple:
+    """Images of first * second from theirs: x -> second(first(x))."""
+    return tuple([second[i - 1] for i in first])
+
+
 class Permutation(_Immutable):
     """A bijection of {1..n}, stored as the tuple of images.
 
@@ -64,9 +69,7 @@ class Permutation(_Immutable):
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
         # a product of two bijections is one
-        images = other.images
-        return Permutation._unchecked(tuple([images[i - 1]
-                                             for i in self.images]))
+        return Permutation._unchecked(_product(self.images, other.images))
 
     def cycles(self) -> tuple:
         """Disjoint cycles, fixed points omitted, ordered by smallest entry."""
@@ -122,17 +125,18 @@ class PermGroup(_Immutable):
         object.__setattr__(self, "_elements", None)
 
     def elements(self) -> frozenset:
-        """Closure of the generators by breadth-first products, at most
-        CLOSURE_BOUND elements."""
+        """Closure of the generators by breadth-first products of image
+        tuples, at most CLOSURE_BOUND elements."""
         if self._elements is not None:
             return self._elements
-        found = {Permutation.identity(self.degree)}
+        generators = [g.images for g in self.generators]
+        found = {Permutation.identity(self.degree).images}
         frontier = list(found)
         while frontier:
             fresh = []
             for p in frontier:
-                for g in self.generators:
-                    q = p * g
+                for g in generators:
+                    q = _product(p, g)
                     if q not in found:
                         found.add(q)
                         fresh.append(q)
@@ -140,7 +144,8 @@ class PermGroup(_Immutable):
                             raise OrderBoundExceeded(
                                 f"closure exceeds {CLOSURE_BOUND} elements")
             frontier = fresh
-        object.__setattr__(self, "_elements", frozenset(found))
+        object.__setattr__(self, "_elements",
+                           frozenset(map(Permutation._unchecked, found)))
         return self._elements
 
     @property
@@ -155,7 +160,7 @@ class PermGroup(_Immutable):
         out = []
         while remaining:
             start = min(remaining)
-            orbit = {g(start) for g in elements}
+            orbit = {g.images[start - 1] for g in elements}
             if len(elements) % len(orbit):
                 raise RuntimeError("orbit size does not divide group order")
             remaining -= orbit
@@ -172,6 +177,8 @@ class PermGroup(_Immutable):
         The pairs (generator, matrix action) generate a group that projects
         onto both factors; when the three orders agree, both projections
         are bijective and the pair group is the graph of an isomorphism.
+        Only the pair group is closed, and only at order 24 or 48: the
+        image group is its projection onto the last 8 points.
         The image lies in GL(2,3), of order 48; generated by matrices of
         determinant 1, it lies in SL(2,3), of order 24.
         """
@@ -185,21 +192,21 @@ class PermGroup(_Immutable):
             raise ValueError(f"{len(matrices)} matrices for "
                              f"{len(self.generators)} generators")
         dets = {(a * d - b * c) % 3 for a, b, c, d in matrices}
-        if 0 in dets:
+        if 0 in dets or self.order not in (24, 48):
             return None
-        actions = [Permutation([_GF3_LABELS[(x * a + y * c) % 3,
-                                            (x * b + y * d) % 3]
-                                for x, y in _GF3_VECTORS])
-                   for a, b, c, d in matrices]
-        image = PermGroup(actions)
+        # pairs of bijections: an invertible matrix permutes the vectors
         graph = PermGroup(
-            [Permutation(g.images + tuple(k + self.degree for k in p.images))
-             for g, p in zip(self.generators, actions)])
-        if not self.order == image.order == graph.order:
+            [Permutation._unchecked(g.images + tuple(
+                [_GF3_LABELS[(x * a + y * c) % 3, (x * b + y * d) % 3]
+                 + self.degree for x, y in _GF3_VECTORS]))
+             for g, (a, b, c, d) in zip(self.generators, matrices)])
+        pairs = graph.elements()
+        image_order = len({g.images[self.degree:] for g in pairs})
+        if not self.order == image_order == len(pairs):
             return None
-        if image.order == 48:
+        if image_order == 48:
             return "GL(2,3)"
-        return "SL(2,3)" if image.order == 24 and dets <= {1} else None
+        return "SL(2,3)" if image_order == 24 and dets <= {1} else None
 
 
 _GF3_VECTORS = tuple((x, y) for x in range(3) for y in range(3) if x or y)

@@ -18,9 +18,9 @@ import math
 from operator import attrgetter
 
 from . import catalog
-from .appell_humbert import ORDER_TWO_SIGN_PATTERNS, im_on_lattice
+from .appell_humbert import ORDER_TWO_SIGN_PATTERNS, _all_even, im_on_lattice
 from .eisenstein import _Immutable
-from .lattice import LatticeBasis, _ambient_matrix, _int_product
+from .lattice import AmbientVector, LatticeBasis, _ambient_matrix, _int_product
 
 
 class TrivialCharacter(ValueError):
@@ -57,9 +57,10 @@ class CharacterMod2(_Immutable):
         return all(v == 1 for v in self.values)
 
     def value_on_coords(self, coords) -> int:
+        """chi at four int coordinates; a Fraction raises TypeError."""
         sign = 1
-        for n, v in zip(coords, self.values):
-            if n % 2:
+        for n, v in zip(coords, self.values, strict=True):
+            if n & 1:
                 sign *= v
         return sign
 
@@ -77,35 +78,38 @@ def all_characters() -> list[CharacterMod2]:
     return [CharacterMod2(signs) for signs in ORDER_TWO_SIGN_PATTERNS]
 
 
-def kernel_lattice(chi: CharacterMod2) -> LatticeBasis:
-    """The index-2 sublattice on which chi is identically +1, in Hermite
-    normal form relative to the product basis b.
+def _kernel_coordinates(chi: CharacterMod2) -> tuple:
+    """Product coordinates, as rows, of a basis of the index-2 sublattice
+    on which chi is +1, in Hermite normal form relative to the product
+    basis b.
 
-    With l the last index where chi(b_l) = -1, the generators are
-    b_j + b_l for each j with chi(b_j) = -1, so 2 b_l at l, and b_j for
-    the rest.  Their product coordinates, as columns, are lower triangular
-    with diagonal 1 except a 2 at l, and row l holds the residue 1 left of
-    that 2 in each column j with chi(b_j) = -1: the normal form (Cohen,
-    GTM 138, 2.4.2).
+    With l the last index where chi(b_l) = -1, generator j is b_j + b_l
+    when chi(b_j) = -1, so 2 b_l at l, and b_j otherwise.  As columns the
+    rows are lower triangular with diagonal 1 except a 2 at l, and row l
+    holds the residue 1 left of that 2 in each column j with
+    chi(b_j) = -1: the normal form (Cohen, GTM 138, 2.4.2).
     """
     if chi.is_trivial:
         raise TrivialCharacter("the trivial character has full kernel")
-    basis = catalog.PRODUCT_LATTICE.vectors
     last = max(i for i, v in enumerate(chi.values) if v == -1)
-    gens = list(basis)
-    for j, v in enumerate(chi.values):
-        if v == -1:
-            gens[j] = basis[j] + basis[last]
-    return LatticeBasis(gens)
+    return tuple(tuple([(i == j) + (v == -1 and i == last) for i in range(4)])
+                 for j, v in enumerate(chi.values))
+
+
+def kernel_lattice(chi: CharacterMod2) -> LatticeBasis:
+    """The index-2 sublattice on which chi is +1, on _kernel_coordinates."""
+    den, rows = catalog.PRODUCT_LATTICE._integer
+    return LatticeBasis([AmbientVector._from_integers(den, image) for image
+                         in _int_product(_kernel_coordinates(chi), rows)])
 
 
 def check_2divisible(chi: CharacterMod2) -> bool:
-    """Whether the intersection form halves on the kernel of chi.
-
-    Restricts the imaginary part of the branch form to ker(chi) and asks for
-    every entry to be even.
-    """
-    return im_on_lattice(catalog.SUM_FORM, kernel_lattice(chi)).is_even()
+    """Whether the intersection form halves on the kernel of chi: Im h of
+    the branch form restricted from the product lattice, M E M^T with M
+    the kernel's product coordinates, has even entries."""
+    m = _kernel_coordinates(chi)
+    e = im_on_lattice(catalog.SUM_FORM, catalog.PRODUCT_LATTICE).matrix
+    return _all_even(_int_product(_int_product(m, e), tuple(zip(*m))))
 
 
 class CharacterClassification(_Immutable):

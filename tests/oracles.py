@@ -40,8 +40,15 @@ hnf_index is the index of one lattice in another, the absolute sympy
 determinant of the coordinates the package's coords_in solves for.
 sympy_hnf is sympy's Hermite normal form of a basis' coordinates, solved
 by sympy, which the tests compare lattices by, and first_doubled_kernel
-is the character kernel basis that kernel_lattice's normal form replaced.
-is_unit, mat_scale, perm_inverse and perm_from_cycles are short
+is the character kernel basis that kernel_lattice's normal form replaced,
+and kernel_restricted_form is Im h on a sublattice of the product lattice
+by its own im_on_lattice, the route that check_2divisible's restriction of
+the product lattice's form replaced.
+permutation_closure is the closure by Permutation products that
+PermGroup's closure on image tuples replaced, closure_orbits reads orbits
+off it, and three_closure_group_name is matrix_group_name as it ran with
+three closures, before it read the matrix group's order off the pair
+group.  is_unit, mat_scale, perm_inverse and perm_from_cycles are short
 stand-ins for package helpers that only the tests called; parse_cycles
 reads a permutation's cycle notation, as the expected values file writes
 it, back into cycles.  restricts_nontrivially is the
@@ -308,6 +315,61 @@ def gf3_vector_action(m, column=False):
     return Permutation(images)
 
 
+def permutation_closure(generators) -> frozenset:
+    """The group generated by a non-empty list of Permutations of one
+    degree, closed by breadth-first Permutation products, the closure
+    that PermGroup.elements' products of image tuples replaced."""
+    from hexcover.permgroup import Permutation
+
+    found = {Permutation.identity(generators[0].degree)}
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for g in generators:
+                q = p * g
+                if q not in found:
+                    found.add(q)
+                    fresh.append(q)
+        frontier = fresh
+    return frozenset(found)
+
+
+def closure_orbits(generators) -> tuple:
+    """Orbits of the group generated by the Permutations, each sorted and
+    listed by smallest element, read off permutation_closure."""
+    elements = permutation_closure(generators)
+    orbits = {tuple(sorted({g(k) for g in elements}))
+              for k in range(1, generators[0].degree + 1)}
+    return tuple(sorted(orbits))
+
+
+def three_closure_group_name(generators, matrices):
+    """PermGroup.matrix_group_name by three closures, the way it ran
+    before it read the matrix group's order off the pair group: the
+    generators, their matrix actions (gf3_vector_action) and the pairs are
+    each closed by permutation_closure, and a name is given only when the
+    three orders agree.  The matrices are taken as valid."""
+    from hexcover.permgroup import Permutation
+
+    dets = {(a * d - b * c) % 3 for a, b, c, d in matrices}
+    if 0 in dets:
+        return None
+    actions = [gf3_vector_action(m) for m in matrices]
+    degree = generators[0].degree
+    pairs = [Permutation(g.images + tuple(k + degree for k in a.images))
+             for g, a in zip(generators, actions)]
+    # as the chained comparison did, the pairs are closed only when the
+    # first two orders agree
+    image = len(permutation_closure(actions))
+    if len(permutation_closure(generators)) != image or \
+            len(permutation_closure(pairs)) != image:
+        return None
+    if image == 48:
+        return "GL(2,3)"
+    return "SL(2,3)" if image == 24 and dets <= {1} else None
+
+
 def scan_unit_det_candidates(height_bound):
     """Entry quadruples (a11, a12, a21, a22) of the generator search's
     congruence pattern with unit determinant, by four nested loops over
@@ -539,6 +601,21 @@ def first_doubled_kernel(chi):
         if j != first:
             gens.append(basis[j] if v == 1 else basis[j] + basis[first])
     return LatticeBasis(gens)
+
+
+def kernel_restricted_form(coordinates):
+    """Im h of the branch form on the lattice whose basis has these
+    product coordinates, rows of ints, computed by im_on_lattice on a
+    LatticeBasis built from them."""
+    from hexcover import catalog
+    from hexcover.appell_humbert import im_on_lattice
+    from hexcover.lattice import AmbientVector, LatticeBasis
+
+    basis = catalog.PRODUCT_LATTICE.vectors
+    lattice = LatticeBasis([
+        sum((n * b for n, b in zip(row, basis)), AmbientVector((0, 0, 0, 0)))
+        for row in coordinates])
+    return im_on_lattice(catalog.SUM_FORM, lattice)
 
 
 def character_value(chi, v) -> int:

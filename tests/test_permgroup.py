@@ -18,8 +18,9 @@ from hexcover.permgroup import (
 )
 
 from golden import EXPECTED
-from oracles import (gf3_matrices, gf3_mul, gf3_vector_action, parse_cycles,
-                     perm_from_cycles, perm_inverse)
+from oracles import (closure_orbits, gf3_matrices, gf3_mul, gf3_vector_action,
+                     parse_cycles, perm_from_cycles, perm_inverse,
+                     permutation_closure, three_closure_group_name)
 
 
 def test_permutation_validation():
@@ -132,6 +133,18 @@ def test_orbits_match_sympy(group):
     want = sorted(tuple(sorted(k + 1 for k in orbit))
                   for orbit in _sympy_group(group.generators).orbits())
     assert group.orbits() == tuple(want)
+
+
+@given(small_groups())
+def test_closure_matches_permutation_product_oracle(group):
+    gens = group.generators
+    elements = group.elements()
+    assert elements == permutation_closure(gens)
+    assert all(type(g) is Permutation for g in elements)
+    assert group.order == len(elements) == _sympy_group(gens).order()
+    assert group.orbits() == closure_orbits(gens)
+    # the closure is kept: a second call returns the same set
+    assert group.elements() is elements
 
 
 def test_closure_generator_order_independent():
@@ -295,3 +308,66 @@ def test_root_groups_match_sympy_isomorphism_oracle():
                              isomorphism=False)
     assert group_isomorphism(_sympy_group(ROOT_GENERATORS), general,
                              isomorphism=False)
+
+
+def _named_like_the_oracle(group, matrices):
+    got = group.matrix_group_name(matrices)
+    assert got == three_closure_group_name(group.generators, matrices)
+    return got
+
+
+def test_group_name_matches_three_closure_oracle_on_root_groups():
+    holo = PermGroup(ROOT_GENERATORS[:2])
+    full = PermGroup(ROOT_GENERATORS)
+    transposed = [(a, c, b, d) for a, b, c, d in ROOT_MATRICES]
+    assert _named_like_the_oracle(holo, ROOT_MATRICES[:2]) == "SL(2,3)"
+    assert _named_like_the_oracle(full, ROOT_MATRICES) == "GL(2,3)"
+    assert _named_like_the_oracle(holo, transposed[:2]) == "SL(2,3)"
+    assert _named_like_the_oracle(full, transposed) is None
+    assert _named_like_the_oracle(holo, ROOT_MATRICES[1::-1]) is None
+    assert _named_like_the_oracle(full, ROOT_MATRICES[::-1]) is None
+    for det_one in (True, False):
+        group, matrices = regular_representation(det_one)
+        assert _named_like_the_oracle(group, matrices) is not None
+
+
+def test_group_name_refuses_a_homomorphism_onto_a_smaller_group():
+    # the pairs close to the group's own order, but the matrices generate
+    # only {I} or {I, -I}: the image order is read off the pairs' matrix
+    # halves, and reading it off their permutation halves would name these
+    identity, minus = (1, 0, 0, 1), (2, 0, 0, 2)
+    holo = PermGroup(ROOT_GENERATORS[:2])
+    full = PermGroup(ROOT_GENERATORS)
+    assert _named_like_the_oracle(holo, [identity, identity]) is None
+    assert _named_like_the_oracle(full, [identity, identity, minus]) is None
+    assert _named_like_the_oracle(full, [minus, minus, minus]) is None
+
+
+def test_group_name_of_a_large_group_closes_no_pair_group():
+    # S_7 has 5040 elements and its pairs with two matrices up to 48 times
+    # as many, past CLOSURE_BOUND; no group of that order is named, so the
+    # pairs are never closed
+    big = PermGroup([perm_from_cycles([tuple(range(1, 8))], 7),
+                     perm_from_cycles([(1, 2)], 7)])
+    assert big.order == 5040
+    assert big.matrix_group_name([(1, 1, 0, 1), (0, 1, 2, 0)]) is None
+
+
+gf3_assignments = st.tuples(*[st.integers(0, 2)] * 4)
+
+
+@given(st.data())
+def test_group_name_matches_three_closure_oracle_on_random_matrices(data):
+    k = data.draw(st.sampled_from((2, 3)))
+    group = PermGroup(ROOT_GENERATORS[:k])
+    matrices = data.draw(st.lists(gf3_assignments, min_size=k, max_size=k))
+    _named_like_the_oracle(group, matrices)
+
+
+@given(small_groups(), st.data())
+def test_group_name_matches_three_closure_oracle_on_small_groups(group,
+                                                                 data):
+    count = len(group.generators)
+    matrices = data.draw(st.lists(gf3_assignments, min_size=count,
+                                  max_size=count))
+    _named_like_the_oracle(group, matrices)

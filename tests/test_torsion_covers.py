@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hexcover import catalog, torsion_covers
@@ -24,6 +24,7 @@ from hexcover.torsion_covers import (
     CharacterMod2,
     NotOnto,
     TrivialCharacter,
+    _kernel_coordinates,
     _torsion_on_curve,
     all_characters,
     check_2divisible,
@@ -35,8 +36,9 @@ import golden
 from golden import EXPECTED
 from oracles import (ComplexLine, character_value, complex_line,
                      first_doubled_kernel, hermitian_value, hnf_index,
-                     mat_scale, q_zeta_torsion_on_curve,
-                     restricts_nontrivially, sympy_hnf)
+                     kernel_restricted_form, mat_scale,
+                     q_zeta_torsion_on_curve, restricts_nontrivially,
+                     sympy_det, sympy_product, sympy_hnf)
 from strategies import eis_rationals
 
 
@@ -89,6 +91,24 @@ def test_character_rejects_bad_values():
                 (True, 1, 1, 1), (1, -1, 1, True)):
         with pytest.raises(TypeError):
             CharacterMod2(bad)
+
+
+def test_character_value_refuses_non_lattice_coordinates():
+    chi = CharacterMod2([1, -1, 1, 1])
+    # a half-lattice point is no lattice vector, and a float is no
+    # coordinate: neither is read by parity
+    for bad in ((0, Fraction(1, 2), 0, 0), (0, Fraction(3, 2), 0, 0),
+                (0, 0.5, 0, 0), (0, 1.0, 0, 0)):
+        with pytest.raises(TypeError):
+            chi.value_on_coords(bad)
+    # four coordinates exactly: none is dropped or left unread
+    for bad in ((0, 1), (0, 1, 0), (0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            chi.value_on_coords(bad)
+    assert chi.value_on_coords((0, 1, 0, 0)) == -1
+    assert chi.value_on_coords((3, -3, 2, -2)) == -1
+    # a bool coordinate is still read as its int
+    assert chi.value_on_coords((0, True, 0, 0)) == -1
 
 
 def test_character_value_by_parity():
@@ -153,6 +173,36 @@ def test_kernel_lattice_rejects_trivial():
         kernel_lattice(CHARS[0])
     with pytest.raises(TrivialCharacter):
         check_2divisible(CHARS[0])
+    with pytest.raises(TrivialCharacter):
+        _kernel_coordinates(CHARS[0])
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+def test_restricted_2divisibility_matches_kernel_lattice_route(k):
+    chi = CHARS[k]
+    kernel = kernel_lattice(chi)
+    assert check_2divisible(chi) == \
+        im_on_lattice(catalog.SUM_FORM, kernel).is_even()
+    assert _kernel_coordinates(chi) == tuple(
+        coords_in(catalog.PRODUCT_LATTICE, v) for v in kernel.vectors)
+
+
+@st.composite
+def nonsingular_integer_matrices(draw):
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=4,
+                                  max_size=4), min_size=4, max_size=4))
+    assume(sympy_det(rows) != 0)
+    return rows
+
+
+@given(nonsingular_integer_matrices())
+def test_restriction_of_the_product_form_is_im_h_on_the_sublattice(m):
+    # Im h on the lattice with product coordinates M is M E M^T, E the
+    # form on the product basis
+    e = im_on_lattice(catalog.SUM_FORM, catalog.PRODUCT_LATTICE).matrix
+    restricted = sympy_product(sympy_product(m, e), list(zip(*m)))
+    assert restricted == [list(row)
+                          for row in kernel_restricted_form(m).matrix]
 
 
 def test_restriction_examples():

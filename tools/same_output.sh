@@ -63,6 +63,12 @@ commands=(
     # decides: check_2divisible per character and square_roots' count
     "characters --perturb characters.divisible_flags --json"
     "orbits --perturb orbits.product_root_count --json"
+    # the failure paths of rows decided by the group closures: the
+    # holomorphic group's name, read off the one pair-group closure, its
+    # order, and the full group's orbits
+    "orbits --perturb orbits.holo_group --json"
+    "orbits --perturb orbits.holo_order --json"
+    "orbits --perturb orbits.full_partition --json"
     # the help text, before and after the command
     "--help"
     "tables -h"
