@@ -241,12 +241,12 @@ def intersection_number(h1: HermitianForm, h2: HermitianForm,
 def _reduced(den: int, nums: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
     """The exponents nums[j] / den in canonical form: numerators reduced
     into [0, den), then numerators and denominator divided by their gcd."""
-    nums = tuple(n % den for n in nums)
+    nums = [n % den for n in nums]
     g = gcd(den, *nums)
     if g > 1:
         den //= g
-        nums = tuple(n // g for n in nums)
-    return den, nums
+        nums = [n // g for n in nums]
+    return den, tuple(nums)
 
 
 class Semicharacter(_Immutable):
@@ -302,21 +302,20 @@ class Semicharacter(_Immutable):
     def _numerator(self, n: Sequence[int]) -> int:
         """2 * den times the exponent of chi at sum(n[j] * basis[j]), not
         reduced: the sum of n_j q_j and n_j n_k E_jk / 2 over j < k."""
-        # written out: it runs per pulled vector and skips zero coordinates
-        total = 2 * sum(nj * q for nj, q in zip(n, self._nums))
-        rows = self.form.matrix
-        cross = 0
-        for j in range(4):
-            if not n[j]:
-                continue
-            for k in range(j + 1, 4):
-                if n[k]:
-                    # E is integral, so its entries are ints
-                    cross += n[j] * n[k] * rows[j][k]
-        return total + self._den * cross
+        # written out on the four coordinates: it runs per pulled vector
+        n0, n1, n2, n3 = n
+        q0, q1, q2, q3 = self._nums
+        # E is integral, so its entries are ints
+        (_, e01, e02, e03), (_, _, e12, e13), (_, _, _, e23), _ = \
+            self.form.matrix
+        cross = (n0 * (n1 * e01 + n2 * e02 + n3 * e03)
+                 + n1 * (n2 * e12 + n3 * e13) + n2 * n3 * e23)
+        return 2 * (n0 * q0 + n1 * q1 + n2 * q2 + n3 * q3) + self._den * cross
 
     def eval_coords(self, n: Sequence[int]) -> Fraction:
         """Exponent of chi at sum(n[j] * basis[j]), in [0, 1)."""
+        if len(n) != 4:
+            raise ValueError("a lattice vector has four coordinates")
         den = 2 * self._den
         return Fraction(self._numerator(n) % den, den)
 
@@ -346,7 +345,9 @@ class LineBundleClass(_Immutable):
     _key = attrgetter("form", "character")
 
     def __init__(self, form: HermitianForm, character: Semicharacter) -> None:
-        if im_on_lattice(form, character.lattice) != character.form:
+        # im_on_lattice returns its cached form, so identity usually decides
+        alt = im_on_lattice(form, character.lattice)
+        if alt is not character.form and alt != character.form:
             raise LatticeMismatch(
                 "semicharacter form is not Im of the hermitian form")
         object.__setattr__(self, "form", form)
@@ -399,8 +400,10 @@ def _pull_back(bundle: LineBundleClass, f: EisMat, target: LatticeBasis,
     f = mat(f)
     # The pulled form and the images of the target basis do not depend on
     # the semicharacter, so they are computed once per (f, flag, form) and
-    # kept on the target; the images stay the same objects, which makes
-    # coords_in on them a lookup.
+    # kept on the target.  The images stay vectors, so each root's lookup
+    # is a coords_in call that hits its memo after the first root; the hit
+    # hashes and compares the image, since the memo's key may be an equal
+    # vector stored earlier, by rational_rep for instance.
     key = (f, antiholomorphic, bundle.form.gram)
     plan = target._pullbacks.get(key)
     if plan is None:

@@ -10,10 +10,12 @@ satisfies J**2 = J - 1.
 
 _int_product is the package's one integer matrix product; over Z[zeta]
 the kernels are eisenstein's _zeta_mul, _zeta_det and _pair_product.  Loops
-stay written out only where they are hot or over another ring:
-_gauss_jordan, _solve, Semicharacter._numerator, the pair loops of
-_zeta_mul and _pair_product, and the generator search's per-candidate
-loops _tangent_permutation, _first_tangent_pairs and _unit_det_walk.
+stay written out only where they are hot or over another ring: the
+elimination steps of _gauss_jordan, the one matrix-vector product of
+_solve, the pair loops of _zeta_mul and _pair_product, and the generator
+search's per-candidate loops _tangent_permutation, _first_tangent_pairs
+and _unit_det_walk; Semicharacter._numerator writes its exponent sum out
+term by term on the four coordinates.
 """
 
 from __future__ import annotations
@@ -127,10 +129,9 @@ class LatticeBasis(_Immutable):
         # and orientation read, built from the one elimination that also
         # checks independence.  The caches are filled on use: _coords by
         # coords_in, which keys by the vector (hashed and compared on its
-        # integer numerators and denominator) the pair of its rational
-        # coordinates and its integer lattice coordinates (None at a
-        # fractional point), _im_forms by appell_humbert.im_on_lattice, which
-        # keys Im h on this basis by the form's integer Gram matrix,
+        # integer numerators and denominator) its coordinates, also read by
+        # _lattice_coordinates, _im_forms by appell_humbert.im_on_lattice,
+        # which keys Im h on this basis by the form's integer Gram matrix,
         # _pullbacks by appell_humbert._pull_back, which keys the pulled
         # form and the basis images by (map, anti-holomorphic flag, Gram
         # matrix of the bundle's form), and _shifts by
@@ -266,31 +267,26 @@ def coords_in(reference: LatticeBasis,
     canonical form of eisenstein._rational: an int tuple at a lattice
     vector, and a Fraction only at a fractional entry.
 
-    Each result is stored on the reference basis keyed by v, together with
-    what _lattice_coordinates returns for v, so asking again for an equal
-    vector is one dict lookup."""
+    Each result is stored on the reference basis keyed by v, so asking
+    again for an equal vector is one dict lookup."""
     known = reference._coords
-    solved = known.get(v)
-    if solved is None:
-        solved = known[v] = _solve(reference, v)
-    return solved[0]
+    coords = known.get(v)
+    if coords is None:
+        coords = known[v] = _solve(reference, v)
+    return coords
 
 
-def _solve(reference: LatticeBasis, v: AmbientVector):
-    """(coords_in of v, _lattice_coordinates of v), computed with the
-    basis' _solver: the coordinates are integers over one denominator, so
-    they are a lattice vector's exactly when that denominator divides each
-    of them, and then the one integer tuple is both."""
+def _solve(reference: LatticeBasis, v: AmbientVector) -> Tuple[Rat, ...]:
+    """coords_in of v, computed with the basis' _solver: the coordinates
+    are integers over one denominator, each reduced by
+    eisenstein._ratio."""
     if not isinstance(v, AmbientVector):  # on a miss only: hits stay free
         raise TypeError(f"expected an AmbientVector, got {v!r}")
     den, inverse = reference._solver
     den *= v._den
     # written out: every coords_in miss runs it, and a call would cost more
-    nums = [sum(a * b for a, b in zip(row, v._nums)) for row in inverse]
-    if all(n % den == 0 for n in nums):
-        coords = tuple([n // den for n in nums])
-        return coords, coords
-    return tuple([_ratio(n, den) for n in nums]), None
+    return tuple([_ratio(sum(map(mul, row, v._nums)), den)
+                  for row in inverse])
 
 
 def _lattice_coordinates(basis: LatticeBasis,
@@ -298,12 +294,12 @@ def _lattice_coordinates(basis: LatticeBasis,
     """Integer coordinates of v in basis, or None when v is not a vector of
     the lattice, that is, when its coordinates are fractional.
 
-    They are read from the coords_in memo, which stores them next to the
-    rational coordinates.  The memo is filled through coords_in itself, so
-    that every lookup stays a coords_in call, which perfbench's self-test
-    counts."""
-    coords_in(basis, v)
-    return basis._coords[v][1]
+    They are read off coords_in, so that every lookup stays a coords_in
+    call, which perfbench's self-test counts: in the canonical form of
+    eisenstein._rational an entry is a Fraction exactly when it is
+    fractional, and a sum with a Fraction term is a Fraction."""
+    coords = coords_in(basis, v)
+    return coords if type(sum(coords)) is int else None
 
 
 # --- lattice operations -----------------------------------------------------

@@ -351,6 +351,14 @@ def test_semichar_eval_examples():
         chi.eval(AmbientVector((Fraction(1, 2), 0, 0, 0)))
 
 
+@pytest.mark.parametrize("coords", [(1, 0, 0), (1, 0, 0, 0, 7)])
+def test_eval_coords_refuses_other_lengths(coords):
+    # a fifth coordinate was dropped, and a fourth missing one was an
+    # IndexError
+    with pytest.raises(ValueError, match="four coordinates"):
+        catalog.BRANCH_COVER.character.eval_coords(coords)
+
+
 def test_semichar_cocycle_well_defined():
     chis = [catalog.BRANCH_PRODUCT.character,
             catalog.BRANCH_COVER.character,

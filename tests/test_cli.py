@@ -347,13 +347,26 @@ def test_output_is_deterministic(capsys):
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_from_checkout(*args):
-    """Run ``python *args`` so that it imports this checkout's ``src``."""
-    env = dict(os.environ)
+def run_from_checkout(*args, text=True, **variables):
+    """Run ``python *args`` so that it imports this checkout's ``src``, with
+    the given environment variables set."""
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env)
+                          text=text, env=env)
+
+
+def test_verify_all_json_does_not_depend_on_the_hash_seed():
+    # the package's caches are dicts and sets keyed by hashed values; the
+    # report must not read their order
+    outputs = set()
+    for seed in ("0", "1", "random"):
+        result = run_from_checkout("-m", "hexcover", "verify-all", "--json",
+                                   text=False, PYTHONHASHSEED=seed)
+        assert result.returncode == 0, result.stderr
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
 
 
 def assert_invariants_pass(result):

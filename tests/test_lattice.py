@@ -377,6 +377,8 @@ def test_coords_in_memo_keeps_none_and_fractional_points(monkeypatch):
     basis = COVER
     inside = basis.vectors[0] + basis.vectors[2]
     half = Fraction(1, 2) * basis.vectors[1]
+    # fractional entries that add up to an integer
+    halves = Fraction(1, 2) * (basis.vectors[1] + basis.vectors[3])
     solved = []
     solve = lattice._solve
     monkeypatch.setattr(lattice, "_solve",
@@ -387,9 +389,10 @@ def test_coords_in_memo_keeps_none_and_fractional_points(monkeypatch):
             inside.coordinates)) == (1, 0, 1, 0)
         assert coords_in(basis, half) == (0, Fraction(1, 2), 0, 0)
         assert _lattice_coordinates(basis, half) is None
-    # each vector is solved once, the fractional point (lattice
+        assert _lattice_coordinates(basis, halves) is None
+    # each vector is solved once, the fractional points (lattice
     # coordinates None) included
-    assert solved == [inside, half]
+    assert solved == [inside, half, halves]
 
 
 @st.composite
