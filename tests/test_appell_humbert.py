@@ -353,8 +353,6 @@ def test_semichar_eval_examples():
 
 @pytest.mark.parametrize("coords", [(1, 0, 0), (1, 0, 0, 0, 7)])
 def test_eval_coords_refuses_other_lengths(coords):
-    # a fifth coordinate was dropped, and a fourth missing one was an
-    # IndexError
     with pytest.raises(ValueError, match="four coordinates"):
         catalog.BRANCH_COVER.character.eval_coords(coords)
 
