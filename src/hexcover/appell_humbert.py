@@ -40,7 +40,6 @@ from .eisenstein import (
     _ratio,
     _rational,
     mat,
-    mat_add,
 )
 from .lattice import (
     AmbientVector,
@@ -141,7 +140,8 @@ class HermitianForm(_Immutable):
     def __add__(self, other: "HermitianForm") -> "HermitianForm":
         if not isinstance(other, HermitianForm):
             return NotImplemented
-        return HermitianForm(mat_add(self.matrix, other.matrix))
+        return HermitianForm(tuple(tuple(x + y for x, y in zip(r, s))
+                                   for r, s in zip(self.matrix, other.matrix)))
 
     def __repr__(self) -> str:
         return f"HermitianForm({self.matrix!r})"

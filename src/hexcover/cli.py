@@ -21,7 +21,7 @@ from typing import List, NoReturn, Sequence, Tuple
 
 from . import catalog
 from .appell_humbert import im_on_lattice, intersection_number, square_roots
-from .eisenstein import EisRat, _gf3_residues, _rational, mat_conj, mat_mul
+from .eisenstein import EisRat, _gf3_residues, _rational
 from .lattice import coords_in
 from .permgroup import PermGroup
 from .surface_invariants import (
@@ -38,9 +38,10 @@ from .symmetry import (
     NEGATION,
     ORDER4_SYMMETRY,
     ORDER6_SYMMETRY,
-    _SHEAR_INVERSE,
     action_on_square_roots,
+    antiholomorphic_in_sheared_frame,
     cross_ratio,
+    from_sheared_frame,
     gamma_action_on_sigma,
     search_generators,
     verify_presentation,
@@ -228,15 +229,12 @@ def _search_rows(bound: int) -> List[Row]:
     rows.append(("search.candidate_count", len(found)))
     rows.append(("search.tilted_matrices",
                  sorted(_eis_mat(g.linear) for g in found)))
-    shear = catalog.FRAME_SHEAR
-    conjugates = sorted(_eis_mat(mat_mul(mat_mul(shear, g.linear),
-                                         _SHEAR_INVERSE))
+    conjugates = sorted(_eis_mat(from_sheared_frame(g.linear))
                         for g in found)
     rows.append(("search.ambient_conjugates", conjugates))
     rows.append(("search.presentation",
                  verify_presentation(ORDER4_SYMMETRY, ORDER6_SYMMETRY)))
-    reflection = mat_mul(mat_mul(_SHEAR_INVERSE, catalog.SIGMA_LINEAR),
-                         mat_conj(shear))
+    reflection = antiholomorphic_in_sheared_frame(catalog.SIGMA_LINEAR)
     rows.append(("search.reflection_in_sheared_frame", _eis_mat(reflection)))
     rows.append(("search.cross_ratio",
                  _eis(cross_ratio(*catalog.CURVE_LINES))))

@@ -180,9 +180,9 @@ def mat(rows: Sequence[Sequence[object]]) -> EisMat:
 
     The row lengths are not checked, so a ragged matrix passes: the
     generator search calls mat once per unit-determinant candidate,
-    thousands of times at bound 3, so the operations that need a shape
-    check it themselves (mat_mul, mat_add, det2, the 2x2 forms and
-    pullbacks)."""
+    thousands of times at bound 3, so the types and operations that need a
+    shape check it themselves (the hermitian forms, the affine symmetries
+    and the pullbacks)."""
     if type(rows) is tuple:
         for row in rows:
             if type(row) is not tuple:
@@ -198,52 +198,15 @@ def mat(rows: Sequence[Sequence[object]]) -> EisMat:
     return tuple(tuple(as_eis(x) for x in row) for row in rows)
 
 
-def mat_mul(A: EisMat, B: EisMat) -> EisMat:
-    """The product A . B, summed on Z[zeta] pairs over the product of the
-    two factors' common denominators.  Each row of A must have len(B)
-    entries and the rows of B one common length."""
-    n = len(B)
-    if any(len(row) != n for row in A) or len(set(map(len, B))) > 1:
-        raise ValueError("shape mismatch")
-    da, pa = _cleared(A)
-    db, pb = _cleared(B)
-    return _from_pairs(da * db, _pair_product(pa, pb))
-
-
-def mat_add(A: EisMat, B: EisMat) -> EisMat:
-    if tuple(map(len, A)) != tuple(map(len, B)):
-        raise ValueError("shape mismatch")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_conj(A: EisMat) -> EisMat:
-    return tuple(tuple(x.conjugate() for x in row) for row in A)
-
-
 def mat_identity(n: int) -> EisMat:
     return tuple(tuple(EisRat(1 if i == j else 0) for j in range(n))
                  for i in range(n))
 
 
-def det2(A: EisMat) -> EisRat:
-    if tuple(map(len, A)) != (2, 2):
-        raise ValueError("shape mismatch")
-    return A[0][0] * A[1][1] - A[0][1] * A[1][0]
-
-
-def inv2(A: EisMat) -> EisMat:
-    d = det2(A)
-    if not d:
-        raise ZeroDivisionError("singular 2x2 matrix over Q(zeta)")
-    return (
-        (A[1][1] / d, -A[0][1] / d),
-        (-A[1][0] / d, A[0][0] / d),
-    )
-
-
 # Z[zeta] integers as (a, b) pairs for a + b*zeta.  A matrix over Q(zeta)
-# becomes one denominator and an array of such pairs, which is how mat_mul,
-# the pullbacks, the symmetries and the generator search compute.
+# becomes one denominator and an array of such pairs, which is how every
+# matrix product of the package is computed: the pullbacks, the symmetries,
+# the generator search and its change of frame.
 ZetaPair = Tuple[int, int]
 PairMat = Tuple[Tuple[ZetaPair, ...], ...]
 

@@ -22,16 +22,17 @@ from .appell_humbert import (
     translate,
 )
 from .eisenstein import (
+    EisMat,
     EisRat,
+    PairMat,
     _Immutable,
     _cleared,
+    _from_pairs,
     _pair_product,
     _zeta_det,
     _zeta_mul,
-    inv2,
     mat,
     mat_identity,
-    mat_mul,
 )
 from .lattice import (
     AmbientVector,
@@ -145,14 +146,52 @@ def _same_map(f, h) -> bool:
                for a, b in zip(f, h))
 
 
-_SHEAR_INVERSE = inv2(catalog.FRAME_SHEAR)
+# The generator search works in the sheared frame w with z = S w for
+# S = catalog.FRAME_SHEAR.  S, conj(S) and S^-1 are kept as (den, pairs),
+# the form _cleared gives, so a change of frame is two pair products.
 
-# The same four tangent directions written in the sheared frame used by the
-# generator search: the columns of S^-1 D for D the 2x4 array whose columns
-# are the directions of catalog.CURVE_LINES.  S^-1 is integral, so the
-# denominator _cleared returns is 1.
+
+def _shear_inverse(shear: EisMat) -> Tuple[int, PairMat]:
+    """shear^-1 as (den, pairs), with no division in Q(zeta): for
+    (e, P) = _cleared(shear) and d = det P, 1/d = conj(d) / N(d), so
+    shear^-1 = e adj(P) conj(d) / N(d).  A singular shear maps the lattice
+    onto no lattice and raises NotLatticePreserving."""
+    e, ((p, q), (r, s)) = _cleared(shear)
+    a, b = _zeta_det((p, q), (r, s))
+    norm = a * a + a * b + b * b
+    if not norm:
+        raise NotLatticePreserving("the frame shear is singular")
+    c, minus_c = (e * (a + b), -e * b), (-e * (a + b), e * b)
+    return norm, ((_zeta_mul(s, c), _zeta_mul(q, minus_c)),
+                  (_zeta_mul(r, minus_c), _zeta_mul(p, c)))
+
+
+_SHEAR = _cleared(catalog.FRAME_SHEAR)
+_SHEAR_CONJUGATE = _cleared(tuple(tuple(x.conjugate() for x in row)
+                                  for row in catalog.FRAME_SHEAR))
+_SHEAR_INVERSE = _shear_inverse(catalog.FRAME_SHEAR)
+
+# The same four tangent directions written in the sheared frame: the
+# columns of S^-1 D for D the 2x4 array whose columns are the directions of
+# catalog.CURVE_LINES.  A direction is defined up to scaling, so the pairs
+# of S^-1 serve without its denominator.
 _TILTED_TANGENT_PAIRS = tuple(zip(*_pair_product(
-    _cleared(_SHEAR_INVERSE)[1], tuple(zip(*catalog.CURVE_LINES)))))
+    _SHEAR_INVERSE[1], tuple(zip(*catalog.CURVE_LINES)))))
+
+
+def from_sheared_frame(linear: EisMat) -> EisMat:
+    """S . linear . S^-1: the standard-frame matrix of the map
+    w -> linear . w of the sheared frame."""
+    (ds, s), (dl, m), (di, inv) = _SHEAR, _cleared(linear), _SHEAR_INVERSE
+    return _from_pairs(ds * dl * di, _pair_product(_pair_product(s, m), inv))
+
+
+def antiholomorphic_in_sheared_frame(linear: EisMat) -> EisMat:
+    """S^-1 . linear . conj(S): the sheared-frame matrix of the
+    anti-holomorphic map z -> linear . conj(z) of the standard frame."""
+    (di, inv), (dc, c) = _SHEAR_INVERSE, _SHEAR_CONJUGATE
+    dl, m = _cleared(linear)
+    return _from_pairs(di * dl * dc, _pair_product(_pair_product(inv, m), c))
 
 
 def _tangent_permutation(pairs, antiholomorphic: bool,
@@ -361,11 +400,9 @@ def search_generators(height_bound: int) -> List[AffineSymmetry]:
                                              _TILTED_TANGENT_PAIRS)
                     in _SEARCH_TARGETS):
                 moved.append(linear)
-    shear = catalog.FRAME_SHEAR
     out = []
     for linear in moved:
-        ambient = mat_mul(mat_mul(shear, linear), _SHEAR_INVERSE)
-        candidate = AffineSymmetry(ambient)
+        candidate = AffineSymmetry(from_sheared_frame(linear))
         try:
             rational_rep(candidate, catalog.COVER_LATTICE)
         except NotLatticePreserving:

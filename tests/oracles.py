@@ -11,8 +11,10 @@ one from such a pair), q_zeta_cross_ratio is the cross-ratio of four
 ComplexLines that the determinants of cross_ratio on the pairs replaced,
 line_permutation is the Q(zeta) tangent permutation that the Z[zeta]
 cross-multiplication of _tangent_permutation replaced, on the ambient
-tangents and on the search's tilted ones, eisrat_mat_mul is the
-EisRat matrix product that mat_mul's Z[zeta] sum replaced, the q_zeta_* functions are the
+tangents and on the search's tilted ones, eisrat_mat_mul, eisrat_det2,
+eisrat_inv2 and eisrat_conj are the EisRat matrix product, determinant,
+inverse and conjugate that the package's Z[zeta] pair products and
+cleared adjugate replaced, the q_zeta_* functions are the
 EisRat pullbacks that the integer ambient-matrix kernel replaced (with
 mat_apply, ambient_from_pair and to_pair, the Q(zeta) matrix-vector
 product and the conversions between an ambient vector and its Q(zeta)
@@ -483,15 +485,16 @@ def line_permutation(linear, antiholomorphic, tangents):
 def scan_search_generators(height_bound):
     """The generator search as a plain scan: the candidates of
     scan_unit_det_candidates, the tangent permutation computed in Q(zeta),
-    then the cover-lattice test in the standard frame."""
+    then the cover-lattice test in the standard frame, conjugated back in
+    EisRat."""
     from hexcover import catalog
-    from hexcover.eisenstein import EisRat, inv2, mat, mat_mul
+    from hexcover.eisenstein import EisRat, mat
     from hexcover.symmetry import (AffineSymmetry, NotLatticePreserving,
                                    _TILTED_TANGENT_PAIRS, rational_rep)
 
     targets = ((3, 4, 1, 2), (2, 3, 1, 4))
     shear = catalog.FRAME_SHEAR
-    unshear = inv2(shear)
+    unshear = eisrat_inv2(shear)
     out = []
     for a11, a12, a21, a22 in scan_unit_det_candidates(height_bound):
         linear = mat([[EisRat(*a11), EisRat(*a12)],
@@ -499,7 +502,7 @@ def scan_search_generators(height_bound):
         if line_permutation(linear, False,
                             _TILTED_TANGENT_PAIRS) not in targets:
             continue
-        ambient = mat_mul(mat_mul(shear, linear), unshear)
+        ambient = eisrat_mat_mul(eisrat_mat_mul(shear, linear), unshear)
         try:
             rational_rep(AffineSymmetry(ambient), catalog.COVER_LATTICE)
         except NotLatticePreserving:
@@ -518,20 +521,19 @@ def q_zeta_push_vector(f, v, conjugate_first):
 
 
 def q_zeta_pulled_form(m, f, conjugate):
-    """f^T . m . conj(f) by two mat_mul calls, conjugated when conjugate."""
-    from hexcover.eisenstein import mat_conj, mat_mul
-
-    t = mat_mul(mat_mul(tuple(zip(*f)), m), mat_conj(f))
-    return mat_conj(t) if conjugate else t
+    """f^T . m . conj(f) by two eisrat_mat_mul calls, conjugated when
+    conjugate."""
+    t = eisrat_mat_mul(eisrat_mat_mul(tuple(zip(*f)), m), eisrat_conj(f))
+    return eisrat_conj(t) if conjugate else t
 
 
 def is_conjugate_symmetric(m):
     """Whether the Q(zeta) matrix m equals its conjugate transpose, by
-    mat_conj on the transpose."""
-    from hexcover.eisenstein import mat, mat_conj
+    eisrat_conj on the transpose."""
+    from hexcover.eisenstein import mat
 
     m = mat(m)
-    return mat_conj(tuple(zip(*m))) == m
+    return eisrat_conj(tuple(zip(*m))) == m
 
 
 def q_zeta_pull_back(g, bundle):
@@ -696,10 +698,10 @@ def formula_compose(g, h):
     """The AffineSymmetry v -> g(h(v)): h's linear part and translation are
     conjugated when g is anti-holomorphic, and the translation is pushed
     through g's linear part in Q(zeta)."""
-    from hexcover.eisenstein import mat_conj, mat_identity
+    from hexcover.eisenstein import mat_identity
     from hexcover.symmetry import AffineSymmetry
 
-    lin = mat_conj(h.linear) if g.antiholomorphic else h.linear
+    lin = eisrat_conj(h.linear) if g.antiholomorphic else h.linear
     t = h.translation
     if g.antiholomorphic:
         t = q_zeta_push_vector(mat_identity(2), t, True)
@@ -712,14 +714,14 @@ def formula_inverse(g):
     """The inverse AffineSymmetry of g: -L^-1(t) for a holomorphic g with
     linear part L, conjugated along with L^-1 for an anti-holomorphic one;
     pushed in Q(zeta)."""
-    from hexcover.eisenstein import inv2, mat_conj, mat_identity
+    from hexcover.eisenstein import mat_identity
     from hexcover.symmetry import AffineSymmetry
 
-    inv = inv2(g.linear)
+    inv = eisrat_inv2(g.linear)
     back = -q_zeta_push_vector(inv, g.translation, False)
     if not g.antiholomorphic:
         return AffineSymmetry(inv, False, back)
-    return AffineSymmetry(mat_conj(inv), True,
+    return AffineSymmetry(eisrat_conj(inv), True,
                           q_zeta_push_vector(mat_identity(2), back, True))
 
 
@@ -733,6 +735,25 @@ def eisrat_mat_mul(a, b):
         tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), EisRat(0))
               for j in range(len(b[0])))
         for i in range(len(a)))
+
+
+def eisrat_det2(m):
+    """The determinant of the 2x2 Q(zeta) matrix m, in EisRat."""
+    (a, b), (c, d) = m
+    return a * d - b * c
+
+
+def eisrat_inv2(m):
+    """The inverse of the invertible 2x2 Q(zeta) matrix m: its adjugate,
+    each entry divided by the determinant in EisRat."""
+    d = eisrat_det2(m)
+    (a, b), (c, e) = m
+    return ((e / d, -b / d), (-c / d, a / d))
+
+
+def eisrat_conj(m):
+    """The entrywise conjugate of the Q(zeta) matrix m."""
+    return tuple(tuple(x.conjugate() for x in row) for row in m)
 
 
 def mat_apply(m, v):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexcover import catalog
@@ -14,20 +14,16 @@ from hexcover.eisenstein import (
     _cleared,
     _from_pairs,
     _gf3_residues,
+    _pair_product,
     _ratio,
     _rational,
     _zeta_det,
     as_eis,
-    det2,
-    inv2,
     mat,
-    mat_add,
-    mat_conj,
     mat_identity,
-    mat_mul,
 )
 
-from oracles import (ReIm, close, eisrat_mat_mul, exact,
+from oracles import (ReIm, close, eisrat_det2, eisrat_mat_mul, exact,
                      fraction_eval_coords, is_unit, mat_apply,
                      reim_to_complex, sympy_coords, sympy_det, to_complex)
 from strategies import eis_matrices
@@ -226,17 +222,25 @@ def test_reim_round_trip(x):
     assert close(reim_to_complex(r), want)
 
 
+def pair_mul(*factors):
+    """The product of the Q(zeta) matrices factors, each cleared of its
+    denominator, multiplied on Z[zeta] pairs and built back by
+    _from_pairs, as the package computes its matrix products."""
+    den, pairs = _cleared(factors[0])
+    for m in factors[1:]:
+        d, p = _cleared(m)
+        den, pairs = den * d, _pair_product(pairs, p)
+    return _from_pairs(den, pairs)
+
+
 def test_matrix_helpers():
     a = mat([[1, ZETA], [0, 1]])
     b = mat([[ZETA, 0], [EisRat(1, -1), 2]])
-    ab = mat_mul(a, b)
+    ab = pair_mul(a, b)
     # check one entry by hand: (1*zeta + zeta*(1-zeta)) = zeta + zeta - zeta^2
     assert ab[0][0] == ZETA + ZETA - ZETA * ZETA
-    assert mat_mul(a, mat_identity(2)) == a
+    assert pair_mul(a, mat_identity(2)) == a
     assert tuple(zip(*zip(*a))) == a
-    assert mat_conj(mat_conj(b)) == b
-    assert det2(mat_mul(a, b)) == det2(a) * det2(b)
-    assert mat_mul(a, inv2(a)) == mat_identity(2)
     v = (EisRat(1), ZETA)
     assert mat_apply(mat_identity(2), v) == v
     assert as_eis(Fraction(1, 2)) == EisRat(Fraction(1, 2))
@@ -248,7 +252,7 @@ zeta_pairs = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 @given(st.tuples(zeta_pairs, zeta_pairs), st.tuples(zeta_pairs, zeta_pairs))
 def test_zeta_det_matches_eisrat_determinant(x, y):
     rows = tuple(tuple(EisRat(*p) for p in row) for row in (x, y))
-    assert EisRat(*_zeta_det(x, y)) == det2(rows)
+    assert EisRat(*_zeta_det(x, y)) == eisrat_det2(rows)
     # rows or columns: the transpose has the same determinant
     assert _zeta_det(x, y) == _zeta_det(*zip(x, y))
 
@@ -256,59 +260,39 @@ def test_zeta_det_matches_eisrat_determinant(x, y):
 def test_rectangular_shapes():
     f = mat([[ZETA, -1]])           # 1x2 row
     col = tuple(zip(*f))            # 2x1
-    prod = mat_mul(col, f)          # 2x2
+    prod = pair_mul(col, f)         # 2x2
     assert prod[0][1] == ZETA * EisRat(-1)
     assert mat_apply(f, (EisRat(1), EisRat(1))) == (ZETA - 1,)
 
 
 @st.composite
-def multipliable_matrices(draw):
-    """A pair of matrices with fractional entries whose shapes are
-    2x2 and 2x2, 2x1 and 1x2, or 1x2 and 2x1."""
-    n, k, m = draw(st.sampled_from([(2, 2, 2), (2, 1, 2), (1, 2, 1)]))
-    a = tuple(tuple(draw(eisrats) for _ in range(k)) for _ in range(n))
-    b = tuple(tuple(draw(eisrats) for _ in range(m)) for _ in range(k))
-    return a, b
+def matrix_chains(draw):
+    """Two to four matrices with fractional entries whose shapes chain,
+    each dimension from 1 to 4, so non-square factors such as a 2x2 times
+    a 2x4 occur."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=3, max_size=5))
+    return [tuple(tuple(draw(eisrats) for _ in range(k)) for _ in range(n))
+            for n, k in zip(dims, dims[1:])]
 
 
-@given(multipliable_matrices())
-def test_mat_mul_matches_eisrat_oracle(pair):
-    a, b = pair
-    product = mat_mul(a, b)
-    assert product == eisrat_mat_mul(a, b)
+# the directions of the four tangents as the columns of a 2x4 matrix
+TANGENT_DIRECTIONS = tuple(tuple(EisRat(*p) for p in row)
+                           for row in zip(*catalog.CURVE_LINES))
+
+
+@given(matrix_chains())
+# the 2x2 . 2x4 product behind symmetry._TILTED_TANGENT_PAIRS, and one
+# with a fractional 2x2 factor
+@example([mat([[1, -ZETA], [0, 1]]), TANGENT_DIRECTIONS])
+@example([mat([[Fraction(1, 2), ZETA], [0, Fraction(2, 3)]]),
+          TANGENT_DIRECTIONS, tuple(zip(*TANGENT_DIRECTIONS))])
+def test_pair_product_matches_eisrat_oracle(chain):
+    product = pair_mul(*chain)
+    want = chain[0]
+    for m in chain[1:]:
+        want = eisrat_mat_mul(want, m)
+    assert product == want
     assert all(type(x) is EisRat for row in product for x in row)
-
-
-def test_mat_mul_rejects_mismatched_shapes():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        mat_mul(mat([[1, 0]]), mat([[1, 0]]))
-
-
-@pytest.mark.parametrize("a, b", [
-    ([[1, 0]], [[1, 0], [1]]),
-    ([[1, 0], [1]], [[1], [1]]),
-])
-def test_mat_mul_rejects_ragged_factors(a, b):
-    # zip would otherwise truncate the product to a wrong shape
-    with pytest.raises(ValueError, match="shape mismatch"):
-        mat_mul(mat(a), mat(b))
-
-
-IDENTITY3 = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-
-@pytest.mark.parametrize("helper, args", [
-    (det2, (IDENTITY3,)),
-    (det2, (mat([[1, 0]]),)),
-    (inv2, (IDENTITY3,)),
-    (inv2, (mat([[1], [0]]),)),
-    (mat_add, (mat_identity(2), mat([[1], [0]]))),
-    (mat_add, (mat_identity(2), IDENTITY3)),
-])
-def test_matrix_helpers_reject_other_shapes(helper, args):
-    # zip and fixed indices would otherwise truncate to a wrong answer
-    with pytest.raises(ValueError, match="shape mismatch"):
-        helper(*args)
 
 
 @given(eis_matrices)
@@ -317,6 +301,7 @@ def test_cleared_round_trips(m):
     assert den >= 1
     assert tuple(tuple(EisRat(Fraction(a, den), Fraction(b, den))
                        for a, b in row) for row in pairs) == m
+    assert _from_pairs(den, pairs) == m
     # den is the least common denominator
     assert math.gcd(den, *(x for row in pairs for p in row for x in p)) == 1
 
@@ -416,16 +401,10 @@ def test_arithmetic_keeps_parts_canonical(x, y):
 
 @given(mixed_matrices, mixed_matrices)
 def test_matrix_entries_keep_parts_canonical(m, n):
-    for row in mat_mul(m, n):
+    for row in pair_mul(m, n):
         for x in row:
             _check_parts(x, Fraction(x.a), Fraction(x.b))
-    assert mat_mul(m, n) == eisrat_mat_mul(m, n)
-    if det2(m):
-        inverse = inv2(m)
-        for row in inverse:
-            for x in row:
-                _check_parts(x, Fraction(x.a), Fraction(x.b))
-        assert mat_mul(m, inverse) == mat_identity(2)
+    assert pair_mul(m, n) == eisrat_mat_mul(m, n)
 
 
 @given(st.integers(1, 12),

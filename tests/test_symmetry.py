@@ -8,9 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hexcover import catalog, symmetry
-from hexcover.eisenstein import (EisRat, _cleared, _gf3_residues, _zeta_mul,
-                                 _zeta_pair, det2, inv2, mat, mat_conj,
-                                 mat_identity, mat_mul)
+from hexcover.eisenstein import (ZETA, EisRat, _cleared, _from_pairs,
+                                 _gf3_residues, _zeta_mul, _zeta_pair, mat,
+                                 mat_identity)
 from hexcover.lattice import AmbientVector, LatticeBasis, _int_product
 from hexcover.permgroup import PermGroup, Permutation
 from hexcover.symmetry import (
@@ -33,10 +33,13 @@ from hexcover.symmetry import (
     _first_tangent_pairs,
     _lattice_map,
     _same_map,
+    _shear_inverse,
     _tangent_permutation,
     _unit_det_walk,
     action_on_square_roots,
+    antiholomorphic_in_sheared_frame,
     cross_ratio,
+    from_sheared_frame,
     gamma_action_on_sigma,
     preserves_divisor,
     pull_back,
@@ -49,7 +52,8 @@ from hexcover.appell_humbert import (LineBundleClass, pullback_hom,
 
 import golden
 from golden import EXPECTED
-from oracles import (ComplexLine, complex_line, formula_compose,
+from oracles import (ComplexLine, complex_line, eisrat_conj, eisrat_det2,
+                     eisrat_inv2, eisrat_mat_mul, formula_compose,
                      formula_inverse, is_unit, line_permutation, maps_equal,
                      mat_scale, parse_cycles, perm_inverse,
                      q_zeta_cross_ratio, q_zeta_pull_back,
@@ -213,7 +217,8 @@ def test_preserves_divisor_rejects_generic_torsion_translation():
 
 
 def test_preserves_divisor_rejects_line_breaking_map():
-    shear2 = AffineSymmetry(mat_mul(catalog.FRAME_SHEAR, catalog.FRAME_SHEAR))
+    shear2 = AffineSymmetry(eisrat_mat_mul(catalog.FRAME_SHEAR,
+                                           catalog.FRAME_SHEAR))
     rational_rep(shear2, catalog.COVER_LATTICE)  # lattice is preserved
     assert not preserves_divisor(shear2)
     assert ambient_tangent_permutation(shear2.linear, False) is None
@@ -336,7 +341,7 @@ def test_search_recovers_tilted_generators():
     assert {g.linear for g in found} == want
     for g in found:
         assert not g.antiholomorphic
-        assert is_unit(det2(g.linear))
+        assert is_unit(eisrat_det2(g.linear))
     # the same four already appear at the minimal bound
     assert {g.linear for g in search_generators(2)} == want
     with pytest.raises(ValueError):
@@ -435,9 +440,9 @@ def unit_det_matrices(draw):
         for _ in range(draw(st.integers(0, 3))):
             t = EisRat(*draw(zeta_integers))
             step = [[1, t], [0, 1]] if draw(st.booleans()) else [[1, 0], [t, 1]]
-            m = mat_mul(m, mat(step))
+            m = eisrat_mat_mul(m, mat(step))
         u = EisRat(*draw(st.sampled_from(_UNITS)))
-        m = mat_mul(m, mat([[1, 0], [0, u]]))
+        m = eisrat_mat_mul(m, mat([[1, 0], [0, u]]))
     return mat_scale(EisRat(*draw(st.sampled_from(_UNITS))), m)
 
 
@@ -448,7 +453,7 @@ def integer_tangent_test(linear):
 
 @given(unit_det_matrices())
 def test_integer_tangent_test_matches_q_zeta_permutation(linear):
-    assert is_unit(det2(linear))
+    assert is_unit(eisrat_det2(linear))
     assert integer_tangent_test(linear) == \
         (line_permutation(linear, False, _TILTED_TANGENT_PAIRS)
          in _SEARCH_TARGETS)
@@ -465,7 +470,7 @@ def test_integer_tangent_test_accepts_and_rejects():
         # diag(1, u), u != 1, moves the fourth tangent off the quadruple
         off = mat([[1, 0], [0, EisRat(*u)]])
         for m in TILTED:
-            assert not integer_tangent_test(mat_mul(m, off))
+            assert not integer_tangent_test(eisrat_mat_mul(m, off))
     with pytest.raises(ValueError):
         _zeta_pair(EisRat(Fraction(1, 2)))
 
@@ -505,16 +510,68 @@ def test_tangent_test_matches_q_zeta_permutation_on_a_box(antiholomorphic,
 
 def test_shear_conjugation_recovers_standard_generators():
     shear = catalog.FRAME_SHEAR
-    unshear = inv2(shear)
-    conjugates = {mat_mul(mat_mul(shear, m), unshear) for m in TILTED}
+    unshear = eisrat_inv2(shear)
+    conjugates = {eisrat_mat_mul(eisrat_mat_mul(shear, m), unshear)
+                  for m in TILTED}
     assert conjugates == {eis_matrix(m)
                           for m in EXPECTED["search.ambient_conjugates"]}
     assert {catalog.ORDER4_GEN, catalog.ORDER6_GEN} <= conjugates
+    assert {from_sheared_frame(m) for m in TILTED} == conjugates
     # the anti-holomorphic reflection moves to the sheared frame the same way
-    tilted_refl = mat_mul(mat_mul(unshear, catalog.SIGMA_LINEAR),
-                          mat_conj(shear))
+    tilted_refl = eisrat_mat_mul(eisrat_mat_mul(unshear,
+                                                catalog.SIGMA_LINEAR),
+                                 eisrat_conj(shear))
     assert tilted_refl == \
         eis_matrix(EXPECTED["search.reflection_in_sheared_frame"])
+    assert antiholomorphic_in_sheared_frame(catalog.SIGMA_LINEAR) == \
+        tilted_refl
+
+
+@given(eis_matrices)
+def test_frame_changes_match_eisrat_oracle(m):
+    shear = catalog.FRAME_SHEAR
+    unshear = eisrat_inv2(shear)
+    assert from_sheared_frame(m) == \
+        eisrat_mat_mul(eisrat_mat_mul(shear, m), unshear)
+    assert antiholomorphic_in_sheared_frame(m) == \
+        eisrat_mat_mul(eisrat_mat_mul(unshear, m), eisrat_conj(shear))
+
+
+def test_tilted_tangents_are_the_ambient_ones_in_the_sheared_frame():
+    # the columns of S^-1 D, D the tangent directions as columns; the
+    # inverse of the shear is integral, so the pairs are exact
+    directions = tuple(tuple(EisRat(*p) for p in row)
+                       for row in zip(*catalog.CURVE_LINES))
+    tilted = eisrat_mat_mul(eisrat_inv2(catalog.FRAME_SHEAR), directions)
+    assert _TILTED_TANGENT_PAIRS == tuple(
+        tuple(_zeta_pair(x) for x in column) for column in zip(*tilted))
+
+
+def shear_inverse(m):
+    """The cleared inverse _shear_inverse gives, as a Q(zeta) matrix."""
+    return _from_pairs(*_shear_inverse(m))
+
+
+@given(eis_matrices)
+@example(catalog.FRAME_SHEAR)
+# a unit determinant other than 1, 1 - zeta, so conj(d) / N(d) is not 1
+@example(mat([[1, ZETA], [1, 1]]))
+def test_cleared_inverse_inverts(m):
+    # S . S^-1 = I on the cleared inverse, for the frame shear S and others
+    assume(eisrat_det2(m))
+    inverse = shear_inverse(m)
+    assert inverse == eisrat_inv2(m)
+    assert eisrat_mat_mul(m, inverse) == mat_identity(2)
+    assert eisrat_mat_mul(inverse, m) == mat_identity(2)
+
+
+@pytest.mark.parametrize("singular", [
+    [[0, ZETA], [0, 1]], [[1, ZETA], [0, 0]], [[1, ZETA], [ZETA, ZETA - 1]]])
+def test_singular_shear_raises_a_typed_error(singular):
+    # a singular frame shear raised ZeroDivisionError from the EisRat
+    # division of the 2x2 inverse
+    with pytest.raises(NotLatticePreserving, match="singular"):
+        _shear_inverse(mat(singular))
 
 
 def test_presentation_relations():
@@ -584,7 +641,8 @@ def test_commutator_square_is_negation():
 
 
 def test_action_errors():
-    shear2 = AffineSymmetry(mat_mul(catalog.FRAME_SHEAR, catalog.FRAME_SHEAR))
+    shear2 = AffineSymmetry(eisrat_mat_mul(catalog.FRAME_SHEAR,
+                                           catalog.FRAME_SHEAR))
     with pytest.raises(NotDivisorPreserving):
         action_on_square_roots(shear2, ROOTS)
     broken = list(ROOTS)
@@ -802,7 +860,7 @@ def tangent_permuting_maps(draw):
 # maps that permute the tilted tangents
 tilted_reflections = st.tuples(
     st.sampled_from((mat_identity(2),) + TILTED).map(
-        lambda m: mat_mul(m, eis_matrix(
+        lambda m: eisrat_mat_mul(m, eis_matrix(
             EXPECTED["search.reflection_in_sheared_frame"]))),
     st.just(True))
 # sheared-frame cases: unit-determinant matrices, of which the tilted
@@ -822,7 +880,7 @@ def test_tangent_permutation_matches_q_zeta_oracle(case):
     # the ambient tangents, as preserves_divisor asks, and the tilted ones,
     # as the search asks
     linear, antiholomorphic, tangents = case
-    assume(det2(linear))
+    assume(eisrat_det2(linear))
     assert _tangent_permutation(_cleared(linear)[1], antiholomorphic,
                                 tangents) == \
         line_permutation(linear, antiholomorphic, tangents)
@@ -834,10 +892,10 @@ def test_tangent_permutation_is_the_same_in_both_frames(case):
     # z = S w, so a map w -> M w (or M conj(w)) and its ambient form
     # S M S^-1 (or S M conj(S)^-1) permute the two quadruples alike
     linear, anti = case
-    assume(det2(linear))
+    assume(eisrat_det2(linear))
     shear = catalog.FRAME_SHEAR
-    back = inv2(mat_conj(shear) if anti else shear)
-    ambient = mat_mul(mat_mul(shear, linear), back)
+    back = eisrat_inv2(eisrat_conj(shear) if anti else shear)
+    ambient = eisrat_mat_mul(eisrat_mat_mul(shear, linear), back)
     assert _tangent_permutation(_cleared(linear)[1], anti,
                                 _TILTED_TANGENT_PAIRS) == \
         ambient_tangent_permutation(ambient, anti)
@@ -858,7 +916,7 @@ def maybe_singular_matrices(draw):
 
 @given(maybe_singular_matrices(), st.booleans())
 def test_invertibility_check_matches_det2(linear, anti):
-    if det2(linear):
+    if eisrat_det2(linear):
         assert AffineSymmetry(linear, anti).linear == mat(linear)
     else:
         with pytest.raises(ValueError, match="must be invertible"):

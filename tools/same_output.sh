@@ -53,6 +53,9 @@ commands=(
     # conjugates back to the standard frame and the sum of the curve forms
     "search-aut --bound 3 --perturb search.ambient_conjugates --json"
     "tables --perturb tables.branch_form_sum --json"
+    # the failure path of the sheared-frame reflection, which symmetry
+    # computes on Z[zeta] pairs
+    "search-aut --perturb search.reflection_in_sheared_frame --json"
     # the failure paths of the rows that lattice maps and the rational rule
     # compute: the bool of verify_presentation, the rotation's permutation
     # from gamma_action_on_sigma and the product-quotient invariants
