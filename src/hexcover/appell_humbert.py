@@ -24,14 +24,12 @@ Conventions:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import add, attrgetter
 from typing import List, Sequence, Tuple
 
 from .eisenstein import (
     EisMat,
-    EisRat,
     Rat,
     _Immutable,
     _cleared,
@@ -131,11 +129,6 @@ class HermitianForm(_Immutable):
             raise ValueError("matrix is not conjugate-symmetric")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "gram", gram)
-
-    def scaled(self, c: Fraction) -> "HermitianForm":
-        c = _rational(c)
-        return HermitianForm(tuple(tuple(EisRat(x.a * c, x.b * c) for x in row)
-                                   for row in self.matrix))
 
     def __add__(self, other: "HermitianForm") -> "HermitianForm":
         if not isinstance(other, HermitianForm):
@@ -264,7 +257,7 @@ class Semicharacter(_Immutable):
     __slots__ = ("lattice", "form", "_den", "_nums")
     _key = attrgetter("_den", "_nums", "form")
 
-    def __init__(self, exponents: Sequence[Fraction],
+    def __init__(self, exponents: Sequence[Rat],
                  form: AltFormOnLattice) -> None:
         exps = tuple(map(_rational, exponents))
         den = lcm(*(q.denominator for q in exps))
@@ -294,8 +287,9 @@ class Semicharacter(_Immutable):
         object.__setattr__(self, "_nums", nums)
 
     @property
-    def exponents(self) -> Tuple[Fraction, ...]:
+    def exponents(self) -> Tuple[Rat, ...]:
         """The exponents on the basis as Fractions in [0, 1)."""
+        from fractions import Fraction
         den = self._den
         return tuple(Fraction(n, den) for n in self._nums)
 
@@ -312,14 +306,15 @@ class Semicharacter(_Immutable):
                  + n1 * (n2 * e12 + n3 * e13) + n2 * n3 * e23)
         return 2 * (n0 * q0 + n1 * q1 + n2 * q2 + n3 * q3) + self._den * cross
 
-    def eval_coords(self, n: Sequence[int]) -> Fraction:
-        """Exponent of chi at sum(n[j] * basis[j]), in [0, 1)."""
+    def eval_coords(self, n: Sequence[int]) -> Rat:
+        """Exponent of chi at sum(n[j] * basis[j]), a Fraction in [0, 1)."""
         if len(n) != 4:
             raise ValueError("a lattice vector has four coordinates")
+        from fractions import Fraction
         den = 2 * self._den
         return Fraction(self._numerator(n) % den, den)
 
-    def eval(self, v: AmbientVector) -> Fraction:
+    def eval(self, v: AmbientVector) -> Rat:
         coords = _lattice_coordinates(self.lattice, v)
         if coords is None:
             raise NotInLattice("vector is not in the lattice")
@@ -354,15 +349,9 @@ class LineBundleClass(_Immutable):
         object.__setattr__(self, "character", character)
 
     @classmethod
-    def build(cls, form: HermitianForm, lattice: LatticeBasis,
-              exponents: Sequence[Fraction]) -> "LineBundleClass":
-        alt = im_on_lattice(form, lattice)
-        return cls(form, Semicharacter(exponents, alt))
-
-    @classmethod
     def _from_numerators(cls, form: HermitianForm, lattice: LatticeBasis,
                          den: int, nums: Sequence[int]) -> "LineBundleClass":
-        """build for the exponents nums[j] / den."""
+        """The bundle of form on lattice with exponents nums[j] / den."""
         alt = im_on_lattice(form, lattice)
         return cls(form, Semicharacter._from_numerators(den, nums, alt))
 
@@ -484,7 +473,8 @@ def square_roots(bundle: LineBundleClass) -> List[LineBundleClass]:
     """
     if not bundle.character.form.is_even():
         return []
-    half_form = bundle.form.scaled(Fraction(1, 2))
+    form_den, pairs = _cleared(bundle.form.matrix)
+    half_form = HermitianForm(_from_pairs(2 * form_den, pairs))
     # over 2 * den, the first root's numerators are those of the bundle and
     # a sign -1 adds den, that is 1/2
     chi = bundle.character

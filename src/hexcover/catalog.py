@@ -10,8 +10,6 @@ symmetry action, orbit count) consumes the objects defined here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .appell_humbert import (
     HermitianForm,
     LineBundleClass,
@@ -59,9 +57,8 @@ CURVE_LINES = tuple((_zeta_pair(f[1][1]), _zeta_pair(-f[1][0]))
 # semicharacter -1 on l2 and u2 and trivial on the first factor.  A
 # curve map lands in the second factor, so its bundle is the pullback of
 # this one (f^*(pr_2^* Theta) = (pr_2 . f)^* Theta).
-GENUS1_THETA = LineBundleClass.build(
-    HermitianForm([[0, 0], [0, 2]]), PRODUCT_LATTICE,
-    (0, Fraction(1, 2), 0, Fraction(1, 2)))
+GENUS1_THETA = LineBundleClass._from_numerators(
+    HermitianForm([[0, 0], [0, 2]]), PRODUCT_LATTICE, 2, (0, 1, 0, 1))
 
 # Bundles of the four curves on the product surface, by pullback.
 CURVE_BUNDLES = tuple(

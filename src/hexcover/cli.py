@@ -22,7 +22,7 @@ from typing import List, NoReturn, Sequence, Tuple
 from . import catalog
 from .appell_humbert import im_on_lattice, intersection_number, square_roots
 from .eisenstein import EisRat, _gf3_residues, _rational
-from .lattice import coords_in
+from .lattice import _lattice_coordinates
 from .permgroup import PermGroup
 from .surface_invariants import (
     NonIntegral,
@@ -125,7 +125,7 @@ def _characters_rows() -> List[Row]:
     for k in outcome.selected:
         # kernel_lattice's basis is already the normal form; its product
         # coordinates are the columns
-        normal = zip(*(coords_in(catalog.PRODUCT_LATTICE, v)
+        normal = zip(*(_lattice_coordinates(catalog.PRODUCT_LATTICE, v)
                        for v in kernel_lattice(chars[k]).vectors))
         rows.append((f"characters.kernel_hnf_{k}", _int_rows(normal)))
     # Im h on the mixed cover generators l1 + u2 and l2 + u2

@@ -4,22 +4,24 @@ zeta is a primitive sixth root of unity, so zeta**2 = zeta - 1 and
 conj(zeta) = 1 - zeta.  Every element is stored as a + b*zeta with
 rational a, b; the hexagonal ring Z[zeta] is the ring of integers.
 
-Every exact rational the package computes, here and in lattice and
-appell_humbert, has one canonical form: an int when it is integral, else a
-Fraction in lowest terms (_rational, _ratio).  Almost every value the
-classification meets is an integer, so its arithmetic stays on ints.  A
-float or a string raises TypeError rather than being rounded into a
-Fraction, and so does a bool, which is an int to Python but not a number
-here.
+Inside the package an exact rational is an int, or integers over one
+positive denominator (AmbientVector, Semicharacter, coords_in, _cleared),
+so its arithmetic stays on ints.  A Fraction appears only at the edges,
+handed in by a caller, made by _rational or _ratio for a fractional value,
+or returned by a reader; each imports fractions on first use.  A float or
+a string raises TypeError rather than being rounded into a Fraction, and so
+does a bool, which is an int to Python but not a number here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
-from typing import Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Sequence, Tuple, Union
 
-Rat = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Rat = Union[int, "Fraction"]
 
 
 def _rational(x: object) -> Rat:
@@ -29,17 +31,21 @@ def _rational(x: object) -> Rat:
     TypeError."""
     if type(x) is int:
         return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int) and type(x) is not bool:
         return int(x)
+    from fractions import Fraction
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"expected an int or a Fraction, got {x!r}")
 
 
-def _ratio(n: int, den: int) -> Rat:
+def _ratio(n: Rat, den: Rat) -> Rat:
     """n / den in canonical form: an int when den divides n, else a
     Fraction."""
-    return n // den if n % den == 0 else Fraction(n, den)
+    if n % den == 0:
+        return n // den
+    from fractions import Fraction
+    return Fraction(n, den)
 
 
 class _Immutable:
@@ -82,9 +88,10 @@ class EisRat(_Immutable):
     def _coerce(x: object) -> "EisRat | None":
         if isinstance(x, EisRat):
             return x
-        if isinstance(x, (int, Fraction)) and type(x) is not bool:
+        try:
             return EisRat(x)
-        return None
+        except TypeError:
+            return None
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
@@ -139,9 +146,9 @@ class EisRat(_Immutable):
         n = o.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(zeta)")
-        # 1/x = conj(x) / norm(x), through Fraction, as int / int is a float
+        # 1/x = conj(x) / norm(x), through _ratio, as int / int is a float
         num = self * o.conjugate()
-        return EisRat(Fraction(num.a, n), Fraction(num.b, n))
+        return EisRat(_ratio(num.a, n), _ratio(num.b, n))
 
     def conjugate(self) -> "EisRat":
         # conj(zeta) = 1 - zeta

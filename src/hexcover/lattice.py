@@ -20,12 +20,11 @@ term by term on the four coordinates.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, mul
 from typing import List, Optional, Sequence, Tuple
 
-from .eisenstein import EisMat, Rat, _Immutable, _cleared, _ratio, _rational
+from .eisenstein import EisMat, Rat, _Immutable, _cleared, _rational
 
 
 class AmbientVector(_Immutable):
@@ -56,7 +55,8 @@ class AmbientVector(_Immutable):
         return v
 
     @property
-    def coordinates(self) -> Tuple[Fraction, ...]:
+    def coordinates(self) -> Tuple[Rat, ...]:
+        from fractions import Fraction
         den = self._den
         return tuple(Fraction(n, den) for n in self._nums)
 
@@ -83,7 +83,9 @@ class AmbientVector(_Immutable):
                                             [-a for a in self._nums])
 
     def __mul__(self, scalar: Rat) -> "AmbientVector":
-        if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):
+        try:
+            scalar = _rational(scalar)
+        except TypeError:
             return NotImplemented
         return AmbientVector._from_integers(
             self._den * scalar.denominator,
@@ -186,8 +188,8 @@ def _ambient_matrix(m: EisMat, conjugate_first: bool = False) -> _AmbientMap:
     return den, tuple(rows)
 
 
-def _int_product(A, B) -> Tuple[Tuple[Rat, ...], ...]:
-    """A . B for matrices given as rows of ints or Fractions, as rows."""
+def _int_product(A, B) -> Tuple[Tuple[int, ...], ...]:
+    """A . B for integer matrices given as rows, as rows."""
     columns = tuple(zip(*B))
     return tuple([tuple([sum(map(mul, row, col)) for col in columns])
                   for row in A])
@@ -262,10 +264,10 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def coords_in(reference: LatticeBasis,
-              v: AmbientVector) -> Tuple[Rat, ...]:
-    """Rational coordinates of v in the reference basis, each in the
-    canonical form of eisenstein._rational: an int tuple at a lattice
-    vector, and a Fraction only at a fractional entry.
+              v: AmbientVector) -> Tuple[int, Tuple[int, ...]]:
+    """Rational coordinates of v in the reference basis as (den, nums):
+    the coordinates are nums[i] / den, in lowest terms with den > 0, so v
+    is a lattice vector exactly when den == 1.
 
     Each result is stored on the reference basis keyed by v, so asking
     again for an equal vector is one dict lookup."""
@@ -276,17 +278,18 @@ def coords_in(reference: LatticeBasis,
     return coords
 
 
-def _solve(reference: LatticeBasis, v: AmbientVector) -> Tuple[Rat, ...]:
-    """coords_in of v, computed with the basis' _solver: the coordinates
-    are integers over one denominator, each reduced by
-    eisenstein._ratio."""
+def _solve(reference: LatticeBasis,
+           v: AmbientVector) -> Tuple[int, Tuple[int, ...]]:
+    """coords_in of v, computed with the basis' _solver: inverse . v over
+    det(V) times v's denominator, reduced to a positive denominator."""
     if not isinstance(v, AmbientVector):  # on a miss only: hits stay free
         raise TypeError(f"expected an AmbientVector, got {v!r}")
     den, inverse = reference._solver
     den *= v._den
     # written out: every coords_in miss runs it, and a call would cost more
-    return tuple([_ratio(sum(map(mul, row, v._nums)), den)
-                  for row in inverse])
+    nums = [sum(map(mul, row, v._nums)) for row in inverse]
+    g = gcd(den, *nums) * (1 if den > 0 else -1)
+    return den // g, tuple([n // g for n in nums])
 
 
 def _lattice_coordinates(basis: LatticeBasis,
@@ -295,11 +298,9 @@ def _lattice_coordinates(basis: LatticeBasis,
     the lattice, that is, when its coordinates are fractional.
 
     They are read off coords_in, so that every lookup stays a coords_in
-    call, which perfbench's self-test counts: in the canonical form of
-    eisenstein._rational an entry is a Fraction exactly when it is
-    fractional, and a sum with a Fraction term is a Fraction."""
-    coords = coords_in(basis, v)
-    return coords if type(sum(coords)) is int else None
+    call, which perfbench's self-test counts."""
+    den, nums = coords_in(basis, v)
+    return nums if den == 1 else None
 
 
 # --- lattice operations -----------------------------------------------------

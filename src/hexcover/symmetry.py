@@ -122,17 +122,19 @@ def rational_rep(g: AffineSymmetry, basis: LatticeBasis):
 # A lattice map is an affine symmetry g in the coordinates of a lattice
 # basis: coordinates n go to R n + t, with R = rational_rep(g, basis) the
 # integer matrix of g's real-linear part and t the coordinates of g's
-# translation.  It is kept as the augmented 5x5 matrix [[R, t], [0, 1]], so
-# the map of f after h is the product _int_product(f, h); R is the matrix
-# of the real-linear part, so this holds for an anti-holomorphic f too.
+# translation.  It is kept as the integer 5x5 matrix d [[R, t], [0, 1]],
+# d > 0 its corner, so the map of f after h is _int_product(f, h); R is the
+# matrix of the real-linear part, so this holds for an anti-holomorphic f
+# too.
 
 
 def _lattice_map(g: AffineSymmetry, basis: LatticeBasis):
-    """The lattice map of g on the basis, as [[R, t], [0, 1]]; t may hold
-    Fractions."""
-    shift = coords_in(basis, g.translation)
-    return (*(row + (t,) for row, t in zip(rational_rep(g, basis), shift)),
-            (0, 0, 0, 0, 1))
+    """The lattice map of g on the basis, with d the denominator coords_in
+    gives t, so d == 1 exactly when t is integral."""
+    d, shift = coords_in(basis, g.translation)
+    return (*(tuple(d * x for x in row) + (t,)
+              for row, t in zip(rational_rep(g, basis), shift)),
+            (0, 0, 0, 0, d))
 
 
 _IDENTITY_MAP = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
@@ -140,9 +142,11 @@ _IDENTITY_MAP = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
 
 def _same_map(f, h) -> bool:
     """Equality as maps of the torus: the same R, and translations that
-    differ by a lattice vector (read off the denominator, as a Fraction
-    sum may leave an integer a Fraction)."""
-    return all(a[:4] == b[:4] and (a[4] - b[4]).denominator == 1
+    differ by a lattice vector; over the corners df and dh, dh R_f = df R_h
+    and dh t_f - df t_h is 0 modulo df dh."""
+    df, dh = f[4][4], h[4][4]
+    return all([x * dh for x in a[:4]] == [y * df for y in b[:4]]
+               and (a[4] * dh - b[4] * df) % (df * dh) == 0
                for a, b in zip(f, h))
 
 
@@ -444,8 +448,9 @@ def gamma_action_on_sigma() -> Permutation:
     g = PRODUCT_ORDER3
     rotation = _lattice_map(g, catalog.PRODUCT_LATTICE)
     cube = _int_product(rotation, _int_product(rotation, rotation))
+    # corner 1: an integral translation, and rotation is [[R, t], [0, 1]]
     if ([row[:4] for row in cube] != [row[:4] for row in _IDENTITY_MAP]
-            or any(row[4].denominator != 1 for row in rotation)):
+            or rotation[4][4] != 1):
         raise NotOfOrderThree("product symmetry is not of order 3")
     if _tangent_permutation(_cleared(g.linear)[1], False,
                             catalog.CURVE_LINES) is None:

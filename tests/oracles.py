@@ -105,6 +105,15 @@ def close(x: complex, y: complex, tol: float = 1e-9) -> bool:
     return abs(x - y) <= tol * (1 + abs(x) + abs(y))
 
 
+def coords_fractions(coords) -> Tuple[Fraction, ...]:
+    """coords_in's (den, nums) as Fractions, after checking its form: four
+    int numerators over an int den > 0, in lowest terms."""
+    den, nums = coords
+    assert type(den) is int and den > 0 and len(nums) == 4
+    assert all(type(n) is int for n in nums) and math.gcd(den, *nums) == 1
+    return tuple(Fraction(n, den) for n in nums)
+
+
 def sympy_det(rows) -> Fraction:
     """Exact determinant of a rational matrix via sympy."""
     m = sympy.Matrix([[sympy.Rational(exact(x)) for x in row]
@@ -541,8 +550,7 @@ def q_zeta_pull_back(g, bundle):
     the translation shifts the exponents by Im h(t, b_j) from
     hermitian_value, then the (anti)linear part pulls back the form
     and pushes each basis vector by q_zeta_push_vector."""
-    from hexcover.appell_humbert import (HermitianForm, LineBundleClass,
-                                         Semicharacter)
+    from hexcover.appell_humbert import HermitianForm, Semicharacter
 
     lattice = bundle.lattice
     shifted = Semicharacter(
@@ -555,7 +563,7 @@ def q_zeta_pull_back(g, bundle):
             for b in lattice.vectors]
     form = HermitianForm(q_zeta_pulled_form(bundle.form.matrix, g.linear,
                                             anti))
-    return LineBundleClass.build(form, lattice, exps)
+    return bundle_with_exponents(form, lattice, exps)
 
 
 def hnf_index(sub, sup) -> int:
@@ -564,9 +572,8 @@ def hnf_index(sub, sup) -> int:
     found by coords_in; they must be integral."""
     from hexcover.lattice import coords_in
 
-    cols = [coords_in(sup, v) for v in sub.vectors]
-    assert all(x.denominator == 1 for c in cols for x in c), \
-        "sub does not lie in sup"
+    dens, cols = zip(*(coords_in(sup, v) for v in sub.vectors))
+    assert set(dens) == {1}, "sub does not lie in sup"
     return abs(int(sympy_det(cols)))
 
 
@@ -650,6 +657,24 @@ def is_unit(x) -> bool:
 def mat_scale(c, m):
     """The Q(zeta) matrix m with every entry multiplied by c."""
     return tuple(tuple(c * x for x in row) for row in m)
+
+
+def scaled_form(h, c):
+    """The hermitian form c * h for a rational c, entry by entry in EisRat
+    arithmetic."""
+    from hexcover.appell_humbert import HermitianForm
+
+    return HermitianForm(mat_scale(exact(c), h.matrix))
+
+
+def bundle_with_exponents(form, lattice, exponents):
+    """The bundle of form on lattice whose semicharacter has the given
+    basis exponents, through the public constructors."""
+    from hexcover.appell_humbert import (LineBundleClass, Semicharacter,
+                                         im_on_lattice)
+
+    return LineBundleClass(
+        form, Semicharacter(exponents, im_on_lattice(form, lattice)))
 
 
 def perm_inverse(p):

@@ -446,10 +446,10 @@ def _value_cases():
     imported here so that the eisenstein tests above need none of it."""
     from hexcover import catalog, symmetry
     from hexcover.appell_humbert import (AltFormOnLattice, HermitianForm,
-                                         LineBundleClass, Semicharacter,
-                                         im_on_lattice)
+                                         Semicharacter, im_on_lattice)
     from hexcover.lattice import AmbientVector, LatticeBasis
     from hexcover.permgroup import PermGroup, Permutation
+    from oracles import bundle_with_exponents, scaled_form
     from hexcover.surface_invariants import SingularityProfile
     from hexcover.torsion_covers import (CharacterClassification,
                                          CharacterMod2, all_characters,
@@ -473,7 +473,7 @@ def _value_cases():
         (alt, AltFormOnLattice(LatticeBasis.from_rows(rows),
                                [list(row) for row in alt.matrix]),
          AltFormOnLattice(catalog.COVER_LATTICE, alt.matrix),
-         im_on_lattice(bundle.form.scaled(2), bundle.lattice)),
+         im_on_lattice(scaled_form(bundle.form, 2), bundle.lattice)),
         # (1/4, ...) has the numerators of (1/2, ...) over another
         # denominator
         (bundle.character, Semicharacter((0, half, 0, half), alt),
@@ -482,10 +482,10 @@ def _value_cases():
          Semicharacter((0, half, 0, half), other_alt)),
         # the form is fixed by the character's, so only the character can
         # change alone
-        (bundle, LineBundleClass.build(HermitianForm([[0, 0], [0, 2]]),
+        (bundle, bundle_with_exponents(HermitianForm([[0, 0], [0, 2]]),
                                        LatticeBasis.from_rows(rows),
                                        (0, half, 0, half)),
-         LineBundleClass.build(bundle.form, bundle.lattice,
+         bundle_with_exponents(bundle.form, bundle.lattice,
                                (half, half, 0, half))),
         (Permutation.identity(3), Permutation([1, 2, 3]),
          Permutation([2, 1, 3])),

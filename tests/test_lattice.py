@@ -1,3 +1,4 @@
+import fractions
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +26,7 @@ from hexcover.lattice import (
 
 import golden
 from oracles import (ZETA_C, ComplexLine, FractionAmbientVector,
-                     ambient_from_pair, close, complex_line,
+                     ambient_from_pair, close, complex_line, coords_fractions,
                      fraction_integer_coordinates, fraction_map_coordinates,
                      hnf_index, q_zeta_push_vector, sympy_coords, sympy_det,
                      sympy_product, sympy_rref, to_complex, to_pair)
@@ -165,12 +166,14 @@ def _product_factors(draw):
 
 @st.composite
 def _augmented_maps(draw):
-    """Two 5x5 lattice maps [[R, t], [0, 1]] with int R and a last column
-    t of ints and Fractions, as symmetry composes them."""
+    """Two 5x5 lattice maps, integer matrices d [[R, t], [0, 1]] with int
+    R, a last column d t of ints and a last row (0, 0, 0, 0, d), as
+    symmetry composes them."""
     def augmented():
-        return tuple([tuple(draw(st.integers(-5, 5)) for _ in range(4))
-                      + (draw(st.one_of(st.integers(-5, 5), rationals)),)
-                      for _ in range(4)]) + ((0, 0, 0, 0, 1),)
+        d = draw(st.integers(1, 3))
+        return tuple([tuple(d * draw(st.integers(-5, 5)) for _ in range(4))
+                      + (draw(st.integers(-5, 5)),)
+                      for _ in range(4)]) + ((0, 0, 0, 0, d),)
     return augmented(), augmented()
 
 
@@ -196,7 +199,8 @@ def test_integer_vector_paths_build_no_fraction(monkeypatch):
     def no_fraction(*args):
         raise AssertionError("a Fraction was built")
 
-    monkeypatch.setattr(lattice, "Fraction", no_fraction)
+    # the package imports Fraction from fractions where it builds one
+    monkeypatch.setattr(fractions, "Fraction", no_fraction)
     images = _map_coordinates(ambient, integer_coordinates(vectors))
     doubled = [-(v + w - v) - w for v, w in zip(vectors, images)]
     assert doubled == [-(w + w) for w in images]
@@ -332,7 +336,7 @@ def _rows(basis):
 @given(lattice_bases(), ambient_vectors)
 def test_coords_in_matches_sympy_rank4(basis, v):
     got = coords_in(basis, v)
-    assert got == sympy_coords(_rows(basis), v.coordinates)
+    assert coords_fractions(got) == sympy_coords(_rows(basis), v.coordinates)
     again = LatticeBasis.from_rows(_rows(basis))
     assert coords_in(basis, v) == coords_in(again, v) == got
 
@@ -351,7 +355,8 @@ def test_coords_in_memo_matches_cold_basis_and_sympy(basis, vectors):
     for v, got in zip(queries, first):
         cold = LatticeBasis(basis.vectors)
         assert coords_in(cold, v) == got
-        assert got == sympy_coords(_rows(basis), v.coordinates)
+        assert coords_fractions(got) == sympy_coords(_rows(basis),
+                                                     v.coordinates)
     assert _lattice_coordinates(basis, half) is None
     assert _lattice_coordinates(basis, basis.vectors[-1]) == (0, 0, 0, 1)
 
@@ -363,13 +368,13 @@ def test_coords_in_is_an_int_tuple_at_lattice_vectors(basis, n, k):
     for nj, b in zip(n, basis.vectors):
         v = v + nj * b
     got = coords_in(basis, v)
-    assert got == n and all(type(c) is int for c in got)
+    assert got == (1, n) and all(type(c) is int for c in got[1])
     # the one integer tuple is also the memo's lattice coordinates
-    assert _lattice_coordinates(basis, v) is got
-    # half a basis vector off: a Fraction at that entry only
-    off = coords_in(basis, v + Fraction(1, 2) * basis.vectors[k])
-    assert off[k] == n[k] + Fraction(1, 2) and type(off[k]) is Fraction
-    assert all(type(c) is int and c == nj
+    assert _lattice_coordinates(basis, v) is got[1]
+    # half a basis vector off: over 2, an odd numerator at that entry only
+    den, off = coords_in(basis, v + Fraction(1, 2) * basis.vectors[k])
+    assert den == 2 and off[k] == 2 * n[k] + 1
+    assert all(type(c) is int and c == 2 * nj
                for j, (c, nj) in enumerate(zip(off, n)) if j != k)
 
 
@@ -384,10 +389,10 @@ def test_coords_in_memo_keeps_none_and_fractional_points(monkeypatch):
     monkeypatch.setattr(lattice, "_solve",
                         lambda b, v: solved.append(v) or solve(b, v))
     for _ in range(3):
-        assert coords_in(basis, inside) == (1, 0, 1, 0)
+        assert coords_in(basis, inside) == (1, (1, 0, 1, 0))
         assert _lattice_coordinates(basis, AmbientVector(
             inside.coordinates)) == (1, 0, 1, 0)
-        assert coords_in(basis, half) == (0, Fraction(1, 2), 0, 0)
+        assert coords_in(basis, half) == (2, (0, 1, 0, 0))
         assert _lattice_coordinates(basis, half) is None
         assert _lattice_coordinates(basis, halves) is None
     # each vector is solved once, the fractional points (lattice

@@ -113,8 +113,10 @@ def test_verify_all_computes_no_float(capsys):
     package = [v for v in vars(catalog).values()
                if isinstance(v, (_Immutable, tuple))]
     assert _inexact(rows, report, package) == []
-    kinds = {type(x) for x in _leaves(package, set())}
-    assert {int, Fraction} <= kinds
+    # the walk reaches the computed numbers; whether a Fraction is among
+    # them depends on what earlier tests left in the caches, so that the
+    # run builds none is held by tests/test_no_fractions.py
+    assert int in {type(x) for x in _leaves(package, set())}
 
 
 def test_walk_finds_a_float_in_a_value_type():

@@ -47,16 +47,15 @@ from hexcover.symmetry import (
     search_generators,
     verify_presentation,
 )
-from hexcover.appell_humbert import (LineBundleClass, pullback_hom,
-                                     square_roots, translate)
+from hexcover.appell_humbert import pullback_hom, square_roots, translate
 
 import golden
 from golden import EXPECTED
-from oracles import (ComplexLine, complex_line, eisrat_conj, eisrat_det2,
-                     eisrat_inv2, eisrat_mat_mul, formula_compose,
-                     formula_inverse, is_unit, line_permutation, maps_equal,
-                     mat_scale, parse_cycles, perm_inverse,
-                     q_zeta_cross_ratio, q_zeta_pull_back,
+from oracles import (ComplexLine, bundle_with_exponents, complex_line,
+                     eisrat_conj, eisrat_det2, eisrat_inv2, eisrat_mat_mul,
+                     formula_compose, formula_inverse, is_unit,
+                     line_permutation, maps_equal, mat_scale, parse_cycles,
+                     perm_inverse, q_zeta_cross_ratio, q_zeta_pull_back,
                      q_zeta_push_vector, scan_search_generators,
                      scan_unit_det_candidates)
 from strategies import eis_matrices, eis_rationals, unimodular_matrices
@@ -791,6 +790,16 @@ def _word_maps(word, basis):
                              [_lattice_map(g, basis) for g in word]))
 
 
+def _augmented(lattice_map):
+    """The augmented matrix [[R, t], [0, 1]] of a lattice map in Fractions,
+    after checking that it is an integer matrix whose last row is
+    (0, 0, 0, 0, d) for a d > 0."""
+    d = lattice_map[4][4]
+    assert all(type(x) is int for row in lattice_map for x in row)
+    assert d > 0 and lattice_map[4] == (0, 0, 0, 0, d)
+    return [[Fraction(x, d) for x in row] for row in lattice_map]
+
+
 @pytest.mark.parametrize("letters, relations, basis", [
     (CANONICAL_SYMMETRIES, COVER_RELATIONS, catalog.COVER_LATTICE),
     ((PRODUCT_ORDER3, NEGATION), PRODUCT_RELATIONS, catalog.PRODUCT_LATTICE),
@@ -801,7 +810,7 @@ def test_lattice_maps_match_affine_composition(letters, relations, basis,
                                                data):
     word, other = data.draw(symmetry_words(letters, relations))
     g, composed = _word_maps(word, basis)
-    assert composed == _lattice_map(g, basis)
+    assert _augmented(composed) == _augmented(_lattice_map(g, basis))
     h, other_composed = _word_maps(other, basis)
     assert _same_map(composed, other_composed) == maps_equal(g, h, basis)
 
@@ -825,7 +834,7 @@ def test_action_raises_when_a_root_is_dropped():
             action_on_square_roots(ORDER4_SYMMETRY, short)
     # same exponents on another form: found by the lookup, rejected by ==
     decoy = list(ROOTS)
-    decoy[3] = LineBundleClass.build(catalog.SUM_FORM, ROOTS[3].lattice,
+    decoy[3] = bundle_with_exponents(catalog.SUM_FORM, ROOTS[3].lattice,
                                      ROOTS[3].character.exponents)
     with pytest.raises(RootNotFound):
         action_on_square_roots(NEGATION, decoy)
