@@ -32,8 +32,8 @@ from .eisenstein import (
     EisMat,
     Rat,
     _Immutable,
-    _cleared,
-    _from_pairs,
+    _canonical,
+    _pair_conjugate,
     _pair_product,
     _ratio,
     _rational,
@@ -109,7 +109,8 @@ def _ambient_gram(m: EisMat) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
 
 
 class HermitianForm(_Immutable):
-    """Conjugate-symmetric 2x2 matrix over Q(zeta), scaled by 1/sqrt(3).
+    """Conjugate-symmetric 2x2 matrix over Q(zeta), scaled by 1/sqrt(3),
+    held as its EisMat.
 
     gram is its integer ambient Gram matrix (_ambient_gram), through
     which im_on_lattice and translate evaluate Im h.  h is hermitian
@@ -122,8 +123,6 @@ class HermitianForm(_Immutable):
 
     def __init__(self, matrix: Sequence[Sequence[object]]) -> None:
         m = mat(matrix)
-        if len(m) != 2 or any(len(r) != 2 for r in m):
-            raise ValueError("hermitian forms here are 2x2")
         gram = _ambient_gram(m)
         if gram[1] != tuple(tuple(-x for x in c) for c in zip(*gram[1])):
             raise ValueError("matrix is not conjugate-symmetric")
@@ -133,8 +132,12 @@ class HermitianForm(_Immutable):
     def __add__(self, other: "HermitianForm") -> "HermitianForm":
         if not isinstance(other, HermitianForm):
             return NotImplemented
-        return HermitianForm(tuple(tuple(x + y for x, y in zip(r, s))
-                                   for r, s in zip(self.matrix, other.matrix)))
+        # over d1 * d2, which _canonical reduces
+        (d1, p), (d2, q) = self.matrix, other.matrix
+        return HermitianForm(_canonical(d1 * d2, tuple(
+            tuple((a * d2 + c * d1, b * d2 + d * d1)
+                  for (a, b), (c, d) in zip(r, w))
+            for r, w in zip(p, q))))
 
     def __repr__(self) -> str:
         return f"HermitianForm({self.matrix!r})"
@@ -371,21 +374,21 @@ def tensor(l1: LineBundleClass, l2: LineBundleClass) -> LineBundleClass:
 
 def _pulled_form(m: EisMat, f: EisMat, conjugate: bool) -> EisMat:
     """f^T . m . conj(f), conjugated when conjugate, as two Z[zeta] pair
-    products over one denominator; only the four entries become EisRat."""
-    dm, mp = _cleared(m)
-    df, fp = _cleared(f)
-    fbar = tuple(tuple((a + b, -b) for a, b in row) for row in fp)
-    out = _pair_product(_pair_product(tuple(zip(*fp)), mp), fbar)
+    products over the product of the denominators."""
+    (dm, mp), (df, fp) = m, f
+    out = _pair_product(_pair_product(tuple(zip(*fp)), mp),
+                        _pair_conjugate(fp))
     if conjugate:
-        out = tuple(tuple((a + b, -b) for a, b in row) for row in out)
-    return _from_pairs(dm * df * df, out)
+        out = _pair_conjugate(out)
+    return _canonical(dm * df * df, out)
 
 
 def _pull_back(bundle: LineBundleClass, f: EisMat, target: LatticeBasis,
                antiholomorphic: bool) -> LineBundleClass:
     """Pullback along v -> f . v, or v -> f . conj(v) when antiholomorphic;
     the anti-holomorphic case conjugates the form and negates the
-    semicharacter exponents."""
+    semicharacter exponents.  f is read by mat, so literal rows serve too,
+    and the plan key below holds its EisMat, which is ints only."""
     f = mat(f)
     # The pulled form and the images of the target basis do not depend on
     # the semicharacter, so they are computed once per (f, flag, form) and
@@ -396,9 +399,6 @@ def _pull_back(bundle: LineBundleClass, f: EisMat, target: LatticeBasis,
     key = (f, antiholomorphic, bundle.form.gram)
     plan = target._pullbacks.get(key)
     if plan is None:
-        # f comes from the caller, and the kernels below assume it is 2x2
-        if len(f) != 2 or any(len(row) != 2 for row in f):
-            raise ValueError("shape mismatch")
         m2 = _pulled_form(bundle.form.matrix, f, antiholomorphic)
         # a symmetry of the divisor preserves h, so the form is usually reused
         form = bundle.form if m2 == bundle.form.matrix else HermitianForm(m2)
@@ -473,8 +473,8 @@ def square_roots(bundle: LineBundleClass) -> List[LineBundleClass]:
     """
     if not bundle.character.form.is_even():
         return []
-    form_den, pairs = _cleared(bundle.form.matrix)
-    half_form = HermitianForm(_from_pairs(2 * form_den, pairs))
+    form_den, pairs = bundle.form.matrix
+    half_form = HermitianForm(_canonical(2 * form_den, pairs))
     # over 2 * den, the first root's numerators are those of the bundle and
     # a sign -1 adds den, that is 1/2
     chi = bundle.character

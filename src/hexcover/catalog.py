@@ -16,7 +16,7 @@ from .appell_humbert import (
     pullback_hom,
     tensor,
 )
-from .eisenstein import ZETA, _zeta_pair, mat, mat_identity
+from .eisenstein import ZETA, mat, mat_identity
 from .lattice import AmbientVector, LatticeBasis
 
 # --- lattices ---------------------------------------------------------------
@@ -46,9 +46,9 @@ CURVE_MAPS = (
 # Tangent directions of the curves in the standard frame (u1, u2), as the
 # Z[zeta] pairs of a direction vector: the kernel of F = a*z1 + b*z2 is the
 # line through (b, -a).  A direction is defined up to scaling, so only
-# proportionality between two of them means anything.
-CURVE_LINES = tuple((_zeta_pair(f[1][1]), _zeta_pair(-f[1][0]))
-                    for f in CURVE_MAPS)
+# proportionality between two of them means anything, and the pairs of F
+# serve without its denominator.
+CURVE_LINES = tuple((b, (-a0, -a1)) for _, (_, ((a0, a1), b)) in CURVE_MAPS)
 
 # --- bundles ----------------------------------------------------------------
 

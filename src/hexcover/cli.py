@@ -17,11 +17,12 @@ from __future__ import annotations
 import json
 import sys
 from importlib import resources
+from math import lcm
 from typing import List, NoReturn, Sequence, Tuple
 
 from . import catalog
 from .appell_humbert import im_on_lattice, intersection_number, square_roots
-from .eisenstein import EisRat, _gf3_residues, _rational
+from .eisenstein import EisMat, EisRat, _gf3_residues, _rational
 from .lattice import _lattice_coordinates
 from .permgroup import PermGroup
 from .surface_invariants import (
@@ -85,12 +86,22 @@ def _as_int(x) -> int:
     return x
 
 
-def _eis(x: EisRat) -> list:
-    return [_as_int(x.a), _as_int(x.b)]
+def _over(den: int, pairs: list):
+    """The row value of Z[zeta] pairs over den: the pairs as they are when
+    den is 1, else {"den": den, "pairs": pairs}, which equals no expected
+    list, so that a non-integral value fails its row and the rest of the
+    report still prints."""
+    return pairs if den == 1 else {"den": den, "pairs": pairs}
 
 
-def _eis_mat(m) -> list:
-    return [[_eis(x) for x in row] for row in m]
+def _eis(x: EisRat):
+    den = lcm(x.a.denominator, x.b.denominator)
+    return _over(den, [int(q * den) for q in (x.a, x.b)])
+
+
+def _eis_mat(m: EisMat):
+    den, pairs = m
+    return _over(den, [[list(p) for p in row] for row in pairs])
 
 
 def _int_rows(rows) -> list:
@@ -227,11 +238,13 @@ def _search_rows(bound: int) -> List[Row]:
     rows: List[Row] = []
     found = search_generators(bound)
     rows.append(("search.candidate_count", len(found)))
+    # sorted as EisMats, which order as their rendered lists when every
+    # denominator is 1, and stay comparable when one is not
     rows.append(("search.tilted_matrices",
-                 sorted(_eis_mat(g.linear) for g in found)))
-    conjugates = sorted(_eis_mat(from_sheared_frame(g.linear))
-                        for g in found)
-    rows.append(("search.ambient_conjugates", conjugates))
+                 [_eis_mat(m) for m in sorted(g.linear for g in found)]))
+    conjugates = sorted(from_sheared_frame(g.linear) for g in found)
+    rows.append(("search.ambient_conjugates",
+                 [_eis_mat(m) for m in conjugates]))
     rows.append(("search.presentation",
                  verify_presentation(ORDER4_SYMMETRY, ORDER6_SYMMETRY)))
     reflection = antiholomorphic_in_sheared_frame(catalog.SIGMA_LINEAR)
@@ -276,6 +289,8 @@ def _mangle(value):
         return value + "?"
     if isinstance(value, list):
         return [_mangle(value[0]), *value[1:]] if value else [0]
+    if isinstance(value, dict):  # pairs over a denominator, from _over
+        return {**value, "den": value["den"] + 1}
     raise TypeError(f"cannot perturb a value of type {type(value).__name__}")
 
 

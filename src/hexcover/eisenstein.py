@@ -5,7 +5,7 @@ conj(zeta) = 1 - zeta.  Every element is stored as a + b*zeta with
 rational a, b; the hexagonal ring Z[zeta] is the ring of integers.
 
 Inside the package an exact rational is an int, or integers over one
-positive denominator (AmbientVector, Semicharacter, coords_in, _cleared),
+positive denominator (AmbientVector, Semicharacter, coords_in, EisMat),
 so its arithmetic stays on ints.  A Fraction appears only at the edges,
 handed in by a caller, made by _rational or _ratio for a fractional value,
 or returned by a reader; each imports fractions on first use.  A float or
@@ -15,7 +15,7 @@ does a bool, which is an int to Python but not a number here.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Sequence, Tuple, Union
 
 if TYPE_CHECKING:
@@ -165,57 +165,63 @@ class EisRat(_Immutable):
         return f"EisRat({self.a!r}, {self.b!r})"
 
 
-# ---------------------------------------------------------------------------
-# Small matrices over Q(zeta), as tuples of row tuples.  Shapes are
-# whatever the caller supplies (2x2, 1x2, ...).
-
-EisMat = Tuple[Tuple[EisRat, ...], ...]
-
-
-def as_eis(x: object) -> EisRat:
-    v = EisRat._coerce(x)
-    if v is None:
-        raise TypeError(f"cannot interpret {x!r} as an element of Q(zeta)")
-    return v
+# Z[zeta] integers as (a, b) pairs for a + b*zeta.  A matrix over Q(zeta)
+# is one positive denominator over a 2x2 array of such pairs (EisMat), and
+# every matrix product of the package is computed on the pairs: the
+# pullbacks, the symmetries, the generator search and its change of frame.
+ZetaPair = Tuple[int, int]
+PairMat = Tuple[Tuple[ZetaPair, ...], ...]
 
 
-def mat(rows: Sequence[Sequence[object]]) -> EisMat:
-    """rows as a tuple of EisRat row tuples.  A tuple of such rows is
-    returned as it is, after one scan of its entry types; anything else is
-    built entry by entry through as_eis, so a float, a bool or a string
-    raises TypeError.
+class EisMat(tuple):
+    """A 2x2 matrix over Q(zeta) in its one canonical form, the pair
+    (den, pairs): entry (i, j) is (a + b*zeta) / den for (a, b) =
+    pairs[i][j], with den > 0 and gcd(den, every a and b) == 1, so equal
+    matrices have equal data and hash equal.
 
-    The row lengths are not checked, so a ragged matrix passes: the
-    generator search calls mat once per unit-determinant candidate,
-    thousands of times at bound 3, so the types and operations that need a
-    shape check it themselves (the hermitian forms, the affine symmetries
-    and the pullbacks)."""
-    if type(rows) is tuple:
-        for row in rows:
-            if type(row) is not tuple:
-                break
-            for x in row:
-                if type(x) is not EisRat:
-                    break
-            else:
-                continue
-            break
-        else:
-            return rows
-    return tuple(tuple(as_eis(x) for x in row) for row in rows)
+    A tuple, so that building one is a single C-level call and equality
+    and hashing are tuple's.  Calling EisMat checks nothing: mat parses
+    literal rows into one and _canonical reduces computed pairs, and only
+    the generator search, whose candidates are integral (den 1), builds
+    one directly."""
+
+    __slots__ = ()
+
+
+def mat(rows: Union[EisMat, Sequence[Sequence[object]]]) -> EisMat:
+    """The EisMat of a 2x2 matrix.  An EisMat is returned as it is, after
+    one type check; anything else is read as two rows of two entries, each
+    an int, a Fraction or an EisRat, and cleared of denominators.  A float,
+    a bool or a string raises TypeError, and any other shape ValueError.
+
+    The generator search calls mat once per unit-determinant candidate,
+    thousands of times at bound 3, on an EisMat it built."""
+    if type(rows) is EisMat:
+        return rows
+    m = [[x if isinstance(x, EisRat) else EisRat(x) for x in row]
+         for row in rows]
+    if len(m) != 2 or any(len(row) != 2 for row in m):
+        raise ValueError("a matrix here is 2x2")
+    # the lcm of reduced denominators leaves the numerators coprime to it
+    den = lcm(*(q.denominator for row in m for x in row for q in (x.a, x.b)))
+    return EisMat((den, tuple(
+        tuple((x.a.numerator * (den // x.a.denominator),
+               x.b.numerator * (den // x.b.denominator)) for x in row)
+        for row in m)))
 
 
 def mat_identity(n: int) -> EisMat:
-    return tuple(tuple(EisRat(1 if i == j else 0) for j in range(n))
-                 for i in range(n))
+    return mat([[int(i == j) for j in range(n)] for i in range(n)])
 
 
-# Z[zeta] integers as (a, b) pairs for a + b*zeta.  A matrix over Q(zeta)
-# becomes one denominator and an array of such pairs, which is how every
-# matrix product of the package is computed: the pullbacks, the symmetries,
-# the generator search and its change of frame.
-ZetaPair = Tuple[int, int]
-PairMat = Tuple[Tuple[ZetaPair, ...], ...]
+def _canonical(den: int, pairs: PairMat) -> EisMat:
+    """The EisMat with entries (a + b*zeta) / den for (a, b) in the 2x2
+    array pairs and den > 0: den and the pairs divided by their gcd."""
+    g = gcd(den, *(x for row in pairs for p in row for x in p))
+    if g > 1:
+        den //= g
+        pairs = tuple(tuple((a // g, b // g) for a, b in row) for row in pairs)
+    return EisMat((den, pairs))
 
 
 def _zeta_mul(x: ZetaPair, y: ZetaPair) -> ZetaPair:
@@ -233,29 +239,21 @@ def _zeta_det(x, y) -> ZetaPair:
     return (a - c, b - d)
 
 
-def _zeta_pair(x: EisRat) -> ZetaPair:
-    if not x.is_integral():
-        raise ValueError(f"{x!r} is not an integer of Z[zeta]")
-    return (x.a, x.b)
-
-
 def _gf3_residues(m: EisMat) -> Tuple[int, ...]:
     """The entries of an integral matrix, row by row, modulo the prime
     1 + zeta.  Its residue field is GF(3) and zeta goes to -1, so
     a + b*zeta goes to (a - b) mod 3; conjugation, (a + b) - b*zeta, fixes
-    every residue.  A non-integral entry raises ValueError."""
-    return tuple((a - b) % 3 for a, b in (_zeta_pair(x) for row in m
-                                          for x in row))
+    every residue.  A non-integral matrix raises ValueError."""
+    den, pairs = m
+    if den != 1:
+        raise ValueError(f"{m!r} is not an integer matrix over Z[zeta]")
+    return tuple((a - b) % 3 for row in pairs for a, b in row)
 
 
-def _cleared(m: EisMat) -> Tuple[int, PairMat]:
-    """(den, P) with m[i][j] = (a + b*zeta) / den for (a, b) = P[i][j] and
-    den the least common denominator, for a matrix m of any shape."""
-    den = lcm(*(q.denominator for row in m for x in row for q in (x.a, x.b)))
-    return den, tuple(
-        tuple((x.a.numerator * (den // x.a.denominator),
-               x.b.numerator * (den // x.b.denominator)) for x in row)
-        for row in m)
+def _pair_conjugate(P: PairMat) -> PairMat:
+    """The entrywise conjugate of an array of Z[zeta] pairs:
+    conj(a + b*zeta) = (a + b) - b*zeta."""
+    return tuple(tuple((a + b, -b) for a, b in row) for row in P)
 
 
 def _pair_product(P: PairMat, Q: PairMat) -> PairMat:
@@ -273,12 +271,6 @@ def _pair_product(P: PairMat, Q: PairMat) -> PairMat:
             entries.append((a, b))
         out.append(tuple(entries))
     return tuple(out)
-
-
-def _from_pairs(den: int, P: PairMat) -> EisMat:
-    """The matrix with entries (a + b*zeta) / den for (a, b) in P."""
-    return tuple(tuple(EisRat(_ratio(a, den), _ratio(b, den))
-                       for a, b in row) for row in P)
 
 
 ZETA = EisRat(0, 1)

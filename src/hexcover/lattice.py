@@ -8,14 +8,16 @@ arithmetic, hashing and comparison stay on ints.  Multiplication by zeta
 acts on each 2-block by the integer matrix J = [[0, -1], [1, 1]], which
 satisfies J**2 = J - 1.
 
-_int_product is the package's one integer matrix product; over Z[zeta]
-the kernels are eisenstein's _zeta_mul, _zeta_det and _pair_product.  Loops
-stay written out only where they are hot or over another ring: the
-elimination steps of _gauss_jordan, the one matrix-vector product of
-_solve, the pair loops of _zeta_mul and _pair_product, and the generator
-search's per-candidate loops _tangent_permutation, _first_tangent_pairs
-and _unit_det_walk; Semicharacter._numerator writes its exponent sum out
-term by term on the four coordinates.
+_int_product is the package's one integer matrix product; over Z[zeta] the
+kernels are eisenstein's _zeta_mul, _zeta_det and _pair_product, which read
+a matrix's pairs straight off its EisMat.  Loops stay written out only
+where they are hot or over another ring: the elimination steps of
+_gauss_jordan, the one matrix-vector product of _solve, the pair loops of
+_zeta_mul and _pair_product, the entrywise sum of HermitianForm.__add__
+over the product of the denominators, and the generator search's
+per-candidate loops _tangent_permutation, _first_tangent_pairs and
+_unit_det_walk; Semicharacter._numerator writes its exponent sum out term
+by term on the four coordinates.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import gcd, lcm
 from operator import attrgetter, mul
 from typing import List, Optional, Sequence, Tuple
 
-from .eisenstein import EisMat, Rat, _Immutable, _cleared, _rational
+from .eisenstein import EisMat, Rat, _Immutable, _rational
 
 
 class AmbientVector(_Immutable):
@@ -177,7 +179,7 @@ def _ambient_matrix(m: EisMat, conjugate_first: bool = False) -> _AmbientMap:
     (multiplication by zeta is J); with conjugation first, which sends
     (x, y) to (x + y, -y), the block is [[p, p + q], [q, -p]].
     """
-    den, pairs = _cleared(m)
+    den, pairs = m
     rows = []
     # the row (p + q*zeta, r + s*zeta) of m gives two rows of F
     for (p, q), (r, s) in pairs:

@@ -24,10 +24,9 @@ from .appell_humbert import (
 from .eisenstein import (
     EisMat,
     EisRat,
-    PairMat,
     _Immutable,
-    _cleared,
-    _from_pairs,
+    _canonical,
+    _pair_conjugate,
     _pair_product,
     _zeta_det,
     _zeta_mul,
@@ -80,11 +79,9 @@ class AffineSymmetry(_Immutable):
     def __init__(self, linear, antiholomorphic: bool = False,
                  translation: AmbientVector = _ZERO_VECTOR) -> None:
         linear = mat(linear)
-        if len(linear) != 2 or any(len(row) != 2 for row in linear):
-            raise ValueError("the linear part must be a 2x2 matrix")
-        # invertible exactly when the determinant is nonzero, tested on the
-        # Z[zeta] pairs of the matrix cleared of denominators
-        if _zeta_det(*_cleared(linear)[1]) == (0, 0):
+        # invertible exactly when the determinant of its Z[zeta] pairs,
+        # den**2 times its own, is nonzero
+        if _zeta_det(*linear[1]) == (0, 0):
             raise ValueError("the linear part must be invertible")
         if (type(antiholomorphic) is not bool
                 or not isinstance(translation, AmbientVector)):
@@ -151,29 +148,28 @@ def _same_map(f, h) -> bool:
 
 
 # The generator search works in the sheared frame w with z = S w for
-# S = catalog.FRAME_SHEAR.  S, conj(S) and S^-1 are kept as (den, pairs),
-# the form _cleared gives, so a change of frame is two pair products.
+# S = catalog.FRAME_SHEAR.  S, conj(S) and S^-1 are EisMats, so a change of
+# frame is two pair products.
 
 
-def _shear_inverse(shear: EisMat) -> Tuple[int, PairMat]:
-    """shear^-1 as (den, pairs), with no division in Q(zeta): for
-    (e, P) = _cleared(shear) and d = det P, 1/d = conj(d) / N(d), so
-    shear^-1 = e adj(P) conj(d) / N(d).  A singular shear maps the lattice
-    onto no lattice and raises NotLatticePreserving."""
-    e, ((p, q), (r, s)) = _cleared(shear)
+def _shear_inverse(shear: EisMat) -> EisMat:
+    """shear^-1, with no division in Q(zeta): for shear = P / e and
+    d = det P, 1/d = conj(d) / N(d), so shear^-1 = e adj(P) conj(d) / N(d).
+    A singular shear maps the lattice onto no lattice and raises
+    NotLatticePreserving."""
+    e, ((p, q), (r, s)) = shear
     a, b = _zeta_det((p, q), (r, s))
     norm = a * a + a * b + b * b
     if not norm:
         raise NotLatticePreserving("the frame shear is singular")
     c, minus_c = (e * (a + b), -e * b), (-e * (a + b), e * b)
-    return norm, ((_zeta_mul(s, c), _zeta_mul(q, minus_c)),
-                  (_zeta_mul(r, minus_c), _zeta_mul(p, c)))
+    return _canonical(norm, ((_zeta_mul(s, c), _zeta_mul(q, minus_c)),
+                             (_zeta_mul(r, minus_c), _zeta_mul(p, c))))
 
 
-_SHEAR = _cleared(catalog.FRAME_SHEAR)
-_SHEAR_CONJUGATE = _cleared(tuple(tuple(x.conjugate() for x in row)
-                                  for row in catalog.FRAME_SHEAR))
-_SHEAR_INVERSE = _shear_inverse(catalog.FRAME_SHEAR)
+_SHEAR = catalog.FRAME_SHEAR
+_SHEAR_CONJUGATE = _canonical(_SHEAR[0], _pair_conjugate(_SHEAR[1]))
+_SHEAR_INVERSE = _shear_inverse(_SHEAR)
 
 # The same four tangent directions written in the sheared frame: the
 # columns of S^-1 D for D the 2x4 array whose columns are the directions of
@@ -186,16 +182,15 @@ _TILTED_TANGENT_PAIRS = tuple(zip(*_pair_product(
 def from_sheared_frame(linear: EisMat) -> EisMat:
     """S . linear . S^-1: the standard-frame matrix of the map
     w -> linear . w of the sheared frame."""
-    (ds, s), (dl, m), (di, inv) = _SHEAR, _cleared(linear), _SHEAR_INVERSE
-    return _from_pairs(ds * dl * di, _pair_product(_pair_product(s, m), inv))
+    (ds, s), (dl, m), (di, inv) = _SHEAR, linear, _SHEAR_INVERSE
+    return _canonical(ds * dl * di, _pair_product(_pair_product(s, m), inv))
 
 
 def antiholomorphic_in_sheared_frame(linear: EisMat) -> EisMat:
     """S^-1 . linear . conj(S): the sheared-frame matrix of the
     anti-holomorphic map z -> linear . conj(z) of the standard frame."""
-    (di, inv), (dc, c) = _SHEAR_INVERSE, _SHEAR_CONJUGATE
-    dl, m = _cleared(linear)
-    return _from_pairs(di * dl * dc, _pair_product(_pair_product(inv, m), c))
+    (di, inv), (dl, m), (dc, c) = _SHEAR_INVERSE, linear, _SHEAR_CONJUGATE
+    return _canonical(di * dl * dc, _pair_product(_pair_product(inv, m), c))
 
 
 def _tangent_permutation(pairs, antiholomorphic: bool,
@@ -206,12 +201,12 @@ def _tangent_permutation(pairs, antiholomorphic: bool,
     quadruple: it moves a tangent off it, or sends two tangents to one (a
     singular matrix; a zero image matches every tangent).
 
-    A matrix cleared of its denominator induces the same projective map, so
-    the images are integral and proportionality is one cross-multiplication
-    in Z[zeta]; conjugation sends (a, b) to (a + b, -b).  The entries and
-    the tangents are unpacked into their int parts, and the image and the
-    cross-multiplication are _zeta_mul written out on them, as the search
-    runs this test per candidate.
+    An EisMat's pairs, without its denominator, induce its projective map,
+    so the images are integral and proportionality is one
+    cross-multiplication in Z[zeta]; conjugation sends (a, b) to
+    (a + b, -b).  The entries and the tangents are unpacked into their int
+    parts, and the image and the cross-multiplication are _zeta_mul written
+    out on them, as the search runs this test per candidate.
     """
     # a11 = p + q*zeta, a12 = r + s*zeta, a21 = t + u*zeta, a22 = v + w*zeta
     ((p, q), (r, s)), ((t, u), (v, w)) = pairs
@@ -244,7 +239,7 @@ def preserves_divisor(g: AffineSymmetry) -> bool:
     stabilization of the base set.
     """
     rational_rep(g, catalog.COVER_LATTICE)
-    if _tangent_permutation(_cleared(g.linear)[1], g.antiholomorphic,
+    if _tangent_permutation(g.linear[1], g.antiholomorphic,
                             catalog.CURVE_LINES) is None:
         return False
     return any(_lattice_coordinates(catalog.COVER_LATTICE,
@@ -321,30 +316,25 @@ def _entry_domains(height_bound: int):
 
 
 def _unit_det_walk(domains):
-    """One pass over (a11, a22) in scan order, yielding a11, e11, a22, e22
-    and the (a12, e12, a21, e21) for which a11*a22 - a12*a21 is a unit, in
-    the order of a scan over a12, a21 (outermost first); each e is the
-    EisRat of the Z[zeta] pair before it, built once per domain value.
+    """One pass over (a11, a22) in scan order, yielding a11, a22 and the
+    (a12, a21) for which a11*a22 - a12*a21 is a unit, in the order of a
+    scan over a12, a21 (outermost first); every entry is a Z[zeta] pair.
 
     Each (a12, a21) entry goes into the bucket of a12*a21 + u for each of
     the six units u, in scan order, so one lookup of a11*a22 finds its
     hits already in order.
     """
     top_left, top_right, bottom_left, bottom_right = domains
-    entries = {x: EisRat(*x) for x in set().union(*domains)}
     buckets = {}
     for a12 in top_right:
-        e12 = entries[a12]
         for a21 in bottom_left:
             pa, pb = _zeta_mul(a12, a21)
-            hit = (a12, e12, a21, entries[a21])
+            hit = (a12, a21)
             for ua, ub in _UNITS:
                 buckets.setdefault((pa + ua, pb + ub), []).append(hit)
     for a11 in top_left:
-        e11 = entries[a11]
         for a22 in bottom_right:
-            yield (a11, e11, a22, entries[a22],
-                   buckets.get(_zeta_mul(a11, a22), ()))
+            yield a11, a22, buckets.get(_zeta_mul(a11, a22), ())
 
 
 def _first_tangent_pairs(top_left, bottom_left):
@@ -373,10 +363,10 @@ def search_generators(height_bound: int) -> List[AffineSymmetry]:
     quadruple by one of the two target permutations.
 
     Entries run over a fixed congruence pattern (_entry_domains).  One
-    pass over the matrices of unit determinant (_unit_det_walk), which
-    hands over each entry with its EisRat, drops by one set lookup of a21
-    among the passing ones of a11 those that send the first tilted tangent
-    to no target's first image (_first_tangent_pairs).  The rest get the
+    pass over the matrices of unit determinant (_unit_det_walk), on
+    Z[zeta] pairs, drops by one set lookup of a21 among the passing ones
+    of a11 those that send the first tilted tangent to no target's first
+    image (_first_tangent_pairs).  The rest get the
     package's one tangent test, _tangent_permutation on the Z[zeta] entries
     and the tilted tangents, and are kept when it gives a target
     permutation; last comes the test that they preserve the cover lattice
@@ -388,19 +378,19 @@ def search_generators(height_bound: int) -> List[AffineSymmetry]:
     domains = _entry_domains(height_bound)
     passing = _first_tangent_pairs(domains[0], domains[2])
     moved = []
-    for a11, e11, a22, e22, hits in _unit_det_walk(domains):
+    for a11, a22, hits in _unit_det_walk(domains):
         first = passing.get(a11, ())
-        for a12, e12, a21, e21 in hits:
-            # Built for every unit-determinant candidate, though only the
-            # tangent test's survivors use it, solely for
+        for a12, a21 in hits:
+            # mat is called for every unit-determinant candidate, though
+            # only the tangent test's survivors use the matrix, solely for
             # perfbench/selftest.py: it counts the mat calls inside the
             # search as its candidates and pins them (4204 at bound 3), so
-            # a self-test re-pinned to the paper's counts drops this build.
-            # A tuple of EisRat tuples, so mat scans its entry types and
-            # returns it as it is.
-            linear = mat(((e11, e12), (e21, e22)))
+            # a self-test re-pinned to the paper's counts drops this call.
+            # The candidate is integral, so its EisMat is den 1 over its
+            # pairs, and mat returns it after one type check.
+            linear = mat(EisMat((1, ((a11, a12), (a21, a22)))))
             if (a21 in first
-                    and _tangent_permutation(((a11, a12), (a21, a22)), False,
+                    and _tangent_permutation(linear[1], False,
                                              _TILTED_TANGENT_PAIRS)
                     in _SEARCH_TARGETS):
                 moved.append(linear)
@@ -452,7 +442,7 @@ def gamma_action_on_sigma() -> Permutation:
     if ([row[:4] for row in cube] != [row[:4] for row in _IDENTITY_MAP]
             or rotation[4][4] != 1):
         raise NotOfOrderThree("product symmetry is not of order 3")
-    if _tangent_permutation(_cleared(g.linear)[1], False,
+    if _tangent_permutation(g.linear[1], False,
                             catalog.CURVE_LINES) is None:
         raise NotDivisorPreserving("product symmetry moves the tangent lines")
     chars = all_characters()

@@ -14,12 +14,14 @@ cross-multiplication of _tangent_permutation replaced, on the ambient
 tangents and on the search's tilted ones, eisrat_mat_mul, eisrat_det2,
 eisrat_inv2 and eisrat_conj are the EisRat matrix product, determinant,
 inverse and conjugate that the package's Z[zeta] pair products and
-cleared adjugate replaced, the q_zeta_* functions are the
-EisRat pullbacks that the integer ambient-matrix kernel replaced (with
-mat_apply, ambient_from_pair and to_pair, the Q(zeta) matrix-vector
-product and the conversions between an ambient vector and its Q(zeta)
-pair that they push vectors with), q_zeta_torsion_on_curve is the Q(zeta)
-evaluation of a curve's linear form on the product basis that the
+cleared adjugate replaced (they, like every matrix oracle here, read a
+package matrix through eisrat_rows, the one converter from an EisMat to
+rows of EisRat, which checks its canonical form first), the q_zeta_*
+functions are the EisRat pullbacks that the integer ambient-matrix kernel
+replaced (with mat_apply, ambient_from_pair and to_pair, the Q(zeta)
+matrix-vector product and the conversions between an ambient vector and its
+Q(zeta) pair that they push vectors with), q_zeta_torsion_on_curve is the
+Q(zeta) evaluation of a curve's linear form on the product basis that the
 ambient-matrix kernel replaced, hermitian_value and ReIm are
 the Q(zeta) evaluation of a hermitian form that the integer Gram matrix
 replaced, fraction_eval_coords is the term-by-term semicharacter
@@ -414,9 +416,10 @@ class ComplexLine:
     __slots__ = ("direction",)
 
     def __init__(self, direction: Tuple[object, object]) -> None:
-        from hexcover.eisenstein import as_eis
+        from hexcover.eisenstein import EisRat
 
-        d1, d2 = map(as_eis, direction)
+        d1, d2 = (x if isinstance(x, EisRat) else EisRat(exact(x))
+                  for x in direction)
         if not d1 and not d2:
             raise ValueError("a complex line needs a nonzero direction")
         object.__setattr__(self, "direction", (d1, d2))
@@ -471,6 +474,7 @@ def line_permutation(linear, antiholomorphic, tangents):
     as Z[zeta] pairs as _tangent_permutation reads them, or None when it
     is no permutation of them: some image is zero, is not among them, or
     is the image of another tangent too; computed in Q(zeta)."""
+    linear = eisrat_rows(linear)
     points = [complex_line(t) for t in tangents]
     images = []
     for p in points:
@@ -532,6 +536,7 @@ def q_zeta_push_vector(f, v, conjugate_first):
 def q_zeta_pulled_form(m, f, conjugate):
     """f^T . m . conj(f) by two eisrat_mat_mul calls, conjugated when
     conjugate."""
+    m, f = eisrat_rows(m), eisrat_rows(f)
     t = eisrat_mat_mul(eisrat_mat_mul(tuple(zip(*f)), m), eisrat_conj(f))
     return eisrat_conj(t) if conjugate else t
 
@@ -539,9 +544,7 @@ def q_zeta_pulled_form(m, f, conjugate):
 def is_conjugate_symmetric(m):
     """Whether the Q(zeta) matrix m equals its conjugate transpose, by
     eisrat_conj on the transpose."""
-    from hexcover.eisenstein import mat
-
-    m = mat(m)
+    m = eisrat_rows(m)
     return eisrat_conj(tuple(zip(*m))) == m
 
 
@@ -656,7 +659,7 @@ def is_unit(x) -> bool:
 
 def mat_scale(c, m):
     """The Q(zeta) matrix m with every entry multiplied by c."""
-    return tuple(tuple(c * x for x in row) for row in m)
+    return tuple(tuple(c * x for x in row) for row in eisrat_rows(m))
 
 
 def scaled_form(h, c):
@@ -750,10 +753,33 @@ def formula_inverse(g):
                           q_zeta_push_vector(mat_identity(2), back, True))
 
 
+def eisrat_rows(m):
+    """m as a tuple of rows of EisRat.  An EisMat, the package's matrix
+    (den, pairs), is checked to be canonical first: den > 0, a 2x2 array
+    of int pairs, and no common factor of den and the pairs.  Any other m,
+    rows of any shape of ints, Fractions or EisRats, is read entry by
+    entry.  The one converter from the package's matrix to the EisRat
+    scalars the matrix oracles compute on; each of them reads its matrices
+    through it."""
+    from hexcover.eisenstein import EisMat, EisRat
+
+    if type(m) is not EisMat:
+        return tuple(tuple(x if isinstance(x, EisRat) else EisRat(exact(x))
+                           for x in row) for row in m)
+    den, pairs = m
+    ints = [x for row in pairs for pair in row for x in pair]
+    assert type(den) is int and den > 0, m
+    assert [len(row) for row in pairs] == [2, 2] and len(ints) == 8, m
+    assert all(type(x) is int for x in ints) and math.gcd(den, *ints) == 1, m
+    return tuple(tuple(EisRat(Fraction(a, den), Fraction(b, den))
+                       for a, b in row) for row in pairs)
+
+
 def eisrat_mat_mul(a, b):
     """The Q(zeta) matrix product a . b, each entry summed in EisRat."""
     from hexcover.eisenstein import EisRat
 
+    a, b = eisrat_rows(a), eisrat_rows(b)
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch")
     return tuple(
@@ -764,7 +790,7 @@ def eisrat_mat_mul(a, b):
 
 def eisrat_det2(m):
     """The determinant of the 2x2 Q(zeta) matrix m, in EisRat."""
-    (a, b), (c, d) = m
+    (a, b), (c, d) = eisrat_rows(m)
     return a * d - b * c
 
 
@@ -772,19 +798,20 @@ def eisrat_inv2(m):
     """The inverse of the invertible 2x2 Q(zeta) matrix m: its adjugate,
     each entry divided by the determinant in EisRat."""
     d = eisrat_det2(m)
-    (a, b), (c, e) = m
+    (a, b), (c, e) = eisrat_rows(m)
     return ((e / d, -b / d), (-c / d, a / d))
 
 
 def eisrat_conj(m):
     """The entrywise conjugate of the Q(zeta) matrix m."""
-    return tuple(tuple(x.conjugate() for x in row) for row in m)
+    return tuple(tuple(x.conjugate() for x in row) for row in eisrat_rows(m))
 
 
 def mat_apply(m, v):
     """The Q(zeta) matrix m applied to the tuple of EisRat entries v."""
     from hexcover.eisenstein import EisRat
 
+    m = eisrat_rows(m)
     if len(m[0]) != len(v):
         raise ValueError("shape mismatch")
     return tuple(sum((row[k] * v[k] for k in range(len(v))), EisRat(0))
@@ -867,7 +894,7 @@ def q_zeta_torsion_on_curve(curve_map) -> frozenset:
     from hexcover import catalog
     from hexcover.torsion_covers import NotOnto
 
-    (_, _), (a, b) = curve_map
+    (_, _), (a, b) = eisrat_rows(curve_map)
     values = []
     for v in catalog.PRODUCT_LATTICE.vectors:
         z1, z2 = to_pair(v)
@@ -931,10 +958,11 @@ def hermitian_value(h, v, w) -> ReIm:
 
     z = to_pair(v)
     y = to_pair(w)
+    m = eisrat_rows(h.matrix)
     acc = EisRat(0)
     for i in range(2):
         for j in range(2):
-            acc = acc + z[i] * h.matrix[i][j] * y[j].conjugate()
+            acc = acc + z[i] * m[i][j] * y[j].conjugate()
     return ReIm.from_scaled(acc)
 
 

@@ -63,7 +63,7 @@ CURVE_FORMS = tuple(bundle.form for bundle in catalog.CURVE_BUNDLES)
 
 def _pairs(matrix):
     """A Q(zeta) matrix as the expected values are written: [a, b] lists."""
-    return [[[x.a, x.b] for x in row] for row in matrix]
+    return [[[x.a, x.b] for x in row] for row in oracles.eisrat_rows(matrix)]
 
 
 def _sign_of(exponent: Fraction) -> int:
@@ -288,12 +288,12 @@ def test_criterion_9_cross_module_consistency():
     lat = catalog.PRODUCT_LATTICE
     bundle = catalog.BRANCH_PRODUCT
     for _ in range(100):
-        f = mat([[EisRat(rng.randint(-1, 1), rng.randint(-1, 1))
-                  for _ in range(2)] for _ in range(2)])
-        g = mat([[EisRat(rng.randint(-1, 1), rng.randint(-1, 1))
-                  for _ in range(2)] for _ in range(2)])
-        fg = mat([[sum(f[i][k] * g[k][j] for k in range(2))
-                   for j in range(2)] for i in range(2)])
+        f = [[EisRat(rng.randint(-1, 1), rng.randint(-1, 1))
+              for _ in range(2)] for _ in range(2)]
+        g = [[EisRat(rng.randint(-1, 1), rng.randint(-1, 1))
+              for _ in range(2)] for _ in range(2)]
+        fg = [[sum(f[i][k] * g[k][j] for k in range(2))
+               for j in range(2)] for i in range(2)]
         assert pullback_hom(pullback_hom(bundle, f, lat), g, lat) == \
             pullback_hom(bundle, fg, lat)
     print("criterion 9: PASS")

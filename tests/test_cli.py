@@ -21,6 +21,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli
 
 from hexcover import cli, torsion_covers
 from hexcover.cli import main
+from hexcover.eisenstein import EisRat, mat
 
 import golden
 import oracles
@@ -129,6 +130,29 @@ def test_perturb_text_mode_shows_the_diff(capsys):
     assert f"expected: {leftover}" in out
     assert f"computed: {leftover + 1}" in out
     assert out.splitlines()[-1] == "9 checks: 8 passed, 1 failed"
+
+
+@pytest.mark.parametrize("name, value, check_id", [
+    ("antiholomorphic_in_sheared_frame", mat([[Fraction(1, 2), 0], [0, 1]]),
+     "search.reflection_in_sheared_frame"),
+    ("cross_ratio", EisRat(Fraction(1, 2), 1), "search.cross_ratio")],
+    ids=["matrix", "cross-ratio"])
+def test_a_non_integral_value_fails_its_row(name, value, check_id,
+                                            monkeypatch, capsys):
+    # a value off Z[zeta] is written over its denominator, which equals no
+    # expected list, so its row fails and every other row still prints
+    monkeypatch.setattr(cli, name, lambda *args: value)
+    code, out = run_cli(capsys, "search-aut", "--json")
+    assert code == 1
+    rows = {row["check_id"]: row for row in json.loads(out)["checks"]}
+    assert rows[check_id]["status"] == "fail"
+    assert rows[check_id]["computed"]["den"] == 2
+    assert len(rows) > 1 and all(row["status"] == "pass"
+                                 for k, row in rows.items() if k != check_id)
+    # and --perturb corrupts such a value as it does any other
+    code, out = run_cli(capsys, "search-aut", "--json", "--perturb", check_id)
+    rows = {row["check_id"]: row for row in json.loads(out)["checks"]}
+    assert code == 1 and rows[check_id]["computed"]["den"] == 3
 
 
 def test_usage_errors_exit_with_code_two(capsys):

@@ -7,26 +7,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexcover import catalog
+from hexcover.appell_humbert import LineBundleClass, square_roots
 from hexcover.eisenstein import (
+    EisMat,
     EisRat,
     ZETA,
+    _canonical,
     _Immutable,
-    _cleared,
-    _from_pairs,
     _gf3_residues,
     _pair_product,
     _ratio,
     _rational,
     _zeta_det,
-    as_eis,
     mat,
     mat_identity,
 )
 
-from oracles import (ReIm, close, eisrat_det2, eisrat_mat_mul, exact,
-                     fraction_eval_coords, is_unit, mat_apply,
-                     reim_to_complex, sympy_coords, sympy_det, to_complex)
-from strategies import eis_matrices
+from oracles import (ReIm, close, eisrat_det2, eisrat_mat_mul, eisrat_rows,
+                     exact, fraction_eval_coords, is_unit, mat_apply,
+                     mat_scale, reim_to_complex, scaled_form, sympy_coords,
+                     sympy_det, to_complex)
+from strategies import hermitian_forms
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 eisrats = st.builds(EisRat, rationals, rationals)
@@ -90,9 +91,10 @@ def test_bool_is_not_a_rational():
         with pytest.raises(TypeError):
             op()
     with pytest.raises(TypeError):
-        as_eis(False)
-    with pytest.raises(TypeError):
         mat([[1, True], [0, 1]])
+
+
+IDENTITY_PAIRS = (((1, 0), (0, 0)), ((0, 0), (1, 0)))
 
 
 @pytest.mark.parametrize("rows", [
@@ -102,39 +104,49 @@ def test_bool_is_not_a_rational():
     ((EisRat(1), EisRat(0)), (EisRat(0), EisRat(1))),
     # a generator of rows, which mat reads once
     (row for row in ((EisRat(1), 0), [0, EisRat(1)])),
-    (row for row in mat_identity(2)),
+    (row for row in ([Fraction(2, 2), 0], (0, EisRat(Fraction(3, 3))))),
 ])
 def test_mat_builds_equal_tuple_matrices(rows):
+    # every spelling of the identity gives the one EisMat (1, pairs)
     m = mat(rows)
-    assert m == mat_identity(2)
-    assert type(m) is tuple and all(type(row) is tuple for row in m)
-    assert all(type(x) is EisRat for row in m for x in row)
+    assert m == mat_identity(2) == (1, IDENTITY_PAIRS)
+    assert type(m) is EisMat and hash(m) == hash((1, IDENTITY_PAIRS))
 
 
 def test_mat_builds_mixed_rows_entry_by_entry():
-    row = (ZETA, EisRat(1))
-    m = mat((row, [ZETA, 1], (ZETA, 1)))
-    assert m == (row, row, row)
-    # a mat built from a mat is the same matrix, row for row
-    assert all(a is b for a, b in zip(mat(m), m))
-    for bad in ([[1.0]], ((ZETA, 0.5),), [["1"]]):
+    m = mat(((ZETA, EisRat(1)), [ZETA, 1]))
+    assert m == (1, (((0, 1), (1, 0)), ((0, 1), (1, 0))))
+    assert mat(m) is m
+    for bad in ([[1.0, 0], [0, 1]], ((ZETA, 0.5), (0, 1)), [["1", 0], [0, 1]]):
         with pytest.raises(TypeError):
             mat(bad)
+    # mat checks the one shape there is, 2x2, as it parses
+    for shape in ([], [[1]], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0]],
+                  [[1, 0], [0, 1], [0, 0]]):
+        with pytest.raises(ValueError, match="2x2"):
+            mat(shape)
+    with pytest.raises(ValueError, match="2x2"):
+        mat_identity(3)
 
 
-@pytest.mark.parametrize("m", [mat_identity(2), mat_identity(3),
-                               catalog.FRAME_SHEAR, catalog.ORDER6_GEN,
-                               ((ZETA,),), ((),), ()])
+# An EisMat, the one canonical matrix, is what mat returns as it is; the
+# test keeps the name it had when mat did so for tuples of EisRat tuples.
+@pytest.mark.parametrize("m", [mat_identity(2), catalog.FRAME_SHEAR,
+                               catalog.ORDER6_GEN, catalog.SIGMA_LINEAR,
+                               catalog.GAMMA_ORDER3, catalog.SUM_FORM.matrix,
+                               mat([[Fraction(1, 2), ZETA],
+                                    [0, Fraction(2, 3)]])])
 def test_mat_returns_a_tuple_of_eisrat_tuples_as_it_is(m):
+    assert type(m) is EisMat
     assert mat(m) is m
 
 
 @pytest.mark.parametrize("bad", [True, 0.5, "1"])
 @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_mat_scans_every_entry_of_a_tuple_of_tuples(bad, where):
-    # a tuple of tuples with one entry that is not an EisRat is not a
-    # matrix, wherever that entry is
-    rows = [list(row) for row in mat_identity(2)]
+    # a tuple of tuples with one entry that is not an int, a Fraction or
+    # an EisRat is not a matrix, wherever that entry is
+    rows = [[1, 0], [0, 1]]
     i, j = where
     rows[i][j] = bad
     with pytest.raises(TypeError):
@@ -223,14 +235,13 @@ def test_reim_round_trip(x):
 
 
 def pair_mul(*factors):
-    """The product of the Q(zeta) matrices factors, each cleared of its
-    denominator, multiplied on Z[zeta] pairs and built back by
-    _from_pairs, as the package computes its matrix products."""
-    den, pairs = _cleared(factors[0])
-    for m in factors[1:]:
-        d, p = _cleared(m)
+    """The product of the EisMats factors, multiplied on their Z[zeta]
+    pairs over the product of their denominators and reduced by
+    _canonical, as the package computes its matrix products."""
+    den, pairs = factors[0]
+    for d, p in factors[1:]:
         den, pairs = den * d, _pair_product(pairs, p)
-    return _from_pairs(den, pairs)
+    return _canonical(den, pairs)
 
 
 def test_matrix_helpers():
@@ -238,12 +249,12 @@ def test_matrix_helpers():
     b = mat([[ZETA, 0], [EisRat(1, -1), 2]])
     ab = pair_mul(a, b)
     # check one entry by hand: (1*zeta + zeta*(1-zeta)) = zeta + zeta - zeta^2
-    assert ab[0][0] == ZETA + ZETA - ZETA * ZETA
+    assert eisrat_rows(ab)[0][0] == ZETA + ZETA - ZETA * ZETA
     assert pair_mul(a, mat_identity(2)) == a
-    assert tuple(zip(*zip(*a))) == a
     v = (EisRat(1), ZETA)
     assert mat_apply(mat_identity(2), v) == v
-    assert as_eis(Fraction(1, 2)) == EisRat(Fraction(1, 2))
+    assert mat([[Fraction(1, 2), 0], [0, 0]]) == (2, (((1, 0), (0, 0)),
+                                                      ((0, 0), (0, 0))))
 
 
 zeta_pairs = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
@@ -257,53 +268,71 @@ def test_zeta_det_matches_eisrat_determinant(x, y):
     assert _zeta_det(x, y) == _zeta_det(*zip(x, y))
 
 
-def test_rectangular_shapes():
-    f = mat([[ZETA, -1]])           # 1x2 row
-    col = tuple(zip(*f))            # 2x1
-    prod = pair_mul(col, f)         # 2x2
-    assert prod[0][1] == ZETA * EisRat(-1)
-    assert mat_apply(f, (EisRat(1), EisRat(1))) == (ZETA - 1,)
-
-
 @st.composite
 def matrix_chains(draw):
-    """Two to four matrices with fractional entries whose shapes chain,
-    each dimension from 1 to 4, so non-square factors such as a 2x2 times
-    a 2x4 occur."""
+    """Two to four arrays of Z[zeta] pairs whose shapes chain, each
+    dimension from 1 to 4, so non-square factors such as a 2x2 times a 2x4
+    occur."""
     dims = draw(st.lists(st.integers(1, 4), min_size=3, max_size=5))
-    return [tuple(tuple(draw(eisrats) for _ in range(k)) for _ in range(n))
+    return [tuple(tuple(draw(zeta_pairs) for _ in range(k)) for _ in range(n))
             for n, k in zip(dims, dims[1:])]
 
 
-# the directions of the four tangents as the columns of a 2x4 matrix
-TANGENT_DIRECTIONS = tuple(tuple(EisRat(*p) for p in row)
-                           for row in zip(*catalog.CURVE_LINES))
+def _eisrat_array(pairs):
+    """An array of Z[zeta] pairs as rows of EisRat."""
+    return tuple(tuple(EisRat(*p) for p in row) for row in pairs)
+
+
+# the directions of the four tangents as the columns of a 2x4 array
+TANGENT_DIRECTIONS = tuple(zip(*catalog.CURVE_LINES))
 
 
 @given(matrix_chains())
-# the 2x2 . 2x4 product behind symmetry._TILTED_TANGENT_PAIRS, and one
-# with a fractional 2x2 factor
-@example([mat([[1, -ZETA], [0, 1]]), TANGENT_DIRECTIONS])
-@example([mat([[Fraction(1, 2), ZETA], [0, Fraction(2, 3)]]),
-          TANGENT_DIRECTIONS, tuple(zip(*TANGENT_DIRECTIONS))])
+# the 2x2 . 2x4 product behind symmetry._TILTED_TANGENT_PAIRS, and a chain
+# back to a 2x2 through the 4x2 transpose
+@example([(((1, 0), (0, -1)), ((0, 0), (1, 0))), TANGENT_DIRECTIONS])
+@example([(((1, 2), (0, 1)), ((0, 0), (3, -1))), TANGENT_DIRECTIONS,
+          tuple(zip(*TANGENT_DIRECTIONS))])
 def test_pair_product_matches_eisrat_oracle(chain):
-    product = pair_mul(*chain)
-    want = chain[0]
-    for m in chain[1:]:
-        want = eisrat_mat_mul(want, m)
-    assert product == want
-    assert all(type(x) is EisRat for row in product for x in row)
+    product = chain[0]
+    for p in chain[1:]:
+        product = _pair_product(product, p)
+    want = _eisrat_array(chain[0])
+    for p in chain[1:]:
+        want = eisrat_mat_mul(want, _eisrat_array(p))
+    assert _eisrat_array(product) == want
 
 
-@given(eis_matrices)
-def test_cleared_round_trips(m):
-    den, pairs = _cleared(m)
-    assert den >= 1
-    assert tuple(tuple(EisRat(Fraction(a, den), Fraction(b, den))
-                       for a, b in row) for row in pairs) == m
-    assert _from_pairs(den, pairs) == m
-    # den is the least common denominator
-    assert math.gcd(den, *(x for row in pairs for p in row for x in p)) == 1
+mixed_entries = st.one_of(st.integers(-30, 30), rationals, eisrats)
+literal_rows = st.tuples(st.tuples(mixed_entries, mixed_entries),
+                         st.tuples(mixed_entries, mixed_entries))
+
+
+def _respelled(x):
+    """The entry x written another way: a rational as an EisRat, an EisRat
+    with no zeta part as its rational part, any other EisRat rebuilt from
+    Fractions."""
+    if not isinstance(x, EisRat):
+        return EisRat(x)
+    return x.a if not x.b else EisRat(Fraction(x.a), Fraction(x.b))
+
+
+@given(literal_rows)
+@example(((Fraction(2, 4), 0), (0, 1)))
+@example(((EisRat(1, 0), ZETA), (EisRat(Fraction(-3, 6), 2), 5)))
+def test_cleared_round_trips(rows):
+    # mat parses ints, Fractions and EisRats, mixed, into the one canonical
+    # EisMat; eisrat_rows checks den > 0 and gcd 1 before it reads it back
+    m = mat(rows)
+    assert type(m) is EisMat
+    assert eisrat_rows(m) == eisrat_rows(rows)
+    # den is the least common denominator of the entries' parts
+    want = math.lcm(*(Fraction(q).denominator for row in eisrat_rows(rows)
+                      for x in row for q in (x.a, x.b)))
+    assert m[0] == want
+    # another spelling of every entry is the same matrix and the same key
+    other = mat([[_respelled(x) for x in row] for row in rows])
+    assert other == m and hash(other) == hash(m)
 
 
 def test_equal_eisrats_built_differently_hash_equal():
@@ -312,8 +341,8 @@ def test_equal_eisrats_built_differently_hash_equal():
              EisRat(Fraction(2, 2), Fraction(2, 4)),
              EisRat(Fraction(3, 2), half) - EisRat(half),
              EisRat(2, 1) * EisRat(half),
-             as_eis(EisRat(1, half)),
-             mat([[EisRat(1, half)]])[0][0]]
+             -EisRat(-1, -half),
+             eisrat_rows(mat([[EisRat(1, half), 0], [0, 0]]))[0][0]]
     want = hash((Fraction(1), half))
     for x in built:
         assert x == built[0]
@@ -401,19 +430,42 @@ def test_arithmetic_keeps_parts_canonical(x, y):
 
 @given(mixed_matrices, mixed_matrices)
 def test_matrix_entries_keep_parts_canonical(m, n):
-    for row in pair_mul(m, n):
+    product = eisrat_rows(pair_mul(mat(m), mat(n)))
+    for row in product:
         for x in row:
             _check_parts(x, Fraction(x.a), Fraction(x.b))
-    assert pair_mul(m, n) == eisrat_mat_mul(m, n)
+    assert product == eisrat_mat_mul(m, n)
 
 
-@given(st.integers(1, 12),
-       st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
-                min_size=1, max_size=4))
-def test_from_pairs_keeps_parts_canonical(den, pairs):
-    (row,) = _from_pairs(den, (tuple(pairs),))
-    for x, (a, b) in zip(row, pairs):
-        _check_parts(x, Fraction(a, den), Fraction(b, den))
+small_pairs = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+pair_arrays = st.tuples(st.tuples(small_pairs, small_pairs),
+                        st.tuples(small_pairs, small_pairs))
+
+
+@given(st.integers(1, 12), pair_arrays, st.integers(1, 6),
+       hermitian_forms(), hermitian_forms())
+def test_from_pairs_keeps_parts_canonical(den, pairs, k, h1, h2):
+    # _canonical reduces (den, pairs) by their gcd, so a common factor k
+    # gives the same EisMat; eisrat_rows checks the canonical form
+    m = _canonical(den, pairs)
+    assert _canonical(k * den, tuple(tuple((k * a, k * b) for a, b in row)
+                                     for row in pairs)) == m
+    for got, row in zip(eisrat_rows(m), pairs):
+        for x, (a, b) in zip(got, row):
+            _check_parts(x, Fraction(a, den), Fraction(b, den))
+    # the matrices the hermitian forms compute are reduced by it too: the
+    # sum of two forms, and the half form of a square root
+    assert eisrat_rows((h1 + h2).matrix) == tuple(
+        tuple(x + y for x, y in zip(r, s))
+        for r, s in zip(eisrat_rows(h1.matrix), eisrat_rows(h2.matrix)))
+    # 8 h1 has entries in 4 Z[zeta], so Im of it is even on the product
+    # lattice and the bundle has square roots
+    form = scaled_form(h1, 8)
+    bundle = LineBundleClass._from_numerators(
+        form, catalog.PRODUCT_LATTICE, 1, (0, 0, 0, 0))
+    (half,) = {root.form for root in square_roots(bundle)}
+    assert eisrat_rows(half.matrix) == mat_scale(EisRat(Fraction(1, 2)),
+                                                 form.matrix)
 
 
 integers = st.integers(-50, 50)
@@ -423,8 +475,7 @@ integral_eisrats = st.builds(EisRat, integers, integers)
 @given(integral_eisrats, integral_eisrats)
 def test_gf3_residue_is_a_ring_map_fixed_by_conjugation(x, y):
     def residue(z):
-        (r,) = _gf3_residues(((z,),))
-        return r
+        return _gf3_residues(mat([[z, 0], [0, 0]]))[0]
 
     assert residue(x * y) == residue(x) * residue(y) % 3
     assert residue(x + y) == (residue(x) + residue(y)) % 3

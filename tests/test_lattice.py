@@ -27,9 +27,10 @@ from hexcover.lattice import (
 import golden
 from oracles import (ZETA_C, ComplexLine, FractionAmbientVector,
                      ambient_from_pair, close, complex_line, coords_fractions,
-                     fraction_integer_coordinates, fraction_map_coordinates,
-                     hnf_index, q_zeta_push_vector, sympy_coords, sympy_det,
-                     sympy_product, sympy_rref, to_complex, to_pair)
+                     eisrat_rows, fraction_integer_coordinates,
+                     fraction_map_coordinates, hnf_index, q_zeta_push_vector,
+                     sympy_coords, sympy_det, sympy_product, sympy_rref,
+                     to_complex, to_pair)
 from strategies import (ambient_vectors, eis_matrices, eis_rationals,
                         lattice_bases, rationals)
 
@@ -278,7 +279,7 @@ def test_curve_lattices_are_kernels_of_curve_maps():
     # saturated in the product lattice (the 2x2 minors of its generators'
     # product coordinates have gcd 1), so it is all of L cap ker F
     for k, rows in enumerate(golden.CURVE_LATTICES):
-        (_, _), (a, b) = catalog.CURVE_MAPS[k]
+        (_, _), (a, b) = eisrat_rows(catalog.CURVE_MAPS[k])
         generators = tuple(map(AmbientVector, rows))
         for v in generators:
             z1, z2 = to_pair(v)
@@ -501,14 +502,14 @@ def test_basis_needs_independent_ambient_vectors():
 @given(eis_matrices, st.booleans(),
        st.lists(ambient_vectors, min_size=1, max_size=4))
 def test_ambient_matrix_maps_like_mat_apply(f, conjugate_first, vectors):
-    images = _map_vectors(_ambient_matrix(f, conjugate_first), vectors)
+    images = _map_vectors(_ambient_matrix(mat(f), conjugate_first), vectors)
     assert images == [q_zeta_push_vector(f, v, conjugate_first)
                       for v in vectors]
 
 
 def test_ambient_matrix_blocks():
     # p + q*zeta = 2 + 3*zeta on the (1, 2) block only
-    f = ((EisRat(0), EisRat(2, 3)), (EisRat(0), EisRat(0)))
+    f = mat(((0, EisRat(2, 3)), (0, 0)))
     den, rows = _ambient_matrix(f)
     assert den == 1
     assert [r[2:] for r in rows[:2]] == [(2, -3), (3, 5)]

@@ -8,9 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hexcover import catalog, symmetry
-from hexcover.eisenstein import (ZETA, EisRat, _cleared, _from_pairs,
-                                 _gf3_residues, _zeta_mul, _zeta_pair, mat,
-                                 mat_identity)
+from hexcover.eisenstein import (ZETA, EisRat, _gf3_residues, _zeta_mul,
+                                 mat, mat_identity)
 from hexcover.lattice import AmbientVector, LatticeBasis, _int_product
 from hexcover.permgroup import PermGroup, Permutation
 from hexcover.symmetry import (
@@ -53,6 +52,7 @@ import golden
 from golden import EXPECTED
 from oracles import (ComplexLine, bundle_with_exponents, complex_line,
                      eisrat_conj, eisrat_det2, eisrat_inv2, eisrat_mat_mul,
+                     eisrat_rows,
                      formula_compose, formula_inverse, is_unit,
                      line_permutation, maps_equal, mat_scale, parse_cycles,
                      perm_inverse, q_zeta_cross_ratio, q_zeta_pull_back,
@@ -78,15 +78,10 @@ IDENTITY = AffineSymmetry(mat_identity(2))
 
 def unit_det_candidates(bound):
     """The search's unit-determinant entry quadruples, flattened from one
-    pass of _unit_det_walk, whose EisRat entries must be those of the
-    Z[zeta] pairs."""
-    out = []
-    for a11, e11, a22, e22, hits in _unit_det_walk(_entry_domains(bound)):
-        for a12, e12, a21, e21 in hits:
-            assert (e11, e12, e21, e22) == tuple(
-                EisRat(*x) for x in (a11, a12, a21, a22))
-            out.append((a11, a12, a21, a22))
-    return out
+    pass of _unit_det_walk."""
+    return [(a11, a12, a21, a22)
+            for a11, a22, hits in _unit_det_walk(_entry_domains(bound))
+            for a12, a21 in hits]
 
 
 def first_tangent_pairs(domains):
@@ -108,8 +103,8 @@ TILTED = tuple(eis_matrix(m) for m in EXPECTED["search.tilted_matrices"])
 
 def ambient_tangent_permutation(linear, antiholomorphic):
     """_tangent_permutation of a Q(zeta) matrix on the ambient tangents, as
-    preserves_divisor calls it."""
-    return _tangent_permutation(_cleared(linear)[1], antiholomorphic,
+    preserves_divisor calls it, on the pairs of its EisMat."""
+    return _tangent_permutation(mat(linear)[1], antiholomorphic,
                                 catalog.CURVE_LINES)
 
 
@@ -446,8 +441,9 @@ def unit_det_matrices(draw):
 
 
 def integer_tangent_test(linear):
-    quad = tuple(_zeta_pair(x) for row in linear for x in row)
-    return tilted_tangent_permutation(quad) in _SEARCH_TARGETS
+    den, ((a11, a12), (a21, a22)) = mat(linear)
+    assert den == 1
+    return tilted_tangent_permutation((a11, a12, a21, a22)) in _SEARCH_TARGETS
 
 
 @given(unit_det_matrices())
@@ -470,8 +466,6 @@ def test_integer_tangent_test_accepts_and_rejects():
         off = mat([[1, 0], [0, EisRat(*u)]])
         for m in TILTED:
             assert not integer_tangent_test(eisrat_mat_mul(m, off))
-    with pytest.raises(ValueError):
-        _zeta_pair(EisRat(Fraction(1, 2)))
 
 
 @pytest.mark.parametrize("tangents", [catalog.CURVE_LINES,
@@ -510,7 +504,7 @@ def test_tangent_test_matches_q_zeta_permutation_on_a_box(antiholomorphic,
 def test_shear_conjugation_recovers_standard_generators():
     shear = catalog.FRAME_SHEAR
     unshear = eisrat_inv2(shear)
-    conjugates = {eisrat_mat_mul(eisrat_mat_mul(shear, m), unshear)
+    conjugates = {mat(eisrat_mat_mul(eisrat_mat_mul(shear, m), unshear))
                   for m in TILTED}
     assert conjugates == {eis_matrix(m)
                           for m in EXPECTED["search.ambient_conjugates"]}
@@ -521,18 +515,19 @@ def test_shear_conjugation_recovers_standard_generators():
                                                 catalog.SIGMA_LINEAR),
                                  eisrat_conj(shear))
     assert tilted_refl == \
-        eis_matrix(EXPECTED["search.reflection_in_sheared_frame"])
-    assert antiholomorphic_in_sheared_frame(catalog.SIGMA_LINEAR) == \
-        tilted_refl
+        eisrat_rows(eis_matrix(EXPECTED["search.reflection_in_sheared_frame"]))
+    assert eisrat_rows(antiholomorphic_in_sheared_frame(
+        catalog.SIGMA_LINEAR)) == tilted_refl
 
 
 @given(eis_matrices)
 def test_frame_changes_match_eisrat_oracle(m):
+    # eisrat_rows also checks that the results are canonical EisMats
     shear = catalog.FRAME_SHEAR
     unshear = eisrat_inv2(shear)
-    assert from_sheared_frame(m) == \
+    assert eisrat_rows(from_sheared_frame(mat(m))) == \
         eisrat_mat_mul(eisrat_mat_mul(shear, m), unshear)
-    assert antiholomorphic_in_sheared_frame(m) == \
+    assert eisrat_rows(antiholomorphic_in_sheared_frame(mat(m))) == \
         eisrat_mat_mul(eisrat_mat_mul(unshear, m), eisrat_conj(shear))
 
 
@@ -543,12 +538,7 @@ def test_tilted_tangents_are_the_ambient_ones_in_the_sheared_frame():
                        for row in zip(*catalog.CURVE_LINES))
     tilted = eisrat_mat_mul(eisrat_inv2(catalog.FRAME_SHEAR), directions)
     assert _TILTED_TANGENT_PAIRS == tuple(
-        tuple(_zeta_pair(x) for x in column) for column in zip(*tilted))
-
-
-def shear_inverse(m):
-    """The cleared inverse _shear_inverse gives, as a Q(zeta) matrix."""
-    return _from_pairs(*_shear_inverse(m))
+        tuple((x.a, x.b) for x in column) for column in zip(*tilted))
 
 
 @given(eis_matrices)
@@ -558,10 +548,11 @@ def shear_inverse(m):
 def test_cleared_inverse_inverts(m):
     # S . S^-1 = I on the cleared inverse, for the frame shear S and others
     assume(eisrat_det2(m))
-    inverse = shear_inverse(m)
-    assert inverse == eisrat_inv2(m)
-    assert eisrat_mat_mul(m, inverse) == mat_identity(2)
-    assert eisrat_mat_mul(inverse, m) == mat_identity(2)
+    inverse = _shear_inverse(mat(m))
+    assert eisrat_rows(inverse) == eisrat_inv2(m)
+    identity = eisrat_rows(mat_identity(2))
+    assert eisrat_mat_mul(m, inverse) == identity
+    assert eisrat_mat_mul(inverse, m) == identity
 
 
 @pytest.mark.parametrize("singular", [
@@ -890,7 +881,7 @@ def test_tangent_permutation_matches_q_zeta_oracle(case):
     # as the search asks
     linear, antiholomorphic, tangents = case
     assume(eisrat_det2(linear))
-    assert _tangent_permutation(_cleared(linear)[1], antiholomorphic,
+    assert _tangent_permutation(mat(linear)[1], antiholomorphic,
                                 tangents) == \
         line_permutation(linear, antiholomorphic, tangents)
 
@@ -905,7 +896,7 @@ def test_tangent_permutation_is_the_same_in_both_frames(case):
     shear = catalog.FRAME_SHEAR
     back = eisrat_inv2(eisrat_conj(shear) if anti else shear)
     ambient = eisrat_mat_mul(eisrat_mat_mul(shear, linear), back)
-    assert _tangent_permutation(_cleared(linear)[1], anti,
+    assert _tangent_permutation(mat(linear)[1], anti,
                                 _TILTED_TANGENT_PAIRS) == \
         ambient_tangent_permutation(ambient, anti)
 

@@ -13,7 +13,7 @@ from hexcover.appell_humbert import (
     pullback_hom,
     square_roots,
 )
-from hexcover.eisenstein import ZETA, EisRat, _zeta_pair, mat, mat_identity
+from hexcover.eisenstein import ZETA, EisRat, mat, mat_identity
 from hexcover.lattice import (
     AmbientVector,
     LatticeBasis,
@@ -34,7 +34,7 @@ from hexcover.torsion_covers import (
 
 import golden
 from golden import EXPECTED
-from oracles import (ComplexLine, character_value, complex_line,
+from oracles import (ComplexLine, character_value, complex_line, eisrat_rows,
                      first_doubled_kernel, hermitian_value, hnf_index,
                      kernel_restricted_form, mat_scale,
                      q_zeta_torsion_on_curve, restricts_nontrivially,
@@ -286,7 +286,7 @@ def test_curve_map_not_onto_raises(form):
 def _kernel_line(f):
     """The line killed by F = a*z1 + b*z2, the second row of the curve map
     f, solved for z2 when b is nonzero."""
-    (_, _), (a, b) = f
+    (_, _), (a, b) = eisrat_rows(f)
     return ComplexLine((ONE, -a / b) if b else (EisRat(0), ONE))
 
 
@@ -310,12 +310,13 @@ def test_torsion_on_curve_matches_q_zeta_oracle(first_row, form):
 
 @given(st.tuples(*[st.sampled_from(UNITS)] * 4))
 def test_unit_multiples_of_the_curve_maps_change_nothing(units):
-    scaled = tuple(mat_scale(u, f) for u, f in zip(units, catalog.CURVE_MAPS))
+    scaled = tuple(mat(mat_scale(u, f))
+                   for u, f in zip(units, catalog.CURVE_MAPS))
     lines = tuple(map(_kernel_line, scaled))
     assert lines == tuple(map(complex_line, catalog.CURVE_LINES))
     # the directions catalog.CURVE_LINES would read off the scaled maps
-    directions = tuple((_zeta_pair(f[1][1]), _zeta_pair(-f[1][0]))
-                       for f in scaled)
+    directions = tuple((b, (-a0, -a1))
+                       for _, (_, ((a0, a1), b)) in scaled)
     assert tuple(map(complex_line, directions)) == lines
     assert cross_ratio(*directions) == cross_ratio(*catalog.CURVE_LINES)
     result = classify_characters()
