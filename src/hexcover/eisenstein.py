@@ -103,17 +103,6 @@ class EisRat(_Immutable):
         # a rational hashes as the int or Fraction it equals
         return hash((self.a, self.b)) if self.b else hash(self.a)
 
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def __add__(self, other: object) -> "EisRat":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return EisRat(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
     def __sub__(self, other: object) -> "EisRat":
         o = self._coerce(other)
         if o is None:
@@ -156,10 +145,6 @@ class EisRat(_Immutable):
 
     def norm(self) -> Rat:
         return self.a * self.a + self.a * self.b + self.b * self.b
-
-    def is_integral(self) -> bool:
-        # in canonical form exactly the integral parts are ints
-        return type(self.a) is int and type(self.b) is int
 
     def __repr__(self) -> str:
         return f"EisRat({self.a!r}, {self.b!r})"

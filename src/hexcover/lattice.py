@@ -259,12 +259,6 @@ def _solver(scale: int, rows: Sequence[Sequence[int]]):
                     for i in range(4))
 
 
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix."""
-    pivots, _, _, d = _gauss_jordan(rows)
-    return d if len(pivots) == len(rows) else 0
-
-
 def coords_in(reference: LatticeBasis,
               v: AmbientVector) -> Tuple[int, Tuple[int, ...]]:
     """Rational coordinates of v in the reference basis as (den, nums):

@@ -8,7 +8,7 @@ and comparing orders.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .eisenstein import _Immutable
 
@@ -20,9 +20,27 @@ class OrderBoundExceeded(RuntimeError):
     """Raised when a closure grows past the supported size."""
 
 
-def _product(first: tuple, second: tuple) -> tuple:
-    """Images of first * second from theirs: x -> second(first(x))."""
-    return tuple([second[i - 1] for i in first])
+def _closure(generators, degree: int) -> frozenset:
+    """Image tuples of the group generated by the given image tuples of
+    permutations of 1..degree, at most CLOSURE_BOUND of them.
+
+    Breadth-first from the identity: the itemgetter of a generator g's
+    images less one sends the image tuple of p to that of g * p in one C
+    call, and left multiplication by the generators reaches the whole
+    group.  An itemgetter of one index gives a bare int, not a tuple, so
+    degree 1, whose only group is trivial, gets no steps.
+    """
+    identity = tuple(range(1, degree + 1))
+    steps = ([itemgetter(*[i - 1 for i in g]) for g in generators]
+             if degree > 1 else [])
+    found = frontier = {identity}
+    while frontier:
+        frontier = {step(p) for p in frontier for step in steps} - found
+        found |= frontier
+        if len(found) > CLOSURE_BOUND:
+            raise OrderBoundExceeded(
+                f"closure exceeds {CLOSURE_BOUND} elements")
+    return frozenset(found)
 
 
 class Permutation(_Immutable):
@@ -52,10 +70,6 @@ class Permutation(_Immutable):
         object.__setattr__(p, "images", images)
         return p
 
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(range(1, degree + 1))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -68,8 +82,10 @@ class Permutation(_Immutable):
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        # a product of two bijections is one
-        return Permutation._unchecked(_product(self.images, other.images))
+        # a product of two bijections is one: x -> other(self(x))
+        images = other.images
+        return Permutation._unchecked(tuple([images[i - 1]
+                                             for i in self.images]))
 
     def cycles(self) -> tuple:
         """Disjoint cycles, fixed points omitted, ordered by smallest entry."""
@@ -125,27 +141,11 @@ class PermGroup(_Immutable):
         object.__setattr__(self, "_elements", None)
 
     def elements(self) -> frozenset:
-        """Closure of the generators by breadth-first products of image
-        tuples, at most CLOSURE_BOUND elements."""
-        if self._elements is not None:
-            return self._elements
-        generators = [g.images for g in self.generators]
-        found = {Permutation.identity(self.degree).images}
-        frontier = list(found)
-        while frontier:
-            fresh = []
-            for p in frontier:
-                for g in generators:
-                    q = _product(p, g)
-                    if q not in found:
-                        found.add(q)
-                        fresh.append(q)
-                        if len(found) > CLOSURE_BOUND:
-                            raise OrderBoundExceeded(
-                                f"closure exceeds {CLOSURE_BOUND} elements")
-            frontier = fresh
-        object.__setattr__(self, "_elements",
-                           frozenset(map(Permutation._unchecked, found)))
+        """The closure of the generators, as the frozenset of its elements'
+        image tuples, computed on the first call (_closure)."""
+        if self._elements is None:
+            object.__setattr__(self, "_elements", _closure(
+                [g.images for g in self.generators], self.degree))
         return self._elements
 
     @property
@@ -160,7 +160,7 @@ class PermGroup(_Immutable):
         out = []
         while remaining:
             start = min(remaining)
-            orbit = {g.images[start - 1] for g in elements}
+            orbit = {images[start - 1] for images in elements}
             if len(elements) % len(orbit):
                 raise RuntimeError("orbit size does not divide group order")
             remaining -= orbit
@@ -195,13 +195,13 @@ class PermGroup(_Immutable):
         if 0 in dets or self.order not in (24, 48):
             return None
         # pairs of bijections: an invertible matrix permutes the vectors
-        graph = PermGroup(
-            [Permutation._unchecked(g.images + tuple(
+        pairs = _closure(
+            [g.images + tuple(
                 [_GF3_LABELS[(x * a + y * c) % 3, (x * b + y * d) % 3]
-                 + self.degree for x, y in _GF3_VECTORS]))
-             for g, (a, b, c, d) in zip(self.generators, matrices)])
-        pairs = graph.elements()
-        image_order = len({g.images[self.degree:] for g in pairs})
+                 + self.degree for x, y in _GF3_VECTORS])
+             for g, (a, b, c, d) in zip(self.generators, matrices)],
+            self.degree + len(_GF3_VECTORS))
+        image_order = len({images[self.degree:] for images in pairs})
         if not self.order == image_order == len(pairs):
             return None
         if image_order == 48:

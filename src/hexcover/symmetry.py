@@ -37,7 +37,6 @@ from .lattice import (
     AmbientVector,
     LatticeBasis,
     _ambient_matrix,
-    _det,
     _int_product,
     _lattice_coordinates,
     _map_coordinates,
@@ -99,8 +98,13 @@ class AffineSymmetry(_Immutable):
 def rational_rep(g: AffineSymmetry, basis: LatticeBasis):
     """Integer matrix of the (anti)linear part of g on the lattice basis.
 
-    Column j holds the coordinates of the image of the j-th basis vector; the
-    determinant must be a unit for g to map the lattice onto itself.
+    Column j holds the coordinates of the image of the j-th basis vector; g
+    maps the lattice onto itself when, besides, the matrix has determinant
+    1 or -1.  That determinant is N(det f), for f the complex matrix of g:
+    the real representation is the analytic one plus its conjugate
+    (Birkenhake-Lange, Complex Abelian Varieties, 1.2), and conjugation has
+    determinant 1 on C^2.  So it is positive, and for f = P / den it is 1
+    exactly when N(det P) = den**4.
     """
     images = _map_coordinates(_ambient_matrix(g.linear, g.antiholomorphic),
                               basis._integer)
@@ -110,10 +114,11 @@ def rational_rep(g: AffineSymmetry, basis: LatticeBasis):
         if coords is None:
             raise NotLatticePreserving(f"image of {v!r} leaves the lattice")
         columns.append(coords)
-    rows = tuple(zip(*columns))
-    if _det(rows) not in (1, -1):
+    den, pairs = g.linear
+    a, b = _zeta_det(*pairs)
+    if a * a + a * b + b * b != den ** 4:
         raise NotLatticePreserving("lattice map is not invertible over Z")
-    return rows
+    return tuple(zip(*columns))
 
 
 # A lattice map is an affine symmetry g in the coordinates of a lattice

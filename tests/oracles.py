@@ -53,7 +53,9 @@ PermGroup's closure on image tuples replaced, closure_orbits reads orbits
 off it, and three_closure_group_name is matrix_group_name as it ran with
 three closures, before it read the matrix group's order off the pair
 group.  is_unit, mat_scale, perm_inverse and perm_from_cycles are short
-stand-ins for package helpers that only the tests called; parse_cycles
+stand-ins for package helpers that only the tests called, and eis_sum and
+in_z_zeta are the addition of EisRats and the test that one lies in
+Z[zeta], which the package does on Z[zeta] pairs instead; parse_cycles
 reads a permutation's cycle notation, as the expected values file writes
 it, back into cycles.  restricts_nontrivially is the
 restriction test on the generators of a curve lattice, which the
@@ -86,6 +88,20 @@ def exact(x) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"expected an int or a Fraction, got {x!r}")
     return Fraction(x)
+
+
+def eis_sum(terms):
+    """The sum of EisRats, added part by part: the package adds Z[zeta]
+    pairs, so EisRat itself has no addition."""
+    from hexcover.eisenstein import EisRat
+
+    terms = list(terms)
+    return EisRat(sum(x.a for x in terms), sum(x.b for x in terms))
+
+
+def in_z_zeta(x) -> bool:
+    """Whether the EisRat x lies in Z[zeta]: both its parts are integers."""
+    return all(Fraction(q).denominator == 1 for q in (x.a, x.b))
 
 
 def halves_integrally(matrix) -> bool:
@@ -331,10 +347,10 @@ def gf3_vector_action(m, column=False):
 def permutation_closure(generators) -> frozenset:
     """The group generated by a non-empty list of Permutations of one
     degree, closed by breadth-first Permutation products, the closure
-    that PermGroup.elements' products of image tuples replaced."""
+    that PermGroup's itemgetter steps on image tuples replaced."""
     from hexcover.permgroup import Permutation
 
-    found = {Permutation.identity(generators[0].degree)}
+    found = {Permutation(range(1, generators[0].degree + 1))}
     frontier = list(found)
     while frontier:
         fresh = []
@@ -420,7 +436,7 @@ class ComplexLine:
 
         d1, d2 = (x if isinstance(x, EisRat) else EisRat(exact(x))
                   for x in direction)
-        if not d1 and not d2:
+        if d1 == 0 and d2 == 0:
             raise ValueError("a complex line needs a nonzero direction")
         object.__setattr__(self, "direction", (d1, d2))
 
@@ -435,7 +451,7 @@ class ComplexLine:
 
     def __hash__(self) -> int:
         x, y = self.direction
-        return hash(x / y if y else None)
+        return hash(x / y if y != 0 else None)
 
     def __repr__(self) -> str:
         return f"ComplexLine({self.direction!r})"
@@ -481,9 +497,9 @@ def line_permutation(linear, antiholomorphic, tangents):
         x, y = p.direction
         if antiholomorphic:
             x, y = x.conjugate(), y.conjugate()
-        image = (linear[0][0] * x + linear[0][1] * y,
-                 linear[1][0] * x + linear[1][1] * y)
-        if not image[0] and not image[1]:
+        image = (eis_sum((linear[0][0] * x, linear[0][1] * y)),
+                 eis_sum((linear[1][0] * x, linear[1][1] * y)))
+        if image[0] == 0 and image[1] == 0:
             return None
         q = ComplexLine(image)
         for k, target in enumerate(points, start=1):
@@ -654,7 +670,7 @@ def restricts_nontrivially(chi, generators) -> bool:
 
 def is_unit(x) -> bool:
     """True iff the EisRat x is one of the six units of Z[zeta]."""
-    return x.is_integral() and x.norm() == 1
+    return in_z_zeta(x) and x.norm() == 1
 
 
 def mat_scale(c, m):
@@ -777,13 +793,11 @@ def eisrat_rows(m):
 
 def eisrat_mat_mul(a, b):
     """The Q(zeta) matrix product a . b, each entry summed in EisRat."""
-    from hexcover.eisenstein import EisRat
-
     a, b = eisrat_rows(a), eisrat_rows(b)
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch")
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), EisRat(0))
+        tuple(eis_sum(a[i][k] * b[k][j] for k in range(len(b)))
               for j in range(len(b[0])))
         for i in range(len(a)))
 
@@ -809,12 +823,10 @@ def eisrat_conj(m):
 
 def mat_apply(m, v):
     """The Q(zeta) matrix m applied to the tuple of EisRat entries v."""
-    from hexcover.eisenstein import EisRat
-
     m = eisrat_rows(m)
     if len(m[0]) != len(v):
         raise ValueError("shape mismatch")
-    return tuple(sum((row[k] * v[k] for k in range(len(v))), EisRat(0))
+    return tuple(eis_sum(row[k] * v[k] for k in range(len(v)))
                  for row in m)
 
 
@@ -898,8 +910,8 @@ def q_zeta_torsion_on_curve(curve_map) -> frozenset:
     values = []
     for v in catalog.PRODUCT_LATTICE.vectors:
         z1, z2 = to_pair(v)
-        w = a * z1 + b * z2
-        if not w.is_integral():
+        w = eis_sum((a * z1, b * z2))
+        if not in_z_zeta(w):
             raise NotOnto(f"F({v!r}) = {w} is not in Z[zeta]")
         values.append((int(w.a), int(w.b)))
     minors = (x1 * y2 - x2 * y1
@@ -954,16 +966,11 @@ class ReIm:
 def hermitian_value(h, v, w) -> ReIm:
     """h(v, w) for the HermitianForm h and ambient vectors v, w, summed in
     Q(zeta) as t(v).M.conj(w) / sqrt(3)."""
-    from hexcover.eisenstein import EisRat
-
     z = to_pair(v)
     y = to_pair(w)
     m = eisrat_rows(h.matrix)
-    acc = EisRat(0)
-    for i in range(2):
-        for j in range(2):
-            acc = acc + z[i] * m[i][j] * y[j].conjugate()
-    return ReIm.from_scaled(acc)
+    return ReIm.from_scaled(eis_sum(z[i] * m[i][j] * y[j].conjugate()
+                                    for i in range(2) for j in range(2)))
 
 
 def symmetric_semichar_from_multiplicities(rank, multiplicities):

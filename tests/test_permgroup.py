@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sympy.combinatorics import Permutation as SymPermutation
@@ -33,7 +33,7 @@ def test_permutation_validation():
     for bad in (["2", "1"], [2.0, 1], [1.5, 2], [True, 2], [2, True]):
         with pytest.raises(TypeError):
             Permutation(bad)
-    assert Permutation.identity(5)(3) == 3
+    assert Permutation(range(1, 6))(3) == 3
 
 
 @pytest.mark.parametrize("images", [[1, 1], [0, 1], [2, 3], [1, 3, 3]])
@@ -71,12 +71,12 @@ def test_str_is_cycle_notation():
     p = perm_from_cycles([(3, 1), (2, 5, 4)], 6)
     assert str(p) == "(1 3)(2 5 4)"
     assert repr(p) == "Permutation[(1 3)(2 5 4)]"
-    assert str(Permutation.identity(4)) == "()"
+    assert str(Permutation((1, 2, 3, 4))) == "()"
 
 
 def test_product_rejects_degree_mismatch():
     with pytest.raises(ValueError, match="degree mismatch"):
-        Permutation.identity(2) * Permutation.identity(3)
+        Permutation((1, 2)) * Permutation((1, 2, 3))
 
 
 def test_left_to_right_product():
@@ -106,7 +106,7 @@ def test_from_cycles_round_trip():
 
 
 def test_closure_trivial_and_small():
-    trivial = PermGroup([Permutation.identity(4)])
+    trivial = PermGroup([Permutation((1, 2, 3, 4))])
     assert trivial.order == 1
     assert trivial.orbits() == ((1,), (2,), (3,), (4,))
     swap = PermGroup([perm_from_cycles([(1, 2)], 4)])
@@ -128,7 +128,15 @@ def small_groups(draw):
     return PermGroup([Permutation(g) for g in gens])
 
 
+# degree 1, where an itemgetter step would give a bare int, and degree 2,
+# the least degree with a step: drawn only by chance otherwise
+TRIVIAL_GROUP = PermGroup([Permutation((1,))])
+SWAP_GROUP = PermGroup([Permutation((2, 1))])
+
+
 @given(small_groups())
+@example(TRIVIAL_GROUP)
+@example(SWAP_GROUP)
 def test_orbits_match_sympy(group):
     want = sorted(tuple(sorted(k + 1 for k in orbit))
                   for orbit in _sympy_group(group.generators).orbits())
@@ -136,11 +144,16 @@ def test_orbits_match_sympy(group):
 
 
 @given(small_groups())
+@example(TRIVIAL_GROUP)
+@example(SWAP_GROUP)
 def test_closure_matches_permutation_product_oracle(group):
     gens = group.generators
     elements = group.elements()
-    assert elements == permutation_closure(gens)
-    assert all(type(g) is Permutation for g in elements)
+    # the closure is kept as the elements' image tuples
+    assert elements == {p.images for p in permutation_closure(gens)}
+    assert type(elements) is frozenset
+    assert all(type(g) is tuple and all(type(i) is int for i in g)
+               for g in elements)
     assert group.order == len(elements) == _sympy_group(gens).order()
     assert group.orbits() == closure_orbits(gens)
     # the closure is kept: a second call returns the same set
@@ -201,7 +214,7 @@ def test_group_is_immutable():
 
 
 def test_group_rejects_non_permutation_generators():
-    for bad in ([1, 2], [Permutation.identity(2), (2, 1)], ["(1 2)"]):
+    for bad in ([1, 2], [Permutation((1, 2)), (2, 1)], ["(1 2)"]):
         with pytest.raises(TypeError, match="must be Permutations"):
             PermGroup(bad)
 

@@ -156,7 +156,7 @@ def test_method_scan_sees_methods_properties_and_claim_uses():
     # a method, a property and a classmethod the package calls
     for key in (("permgroup", "Permutation", "cycles"),
                 ("appell_humbert", "LineBundleClass", "lattice"),
-                ("permgroup", "Permutation", "identity")):
+                ("lattice", "LatticeBasis", "from_rows")):
         _, cls, name = key
         assert key in methods
         assert _loads(package_uses, cls, name) > _loads(methods[key], cls,

@@ -57,7 +57,7 @@ from oracles import (ComplexLine, bundle_with_exponents, complex_line,
                      line_permutation, maps_equal, mat_scale, parse_cycles,
                      perm_inverse, q_zeta_cross_ratio, q_zeta_pull_back,
                      q_zeta_push_vector, scan_search_generators,
-                     scan_unit_det_candidates)
+                     scan_unit_det_candidates, sympy_coords, sympy_det)
 from strategies import eis_matrices, eis_rationals, unimodular_matrices
 
 
@@ -182,6 +182,89 @@ def test_rational_rep_rejects_nonpreserving():
         rational_rep(AffineSymmetry([[2, 0], [0, 1]]), catalog.COVER_LATTICE)
 
 
+def _rebased_cover(u):
+    """COVER_LATTICE with basis vector j replaced by sum_k u[k][j] b_k."""
+    old = catalog.COVER_LATTICE.vectors
+    return LatticeBasis([
+        sum((u[k][j] * b for k, b in enumerate(old)), AmbientVector((0,) * 4))
+        for j in range(4)])
+
+
+def _oracle_rep(g, basis):
+    """The matrix of g's (anti)linear part on the basis, images pushed in
+    Q(zeta) and solved for by sympy, as rows of Fractions."""
+    rows = [v.coordinates for v in basis.vectors]
+    columns = [sympy_coords(rows, q_zeta_push_vector(
+        g.linear, v, g.antiholomorphic).coordinates) for v in basis.vectors]
+    return [list(row) for row in zip(*columns)]
+
+
+# maps that send every cover basis vector into the lattice, on any basis,
+# but multiply volumes by N(det f) = 16, 81 and 16
+SCALING_MAPS = {
+    "2I": AffineSymmetry([[2, 0], [0, 2]]),
+    "3I": AffineSymmetry([[3, 0], [0, 3]]),
+    "2sigma": AffineSymmetry(mat_scale(2, catalog.SIGMA_LINEAR),
+                             antiholomorphic=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALING_MAPS))
+@given(u=unimodular_matrices())
+@example(u=[[int(i == j) for j in range(4)] for i in range(4)])
+@settings(max_examples=1, deadline=None)
+def test_rational_rep_rejects_an_integral_map_of_determinant_above_one(
+        name, u):
+    # the cover itself and one random rebasing of it: the images are lattice
+    # vectors, so only the determinant test can reject the map
+    g, basis = SCALING_MAPS[name], _rebased_cover(u)
+    rep = _oracle_rep(g, basis)
+    assert all(x.denominator == 1 for row in rep for x in row)
+    assert sympy_det(rep) == eisrat_det2(g.linear).norm() > 1
+    with pytest.raises(NotLatticePreserving, match="not invertible over Z"):
+        rational_rep(g, basis)
+
+
+small_integral_eisrats = st.builds(EisRat, st.integers(-2, 2),
+                                   st.integers(-2, 2))
+small_integral_matrices = st.tuples(
+    st.tuples(small_integral_eisrats, small_integral_eisrats),
+    st.tuples(small_integral_eisrats, small_integral_eisrats),
+).filter(lambda m: eisrat_det2(m) != 0)
+
+
+@given(small_integral_matrices, st.booleans(),
+       st.sampled_from(("product", "cover")))
+@example(catalog.ORDER4_GEN, False, "cover")
+@example(catalog.SIGMA_LINEAR, True, "cover")
+@example(catalog.GAMMA_ORDER3, False, "product")
+@example([[2, 0], [0, 1]], False, "cover")
+@example([[2, 0], [0, 2]], True, "product")
+@settings(max_examples=60, deadline=None)
+def test_rational_rep_verdict_matches_the_sympy_determinant(rows, anti,
+                                                            which):
+    # the lattice test reads the determinant off N(det f); the oracle
+    # computes the integer matrix R and its determinant with sympy
+    basis = {"product": catalog.PRODUCT_LATTICE,
+             "cover": catalog.COVER_LATTICE}[which]
+    g = AffineSymmetry(rows, anti)
+    rep = _oracle_rep(g, basis)
+    if any(x.denominator != 1 for row in rep for x in row):
+        with pytest.raises(NotLatticePreserving, match="leaves the lattice"):
+            rational_rep(g, basis)
+        return
+    det = sympy_det(rep)
+    # positive for anti-holomorphic maps too: conjugation has determinant 1
+    assert det == eisrat_det2(g.linear).norm()
+    if det in (1, -1):
+        assert rational_rep(g, basis) == tuple(tuple(map(int, row))
+                                               for row in rep)
+    else:
+        with pytest.raises(NotLatticePreserving,
+                           match="not invertible over Z"):
+            rational_rep(g, basis)
+
+
 def test_maps_equal_up_to_lattice_translation():
     tau = BASE_POINT_SWAP
     conjugated = formula_compose(formula_compose(tau, NEGATION),
@@ -225,7 +308,7 @@ def test_tangent_line_permutations():
         golden.TANGENT_PERM_ORDER6
     assert tangent_line_permutation(ANTIHOLO_REFLECTION).cycles() == \
         golden.TANGENT_PERM_SIGMA
-    assert tangent_line_permutation(NEGATION) == Permutation.identity(4)
+    assert tangent_line_permutation(NEGATION) == Permutation((1, 2, 3, 4))
 
 
 def test_tilted_tangent_points_match_published():
@@ -547,7 +630,7 @@ def test_tilted_tangents_are_the_ambient_ones_in_the_sheared_frame():
 @example(mat([[1, ZETA], [1, 1]]))
 def test_cleared_inverse_inverts(m):
     # S . S^-1 = I on the cleared inverse, for the frame shear S and others
-    assume(eisrat_det2(m))
+    assume(eisrat_det2(m) != 0)
     inverse = _shear_inverse(mat(m))
     assert eisrat_rows(inverse) == eisrat_inv2(m)
     identity = eisrat_rows(mat_identity(2))
@@ -650,7 +733,8 @@ def test_holomorphic_group_structure():
     matrices = [_gf3_residues(g.linear)
                 for g in (ORDER4_SYMMETRY, ORDER6_SYMMETRY)]
     assert group.matrix_group_name(matrices) == EXPECTED["orbits.holo_group"]
-    order2 = [str(p) for p in group.elements() if p.order() == 2]
+    order2 = [str(p) for p in map(Permutation, group.elements())
+              if p.order() == 2]
     assert order2 == [EXPECTED["orbits.perm_negation"]]
     assert sorted(sorted(o) for o in group.orbits()) == \
         EXPECTED["orbits.holo_partition"]
@@ -707,12 +791,8 @@ def _cycle_type(text):
 def _rebased_cover_roots(u):
     """The sixteen square roots of the branch bundle on COVER_LATTICE with
     basis vector j replaced by sum_k u[k][j] b_k."""
-    old = catalog.COVER_LATTICE.vectors
-    lattice = LatticeBasis([
-        sum((u[k][j] * b for k, b in enumerate(old)), AmbientVector((0,) * 4))
-        for j in range(4)])
     return square_roots(pullback_hom(catalog.BRANCH_PRODUCT, mat_identity(2),
-                                     lattice))
+                                     _rebased_cover(u)))
 
 
 @settings(max_examples=5, deadline=None)
@@ -851,7 +931,7 @@ def tangent_permuting_maps(draw):
         g = formula_compose(g, draw(st.sampled_from(
             (ORDER4_SYMMETRY, ORDER6_SYMMETRY, ANTIHOLO_REFLECTION))))
     c = draw(eis_rationals)
-    assume(c)
+    assume(c != 0)
     return mat_scale(c, g.linear), g.antiholomorphic
 
 
@@ -880,7 +960,7 @@ def test_tangent_permutation_matches_q_zeta_oracle(case):
     # the ambient tangents, as preserves_divisor asks, and the tilted ones,
     # as the search asks
     linear, antiholomorphic, tangents = case
-    assume(eisrat_det2(linear))
+    assume(eisrat_det2(linear) != 0)
     assert _tangent_permutation(mat(linear)[1], antiholomorphic,
                                 tangents) == \
         line_permutation(linear, antiholomorphic, tangents)
@@ -892,7 +972,7 @@ def test_tangent_permutation_is_the_same_in_both_frames(case):
     # z = S w, so a map w -> M w (or M conj(w)) and its ambient form
     # S M S^-1 (or S M conj(S)^-1) permute the two quadruples alike
     linear, anti = case
-    assume(eisrat_det2(linear))
+    assume(eisrat_det2(linear) != 0)
     shear = catalog.FRAME_SHEAR
     back = eisrat_inv2(eisrat_conj(shear) if anti else shear)
     ambient = eisrat_mat_mul(eisrat_mat_mul(shear, linear), back)
@@ -916,7 +996,7 @@ def maybe_singular_matrices(draw):
 
 @given(maybe_singular_matrices(), st.booleans())
 def test_invertibility_check_matches_det2(linear, anti):
-    if eisrat_det2(linear):
+    if eisrat_det2(linear) != 0:
         assert AffineSymmetry(linear, anti).linear == mat(linear)
     else:
         with pytest.raises(ValueError, match="must be invertible"):

@@ -270,7 +270,7 @@ def test_trivial_on_matches_generator_oracle():
 
 
 @pytest.mark.parametrize("form", [
-    (0, ZETA + 1),                      # onto the index-3 ideal (1 + zeta)
+    (0, EisRat(1, 1)),                  # onto the index-3 ideal (1 + zeta)
     (2, 0),                             # onto 2 Z[zeta]
     (0, EisRat(Fraction(1, 2))),        # off Z[zeta]
     (0, 0),                             # the zero map
@@ -287,7 +287,7 @@ def _kernel_line(f):
     """The line killed by F = a*z1 + b*z2, the second row of the curve map
     f, solved for z2 when b is nonzero."""
     (_, _), (a, b) = eisrat_rows(f)
-    return ComplexLine((ONE, -a / b) if b else (EisRat(0), ONE))
+    return ComplexLine((ONE, -a / b) if b != 0 else (EisRat(0), ONE))
 
 
 _form_entries = st.one_of(
