@@ -98,13 +98,13 @@ class AffineSymmetry(_Immutable):
 def rational_rep(g: AffineSymmetry, basis: LatticeBasis):
     """Integer matrix of the (anti)linear part of g on the lattice basis.
 
-    Column j holds the coordinates of the image of the j-th basis vector; g
-    maps the lattice onto itself when, besides, the matrix has determinant
-    1 or -1.  That determinant is N(det f), for f the complex matrix of g:
-    the real representation is the analytic one plus its conjugate
-    (Birkenhake-Lange, Complex Abelian Varieties, 1.2), and conjugation has
-    determinant 1 on C^2.  So it is positive, and for f = P / den it is 1
-    exactly when N(det P) = den**4.
+    Column j holds the coordinates of the image of the j-th basis vector.
+    g maps the lattice onto itself when they are integers and the matrix
+    has determinant 1 or -1.  That determinant is N(det f), for f the
+    complex matrix of g: the real representation is the analytic one plus
+    its conjugate (Birkenhake-Lange, Complex Abelian Varieties, 1.2), and
+    conjugation has determinant 1 on C^2.  So it is positive, and for
+    f = P / den it is 1 exactly when N(det P) = den**4.
     """
     images = _map_coordinates(_ambient_matrix(g.linear, g.antiholomorphic),
                               basis._integer)
